@@ -144,7 +144,8 @@ func BenchmarkCommutingMatrixRRE(b *testing.B) {
 
 // BenchmarkChainPlanned and BenchmarkChainLeftToRight measure the
 // cost-based concatenation planner on a skewed chain (author
-// collaboration hop next to thin hops).
+// collaboration hop next to thin hops): the evaluator's planned order
+// against the same four factors folded strictly left to right.
 func BenchmarkChainPlanned(b *testing.B) {
 	g := benchGraph()
 	p := rre.MustParse("w-.w.p-in.r-a-")
@@ -157,12 +158,12 @@ func BenchmarkChainPlanned(b *testing.B) {
 
 func BenchmarkChainLeftToRight(b *testing.B) {
 	g := benchGraph()
-	p := rre.MustParse("w-.w.p-in.r-a-")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := eval.New(g)
-		ev.SetChainPlanning(false)
-		ev.Commuting(p)
+		w := g.Adjacency(datasets.LabelWrites)
+		m := w.Transpose().Mul(w)
+		m = m.Mul(g.Adjacency(datasets.LabelPubIn))
+		m.Mul(g.Adjacency(datasets.LabelRscArea).Transpose())
 	}
 }
 

@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"relsim/internal/datasets"
-	"relsim/internal/eval"
 	"relsim/internal/graph"
 	"relsim/internal/replica"
 	"relsim/internal/schema"
@@ -69,146 +68,209 @@ func main() {
 	}
 }
 
+// config is every relsim-serve setting. The flags bind into it once
+// (bindFlags) and both roles — leader and follower — read it through
+// the same two functions, openStore and serverOptions, so a setting
+// cannot exist for one role and be forgotten for the other.
+type config struct {
+	addr, dataset, in, schemaName string
+	workers, cacheLimit           int
+	timeout, drain                time.Duration
+	deltaMaint                    bool
+	dataDir, fsync                string
+	fsyncInterval                 time.Duration
+	checkpointEvery               uint64
+	segmentBytes                  int64
+	logRetention                  int
+	shards                        int
+	shardFn                       string
+	follow                        string
+	pollInterval                  time.Duration
+	maxLag                        uint64
+	maxLagAge                     time.Duration
+	maxInflight, queueDepth       int
+	rate                          float64
+	burst, maxCost                int
+	maxBodyBytes                  int64
+	maxTimeout                    time.Duration
+	slowQuery                     time.Duration
+	pprof                         bool
+	logFormat                     string
+
+	// Resolved by validate from fsync, logFormat and schemaName (nil
+	// without -schema).
+	syncPolicy wal.SyncPolicy
+	accessJSON bool
+	schema     *schema.Schema
+}
+
+// bindFlags registers every relsim-serve flag on fs, bound to the
+// returned config.
+func bindFlags(fs *flag.FlagSet) *config {
+	cfg := &config{}
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.dataset, "dataset", "", fmt.Sprintf("built-in dataset to serve %v", datasets.Names()))
+	fs.StringVar(&cfg.in, "in", "", "graph file to serve (JSON lines, see internal/graph/io.go)")
+	fs.StringVar(&cfg.schemaName, "schema", "", "built-in schema for Algorithm-1 expansion (dblp|wsu|biomed); defaults to the dataset's own schema")
+	fs.IntVar(&cfg.workers, "workers", server.DefaultWorkers, "default /batch worker-pool size")
+	fs.IntVar(&cfg.cacheLimit, "cache-limit", 0, "max cached commuting matrices across versions, 0 = unbounded")
+	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "default /search and /batch evaluation deadline (0 = none; per-request override via ?timeout_ms=)")
+	fs.DurationVar(&cfg.drain, "drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight requests")
+	fs.BoolVar(&cfg.deltaMaint, "delta-maintenance", true, "incremental cache maintenance: patch stale cached commuting matrices to the new version with sparse delta products on each commit, instead of evicting them")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty serves in-memory only")
+	fs.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy: always (no committed batch is ever lost), interval, never")
+	fs.DurationVar(&cfg.fsyncInterval, "fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -fsync interval")
+	fs.Uint64Var(&cfg.checkpointEvery, "checkpoint-every", store.DefaultCheckpointEvery, "versions between graph checkpoints (0 = only the boot checkpoint)")
+	fs.Int64Var(&cfg.segmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation bound in bytes (smaller segments let checkpoints trim history sooner)")
+	fs.IntVar(&cfg.logRetention, "log-retention", store.DefaultLogCap, "in-memory replication feed retention in records (a durable store falls back to the WAL past it)")
+	fs.IntVar(&cfg.shards, "shards", 1, "horizontal shard count: >1 partitions the store by edge-source row across independent per-shard MVCC stores and WALs, with scatter-gather block-SpGEMM evaluation; 1 serves the monolithic store")
+	fs.StringVar(&cfg.shardFn, "shard-fn", sparse.PartitionHash, "row-partition function for -shards >1: hash (growth-stable splitmix64) or range (contiguous id chunks, fixed at creation)")
+	fs.StringVar(&cfg.follow, "follow", "", "leader base URL (e.g. http://leader:8080); run as a read replica of it")
+	fs.DurationVar(&cfg.pollInterval, "poll-interval", replica.DefaultPollInterval, "follower: feed poll cadence while caught up")
+	fs.Uint64Var(&cfg.maxLag, "max-lag", 0, "follower: /healthz turns 503 while replication lag exceeds this many versions (0 = unbounded)")
+	fs.DurationVar(&cfg.maxLagAge, "max-lag-age", 0, "follower: /healthz turns 503 while behind for longer than this (0 = unbounded; catches an unreachable leader, whose version lag freezes)")
+	fs.IntVar(&cfg.maxInflight, "max-inflight", 0, "admission control: max concurrently admitted evaluation/mutation requests, shedding the excess with 503 before any snapshot is pinned (0 = unlimited)")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", 0, "admission control: bounded wait queue above -max-inflight; a full queue sheds immediately (0 = no queue)")
+	fs.Float64Var(&cfg.rate, "rate", 0, "per-client token-bucket rate limit in requests/second, keyed by X-Relsim-Api-Key or remote address; drained buckets answer 429 + Retry-After (0 = unlimited)")
+	fs.IntVar(&cfg.burst, "burst", 0, "per-client burst capacity above -rate (0 = a sensible default)")
+	fs.IntVar(&cfg.maxCost, "max-cost", 0, "per-request cost ceiling in estimated matrix products; costlier requests answer 422 before materialization (0 = unlimited)")
+	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", server.DefaultMaxBodyBytes, "request-body size bound; larger bodies answer 413 (0 = unbounded)")
+	fs.DurationVar(&cfg.maxTimeout, "max-timeout", server.DefaultMaxTimeout, "ceiling for the per-request ?timeout_ms= override; larger values are clamped (0 = no ceiling)")
+	fs.DurationVar(&cfg.slowQuery, "slow-query", 250*time.Millisecond, "slow-query log threshold: requests slower than this are captured into GET /debug/queries (0 = disabled)")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiles expose process memory)")
+	fs.StringVar(&cfg.logFormat, "log-format", "text", "access-log format, one line per request to stderr: text or json")
+	return cfg
+}
+
+// validate checks the enumerated flags up front, whatever the role or
+// store mode: a typo'd log format, partition function, schema or fsync
+// policy must die with a clear message before anything is opened or
+// listens, not fall through to a stack of store-layer errors — or, for
+// -fsync without -data-dir, not be noticed at all.
+func (cfg *config) validate() error {
+	switch cfg.logFormat {
+	case "text":
+	case "json":
+		cfg.accessJSON = true
+	default:
+		return fmt.Errorf("invalid -log-format %q (want text or json)", cfg.logFormat)
+	}
+	if cfg.shards < 1 {
+		return fmt.Errorf("invalid -shards %d (want a positive shard count)", cfg.shards)
+	}
+	if cfg.shardFn != sparse.PartitionHash && cfg.shardFn != sparse.PartitionRange {
+		return fmt.Errorf("invalid -shard-fn %q (want %q or %q)", cfg.shardFn, sparse.PartitionHash, sparse.PartitionRange)
+	}
+	policy, err := wal.ParseSyncPolicy(cfg.fsync)
+	if err != nil {
+		return fmt.Errorf("invalid -fsync: %w", err)
+	}
+	cfg.syncPolicy = policy
+	if cfg.schemaName != "" {
+		if cfg.schema = datasets.SchemaByName(cfg.schemaName); cfg.schema == nil {
+			return fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", cfg.schemaName)
+		}
+	}
+	return nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("relsim-serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	dataset := fs.String("dataset", "", fmt.Sprintf("built-in dataset to serve %v", datasets.Names()))
-	in := fs.String("in", "", "graph file to serve (JSON lines, see internal/graph/io.go)")
-	schemaName := fs.String("schema", "", "built-in schema for Algorithm-1 expansion (dblp|wsu|biomed); defaults to the dataset's own schema")
-	workers := fs.Int("workers", server.DefaultWorkers, "default /batch worker-pool size")
-	cacheLimit := fs.Int("cache-limit", 0, "max cached commuting matrices across versions, 0 = unbounded")
-	timeout := fs.Duration("timeout", 30*time.Second, "default /search and /batch evaluation deadline (0 = none; per-request override via ?timeout_ms=)")
-	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-	defGate := sparse.DefaultThresholds()
-	minDim := fs.Int("parallel-min-dim", defGate.MinDim, "min matrix dimension for the parallel SpGEMM kernel")
-	minNNZ := fs.Int("parallel-min-nnz", defGate.MinNNZ, "min combined nnz for the parallel SpGEMM kernel")
-	workloadPlan := fs.Bool("workload-plan", true, "workload-aware /batch planning: canonicalize patterns, share sub-pattern matrices across the whole batch, materialize each distinct subexpression once")
-	deltaMaint := fs.Bool("delta-maintenance", true, "incremental cache maintenance: patch stale cached commuting matrices to the new version with sparse delta products on each commit, instead of evicting them")
-	deltaDensity := fs.Float64("delta-max-density", eval.DefaultMaxDeltaDensity, "delta density (nonzeros as a fraction of n²) above which maintenance of a pattern falls back to evict-and-recompute")
-	annotate := fs.Bool("annotate", true, "semiring-annotated evaluation: the annotate=witness parameter on /search, /batch and /explain; off rejects annotated requests")
-	dataDir := fs.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty serves in-memory only")
-	fsync := fs.String("fsync", "always", "WAL fsync policy: always (no committed batch is ever lost), interval, never")
-	fsyncInterval := fs.Duration("fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -fsync interval")
-	checkpointEvery := fs.Uint64("checkpoint-every", store.DefaultCheckpointEvery, "versions between graph checkpoints (0 = only the boot checkpoint)")
-	segmentBytes := fs.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation bound in bytes (smaller segments let checkpoints trim history sooner)")
-	logRetention := fs.Int("log-retention", store.DefaultLogCap, "in-memory replication feed retention in records (a durable store falls back to the WAL past it)")
-	shards := fs.Int("shards", 1, "horizontal shard count: >1 partitions the store by edge-source row across independent per-shard MVCC stores and WALs, with scatter-gather block-SpGEMM evaluation; 1 serves the monolithic store")
-	shardFn := fs.String("shard-fn", sparse.PartitionHash, "row-partition function for -shards >1: hash (growth-stable splitmix64) or range (contiguous id chunks, fixed at creation)")
-	follow := fs.String("follow", "", "leader base URL (e.g. http://leader:8080); run as a read replica of it")
-	pollInterval := fs.Duration("poll-interval", replica.DefaultPollInterval, "follower: feed poll cadence while caught up")
-	maxLag := fs.Uint64("max-lag", 0, "follower: /healthz turns 503 while replication lag exceeds this many versions (0 = unbounded)")
-	maxLagAge := fs.Duration("max-lag-age", 0, "follower: /healthz turns 503 while behind for longer than this (0 = unbounded; catches an unreachable leader, whose version lag freezes)")
-	maxInflight := fs.Int("max-inflight", 0, "admission control: max concurrently admitted evaluation/mutation requests, shedding the excess with 503 before any snapshot is pinned (0 = unlimited)")
-	queueDepth := fs.Int("queue-depth", 0, "admission control: bounded wait queue above -max-inflight; a full queue sheds immediately (0 = no queue)")
-	rate := fs.Float64("rate", 0, "per-client token-bucket rate limit in requests/second, keyed by X-Relsim-Api-Key or remote address; drained buckets answer 429 + Retry-After (0 = unlimited)")
-	burst := fs.Int("burst", 0, "per-client burst capacity above -rate (0 = a sensible default)")
-	maxCost := fs.Int("max-cost", 0, "per-request cost ceiling in estimated matrix products; costlier requests answer 422 before materialization (0 = unlimited)")
-	maxBodyBytes := fs.Int64("max-body-bytes", server.DefaultMaxBodyBytes, "request-body size bound; larger bodies answer 413 (0 = unbounded)")
-	maxTimeout := fs.Duration("max-timeout", server.DefaultMaxTimeout, "ceiling for the per-request ?timeout_ms= override; larger values are clamped (0 = no ceiling)")
-	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "slow-query log threshold: requests slower than this are captured into GET /debug/queries (0 = disabled)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiles expose process memory)")
-	logFormat := fs.String("log-format", "text", "access-log format, one line per request to stderr: text or json")
+	cfg := bindFlags(fs)
 	fs.Parse(args)
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if cfg.follow != "" {
+		return runFollower(cfg)
+	}
 
-	accessJSON, err := parseLogFormat(*logFormat)
+	g, sc, err := load(cfg.dataset, cfg.in, cfg.schema)
 	if err != nil {
 		return err
 	}
-	// Shard flags are validated up front, whatever the mode: a typo'd
-	// partition function must die with a clear message, not fall through
-	// to a stack of store-layer errors.
-	if *shards < 1 {
-		return fmt.Errorf("invalid -shards %d (want a positive shard count)", *shards)
-	}
-	if *shardFn != sparse.PartitionHash && *shardFn != sparse.PartitionRange {
-		return fmt.Errorf("invalid -shard-fn %q (want %q or %q)", *shardFn, sparse.PartitionHash, sparse.PartitionRange)
-	}
-
-	adm := admissionOptions(*maxInflight, *queueDepth, *rate, *burst, *maxCost, *maxBodyBytes, *maxTimeout)
-
-	if *follow != "" {
-		return runFollower(followerConfig{
-			addr: *addr, leader: *follow, schemaName: *schemaName,
-			workers: *workers, cacheLimit: *cacheLimit, timeout: *timeout, drain: *drain,
-			gate: sparse.Thresholds{MinDim: *minDim, MinNNZ: *minNNZ}, plan: *workloadPlan,
-			deltaMaint: *deltaMaint, deltaDensity: *deltaDensity, annotate: *annotate,
-			dataDir: *dataDir, fsync: *fsync, fsyncInterval: *fsyncInterval,
-			checkpointEvery: *checkpointEvery, segmentBytes: *segmentBytes, logRetention: *logRetention,
-			pollInterval: *pollInterval, maxLag: *maxLag, maxLagAge: *maxLagAge,
-			dataset: *dataset, in: *in,
-			shards: *shards, shardFn: *shardFn,
-			slowQuery: *slowQuery, pprof: *pprofOn, accessJSON: accessJSON,
-			admission: adm,
-		})
-	}
-
-	g, sc, err := load(*dataset, *in, *schemaName)
+	st, err := openStore(cfg, g)
 	if err != nil {
 		return err
-	}
-	var st store.API
-	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		openOpts := []store.OpenOption{
-			store.WithSeed(g),
-			store.WithSync(policy),
-			store.WithSyncInterval(*fsyncInterval),
-			store.WithCheckpointEvery(*checkpointEvery),
-			store.WithSegmentBytes(*segmentBytes),
-			store.WithLogRetention(*logRetention),
-		}
-		// Recovery happens here, before the listener exists: no request
-		// can observe a half-replayed store. A sharded directory recovers
-		// every shard independently and heals laggards forward from the
-		// furthest-ahead shard's full WAL stream before publishing.
-		if *shards > 1 {
-			st, err = store.OpenSharded(*dataDir, *shards, *shardFn, openOpts...)
-		} else {
-			st, err = store.Open(*dataDir, openOpts...)
-		}
-		if err != nil {
-			return err
-		}
-		ds := st.DurabilityStats()
-		log.Printf("durable store %s: recovered version %d (checkpoint %d + %d replayed records, %d torn records truncated), fsync %s, checkpoint every %d",
-			*dataDir, ds.Recovery.RecoveredVersion, ds.Recovery.CheckpointVersion,
-			ds.Recovery.ReplayedRecords, ds.WAL.TornTruncated, ds.SyncPolicy, ds.CheckpointEvery)
-	} else if *shards > 1 {
-		ss, err := store.NewSharded(g, *shards, *shardFn)
-		if err != nil {
-			return err
-		}
-		ss.SetLogRetention(*logRetention)
-		st = ss
-	} else {
-		ms := store.New(g)
-		ms.SetLogRetention(*logRetention)
-		st = ms
 	}
 	defer st.Close()
-	srvOpts := []server.Option{
-		server.WithWorkers(*workers),
-		server.WithCacheLimit(*cacheLimit),
-		server.WithTimeout(*timeout),
-		server.WithParallelThresholds(sparse.Thresholds{MinDim: *minDim, MinNNZ: *minNNZ}),
-		server.WithWorkloadPlanning(*workloadPlan),
-		server.WithDeltaMaintenance(*deltaMaint),
-		server.WithDeltaMaxDensity(*deltaDensity),
-		server.WithAnnotation(*annotate),
-		server.WithSlowQuery(*slowQuery),
-		server.WithPprof(*pprofOn),
-		server.WithAccessLog(os.Stderr, accessJSON),
-	}
-	srv := server.New(st, sc, append(srvOpts, adm...)...)
+	srv := server.New(st, sc, serverOptions(cfg)...)
 
 	stats := st.Stats()
-	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, shards %d/%s, timeout %v, workload planning %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
-		stats.Nodes, stats.Edges, stats.Labels, *addr, *shards, *shardFn, *timeout, *workloadPlan, st.Durable(), *slowQuery, *pprofOn, *maxInflight, *rate, *maxCost)
+	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, shards %d/%s, timeout %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
+		stats.Nodes, stats.Edges, stats.Labels, cfg.addr, cfg.shards, cfg.shardFn, cfg.timeout, st.Durable(), cfg.slowQuery, cfg.pprof, cfg.maxInflight, cfg.rate, cfg.maxCost)
 
-	return serve(srv, st, *addr, *drain, nil, nil)
+	return serve(srv, st, cfg.addr, cfg.drain, nil, nil)
+}
+
+// openStore builds the store both roles serve from: durable under
+// -data-dir, in-memory otherwise, sharded when -shards > 1. seed is the
+// leader's -dataset/-in graph and nil on a follower, whose graph comes
+// from the leader's checkpoint.
+func openStore(cfg *config, seed *graph.Graph) (store.API, error) {
+	if cfg.dataDir == "" {
+		if cfg.shards > 1 {
+			ss, err := store.NewSharded(seed, cfg.shards, cfg.shardFn)
+			if err != nil {
+				return nil, err
+			}
+			ss.SetLogRetention(cfg.logRetention)
+			return ss, nil
+		}
+		ms := store.New(seed)
+		ms.SetLogRetention(cfg.logRetention)
+		return ms, nil
+	}
+	openOpts := []store.OpenOption{
+		store.WithSeed(seed),
+		store.WithSync(cfg.syncPolicy),
+		store.WithSyncInterval(cfg.fsyncInterval),
+		store.WithCheckpointEvery(cfg.checkpointEvery),
+		store.WithSegmentBytes(cfg.segmentBytes),
+		store.WithLogRetention(cfg.logRetention),
+	}
+	// Recovery happens here, before the listener exists: no request
+	// can observe a half-replayed store. A sharded directory recovers
+	// every shard independently and heals laggards forward from the
+	// furthest-ahead shard's full WAL stream before publishing.
+	var (
+		st  store.API
+		err error
+	)
+	if cfg.shards > 1 {
+		st, err = store.OpenSharded(cfg.dataDir, cfg.shards, cfg.shardFn, openOpts...)
+	} else {
+		st, err = store.Open(cfg.dataDir, openOpts...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ds := st.DurabilityStats()
+	log.Printf("durable store %s: recovered version %d (checkpoint %d + %d replayed records, %d torn records truncated), fsync %s, checkpoint every %d",
+		cfg.dataDir, ds.Recovery.RecoveredVersion, ds.Recovery.CheckpointVersion,
+		ds.Recovery.ReplayedRecords, ds.WAL.TornTruncated, ds.SyncPolicy, ds.CheckpointEvery)
+	return st, nil
+}
+
+// serverOptions folds the flags into server options. Followers get the
+// identical envelope, admission included: a replica is just as
+// overloadable as its leader, and the exempt replication surface
+// (/log, /checkpoint) is never gated on either.
+func serverOptions(cfg *config) []server.Option {
+	return []server.Option{
+		server.WithWorkers(cfg.workers),
+		server.WithCacheLimit(cfg.cacheLimit),
+		server.WithTimeout(cfg.timeout),
+		server.WithDeltaMaintenance(cfg.deltaMaint),
+		server.WithSlowQuery(cfg.slowQuery),
+		server.WithPprof(cfg.pprof),
+		server.WithAccessLog(os.Stderr, cfg.accessJSON),
+		server.WithAdmissionLimits(cfg.maxInflight, cfg.queueDepth),
+		server.WithAdmissionRate(cfg.rate, cfg.burst),
+		server.WithAdmissionMaxCost(cfg.maxCost),
+		server.WithMaxBodyBytes(cfg.maxBodyBytes),
+		server.WithMaxTimeout(cfg.maxTimeout),
+	}
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains and —
@@ -258,69 +320,16 @@ func serve(srv *server.Server, st store.API, addr string, drain time.Duration, s
 	}
 }
 
-// followerConfig carries the follower-mode flags.
-type followerConfig struct {
-	addr, leader, schemaName string
-	workers, cacheLimit      int
-	timeout, drain           time.Duration
-	gate                     sparse.Thresholds
-	plan                     bool
-	deltaMaint               bool
-	deltaDensity             float64
-	annotate                 bool
-	dataDir, fsync           string
-	fsyncInterval            time.Duration
-	checkpointEvery          uint64
-	segmentBytes             int64
-	logRetention             int
-	pollInterval             time.Duration
-	maxLag                   uint64
-	maxLagAge                time.Duration
-	dataset, in              string
-	shards                   int
-	shardFn                  string
-	slowQuery                time.Duration
-	pprof                    bool
-	accessJSON               bool
-	admission                []server.Option
-}
-
-// admissionOptions folds the traffic-hardening flags into server
-// options. Followers get the identical envelope: a replica is just as
-// overloadable as its leader, and the exempt replication surface
-// (/log, /checkpoint) is never gated on either.
-func admissionOptions(maxInflight, queueDepth int, rate float64, burst, maxCost int, maxBodyBytes int64, maxTimeout time.Duration) []server.Option {
-	return []server.Option{
-		server.WithAdmissionLimits(maxInflight, queueDepth),
-		server.WithAdmissionRate(rate, burst),
-		server.WithAdmissionMaxCost(maxCost),
-		server.WithMaxBodyBytes(maxBodyBytes),
-		server.WithMaxTimeout(maxTimeout),
-	}
-}
-
-// parseLogFormat validates -log-format and reports whether the access
-// log should be JSON.
-func parseLogFormat(v string) (bool, error) {
-	switch v {
-	case "text":
-		return false, nil
-	case "json":
-		return true, nil
-	}
-	return false, fmt.Errorf("invalid -log-format %q (want text or json)", v)
-}
-
 // runFollower boots a read replica: build the (optionally durable)
 // store, bootstrap + catch up from the leader synchronously — the
 // listener only opens on a converged replica, mirroring how a durable
 // leader recovers before listening — then serve reads while the tailer
 // keeps following.
-func runFollower(cfg followerConfig) error {
+func runFollower(cfg *config) error {
 	if cfg.dataset != "" || cfg.in != "" {
 		return fmt.Errorf("-follow is mutually exclusive with -dataset/-in: a follower's graph comes from the leader's checkpoint")
 	}
-	leaderURL, err := replica.LeaderURL(cfg.leader)
+	leaderURL, err := replica.LeaderURL(cfg.follow)
 	if err != nil {
 		return err
 	}
@@ -334,46 +343,9 @@ func runFollower(cfg followerConfig) error {
 	} else if n != cfg.shards {
 		return fmt.Errorf("-shards %d disagrees with leader %s serving %d shard(s); a follower must use the leader's shard configuration", cfg.shards, leaderURL, n)
 	}
-	var sc *schema.Schema
-	if cfg.schemaName != "" {
-		if sc = datasets.SchemaByName(cfg.schemaName); sc == nil {
-			return fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", cfg.schemaName)
-		}
-	}
-	var st store.API
-	if cfg.dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(cfg.fsync)
-		if err != nil {
-			return err
-		}
-		openOpts := []store.OpenOption{
-			store.WithSync(policy),
-			store.WithSyncInterval(cfg.fsyncInterval),
-			store.WithCheckpointEvery(cfg.checkpointEvery),
-			store.WithSegmentBytes(cfg.segmentBytes),
-			store.WithLogRetention(cfg.logRetention),
-		}
-		if cfg.shards > 1 {
-			st, err = store.OpenSharded(cfg.dataDir, cfg.shards, cfg.shardFn, openOpts...)
-		} else {
-			st, err = store.Open(cfg.dataDir, openOpts...)
-		}
-		if err != nil {
-			return err
-		}
-		ds := st.DurabilityStats()
-		log.Printf("durable replica store %s: recovered version %d", cfg.dataDir, ds.Recovery.RecoveredVersion)
-	} else if cfg.shards > 1 {
-		ss, err := store.NewSharded(nil, cfg.shards, cfg.shardFn)
-		if err != nil {
-			return err
-		}
-		ss.SetLogRetention(cfg.logRetention)
-		st = ss
-	} else {
-		ms := store.New(nil)
-		ms.SetLogRetention(cfg.logRetention)
-		st = ms
+	st, err := openStore(cfg, nil)
+	if err != nil {
+		return err
 	}
 	defer st.Close()
 
@@ -421,21 +393,7 @@ func runFollower(cfg followerConfig) error {
 		f.Run(tailCtx)
 	}()
 
-	srvOpts := []server.Option{
-		server.WithWorkers(cfg.workers),
-		server.WithCacheLimit(cfg.cacheLimit),
-		server.WithTimeout(cfg.timeout),
-		server.WithParallelThresholds(cfg.gate),
-		server.WithWorkloadPlanning(cfg.plan),
-		server.WithDeltaMaintenance(cfg.deltaMaint),
-		server.WithDeltaMaxDensity(cfg.deltaDensity),
-		server.WithAnnotation(cfg.annotate),
-		server.WithFollower(f, cfg.maxLag, cfg.maxLagAge),
-		server.WithSlowQuery(cfg.slowQuery),
-		server.WithPprof(cfg.pprof),
-		server.WithAccessLog(os.Stderr, cfg.accessJSON),
-	}
-	srv := server.New(st, sc, append(srvOpts, cfg.admission...)...)
+	srv := server.New(st, cfg.schema, append(serverOptions(cfg), server.WithFollower(f, cfg.maxLag, cfg.maxLagAge))...)
 
 	stats := st.Stats()
 	log.Printf("follower of %s serving %d nodes, %d edges at version %d on %s (poll %v, max lag %d, durable %v)",
@@ -484,13 +442,7 @@ func flushStats(srv *server.Server) {
 // load builds the graph and schema from the flags: either a built-in
 // dataset (which brings its own schema unless -schema overrides it) or
 // a graph file plus an optional built-in schema.
-func load(dataset, in, schemaName string) (*graph.Graph, *schema.Schema, error) {
-	var override *schema.Schema
-	if schemaName != "" {
-		if override = datasets.SchemaByName(schemaName); override == nil {
-			return nil, nil, fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", schemaName)
-		}
-	}
+func load(dataset, in string, override *schema.Schema) (*graph.Graph, *schema.Schema, error) {
 	switch {
 	case dataset != "" && in != "":
 		return nil, nil, fmt.Errorf("-dataset and -in are mutually exclusive")

@@ -49,7 +49,7 @@ func EstimateProductsAnnotated(patterns []*rre.Pattern) int {
 }
 
 // annotator binds an evaluator to one annotation ring. It reuses the
-// evaluator's graph, version, cache, cancellation, counters, gate, and
+// evaluator's graph, version, cache, cancellation, counters, and
 // mul hook — annotated products are observable exactly like integer
 // ones, which is how tests assert a warm projection performs none.
 type annotator[T any, R sparse.Ring[T]] struct {
@@ -65,7 +65,7 @@ func (a annotator[T, R]) mul(x, y *sparse.GMatrix[T]) *sparse.GMatrix[T] {
 	e := a.e
 	e.checkCanceled()
 	e.mu.Lock()
-	gate, hook := e.gate, e.mulHook
+	hook := e.mulHook
 	part, blockHook := e.partition, e.blockHook
 	e.mu.Unlock()
 	if hook != nil {
@@ -75,13 +75,13 @@ func (a annotator[T, R]) mul(x, y *sparse.GMatrix[T]) *sparse.GMatrix[T] {
 	if !part.Trivial() {
 		// The scatter-gather path is ring-generic, so witness and counting
 		// annotations shard through the identical block merge as integers.
-		m, st := sparse.GMulBlocked(a.ring, x, y, part, gate)
+		m, st := sparse.GMulBlocked(a.ring, x, y, part, sparse.DefaultThresholds())
 		if blockHook != nil {
 			blockHook(st)
 		}
 		return m
 	}
-	return sparse.GMulThresh(a.ring, x, y, gate)
+	return sparse.GMulThresh(a.ring, x, y, sparse.DefaultThresholds())
 }
 
 // closure is the support-converging boolean closure with product

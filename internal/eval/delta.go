@@ -62,8 +62,6 @@ type MaintainOptions struct {
 	// MaxDensity is the per-node delta-density fallback threshold;
 	// <= 0 uses DefaultMaxDeltaDensity.
 	MaxDensity float64
-	// Gate is the parallel-SpGEMM gate for delta products.
-	Gate sparse.Thresholds
 }
 
 // MaintainResult reports what one Maintain call did.
@@ -206,10 +204,10 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 	return res
 }
 
-// mul multiplies under the maintenance gate, counting products.
+// mul multiplies under the default parallel gate, counting products.
 func (mt *maintainer) mul(a, b *sparse.Matrix) *sparse.Matrix {
 	mt.products++
-	return a.MulThresh(b, mt.opt.Gate)
+	return a.MulThresh(b, sparse.DefaultThresholds())
 }
 
 // closure is the boolean reflexive-transitive closure with product

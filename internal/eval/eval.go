@@ -60,11 +60,9 @@ type Evaluator struct {
 	// in one place.
 	counters *Counters
 
-	mu         sync.Mutex
-	noPlanning bool
-	canonical  bool
-	gate       sparse.Thresholds
-	mulHook    func(a, b *sparse.Matrix)
+	mu        sync.Mutex
+	canonical bool
+	mulHook   func(a, b *sparse.Matrix)
 	// partition, when non-trivial, routes every product (integer and
 	// annotated) through the scatter-gather block kernel; blockHook
 	// observes the per-product block accounting for shard telemetry.
@@ -92,7 +90,7 @@ func NewVersioned(g graph.View, version uint64, cache *Cache) *Evaluator {
 	if cache == nil {
 		cache = NewCache()
 	}
-	return &Evaluator{g: g, version: version, cache: cache, counters: &Counters{}, gate: sparse.DefaultThresholds()}
+	return &Evaluator{g: g, version: version, cache: cache, counters: &Counters{}}
 }
 
 // WithContext returns a copy of the evaluator whose evaluations honor
@@ -103,17 +101,15 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return &Evaluator{
-		g:          e.g,
-		version:    e.version,
-		cache:      e.cache,
-		ctx:        ctx,
-		counters:   e.counters,
-		noPlanning: e.noPlanning,
-		canonical:  e.canonical,
-		gate:       e.gate,
-		mulHook:    e.mulHook,
-		partition:  e.partition,
-		blockHook:  e.blockHook,
+		g:         e.g,
+		version:   e.version,
+		cache:     e.cache,
+		ctx:       ctx,
+		counters:  e.counters,
+		canonical: e.canonical,
+		mulHook:   e.mulHook,
+		partition: e.partition,
+		blockHook: e.blockHook,
 	}
 }
 
@@ -131,16 +127,6 @@ func (e *Evaluator) Version() uint64 { return e.version }
 // Cache returns the evaluator's (possibly shared) commuting-matrix
 // cache.
 func (e *Evaluator) Cache() *Cache { return e.cache }
-
-// SetParallelThresholds overrides the gate deciding when concatenation
-// products use the parallel SpGEMM kernel. The default is
-// sparse.DefaultThresholds; a server tuned for experiment-scale graphs
-// lowers it so /batch materialization parallelizes.
-func (e *Evaluator) SetParallelThresholds(t sparse.Thresholds) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gate = t
-}
 
 // CacheSize returns the number of materialized commuting matrices.
 func (e *Evaluator) CacheSize() int { return e.cache.Size() }
@@ -226,14 +212,14 @@ func (e *Evaluator) SetBlockHook(fn func(sparse.BlockStats)) {
 	e.blockHook = fn
 }
 
-// mul multiplies two matrices under the evaluator's parallel gate,
+// mul multiplies two matrices under the default parallel gate,
 // checking cancellation first. With a non-trivial partition the product
 // scatters across per-shard row blocks and gathers the identical
 // result.
 func (e *Evaluator) mul(a, b *sparse.Matrix) *sparse.Matrix {
 	e.checkCanceled()
 	e.mu.Lock()
-	gate, hook := e.gate, e.mulHook
+	hook := e.mulHook
 	part, blockHook := e.partition, e.blockHook
 	e.mu.Unlock()
 	if hook != nil {
@@ -241,13 +227,13 @@ func (e *Evaluator) mul(a, b *sparse.Matrix) *sparse.Matrix {
 	}
 	e.counters.Products.Add(1)
 	if !part.Trivial() {
-		m, st := a.MulBlocked(b, part, gate)
+		m, st := a.MulBlocked(b, part, sparse.DefaultThresholds())
 		if blockHook != nil {
 			blockHook(st)
 		}
 		return m
 	}
-	return a.MulThresh(b, gate)
+	return a.MulThresh(b, sparse.DefaultThresholds())
 }
 
 // booleanClosure is sparse.BooleanClosure routed through the
@@ -329,16 +315,6 @@ func (e *Evaluator) compute(p *rre.Pattern) *sparse.Matrix {
 		factors := make([]*sparse.Matrix, len(p.Subs()))
 		for i, s := range p.Subs() {
 			factors[i] = e.commuting(s)
-		}
-		e.mu.Lock()
-		planned := !e.noPlanning
-		e.mu.Unlock()
-		if !planned {
-			m := factors[0]
-			for _, f := range factors[1:] {
-				m = e.mul(m, f)
-			}
-			return m
 		}
 		return e.mulChain(factors)
 	case rre.KindAlt:

@@ -13,16 +13,6 @@ import (
 // the classic sparse matrix-chain heuristic. Estimates come from the
 // exact per-index column/row occupancy of the operands, so the first
 // product's estimate is exact and later ones remain good in practice.
-//
-// Planning is on by default; SetChainPlanning(false) restores strict
-// left-to-right evaluation (the ablation knob used by the benchmarks).
-
-// SetChainPlanning toggles cost-based ordering of concatenation chains.
-func (e *Evaluator) SetChainPlanning(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noPlanning = !on
-}
 
 // occupancy returns the per-index column and row occupancy of m in one
 // pass: col[k] = nnz of column k, row[k] = nnz of row k.

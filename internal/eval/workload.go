@@ -318,9 +318,9 @@ func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
 			return firstEr
 		}
 	}
-	// Inexactly-canonicalizable patterns run outside the DAG under their
-	// raw keys — the same sequential pass the unplanned path uses, and
-	// the same key a canonical-key evaluator falls back to at scoring.
+	// Inexactly-canonicalizable patterns run outside the DAG, one after
+	// another under their raw keys — the same key a canonical-key
+	// evaluator falls back to at scoring.
 	for _, p := range wp.unplanned {
 		if err := Guard(func() error {
 			ev.commuting(p)

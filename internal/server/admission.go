@@ -147,10 +147,9 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// protected is the hardened request path every request flows through
-// (inside the observability middleware when instrumentation is on):
-// panic recovery, then admission for the gated endpoints, then the
-// request-body bound, then the mux.
+// protected is the hardened request path every request flows through,
+// inside the observability middleware: panic recovery, then admission
+// for the gated endpoints, then the request-body bound, then the mux.
 func (s *Server) protected(w http.ResponseWriter, r *http.Request) {
 	// A handler panic unwinds through the handler's own defers first —
 	// releasing its pinned snapshot — and is converted to a clean 500
@@ -159,7 +158,7 @@ func (s *Server) protected(w http.ResponseWriter, r *http.Request) {
 	// gauges, or tear down the connection without a response.
 	defer func() {
 		if p := recover(); p != nil {
-			s.obs.handlerPanic()
+			s.obs.panics.Inc()
 			log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			s.writeJSON(w, http.StatusInternalServerError, errorResponse{
 				Error: fmt.Sprintf("internal error: %v", p),

@@ -30,15 +30,6 @@ import (
 // serving, so it is not exposed as a request parameter.)
 const AnnotateWitness = "witness"
 
-// WithAnnotation toggles semiring-annotated evaluation (default on):
-// the annotate=witness parameter on /search, /batch and /explain. Off
-// rejects annotated requests with code "annotation_disabled" — the
-// operator's lever when the annotated twin matrices must not compete
-// for cache space.
-func WithAnnotation(on bool) Option {
-	return func(s *Server) { s.annotate = on }
-}
-
 // WitnessStep is one intermediate node of a witness derivation.
 type WitnessStep struct {
 	ID   graph.NodeID `json:"id"`
@@ -89,19 +80,6 @@ func mergeAnnotate(r *http.Request, body string) (string, error) {
 	return v, nil
 }
 
-// checkAnnotate validates an annotation request against the server's
-// annotation toggle, writing the rejection when disabled.
-func (s *Server) checkAnnotate(w http.ResponseWriter, annotate string) bool {
-	if annotate == "" || s.annotate {
-		return true
-	}
-	s.writeJSON(w, http.StatusBadRequest, errorResponse{
-		Error: "semiring annotation is disabled on this server",
-		Code:  "annotation_disabled",
-	})
-	return false
-}
-
 // annotationSurcharge prices the annotated twin of a query's pattern
 // set: eval.AnnotationCostFactor integer-product equivalents per
 // estimated product, zero for unannotated queries. Added to the
@@ -145,7 +123,6 @@ func (s *Server) annotateResults(ev *eval.Evaluator, req *SearchRequest, q graph
 // the /explain split between witness projections (warm ones
 // materialized zero products) and legacy instance enumeration.
 type SemiringStats struct {
-	Enabled            bool   `json:"enabled"`
 	AnnotatedRequests  uint64 `json:"annotated_requests"`
 	AnnotatedProducts  uint64 `json:"annotated_products"`
 	ExplainProjections uint64 `json:"explain_projections"`
@@ -156,7 +133,6 @@ type SemiringStats struct {
 // semiringStats snapshots the annotation counters.
 func (s *Server) semiringStats() SemiringStats {
 	return SemiringStats{
-		Enabled:            s.annotate,
 		AnnotatedRequests:  s.nAnnotated.Load(),
 		AnnotatedProducts:  s.nAnnotatedProducts.Load(),
 		ExplainProjections: s.nExplainProjected.Load(),

@@ -41,6 +41,14 @@ func TestSearchAnnotateWitness(t *testing.T) {
 	if w.Truncated {
 		t.Error("one-step derivation reported as truncated")
 	}
+
+	// "witness" is the only annotation: any other value is a 400, never
+	// a silently unannotated answer.
+	if code := post(t, ts, "/search", SearchRequest{
+		Pattern: "by.by-", Query: "p1", Annotate: "bogus",
+	}, nil); code != http.StatusBadRequest {
+		t.Fatalf("invalid annotate value = status %d, want 400", code)
+	}
 }
 
 // TestBatchAnnotateQueryParam checks that ?annotate=witness on /batch
@@ -174,30 +182,5 @@ func TestAnnotatedCostCeiling(t *testing.T) {
 				t.Fatalf("error code = %q, want cost_ceiling", er.Code)
 			}
 		})
-	}
-}
-
-// TestAnnotateDisabled checks the WithAnnotation(false) rejection and
-// that invalid annotate values are a 400 on an enabled server.
-func TestAnnotateDisabled(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithAnnotation(false))
-	ts := newHTTPServer(t, srv)
-	var er errorResponse
-	if code := post(t, ts, "/search", SearchRequest{
-		Pattern: "by.by-", Query: "p1", Annotate: AnnotateWitness,
-	}, &er); code != http.StatusBadRequest || er.Code != "annotation_disabled" {
-		t.Fatalf("disabled search = status %d code %q, want 400 annotation_disabled", code, er.Code)
-	}
-	if code := post(t, ts, "/explain?annotate=witness", ExplainRequest{
-		Pattern: "by.by-", From: "p1", To: "p2",
-	}, &er); code != http.StatusBadRequest || er.Code != "annotation_disabled" {
-		t.Fatalf("disabled explain = status %d code %q, want 400 annotation_disabled", code, er.Code)
-	}
-
-	_, enabled := newTestServer(t)
-	if code := post(t, enabled, "/search", SearchRequest{
-		Pattern: "by.by-", Query: "p1", Annotate: "bogus",
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("invalid annotate value = status %d, want 400", code)
 	}
 }

@@ -197,25 +197,6 @@ func TestExplainTimeout(t *testing.T) {
 	}
 }
 
-// TestBatchMaterializeTimeoutPlanOff is the regression test for the
-// non-planned /batch path discarding eval.Guard's return value around
-// the shared Materialize pass: a deadline expiring there must answer
-// 504 like the plan path, not surface as confusing per-query errors.
-func TestBatchMaterializeTimeoutPlanOff(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithWorkloadPlanning(false), WithTimeout(time.Nanosecond))
-	ts := newHTTPServer(t, srv)
-	req := BatchRequest{Queries: []SearchRequest{
-		{Pattern: "by.by-", Query: "p1", Type: "paper"},
-	}}
-	var e errorResponse
-	if code := post(t, ts, "/batch", req, &e); code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504 (body %+v)", code, e)
-	}
-	if got := srv.Stats().Requests["timeouts"]; got != 1 {
-		t.Errorf("timeouts counter = %d, want 1", got)
-	}
-}
-
 // TestExpandMemoBounded is the regression test for the Algorithm-1
 // expansion memo growing without bound under distinct-pattern traffic.
 func TestExpandMemoBounded(t *testing.T) {

@@ -4,12 +4,19 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
 	"relsim/internal/datasets"
 	"relsim/internal/store"
 )
+
+// percentile50 returns the median of a duration sample.
+func percentile50(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}
 
 // BenchmarkExplainProjection is the acceptance gate for witness-
 // projection /explain on dblp-small. One annotated /search materializes

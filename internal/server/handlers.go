@@ -175,9 +175,6 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 		if req.Annotate != AnnotateWitness {
 			return nil, fmt.Errorf("invalid annotate %q (want %q)", req.Annotate, AnnotateWitness)
 		}
-		if !s.annotate {
-			return nil, fmt.Errorf("semiring annotation is disabled on this server")
-		}
 		if alg == "rwr" || alg == "simrank" {
 			return nil, fmt.Errorf("annotate is not supported for alg %q (no pattern to annotate)", alg)
 		}
@@ -217,7 +214,7 @@ func (s *Server) guardedSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace
 func (s *Server) safeBatchSearch(ev *eval.Evaluator, req *SearchRequest) (resp *SearchResponse, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.obs.handlerPanic()
+			s.obs.panics.Inc()
 			log.Printf("panic in batch query %q: %v\n%s", req.Query, p, debug.Stack())
 			resp, err = nil, fmt.Errorf("internal error: %v", p)
 		}
@@ -236,9 +233,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Annotate = an
-	if !s.checkAnnotate(w, req.Annotate) {
-		return
-	}
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -331,14 +325,12 @@ type BatchResponse struct {
 // the old RWMutex design got consistency by blocking those writers; the
 // pinned snapshot gets it for free.
 //
-// With workload planning (the default) the pattern set is first
-// canonicalized and folded into a shared sub-pattern DAG
-// (eval.PlanWorkload); the worker pool materializes every distinct
-// subexpression exactly once in dependency order before any query is
-// scored. A deadline expiring mid-schedule answers 504 — no query had a
-// chance to run, unlike the per-query timeouts the scoring phase
-// reports. With planning off, the pre-PR-3 sequential materialization
-// pass runs instead (the differential-test baseline).
+// The pattern set is first canonicalized and folded into a shared
+// sub-pattern DAG (eval.PlanWorkload); the worker pool materializes
+// every distinct subexpression exactly once in dependency order before
+// any query is scored. A deadline expiring mid-schedule answers 504 —
+// no query had a chance to run, unlike the per-query timeouts the
+// scoring phase reports.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -349,9 +341,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	an, err := mergeAnnotate(r, "")
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.checkAnnotate(w, an) {
 		return
 	}
 	if an != "" {
@@ -389,26 +378,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	pats := s.batchPatterns(req.Queries)
 	endExpand()
 	// Annotated queries carry the annotation surcharge on top of the
-	// planned (or estimated) integer cost — per query, so a mixed batch
-	// prices only its annotated members at the higher weight.
+	// planned integer cost — per query, so a mixed batch prices only its
+	// annotated members at the higher weight.
 	surcharge := 0
 	if s.adm.MaxCost() > 0 {
 		for i := range req.Queries {
 			surcharge += s.annotationSurcharge(&req.Queries[i])
 		}
 	}
-	var plan *eval.WorkloadPlan
-	if s.plan {
-		endPlan := tr.Phase("plan")
-		plan = eval.PlanWorkload(pats)
-		endPlan()
-		if !s.checkCost(w, s.shardCost(plan.EstimatedProducts()+surcharge)) {
-			return
-		}
-	} else if s.adm.MaxCost() > 0 {
-		if !s.checkCost(w, s.shardCost(eval.EstimateProducts(pats)+surcharge)) {
-			return
-		}
+	endPlan := tr.Phase("plan")
+	plan := eval.PlanWorkload(pats)
+	endPlan()
+	if !s.checkCost(w, s.shardCost(plan.EstimatedProducts()+surcharge)) {
+		return
 	}
 
 	pin := s.st.Pin()
@@ -417,45 +399,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr.SetVersion(pin.Version())
 
 	resp := BatchResponse{Version: pin.Version(), Results: make([]BatchResult, len(req.Queries))}
-	if plan != nil {
-		endMat := tr.Phase("materialize")
-		err := plan.Execute(ev, planWorkers)
-		endMat()
-		if err != nil {
-			// Canceled mid-schedule: the pinned snapshot is released by the
-			// deferred Release above, already-materialized nodes stay cached
-			// for a retry, and no query has produced a result yet.
-			if !s.writeIfCanceled(w, err) {
-				s.writeError(w, http.StatusServiceUnavailable, err)
-			}
-			return
+	endMat := tr.Phase("materialize")
+	err = plan.Execute(ev, planWorkers)
+	endMat()
+	if err != nil {
+		// Canceled mid-schedule: the pinned snapshot is released by the
+		// deferred Release above, already-materialized nodes stay cached
+		// for a retry, and no query has produced a result yet.
+		if !s.writeIfCanceled(w, err) {
+			s.writeError(w, http.StatusServiceUnavailable, err)
 		}
-		// Count only completed plans: an aborted schedule saved nothing,
-		// and its retry would otherwise double-book the same dedup.
-		st := plan.Stats()
-		s.nPlanned.Add(1)
-		s.nDeduped.Add(uint64(st.Deduped))
-		s.nProductsSaved.Add(uint64(st.ProductsSaved))
-		s.nUnplannable.Add(uint64(st.Unplannable))
-		tr.SetPlan(st.Deduped, st.ProductsSaved)
-	} else {
-		// Amortized sequential materialization. A deadline expiring here
-		// used to be swallowed (the Guard error was discarded) and
-		// resurfaced only as confusing per-query errors; it answers 504
-		// like the plan path — no query had a chance to run.
-		endMat := tr.Phase("materialize")
-		err := eval.Guard(func() error {
-			ev.Materialize(pats...)
-			return nil
-		})
-		endMat()
-		if err != nil {
-			if !s.writeIfCanceled(w, err) {
-				s.writeError(w, http.StatusServiceUnavailable, err)
-			}
-			return
-		}
+		return
 	}
+	// Count only completed plans: an aborted schedule saved nothing,
+	// and its retry would otherwise double-book the same dedup.
+	st := plan.Stats()
+	s.nPlanned.Add(1)
+	s.nDeduped.Add(uint64(st.Deduped))
+	s.nProductsSaved.Add(uint64(st.ProductsSaved))
+	s.nUnplannable.Add(uint64(st.Unplannable))
+	tr.SetPlan(st.Deduped, st.ProductsSaved)
 
 	endScore := tr.Phase("score")
 	jobs := make(chan int)
@@ -468,7 +431,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for i := range jobs {
 				res, err := s.safeBatchSearch(ev, &req.Queries[i])
 				if err != nil {
-					s.obs.batchQueryError()
+					s.obs.queryErrors.Inc()
 					var c *eval.Canceled
 					if errors.As(err, &c) && errors.Is(c.Err, context.DeadlineExceeded) {
 						timedOut.Store(true)
@@ -490,9 +453,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One timed-out batch counts once, matching /search's accounting;
 	// the response stays 200 so queries that beat the deadline deliver
 	// their partial results — the status-based middleware cannot see
-	// this, hence the explicit hook.
+	// this, hence the explicit count.
 	if timedOut.Load() {
-		s.obs.batchSoftTimeout()
+		s.obs.timeouts["batch"].Inc()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -546,7 +509,7 @@ func (s *Server) expandPattern(p *rre.Pattern) ([]*rre.Pattern, error) {
 	}
 	s.expandMisses++
 	s.expandMu.Unlock()
-	ps, err := pattern.Generate(s.schema, p, s.genOpt)
+	ps, err := pattern.Generate(s.schema, p, pattern.Default())
 	if err != nil {
 		return nil, err
 	}
@@ -634,9 +597,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Annotate = an
-	if !s.checkAnnotate(w, req.Annotate) {
-		return
-	}
 	p, err := rre.Parse(req.Pattern)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)

@@ -55,7 +55,7 @@ func endpointName(path string) string {
 // forget to increment anything: every 4xx/5xx is an error, every 504 a
 // timeout, whatever handler produced it. The two handler-level
 // exceptions — /batch's soft timeout and its per-query errors, both
-// delivered inside 200 responses — have explicit nil-safe hooks below.
+// delivered inside 200 responses — are counted by handleBatch itself.
 type serverObs struct {
 	inFlight    *telemetry.Metric
 	queryErrors *telemetry.Metric
@@ -101,39 +101,12 @@ func newServerObs(reg *telemetry.Registry) *serverObs {
 	return o
 }
 
-// pick returns the endpoint's handle, falling back to "other". Nil
-// receiver (uninstrumented server) yields a nil Metric, which is a
-// no-op sink.
+// pick returns the endpoint's handle, falling back to "other".
 func (o *serverObs) pick(m map[string]*telemetry.Metric, ep string) *telemetry.Metric {
-	if o == nil {
-		return nil
-	}
 	if h, ok := m[ep]; ok {
 		return h
 	}
 	return m["other"]
-}
-
-// batchQueryError counts one failed query inside a /batch response.
-func (o *serverObs) batchQueryError() {
-	if o != nil {
-		o.queryErrors.Inc()
-	}
-}
-
-// batchSoftTimeout counts a /batch that lost queries to the deadline
-// but still answered 200 — invisible to status-based counting.
-func (o *serverObs) batchSoftTimeout() {
-	if o != nil {
-		o.timeouts["batch"].Inc()
-	}
-}
-
-// handlerPanic counts one recovered handler panic.
-func (o *serverObs) handlerPanic() {
-	if o != nil {
-		o.panics.Inc()
-	}
 }
 
 // obsWriter wraps the response writer to capture the status code and to
@@ -172,11 +145,11 @@ func (w *obsWriter) Flush() {
 	}
 }
 
-// observed is the instrumented request path: assign/propagate the
-// request id, attach a Trace to the context, serve, then account the
-// outcome from the response status and feed the slow-query and access
-// logs. It is the single choke point request accounting flows through —
-// handlers cannot skip it.
+// observed is the request path: assign/propagate the request id,
+// attach a Trace to the context, serve, then account the outcome from
+// the response status and feed the slow-query and access logs. It is
+// the single choke point request accounting flows through — handlers
+// cannot skip it.
 func (s *Server) observed(w http.ResponseWriter, r *http.Request) {
 	ep := endpointName(r.URL.Path)
 	id := r.Header.Get(RequestIDHeader)

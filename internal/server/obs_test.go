@@ -640,41 +640,6 @@ func TestPprofMount(t *testing.T) {
 	}
 }
 
-// TestUninstrumented: WithInstrumentation(false) removes the whole
-// telemetry surface — no /metrics, no request ids, zeroed /stats
-// request counters — while the query API keeps working. This is the
-// overhead benchmark's baseline configuration.
-func TestUninstrumented(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithInstrumentation(false))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var resp SearchResponse
-	if code := post(t, ts, "/search", SearchRequest{Pattern: "by.by-", Query: "p1"}, &resp); code != http.StatusOK {
-		t.Fatalf("search status = %d", code)
-	}
-	if len(resp.Results) == 0 {
-		t.Fatal("no results without instrumentation")
-	}
-	code, hdr, _ := getRaw(t, srv, "/metrics")
-	if code != http.StatusNotFound {
-		t.Errorf("/metrics status = %d, want 404", code)
-	}
-	_ = hdr
-	r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(`{"pattern":"by","query":"p1"}`))
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, r)
-	if got := w.Result().Header.Get(RequestIDHeader); got != "" {
-		t.Errorf("request id %q on uninstrumented server", got)
-	}
-	if req := srv.Stats().Requests; req["search"] != 0 {
-		t.Errorf("request counters without instrumentation = %v, want zeros", req)
-	}
-	if srv.Registry() != nil {
-		t.Error("registry present without instrumentation")
-	}
-}
-
 // TestMetricsUnderConcurrentTraffic hammers the instrumented server
 // from many goroutines while scraping mid-storm; run with -race. Every
 // scrape must lint.

@@ -48,7 +48,6 @@ import (
 	"relsim/internal/admission"
 	"relsim/internal/eval"
 	"relsim/internal/graph"
-	"relsim/internal/pattern"
 	"relsim/internal/replica"
 	"relsim/internal/rre"
 	"relsim/internal/schema"
@@ -92,10 +91,8 @@ type Server struct {
 	st      store.API
 	cache   *eval.Cache
 	schema  *schema.Schema
-	genOpt  pattern.Options
 	workers int
 	timeout time.Duration // default per-request deadline; 0 = none
-	gate    sparse.Thresholds
 
 	// Sharding (see store.ShardedStore): part is the store's row
 	// partition (the zero value on a monolithic store — every scatter-
@@ -115,13 +112,12 @@ type Server struct {
 	// every mechanism is disabled — the zero-overhead path). maxBody
 	// bounds request bodies (413 past it), maxTimeout caps the
 	// ?timeout_ms= override, admWait is the queued-wait histogram
-	// handle (nil without instrumentation — a no-op sink).
+	// handle.
 	admCfg     admission.Config
 	adm        *admission.Controller
 	maxBody    int64
 	maxTimeout time.Duration
 	admWait    *telemetry.Metric
-	plan       bool // workload-aware /batch planning + canonical cache keys
 	logFeed    bool // expose GET /log and /checkpoint (the replication surface)
 	mux        *http.ServeMux
 	start      time.Time
@@ -149,12 +145,10 @@ type Server struct {
 	expandMisses    uint64
 	expandEvictions uint64
 
-	// Observability. reg is the server's telemetry registry (nil when
-	// WithInstrumentation(false)); obs holds the HTTP-layer metric
-	// handles the middleware feeds. Request/error/timeout counting is
-	// status-based in the middleware — see observed in obs.go — so no
-	// handler error path can skip it.
-	instrument    bool
+	// Observability. reg is the server's telemetry registry; obs holds
+	// the HTTP-layer metric handles the middleware feeds.
+	// Request/error/timeout counting is status-based in the middleware —
+	// see observed in obs.go — so no handler error path can skip it.
 	reg           *telemetry.Registry
 	obs           *serverObs
 	slow          *slowLog
@@ -173,26 +167,23 @@ type Server struct {
 	// count).
 	nPlanned, nDeduped, nProductsSaved, nUnplannable, nProducts atomic.Uint64
 
-	// Semiring-annotated serving (see annotate.go): annotate toggles the
-	// annotate=witness request parameter; the counters split annotated
-	// request traffic, annotated-kernel products (the mul hook passes nil
-	// operands for non-integer products, which is how they are told
-	// apart), and /explain's projection-vs-legacy answers.
-	annotate                        bool
+	// Semiring-annotated serving (see annotate.go): the counters split
+	// annotated request traffic, annotated-kernel products (the mul hook
+	// passes nil operands for non-integer products, which is how they are
+	// told apart), and /explain's projection-vs-legacy answers.
 	nAnnotated, nAnnotatedProducts  atomic.Uint64
 	nExplainProjected, nExplainWarm atomic.Uint64
 	nExplainLegacy                  atomic.Uint64
 
 	// Incremental cache maintenance (delta SpGEMM): when deltaMaintain
 	// is on, the commit hook patches stale cached matrices to the new
-	// version instead of evicting them; deltaMaxDensity is the per-node
-	// delta-density fallback threshold. The counters accumulate
+	// version instead of evicting them, falling back to eviction per
+	// pattern past eval.DefaultMaxDeltaDensity. The counters accumulate
 	// Cache.Maintain results across commits; deltaNanos is the total
 	// wall time spent maintaining, and deltaDur the latency histogram
-	// handle (nil without instrumentation — a no-op sink).
-	deltaMaintain   bool
-	deltaMaxDensity float64
-	deltaDur        *telemetry.Metric
+	// handle.
+	deltaMaintain bool
+	deltaDur      *telemetry.Metric
 
 	nDeltaCommits, nDeltaRoots, nDeltaMaintained atomic.Uint64
 	nDeltaFallbacks, nDeltaProducts              atomic.Uint64
@@ -228,31 +219,6 @@ func WithCacheLimit(n int) Option {
 // disables the default (the zero value).
 func WithTimeout(d time.Duration) Option {
 	return func(s *Server) { s.timeout = d }
-}
-
-// WithParallelThresholds sets the gate deciding when commuting-matrix
-// products use the parallel SpGEMM kernel. Lower it on experiment-scale
-// graphs so /batch materialization parallelizes.
-func WithParallelThresholds(t sparse.Thresholds) Option {
-	return func(s *Server) { s.gate = t }
-}
-
-// WithWorkloadPlanning toggles workload-aware /batch planning (default
-// on): the distinct pattern set of a batch is canonicalized, folded
-// into a shared sub-pattern DAG and materialized exactly once per
-// distinct subexpression across the worker pool, with cache entries
-// keyed by the canonical rendering so semantically interchangeable
-// patterns share matrices. Off restores the sequential per-pattern
-// materialization pass with raw string keys — the ablation/differential
-// baseline.
-func WithWorkloadPlanning(on bool) Option {
-	return func(s *Server) { s.plan = on }
-}
-
-// WithGenOptions overrides the Algorithm-1 expansion options used by the
-// structurally robust search pipeline.
-func WithGenOptions(opt pattern.Options) Option {
-	return func(s *Server) { s.genOpt = opt }
 }
 
 // WithExpandCacheLimit bounds the Algorithm-1 expansion memo to n
@@ -306,20 +272,10 @@ func WithFollower(rep Replication, maxLag uint64, maxLagAge time.Duration) Optio
 	}
 }
 
-// WithInstrumentation toggles the telemetry layer as a whole (default
-// on): the /metrics registry, the per-request middleware (request ids,
-// Server-Timing, per-endpoint counters and latency histograms), and the
-// store/WAL/replica instrumentation. Off is the measured baseline for
-// the instrumentation-overhead benchmark; an uninstrumented server
-// reports zero request counters in /stats.
-func WithInstrumentation(on bool) Option {
-	return func(s *Server) { s.instrument = on }
-}
-
 // WithSlowQuery enables the slow-query log: requests slower than d are
 // captured — pattern, plan stats, cache behavior, phase timings — into
 // a bounded ring served at GET /debug/queries. d <= 0 disables capture
-// (the default). Requires instrumentation.
+// (the default).
 func WithSlowQuery(d time.Duration) Option {
 	return func(s *Server) { s.slowThreshold = d }
 }
@@ -334,7 +290,6 @@ func WithPprof(on bool) Option {
 // jsonFormat, a stable text form otherwise. Each line carries the
 // request id, endpoint, status, duration, and per-phase breakdown.
 // Writes are serialized; w need not be safe for concurrent use.
-// Requires instrumentation.
 func WithAccessLog(w io.Writer, jsonFormat bool) Option {
 	return func(s *Server) {
 		s.accessW = w
@@ -353,21 +308,6 @@ func WithAccessLog(w io.Writer, jsonFormat bool) Option {
 // produce.
 func WithDeltaMaintenance(on bool) Option {
 	return func(s *Server) { s.deltaMaintain = on }
-}
-
-// WithDeltaMaxDensity sets the density threshold at which incremental
-// maintenance of a pattern gives up and falls back to eviction: if the
-// delta at any expression node exceeds f·n² nonzeros, the distributive
-// expansion costs as much as recomputation. f <= 0 restores the
-// default (eval.DefaultMaxDeltaDensity).
-func WithDeltaMaxDensity(f float64) Option {
-	return func(s *Server) {
-		if f > 0 {
-			s.deltaMaxDensity = f
-		} else {
-			s.deltaMaxDensity = eval.DefaultMaxDeltaDensity
-		}
-	}
 }
 
 // expandEntry is one memoized Algorithm-1 expansion with its LRU tick.
@@ -391,22 +331,16 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 		st:          st,
 		cache:       eval.NewCache(),
 		schema:      sc,
-		genOpt:      pattern.Default(),
 		workers:     DefaultWorkers,
-		gate:        sparse.DefaultThresholds(),
-		plan:        true,
 		logFeed:     true,
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
 		expand:      make(map[string]*expandEntry),
 		expandLimit: DefaultExpandCacheLimit,
-		instrument:  true,
 		maxBody:     DefaultMaxBodyBytes,
 		maxTimeout:  DefaultMaxTimeout,
-		annotate:    true,
 
-		deltaMaintain:   true,
-		deltaMaxDensity: eval.DefaultMaxDeltaDensity,
+		deltaMaintain: true,
 	}
 	for _, o := range opts {
 		o(s)
@@ -428,26 +362,24 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 		s.mux.HandleFunc("GET /log", s.handleLog)
 		s.mux.HandleFunc("GET /checkpoint", s.handleCheckpoint)
 	}
-	if s.instrument {
-		s.reg = telemetry.NewRegistry()
-		s.obs = newServerObs(s.reg)
-		s.instrumentEngine(s.reg)
-		s.instrumentSemiring(s.reg)
-		s.instrumentAdmission(s.reg)
-		if _, ok := st.(*store.ShardedStore); ok {
-			s.instrumentShards(s.reg)
-		}
-		st.Instrument(s.reg)
-		// A replication tailer that can describe itself (the concrete
-		// *replica.Follower does) joins the registry; test fakes that
-		// cannot simply stay out of /metrics.
-		if in, ok := s.replica.(interface{ Instrument(*telemetry.Registry) }); ok {
-			in.Instrument(s.reg)
-		}
-		s.mux.Handle("GET /metrics", s.reg.Handler())
-		if s.slowThreshold > 0 {
-			s.slow = newSlowLog()
-		}
+	s.reg = telemetry.NewRegistry()
+	s.obs = newServerObs(s.reg)
+	s.instrumentEngine(s.reg)
+	s.instrumentSemiring(s.reg)
+	s.instrumentAdmission(s.reg)
+	if _, ok := st.(*store.ShardedStore); ok {
+		s.instrumentShards(s.reg)
+	}
+	st.Instrument(s.reg)
+	// A replication tailer that can describe itself (the concrete
+	// *replica.Follower does) joins the registry; test fakes that
+	// cannot simply stay out of /metrics.
+	if in, ok := s.replica.(interface{ Instrument(*telemetry.Registry) }); ok {
+		in.Instrument(s.reg)
+	}
+	s.mux.Handle("GET /metrics", s.reg.Handler())
+	if s.slowThreshold > 0 {
+		s.slow = newSlowLog()
 	}
 	s.mux.HandleFunc("GET /debug/queries", s.handleSlowQueries)
 	if s.pprofEnabled {
@@ -460,21 +392,16 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler. With instrumentation on, every
-// request flows through the observability middleware; either way it
-// then passes the hardened path (panic recovery, admission, body
-// bound — see protected in admission.go) before reaching the mux.
+// ServeHTTP implements http.Handler. Every request flows through the
+// observability middleware, then the hardened path (panic recovery,
+// admission, body bound — see protected in admission.go) before
+// reaching the mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.obs == nil {
-		s.protected(w, r)
-		return
-	}
 	s.observed(w, r)
 }
 
-// Registry returns the server's telemetry registry (nil when
-// instrumentation is off) — the cmd layer and tests scrape or extend
-// it.
+// Registry returns the server's telemetry registry — the cmd layer and
+// tests scrape or extend it.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Cache returns the server's shared versioned commuting-matrix cache
@@ -485,16 +412,15 @@ func (s *Server) Cache() *eval.Cache { return s.cache }
 func (s *Server) Store() store.API { return s.st }
 
 // evaluator binds a view-scoped evaluator over the shared cache.
-// Under workload planning every evaluator keys the cache canonically,
-// so /search and /explain hit the matrices /batch plans materialize
-// (and vice versa), and all evaluators feed the server's product
-// counter through the mul hook. On a sharded store the evaluator
-// additionally inherits the row partition, so every product runs the
-// scatter-gather block kernel and reports its block statistics.
+// Every evaluator keys the cache canonically, as the workload planner's
+// DAG nodes are, so /search and /explain hit the matrices /batch plans
+// materialize (and vice versa), and all evaluators feed the server's
+// product counter through the mul hook. On a sharded store the
+// evaluator additionally inherits the row partition, so every product
+// runs the scatter-gather block kernel and reports its block statistics.
 func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 	ev := eval.NewVersioned(g, version, s.cache)
-	ev.SetParallelThresholds(s.gate)
-	ev.SetCanonicalKeys(s.plan)
+	ev.SetCanonicalKeys(true)
 	// Annotated (non-integer) products fire the hook with nil operands —
 	// the discriminator the semiring counters rely on.
 	ev.SetMulHook(func(a, _ *sparse.Matrix) {
@@ -550,7 +476,7 @@ func (s *Server) ageCache(updates []store.Update) {
 				OldN:   n - d.NodesAdded,
 				NewN:   n,
 				Labels: d.LabelDeltas(n),
-			}, eval.MaintainOptions{MaxDensity: s.deltaMaxDensity, Gate: s.gate})
+			}, eval.MaintainOptions{MaxDensity: eval.DefaultMaxDeltaDensity})
 			elapsed := time.Since(start)
 			s.nDeltaCommits.Add(1)
 			s.nDeltaRoots.Add(uint64(res.Roots))
@@ -677,7 +603,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // shared DAG, the matrix products those duplicates would have cost, and
 // the products actually performed server-wide.
 type WorkloadStats struct {
-	Enabled              bool   `json:"enabled"`
 	PlannedBatches       uint64 `json:"planned_batches"`
 	SubpatternsDeduped   uint64 `json:"subpatterns_deduped"`
 	ProductsSaved        uint64 `json:"products_saved"`
@@ -792,7 +717,6 @@ func (s *Server) Stats() StatsResponse {
 		Cache:         s.cache.Stats(),
 		CacheVersions: s.cache.VersionOccupancy(),
 		Workload: WorkloadStats{
-			Enabled:              s.plan,
 			PlannedBatches:       s.nPlanned.Load(),
 			SubpatternsDeduped:   s.nDeduped.Load(),
 			ProductsSaved:        s.nProductsSaved.Load(),
@@ -815,7 +739,7 @@ func (s *Server) Stats() StatsResponse {
 func (s *Server) deltaStats() DeltaStats {
 	return DeltaStats{
 		Enabled:            s.deltaMaintain,
-		MaxDensity:         s.deltaMaxDensity,
+		MaxDensity:         eval.DefaultMaxDeltaDensity,
 		Commits:            s.nDeltaCommits.Load(),
 		Roots:              s.nDeltaRoots.Load(),
 		Maintained:         s.nDeltaMaintained.Load(),
@@ -831,16 +755,13 @@ func (s *Server) deltaStats() DeltaStats {
 // registry and is kept: per-endpoint counts for the four request
 // surfaces plus totals for errors and timeouts. "errors" folds in
 // /batch's per-query errors and "timeouts" its soft timeouts, matching
-// the pre-registry accounting. All zeros when instrumentation is off.
+// the pre-registry accounting.
 func (s *Server) requestCounts() map[string]uint64 {
 	req := map[string]uint64{
 		"search": 0, "batch": 0, "explain": 0,
 		"mutations": 0, "errors": 0, "timeouts": 0,
 	}
 	o := s.obs
-	if o == nil {
-		return req
-	}
 	for _, ep := range []string{"search", "batch", "explain", "mutations"} {
 		req[ep] = uint64(o.requests[ep].Value())
 	}

@@ -166,7 +166,7 @@ func TestShardedK4Consistency(t *testing.T) {
 // and /metrics exports the relsim_shard_* series — while a monolithic
 // server's surfaces stay entirely shard-free.
 func TestShardedStatsSurfaces(t *testing.T) {
-	mono, sh := newShardedPair(t, 4, sparse.PartitionRange, WithInstrumentation(true))
+	mono, sh := newShardedPair(t, 4, sparse.PartitionRange)
 
 	get := func(srv *Server, path string) []byte {
 		r := httptest.NewRequest(http.MethodGet, path, nil)
@@ -241,7 +241,7 @@ func TestShardedMutateQueryStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sh, ds.Schema, WithInstrumentation(true))
+	srv := New(sh, ds.Schema)
 
 	const writers, readers, iters = 3, 5, 25
 	var wg sync.WaitGroup

@@ -40,10 +40,10 @@ type PhaseSpan struct {
 // Trace is the per-request execution record: the request id, the timed
 // phase spans (expand, plan, materialize, score, ...), and the query
 // detail the slow-query log captures. Handlers write it through
-// nil-safe methods — a request served without instrumentation carries a
-// nil trace and every method no-ops — and the middleware turns it into
-// the Server-Timing header, phase histograms, the access log line, and
-// (past the threshold) a slow-query entry.
+// nil-safe methods — /batch workers score with a nil trace and every
+// method no-ops — and the middleware turns it into the Server-Timing
+// header, phase histograms, the access log line, and (past the
+// threshold) a slow-query entry.
 type Trace struct {
 	ID       string
 	Endpoint string
@@ -76,8 +76,8 @@ func withTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, t)
 }
 
-// traceFrom returns the request's trace, or nil when the server runs
-// uninstrumented — callers use the nil-safe Trace methods untested.
+// traceFrom returns the request's trace, or nil when the context
+// carries none — callers use the nil-safe Trace methods untested.
 func traceFrom(ctx context.Context) *Trace {
 	t, _ := ctx.Value(ctxKey{}).(*Trace)
 	return t

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"relsim/internal/datasets"
+	"relsim/internal/eval"
 	"relsim/internal/rre"
+	"relsim/internal/sparse"
 	"relsim/internal/store"
 )
 
@@ -85,14 +89,38 @@ func randWorkload(rng *rand.Rand) BatchRequest {
 	return BatchRequest{Workers: 1 + rng.Intn(4), Queries: qs}
 }
 
+// naiveBatch is the reference /batch the planner is held to: every
+// query is answered in isolation by a fresh raw-key evaluator over its
+// own empty cache — no canonicalization, no shared DAG, no worker pool
+// — through the same runSearch the batch workers call, and the outcomes
+// are marshalled the way handleBatch writes them.
+func naiveBatch(t testing.TB, srv *Server, req BatchRequest) []byte {
+	t.Helper()
+	view, ver := srv.st.View()
+	resp := BatchResponse{Version: ver, Results: make([]BatchResult, len(req.Queries))}
+	for i := range req.Queries {
+		ev := eval.NewVersioned(view, ver, eval.NewCache())
+		res, err := srv.runSearch(ev, &req.Queries[i], nil)
+		if err != nil {
+			resp.Results[i] = BatchResult{Error: err.Error()}
+		} else {
+			resp.Results[i] = BatchResult{SearchResponse: res}
+		}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestBatchPlanDifferential is the harness that locked the planner in:
-// over 500 seeded random workloads, /batch with workload planning must
-// answer byte-identically to /batch without it. The two servers share
-// the graph content (version 0, no writes), so any divergence — scores,
-// ordering, errors, versions — is a planner bug.
+// over 500 seeded random workloads, /batch must answer byte-identically
+// to the naive per-query reference. Both sides read the same store
+// (version 0, no writes), so any divergence — scores, ordering, errors,
+// versions — is a planner bug.
 func TestBatchPlanDifferential(t *testing.T) {
 	planned := New(store.New(testGraph()), nil)
-	naive := New(store.New(testGraph()), nil, WithWorkloadPlanning(false))
 
 	// Directed adversarial workload first: disjunction branches that
 	// collapse only after canonicalization change counts if the planner
@@ -112,20 +140,116 @@ func TestBatchPlanDifferential(t *testing.T) {
 			req = collapse
 		}
 		codeP, bodyP := doJSON(t, planned, "/batch", req)
-		codeN, bodyN := doJSON(t, naive, "/batch", req)
-		if codeP != http.StatusOK || codeN != http.StatusOK {
-			t.Fatalf("workload %d: status plan=%d naive=%d", w, codeP, codeN)
+		if codeP != http.StatusOK {
+			t.Fatalf("workload %d: status %d", w, codeP)
 		}
-		if !bytes.Equal(bodyP, bodyN) {
-			t.Fatalf("workload %d: plan-on and plan-off diverge\nrequest: %+v\nplan:  %s\nnaive: %s",
+		if bodyN := naiveBatch(t, planned, req); !bytes.Equal(bodyP, bodyN) {
+			t.Fatalf("workload %d: planned /batch and the naive reference diverge\nrequest: %+v\nplan:  %s\nnaive: %s",
 				w, req, bodyP, bodyN)
 		}
 	}
 	if got := planned.Stats().Workload.PlannedBatches; got != workloads {
 		t.Errorf("planned batches = %d, want %d", got, workloads)
 	}
-	if got := naive.Stats().Workload.PlannedBatches; got != 0 {
-		t.Errorf("plan-off server planned %d batches, want 0", got)
+}
+
+// overlapWorkload builds the 100-query overlap fixture over dblp-small:
+// 30 base patterns — a three-branch disjunction block concatenated with
+// two meta-path steps — sampled 100 times (so ~70% of the queries reuse
+// an earlier base), each occurrence rendered with a random permutation
+// of the disjunction branches. Every rendering is a distinct string a
+// raw-key evaluator materializes separately; canonicalization folds
+// each base back onto one materialization.
+func overlapWorkload(rng *rand.Rand) BatchRequest {
+	steps := []string{"w", "w-", "p-in", "p-in-", "r-a", "r-a-"}
+	const bases = 30
+	type base struct{ branches, suffix []string }
+	bs := make([]base, bases)
+	for i := range bs {
+		b := base{branches: make([]string, 3), suffix: make([]string, 2)}
+		seen := map[string]bool{}
+		for j := range b.branches {
+			for {
+				s := steps[rng.Intn(len(steps))]
+				if !seen[s] {
+					seen[s] = true
+					b.branches[j] = s
+					break
+				}
+			}
+		}
+		for j := range b.suffix {
+			b.suffix[j] = steps[rng.Intn(len(steps))]
+		}
+		bs[i] = b
+	}
+	const queries = 100
+	qs := make([]SearchRequest, queries)
+	for i := range qs {
+		b := bs[rng.Intn(bases)]
+		perm := rng.Perm(len(b.branches))
+		pat := "(" + b.branches[perm[0]]
+		for _, k := range perm[1:] {
+			pat += " + " + b.branches[k]
+		}
+		pat += ")." + b.suffix[0] + "." + b.suffix[1]
+		qs[i] = SearchRequest{
+			Pattern: pat,
+			Query:   fmt.Sprintf("proc%d", rng.Intn(80)),
+			Type:    "proc",
+			Alg:     "relsim",
+			Top:     5,
+		}
+	}
+	return BatchRequest{Workers: 4, Queries: qs}
+}
+
+// TestWorkloadPlanDedupsOverlapFixture is the CI dedup guard: on the
+// overlap fixture a cold /batch must materialize at least 2x fewer
+// matrix products than one raw-key evaluator materializing the batch's
+// pattern set string by string, and must report nonzero savings. The
+// counts are deterministic (seeded fixture, no timing), so this is a
+// hard assertion, not a flaky perf check.
+func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
+	req := overlapWorkload(rand.New(rand.NewSource(73)))
+	ds, err := datasets.ByName("dblp-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store.New(ds.Graph), ds.Schema)
+
+	// Materialize runs on this goroutine, so a plain counter is enough.
+	var naive uint64
+	view, ver := srv.st.View()
+	raw := eval.NewVersioned(view, ver, eval.NewCache())
+	raw.SetMulHook(func(_, _ *sparse.Matrix) { naive++ })
+	raw.Materialize(srv.batchPatterns(req.Queries)...)
+
+	code, body := doJSON(t, srv, "/batch", req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d (%s)", code, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range resp.Results {
+		if res.Error != "" {
+			t.Fatalf("query %d: %s", i, res.Error)
+		}
+	}
+	wl := srv.Stats().Workload
+	plan := wl.ProductsMaterialized
+	t.Logf("products: naive=%d plan=%d (%.2fx), deduped=%d saved=%d",
+		naive, plan, float64(naive)/float64(plan), wl.SubpatternsDeduped, wl.ProductsSaved)
+	if plan == 0 || naive == 0 {
+		t.Fatalf("zero products measured (naive=%d plan=%d)", naive, plan)
+	}
+	if wl.SubpatternsDeduped == 0 || wl.ProductsSaved == 0 {
+		t.Fatalf("dedup saved nothing on the overlap fixture: %+v", wl)
+	}
+	if float64(naive) < 2*float64(plan) {
+		t.Errorf("plan materialized %d products vs naive %d: want >= 2x fewer", plan, naive)
 	}
 }
 
@@ -241,9 +365,6 @@ func TestWorkloadStatsReported(t *testing.T) {
 	var stats StatsResponse
 	get(t, ts, "/stats", &stats)
 	wl := stats.Workload
-	if !wl.Enabled {
-		t.Error("workload planning not enabled by default")
-	}
 	if wl.PlannedBatches != 1 {
 		t.Errorf("planned_batches = %d, want 1", wl.PlannedBatches)
 	}

@@ -121,8 +121,6 @@ type (
 	ServerOption = server.Option
 	// CacheStats is a snapshot of an engine's commuting-matrix cache.
 	CacheStats = eval.CacheStats
-	// ParallelThresholds gates the parallel SpGEMM kernel.
-	ParallelThresholds = sparse.Thresholds
 )
 
 // NewGraph returns an empty graph database.
@@ -250,20 +248,6 @@ func WithServerCacheLimit(n int) ServerOption { return server.WithCacheLimit(n) 
 // deadline (override per request with ?timeout_ms=).
 func WithServerTimeout(d time.Duration) ServerOption { return server.WithTimeout(d) }
 
-// WithServerParallelThresholds sets the parallel SpGEMM gate used by
-// the server's evaluators.
-func WithServerParallelThresholds(t ParallelThresholds) ServerOption {
-	return server.WithParallelThresholds(t)
-}
-
-// WithServerWorkloadPlanning toggles workload-aware /batch planning
-// (default on): canonicalize the batch's patterns, fold them into a
-// shared sub-pattern DAG and materialize every distinct subexpression
-// exactly once across the worker pool.
-func WithServerWorkloadPlanning(on bool) ServerOption {
-	return server.WithWorkloadPlanning(on)
-}
-
 // WithServerDeltaMaintenance toggles incremental maintenance of the
 // server's commuting-matrix cache (default on): each committed write
 // batch is summarized as a signed sparse delta per touched label, and
@@ -273,22 +257,6 @@ func WithServerWorkloadPlanning(on bool) ServerOption {
 // evict-on-write ablation baseline.
 func WithServerDeltaMaintenance(on bool) ServerOption {
 	return server.WithDeltaMaintenance(on)
-}
-
-// WithServerDeltaMaxDensity sets the delta-density threshold (nonzeros
-// as a fraction of n²) above which maintenance of a pattern falls back
-// to evict-and-recompute. f <= 0 restores the default.
-func WithServerDeltaMaxDensity(f float64) ServerOption {
-	return server.WithDeltaMaxDensity(f)
-}
-
-// WithServerAnnotation toggles semiring-annotated evaluation (default
-// on): the annotate=witness parameter on /search, /batch and /explain,
-// which attaches instance counts and a bounded witness-derivation
-// prefix to each answer and turns a warm /explain into a pure
-// projection of the cached annotation. Off rejects annotated requests.
-func WithServerAnnotation(on bool) ServerOption {
-	return server.WithAnnotation(on)
 }
 
 // WithServerDurability toggles the server's durability surface (default
@@ -303,14 +271,6 @@ func WithServerDurability(on bool) ServerOption {
 // entries with LRU eviction.
 func WithServerExpandCacheLimit(n int) ServerOption {
 	return server.WithExpandCacheLimit(n)
-}
-
-// WithServerInstrumentation toggles the telemetry layer (default on):
-// the GET /metrics Prometheus exposition, per-request ids and
-// Server-Timing headers, and the per-endpoint counters and latency
-// histograms behind /stats.
-func WithServerInstrumentation(on bool) ServerOption {
-	return server.WithInstrumentation(on)
 }
 
 // WithServerSlowQuery captures requests slower than d — pattern, plan
