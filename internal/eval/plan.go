@@ -10,41 +10,17 @@ import (
 // author×author hop next to a thin area hop) the order changes the work
 // by orders of magnitude. The planner greedily multiplies the adjacent
 // pair with the smallest estimated FLOP count until one matrix remains —
-// the classic sparse matrix-chain heuristic. Estimates come from the
-// exact per-index column/row occupancy of the operands, so the first
-// product's estimate is exact and later ones remain good in practice.
-
-// occupancy returns the per-index column and row occupancy of m in one
-// pass: col[k] = nnz of column k, row[k] = nnz of row k.
-func occupancy(m *sparse.Matrix) (col, row []int64) {
-	n := m.Dim()
-	col = make([]int64, n)
-	row = make([]int64, n)
-	m.Each(func(r, c int, _ int64) {
-		col[c]++
-		row[r]++
-	})
-	return col, row
-}
-
-// occDot is the estimated FLOPs of a product whose left operand has
-// column occupancy colA and right operand has row occupancy rowB:
-// Σ_k col_a(k)·row_b(k), exactly the scalar multiplications Gustavson's
-// SpGEMM performs.
-func occDot(colA, rowB []int64) int64 {
-	var cost int64
-	for k, c := range colA {
-		cost += c * rowB[k]
-	}
-	return cost
-}
+// the classic sparse matrix-chain heuristic. The cost of a pair is
+// sparse.Matrix.MulFlops, the exact count of scalar multiplications
+// Gustavson's SpGEMM performs on it, read off the operands' CSR in
+// O(nnz(left)) without allocating: a chain step never pays O(n) for a
+// factor with a handful of rows.
 
 // mulChain multiplies the factor list with greedy cost-based pairing.
 // Each product goes through Evaluator.mul, which applies the parallel
-// kernel gate and checks cancellation between products. Occupancy
-// vectors are computed once per factor up front and once per merged
-// product, so a chain step costs one O(k·n) scan over the vectors
-// instead of k full passes over the operands' nonzeros.
+// kernel gate and checks cancellation between products. costs[i] is the
+// cost of ms[i]·ms[i+1]; a merge invalidates only the two costs next to
+// the new product, so only those are read again.
 func (e *Evaluator) mulChain(factors []*sparse.Matrix) *sparse.Matrix {
 	switch len(factors) {
 	case 0:
@@ -53,26 +29,27 @@ func (e *Evaluator) mulChain(factors []*sparse.Matrix) *sparse.Matrix {
 		return factors[0]
 	}
 	ms := append([]*sparse.Matrix(nil), factors...)
-	cols := make([][]int64, len(ms))
-	rows := make([][]int64, len(ms))
-	for i, m := range ms {
-		cols[i], rows[i] = occupancy(m)
+	costs := make([]int64, len(ms)-1)
+	for i := range costs {
+		costs[i] = ms[i].MulFlops(ms[i+1])
 	}
 	for len(ms) > 1 {
 		best := 0
-		bestCost := int64(-1)
-		for i := 0; i+1 < len(ms); i++ {
-			c := occDot(cols[i], rows[i+1])
-			if bestCost < 0 || c < bestCost {
-				best, bestCost = i, c
+		for i, c := range costs {
+			if c < costs[best] {
+				best = i
 			}
 		}
 		prod := e.mul(ms[best], ms[best+1])
 		ms[best] = prod
-		cols[best], rows[best] = occupancy(prod)
 		ms = append(ms[:best+1], ms[best+2:]...)
-		cols = append(cols[:best+1], cols[best+2:]...)
-		rows = append(rows[:best+1], rows[best+2:]...)
+		costs = append(costs[:best], costs[best+1:]...)
+		if best > 0 {
+			costs[best-1] = ms[best-1].MulFlops(prod)
+		}
+		if best < len(costs) {
+			costs[best] = prod.MulFlops(ms[best+1])
+		}
 	}
 	return ms[0]
 }

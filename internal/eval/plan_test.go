@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"relsim/internal/graph"
@@ -42,18 +43,10 @@ func TestChainPlanningPreservesResults(t *testing.T) {
 	}
 }
 
-// mulCostEstimate is occupancy+occDot composed the way mulChain pairs
-// them — kept here because mulChain itself hoists the occupancy
-// vectors rather than recomputing them per candidate pair.
-func mulCostEstimate(a, b *sparse.Matrix) int64 {
-	colA, _ := occupancy(a)
-	_, rowB := occupancy(b)
-	return occDot(colA, rowB)
-}
-
 func TestMulCostEstimateExactForFirstProduct(t *testing.T) {
-	// The estimate Σ col_a(k)·row_b(k) counts exactly the scalar
-	// multiplications of a·b; verify against a dense count.
+	// The planner's cost, MulFlops = Σ_k col_a(k)·row_b(k), counts
+	// exactly the scalar multiplications of a·b; verify against a dense
+	// count.
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(6)
@@ -71,7 +64,7 @@ func TestMulCostEstimateExactForFirstProduct(t *testing.T) {
 				}
 			})
 		})
-		if got := mulCostEstimate(a, b); got != want {
+		if got := a.MulFlops(b); got != want {
 			t.Fatalf("trial %d: estimate %d, exact %d", trial, got, want)
 		}
 	}
@@ -93,13 +86,9 @@ func TestMulChainPanicsOnEmpty(t *testing.T) {
 	New(graph.New()).mulChain(nil)
 }
 
-// BenchmarkChainPlanOverhead guards the chain planner's bookkeeping
-// cost: occupancy vectors are hoisted (computed once per factor plus
-// once per merged product), so the greedy pair selection must stay
-// cheap relative to the products themselves even on long chains of
-// large factors. Regressions that reintroduce per-candidate O(n)
-// allocations show up directly in ns/op and allocs/op here.
-func BenchmarkChainPlanOverhead(b *testing.B) {
+// chainFactors is the planner-overhead input: ten 2000×2000 factors of
+// 4000 entries each.
+func chainFactors() []*sparse.Matrix {
 	rng := rand.New(rand.NewSource(11))
 	const (
 		n       = 2000
@@ -114,6 +103,49 @@ func BenchmarkChainPlanOverhead(b *testing.B) {
 		}
 		ms[i] = sparse.New(n, ts)
 	}
+	return ms
+}
+
+// TestMulChainAllocationsConstant gates the planner's bookkeeping: what
+// mulChain allocates beyond its nine products' own allocations is a
+// constant (the working copy of the factor list and the cost vector),
+// not vectors of length n per factor and per intermediate product.
+func TestMulChainAllocationsConstant(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are inflated by the race detector")
+			}
+		}
+	}
+	ms := chainFactors()
+	ev := New(graph.New())
+	var pairs [][2]*sparse.Matrix
+	ev.SetMulHook(func(a, b *sparse.Matrix) { pairs = append(pairs, [2]*sparse.Matrix{a, b}) })
+	ev.mulChain(ms)
+	ev.SetMulHook(nil)
+	if len(pairs) != len(ms)-1 {
+		t.Fatalf("chain of %d factors ran %d products", len(ms), len(pairs))
+	}
+	products := testing.AllocsPerRun(5, func() {
+		for _, p := range pairs {
+			p[0].Mul(p[1])
+		}
+	})
+	chain := testing.AllocsPerRun(5, func() { ev.mulChain(ms) })
+	if extra := chain - products; extra > 4 {
+		t.Errorf("mulChain allocates %.0f times beyond its products' %.0f, want at most 4", extra, products)
+	}
+}
+
+// BenchmarkChainPlanOverhead guards the chain planner's bookkeeping
+// cost: a pair's cost is read off the operands' CSR and only the two
+// costs next to a merged product are read again, so the greedy pair
+// selection must stay cheap relative to the products themselves even on
+// long chains of large factors. Regressions that reintroduce O(n)
+// allocations per factor show up directly in ns/op and allocs/op here.
+func BenchmarkChainPlanOverhead(b *testing.B) {
+	ms := chainFactors()
 	ev := New(graph.New())
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,9 +10,9 @@ import (
 // as K independent products B_s·o where B_s is the n×n row block of m
 // holding exactly the rows shard s owns. Row blocks are pairwise
 // row-disjoint, so the merged result is byte-identical to the
-// monolithic product for every semiring — the per-row kernel (gMulRow)
-// is shared by all multiply strategies, and the merge concatenates rows
-// in global order, preserving the canonical-CSR invariant. That
+// monolithic product for every semiring — one row kernel (gMulRows)
+// computes every product, blocked or not, and the merge concatenates
+// rows in global order, preserving the canonical-CSR invariant. That
 // identity is what lets the coordinator scatter a query across shards
 // and still pass the K=1 differential harness bit-for-bit.
 

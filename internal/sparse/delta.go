@@ -36,18 +36,3 @@ func (m *Matrix) Grow(n int) *Matrix {
 func IdentityRange(n, lo, hi int) *Matrix {
 	return wrapInt(GIdentityRange[int64](IntRing{}, n, lo, hi))
 }
-
-// fewRowsRatio gates the ultra-sparse kernel in GMulThresh: when
-// nnz(m)·fewRowsRatio ≤ n the left operand has nonzero entries in at
-// most n/fewRowsRatio rows, and the product is computed by visiting
-// only those rows with a hash accumulator instead of a full Gustavson
-// pass with an O(n) dense scratch row. Typical commit deltas have a
-// handful of nonzero rows on graphs with 10⁴–10⁶ nodes, so ΔA·B costs
-// O(k·row-work) instead of O(n).
-const fewRowsRatio = 16
-
-// mulFewRows exposes the integer few-rows kernel for the differential
-// tests that pin it against the serial kernel.
-func (m *Matrix) mulFewRows(o *Matrix) *Matrix {
-	return wrapInt(gMulFewRows(IntRing{}, m.gm(), o.gm()))
-}

@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -11,8 +15,8 @@ import (
 // Gustavson, merge add/sub, boolean collapse, diag, transpose,
 // closure). The tests below drive the generic kernel instantiated at
 // IntRing against it on randomized inputs — including negative entries,
-// cancellation, and the few-rows/parallel gates — and require the CSR
-// arrays to be byte-identical, not merely Equal.
+// cancellation, delta-shaped operands and the parallel gate — and
+// require the CSR arrays to be byte-identical, not merely Equal.
 
 type frozenMatrix struct {
 	n      int
@@ -221,7 +225,7 @@ func randSigned(rng *rand.Rand, n, nnz int) *Matrix {
 
 // TestGenericIntKernelByteIdenticalToFrozen drives every operator the
 // evaluator uses through both kernels across many shapes, including
-// ones that trip the few-rows and parallel gates.
+// delta-shaped left operands and ones that trip the parallel gate.
 func TestGenericIntKernelByteIdenticalToFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 500; iter++ {
@@ -239,8 +243,8 @@ func TestGenericIntKernelByteIdenticalToFrozen(t *testing.T) {
 		byteIdentical(t, "closure", a.BooleanClosure(), fa.closure())
 	}
 
-	// Ultra-sparse left operand on a large dimension exercises the
-	// few-rows kernel; a forced zero gate exercises the parallel one.
+	// Ultra-sparse left operand on a large dimension: nearly every row
+	// is skipped; a forced zero gate runs the row ranges in parallel.
 	for iter := 0; iter < 50; iter++ {
 		n := 800 + rng.Intn(400)
 		d := randSigned(rng, n, rng.Intn(8)+1)
@@ -261,5 +265,168 @@ func TestGenericIdentityConstructorsMatchFrozen(t *testing.T) {
 	z := Zero(9)
 	if z.NNZ() != 0 || z.Dim() != 9 {
 		t.Fatalf("Zero(9) = nnz %d dim %d", z.NNZ(), z.Dim())
+	}
+}
+
+// keepRows returns m with every row for which keep is false emptied.
+func keepRows(m *Matrix, keep func(r int) bool) *Matrix {
+	var ts []Triple
+	m.Each(func(r, c int, v int64) {
+		if keep(r) {
+			ts = append(ts, Triple{Row: r, Col: c, Val: v})
+		}
+	})
+	return New(m.n, ts)
+}
+
+// TestRowKernelShapesMatchFrozen drives the row kernel through the
+// shapes its bookkeeping branches on — rows that reach more than half
+// the columns, left operands whose first, last or alternate rows are
+// empty or that keep a single row, single-entry rows, and a product
+// whose every entry cancels — gated, forced serial and forced
+// parallel, byte for byte against the frozen kernel; then the same
+// shapes through CountRing and WitnessRing, serial against parallel.
+func TestRowKernelShapesMatchFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	type shape struct {
+		name string
+		a, b *Matrix
+	}
+	for iter := 0; iter < 40; iter++ {
+		n := 16 + rng.Intn(48)
+		wide, b := randSigned(rng, n, 6*n), randSigned(rng, n, 12*n)
+		last := n - 1
+		// Rows 0 and 1 of the right operand equal, every left row +1 and
+		// −1 on them: each entry of the product is reached and cancels.
+		var ca, cb []Triple
+		for r := 0; r < n; r++ {
+			ca = append(ca, Triple{Row: r, Col: 0, Val: 1}, Triple{Row: r, Col: 1, Val: -1})
+			c, v := rng.Intn(n), rng.Int63n(5)+1
+			cb = append(cb, Triple{Row: 0, Col: c, Val: v}, Triple{Row: 1, Col: c, Val: v})
+		}
+		shapes := []shape{
+			{"wide rows", wide, b},
+			{"first row empty", keepRows(wide, func(r int) bool { return r != 0 }), b},
+			{"last row empty", keepRows(wide, func(r int) bool { return r != last }), b},
+			{"alternate rows empty", keepRows(wide, func(r int) bool { return r%2 == 1 }), b},
+			{"one row", keepRows(wide, func(r int) bool { return r == n/2 }), b},
+			{"single-entry rows", randSigned(rng, n, n/2), b},
+			{"empty right rows", wide, keepRows(b, func(r int) bool { return r%3 == 0 })},
+			{"all cancel", New(n, ca), New(n, cb)},
+		}
+		for _, s := range shapes {
+			want := frozenFrom(s.a).mul(frozenFrom(s.b))
+			byteIdentical(t, s.name+"/gated", s.a.Mul(s.b), want)
+			byteIdentical(t, s.name+"/serial", s.a.MulThresh(s.b, forceSerial), want)
+			byteIdentical(t, s.name+"/parallel", s.a.MulThresh(s.b, forceParallel), want)
+
+			ca, cb := GLift[int64](CountRing{}, s.a), GLift[int64](CountRing{}, s.b)
+			if !gEqual(GMulThresh(CountRing{}, ca, cb, forceSerial), GMulThresh(CountRing{}, ca, cb, forceParallel)) {
+				t.Fatalf("%s: CountRing serial and parallel products differ", s.name)
+			}
+			wa, wb := GLift[Witness](WitnessRing{}, s.a), GLift[Witness](WitnessRing{}, s.b)
+			if !gEqual(GMulThresh(WitnessRing{}, wa, wb, forceSerial), GMulThresh(WitnessRing{}, wa, wb, forceParallel)) {
+				t.Fatalf("%s: WitnessRing serial and parallel products differ", s.name)
+			}
+		}
+		if p := New(n, ca).Mul(New(n, cb)); p.NNZ() != 0 {
+			t.Fatalf("all-cancel product kept %d entries", p.NNZ())
+		}
+	}
+}
+
+// TestMulHonorsGOMAXPROCS: the parallel entry sizes its worker set from
+// GOMAXPROCS (1 = the caller's goroutine alone, 3 = uneven ranges on a
+// box with fewer CPUs), and the CSR arrays stay those of the frozen
+// kernel whatever the setting.
+func TestMulHonorsGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a, b := randSigned(rng, 700, 5000), randSigned(rng, 700, 5000)
+	thin := keepRows(a, func(r int) bool { return r > 650 })
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		byteIdentical(t, "mul", a.MulThresh(b, forceParallel), frozenFrom(a).mul(frozenFrom(b)))
+		byteIdentical(t, "thin mul", thin.MulThresh(b, forceParallel), frozenFrom(thin).mul(frozenFrom(b)))
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestCSROffsetsRefuseInt32Overflow checks the guard every exact-size
+// pass runs before it allocates, on synthetic row widths: three rows of
+// 2³⁰ entries do not fit int32 offsets and must panic naming the size,
+// not wrap.
+func TestCSROffsetsRefuseInt32Overflow(t *testing.T) {
+	fits := []int32{0, 1 << 30, 1<<30 - 1, 0}
+	if total := csrOffsets(fits, "product"); total != math.MaxInt32 || fits[3] != math.MaxInt32 || fits[1] != 1<<30 {
+		t.Fatalf("csrOffsets = %d, offsets %v", total, fits)
+	}
+	defer func() {
+		want := "sparse: product has 3221225472 entries, beyond int32 CSR offsets"
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
+		}
+	}()
+	csrOffsets([]int32{0, 1 << 30, 1 << 30, 1 << 30}, "product")
+}
+
+// TestScratchStampWrapStartsOver: a reused scratch whose stamp counter
+// could wrap within the next product is cleared before use, so a stamp
+// issued again can never match a mark an earlier product left.
+func TestScratchStampWrapStartsOver(t *testing.T) {
+	const n = 64
+	stale := &mulScratch[int64]{mark: make([]uint32, n), acc: make([]int64, n), stamp: math.MaxUint32 - n}
+	for c := range stale.mark {
+		stale.mark[c] = uint32(c + 1)
+	}
+	for scratchPool.Get() != nil { // drain, so the next Get sees the plant
+	}
+	scratchPool.Put(stale)
+	s := getScratch[int64](n)
+	if s != stale {
+		t.Skip("the pool did not hand back the planted scratch")
+	}
+	if s.stamp != 0 || slices.Max(s.mark) != 0 {
+		t.Fatalf("scratch near wrap reused as is: stamp %d, max mark %d", s.stamp, slices.Max(s.mark))
+	}
+}
+
+// skipUnderRace skips allocation-count tests when the race detector is
+// compiled in: its instrumentation allocates.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are inflated by the race detector")
+			}
+		}
+	}
+}
+
+// TestMulAllocationsConstant is the gate on "a product costs what it
+// multiplies": allocations per Mul are a small constant plus a
+// per-worker term, whatever the dimension and however many rows the
+// left operand populates. The kernels this replaced allocated once per
+// row (20,000 here) on every shape but the delta's.
+func TestMulAllocationsConstant(t *testing.T) {
+	skipUnderRace(t)
+	rng := rand.New(rand.NewSource(23))
+	big := randomMatrix(rng, shapedDim, 8*shapedDim)
+	limit := float64(16 + 8*runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		left *Matrix
+	}{{"8n entries a side", big}, {"delta-shaped", deltaShaped()}, {"headline-shaped", headlineShaped(rng)}} {
+		got := testing.AllocsPerRun(3, func() { c.left.Mul(big) })
+		t.Logf("%s: %.0f allocations per Mul", c.name, got)
+		if got > limit {
+			t.Errorf("%s: %.0f allocations per Mul, want at most %.0f", c.name, got, limit)
+		}
+	}
+	// GOMAXPROCS=1 must mean no goroutines and one scratch: the parallel
+	// entry then allocates exactly what the serial one does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := testing.AllocsPerRun(3, func() { big.MulThresh(big, forceSerial) })
+	if got := testing.AllocsPerRun(3, func() { big.MulThresh(big, forceParallel) }); got != serial {
+		t.Errorf("GOMAXPROCS=1: parallel entry allocates %.0f times, serial %.0f", got, serial)
 	}
 }

@@ -2,7 +2,9 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -139,13 +141,26 @@ func GIdentity[T any, R Ring[T]](ring R, n int) *GMatrix[T] {
 // dropping entries that lift to zero. This is how base adjacency
 // matrices enter an annotated evaluation.
 func GLift[T any, R Ring[T]](ring R, m *Matrix) *GMatrix[T] {
-	g := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	g.colIdx = make([]int32, 0, len(m.val))
-	g.val = make([]T, 0, len(m.val))
+	return gMapEntries(m.gm(), func(v int64) (T, bool) {
+		l := ring.Lift(v)
+		return l, !ring.IsZero(l)
+	})
+}
+
+// gMapEntries returns the matrix of f's images of m's entries, keeping
+// those f reports true for. The output is sized once by m's entries:
+// exact unless f drops some (the negatives of a signed delta under
+// Boolean or a counting Lift).
+func gMapEntries[S, T any](m *GMatrix[S], f func(S) (T, bool)) *GMatrix[T] {
+	g := &GMatrix[T]{
+		n:      m.n,
+		rowPtr: make([]int32, m.n+1),
+		colIdx: make([]int32, 0, len(m.val)),
+		val:    make([]T, 0, len(m.val)),
+	}
 	for r := 0; r < m.n; r++ {
 		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			v := ring.Lift(m.val[i])
-			if !ring.IsZero(v) {
+			if v, keep := f(m.val[i]); keep {
 				g.colIdx = append(g.colIdx, m.colIdx[i])
 				g.val = append(g.val, v)
 			}
@@ -158,93 +173,118 @@ func GLift[T any, R Ring[T]](ring R, m *Matrix) *GMatrix[T] {
 // GAdd returns m ⊕ o element-wise, dropping entries that sum to the
 // ring zero. It panics if dimensions differ.
 func GAdd[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	if m.n != o.n {
-		panic(fmt.Sprintf("sparse: Add dimension mismatch %d vs %d", m.n, o.n))
-	}
-	s := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	for r := 0; r < m.n; r++ {
-		i, iEnd := m.rowPtr[r], m.rowPtr[r+1]
-		j, jEnd := o.rowPtr[r], o.rowPtr[r+1]
-		for i < iEnd || j < jEnd {
-			switch {
-			case j >= jEnd || (i < iEnd && m.colIdx[i] < o.colIdx[j]):
-				s.colIdx = append(s.colIdx, m.colIdx[i])
-				s.val = append(s.val, m.val[i])
-				i++
-			case i >= iEnd || o.colIdx[j] < m.colIdx[i]:
-				s.colIdx = append(s.colIdx, o.colIdx[j])
-				s.val = append(s.val, o.val[j])
-				j++
-			default:
-				if v := ring.Add(m.val[i], o.val[j]); !ring.IsZero(v) {
-					s.colIdx = append(s.colIdx, m.colIdx[i])
-					s.val = append(s.val, v)
-				}
-				i++
-				j++
-			}
-		}
-		s.rowPtr[r+1] = int32(len(s.colIdx))
-	}
-	return s
+	return gMerge(ring, "Add", m, o, ring.Add, func(b T) T { return b })
 }
 
 // GSub returns m − o element-wise for subtractive rings. Entries that
 // cancel exactly are dropped, never stored as explicit zeros. It panics
 // if dimensions differ.
 func GSub[T any, R Subtractive[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	if m.n != o.n {
-		panic(fmt.Sprintf("sparse: Sub dimension mismatch %d vs %d", m.n, o.n))
-	}
 	zero := ring.Zero()
+	return gMerge(ring, "Sub", m, o, ring.Sub, func(b T) T { return ring.Sub(zero, b) })
+}
+
+// gMerge is the sorted row merge behind GAdd and GSub: an entry only m
+// holds passes through, one only o holds maps through right, a position
+// both hold combines through both and is dropped if that is the ring
+// zero. The loop runs twice — counting, then filling — so the output is
+// allocated once at its exact size however much of new − old cancels,
+// and a row only one operand populates (all but a handful of old ⊕
+// delta) is a copy.
+func gMerge[T any, R Ring[T]](ring R, op string, m, o *GMatrix[T], both func(a, b T) T, right func(b T) T) *GMatrix[T] {
+	if m.n != o.n {
+		panic(fmt.Sprintf("sparse: %s dimension mismatch %d vs %d", op, m.n, o.n))
+	}
 	s := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	for r := 0; r < m.n; r++ {
-		i, iEnd := m.rowPtr[r], m.rowPtr[r+1]
-		j, jEnd := o.rowPtr[r], o.rowPtr[r+1]
-		for i < iEnd || j < jEnd {
-			switch {
-			case j >= jEnd || (i < iEnd && m.colIdx[i] < o.colIdx[j]):
-				s.colIdx = append(s.colIdx, m.colIdx[i])
-				s.val = append(s.val, m.val[i])
-				i++
-			case i >= iEnd || o.colIdx[j] < m.colIdx[i]:
-				s.colIdx = append(s.colIdx, o.colIdx[j])
-				s.val = append(s.val, ring.Sub(zero, o.val[j]))
-				j++
-			default:
-				if v := ring.Sub(m.val[i], o.val[j]); !ring.IsZero(v) {
-					s.colIdx = append(s.colIdx, m.colIdx[i])
-					s.val = append(s.val, v)
+	for fill := false; ; fill = true {
+		w := 0
+		for r := 0; r < m.n; r++ {
+			if fill && s.rowPtr[r] == s.rowPtr[r+1] {
+				continue // nothing of this row survived the count
+			}
+			i, iEnd := m.rowPtr[r], m.rowPtr[r+1]
+			j, jEnd := o.rowPtr[r], o.rowPtr[r+1]
+			start := w
+			for i < iEnd && j < jEnd {
+				c, v := m.colIdx[i], m.val[i]
+				switch oc := o.colIdx[j]; {
+				case c < oc:
+					i++
+				case oc < c:
+					c, v = oc, right(o.val[j])
+					j++
+				default:
+					v = both(v, o.val[j])
+					i++
+					j++
+					if ring.IsZero(v) {
+						continue
+					}
 				}
-				i++
-				j++
+				if fill {
+					s.colIdx[w], s.val[w] = c, v
+				}
+				w++
+			}
+			if fill {
+				copy(s.colIdx[w:], m.colIdx[i:iEnd])
+				copy(s.val[w:], m.val[i:iEnd])
+				copy(s.colIdx[w:], o.colIdx[j:jEnd])
+				for t, v := range o.val[j:jEnd] {
+					s.val[w+t] = right(v)
+				}
+			}
+			w += int(iEnd-i) + int(jEnd-j) // at most one tail is non-empty
+			if !fill {
+				s.rowPtr[r+1] = int32(w - start)
 			}
 		}
-		s.rowPtr[r+1] = int32(len(s.colIdx))
+		if fill {
+			return s
+		}
+		total := csrOffsets(s.rowPtr, op)
+		s.colIdx, s.val = make([]int32, total), make([]T, total)
 	}
-	return s
+}
+
+// csrOffsets turns per-row entry counts (counts[r+1] = entries of row r)
+// into CSR offsets in place and returns the total. The sum runs in int:
+// past 2³¹−1 entries an int32 offset would wrap into a plausible, wrong
+// matrix, so the result is refused by panic before it is allocated, and
+// the server's recover chain answers 500.
+func csrOffsets(counts []int32, what string) int {
+	total := 0
+	for r := 1; r < len(counts); r++ {
+		total += int(counts[r])
+		counts[r] = int32(total)
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %s has %d entries, beyond int32 CSR offsets", what, total))
+	}
+	return total
 }
 
 // GBoolean returns the boolean collapse of m: each truthy entry maps
 // through Collapse, everything else is dropped.
 func GBoolean[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
-	b := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	for r := 0; r < m.n; r++ {
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			if ring.Truthy(m.val[i]) {
-				b.colIdx = append(b.colIdx, m.colIdx[i])
-				b.val = append(b.val, ring.Collapse(m.val[i]))
-			}
-		}
-		b.rowPtr[r+1] = int32(len(b.colIdx))
-	}
-	return b
+	return gMapEntries(m, func(v T) (T, bool) { return ring.Collapse(v), ring.Truthy(v) })
 }
 
 // GDiagMulBool returns diag{ m · (mᵀ > 0) } computed directly as the
 // per-row sum of truthy entries (paper §4.3, M_{[p]}).
 func GDiagMulBool[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
-	d := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
+	rows := 0 // populated rows of m bound the diagonal's entries
+	for r := 0; r < m.n; r++ {
+		if m.rowPtr[r] < m.rowPtr[r+1] {
+			rows++
+		}
+	}
+	d := &GMatrix[T]{
+		n:      m.n,
+		rowPtr: make([]int32, m.n+1),
+		colIdx: make([]int32, 0, rows),
+		val:    make([]T, 0, rows),
+	}
 	for r := 0; r < m.n; r++ {
 		sum := ring.Zero()
 		any := false
@@ -263,11 +303,10 @@ func GDiagMulBool[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
 	return d
 }
 
-// GMulThresh returns the matrix product m·o under the ring with an
-// explicit parallel-kernel gate. The three kernels (serial Gustavson,
-// row-partitioned parallel, ultra-sparse few-rows) produce identical
-// results; the gate only picks the fastest. It panics if dimensions
-// differ.
+// GMulThresh returns the matrix product m·o under the ring. One row
+// kernel computes every product; the gate only decides whether its row
+// ranges run on one goroutine or on GOMAXPROCS of them, and the result
+// is identical either way. It panics if dimensions differ.
 func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatrix[T] {
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %d vs %d", m.n, o.n))
@@ -275,178 +314,174 @@ func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatr
 	if len(m.val) == 0 {
 		return GZero[T](m.n)
 	}
-	// Ultra-sparse left operand (a commit delta, typically): nnz bounds
-	// the number of nonzero rows, so visit only those rows instead of a
-	// full Gustavson pass with an O(n) dense scratch row.
-	if len(m.val)*fewRowsRatio <= m.n {
-		return gMulFewRows(ring, m, o)
-	}
+	workers := 1
 	if m.n >= t.MinDim && len(m.val)+len(o.val) >= t.MinNNZ {
-		return gMulParallel(ring, m, o)
+		// GOMAXPROCS, not NumCPU: a server held to one core (or under a
+		// CPU quota) must not pay a goroutine and a scratch per host CPU.
+		workers = min(runtime.GOMAXPROCS(0), m.n)
 	}
-	return gMulSerial(ring, m, o)
-}
-
-// gMulSerial is the single-threaded Gustavson kernel.
-func gMulSerial[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
+	// Two passes over disjoint row ranges with the offsets in between:
+	// the symbolic pass leaves each row's distinct-column count in
+	// p.rowPtr, the prefix sum makes them offsets and sizes the entry
+	// arrays exactly, and the numeric pass fills them in place, so no
+	// worker buffers a chunk and nothing is copied or regrown.
 	p := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	acc := make([]T, m.n)
-	touched := make([]int32, 0, 64)
-	zero := ring.Zero()
-	for r := 0; r < m.n; r++ {
-		touched = gMulRow(ring, m, o, r, acc, touched[:0])
-		for _, c := range touched {
-			if !ring.IsZero(acc[c]) {
-				p.colIdx = append(p.colIdx, c)
-				p.val = append(p.val, acc[c])
-			}
-			acc[c] = zero
-		}
-		p.rowPtr[r+1] = int32(len(p.colIdx))
+	scratch := make([]*mulScratch[T], workers)
+	eachRange(m.n, workers, func(w, lo, hi int) {
+		scratch[w] = getScratch[T](m.n)
+		gCountRows(m, o, p.rowPtr, lo, hi, scratch[w])
+	})
+	total := csrOffsets(p.rowPtr, "product")
+	p.colIdx, p.val = make([]int32, total), make([]T, total)
+	eachRange(m.n, workers, func(w, lo, hi int) {
+		gMulRows(ring, m, o, p, lo, hi, scratch[w])
+	})
+	for _, s := range scratch {
+		scratchPool.Put(s) // normal path only: a panic above abandons it
+	}
+	if slices.Contains(p.colIdx, -1) {
+		p.compact()
 	}
 	return p
 }
 
-// gMulRow accumulates row r of m·o into acc, returning the touched
-// column indices sorted ascending. A column whose accumulator cancels
-// back to zero mid-row may be appended twice; the emit loop's
-// zero-after-visit handling makes duplicates harmless, exactly as in
-// the original int64 kernel.
-func gMulRow[T any, R Ring[T]](ring R, m, o *GMatrix[T], r int, acc []T, touched []int32) []int32 {
-	for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-		k := m.colIdx[i]
-		mv := m.val[i]
-		for j := o.rowPtr[k]; j < o.rowPtr[k+1]; j++ {
-			c := o.colIdx[j]
-			if ring.IsZero(acc[c]) {
-				touched = append(touched, c)
-			}
-			acc[c] = ring.Add(acc[c], ring.MulVia(mv, k, o.val[j]))
-		}
+// eachRange splits rows [0, n) into one contiguous range per worker and
+// runs fn on each, inline for a single worker. It returns when every
+// range is done.
+func eachRange(n, workers int, fn func(w, lo, hi int)) {
+	if workers == 1 {
+		fn(0, 0, n)
+		return
 	}
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	return touched
-}
-
-// gMulParallel partitions output rows across workers; each worker runs
-// the serial row kernel, and the chunks concatenate in row order, so
-// the result is identical to gMulSerial.
-func gMulParallel[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	workers := runtime.NumCPU()
-	if workers > m.n {
-		workers = m.n
-	}
-	type chunk struct {
-		colIdx []int32
-		val    []T
-		rows   []int32 // per-row nnz within the chunk
-	}
-	chunks := make([]chunk, workers)
 	var wg sync.WaitGroup
-	rowsPer := (m.n + workers - 1) / workers
+	per := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * rowsPer
-		hi := lo + rowsPer
-		if hi > m.n {
-			hi = m.n
-		}
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			acc := make([]T, m.n)
-			touched := make([]int32, 0, 64)
-			zero := ring.Zero()
-			ck := chunk{rows: make([]int32, hi-lo)}
-			for r := lo; r < hi; r++ {
-				touched = gMulRow(ring, m, o, r, acc, touched[:0])
-				var nnz int32
-				for _, c := range touched {
-					if !ring.IsZero(acc[c]) {
-						ck.colIdx = append(ck.colIdx, c)
-						ck.val = append(ck.val, acc[c])
-						nnz++
-					}
-					acc[c] = zero
-				}
-				ck.rows[r-lo] = nnz
-			}
-			chunks[w] = ck
-		}(w, lo, hi)
+			fn(w, min(w*per, n), min((w+1)*per, n))
+		}()
 	}
 	wg.Wait()
-
-	total := 0
-	for _, ck := range chunks {
-		total += len(ck.val)
-	}
-	p := &GMatrix[T]{
-		n:      m.n,
-		rowPtr: make([]int32, m.n+1),
-		colIdx: make([]int32, 0, total),
-		val:    make([]T, 0, total),
-	}
-	row := 0
-	for _, ck := range chunks {
-		for _, nnz := range ck.rows {
-			p.rowPtr[row+1] = p.rowPtr[row] + nnz
-			row++
-		}
-		p.colIdx = append(p.colIdx, ck.colIdx...)
-		p.val = append(p.val, ck.val...)
-	}
-	for ; row < m.n; row++ {
-		p.rowPtr[row+1] = p.rowPtr[row]
-	}
-	return p
 }
 
-// gMulFewRows multiplies m·o visiting only m's nonzero rows with a hash
-// accumulator instead of a dense scratch row; output is identical to
-// the serial kernel.
-func gMulFewRows[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	p := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	acc := make(map[int32]T, 64)
-	cols := make([]int32, 0, 64)
-	prev := 0
-	for r := 0; r < m.n; r++ {
-		if m.rowPtr[r] == m.rowPtr[r+1] {
+// mulScratch is one worker's O(n) state, never per row and reused from
+// product to product. mark[c] is the stamp of the row pass that last
+// reached column c: every row of either pass takes a fresh stamp, so
+// "first touch" is one comparison that mid-row cancellation cannot fool
+// (the accumulator's value is not consulted), nothing is cleared
+// between rows or products, and acc[c] means something only while
+// mark[c] is the current stamp. All a reused scratch must guarantee is
+// mark[c] ≤ stamp, which holds wherever a product stops.
+type mulScratch[T any] struct {
+	mark  []uint32
+	acc   []T
+	stamp uint32
+}
+
+// scratchPool holds *mulScratch[T] of whichever entry types are being
+// multiplied; getScratch leaves one of another type or a smaller
+// dimension to the collector and makes a fresh one, which is what every
+// product paid before the pool.
+var scratchPool sync.Pool
+
+func getScratch[T any](n int) *mulScratch[T] {
+	s, _ := scratchPool.Get().(*mulScratch[T])
+	if s == nil || len(s.mark) < n {
+		return &mulScratch[T]{mark: make([]uint32, n), acc: make([]T, n)}
+	}
+	// A product takes at most two stamps per row; start over before the
+	// counter could wrap onto a stamp some mark still holds.
+	if uint64(s.stamp)+2*uint64(n) > math.MaxUint32 {
+		clear(s.mark)
+		s.stamp = 0
+	}
+	return s
+}
+
+// gCountRows is the symbolic pass over rows [lo, hi) of m·o: it stores
+// the number of distinct columns row r reaches in counts[r+1]. A row of
+// m with no entries costs the comparison that finds it empty.
+func gCountRows[T any](m, o *GMatrix[T], counts []int32, lo, hi int, s *mulScratch[T]) {
+	for r := lo; r < hi; r++ {
+		i, end := m.rowPtr[r], m.rowPtr[r+1]
+		if i == end {
 			continue
 		}
-		for fill := prev; fill < r; fill++ {
-			p.rowPtr[fill+1] = int32(len(p.colIdx))
-		}
-		cols = cols[:0]
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+		s.stamp++
+		var cnt int32
+		for ; i < end; i++ {
 			k := m.colIdx[i]
-			mv := m.val[i]
-			for j := o.rowPtr[k]; j < o.rowPtr[k+1]; j++ {
-				c := o.colIdx[j]
-				cur, ok := acc[c]
-				if !ok {
-					cols = append(cols, c)
-					cur = ring.Zero()
+			for _, c := range o.colIdx[o.rowPtr[k]:o.rowPtr[k+1]] {
+				if s.mark[c] != s.stamp {
+					s.mark[c] = s.stamp
+					cnt++
 				}
-				acc[c] = ring.Add(cur, ring.MulVia(mv, k, o.val[j]))
 			}
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
+		counts[r+1] = cnt
+	}
+}
+
+// gMulRows is the numeric pass and the one function that multiplies:
+// rows [lo, hi) of m·o by Gustavson's algorithm, written into the slots
+// p.rowPtr reserves for them. The row's slice of p.colIdx doubles as
+// its touched list — filled in first-touch order, sorted in place, then
+// paired with the accumulated values — so a row allocates nothing. An
+// entry the ring cancelled to zero (signed deltas only) is skipped and
+// the row's unused tail flagged with column −1 for compact to close.
+func gMulRows[T any, R Ring[T]](ring R, m, o, p *GMatrix[T], lo, hi int, s *mulScratch[T]) {
+	for r := lo; r < hi; r++ {
+		i, end := m.rowPtr[r], m.rowPtr[r+1]
+		if i == end {
+			continue
+		}
+		s.stamp++
+		w := p.rowPtr[r]
+		cols := p.colIdx[w:p.rowPtr[r+1]]
+		n := 0
+		for ; i < end; i++ {
+			k, mv := m.colIdx[i], m.val[i]
+			for j := o.rowPtr[k]; j < o.rowPtr[k+1]; j++ {
+				c, v := o.colIdx[j], ring.MulVia(mv, k, o.val[j])
+				if s.mark[c] != s.stamp {
+					s.mark[c] = s.stamp
+					cols[n] = c
+					n++
+					s.acc[c] = v
+				} else {
+					s.acc[c] = ring.Add(s.acc[c], v)
+				}
+			}
+		}
+		slices.Sort(cols)
 		for _, c := range cols {
-			if v := acc[c]; !ring.IsZero(v) {
-				p.colIdx = append(p.colIdx, c)
-				p.val = append(p.val, v)
+			if v := s.acc[c]; !ring.IsZero(v) {
+				p.colIdx[w], p.val[w] = c, v
+				w++
 			}
-			delete(acc, c)
 		}
-		p.rowPtr[r+1] = int32(len(p.colIdx))
-		prev = r + 1
+		if w < p.rowPtr[r+1] {
+			p.colIdx[w] = -1
+		}
 	}
-	for r := prev; r < m.n; r++ {
-		p.rowPtr[r+1] = int32(len(p.colIdx))
+}
+
+// compact closes the gaps gMulRows left in rows that lost entries to
+// cancellation: each row's entries up to its −1 marker slide down over
+// the slack and the offsets follow. The arrays keep their allocation.
+func (p *GMatrix[T]) compact() {
+	var w int32
+	for r := 0; r < p.n; r++ {
+		i, end := p.rowPtr[r], p.rowPtr[r+1]
+		p.rowPtr[r] = w
+		for ; i < end && p.colIdx[i] >= 0; i++ {
+			p.colIdx[w], p.val[w] = p.colIdx[i], p.val[i]
+			w++
+		}
 	}
-	return p
+	p.rowPtr[p.n] = w
+	p.colIdx, p.val = p.colIdx[:w], p.val[:w]
 }
 
 // GIdentityRange returns the n×n matrix with ring ones on the diagonal

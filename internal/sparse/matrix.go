@@ -137,11 +137,25 @@ func (m *Matrix) Transpose() *Matrix {
 
 // Mul returns the matrix product m·o, the commuting matrix of a
 // concatenation p1·p2, using Gustavson's row-by-row SpGEMM. Large
-// products are computed with a row-partitioned parallel kernel whose
-// result is bit-identical to the serial one. It panics if dimensions
-// differ.
+// products spread their row ranges over GOMAXPROCS goroutines; the
+// result is bit-identical either way. It panics if dimensions differ.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return m.MulThresh(o, DefaultThresholds())
+}
+
+// MulFlops returns the exact number of scalar multiplications m·o
+// performs — for every entry (i,k) of m, the length of o's row k — read
+// off the two CSRs in O(nnz(m)) without allocating. It is the chain
+// planner's cost of a product. It panics if dimensions differ.
+func (m *Matrix) MulFlops(o *Matrix) int64 {
+	if m.n != o.n {
+		panic(fmt.Sprintf("sparse: MulFlops dimension mismatch %d vs %d", m.n, o.n))
+	}
+	var flops int64
+	for _, k := range m.colIdx {
+		flops += int64(o.rowPtr[k+1] - o.rowPtr[k])
+	}
+	return flops
 }
 
 // Add returns m + o element-wise, the commuting matrix of a disjunction

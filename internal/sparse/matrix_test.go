@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -304,24 +306,34 @@ func TestStringSmall(t *testing.T) {
 	}
 }
 
+// forceSerial and forceParallel pin the gate of MulThresh/GMulThresh to
+// one side, so a test can run the same product through the row kernel
+// on one goroutine and on GOMAXPROCS of them.
+var (
+	forceSerial   = Thresholds{MinDim: math.MaxInt}
+	forceParallel = Thresholds{}
+)
+
 func TestMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 6; trial++ {
 		n := parallelMinDim + rng.Intn(400)
 		a := randomMatrix(rng, n, parallelMinNNZ+rng.Intn(20000))
 		b := randomMatrix(rng, n, parallelMinNNZ+rng.Intn(20000))
-		if !a.mulParallel(b).Equal(a.mulSerial(b)) {
-			t.Fatalf("trial %d: parallel product differs from serial", trial)
-		}
+		want := frozenFrom(a).mul(frozenFrom(b))
+		byteIdentical(t, "serial", a.MulThresh(b, forceSerial), want)
+		byteIdentical(t, "parallel", a.MulThresh(b, forceParallel), want)
+		byteIdentical(t, "gated", a.Mul(b), want)
 	}
 }
 
 func TestMulParallelSmallRowCounts(t *testing.T) {
 	// Edge case: more workers than rows must still be correct.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(19))
-	a := randomMatrix(rng, 3, 6)
-	b := randomMatrix(rng, 3, 6)
-	if !a.mulParallel(b).Equal(a.mulSerial(b)) {
-		t.Fatal("parallel product wrong on tiny matrix")
+	for n := 1; n <= 3; n++ {
+		a := randomMatrix(rng, n, 2*n)
+		b := randomMatrix(rng, n, 2*n)
+		byteIdentical(t, "parallel", a.MulThresh(b, forceParallel), frozenFrom(a).mul(frozenFrom(b)))
 	}
 }

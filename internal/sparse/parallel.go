@@ -3,11 +3,11 @@ package sparse
 // Parallel SpGEMM gating. Row-wise Gustavson multiplication is
 // embarrassingly parallel across output rows; for the large
 // commuting-matrix products on experiment-scale graphs this is the
-// dominant cost, so Mul switches to a row-partitioned parallel kernel
-// above a size threshold. Results are bit-identical to the serial
-// kernel (each row is computed independently and concatenated in
-// order). The kernels themselves are generic over the semiring and live
-// in kernel.go.
+// dominant cost, so above a size threshold Mul hands contiguous row
+// ranges of the product to GOMAXPROCS goroutines. Serial and parallel
+// are the same row kernel (gMulRows in kernel.go, generic over the
+// semiring) writing disjoint ranges of one exactly-sized output, so the
+// results are bit-identical.
 
 const (
 	// parallelMinDim and parallelMinNNZ gate the parallel kernel; small
@@ -31,19 +31,8 @@ func DefaultThresholds() Thresholds {
 	return Thresholds{MinDim: parallelMinDim, MinNNZ: parallelMinNNZ}
 }
 
-// MulThresh is Mul with an explicit parallel-kernel gate. The result is
-// bit-identical whichever kernel runs. It panics if dimensions differ.
+// MulThresh is Mul with an explicit parallel gate. The result is
+// bit-identical on either side of it. It panics if dimensions differ.
 func (m *Matrix) MulThresh(o *Matrix, t Thresholds) *Matrix {
 	return wrapInt(GMulThresh(IntRing{}, m.gm(), o.gm(), t))
-}
-
-// mulSerial and mulParallel expose the individual integer kernels so
-// tests can assert the parallel kernel is bit-identical to the serial
-// one regardless of the gate.
-func (m *Matrix) mulSerial(o *Matrix) *Matrix {
-	return wrapInt(gMulSerial(IntRing{}, m.gm(), o.gm()))
-}
-
-func (m *Matrix) mulParallel(o *Matrix) *Matrix {
-	return wrapInt(gMulParallel(IntRing{}, m.gm(), o.gm()))
 }
