@@ -154,15 +154,7 @@ func (a annotator[T, R]) compute(p *rre.Pattern) *sparse.GMatrix[T] {
 // keys line up with the integer keys of the same pattern) and runs the
 // ring recursion.
 func annotated[T any, R sparse.Ring[T]](e *Evaluator, ring R, p *rre.Pattern) *sparse.GMatrix[T] {
-	e.mu.Lock()
-	canonical := e.canonical
-	e.mu.Unlock()
-	if canonical {
-		if c, exact := rre.CanonicalExact(p); exact {
-			p = c
-		}
-	}
-	return annotator[T, R]{e: e, ring: ring}.commuting(p)
+	return annotator[T, R]{e: e, ring: ring}.commuting(canonForm(p, e.isCanonical()))
 }
 
 // CommutingWitness returns the witness-annotated commuting matrix of p:

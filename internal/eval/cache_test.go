@@ -28,17 +28,18 @@ func TestInvalidateLabelsSelective(t *testing.T) {
 	pab := rre.MustParse("a.b")
 	pc := rre.MustParse("c")
 	ev.Materialize(pab, pc)
-	// Cached: "a.b" plus its factors "a" and "b", and "c".
-	if got := ev.CacheSize(); got != 4 {
-		t.Fatalf("CacheSize = %d, want 4", got)
+	// Cached: "a.b", its halves "a" and "b-" (the right one is kept
+	// reversed, see Cut), "b" under "b-", and "c".
+	if got := ev.CacheSize(); got != 5 {
+		t.Fatalf("CacheSize = %d, want 5", got)
 	}
 
 	// Touching label c must evict only "c".
 	if n := ev.InvalidateLabels("c"); n != 1 {
 		t.Errorf("InvalidateLabels(c) evicted %d, want 1", n)
 	}
-	if got := ev.CacheSize(); got != 3 {
-		t.Errorf("CacheSize after invalidating c = %d, want 3", got)
+	if got := ev.CacheSize(); got != 4 {
+		t.Errorf("CacheSize after invalidating c = %d, want 4", got)
 	}
 
 	// The surviving "a.b" matrix is served from cache: a hit, no miss.
@@ -54,8 +55,8 @@ func TestInvalidateLabelsSelective(t *testing.T) {
 	if n := ev.InvalidateLabels("a"); n != 2 {
 		t.Errorf("InvalidateLabels(a) evicted %d, want 2", n)
 	}
-	if got := ev.CacheSize(); got != 1 {
-		t.Errorf("CacheSize = %d, want 1 (only b)", got)
+	if got := ev.CacheSize(); got != 2 {
+		t.Errorf("CacheSize = %d, want 2 (only b and b-)", got)
 	}
 }
 

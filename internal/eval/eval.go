@@ -263,27 +263,51 @@ func (e *Evaluator) Materialize(ps ...*rre.Pattern) {
 // (version, pattern string), including all sub-pattern matrices. Under
 // SetCanonicalKeys the pattern is canonicalized first, so the key is
 // the canonical rendering and every subexpression of a canonical
-// pattern is cached under its own canonical key.
+// pattern is cached under its own canonical key. A top-level
+// concatenation is the product of the two halves Equation-1 scoring
+// reads (see Cut), so materializing a root leaves them cached.
 func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
+	p = canonForm(p, e.isCanonical())
+	if p.Kind() != rre.KindConcat {
+		return e.commuting(p)
+	}
+	return e.cached(p, func(p *rre.Pattern) *sparse.Matrix {
+		a, bt := e.Halves(e.Cut(p))
+		return e.mul(a, bt.Transpose())
+	})
+}
+
+// isCanonical reports whether the evaluator keys its cache canonically.
+func (e *Evaluator) isCanonical() bool {
 	e.mu.Lock()
-	canonical := e.canonical
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	return e.canonical
+}
+
+// canonForm returns p's canonical form when canonical is set, unless
+// canonicalization is inexact (disjunction branches collapsing, which
+// would change counts) — such a pattern keeps its raw form and raw key,
+// the exact behavior of a non-canonical evaluator. Canonical forms are
+// closed under Subs(), so the recursion below canonicalizes once, at
+// the entry point.
+func canonForm(p *rre.Pattern, canonical bool) *rre.Pattern {
 	if canonical {
-		// Canonical forms are closed under Subs(), so the recursion below
-		// only ever sees canonical patterns and canonicalizes once here.
-		// Inexact canonicalizations (disjunction branches collapsing, which
-		// would change counts) keep the raw pattern and its raw key — the
-		// exact behavior of a non-canonical evaluator.
 		if c, exact := rre.CanonicalExact(p); exact {
-			p = c
+			return c
 		}
 	}
-	return e.commuting(p)
+	return p
 }
 
 // commuting is the cache-backed recursion; p must already be canonical
 // when the evaluator runs in canonical-key mode.
 func (e *Evaluator) commuting(p *rre.Pattern) *sparse.Matrix {
+	return e.cached(p, e.compute)
+}
+
+// cached returns the matrix cached under p's key, building and
+// inserting it on a miss.
+func (e *Evaluator) cached(p *rre.Pattern, build func(*rre.Pattern) *sparse.Matrix) *sparse.Matrix {
 	key := Key{Version: e.version, Pattern: p.String()}
 	m, gen, ok := e.cache.lookup(key)
 	if ok {
@@ -296,7 +320,7 @@ func (e *Evaluator) commuting(p *rre.Pattern) *sparse.Matrix {
 	// stale: return it to this caller (the read raced the write
 	// regardless) but do not poison the cache — insert drops it when the
 	// generation moved past gen.
-	m = e.compute(p)
+	m = build(p)
 	e.cache.insert(key, m, p.Labels(), gen)
 	return m
 }

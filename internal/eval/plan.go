@@ -1,8 +1,78 @@
 package eval
 
 import (
+	"relsim/internal/rre"
 	"relsim/internal/sparse"
 )
+
+// Cut is a pattern prepared for Equation-1 scoring, which reads row u
+// and the diagonal of M_p, never M_p itself. A top-level concatenation
+// f1·…·fk is cut once into f1…fc and fc+1…fk and scored from the two
+// thin halves A = M_Left and Bᵀ = M_RevRight (§4.3: M_{p1·p2} =
+// M_{p1}·M_{p2}, M_{p⁻} = M_pᵀ) as M_p(u,v) = ⟨A[u,·], Bᵀ[v,·]⟩. The
+// right half is kept reversed so both are read by row and a symmetric
+// pattern's halves share one key. RevRight is nil for a pattern that is
+// not a concatenation: Left is the pattern, the right half the identity.
+type Cut struct {
+	Left, RevRight *rre.Pattern
+}
+
+// NewCut cuts p; with canonical set, into the forms a SetCanonicalKeys
+// evaluator keys its cache by (see canonForm), so a Cut can be memoized
+// and Halves never canonicalizes. The cut is a function of the chain
+// alone and costs no product: the factor boundary that best balances
+// the label count of the two sides (a nest [q] relates a node to itself
+// and weighs nothing), leftmost on a tie. Equal chains thus cut equally
+// on every request, version and replica. For the Algorithm-1 expansion
+// of a symmetric meta-path it is the seam between the rewritten prefix
+// and suffix, so |E_p| roots share ≈ √|E_p| halves.
+func NewCut(p *rre.Pattern, canonical bool) Cut {
+	p = canonForm(p, canonical)
+	if p.Kind() != rre.KindConcat {
+		return Cut{Left: p}
+	}
+	subs := p.Subs()
+	weight := func(f *rre.Pattern) int {
+		if f.Kind() == rre.KindNest {
+			return 0
+		}
+		return f.Length()
+	}
+	total := 0
+	for _, f := range subs {
+		total += weight(f)
+	}
+	c, left, best := 1, 0, total+1
+	for i, f := range subs[:len(subs)-1] {
+		left += weight(f)
+		d := 2*left - total
+		if d < 0 {
+			d = -d
+		}
+		if d < best {
+			c, best = i+1, d
+		}
+	}
+	return Cut{
+		Left:     rre.Concat(subs[:c]...),
+		RevRight: canonForm(rre.Rev(rre.Concat(subs[c:]...)), canonical),
+	}
+}
+
+// Cut cuts p under the evaluator's key mode.
+func (e *Evaluator) Cut(p *rre.Pattern) Cut { return NewCut(p, e.isCanonical()) }
+
+// Halves returns the matrices of a Cut made under the evaluator's key
+// mode, A = M_Left and Bᵀ = M_RevRight (nil when RevRight is), each
+// cached like any other pattern; the greedy chain below orders the
+// products inside a half.
+func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
+	a = e.commuting(c.Left)
+	if c.RevRight != nil {
+		bt = e.commuting(c.RevRight)
+	}
+	return a, bt
+}
 
 // Concatenation planning. M_{p1·…·pk} is a chain of sparse matrix
 // products; since multiplication is associative, the evaluator is free

@@ -59,16 +59,16 @@ func TestCacheAdvance(t *testing.T) {
 	cache := NewCache()
 	ev := NewVersioned(g.Snapshot(), 0, cache)
 	ev.Materialize(rre.MustParse("a.b"), rre.MustParse("c"))
-	if cache.Size() != 4 { // a.b, a, b, c
-		t.Fatalf("primed size = %d, want 4", cache.Size())
+	if cache.Size() != 5 { // a.b, its halves a and b-, b, c
+		t.Fatalf("primed size = %d, want 5", cache.Size())
 	}
 
 	carried, evicted := cache.Advance(0, 1, []string{"c"}, false, false)
-	if carried != 3 || evicted != 1 {
-		t.Fatalf("Advance = (%d carried, %d evicted), want (3, 1)", carried, evicted)
+	if carried != 4 || evicted != 1 {
+		t.Fatalf("Advance = (%d carried, %d evicted), want (4, 1)", carried, evicted)
 	}
 	occ := cache.VersionOccupancy()
-	if occ[0] != 0 || occ[1] != 3 {
+	if occ[0] != 0 || occ[1] != 4 {
 		t.Errorf("occupancy after advance = %v, want all at version 1", occ)
 	}
 
@@ -82,8 +82,8 @@ func TestCacheAdvance(t *testing.T) {
 	}
 
 	// A node-count change evicts everything at the advanced-from version.
-	if _, evicted := cache.Advance(1, 2, nil, true, false); evicted != 3 {
-		t.Errorf("node-change advance evicted %d, want 3", evicted)
+	if _, evicted := cache.Advance(1, 2, nil, true, false); evicted != 4 {
+		t.Errorf("node-change advance evicted %d, want 4", evicted)
 	}
 	if cache.Size() != 0 {
 		t.Errorf("size = %d, want 0", cache.Size())
@@ -101,12 +101,12 @@ func TestCacheAdvanceKeepsPinnedVersion(t *testing.T) {
 	ev0.Materialize(rre.MustParse("a.b"), rre.MustParse("c"))
 
 	carried, evicted := cache.Advance(0, 1, []string{"c"}, false, true)
-	if carried != 3 || evicted != 0 {
-		t.Fatalf("Advance keepFrom = (%d carried, %d evicted), want (3, 0)", carried, evicted)
+	if carried != 4 || evicted != 0 {
+		t.Fatalf("Advance keepFrom = (%d carried, %d evicted), want (4, 0)", carried, evicted)
 	}
 	occ := cache.VersionOccupancy()
-	if occ[0] != 4 || occ[1] != 3 {
-		t.Errorf("occupancy = %v, want 4 at v0 (kept for pins) and 3 at v1", occ)
+	if occ[0] != 5 || occ[1] != 4 {
+		t.Errorf("occupancy = %v, want 5 at v0 (kept for pins) and 4 at v1", occ)
 	}
 	// The pinned reader at v0 still hits its entries.
 	before := cache.Stats()
@@ -117,8 +117,8 @@ func TestCacheAdvanceKeepsPinnedVersion(t *testing.T) {
 		t.Errorf("pinned reader lost its entries: %+v → %+v", before, after)
 	}
 	// Pins released: the old version's leftovers are reaped.
-	if n := cache.EvictBelow(1); n != 4 {
-		t.Errorf("EvictBelow(1) = %d, want 4", n)
+	if n := cache.EvictBelow(1); n != 5 {
+		t.Errorf("EvictBelow(1) = %d, want 5", n)
 	}
 }
 

@@ -27,8 +27,10 @@ import (
 //
 // Sharing is at AST-subtree granularity: flattened concatenations share
 // their factors and any composite sub-patterns (disjunctions, nests,
-// skips, stars), but a.b is not recognized inside a.b.c — partial-chain
-// factoring is a planner extension, not subexpression sharing.
+// skips, stars). A sub-chain is shared where a chain was cut: the
+// serving layer plans the two halves of every scored pattern (see Cut),
+// never the pattern, so a.b is one node under a.b.c.d and a.b.e.f. Inside
+// a half the planner does not look for a.b in a.b.c.
 //
 // Patterns whose canonicalization is not count-exact (structurally
 // distinct disjunction branches collapsing; see rre.CanonicalExact) are

@@ -208,7 +208,8 @@ func (b *Builder) NodesAdded() bool { return b.nodes != nil && len(b.nodes) > le
 
 // Build derives the next snapshot. The base is unchanged; the result
 // shares the base's CSR arrays for every label the builder did not
-// touch, and the base's node table when no node was added. Build may be
+// touch, the base's node table when no node was added, and the id list
+// of every type that gained no node. Build may be
 // called once; reusing the builder afterwards is not supported.
 func (b *Builder) Build() *Snapshot {
 	if !b.Changed() {
@@ -217,6 +218,7 @@ func (b *Builder) Build() *Snapshot {
 	s := &Snapshot{
 		nodes:  b.base.nodes,
 		byName: b.base.byName,
+		byType: b.base.byType,
 		out:    b.base.out,
 		in:     b.base.in,
 		edges:  b.base.NumEdges() + b.addCnt - b.delCnt,
@@ -224,6 +226,10 @@ func (b *Builder) Build() *Snapshot {
 	if b.nodes != nil {
 		s.nodes = b.nodes
 		s.byName = b.byName
+		s.byType = cloneTypeIndex(b.base.byType)
+		for _, nd := range b.nodes[len(b.base.nodes):] {
+			s.byType[nd.Type] = append(s.byType[nd.Type], nd.ID)
+		}
 	}
 	touched := b.TouchedLabels()
 	if len(touched) == 0 {

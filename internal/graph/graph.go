@@ -44,6 +44,7 @@ type Graph struct {
 	in  map[string][][]NodeID
 
 	byName map[string]NodeID
+	byType map[string][]NodeID // type tag → ids, ascending
 	edges  int
 	// perLabel counts edges per label so removing the last edge of a
 	// label can drop it from Labels in O(1) instead of scanning the
@@ -57,6 +58,7 @@ func New() *Graph {
 		out:      make(map[string][][]NodeID),
 		in:       make(map[string][][]NodeID),
 		byName:   make(map[string]NodeID),
+		byType:   make(map[string][]NodeID),
 		perLabel: make(map[string]int),
 	}
 }
@@ -67,6 +69,7 @@ func New() *Graph {
 func (g *Graph) AddNode(name, typ string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Type: typ})
+	g.byType[typ] = append(g.byType[typ], id)
 	if name != "" {
 		if _, dup := g.byName[name]; !dup {
 			g.byName[name] = id
@@ -284,16 +287,8 @@ func (g *Graph) Adjacency(label string) *sparse.Matrix {
 }
 
 // NodesOfType returns the ids of all nodes with the given type tag, in
-// ascending id order.
-func (g *Graph) NodesOfType(typ string) []NodeID {
-	var ids []NodeID
-	for _, nd := range g.nodes {
-		if nd.Type == typ {
-			ids = append(ids, nd.ID)
-		}
-	}
-	return ids
-}
+// ascending id order. The slice is the graph's own index: read-only.
+func (g *Graph) NodesOfType(typ string) []NodeID { return g.byType[typ] }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
@@ -302,6 +297,7 @@ func (g *Graph) Clone() *Graph {
 	for name, id := range g.byName {
 		c.byName[name] = id
 	}
+	c.byType = cloneTypeIndex(g.byType)
 	for l, o := range g.out {
 		co := make([][]NodeID, len(o))
 		for u := range o {

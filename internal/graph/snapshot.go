@@ -14,12 +14,14 @@ import (
 //
 // Adjacency is stored per label in CSR form, in both directions.
 // Versions share structure: deriving a snapshot through a Builder
-// copies only the node table (when nodes were added) and the adjacency
-// of the labels the write touched; every other label's CSR arrays are
+// copies only the node table (when nodes were added), the id list of
+// each type that gained a node, and the adjacency of the labels the
+// write touched; every other type's ids and label's CSR arrays are
 // shared by pointer with the parent version.
 type Snapshot struct {
 	nodes  []Node
 	byName map[string]NodeID
+	byType map[string][]NodeID // type tag → ids, ascending; len == cap, so an append copies
 	out    map[string]*adjacency
 	in     map[string]*adjacency
 	edges  int
@@ -77,6 +79,7 @@ func (g *Graph) Snapshot() *Snapshot {
 	s := &Snapshot{
 		nodes:  append([]Node(nil), g.nodes...),
 		byName: make(map[string]NodeID, len(g.byName)),
+		byType: cloneTypeIndex(g.byType),
 		out:    make(map[string]*adjacency, len(g.out)),
 		in:     make(map[string]*adjacency, len(g.in)),
 		edges:  g.edges,
@@ -206,15 +209,19 @@ func (s *Snapshot) Adjacency(label string) *sparse.Matrix {
 }
 
 // NodesOfType returns the ids of all nodes with the given type tag, in
-// ascending id order.
-func (s *Snapshot) NodesOfType(typ string) []NodeID {
-	var ids []NodeID
-	for _, nd := range s.nodes {
-		if nd.Type == typ {
-			ids = append(ids, nd.ID)
-		}
+// ascending id order. The slice is the snapshot's own index, shared
+// with the versions derived from it: read-only.
+func (s *Snapshot) NodesOfType(typ string) []NodeID { return s.byType[typ] }
+
+// cloneTypeIndex copies the map of a type index, sharing every id list
+// with its capacity clipped: the first append to a list copies it, so
+// the index it was shared from never sees the new id.
+func cloneTypeIndex(idx map[string][]NodeID) map[string][]NodeID {
+	c := make(map[string][]NodeID, len(idx))
+	for typ, ids := range idx {
+		c[typ] = ids[:len(ids):len(ids)]
 	}
-	return ids
+	return c
 }
 
 // Stats returns the snapshot's summary statistics.

@@ -141,6 +141,55 @@ func TestBuilderNodeTableCOW(t *testing.T) {
 	}
 }
 
+// TestBuilderTypeIndexCOW: the type → ids index is shared copy-on-write.
+// An edge-only write shares the whole index; adding a node copies only
+// its type's id list, every other type's list is shared by pointer, and
+// neither the base snapshot nor the graph it was frozen from sees the
+// new id.
+func TestBuilderTypeIndexCOW(t *testing.T) {
+	g := snapTestGraph()
+	base := g.Snapshot()
+	b := NewBuilder(base)
+	if err := b.AddEdge(2, "x", 0); err != nil {
+		t.Fatal(err)
+	}
+	if next := b.Build(); &next.NodesOfType("t")[0] != &base.NodesOfType("t")[0] || &next.NodesOfType("u")[0] != &base.NodesOfType("u")[0] {
+		t.Error("edge-only write copied the type index")
+	}
+
+	b = NewBuilder(base)
+	d := b.AddNode("d", "t")
+	e := b.AddNode("e", "v")
+	f := b.AddNode("f", "t")
+	next := b.Build()
+	if &next.NodesOfType("u")[0] != &base.NodesOfType("u")[0] {
+		t.Error("untouched type u was copied")
+	}
+	if &next.NodesOfType("t")[0] == &base.NodesOfType("t")[0] {
+		t.Error("touched type t still shares its id list with the base")
+	}
+	if got, want := next.NodesOfType("t"), []NodeID{0, 1, d, f}; !reflect.DeepEqual(got, want) {
+		t.Errorf("next NodesOfType(t) = %v, want %v", got, want)
+	}
+	if got, want := next.NodesOfType("v"), []NodeID{e}; !reflect.DeepEqual(got, want) {
+		t.Errorf("next NodesOfType(v) = %v, want %v", got, want)
+	}
+	// The graph keeps growing after the freeze, into the same backing
+	// array the snapshot's list was clipped from.
+	g.AddNode("g", "t")
+	for _, s := range []*Snapshot{base, NewBuilder(base).Build()} {
+		if got, want := s.NodesOfType("t"), []NodeID{0, 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("base NodesOfType(t) = %v, want %v", got, want)
+		}
+		if s.NodesOfType("v") != nil {
+			t.Error("base snapshot sees the new type")
+		}
+	}
+	if got, want := g.NodesOfType("t"), []NodeID{0, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("graph NodesOfType(t) = %v, want %v", got, want)
+	}
+}
+
 // TestBuilderRemoveSemantics mirrors Graph.RemoveEdge: one occurrence
 // at a time, labels vanish with their last edge, absent edges refuse.
 func TestBuilderRemoveSemantics(t *testing.T) {

@@ -16,9 +16,10 @@ package server
 // overloaded), and never occupies a worker. The third mechanism, the
 // per-request cost ceiling, runs later in the handler — it needs the
 // decoded pattern set — but still strictly before any snapshot is
-// pinned or matrix materialized: the workload plan's product count
-// (eval.EstimateProducts) is compared against the ceiling and
-// pathological queries answer 422.
+// pinned or matrix materialized: the product count of a plan over the
+// halves the request reads (eval.EstimateProducts; a root M_p is never
+// built on /search or /batch, so it is never priced) is compared
+// against the ceiling and pathological queries answer 422.
 //
 // The observability surface (/healthz, /stats, /metrics, /debug) and
 // the replication surface (/log, /checkpoint) are exempt: probes and
@@ -194,8 +195,8 @@ func (s *Server) protected(w http.ResponseWriter, r *http.Request) {
 }
 
 // checkCost enforces the per-request cost ceiling: cost is the
-// request's estimated evaluation cost in matrix products
-// (eval.EstimateProducts over its pattern set). Over the ceiling it
+// request's estimated evaluation cost in matrix products (searchCost,
+// explainCost, or the /batch plan's estimate). Over the ceiling it
 // writes the 422 and reports false; the caller must return without
 // pinning a snapshot.
 func (s *Server) checkCost(w http.ResponseWriter, cost int) bool {

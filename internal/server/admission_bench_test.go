@@ -42,8 +42,10 @@ func percentile(ds []time.Duration, p float64) time.Duration {
 // QueueDepth=0). Overload responses split into admitted (200) and shed
 // (503) populations. With BENCH_ADMISSION_OUT set it writes the
 // BENCH_admission JSON artifact; with BENCH_ADMISSION_GATE set it fails
-// when admitted p99 exceeds 2x the uncontended p99 or shed p99 exceeds
-// 25ms.
+// when admitted p99 exceeds the uncontended p99 by more than 1ms or shed
+// p99 exceeds 25ms. The first budget is absolute — what three shedding
+// clients may cost the admitted one — not a ratio to the uncontended
+// request: a faster /batch must not be able to fail the gate.
 func BenchmarkAdmissionOverload(b *testing.B) {
 	ds, err := datasets.ByName("dblp-small")
 	if err != nil {
@@ -137,26 +139,26 @@ func BenchmarkAdmissionOverload(b *testing.B) {
 	p99Unc := percentile(uncontended, 0.99)
 	p99Adm := percentile(admitted, 0.99)
 	p99Shed := percentile(shed, 0.99)
-	ratio := float64(p99Adm) / float64(p99Unc)
+	excess := p99Adm - p99Unc
 	b.ReportMetric(float64(p99Unc.Nanoseconds()), "uncontended_p99_ns")
 	b.ReportMetric(float64(p99Adm.Nanoseconds()), "admitted_p99_ns")
 	b.ReportMetric(float64(p99Shed.Nanoseconds()), "shed_p99_ns")
-	b.Logf("p99: uncontended=%v admitted=%v (%.2fx) shed=%v; admitted=%d shed=%d",
-		p99Unc, p99Adm, ratio, p99Shed, len(admitted), len(shed))
+	b.Logf("p99: uncontended=%v admitted=%v (%v over) shed=%v; admitted=%d shed=%d",
+		p99Unc, p99Adm, excess, p99Shed, len(admitted), len(shed))
 
 	if out := os.Getenv("BENCH_ADMISSION_OUT"); out != "" {
 		results := map[string]any{
-			"description":               "Admission-controlled overload on warm 25-query /batch (dblp-small overlap workload): one client uncontended vs 4 clients against MaxInFlight=1/QueueDepth=0 (4x capacity). Admitted = 200s under overload, shed = 503s. Acceptance: admitted p99 <= 2x uncontended p99 (admitted work is protected), shed p99 <= 25ms (shedding is O(1), pre-pin).",
-			"command":                   "BENCH_ADMISSION_GATE=1 go test -run='^$' -bench=BenchmarkAdmissionOverload -benchtime=1000x ./internal/server/",
-			"uncontended_p99_ns":        p99Unc.Nanoseconds(),
-			"admitted_p99_ns":           p99Adm.Nanoseconds(),
-			"shed_p99_ns":               p99Shed.Nanoseconds(),
-			"admitted_over_uncontended": ratio,
-			"admitted_count":            len(admitted),
-			"shed_count":                len(shed),
-			"overload_clients":          overloadClients,
-			"max_inflight":              maxInFlight,
-			"iterations":                b.N,
+			"description":                  "Admission-controlled overload on warm 25-query /batch (dblp-small overlap workload): one client uncontended vs 4 clients against MaxInFlight=1/QueueDepth=0 (4x capacity). Admitted = 200s under overload, shed = 503s. Acceptance: admitted p99 <= uncontended p99 + 1ms (admitted work is protected), shed p99 <= 25ms (shedding is O(1), pre-pin).",
+			"command":                      "BENCH_ADMISSION_GATE=1 go test -run='^$' -bench=BenchmarkAdmissionOverload -benchtime=1000x ./internal/server/",
+			"uncontended_p99_ns":           p99Unc.Nanoseconds(),
+			"admitted_p99_ns":              p99Adm.Nanoseconds(),
+			"shed_p99_ns":                  p99Shed.Nanoseconds(),
+			"admitted_over_uncontended_ns": excess.Nanoseconds(),
+			"admitted_count":               len(admitted),
+			"shed_count":                   len(shed),
+			"overload_clients":             overloadClients,
+			"max_inflight":                 maxInFlight,
+			"iterations":                   b.N,
 		}
 		buf, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
@@ -167,8 +169,8 @@ func BenchmarkAdmissionOverload(b *testing.B) {
 		}
 	}
 	if os.Getenv("BENCH_ADMISSION_GATE") != "" {
-		if ratio > 2 {
-			b.Fatalf("admitted p99 %v is %.2fx the uncontended p99 %v (budget 2x): admitted work is not protected from overload", p99Adm, ratio, p99Unc)
+		if excess > time.Millisecond {
+			b.Fatalf("admitted p99 %v is %v over the uncontended p99 %v (budget 1ms): admitted work is not protected from overload", p99Adm, excess, p99Unc)
 		}
 		if p99Shed > 25*time.Millisecond {
 			b.Fatalf("shed p99 %v exceeds 25ms: shedding is not O(1)", p99Shed)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"relsim/internal/datasets"
 	"relsim/internal/eval"
 	"relsim/internal/rre"
 	"relsim/internal/store"
@@ -332,16 +333,27 @@ func TestRateLimit(t *testing.T) {
 
 // TestCostCeiling verifies the 422 path on every evaluation endpoint:
 // requests whose pattern set plans more matrix products than the
-// ceiling are rejected before any snapshot work.
+// ceiling are rejected before any snapshot work. The price is that of
+// the halves a request reads, never of the roots it does not build:
+// /search and /batch read by.by-.cites and cites-.by.by- for the long
+// pattern (two products each, nothing shared) and the one half by.by-
+// twice for the cheap one; /explain materializes the root, one product
+// more.
 func TestCostCeiling(t *testing.T) {
-	long := "by.by-.by.by-"
-	cheap := "by.by-"
-	costLong := eval.EstimateProducts([]*rre.Pattern{mustPat(t, long)})
-	costCheap := eval.EstimateProducts([]*rre.Pattern{mustPat(t, cheap)})
-	if costLong <= costCheap {
-		t.Fatalf("test premise broken: cost(%s)=%d, cost(%s)=%d", long, costLong, cheap, costCheap)
+	long := "by.by-.cites.by.by-.cites"
+	cheap := "by.by-.by.by-"
+	_, srv, ts := newAdmServer(t, WithAdmissionMaxCost(2))
+	for _, tc := range []struct {
+		pattern         string
+		search, explain int
+	}{{cheap, 1, 2}, {long, 4, 5}} {
+		if got := srv.searchCost(&SearchRequest{Pattern: tc.pattern, NoExpand: true}); got != tc.search {
+			t.Errorf("searchCost(%s) = %d, want %d", tc.pattern, got, tc.search)
+		}
+		if got := explainCost(mustPat(t, tc.pattern)); got != tc.explain {
+			t.Errorf("explainCost(%s) = %d, want %d", tc.pattern, got, tc.explain)
+		}
 	}
-	_, srv, ts := newAdmServer(t, WithAdmissionMaxCost(costCheap))
 
 	code, _, e := postKeyed(t, ts, "/search", "", SearchRequest{Pattern: long, Query: "p1", NoExpand: true})
 	if code != http.StatusUnprocessableEntity || e.Code != "cost_ceiling" {
@@ -363,6 +375,34 @@ func TestCostCeiling(t *testing.T) {
 	// At or under the ceiling everything still runs.
 	if code, _, e := postKeyed(t, ts, "/search", "", SearchRequest{Pattern: cheap, Query: "p1"}); code != http.StatusOK {
 		t.Fatalf("/search under ceiling: status %d %+v", code, e)
+	}
+	if code, _, e := postKeyed(t, ts, "/explain", "", ExplainRequest{Pattern: cheap, From: "p1", To: "p2"}); code != http.StatusOK {
+		t.Fatalf("/explain under ceiling: status %d %+v", code, e)
+	}
+}
+
+// TestHeadlinePricedByItsHalves: the benchmark's headline expands into
+// 49 roots that would cost 193 products to materialize; a /search reads
+// their seven shared halves, 12 products, and that is its price.
+func TestHeadlinePricedByItsHalves(t *testing.T) {
+	ds, err := datasets.ByName("dblp-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store.New(ds.Graph), ds.Schema)
+	req := &SearchRequest{Pattern: "p-in-.r-a.r-a-.p-in", Query: "proc3", Type: "proc"}
+	qs, err := srv.queryPatterns(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(qs.ps); got != 49 {
+		t.Fatalf("headline expands to %d patterns, want 49", got)
+	}
+	if got := eval.EstimateProducts(qs.ps); got != 193 {
+		t.Errorf("the 49 roots price at %d products, want 193", got)
+	}
+	if got := srv.searchCost(req); got != 12 {
+		t.Errorf("searchCost(headline) = %d, want 12", got)
 	}
 }
 

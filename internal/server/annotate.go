@@ -80,20 +80,21 @@ func mergeAnnotate(r *http.Request, body string) (string, error) {
 	return v, nil
 }
 
-// annotationSurcharge prices the annotated twin of a query's pattern
-// set: eval.AnnotationCostFactor integer-product equivalents per
-// estimated product, zero for unannotated queries. Added to the
-// integer estimate it reproduces eval.EstimateProductsAnnotated, so
-// the cost ceiling sees annotated requests at their true weight.
-func (s *Server) annotationSurcharge(req *SearchRequest) int {
+// annotationSurcharge prices the witness twin of an annotated query:
+// the annotated kernel folds the pattern as written (not its
+// Algorithm-1 expansion, and not its halves) left to right, at
+// eval.AnnotationCostFactor integer-product equivalents per product.
+// Zero for unannotated queries and for patterns that do not parse (the
+// handler reports those).
+func annotationSurcharge(req *SearchRequest) int {
 	if req.Annotate == "" {
 		return 0
 	}
-	ps, _, err := s.queryPatterns(req)
-	if err != nil || len(ps) == 0 {
+	p, err := rre.Parse(req.Pattern)
+	if err != nil {
 		return 0
 	}
-	return eval.AnnotationCostFactor * eval.EstimateProducts(ps)
+	return eval.AnnotationCostFactor * eval.EstimateProducts([]*rre.Pattern{p})
 }
 
 // annotateResults attaches witness annotations to a ranked answer

@@ -32,8 +32,10 @@ func percentile50(ds []time.Duration) time.Duration {
 //     products), and the projected count/score must equal the legacy
 //     answer;
 //   - with BENCH_EXPLAIN_GATE=1: warm annotated /search p50 must stay
-//     within 15% of plain warm /search p50 — annotation may not tax the
-//     ranking path it rides on.
+//     within 25µs of plain warm /search p50 — annotation may not tax the
+//     ranking path it rides on. The budget is absolute (one cache lookup
+//     and a projection per result, ≈ 5µs here), not a ratio to the plain
+//     path: a faster ranking path must not be able to fail the gate.
 //
 // With BENCH_EXPLAIN_OUT set it writes the BENCH_explain.json artifact
 // CI uploads.
@@ -139,36 +141,36 @@ func BenchmarkExplainProjection(b *testing.B) {
 
 	legacyP50, projP50 := percentile50(legacyT), percentile50(projT)
 	plainP50, annotP50 := percentile50(plainT), percentile50(annotT)
-	overhead := float64(annotP50) / float64(plainP50)
+	overhead := annotP50 - plainP50
 	speedup := float64(legacyP50) / float64(projP50)
-	b.Logf("warm /explain p50: legacy=%v projection=%v (projection %0.2fx); warm /search p50: plain=%v annotated=%v (overhead %0.2fx)",
+	b.Logf("warm /explain p50: legacy=%v projection=%v (projection %0.2fx); warm /search p50: plain=%v annotated=%v (overhead %v)",
 		legacyP50, projP50, speedup, plainP50, annotP50, overhead)
 	b.ReportMetric(float64(projP50.Nanoseconds()), "explain_projection_ns_p50")
-	b.ReportMetric(overhead, "annotated_search_overhead")
+	b.ReportMetric(float64(overhead.Nanoseconds()), "annotated_search_overhead_ns")
 
 	// The timing gate needs a real sample: the harness's N=1 calibration
 	// run would gate on a single noisy measurement.
-	const maxOverhead = 1.15
+	const maxOverhead = 25 * time.Microsecond
 	if os.Getenv("BENCH_EXPLAIN_GATE") != "" && b.N >= 20 && overhead > maxOverhead {
-		b.Fatalf("annotated warm /search p50 %v is %0.2fx plain %v (gate %0.2fx)",
+		b.Fatalf("annotated warm /search p50 %v is %v over plain %v (gate %v)",
 			annotP50, overhead, plainP50, maxOverhead)
 	}
 
 	if out := os.Getenv("BENCH_EXPLAIN_OUT"); out != "" {
 		results := map[string]any{
-			"description":                    "Warm /explain on dblp-small: witness projection (reads the cached annotation matrix, zero products — hard-asserted via the server's warm-projection counter) vs legacy instance enumeration, plus the annotated-/search overhead over the plain warm ranking path (gated at 15% with BENCH_EXPLAIN_GATE=1).",
-			"command":                        "BENCH_EXPLAIN_GATE=1 BENCH_EXPLAIN_OUT=$PWD/BENCH_explain.json go test -run='^$' -bench=BenchmarkExplainProjection -benchtime=50x ./internal/server/",
-			"rounds":                         b.N,
-			"pattern":                        pat,
-			"explain_legacy_ns_p50":          legacyP50.Nanoseconds(),
-			"explain_projection_ns_p50":      projP50.Nanoseconds(),
-			"explain_legacy_over_projection": speedup,
-			"search_plain_ns_p50":            plainP50.Nanoseconds(),
-			"search_annotated_ns_p50":        annotP50.Nanoseconds(),
-			"annotated_search_overhead":      overhead,
-			"annotated_search_overhead_gate": maxOverhead,
-			"projection_products":            0,
-			"semiring":                       srv.Stats().Semiring,
+			"description":                       "Warm /explain on dblp-small: witness projection (reads the cached annotation matrix, zero products — hard-asserted via the server's warm-projection counter) vs legacy instance enumeration, plus the annotated-/search overhead over the plain warm ranking path (an absolute budget, gated at 25µs with BENCH_EXPLAIN_GATE=1).",
+			"command":                           "BENCH_EXPLAIN_GATE=1 BENCH_EXPLAIN_OUT=$PWD/BENCH_explain.json go test -run='^$' -bench=BenchmarkExplainProjection -benchtime=50x ./internal/server/",
+			"rounds":                            b.N,
+			"pattern":                           pat,
+			"explain_legacy_ns_p50":             legacyP50.Nanoseconds(),
+			"explain_projection_ns_p50":         projP50.Nanoseconds(),
+			"explain_legacy_over_projection":    speedup,
+			"search_plain_ns_p50":               plainP50.Nanoseconds(),
+			"search_annotated_ns_p50":           annotP50.Nanoseconds(),
+			"annotated_search_overhead_ns":      overhead.Nanoseconds(),
+			"annotated_search_overhead_gate_ns": maxOverhead.Nanoseconds(),
+			"projection_products":               0,
+			"semiring":                          srv.Stats().Semiring,
 		}
 		buf, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {

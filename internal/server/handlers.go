@@ -117,13 +117,12 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 	var (
 		rank     sim.Ranking
 		expanded int
+		qs       *querySet
 	)
-	var ps []*rre.Pattern
-	var wasExpanded bool
 	if alg != "rwr" && alg != "simrank" {
 		end := tr.Phase("expand")
 		var err error
-		ps, wasExpanded, err = s.queryPatterns(req)
+		qs, err = s.queryPatterns(req)
 		end()
 		if err != nil {
 			return nil, err
@@ -136,21 +135,19 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 			rank = sim.RWR(ev, sim.DefaultRWR(), q, candidates)
 		case "simrank":
 			rank = sim.SimRankMC(ev, sim.DefaultSimRank(), q, candidates)
-		case "search":
-			if wasExpanded {
-				expanded = len(ps)
+		case "search", "relsim":
+			if qs.expanded {
+				expanded = len(qs.ps)
 			}
-			rank = sim.RelSimAggregate(ev, ps, q, candidates)
-		case "relsim":
-			rank = sim.RelSim(ev, ps[0], q, candidates)
+			rank = sim.ScoreCuts(ev, qs.cuts, q, candidates)
 		case "pathsim":
 			var err error
-			rank, err = sim.PathSim(ev, ps[0], q, candidates)
+			rank, err = sim.PathSim(ev, qs.ps[0], q, candidates)
 			if err != nil {
 				return err
 			}
 		case "hetesim":
-			rank = sim.HeteSimRRE(ev, ps[0], q, candidates)
+			rank = sim.HeteSimRRE(ev, qs.ps[0], q, candidates)
 		default:
 			return fmt.Errorf("unknown alg %q", alg)
 		}
@@ -242,19 +239,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Cost ceiling before the pin: the pattern expansion needs only the
 	// schema (and hits the expand memo, so the handler's own expansion
 	// below is a cache hit), never a snapshot. Expansion errors fall
-	// through — the handler reports them with its usual 400. Annotated
-	// requests are priced with the annotation surcharge: they evaluate
-	// the integer ranking matrices plus the witness twin.
-	if s.adm.MaxCost() > 0 {
-		if ps, _, err := s.queryPatterns(&req); err == nil && len(ps) > 0 {
-			cost := eval.EstimateProducts(ps)
-			if req.Annotate != "" {
-				cost = eval.EstimateProductsAnnotated(ps)
-			}
-			if !s.checkCost(w, s.shardCost(cost)) {
-				return
-			}
-		}
+	// through — the handler reports them with its usual 400.
+	if s.adm.MaxCost() > 0 && !s.checkCost(w, s.shardCost(s.searchCost(&req))) {
+		return
 	}
 
 	// Pin one snapshot for the request's lifetime: the query evaluates
@@ -383,7 +370,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	surcharge := 0
 	if s.adm.MaxCost() > 0 {
 		for i := range req.Queries {
-			surcharge += s.annotationSurcharge(&req.Queries[i])
+			surcharge += annotationSurcharge(&req.Queries[i])
 		}
 	}
 	endPlan := tr.Phase("plan")
@@ -460,65 +447,111 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// queryPatterns resolves the pattern set a query scores: the
-// Algorithm-1 expansion E_p for the robust "search" pipeline on a
-// simple pattern, otherwise the pattern itself as a singleton. It
-// returns (nil, false, nil) for the pattern-free algorithms. Both
-// runSearch and batchPatterns dispatch through it, so /batch always
-// pre-materializes exactly the matrices the workers will need.
-func (s *Server) queryPatterns(req *SearchRequest) (ps []*rre.Pattern, expanded bool, err error) {
+// querySet is what one query scores.
+type querySet struct {
+	// ps is the pattern set scored: the Algorithm-1 expansion E_p
+	// (expanded) for the robust "search" pipeline on a simple pattern,
+	// otherwise the pattern itself as a singleton.
+	ps       []*rre.Pattern
+	expanded bool
+	// cuts are ps cut for Equation-1 scoring, aligned by index. /batch
+	// plans and admission prices their halves: a root M_p is never built.
+	cuts []eval.Cut
+	used uint64 // expand-memo LRU tick
+}
+
+// expandKey keys the query-set memo: the pattern as parsed, and whether
+// it stands for its Algorithm-1 expansion.
+type expandKey struct {
+	pattern string
+	expand  bool
+}
+
+// newQuerySet cuts ps under the canonical keys every server evaluator
+// uses.
+func newQuerySet(ps []*rre.Pattern, expanded bool) *querySet {
+	qs := &querySet{ps: ps, expanded: expanded, cuts: make([]eval.Cut, len(ps))}
+	for i, p := range ps {
+		qs.cuts[i] = eval.NewCut(p, true)
+	}
+	return qs
+}
+
+// reads lists the patterns whose matrices scoring the cuts fetches —
+// each cut's halves, duplicates included: the workload planner folds
+// them and counts the sharing.
+func reads(cuts ...eval.Cut) []*rre.Pattern {
+	out := make([]*rre.Pattern, 0, 2*len(cuts))
+	for _, c := range cuts {
+		out = append(out, c.Left)
+		if c.RevRight != nil {
+			out = append(out, c.RevRight)
+		}
+	}
+	return out
+}
+
+// queryPatterns resolves what a query scores; it returns (nil, nil) for
+// the pattern-free algorithms. runSearch, batchPatterns and the cost
+// ceiling all dispatch through it, so /batch pre-materializes, and
+// admission prices, exactly the matrices the workers will read.
+func (s *Server) queryPatterns(req *SearchRequest) (*querySet, error) {
 	if req.Alg == "rwr" || req.Alg == "simrank" {
-		return nil, false, nil
+		return nil, nil
 	}
 	if req.Pattern == "" {
 		alg := req.Alg
 		if alg == "" {
 			alg = "search"
 		}
-		return nil, false, fmt.Errorf("pattern is required for alg %q", alg)
+		return nil, fmt.Errorf("pattern is required for alg %q", alg)
 	}
 	p, err := rre.Parse(req.Pattern)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if (req.Alg == "" || req.Alg == "search") && p.IsSimple() && !req.NoExpand {
-		ps, err := s.expandPattern(p)
-		if err != nil {
-			return nil, false, err
-		}
-		return ps, true, nil
+	if req.Alg == "hetesim" {
+		// HeteSim splits the pattern its own way; it reads the root.
+		return &querySet{ps: []*rre.Pattern{p}, cuts: []eval.Cut{{Left: p}}}, nil
 	}
-	return []*rre.Pattern{p}, false, nil
+	return s.memoQuerySet(p, (req.Alg == "" || req.Alg == "search") && p.IsSimple() && !req.NoExpand)
 }
 
-// expandPattern runs Algorithm 1 through the server's memo, so repeated
-// queries on the same pattern (one /batch worker after another, or
-// request after request) expand once. The memo is LRU-bounded
-// (WithExpandCacheLimit): keys are client-supplied pattern strings, and
-// without the bound a stream of distinct patterns grows it forever.
-func (s *Server) expandPattern(p *rre.Pattern) ([]*rre.Pattern, error) {
-	key := p.String()
+// memoQuerySet builds p's query set — the Algorithm-1 expansion when
+// expand is set, the pattern itself otherwise — through the server's
+// memo, so repeated queries on the same pattern (one /batch worker
+// after another, or request after request) expand, canonicalize and cut
+// once. The memo is LRU-bounded (WithExpandCacheLimit): keys are
+// client-supplied pattern strings, and without the bound a stream of
+// distinct patterns grows it forever.
+func (s *Server) memoQuerySet(p *rre.Pattern, expand bool) (*querySet, error) {
+	key := expandKey{p.String(), expand}
 	s.expandMu.Lock()
 	if ent, ok := s.expand[key]; ok {
 		s.expandTick++
 		ent.used = s.expandTick
 		s.expandHits++
-		ps := ent.ps
 		s.expandMu.Unlock()
-		return ps, nil
+		return ent, nil
 	}
 	s.expandMisses++
 	s.expandMu.Unlock()
-	ps, err := pattern.Generate(s.schema, p, pattern.Default())
-	if err != nil {
-		return nil, err
+	ps := []*rre.Pattern{p}
+	if expand {
+		var err error
+		if ps, err = pattern.Generate(s.schema, p, pattern.Default()); err != nil {
+			return nil, err
+		}
 	}
+	ent := newQuerySet(ps, expand)
 	s.expandMu.Lock()
 	s.expandTick++
-	s.expand[key] = &expandEntry{ps: ps, used: s.expandTick}
+	ent.used = s.expandTick
+	s.expand[key] = ent
 	if s.expandLimit > 0 {
 		for len(s.expand) > s.expandLimit {
-			victim, oldest, first := "", uint64(0), true
+			var victim expandKey
+			oldest, first := uint64(0), true
 			for k, ent := range s.expand {
 				if first || ent.used < oldest {
 					victim, oldest, first = k, ent.used, false
@@ -529,29 +562,49 @@ func (s *Server) expandPattern(p *rre.Pattern) ([]*rre.Pattern, error) {
 		}
 	}
 	s.expandMu.Unlock()
-	return ps, nil
+	return ent, nil
 }
 
-// batchPatterns collects the distinct patterns a batch will score so
-// one Materialize pass precomputes every matrix the workers need.
-// Queries whose pattern fails to parse or expand are skipped here; the
-// worker reports their error.
+// batchPatterns collects what the batch's distinct query sets read so
+// one planned pass precomputes every matrix the workers need. Queries
+// whose pattern fails to parse or expand are skipped here; the worker
+// reports their error.
 func (s *Server) batchPatterns(queries []SearchRequest) []*rre.Pattern {
-	seen := make(map[string]bool)
+	seen := make(map[*querySet]bool)
 	var out []*rre.Pattern
 	for i := range queries {
-		ps, _, err := s.queryPatterns(&queries[i])
-		if err != nil {
+		// The memo hands equal request patterns one query set.
+		qs, err := s.queryPatterns(&queries[i])
+		if err != nil || qs == nil || seen[qs] {
 			continue
 		}
-		for _, p := range ps {
-			if key := p.String(); !seen[key] {
-				seen[key] = true
-				out = append(out, p)
-			}
-		}
+		seen[qs] = true
+		out = append(out, reads(qs.cuts...)...)
 	}
 	return out
+}
+
+// searchCost prices one query for the cost ceiling: the products a cold
+// cache would perform for the halves scoring reads, plus the witness
+// twin of an annotated query. A query whose pattern does not resolve
+// prices at zero; the handler reports the error.
+func (s *Server) searchCost(req *SearchRequest) int {
+	qs, err := s.queryPatterns(req)
+	if err != nil || qs == nil {
+		return 0
+	}
+	return eval.EstimateProducts(reads(qs.cuts...)) + annotationSurcharge(req)
+}
+
+// explainCost prices a legacy /explain, which materializes M_p on
+// demand: the halves of a concatenation and the one product of the two.
+func explainCost(p *rre.Pattern) int {
+	c := eval.NewCut(p, true)
+	cost := eval.EstimateProducts(reads(c))
+	if c.RevRight != nil {
+		cost++
+	}
+	return cost
 }
 
 // ExplainRequest is the POST /explain body: explain why From and To
@@ -608,7 +661,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// a warm projection costs far less, but admission prices the cold
 	// worst case, never the hoped-for cache state.
 	if s.adm.MaxCost() > 0 {
-		cost := eval.EstimateProducts([]*rre.Pattern{p})
+		cost := explainCost(p)
 		if req.Annotate != "" {
 			cost = eval.EstimateProductsAnnotated([]*rre.Pattern{p})
 		}

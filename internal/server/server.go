@@ -49,7 +49,6 @@ import (
 	"relsim/internal/eval"
 	"relsim/internal/graph"
 	"relsim/internal/replica"
-	"relsim/internal/rre"
 	"relsim/internal/schema"
 	"relsim/internal/sparse"
 	"relsim/internal/store"
@@ -131,14 +130,15 @@ type Server struct {
 	maxLag    uint64
 	maxLagAge time.Duration
 
-	// expand memoizes Algorithm-1 expansions by input pattern string.
-	// The schema and generation options are fixed for the server's
-	// lifetime, so entries never go stale — unlike commuting matrices,
-	// expansions do not depend on the graph's edges. The memo is
+	// expand memoizes query sets — a pattern or its Algorithm-1
+	// expansion, canonicalized and cut for scoring — by input pattern
+	// string. The schema and generation options are fixed for the
+	// server's lifetime, so entries never go stale — unlike commuting
+	// matrices, expansions do not depend on the graph's edges. The memo is
 	// LRU-bounded: pattern strings come straight off the wire, so an
 	// unbounded memo is a memory leak under adversarial traffic.
 	expandMu        sync.Mutex
-	expand          map[string]*expandEntry
+	expand          map[expandKey]*querySet
 	expandLimit     int
 	expandTick      uint64
 	expandHits      uint64
@@ -310,12 +310,6 @@ func WithDeltaMaintenance(on bool) Option {
 	return func(s *Server) { s.deltaMaintain = on }
 }
 
-// expandEntry is one memoized Algorithm-1 expansion with its LRU tick.
-type expandEntry struct {
-	ps   []*rre.Pattern
-	used uint64
-}
-
 // New builds a server over st. sc may be nil; the schema then has no
 // constraints and simple patterns are scored without expansion (the
 // label set is taken from the graph at construction time). The server
@@ -335,7 +329,7 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 		logFeed:     true,
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
-		expand:      make(map[string]*expandEntry),
+		expand:      make(map[expandKey]*querySet),
 		expandLimit: DefaultExpandCacheLimit,
 		maxBody:     DefaultMaxBodyBytes,
 		maxTimeout:  DefaultMaxTimeout,

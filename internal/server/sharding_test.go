@@ -193,8 +193,9 @@ func TestShardedStatsSurfaces(t *testing.T) {
 		t.Fatalf("monolithic /healthz shards = %d, want omitted (0)", monoHz.Shards)
 	}
 
-	// Run one annotated query so block counters move.
-	doJSON(t, sh, "/search", SearchRequest{Pattern: "w.p-in", Query: "proc1", Type: "proc", Alg: "relsim", Top: 3})
+	// Run one query whose halves each take a product so block counters
+	// move (a two-label pattern is scored from its label matrices alone).
+	doJSON(t, sh, "/search", SearchRequest{Pattern: "p-in-.w-.w.p-in", Query: "proc1", Type: "proc", Alg: "relsim", Top: 3})
 
 	stats := sh.Stats()
 	if stats.Sharding == nil {

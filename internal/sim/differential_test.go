@@ -1,0 +1,328 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"relsim/internal/datasets"
+	"relsim/internal/eval"
+	"relsim/internal/graph"
+	"relsim/internal/pattern"
+	"relsim/internal/rre"
+	"relsim/internal/sparse"
+)
+
+// referenceAggregate is RelSimAggregate as it was before scoring moved
+// to the two halves, kept verbatim as the oracle of the differential
+// tests below: it materializes every root M_p and reads it with three
+// At binary searches per (pattern, candidate) into a score map.
+func referenceAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.NodeID, candidates []graph.NodeID) Ranking {
+	scores := map[graph.NodeID]float64{}
+	for _, p := range patterns {
+		m := ev.Commuting(p)
+		add := func(v graph.NodeID) {
+			if v == query {
+				return
+			}
+			if s := eval.PathSimScore(m, query, v); s > 0 {
+				scores[v] += s
+			}
+		}
+		if candidates != nil {
+			for _, v := range candidates {
+				add(v)
+			}
+		} else {
+			for v := 0; v < ev.Graph().NumNodes(); v++ {
+				add(graph.NodeID(v))
+			}
+		}
+	}
+	return rankScores(scores, query, candidates)
+}
+
+// sameRanking requires equal ids in equal order with bit-equal scores.
+func sameRanking(t *testing.T, what string, got, want Ranking) {
+	t.Helper()
+	if len(got.IDs) != len(want.IDs) {
+		t.Fatalf("%s: %d answers, want %d\n got %v\nwant %v", what, len(got.IDs), len(want.IDs), got, want)
+	}
+	for i := range want.IDs {
+		if got.IDs[i] != want.IDs[i] || math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
+			t.Fatalf("%s: answer %d is (%d, %v), want (%d, %v)", what, i, got.IDs[i], got.Scores[i], want.IDs[i], want.Scores[i])
+		}
+	}
+}
+
+var diffLabels = []string{"a", "b", "c"}
+
+// typedGraph is a small random multigraph whose nodes carry one of three
+// type tags; parallel edges make counts exceed one.
+func typedGraph(rng *rand.Rand) *graph.Graph {
+	g := graph.New()
+	n := 4 + rng.Intn(9)
+	for i := 0; i < n; i++ {
+		g.AddNode("", fmt.Sprintf("t%d", rng.Intn(3)))
+	}
+	for i, m := 0, rng.Intn(4*n); i < m; i++ {
+		g.AddEdge(graph.NodeID(rng.Intn(n)), diffLabels[rng.Intn(3)], graph.NodeID(rng.Intn(n)))
+	}
+	return g
+}
+
+func randomRRE(rng *rand.Rand, depth int) *rre.Pattern {
+	if depth <= 0 || rng.Intn(5) == 0 {
+		if rng.Intn(8) == 0 {
+			return rre.Eps()
+		}
+		l := rre.Label(diffLabels[rng.Intn(3)])
+		if rng.Intn(2) == 0 {
+			return rre.Rev(l)
+		}
+		return l
+	}
+	sub := func() *rre.Pattern { return randomRRE(rng, depth-1) }
+	switch rng.Intn(8) {
+	case 0:
+		return rre.Alt(sub(), sub())
+	case 1:
+		return rre.Star(sub())
+	case 2:
+		return rre.Skip(sub())
+	case 3:
+		return rre.Nest(sub())
+	case 4:
+		return rre.Rev(sub())
+	}
+	fs := make([]*rre.Pattern, 2+rng.Intn(4))
+	for i := range fs {
+		fs[i] = sub()
+	}
+	return rre.Concat(fs...)
+}
+
+// TestScoreFromHalvesMatchesReference: over seeded random RREs on small
+// typed graphs, scoring from the halves returns the reference's ids,
+// order and score bits — for roots of every kind, for nil, typed and
+// empty candidates with the query inside and outside them, and under
+// both evaluator bindings (raw keys over a mutable graph, canonical
+// keys over a snapshot).
+func TestScoreFromHalvesMatchesReference(t *testing.T) {
+	rootKinds := map[rre.Kind]int{}
+	for seed := int64(0); seed < 600; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := typedGraph(rng)
+		ps := make([]*rre.Pattern, 1+rng.Intn(4))
+		for i := range ps {
+			ps[i] = randomRRE(rng, 3)
+			rootKinds[ps[i].Kind()]++
+		}
+		query := graph.NodeID(rng.Intn(g.NumNodes()))
+		typed := g.NodesOfType(fmt.Sprintf("t%d", rng.Intn(3)))
+		if typed == nil {
+			typed = []graph.NodeID{}
+		}
+		var outside []graph.NodeID
+		for _, v := range typed {
+			if v != query {
+				outside = append(outside, v)
+			}
+		}
+		inside := append([]graph.NodeID{query}, outside...)
+
+		raw := eval.New(g)
+		canonical := eval.NewVersioned(g.Snapshot(), 0, eval.NewCache())
+		canonical.SetCanonicalKeys(true)
+		ref := eval.New(g)
+		for name, cands := range map[string][]graph.NodeID{
+			"nil": nil, "typed": typed, "empty": {}, "inside": inside, "outside": outside,
+		} {
+			want := referenceAggregate(ref, ps, query, cands)
+			what := fmt.Sprintf("seed %d, %s candidates, %v", seed, name, ps)
+			sameRanking(t, what+" (raw keys)", RelSimAggregate(raw, ps, query, cands), want)
+			sameRanking(t, what+" (canonical keys)", RelSimAggregate(canonical, ps, query, cands), want)
+		}
+		for _, v := range inside {
+			if got, want := PathSimScorePair(raw, ps[0], query, v), eval.PathSimScore(ref.Commuting(ps[0]), query, v); got != want {
+				t.Fatalf("seed %d: PathSimScorePair(%s, %d, %d) = %v, want %v", seed, ps[0], query, v, got, want)
+			}
+		}
+	}
+	for _, k := range []rre.Kind{rre.KindEps, rre.KindLabel, rre.KindRev, rre.KindStar, rre.KindConcat, rre.KindAlt, rre.KindNest, rre.KindSkip} {
+		if rootKinds[k] == 0 {
+			t.Errorf("no root of kind %s was generated", k)
+		}
+	}
+}
+
+// TestInnerProductsWrapLikeTheKernel: scoring from the halves relies on
+// ring arithmetic mod 2⁶⁴ — int64 products and sums wrap the same way
+// in whatever order they are taken — so where the counts overflow, the
+// inner product ⟨A[u,·], Bᵀ[v,·]⟩ is still the (u,v) entry of A·B bit
+// for bit, and the ranking still the reference's. On three nodes joined
+// pairwise (and to themselves) by 2000 parallel edges every entry of
+// M_{aᵏ} is 3ᵏ⁻¹·2000ᵏ: past int64 in the root for k = 8, and already
+// in the halves for k = 12.
+func TestInnerProductsWrapLikeTheKernel(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 3; i++ {
+		g.AddNode("", "")
+	}
+	for u := graph.NodeID(0); u < 3; u++ {
+		for v := graph.NodeID(0); v < 3; v++ {
+			for k := 0; k < 2000; k++ {
+				g.AddEdge(u, "a", v)
+			}
+		}
+	}
+	all := []graph.NodeID{0, 1, 2}
+	for _, k := range []int{8, 12} {
+		fs := make([]*rre.Pattern, k)
+		for i := range fs {
+			fs[i] = rre.Label("a")
+		}
+		p := rre.Concat(fs...)
+		exact := new(big.Int).Mul(
+			new(big.Int).Exp(big.NewInt(3), big.NewInt(int64(k-1)), nil),
+			new(big.Int).Exp(big.NewInt(2000), big.NewInt(int64(k)), nil))
+		if exact.IsInt64() {
+			t.Fatalf("k=%d: the count %v fits int64, nothing wraps", k, exact)
+		}
+		wrapped := int64(new(big.Int).And(exact, new(big.Int).SetUint64(math.MaxUint64)).Uint64())
+
+		ev := eval.New(g)
+		c := ev.Cut(p)
+		a, bt := ev.Halves(c)
+		root := a.Mul(bt.Transpose())
+		for _, u := range all {
+			q := eq1{x: make([]int64, 3)}
+			if !q.load(ev, c, u) {
+				t.Fatalf("k=%d: row %d of the left half is empty", k, u)
+			}
+			for _, v := range all {
+				if got := q.entry(int(v)); got != root.At(int(u), int(v)) || got != wrapped {
+					t.Errorf("k=%d: ⟨A[%d,·],Bᵀ[%d,·]⟩ = %d, A·B has %d, exact count mod 2⁶⁴ is %d", k, u, v, got, root.At(int(u), int(v)), wrapped)
+				}
+				if got := q.diag(int(v)); got != root.At(int(v), int(v)) {
+					t.Errorf("k=%d: ⟨A[%d,·],Bᵀ[%d,·]⟩ = %d, A·B has %d", k, v, v, got, root.At(int(v), int(v)))
+				}
+			}
+			q.unload()
+			sameRanking(t, fmt.Sprintf("a^%d, query %d", k, u),
+				RelSimAggregate(ev, []*rre.Pattern{p}, u, all), referenceAggregate(eval.New(g), []*rre.Pattern{p}, u, all))
+		}
+	}
+}
+
+// benchHeadline and benchSidePool are the patterns bench/workloads.go
+// drives, with the type of their query node and candidates.
+const benchHeadline = "p-in-.r-a.r-a-.p-in"
+
+var benchSidePool = []struct{ pattern, typ string }{
+	{"p-in-.w-.w.p-in", "proc"},
+	{"w.w-", "author"},
+	{"w.p-in.p-in-.w-", "author"},
+	{"p-in.p-in-", "paper"},
+	{"w-.w", "paper"},
+	{"w.w-.w.w-", "author"},
+	{"w-.w.w-.w", "paper"},
+	{"w.(p-in.p-in- + w-.w).w-", "author"},
+	{"(p-in.p-in- + w-.w)", "paper"},
+	{"p-in-.(w-.w + p-in.p-in-).p-in", "proc"},
+}
+
+// benchPatterns is the pattern set the server and the bench oracle score
+// for one request pattern: the Algorithm-1 expansion of a simple
+// pattern, the pattern itself otherwise.
+func benchPatterns(t testing.TB, ds datasets.Dataset, src string) []*rre.Pattern {
+	p := rre.MustParse(src)
+	if !p.IsSimple() {
+		return []*rre.Pattern{p}
+	}
+	ps, err := pattern.Generate(ds.Schema, p, pattern.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// TestFullDBLPMatchesReference runs the benchmark's own patterns on
+// FullDBLP through both bindings against the reference, and pins the
+// counts the halves were sized by: what a cold headline read and a
+// warm-up of the whole pool multiply and leave cached.
+func TestFullDBLPMatchesReference(t *testing.T) {
+	ds, err := datasets.ByName("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	snap := g.Snapshot()
+	ref := eval.New(g)
+	raw := eval.New(g)
+	canonical := eval.NewVersioned(snap, 0, eval.NewCache())
+	canonical.SetCanonicalKeys(true)
+	var products int
+	var madds int64
+	canonical.SetMulHook(func(a, b *sparse.Matrix) {
+		products++
+		madds += a.MulFlops(b)
+	})
+
+	headline := benchPatterns(t, ds, benchHeadline)
+	if len(headline) != 49 {
+		t.Fatalf("headline expands to %d patterns, want 49", len(headline))
+	}
+	procs := snap.NodesOfType("proc")
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 20; i++ {
+		q := procs[rng.Intn(len(procs))]
+		want := referenceAggregate(ref, headline, q, procs)
+		what := fmt.Sprintf("headline, query %d", q)
+		sameRanking(t, what+" (raw keys)", RelSimAggregate(raw, headline, q, procs), want)
+		sameRanking(t, what+" (canonical keys)", RelSimAggregate(canonical, headline, q, procs), want)
+		if i == 0 {
+			t.Logf("cold headline read: %d products, %d multiply-adds, %d cache entries", products, madds, canonical.CacheSize())
+			if products != coldHeadlineProducts || madds != coldHeadlineMadds || canonical.CacheSize() != coldHeadlineEntries {
+				t.Errorf("cold headline read: %d products, %d multiply-adds, %d entries; want %d, %d, %d",
+					products, madds, canonical.CacheSize(), coldHeadlineProducts, coldHeadlineMadds, coldHeadlineEntries)
+			}
+		}
+	}
+	canonical.SetCacheLimit(32)
+	before := products
+	RelSimAggregate(canonical, headline, procs[0], procs)
+	if products != before {
+		t.Errorf("a second headline read under SetCacheLimit(32) performed %d products, want 0", products-before)
+	}
+	canonical.SetCacheLimit(0)
+
+	for _, side := range benchSidePool {
+		ps := benchPatterns(t, ds, side.pattern)
+		cands := snap.NodesOfType(side.typ)
+		q := cands[rng.Intn(len(cands))]
+		want := referenceAggregate(ref, ps, q, cands)
+		what := fmt.Sprintf("%s, query %d", side.pattern, q)
+		sameRanking(t, what+" (raw keys)", RelSimAggregate(raw, ps, q, cands), want)
+		sameRanking(t, what+" (canonical keys)", RelSimAggregate(canonical, ps, q, cands), want)
+	}
+	t.Logf("whole pool: %d products, %d multiply-adds, %d cache entries", products, madds, canonical.CacheSize())
+	if products != poolProducts || canonical.CacheSize() != poolEntries {
+		t.Errorf("warming the whole pool: %d products, %d entries; want %d, %d", products, canonical.CacheSize(), poolProducts, poolEntries)
+	}
+}
+
+// The counts a canonical evaluator with an unbounded cache reports on
+// FullDBLP (ROADMAP rule ii: a count that repeats exactly changes only
+// when a PR names its new value). Before the halves a cold headline read
+// was 193 products, 2,951,213 multiply-adds and 63 entries, and the
+// whole pool 211 products and 74 entries.
+const (
+	coldHeadlineProducts = 12
+	coldHeadlineMadds    = 434166
+	coldHeadlineEntries  = 16
+	poolProducts         = 18
+	poolEntries          = 25
+)

@@ -40,22 +40,24 @@ func (r Ranking) Rank(id graph.NodeID) int {
 	return 0
 }
 
+// scored is one answer before ranking.
+type scored struct {
+	id graph.NodeID
+	s  float64
+}
+
 // rankScores builds a Ranking from a score map, excluding the query node
 // and entries with non-positive score, restricted to the candidates set
 // when non-nil.
 func rankScores(scores map[graph.NodeID]float64, query graph.NodeID, candidates []graph.NodeID) Ranking {
-	type pair struct {
-		id graph.NodeID
-		s  float64
-	}
-	var ps []pair
+	var ps []scored
 	if candidates != nil {
 		for _, id := range candidates {
 			if id == query {
 				continue
 			}
 			if s := scores[id]; s > 0 {
-				ps = append(ps, pair{id, s})
+				ps = append(ps, scored{id, s})
 			}
 		}
 	} else {
@@ -63,9 +65,14 @@ func rankScores(scores map[graph.NodeID]float64, query graph.NodeID, candidates 
 			if id == query || s <= 0 {
 				continue
 			}
-			ps = append(ps, pair{id, s})
+			ps = append(ps, scored{id, s})
 		}
 	}
+	return rank(ps)
+}
+
+// rank orders answers by descending score, ties by ascending id.
+func rank(ps []scored) Ranking {
 	sort.Slice(ps, func(i, j int) bool {
 		if ps[i].s != ps[j].s {
 			return ps[i].s > ps[j].s

@@ -116,6 +116,16 @@ func (m *Matrix) Row(row int, fn func(col int, val int64)) {
 	m.gm().Row(row, fn)
 }
 
+// RowView returns the given row's column indexes, ascending, and its
+// values. Both share the matrix's storage and are read-only. Equation-1
+// scoring reads rows as inner products ⟨A[u,·], B[v,·]⟩; int64 products
+// and sums wrap mod 2⁶⁴ in any order, so such an inner product equals
+// the (u,v) entry of A·Bᵀ bit for bit even where the counts overflow.
+func (m *Matrix) RowView(row int) ([]int32, []int64) {
+	lo, hi := m.rowPtr[row], m.rowPtr[row+1]
+	return m.colIdx[lo:hi], m.val[lo:hi]
+}
+
 // Each calls fn(row, col, val) for every stored entry in row-major order.
 func (m *Matrix) Each(fn func(row, col int, val int64)) {
 	m.gm().Each(fn)
