@@ -11,33 +11,37 @@ import (
 
 // Incremental maintenance of cached commuting matrices.
 //
-// A committed write batch is summarized as a signed sparse delta ΔA per
-// touched label (added edges +1, removed edges −1). Instead of evicting
-// every cached pattern mentioning a touched label, Cache.Maintain walks
-// each stale pattern's expression tree and patches it to the new
-// version:
+// A committed write batch is summarized as a thin signed delta ΔA per
+// touched label (added edges +1, removed edges −1; sparse.Delta holds
+// only the rows it populates). Instead of evicting every cached pattern
+// mentioning a touched label, Cache.Maintain walks each stale pattern's
+// expression tree and patches it to the new version:
 //
 //	Δ(M₁·…·M_k) = Σᵢ N₁·…·Nᵢ₋₁ · ΔMᵢ · Oᵢ₊₁·…·O_k   (O = old, N = new)
 //	Δ(M₁+…+M_k) = ΣΔMᵢ
 //	Δ(Mᵀ)       = ΔMᵀ
+//	Δ(M > 0), Δ(diag{M (Mᵀ > 0)})  on the rows of ΔM only
 //
 // which is the distributive expansion (A+ΔA)(B+ΔB) = AB + ΔA·B + A·ΔB
-// + ΔA·ΔB generalized to chains. Each product term carries the sparse
-// delta as one operand, so the few-rows SpGEMM path applies and the
-// cost scales with the delta, not the graph. Non-linear nodes
-// (Boolean, DiagMulBool, Kleene-star closure) have no useful delta
-// algebra over counting semantics; they recompute from their
-// *maintained* children — still far cheaper than recomputing the
-// subtree. All sparse ops preserve canonical CSR form (sorted, no
-// explicit zeros), and canonical CSR is unique per matrix value, so a
-// maintained matrix is byte-identical to one recomputed from the new
-// snapshot.
+// + ΔA·ΔB generalized to chains. A commit costs the rows it touches,
+// not what is cached: every product has a thin delta as one operand
+// (Δ·M walks the delta's rows, M·Δ scans M once against them), Boolean
+// and DiagMulBool are row-local and re-evaluated on the child delta's
+// rows, and the new value is old.Patch(Δ) — a matrix that rewrites the
+// delta's rows and shares every other row, and the entry arena, with
+// the old version its pinned readers keep scoring from. Only the
+// Kleene-star closure has no delta algebra over counting semantics; it
+// recomputes from its *maintained* child and takes a full difference.
+// Every row stays canonical (sorted, no explicit zeros), so a
+// maintained matrix is Equal, row for row, to one recomputed from the
+// new snapshot; where its rows sit in the shared arena, beside rows no
+// version reads any more, is not part of its value.
 //
 // Per-commit subterm results are memoized across patterns: two cached
 // patterns sharing a subexpression pay for its delta once.
 
 // CommitDelta describes one committed write batch in the form the
-// maintenance engine consumes. All delta matrices have dimension NewN.
+// maintenance engine consumes. All deltas have dimension NewN.
 type CommitDelta struct {
 	From uint64 // version the cache entries were computed at
 	To   uint64 // version after the commit
@@ -45,7 +49,7 @@ type CommitDelta struct {
 	NewN int    // node-id space after (>= OldN; ids are append-only)
 	// Labels maps each touched label to its signed adjacency delta.
 	// A label absent from the map was not touched.
-	Labels map[string]*sparse.Matrix
+	Labels map[string]*sparse.Delta
 }
 
 // nodesGrew reports whether the commit enlarged the node-id space.
@@ -79,11 +83,11 @@ var errDeltaDense = errors.New("eval: delta density over threshold")
 // maintTerm is the maintenance state of one expression node: its value
 // at the old version grown to the new dimension, its value at the new
 // version, and their difference (nil = exactly zero). Invariant:
-// new = old + delta, all at dimension NewN, all canonical CSR.
+// new = old + delta, all at dimension NewN, every row canonical.
 type maintTerm struct {
 	old   *sparse.Matrix
 	new   *sparse.Matrix
-	delta *sparse.Matrix
+	delta *sparse.Delta
 }
 
 // maintainer is the per-commit walk state, shared across all stale
@@ -210,6 +214,31 @@ func (mt *maintainer) mul(a, b *sparse.Matrix) *sparse.Matrix {
 	return a.MulThresh(b, sparse.DefaultThresholds())
 }
 
+// newNodes returns the delta of Identity (and of a boolean closure over
+// isolated nodes) when the id space grows: ones on the diagonal at the
+// rows the commit added, nil if it added none.
+func (mt *maintainer) newNodes() *sparse.Delta {
+	if !mt.d.nodesGrew() {
+		return nil
+	}
+	ts := make([]sparse.Triple, 0, mt.d.NewN-mt.d.OldN)
+	for r := mt.d.OldN; r < mt.d.NewN; r++ {
+		ts = append(ts, sparse.Triple{Row: r, Col: r, Val: 1})
+	}
+	return sparse.NewDelta(mt.d.NewN, ts)
+}
+
+// patched completes a term whose old side and delta are known: new is
+// old with the delta's rows rewritten — old itself when the delta is
+// nil or empty.
+func patched(t *maintTerm) *maintTerm {
+	t.new = t.old
+	if t.delta != nil {
+		t.new = t.old.Patch(t.delta)
+	}
+	return t
+}
+
 // closure is the boolean reflexive-transitive closure with product
 // accounting, matching Evaluator.booleanClosure.
 func (mt *maintainer) closure(m *sparse.Matrix) *sparse.Matrix {
@@ -286,22 +315,12 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 	d := mt.d
 	switch p.Kind() {
 	case rre.KindEps:
-		t := &maintTerm{
-			old: sparse.Identity(d.OldN).Grow(d.NewN),
-			new: sparse.Identity(d.NewN),
-		}
-		if d.nodesGrew() {
-			t.delta = sparse.IdentityRange(d.NewN, d.OldN, d.NewN)
-		}
-		return t, nil
+		return patched(&maintTerm{old: sparse.Identity(d.OldN).Grow(d.NewN), delta: mt.newNodes()}), nil
 
 	case rre.KindLabel:
 		dl := d.Labels[p.LabelName()]
 		if old, ok := mt.cachedOld(key); ok {
-			if dl == nil {
-				return &maintTerm{old: old, new: old}, nil
-			}
-			return &maintTerm{old: old, new: old.Add(dl), delta: dl}, nil
+			return patched(&maintTerm{old: old, delta: dl}), nil
 		}
 		// Not cached at From: read the new adjacency off the snapshot
 		// and reconstruct the old side by un-applying the delta.
@@ -309,7 +328,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		if dl == nil {
 			return &maintTerm{old: new, new: new}, nil
 		}
-		return &maintTerm{old: new.Sub(dl), new: new, delta: dl}, nil
+		return &maintTerm{old: new.Patch(dl.Neg()), new: new, delta: dl}, nil
 
 	case rre.KindRev:
 		ch, err := mt.node(p.Subs()[0])
@@ -325,22 +344,12 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		} else {
 			t.old = ch.old.Transpose()
 		}
-		if t.delta == nil {
-			t.new = t.old
-		} else {
-			t.new = t.old.Add(t.delta)
-		}
-		return t, nil
+		return patched(t), nil
 
 	case rre.KindAlt:
-		subs := p.Subs()
-		terms := make([]*maintTerm, len(subs))
-		for i, s := range subs {
-			ch, err := mt.node(s)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = ch
+		terms, err := mt.nodes(p.Subs())
+		if err != nil {
+			return nil, err
 		}
 		t := &maintTerm{}
 		for _, ch := range terms {
@@ -361,28 +370,17 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 				t.old = t.old.Add(ch.old)
 			}
 		}
-		if t.delta == nil || t.delta.NNZ() == 0 {
-			t.delta = nil
-			t.new = t.old
-		} else {
-			t.new = t.old.Add(t.delta)
-		}
-		return t, nil
+		return patched(t), nil
 
 	case rre.KindConcat:
-		subs := p.Subs()
-		terms := make([]*maintTerm, len(subs))
-		for i, s := range subs {
-			ch, err := mt.node(s)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = ch
+		terms, err := mt.nodes(p.Subs())
+		if err != nil {
+			return nil, err
 		}
 		// Telescoping expansion: Δ = Σᵢ N₁…Nᵢ₋₁ · Δᵢ · Oᵢ₊₁…O_k.
-		// Each term is built middle-out so the delta-shaped matrix is
-		// always the left operand of the suffix products (few-rows
-		// path), and the prefix products keep a thin right operand.
+		// Each term is built middle-out, so one operand of every
+		// product is the thin delta: the suffix products walk its rows,
+		// the prefix products scan the new factor once against them.
 		t := &maintTerm{}
 		for i, ch := range terms {
 			if ch.delta == nil {
@@ -390,10 +388,12 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 			}
 			s := ch.delta
 			for j := i + 1; j < len(terms); j++ {
-				s = mt.mul(s, terms[j].old)
+				mt.products++
+				s = s.Mul(terms[j].old)
 			}
 			for j := i - 1; j >= 0; j-- {
-				s = mt.mul(terms[j].new, s)
+				mt.products++
+				s = terms[j].new.MulDelta(s)
 			}
 			if t.delta == nil {
 				t.delta = s
@@ -411,27 +411,21 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 				t.old = mt.mul(t.old, ch.old)
 			}
 		}
-		if t.delta == nil || t.delta.NNZ() == 0 {
-			t.delta = nil
-			t.new = t.old
-		} else {
-			t.new = t.old.Add(t.delta)
-		}
-		return t, nil
+		return patched(t), nil
 
 	case rre.KindSkip:
 		ch, err := mt.node(p.Subs()[0])
 		if err != nil {
 			return nil, err
 		}
-		return mt.recomputeUnary(key, ch, (*sparse.Matrix).Boolean), nil
+		return mt.rowLocal(key, ch, (*sparse.Matrix).Boolean, (*sparse.Matrix).PatchBoolean), nil
 
 	case rre.KindNest:
 		ch, err := mt.node(p.Subs()[0])
 		if err != nil {
 			return nil, err
 		}
-		return mt.recomputeUnary(key, ch, (*sparse.Matrix).DiagMulBool), nil
+		return mt.rowLocal(key, ch, (*sparse.Matrix).DiagMulBool, (*sparse.Matrix).PatchDiagMulBool), nil
 
 	case rre.KindStar:
 		ch, err := mt.node(p.Subs()[0])
@@ -439,55 +433,60 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 			return nil, err
 		}
 		t := &maintTerm{}
-		if ch.delta == nil {
-			// The closure over the old nodes is unchanged; growing the
-			// id space only adds self-loops for the new isolated nodes.
-			if old, ok := mt.cachedOld(key); ok {
-				t.old = old
-			} else {
-				t.old = mt.starOldFromChild(ch)
-			}
-			if d.nodesGrew() {
-				t.delta = sparse.IdentityRange(d.NewN, d.OldN, d.NewN)
-				t.new = t.old.Add(t.delta)
-			} else {
-				t.new = t.old
-			}
-			return t, nil
-		}
-		// Closure has no delta algebra; recompute from the maintained
-		// child — the subtree below it is still saved.
-		t.new = mt.closure(ch.new)
 		if old, ok := mt.cachedOld(key); ok {
 			t.old = old
 		} else {
 			t.old = mt.starOldFromChild(ch)
 		}
-		t.delta = t.new.Sub(t.old)
+		if ch.delta == nil {
+			// The closure over the old nodes is unchanged; growing the
+			// id space only adds self-loops for the new isolated nodes.
+			t.delta = mt.newNodes()
+			return patched(t), nil
+		}
+		// Closure has no delta algebra; recompute from the maintained
+		// child — the subtree below it is still saved.
+		t.new = mt.closure(ch.new)
+		t.delta = sparse.DeltaOf(t.new, t.old)
 		return t, nil
 	}
 	return nil, fmt.Errorf("eval: cannot maintain pattern kind of %q", key)
 }
 
-// recomputeUnary handles the non-linear unary nodes (Boolean,
-// DiagMulBool): the new value comes from the maintained child, the old
-// value from the cache or the child's old side, and the parent delta is
-// their difference. When the child delta is nil the op commutes with
-// Grow (neither op creates entries in empty rows), so old and new
-// coincide.
-func (mt *maintainer) recomputeUnary(key string, ch *maintTerm, op func(*sparse.Matrix) *sparse.Matrix) *maintTerm {
+// nodes returns the maintenance terms of a node's children.
+func (mt *maintainer) nodes(subs []*rre.Pattern) ([]*maintTerm, error) {
+	terms := make([]*maintTerm, len(subs))
+	for i, s := range subs {
+		ch, err := mt.node(s)
+		if err != nil {
+			return nil, err
+		}
+		terms[i] = ch
+	}
+	return terms, nil
+}
+
+// rowLocal handles the non-linear unary nodes (Boolean, DiagMulBool).
+// Both are row-local: a row of the result depends on the same row of
+// the child alone, so only the rows of the child's delta are
+// re-evaluated (patch), against the old value from the cache or, if it
+// was evicted, from the child's old side (full). When the child delta
+// is nil the op commutes with Grow (neither op creates entries in
+// empty rows), so old and new coincide.
+func (mt *maintainer) rowLocal(key string, ch *maintTerm,
+	full func(*sparse.Matrix) *sparse.Matrix,
+	patch func(old, child *sparse.Matrix, d *sparse.Delta) (*sparse.Matrix, *sparse.Delta)) *maintTerm {
 	t := &maintTerm{}
 	if old, ok := mt.cachedOld(key); ok {
 		t.old = old
 	} else {
-		t.old = op(ch.old)
+		t.old = full(ch.old)
 	}
 	if ch.delta == nil {
 		t.new = t.old
 		return t
 	}
-	t.new = op(ch.new)
-	t.delta = t.new.Sub(t.old)
+	t.new, t.delta = patch(t.old, ch.new, ch.delta)
 	return t
 }
 
@@ -497,8 +496,8 @@ func (mt *maintainer) recomputeUnary(key string, ch *maintTerm, op func(*sparse.
 // does not have; strip them.
 func (mt *maintainer) starOldFromChild(ch *maintTerm) *sparse.Matrix {
 	c := mt.closure(ch.old)
-	if mt.d.nodesGrew() {
-		c = c.Sub(sparse.IdentityRange(mt.d.NewN, mt.d.OldN, mt.d.NewN))
+	if grown := mt.newNodes(); grown != nil {
+		c = c.Patch(grown.Neg())
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"relsim/internal/graph"
@@ -44,11 +45,11 @@ func applyBatch(snap *graph.Snapshot, from uint64, ops []deltaOp) (*graph.Snapsh
 		To:     from + 1,
 		OldN:   snap.NumNodes(),
 		NewN:   next.NumNodes(),
-		Labels: make(map[string]*sparse.Matrix, len(triples)),
+		Labels: make(map[string]*sparse.Delta, len(triples)),
 	}
 	touched := make([]string, 0, len(triples))
 	for l, ts := range triples {
-		d.Labels[l] = sparse.New(d.NewN, ts)
+		d.Labels[l] = sparse.NewDelta(d.NewN, ts)
 		touched = append(touched, l)
 	}
 	return next, d, touched, b.NodesAdded()
@@ -71,9 +72,9 @@ func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 
 // checkAgainstRecompute recomputes every cached entry at version v from
 // the snapshot with a fresh evaluator and private cache, asserting the
-// maintained matrix is Equal — which, since every kernel emits
-// canonical CSR (sorted, no explicit zeros) and canonical CSR is unique
-// per matrix value, is byte-identity of the representation.
+// maintained matrix is Equal — every row canonical (sorted, no explicit
+// zeros) and identical to the recomputed one — and that its stored
+// entry count is what a walk of its rows finds.
 func checkAgainstRecompute(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) {
 	t.Helper()
 	for key, m := range entriesAt(c, v) {
@@ -84,6 +85,11 @@ func checkAgainstRecompute(t *testing.T, c *Cache, v uint64, snap *graph.Snapsho
 		want := NewVersioned(snap, 0, NewCache()).Commuting(p)
 		if !m.Equal(want) {
 			t.Fatalf("maintained %q at v%d diverges from recompute:\ngot\n%vwant\n%v", key, v, m, want)
+		}
+		walked := 0
+		m.Each(func(_, _ int, _ int64) { walked++ })
+		if m.NNZ() != walked {
+			t.Fatalf("maintained %q at v%d: NNZ() = %d, rows hold %d", key, v, m.NNZ(), walked)
 		}
 	}
 }
@@ -143,6 +149,7 @@ func TestMaintainRules(t *testing.T) {
 		{"nest recompute from child", "[a.b]", []deltaOp{{op: "add-edge", u: 0, v: 3, label: "a"}}},
 		{"star recompute from child", "a*", []deltaOp{{op: "add-edge", u: 2, v: 3, label: "a"}}},
 		{"star untouched child grows", "a*", []deltaOp{{op: "add-node"}}},
+		{"epsilon grows with the id space", "a + ()", []deltaOp{{op: "add-node"}, {op: "add-node"}}},
 		{"node addition grows everything", "a.b", []deltaOp{
 			{op: "add-node"},
 			{op: "add-edge", u: 1, v: 5, label: "b"},
@@ -408,4 +415,107 @@ func FuzzDeltaMaintain(f *testing.F) {
 		cache.Advance(0, 1, touched, nodesAdded, false)
 		checkAgainstRecompute(t, cache, 1, next)
 	})
+}
+
+// --- long chain ------------------------------------------------------------
+
+// TestMaintainLongChain patches one cache through 320 consecutive
+// commits in phases — edges and nodes pile up, then whole rows are
+// emptied, then they fill again — so every maintained entry lives
+// through many in-place appends to a shared arena, rewrites when the
+// arena runs out of room, and rewrites when too much of it is dead
+// (sparse.TestPatchSharesArena pins those three individually). At every
+// commit every entry must be Equal to a cold recompute with a stored
+// NNZ matching a walk of its rows.
+//
+// Readers run beside the writer, as pinned requests do in the server:
+// every 16 commits one takes the matrices of the version just made and
+// a cold recompute of them, then keeps comparing the two while the
+// writer patches that version's successors in the same arenas. Under
+// -race this is the check that a patch writes only slots no older
+// version reads.
+func TestMaintainLongChain(t *testing.T) {
+	labels := []string{"a", "b", "c"}
+	rng := rand.New(rand.NewSource(99))
+	snap := randomGraph(rng, 48, 600, labels).Snapshot()
+	var pool []*rre.Pattern
+	for _, s := range []string{"a.b", "a.b-.c", "<a.b>", "[a.b]", "(a + b-).c", "a-.[b].c", "<a>.<b->", "c*"} {
+		pool = append(pool, rre.MustParse(s))
+	}
+	cache := NewCache()
+	ev := NewVersioned(snap, 0, cache)
+	for _, p := range pool {
+		ev.Commuting(p)
+	}
+
+	const commits, readEvery, readFor = 320, 16, 12
+	var readers sync.WaitGroup
+	stop := make(map[int]chan struct{}) // commit at which a reader may stop → its signal
+	totals := MaintainResult{}
+	for i := 0; i < commits; i++ {
+		n := snap.NumNodes()
+		var ops []deltaOp
+		switch phase := (i / 40) % 3; {
+		case phase == 1:
+			// Empty two rows of one label: every edge out of two nodes.
+			l := labels[rng.Intn(len(labels))]
+			for k := 0; k < 2; k++ {
+				u := graph.NodeID(rng.Intn(n))
+				for _, v := range snap.Out(u, l) {
+					ops = append(ops, deltaOp{op: "remove-edge", u: u, v: v, label: l})
+				}
+			}
+		case i%5 == 0:
+			ops = append(ops, deltaOp{op: "add-node"},
+				deltaOp{op: "add-edge", u: graph.NodeID(n), v: graph.NodeID(rng.Intn(n)), label: labels[rng.Intn(len(labels))]})
+			fallthrough
+		default:
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				ops = append(ops, deltaOp{op: "add-edge",
+					u: graph.NodeID(rng.Intn(n)), v: graph.NodeID(rng.Intn(n)), label: labels[rng.Intn(len(labels))]})
+			}
+		}
+		v := uint64(i)
+		next, d, touched, nodesAdded := applyBatch(snap, v, ops)
+		res := cache.Maintain(next, d, MaintainOptions{})
+		cache.Advance(v, v+1, touched, nodesAdded, false)
+		totals.Maintained += res.Maintained
+		totals.Fallbacks += res.Fallbacks
+		snap = next
+		checkAgainstRecompute(t, cache, v+1, snap)
+
+		if ch, ok := stop[i]; ok {
+			close(ch)
+		}
+		if i%readEvery == 0 && i+readFor < commits {
+			pinned := entriesAt(cache, v+1)
+			want := make(map[string]*sparse.Matrix, len(pinned))
+			for key := range pinned {
+				want[key] = NewVersioned(snap, 0, NewCache()).Commuting(rre.MustParse(key))
+			}
+			done := make(chan struct{})
+			stop[i+readFor] = done
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for stopped := false; !stopped; {
+					select {
+					case <-done:
+						stopped = true // one last pass after the writer moved on
+					default:
+					}
+					for key, m := range pinned {
+						if !m.Equal(want[key]) {
+							t.Errorf("reader pinned at v%d: %q changed under it", v+1, key)
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	readers.Wait()
+	if totals.Fallbacks != 0 || totals.Maintained < commits {
+		t.Fatalf("chain maintained %d entries with %d fallbacks over %d commits", totals.Maintained, totals.Fallbacks, commits)
+	}
 }

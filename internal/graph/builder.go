@@ -1,12 +1,18 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Builder accumulates mutations against a base snapshot and derives the
 // next version copy-on-write. It is the write half of MVCC: the base
 // snapshot is never modified, and Build produces a new snapshot that
 // shares every untouched label's adjacency (and, for edge-only writes,
-// the node table) with the base by pointer.
+// the node table) with the base by pointer. A write that adds nodes
+// copies the node table and the name index's overlay, never the map of
+// every name.
 //
 // A Builder is single-writer state; it must not be used concurrently.
 // Reads through the Builder (Has, NodeByName, EdgeCount) see the
@@ -14,10 +20,10 @@ import "fmt"
 type Builder struct {
 	base *Snapshot
 
-	// nodes/byName stay nil until the first AddNode; Build then reuses
-	// the base's table unchanged.
+	// nodes stays nil (and byName unset) until the first AddNode; Build
+	// then reuses the base's table unchanged.
 	nodes  []Node
-	byName map[string]NodeID
+	byName nameIndex
 
 	// adds[label][u] holds appended out-neighbors; dels[label][u][v]
 	// counts removed (u,label,v) occurrences. Only labels present in
@@ -61,14 +67,14 @@ func (b *Builder) Has(id NodeID) bool { return id >= 0 && int(id) < b.NumNodes()
 
 // NodeByName resolves a display name, seeing pending additions.
 func (b *Builder) NodeByName(name string) (Node, bool) {
-	if b.byName != nil {
-		id, ok := b.byName[name]
-		if !ok {
-			return Node{}, false
-		}
-		return b.nodes[id], true
+	if b.nodes == nil {
+		return b.base.NodeByName(name)
 	}
-	return b.base.NodeByName(name)
+	id, ok := b.byName.lookup(name)
+	if !ok {
+		return Node{}, false
+	}
+	return b.nodes[id], true
 }
 
 // AddNode appends a node and returns its id. The first node addition
@@ -77,17 +83,12 @@ func (b *Builder) NodeByName(name string) (Node, bool) {
 func (b *Builder) AddNode(name, typ string) NodeID {
 	if b.nodes == nil {
 		b.nodes = append([]Node(nil), b.base.nodes...)
-		b.byName = make(map[string]NodeID, len(b.base.byName)+1)
-		for n, id := range b.base.byName {
-			b.byName[n] = id
-		}
+		b.byName = b.base.byName.forWrite()
 	}
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, Node{ID: id, Name: name, Type: typ})
 	if name != "" {
-		if _, dup := b.byName[name]; !dup {
-			b.byName[name] = id
-		}
+		b.byName.add(name, id)
 	}
 	return id
 }
@@ -283,40 +284,57 @@ func (b *Builder) Build() *Snapshot {
 
 // rebuildAdjacency applies per-row additions and per-occurrence
 // removals to a base CSR, producing a fresh CSR. base may be nil (new
-// label).
+// label). Only the touched rows are rebuilt entry by entry; the runs of
+// rows between them are copied whole, their offsets shifted.
 func rebuildAdjacency(base *adjacency, adds map[NodeID][]NodeID, dels map[NodeID]map[NodeID]int) *adjacency {
 	rows := base.rows()
-	for u := range adds {
-		if int(u) >= rows {
-			rows = int(u) + 1
+	touched := make([]NodeID, 0, len(adds)+len(dels))
+	addTotal := 0
+	for u, vs := range adds {
+		touched = append(touched, u)
+		addTotal += len(vs)
+		rows = max(rows, int(u)+1)
+	}
+	for u := range dels {
+		if _, both := adds[u]; !both {
+			touched = append(touched, u)
 		}
 	}
-	addTotal := 0
-	for _, vs := range adds {
-		addTotal += len(vs)
-	}
+	slices.Sort(touched)
 	a := &adjacency{
 		rowPtr: make([]int32, rows+1),
 		nbr:    make([]NodeID, 0, base.nnz()+addTotal),
 	}
-	for u := 0; u < rows; u++ {
-		remaining := dels[NodeID(u)]
-		var left map[NodeID]int
-		if len(remaining) > 0 {
-			left = make(map[NodeID]int, len(remaining))
-			for v, n := range remaining {
-				left[v] = n
+	// copyRows carries base rows [lo, hi) over unchanged; rows the base
+	// does not have are empty.
+	copyRows := func(lo, hi int) {
+		if kept := min(hi, base.rows()); lo < kept {
+			shift := int32(len(a.nbr)) - base.rowPtr[lo]
+			a.nbr = append(a.nbr, base.nbr[base.rowPtr[lo]:base.rowPtr[kept]]...)
+			for u := lo; u < kept; u++ {
+				a.rowPtr[u+1] = base.rowPtr[u+1] + shift
 			}
+			lo = kept
 		}
-		for _, v := range base.row(NodeID(u)) {
+		for u := lo; u < hi; u++ {
+			a.rowPtr[u+1] = int32(len(a.nbr))
+		}
+	}
+	next := 0
+	for _, u := range touched {
+		copyRows(next, int(u))
+		left := maps.Clone(dels[u])
+		for _, v := range base.row(u) {
 			if left[v] > 0 {
 				left[v]--
 				continue
 			}
 			a.nbr = append(a.nbr, v)
 		}
-		a.nbr = append(a.nbr, adds[NodeID(u)]...)
+		a.nbr = append(a.nbr, adds[u]...)
 		a.rowPtr[u+1] = int32(len(a.nbr))
+		next = int(u) + 1
 	}
+	copyRows(next, rows)
 	return a
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -43,14 +44,24 @@ type edgeView interface {
 }
 
 // WriteView serializes any graph view (mutable *Graph or immutable
-// *Snapshot) to w in the line-oriented JSON format.
+// *Snapshot) to w in the line-oriented JSON format. A checkpoint writes
+// every node and edge of the served version, so records are appended to
+// one reused line buffer instead of reflected through encoding/json one
+// by one; the bytes are those json.Encoder produces for record.
 func WriteView(w io.Writer, g edgeView) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(NodeID(i))
-		rec := record{Node: &nodeRecord{ID: n.ID, Name: n.Name, Type: n.Type}}
-		if err := enc.Encode(&rec); err != nil {
+		line = append(line[:0], `{"node":{"id":`...)
+		line = strconv.AppendInt(line, int64(n.ID), 10)
+		if n.Name != "" {
+			line = appendJSONString(append(line, `,"name":`...), n.Name)
+		}
+		if n.Type != "" {
+			line = appendJSONString(append(line, `,"type":`...), n.Type)
+		}
+		if _, err := bw.Write(append(line, "}}\n"...)); err != nil {
 			return fmt.Errorf("graph: write node %d: %w", i, err)
 		}
 	}
@@ -59,13 +70,36 @@ func WriteView(w io.Writer, g edgeView) error {
 		if werr != nil {
 			return
 		}
-		rec := record{Edge: &edgeRecord{From: e.From, Label: e.Label, To: e.To}}
-		werr = enc.Encode(&rec)
+		line = append(line[:0], `{"edge":{"from":`...)
+		line = strconv.AppendInt(line, int64(e.From), 10)
+		line = appendJSONString(append(line, `,"label":`...), e.Label)
+		line = strconv.AppendInt(append(line, `,"to":`...), int64(e.To), 10)
+		_, werr = bw.Write(append(line, "}}\n"...))
 	})
 	if werr != nil {
 		return fmt.Errorf("graph: write edge: %w", werr)
 	}
 	return bw.Flush()
+}
+
+// appendJSONString appends s as encoding/json writes a string. Printable
+// ASCII other than the characters json escapes (quote, backslash and,
+// in its default HTML-safe mode, <, > and &) is written verbatim by
+// json too, so such a string is quoted in place; anything else — control
+// bytes, non-ASCII (U+2028, U+2029), invalid UTF-8 — goes through
+// json.Marshal itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			q, err := json.Marshal(s)
+			if err != nil {
+				panic(fmt.Sprintf("graph: json.Marshal of a string failed: %v", err)) // cannot happen: strings always marshal
+			}
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // Read parses a graph from the line-oriented JSON format produced by

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"relsim/internal/sparse"
@@ -14,17 +15,63 @@ import (
 //
 // Adjacency is stored per label in CSR form, in both directions.
 // Versions share structure: deriving a snapshot through a Builder
-// copies only the node table (when nodes were added), the id list of
-// each type that gained a node, and the adjacency of the labels the
-// write touched; every other type's ids and label's CSR arrays are
-// shared by pointer with the parent version.
+// copies only the node table and the name index's small overlay (when
+// nodes were added), the id list of each type that gained a node, and
+// the adjacency of the labels the write touched; every other type's ids
+// and label's CSR arrays are shared by pointer with the parent version.
 type Snapshot struct {
 	nodes  []Node
-	byName map[string]NodeID
+	byName nameIndex
 	byType map[string][]NodeID // type tag → ids, ascending; len == cap, so an append copies
 	out    map[string]*adjacency
 	in     map[string]*adjacency
 	edges  int
+}
+
+// nameIndex resolves a display name to the first node added with it. A
+// node-adding commit must not copy every name the graph holds, so the
+// index is two maps: base, shared by pointer with the parent version
+// and never written once a snapshot holds it, and overlay, the names
+// added since base was made, which alone is copied per commit. A name
+// in base is older than any in overlay, so base wins a lookup.
+type nameIndex struct {
+	base    map[string]NodeID
+	overlay map[string]NodeID
+}
+
+// nameOverlayMax bounds what a node-adding commit copies: an overlay
+// that has reached it is folded into a fresh base first.
+const nameOverlayMax = 1024
+
+func (x nameIndex) lookup(name string) (NodeID, bool) {
+	if id, ok := x.base[name]; ok {
+		return id, true
+	}
+	id, ok := x.overlay[name]
+	return id, ok
+}
+
+// forWrite returns an index equal to x whose overlay the caller may add
+// to: x's own maps are left as they are.
+func (x nameIndex) forWrite() nameIndex {
+	if len(x.overlay) < nameOverlayMax {
+		return nameIndex{base: x.base, overlay: maps.Clone(x.overlay)}
+	}
+	base := make(map[string]NodeID, len(x.base)+len(x.overlay))
+	maps.Copy(base, x.base)
+	maps.Copy(base, x.overlay)
+	return nameIndex{base: base}
+}
+
+// add records name → id unless the name is already taken.
+func (x *nameIndex) add(name string, id NodeID) {
+	if _, dup := x.lookup(name); dup {
+		return
+	}
+	if x.overlay == nil {
+		x.overlay = make(map[string]NodeID)
+	}
+	x.overlay[name] = id
 }
 
 // adjacency is one direction of one label's edges in CSR form. rowPtr
@@ -78,14 +125,11 @@ func compileAdjacency(lists [][]NodeID) *adjacency {
 func (g *Graph) Snapshot() *Snapshot {
 	s := &Snapshot{
 		nodes:  append([]Node(nil), g.nodes...),
-		byName: make(map[string]NodeID, len(g.byName)),
+		byName: nameIndex{base: maps.Clone(g.byName)},
 		byType: cloneTypeIndex(g.byType),
 		out:    make(map[string]*adjacency, len(g.out)),
 		in:     make(map[string]*adjacency, len(g.in)),
 		edges:  g.edges,
-	}
-	for name, id := range g.byName {
-		s.byName[name] = id
 	}
 	for l, lists := range g.out {
 		s.out[l] = compileAdjacency(lists)
@@ -115,7 +159,7 @@ func (s *Snapshot) Node(id NodeID) Node {
 
 // NodeByName returns the first node added with the given name.
 func (s *Snapshot) NodeByName(name string) (Node, bool) {
-	id, ok := s.byName[name]
+	id, ok := s.byName.lookup(name)
 	if !ok {
 		return Node{}, false
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -138,6 +139,73 @@ func TestBuilderNodeTableCOW(t *testing.T) {
 	}
 	if _, ok := base.NodeByName("d"); ok {
 		t.Error("base snapshot sees the new node name")
+	}
+}
+
+// TestBuilderNameIndexCOW chains 200 node-adding builders, each adding
+// fresh names, names an earlier version already holds, a name twice in
+// one builder and an unnamed node, and checks NodeByName on the builder
+// (read-your-writes) and on every snapshot against a first-added-wins
+// map rebuilt from the node table. The chain crosses nameOverlayMax, so
+// the overlay folds into a fresh base on the way; a node-adding commit
+// never copies the base map, and earlier versions never see later names.
+func TestBuilderNameIndexCOW(t *testing.T) {
+	check := func(step int, s *Snapshot) {
+		t.Helper()
+		want := make(map[string]NodeID)
+		for _, nd := range s.nodes {
+			if _, dup := want[nd.Name]; !dup && nd.Name != "" {
+				want[nd.Name] = nd.ID
+			}
+		}
+		if got := len(s.byName.base) + len(s.byName.overlay); got != len(want) {
+			t.Fatalf("step %d: index holds %d names, want %d", step, got, len(want))
+		}
+		for name, id := range want {
+			if nd, ok := s.NodeByName(name); !ok || nd.ID != id {
+				t.Fatalf("step %d: NodeByName(%q) = %d, %v; want %d", step, name, nd.ID, ok, id)
+			}
+		}
+		if _, ok := s.NodeByName(fmt.Sprintf("n%d-0", step+1)); ok {
+			t.Fatalf("step %d: snapshot resolves a name of the next step", step)
+		}
+	}
+	versions := []*Snapshot{snapTestGraph().Snapshot()}
+	folds := 0
+	for step := 0; step < 200; step++ {
+		base := versions[len(versions)-1]
+		b := NewBuilder(base)
+		for i := 0; i < 8; i++ {
+			b.AddNode(fmt.Sprintf("n%d-%d", step, i), "t")
+		}
+		first := b.AddNode("twice", "t")
+		b.AddNode("twice", "u")
+		b.AddNode("a", "u") // held since the first version
+		b.AddNode(fmt.Sprintf("n%d-0", step/2), "u")
+		b.AddNode("", "t")
+		if nd, ok := b.NodeByName("twice"); !ok || (step == 0 && nd.ID != first) || (step > 0 && nd.ID >= first) {
+			t.Fatalf("step %d: builder NodeByName(twice) = %d, %v", step, nd.ID, ok)
+		}
+		if nd, ok := b.NodeByName("a"); !ok || nd.ID != 0 {
+			t.Fatalf("step %d: builder NodeByName(a) = %d, %v; the first node added wins", step, nd.ID, ok)
+		}
+		next := b.Build()
+		if len(next.byName.overlay) > nameOverlayMax+16 {
+			t.Fatalf("step %d: overlay grew to %d names", step, len(next.byName.overlay))
+		}
+		if len(next.byName.base) != len(base.byName.base) {
+			folds++
+		} else if len(base.byName.base) > 0 && reflect.ValueOf(next.byName.base).Pointer() != reflect.ValueOf(base.byName.base).Pointer() {
+			t.Fatalf("step %d: a node-adding commit copied the base name map", step)
+		}
+		check(step, next)
+		versions = append(versions, next)
+	}
+	if folds == 0 {
+		t.Fatal("the overlay never folded: the chain must cross nameOverlayMax")
+	}
+	for step, s := range versions[1:] {
+		check(step, s) // later commits changed nothing an earlier version reads
 	}
 }
 

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -9,10 +10,10 @@ import (
 // partitioned into K shards by a Partition; a product m·o is computed
 // as K independent products B_s·o where B_s is the n×n row block of m
 // holding exactly the rows shard s owns. Row blocks are pairwise
-// row-disjoint, so the merged result is byte-identical to the
-// monolithic product for every semiring — one row kernel (gMulRows)
-// computes every product, blocked or not, and the merge concatenates
-// rows in global order, preserving the canonical-CSR invariant. That
+// row-disjoint, so the merged result is row for row the monolithic
+// product for every semiring — one row kernel (gMulRows) computes every
+// product, blocked or not, and the merge concatenates rows in global
+// order, each still canonical. That
 // identity is what lets the coordinator scatter a query across shards
 // and still pass the K=1 differential harness bit-for-bit.
 
@@ -142,25 +143,23 @@ func GSplitRows[T any](m *GMatrix[T], p Partition) []*GMatrix[T] {
 	}
 	blocks := make([]*GMatrix[T], k)
 	sizes := make([]int, k)
-	for r := 0; r < m.n; r++ {
-		sizes[p.Owner(r)] += int(m.rowPtr[r+1] - m.rowPtr[r])
+	for r, sp := range m.rows {
+		sizes[p.Owner(r)] += int(sp.hi - sp.lo)
 	}
 	for s := 0; s < k; s++ {
 		blocks[s] = &GMatrix[T]{
 			n:      m.n,
-			rowPtr: make([]int32, m.n+1),
+			nnz:    sizes[s],
+			rows:   make([]span, len(m.rows)),
 			colIdx: make([]int32, 0, sizes[s]),
 			val:    make([]T, 0, sizes[s]),
 		}
 	}
-	for r := 0; r < m.n; r++ {
+	for r, sp := range m.rows {
 		b := blocks[p.Owner(r)]
-		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
-		b.colIdx = append(b.colIdx, m.colIdx[lo:hi]...)
-		b.val = append(b.val, m.val[lo:hi]...)
-		for s := 0; s < k; s++ {
-			blocks[s].rowPtr[r+1] = int32(len(blocks[s].colIdx))
-		}
+		b.rows[r] = span{int32(len(b.colIdx)), int32(len(b.colIdx)) + sp.hi - sp.lo}
+		b.colIdx = append(b.colIdx, m.colIdx[sp.lo:sp.hi]...)
+		b.val = append(b.val, m.val[sp.lo:sp.hi]...)
 	}
 	return blocks
 }
@@ -168,8 +167,8 @@ func GSplitRows[T any](m *GMatrix[T], p Partition) []*GMatrix[T] {
 // GMergeRowDisjoint gathers K row-disjoint n×n blocks back into one
 // matrix: row r of the result is row r of blocks[p.Owner(r)]. Blocks
 // may be nil (treated as empty — a shard whose row block had no work).
-// The output is canonical CSR, byte-identical to the matrix the
-// monolithic kernel would have produced from the unsplit operand.
+// The output is row for row the matrix the monolithic kernel would
+// have produced from the unsplit operand.
 func GMergeRowDisjoint[T any](p Partition, blocks []*GMatrix[T], n int) *GMatrix[T] {
 	if len(blocks) != p.K() {
 		panic(fmt.Sprintf("sparse: MergeRowDisjoint got %d blocks for K=%d", len(blocks), p.K()))
@@ -183,22 +182,27 @@ func GMergeRowDisjoint[T any](p Partition, blocks []*GMatrix[T], n int) *GMatrix
 			if b.n != n {
 				panic(fmt.Sprintf("sparse: MergeRowDisjoint block dim %d, want %d", b.n, n))
 			}
-			total += len(b.val)
+			total += b.nnz
 		}
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: MergeRowDisjoint has %d entries, beyond int32 spans", total))
 	}
 	out := &GMatrix[T]{
 		n:      n,
-		rowPtr: make([]int32, n+1),
+		nnz:    total,
+		rows:   make([]span, n),
 		colIdx: make([]int32, 0, total),
 		val:    make([]T, 0, total),
 	}
-	for r := 0; r < n; r++ {
+	for r := range out.rows {
+		start := int32(len(out.colIdx))
 		if b := blocks[p.Owner(r)]; b != nil {
-			lo, hi := b.rowPtr[r], b.rowPtr[r+1]
-			out.colIdx = append(out.colIdx, b.colIdx[lo:hi]...)
-			out.val = append(out.val, b.val[lo:hi]...)
+			sp := b.row(r)
+			out.colIdx = append(out.colIdx, b.colIdx[sp.lo:sp.hi]...)
+			out.val = append(out.val, b.val[sp.lo:sp.hi]...)
 		}
-		out.rowPtr[r+1] = int32(len(out.colIdx))
+		out.rows[r] = span{start, int32(len(out.colIdx))}
 	}
 	return out
 }
@@ -225,12 +229,12 @@ func (s *BlockStats) add(o BlockStats) {
 // row blocks, nonempty blocks multiply independently against o (one
 // goroutine per block, bounded by the shard count), and the row-disjoint
 // partial products merge back in global row order. The result is
-// byte-identical to GMulThresh on every semiring; a trivial partition
+// row for row that of GMulThresh on every semiring; a trivial partition
 // short-circuits to the monolithic kernel with zero overhead.
 func GMulBlocked[T any, R Ring[T]](ring R, m, o *GMatrix[T], p Partition, t Thresholds) (*GMatrix[T], BlockStats) {
 	if p.Trivial() {
 		prod := GMulThresh(ring, m, o, t)
-		return prod, BlockStats{Blocks: 1, LocalNNZ: int64(len(prod.val))}
+		return prod, BlockStats{Blocks: 1, LocalNNZ: int64(prod.nnz)}
 	}
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: MulBlocked dimension mismatch %d vs %d", m.n, o.n))
@@ -240,7 +244,7 @@ func GMulBlocked[T any, R Ring[T]](ring R, m, o *GMatrix[T], p Partition, t Thre
 	stats := make([]BlockStats, len(blocks))
 	var wg sync.WaitGroup
 	for s, b := range blocks {
-		if len(b.val) == 0 {
+		if b.nnz == 0 {
 			stats[s].SkippedEmpty = 1
 			continue // empty shard block: contributes no rows, skip the kernel
 		}
@@ -249,13 +253,13 @@ func GMulBlocked[T any, R Ring[T]](ring R, m, o *GMatrix[T], p Partition, t Thre
 			defer wg.Done()
 			prod := GMulThresh(ring, b, o, t)
 			st := BlockStats{Blocks: 1}
-			for _, c := range prod.colIdx {
-				if p.Owner(int(c)) == s {
+			prod.Each(func(_, c int, _ T) {
+				if p.Owner(c) == s {
 					st.LocalNNZ++
 				} else {
 					st.CrossShardNNZ++
 				}
-			}
+			})
 			products[s] = prod
 			stats[s] = st
 		}(s, b)

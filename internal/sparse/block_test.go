@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,24 +21,12 @@ func randMatrix(rng *rand.Rand, n int, density float64) *Matrix {
 	return New(n, triples)
 }
 
-// gEqual reports whether two generic matrices are structurally identical:
-// same dimension, same CSR layout, same values under ==. For Witness this
-// is exact structural equality, which is what bit-identity demands.
+// gEqual reports whether two generic matrices are identical: same
+// dimension and, row by row, the same columns and the same values under
+// ==. For Witness this is exact structural equality, which is what
+// bit-identity demands.
 func gEqual[T comparable](a, b *GMatrix[T]) bool {
-	if a.n != b.n || len(a.colIdx) != len(b.colIdx) {
-		return false
-	}
-	for i := range a.rowPtr {
-		if a.rowPtr[i] != b.rowPtr[i] {
-			return false
-		}
-	}
-	for i := range a.colIdx {
-		if a.colIdx[i] != b.colIdx[i] || a.val[i] != b.val[i] {
-			return false
-		}
-	}
-	return true
+	return gEqualRows(a, b, slices.Equal[[]T])
 }
 
 func TestNewPartitionValidation(t *testing.T) {

@@ -5,64 +5,26 @@ import (
 	"testing"
 )
 
-// noExplicitZeros reports whether m stores no explicit zero entries —
-// the canonical-form invariant that makes Equal equivalent to
-// byte-identity after signed delta application.
+// noExplicitZeros reports whether m's rows store no explicit zero
+// entries — the canonical-form invariant that makes Equal mean equal
+// values after signed delta application.
 func noExplicitZeros(m *Matrix) bool {
-	for _, v := range m.val {
-		if v == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func TestSubAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(12)
-		a := randomMatrix(rng, n, rng.Intn(3*n))
-		b := randomMatrix(rng, n, rng.Intn(3*n))
-		got := a.Sub(b)
-		da, db := dense(a), dense(b)
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				if want := da[r][c] - db[r][c]; got.At(r, c) != want {
-					t.Fatalf("iter %d: Sub(%d,%d) = %d, want %d", iter, r, c, got.At(r, c), want)
-				}
-			}
-		}
-		if !noExplicitZeros(got) {
-			t.Fatalf("iter %d: Sub left explicit zeros", iter)
-		}
-	}
-}
-
-func TestSubSelfIsCanonicalZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 50; iter++ {
-		n := 1 + rng.Intn(10)
-		a := randomMatrix(rng, n, rng.Intn(3*n))
-		z := a.Sub(a)
-		if !z.Equal(Zero(n)) {
-			t.Fatalf("iter %d: a−a not Equal to Zero", iter)
-		}
-		if z.NNZ() != 0 {
-			t.Fatalf("iter %d: a−a kept %d explicit entries", iter, z.NNZ())
-		}
-	}
+	ok := true
+	m.Each(func(_, _ int, v int64) { ok = ok && v != 0 })
+	return ok
 }
 
 // TestAddSubRoundTrip locks in the signed-cancellation property the
 // delta engine depends on: applying a delta and then its negation
-// restores a matrix byte-identically, with no explicit-zero residue.
+// restores a matrix row for row, with no explicit-zero residue, whether
+// the second patch appends to the first one's arena or rewrites it.
 func TestAddSubRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + rng.Intn(12)
 		a := randomMatrix(rng, n, rng.Intn(3*n))
-		d := randomMatrix(rng, n, rng.Intn(2*n))
-		back := a.Add(d).Sub(d)
+		d := randDelta(rng, n, rng.Intn(2*n))
+		back := a.Patch(d).Patch(d.Neg())
 		if !back.Equal(a) {
 			t.Fatalf("iter %d: (a+d)−d != a", iter)
 		}
@@ -77,9 +39,9 @@ func TestAddSubRoundTrip(t *testing.T) {
 // leave the adjacency matrix with no explicit zero at that slot.
 func TestAddThenRemoveEdgeLeavesNoResidue(t *testing.T) {
 	adj := New(4, []Triple{{0, 1, 1}, {2, 3, 1}})
-	addDelta := New(4, []Triple{{1, 2, 1}})
-	removeDelta := New(4, []Triple{{1, 2, -1}})
-	after := adj.Add(addDelta).Add(removeDelta)
+	addDelta := NewDelta(4, []Triple{{1, 2, 1}})
+	removeDelta := NewDelta(4, []Triple{{1, 2, -1}})
+	after := adj.Patch(addDelta).Patch(removeDelta)
 	if !after.Equal(adj) {
 		t.Fatalf("add-then-remove did not restore the original matrix:\n%v", after)
 	}
@@ -117,25 +79,6 @@ func TestGrowPanicsOnShrink(t *testing.T) {
 		}
 	}()
 	New(3, nil).Grow(2)
-}
-
-func TestIdentityRange(t *testing.T) {
-	m := IdentityRange(5, 2, 4)
-	want := New(5, []Triple{{2, 2, 1}, {3, 3, 1}})
-	if !m.Equal(want) {
-		t.Fatalf("IdentityRange(5,2,4) =\n%v\nwant\n%v", m, want)
-	}
-	if !IdentityRange(4, 0, 4).Equal(Identity(4)) {
-		t.Fatal("IdentityRange(n,0,n) != Identity(n)")
-	}
-	if IdentityRange(4, 2, 2).NNZ() != 0 {
-		t.Fatal("empty range should have no entries")
-	}
-	// The grown-identity law the Eps delta rule relies on.
-	grown := Identity(3).Grow(5).Add(IdentityRange(5, 3, 5))
-	if !grown.Equal(Identity(5)) {
-		t.Fatal("Grow+IdentityRange != Identity at new dim")
-	}
 }
 
 // TestMulFewRowsMatchesSerial keeps the inputs that pinned the former

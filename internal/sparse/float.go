@@ -2,8 +2,8 @@ package sparse
 
 import "fmt"
 
-// FloatMatrix is an immutable n×n sparse matrix with float64 entries in
-// CSR form — a defined type over the generic CSR representation. It
+// FloatMatrix is an immutable n×n sparse matrix with float64 entries —
+// a defined type over the generic sparse-row representation. It
 // backs the random-walk algorithms (RWR, SimRank) which need
 // row-normalized transition matrices; those are vector-space
 // operations, not semiring ones, so they are implemented directly.
@@ -13,27 +13,19 @@ func (f *FloatMatrix) gm() *GMatrix[float64] { return (*GMatrix[float64])(f) }
 
 // FromInt converts an integer matrix to a float matrix.
 func FromInt(m *Matrix) *FloatMatrix {
-	f := &FloatMatrix{
-		n:      m.n,
-		rowPtr: append([]int32(nil), m.rowPtr...),
-		colIdx: append([]int32(nil), m.colIdx...),
-		val:    make([]float64, len(m.val)),
-	}
-	for i, v := range m.val {
-		f.val[i] = float64(v)
-	}
-	return f
+	return (*FloatMatrix)(gMapEntries(m.gm(), func(v int64) (float64, bool) { return float64(v), true }))
 }
 
 // Dim returns the dimension n of the n×n matrix.
 func (f *FloatMatrix) Dim() int { return f.n }
 
 // NNZ returns the number of stored entries.
-func (f *FloatMatrix) NNZ() int { return len(f.val) }
+func (f *FloatMatrix) NNZ() int { return f.nnz }
 
 // At returns the entry at (row, col) with a linear scan of the row.
 func (f *FloatMatrix) At(row, col int) float64 {
-	for i := f.rowPtr[row]; i < f.rowPtr[row+1]; i++ {
+	sp := f.gm().row(row)
+	for i := sp.lo; i < sp.hi; i++ {
 		if f.colIdx[i] == int32(col) {
 			return f.val[i]
 		}
@@ -49,21 +41,18 @@ func (f *FloatMatrix) Row(row int, fn func(col int, val float64)) {
 // RowNormalize returns the row-stochastic version of f: every nonzero row
 // is scaled to sum to 1; zero rows stay zero (dangling nodes).
 func (f *FloatMatrix) RowNormalize() *FloatMatrix {
-	out := &FloatMatrix{
-		n:      f.n,
-		rowPtr: append([]int32(nil), f.rowPtr...),
-		colIdx: append([]int32(nil), f.colIdx...),
-		val:    make([]float64, len(f.val)),
-	}
-	for r := 0; r < f.n; r++ {
+	// Same support, so the spans and columns are shared; only the
+	// values are new.
+	out := &FloatMatrix{n: f.n, nnz: f.nnz, rows: f.rows, colIdx: f.colIdx, val: make([]float64, len(f.val))}
+	for _, sp := range f.rows {
 		var sum float64
-		for i := f.rowPtr[r]; i < f.rowPtr[r+1]; i++ {
-			sum += f.val[i]
+		for _, v := range f.val[sp.lo:sp.hi] {
+			sum += v
 		}
 		if sum == 0 {
 			continue
 		}
-		for i := f.rowPtr[r]; i < f.rowPtr[r+1]; i++ {
+		for i := sp.lo; i < sp.hi; i++ {
 			out.val[i] = f.val[i] / sum
 		}
 	}
@@ -82,9 +71,9 @@ func (f *FloatMatrix) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: MulVec length %d != dim %d", len(x), f.n))
 	}
 	y := make([]float64, f.n)
-	for r := 0; r < f.n; r++ {
+	for r, sp := range f.rows {
 		var s float64
-		for i := f.rowPtr[r]; i < f.rowPtr[r+1]; i++ {
+		for i := sp.lo; i < sp.hi; i++ {
 			s += f.val[i] * x[f.colIdx[i]]
 		}
 		y[r] = s
@@ -98,12 +87,12 @@ func (f *FloatMatrix) VecMul(x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: VecMul length %d != dim %d", len(x), f.n))
 	}
 	y := make([]float64, f.n)
-	for r := 0; r < f.n; r++ {
+	for r, sp := range f.rows {
 		xv := x[r]
 		if xv == 0 {
 			continue
 		}
-		for i := f.rowPtr[r]; i < f.rowPtr[r+1]; i++ {
+		for i := sp.lo; i < sp.hi; i++ {
 			y[f.colIdx[i]] += f.val[i] * xv
 		}
 	}

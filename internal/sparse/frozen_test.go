@@ -16,7 +16,10 @@ import (
 // closure). The tests below drive the generic kernel instantiated at
 // IntRing against it on randomized inputs — including negative entries,
 // cancellation, delta-shaped operands and the parallel gate — and
-// require the CSR arrays to be byte-identical, not merely Equal.
+// require the CSR arrays to be byte-identical, not merely Equal. The
+// kernel's rows live behind spans in an arena; csrOf expands them into
+// the dense-offset CSR the frozen kernel speaks, so what is compared is
+// every offset, column and value a reader can see.
 
 type frozenMatrix struct {
 	n      int
@@ -25,8 +28,17 @@ type frozenMatrix struct {
 	val    []int64
 }
 
+// frozenFrom is the CSR expansion of m: its rows, in order, laid out
+// back to back under n+1 offsets.
 func frozenFrom(m *Matrix) *frozenMatrix {
-	return &frozenMatrix{n: m.n, rowPtr: m.rowPtr, colIdx: m.colIdx, val: m.val}
+	f := &frozenMatrix{n: m.n, rowPtr: make([]int32, m.n+1), colIdx: []int32{}, val: []int64{}}
+	for r := 0; r < m.n; r++ {
+		cols, vals := m.RowView(r)
+		f.colIdx = append(f.colIdx, cols...)
+		f.val = append(f.val, vals...)
+		f.rowPtr[r+1] = int32(len(f.colIdx))
+	}
+	return f
 }
 
 func frozenIdentity(n int) *frozenMatrix {
@@ -191,8 +203,12 @@ func (m *frozenMatrix) closure() *frozenMatrix {
 
 // byteIdentical asserts the generic-kernel result has exactly the same
 // CSR arrays as the frozen-kernel result.
-func byteIdentical(t *testing.T, op string, got *Matrix, want *frozenMatrix) {
+func byteIdentical(t *testing.T, op string, m *Matrix, want *frozenMatrix) {
 	t.Helper()
+	got := frozenFrom(m)
+	if m.NNZ() != len(got.val) {
+		t.Fatalf("%s: NNZ() = %d, rows hold %d entries", op, m.NNZ(), len(got.val))
+	}
 	if got.n != want.n || len(got.rowPtr) != len(want.rowPtr) ||
 		len(got.colIdx) != len(want.colIdx) || len(got.val) != len(want.val) {
 		t.Fatalf("%s: shape mismatch: got n=%d nnz=%d, want n=%d nnz=%d",
@@ -236,7 +252,7 @@ func TestGenericIntKernelByteIdenticalToFrozen(t *testing.T) {
 
 		byteIdentical(t, "mul", a.Mul(b), fa.mul(fb))
 		byteIdentical(t, "add", a.Add(b), fa.merge(fb, 1))
-		byteIdentical(t, "sub", a.Sub(b), fa.merge(fb, -1))
+		byteIdentical(t, "sub", a.Patch(DeltaOf(Zero(n), b)), fa.merge(fb, -1))
 		byteIdentical(t, "boolean", a.Boolean(), fa.boolean())
 		byteIdentical(t, "diag", a.DiagMulBool(), fa.diagMulBool())
 		byteIdentical(t, "transpose", a.Transpose(), fa.transpose())
@@ -356,17 +372,17 @@ func TestMulHonorsGOMAXPROCS(t *testing.T) {
 // 2³⁰ entries do not fit int32 offsets and must panic naming the size,
 // not wrap.
 func TestCSROffsetsRefuseInt32Overflow(t *testing.T) {
-	fits := []int32{0, 1 << 30, 1<<30 - 1, 0}
-	if total := csrOffsets(fits, "product"); total != math.MaxInt32 || fits[3] != math.MaxInt32 || fits[1] != 1<<30 {
-		t.Fatalf("csrOffsets = %d, offsets %v", total, fits)
+	fits := []span{{hi: 1 << 30}, {hi: 1<<30 - 1}, {}}
+	if total := spanOffsets(fits, "product"); total != math.MaxInt32 || fits[2] != (span{math.MaxInt32, math.MaxInt32}) || fits[1].lo != 1<<30 {
+		t.Fatalf("spanOffsets = %d, spans %v", total, fits)
 	}
 	defer func() {
-		want := "sparse: product has 3221225472 entries, beyond int32 CSR offsets"
+		want := "sparse: product has 3221225472 entries, beyond int32 spans"
 		if got := recover(); got != want {
 			t.Fatalf("panic = %v, want %q", got, want)
 		}
 	}()
-	csrOffsets([]int32{0, 1 << 30, 1 << 30, 1 << 30}, "product")
+	spanOffsets([]span{{hi: 1 << 30}, {hi: 1 << 30}, {hi: 1 << 30}}, "product")
 }
 
 // TestScratchStampWrapStartsOver: a reused scratch whose stamp counter

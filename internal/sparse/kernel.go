@@ -7,35 +7,63 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
-// Generic CSR kernel. Every matrix operator is written once here
+// Generic sparse-row kernel. Every matrix operator is written once here
 // against Ring[T]; Matrix (int64) and FloatMatrix (float64) are thin
 // defined types over GMatrix instantiations, and the annotated rings
 // (CountRing, WitnessRing) reuse the identical code paths. The kernels
-// preserve the canonical-CSR invariant — rows in order, columns
-// ascending, no explicit ring zeros — so equal values always have equal
-// bytes, which is what the delta-maintenance and replication
-// differential harnesses assert.
+// keep every row canonical — columns ascending, no explicit ring zeros
+// — so equal values have equal rows. Equality is per row, never of the
+// backing arrays: a row lives wherever its span points in an entry
+// arena that successive versions of a matrix share, and an arena may
+// hold rows no version reads any more. Per-row equality (Equal) is what
+// the delta-maintenance and replication differential harnesses assert.
 //
 // Semiring-dependent operators are free functions taking the ring
 // explicitly (Go methods cannot add type parameters); structurally
 // generic ones (Transpose, Grow, accessors) are methods.
 
+// span is one row's half-open range of entries in the arena.
+type span struct{ lo, hi int32 }
+
 // GMatrix is an immutable n×n sparse matrix over an arbitrary entry
-// type in CSR form. The zero value is an empty 0×0 matrix.
+// type: one span per row into an entry arena (colIdx/val). Rows at and
+// past len(rows) are empty, which is what makes Grow free. A kernel
+// result owns a compact arena holding exactly its rows; a matrix made
+// by withRows shares every untouched row with the version it was made
+// from, whose readers keep reading their own spans unchanged. The zero
+// value is an empty 0×0 matrix.
 type GMatrix[T any] struct {
 	n      int
-	rowPtr []int32 // length n+1
-	colIdx []int32 // length nnz
-	val    []T     // length nnz
+	nnz    int     // stored entries: the sum of the span lengths
+	rows   []span  // len ≤ n
+	colIdx []int32 // the arena up to this version's end
+	val    []T
+	tip    *arenaTip // nil: the arena is never appended to in place
+}
+
+// arenaTip is shared by the versions of a matrix that live in one
+// arena. end is the arena length the newest of them sees: only a
+// version whose own end still equals it may append in place, and it
+// claims the slots past it by compare-and-swap, so two patches of one
+// version never write the same slots.
+type arenaTip struct{ end atomic.Int64 }
+
+// row returns the span of row r, empty at and past len(m.rows).
+func (m *GMatrix[T]) row(r int) span {
+	if r < len(m.rows) {
+		return m.rows[r]
+	}
+	return span{}
 }
 
 // Dim returns the dimension n of the n×n matrix.
 func (m *GMatrix[T]) Dim() int { return m.n }
 
 // NNZ returns the number of stored entries.
-func (m *GMatrix[T]) NNZ() int { return len(m.val) }
+func (m *GMatrix[T]) NNZ() int { return m.nnz }
 
 // Lookup returns the stored entry at (row, col) and whether one exists.
 // It is O(log nnz(row)).
@@ -44,10 +72,11 @@ func (m *GMatrix[T]) Lookup(row, col int) (T, bool) {
 	if row < 0 || row >= m.n || col < 0 || col >= m.n {
 		panic(fmt.Sprintf("sparse: Lookup(%d,%d) out of range for n=%d", row, col, m.n))
 	}
-	lo, hi := int(m.rowPtr[row]), int(m.rowPtr[row+1])
-	i := sort.Search(hi-lo, func(k int) bool { return m.colIdx[lo+k] >= int32(col) }) + lo
-	if i < hi && m.colIdx[i] == int32(col) {
-		return m.val[i], true
+	sp := m.row(row)
+	cols := m.colIdx[sp.lo:sp.hi]
+	i := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(col) })
+	if i < len(cols) && cols[i] == int32(col) {
+		return m.val[int(sp.lo)+i], true
 	}
 	return zero, false
 }
@@ -55,15 +84,16 @@ func (m *GMatrix[T]) Lookup(row, col int) (T, bool) {
 // Row calls fn(col, val) for each stored entry in the given row, in
 // ascending column order.
 func (m *GMatrix[T]) Row(row int, fn func(col int, val T)) {
-	for i := m.rowPtr[row]; i < m.rowPtr[row+1]; i++ {
+	sp := m.row(row)
+	for i := sp.lo; i < sp.hi; i++ {
 		fn(int(m.colIdx[i]), m.val[i])
 	}
 }
 
 // Each calls fn(row, col, val) for every stored entry in row-major order.
 func (m *GMatrix[T]) Each(fn func(row, col int, val T)) {
-	for r := 0; r < m.n; r++ {
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+	for r, sp := range m.rows {
+		for i := sp.lo; i < sp.hi; i++ {
 			fn(r, int(m.colIdx[i]), m.val[i])
 		}
 	}
@@ -74,32 +104,38 @@ func (m *GMatrix[T]) Each(fn func(row, col int, val T)) {
 func (m *GMatrix[T]) Transpose() *GMatrix[T] {
 	t := &GMatrix[T]{
 		n:      m.n,
-		rowPtr: make([]int32, m.n+1),
-		colIdx: make([]int32, len(m.colIdx)),
-		val:    make([]T, len(m.val)),
+		nnz:    m.nnz,
+		rows:   make([]span, m.n),
+		colIdx: make([]int32, m.nnz),
+		val:    make([]T, m.nnz),
 	}
-	for _, c := range m.colIdx {
-		t.rowPtr[c+1]++
+	for _, sp := range m.rows {
+		for _, c := range m.colIdx[sp.lo:sp.hi] {
+			t.rows[c].hi++
+		}
 	}
-	for r := 0; r < m.n; r++ {
-		t.rowPtr[r+1] += t.rowPtr[r]
+	// Each row starts empty at its offset; the fill below advances hi,
+	// so the span doubles as the row's write cursor.
+	var off int32
+	for c, sp := range t.rows {
+		t.rows[c] = span{off, off}
+		off += sp.hi
 	}
-	next := make([]int32, m.n)
-	copy(next, t.rowPtr[:m.n])
-	for r := 0; r < m.n; r++ {
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			c := m.colIdx[i]
-			t.colIdx[next[c]] = int32(r)
-			t.val[next[c]] = m.val[i]
-			next[c]++
+	for r, sp := range m.rows {
+		for i := sp.lo; i < sp.hi; i++ {
+			w := &t.rows[m.colIdx[i]].hi
+			t.colIdx[*w] = int32(r)
+			t.val[*w] = m.val[i]
+			*w++
 		}
 	}
 	return t
 }
 
-// Grow returns m embedded in the top-left corner of an n×n matrix,
-// sharing the entry arrays. It panics if n is smaller than m's
-// dimension.
+// Grow returns m embedded in the top-left corner of an n×n matrix. It
+// shares the spans and the arena — rows past the old dimension are
+// empty by construction — so it costs nothing. It panics if n is
+// smaller than m's dimension.
 func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
 	if n == m.n {
 		return m
@@ -107,30 +143,82 @@ func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
 	if n < m.n {
 		panic(fmt.Sprintf("sparse: Grow from %d to smaller %d", m.n, n))
 	}
-	rp := make([]int32, n+1)
-	copy(rp, m.rowPtr)
-	for r := m.n; r < n; r++ {
-		rp[r+1] = rp[m.n]
+	g := *m
+	g.n = n
+	return &g
+}
+
+// withRows returns the n×n matrix (n ≥ m.n) that reads as m except at
+// the given rows — ascending, below n — where row rows[i] becomes
+// cols/vals[ptr[i]:ptr[i+1]] (canonical; empty empties the row). The
+// spans are copied and the replacement rows appended to m's arena, so
+// every other row is shared with m. Only the arena's newest version
+// may append in place; anything else, an arena out of capacity, or one
+// that would be more than a quarter dead is first rewritten compactly
+// with an eighth of headroom. cols, vals and ptr are copied out of and
+// may be scratch.
+func (m *GMatrix[T]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix[T] {
+	if len(rows) == 0 {
+		return m.Grow(n)
 	}
-	return &GMatrix[T]{n: n, rowPtr: rp, colIdx: m.colIdx, val: m.val}
+	out := &GMatrix[T]{n: n, nnz: m.nnz + len(cols)}
+	out.rows = make([]span, max(len(m.rows), int(rows[len(rows)-1])+1))
+	copy(out.rows, m.rows)
+	for _, r := range rows {
+		sp := out.rows[r]
+		out.nnz -= int(sp.hi - sp.lo)
+	}
+	end := len(m.colIdx)
+	grown := end + len(cols)
+	if m.tip != nil && grown <= cap(m.colIdx) && (grown-out.nnz)*4 <= grown &&
+		m.tip.end.CompareAndSwap(int64(end), int64(grown)) {
+		out.colIdx, out.val, out.tip = m.colIdx[:grown], m.val[:grown], m.tip
+		copy(out.colIdx[end:], cols)
+		copy(out.val[end:], vals)
+		for i, r := range rows {
+			out.rows[r] = span{int32(end) + ptr[i], int32(end) + ptr[i+1]}
+		}
+		return out
+	}
+	room := out.nnz + out.nnz/8
+	if room > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: patched matrix has %d entries, beyond int32 spans", out.nnz))
+	}
+	out.colIdx, out.val = make([]int32, out.nnz, room), make([]T, out.nnz, room)
+	out.tip = &arenaTip{}
+	out.tip.end.Store(int64(out.nnz))
+	w, i := 0, 0
+	for r, sp := range out.rows {
+		sc, sv := m.colIdx[sp.lo:sp.hi], m.val[sp.lo:sp.hi]
+		if i < len(rows) && int(rows[i]) == r {
+			sc, sv = cols[ptr[i]:ptr[i+1]], vals[ptr[i]:ptr[i+1]]
+			i++
+		}
+		copy(out.colIdx[w:], sc)
+		copy(out.val[w:], sv)
+		out.rows[r] = span{int32(w), int32(w + len(sc))}
+		w += len(sc)
+	}
+	return out
 }
 
 // GZero returns the n×n all-zero matrix.
 func GZero[T any](n int) *GMatrix[T] {
-	return &GMatrix[T]{n: n, rowPtr: make([]int32, n+1)}
+	return &GMatrix[T]{n: n}
 }
 
 // GIdentity returns the n×n identity of the ring.
 func GIdentity[T any, R Ring[T]](ring R, n int) *GMatrix[T] {
 	m := &GMatrix[T]{
 		n:      n,
-		rowPtr: make([]int32, n+1),
+		nnz:    n,
+		rows:   make([]span, n),
 		colIdx: make([]int32, n),
 		val:    make([]T, n),
 	}
 	one := ring.One()
 	for i := 0; i < n; i++ {
-		m.rowPtr[i+1] = int32(i + 1)
+		m.rows[i] = span{int32(i), int32(i + 1)}
 		m.colIdx[i] = int32(i)
 		m.val[i] = one
 	}
@@ -149,72 +237,57 @@ func GLift[T any, R Ring[T]](ring R, m *Matrix) *GMatrix[T] {
 
 // gMapEntries returns the matrix of f's images of m's entries, keeping
 // those f reports true for. The output is sized once by m's entries:
-// exact unless f drops some (the negatives of a signed delta under
-// Boolean or a counting Lift).
+// exact unless f drops some (non-positive counts under Boolean or a
+// counting Lift).
 func gMapEntries[S, T any](m *GMatrix[S], f func(S) (T, bool)) *GMatrix[T] {
 	g := &GMatrix[T]{
 		n:      m.n,
-		rowPtr: make([]int32, m.n+1),
-		colIdx: make([]int32, 0, len(m.val)),
-		val:    make([]T, 0, len(m.val)),
+		rows:   make([]span, len(m.rows)),
+		colIdx: make([]int32, 0, m.nnz),
+		val:    make([]T, 0, m.nnz),
 	}
-	for r := 0; r < m.n; r++ {
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+	for r, sp := range m.rows {
+		start := int32(len(g.colIdx))
+		for i := sp.lo; i < sp.hi; i++ {
 			if v, keep := f(m.val[i]); keep {
 				g.colIdx = append(g.colIdx, m.colIdx[i])
 				g.val = append(g.val, v)
 			}
 		}
-		g.rowPtr[r+1] = int32(len(g.colIdx))
+		g.rows[r] = span{start, int32(len(g.colIdx))}
 	}
+	g.nnz = len(g.colIdx)
 	return g
 }
 
 // GAdd returns m ⊕ o element-wise, dropping entries that sum to the
-// ring zero. It panics if dimensions differ.
+// ring zero. It panics if dimensions differ. The sorted row merge runs
+// twice — counting, then filling — so the output is allocated once at
+// its exact size, and a row only one operand populates is a copy.
 func GAdd[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	return gMerge(ring, "Add", m, o, ring.Add, func(b T) T { return b })
-}
-
-// GSub returns m − o element-wise for subtractive rings. Entries that
-// cancel exactly are dropped, never stored as explicit zeros. It panics
-// if dimensions differ.
-func GSub[T any, R Subtractive[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	zero := ring.Zero()
-	return gMerge(ring, "Sub", m, o, ring.Sub, func(b T) T { return ring.Sub(zero, b) })
-}
-
-// gMerge is the sorted row merge behind GAdd and GSub: an entry only m
-// holds passes through, one only o holds maps through right, a position
-// both hold combines through both and is dropped if that is the ring
-// zero. The loop runs twice — counting, then filling — so the output is
-// allocated once at its exact size however much of new − old cancels,
-// and a row only one operand populates (all but a handful of old ⊕
-// delta) is a copy.
-func gMerge[T any, R Ring[T]](ring R, op string, m, o *GMatrix[T], both func(a, b T) T, right func(b T) T) *GMatrix[T] {
 	if m.n != o.n {
-		panic(fmt.Sprintf("sparse: %s dimension mismatch %d vs %d", op, m.n, o.n))
+		panic(fmt.Sprintf("sparse: Add dimension mismatch %d vs %d", m.n, o.n))
 	}
-	s := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
+	s := &GMatrix[T]{n: m.n, rows: make([]span, max(len(m.rows), len(o.rows)))}
 	for fill := false; ; fill = true {
-		w := 0
-		for r := 0; r < m.n; r++ {
-			if fill && s.rowPtr[r] == s.rowPtr[r+1] {
+		for r := range s.rows {
+			w := s.rows[r].lo
+			if fill && w == s.rows[r].hi {
 				continue // nothing of this row survived the count
 			}
-			i, iEnd := m.rowPtr[r], m.rowPtr[r+1]
-			j, jEnd := o.rowPtr[r], o.rowPtr[r+1]
-			start := w
+			mr, or := m.row(r), o.row(r)
+			i, iEnd, j, jEnd := mr.lo, mr.hi, or.lo, or.hi
+			var cnt int32
 			for i < iEnd && j < jEnd {
 				c, v := m.colIdx[i], m.val[i]
 				switch oc := o.colIdx[j]; {
 				case c < oc:
 					i++
 				case oc < c:
-					c, v = oc, right(o.val[j])
+					c, v = oc, o.val[j]
 					j++
 				default:
-					v = both(v, o.val[j])
+					v = ring.Add(v, o.val[j])
 					i++
 					j++
 					if ring.IsZero(v) {
@@ -222,44 +295,41 @@ func gMerge[T any, R Ring[T]](ring R, op string, m, o *GMatrix[T], both func(a, 
 					}
 				}
 				if fill {
-					s.colIdx[w], s.val[w] = c, v
+					s.colIdx[w+cnt], s.val[w+cnt] = c, v
 				}
-				w++
+				cnt++
 			}
 			if fill {
-				copy(s.colIdx[w:], m.colIdx[i:iEnd])
-				copy(s.val[w:], m.val[i:iEnd])
-				copy(s.colIdx[w:], o.colIdx[j:jEnd])
-				for t, v := range o.val[j:jEnd] {
-					s.val[w+t] = right(v)
-				}
-			}
-			w += int(iEnd-i) + int(jEnd-j) // at most one tail is non-empty
-			if !fill {
-				s.rowPtr[r+1] = int32(w - start)
+				// At most one tail is non-empty.
+				copy(s.colIdx[w+cnt:], m.colIdx[i:iEnd])
+				copy(s.val[w+cnt:], m.val[i:iEnd])
+				copy(s.colIdx[w+cnt:], o.colIdx[j:jEnd])
+				copy(s.val[w+cnt:], o.val[j:jEnd])
+			} else {
+				s.rows[r].hi = cnt + (iEnd - i) + (jEnd - j)
 			}
 		}
 		if fill {
 			return s
 		}
-		total := csrOffsets(s.rowPtr, op)
-		s.colIdx, s.val = make([]int32, total), make([]T, total)
+		s.nnz = spanOffsets(s.rows, "sum")
+		s.colIdx, s.val = make([]int32, s.nnz), make([]T, s.nnz)
 	}
 }
 
-// csrOffsets turns per-row entry counts (counts[r+1] = entries of row r)
-// into CSR offsets in place and returns the total. The sum runs in int:
-// past 2³¹−1 entries an int32 offset would wrap into a plausible, wrong
-// matrix, so the result is refused by panic before it is allocated, and
-// the server's recover chain answers 500.
-func csrOffsets(counts []int32, what string) int {
+// spanOffsets turns per-row entry counts (left in rows[r].hi) into the
+// rows' spans over one compact arena, in place, and returns the total.
+// The sum runs in int: past 2³¹−1 entries an int32 offset would wrap
+// into a plausible, wrong matrix, so the result is refused by panic
+// before it is allocated, and the server's recover chain answers 500.
+func spanOffsets(rows []span, what string) int {
 	total := 0
-	for r := 1; r < len(counts); r++ {
-		total += int(counts[r])
-		counts[r] = int32(total)
+	for r, sp := range rows {
+		rows[r] = span{int32(total), int32(total + int(sp.hi))}
+		total += int(sp.hi)
 	}
 	if total > math.MaxInt32 {
-		panic(fmt.Sprintf("sparse: %s has %d entries, beyond int32 CSR offsets", what, total))
+		panic(fmt.Sprintf("sparse: %s has %d entries, beyond int32 spans", what, total))
 	}
 	return total
 }
@@ -273,33 +343,35 @@ func GBoolean[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
 // GDiagMulBool returns diag{ m · (mᵀ > 0) } computed directly as the
 // per-row sum of truthy entries (paper §4.3, M_{[p]}).
 func GDiagMulBool[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
-	rows := 0 // populated rows of m bound the diagonal's entries
-	for r := 0; r < m.n; r++ {
-		if m.rowPtr[r] < m.rowPtr[r+1] {
-			rows++
+	populated := 0 // populated rows of m bound the diagonal's entries
+	for _, sp := range m.rows {
+		if sp.lo < sp.hi {
+			populated++
 		}
 	}
 	d := &GMatrix[T]{
 		n:      m.n,
-		rowPtr: make([]int32, m.n+1),
-		colIdx: make([]int32, 0, rows),
-		val:    make([]T, 0, rows),
+		rows:   make([]span, len(m.rows)),
+		colIdx: make([]int32, 0, populated),
+		val:    make([]T, 0, populated),
 	}
-	for r := 0; r < m.n; r++ {
+	for r, sp := range m.rows {
 		sum := ring.Zero()
 		any := false
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+		for i := sp.lo; i < sp.hi; i++ {
 			if ring.Truthy(m.val[i]) {
 				sum = ring.Add(sum, m.val[i])
 				any = true
 			}
 		}
+		start := int32(len(d.colIdx))
 		if any && !ring.IsZero(sum) {
 			d.colIdx = append(d.colIdx, int32(r))
 			d.val = append(d.val, sum)
 		}
-		d.rowPtr[r+1] = int32(len(d.colIdx))
+		d.rows[r] = span{start, int32(len(d.colIdx))}
 	}
+	d.nnz = len(d.colIdx)
 	return d
 }
 
@@ -311,36 +383,34 @@ func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatr
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %d vs %d", m.n, o.n))
 	}
-	if len(m.val) == 0 {
+	if m.nnz == 0 {
 		return GZero[T](m.n)
 	}
 	workers := 1
-	if m.n >= t.MinDim && len(m.val)+len(o.val) >= t.MinNNZ {
+	if m.n >= t.MinDim && m.nnz+o.nnz >= t.MinNNZ {
 		// GOMAXPROCS, not NumCPU: a server held to one core (or under a
 		// CPU quota) must not pay a goroutine and a scratch per host CPU.
 		workers = min(runtime.GOMAXPROCS(0), m.n)
 	}
 	// Two passes over disjoint row ranges with the offsets in between:
-	// the symbolic pass leaves each row's distinct-column count in
-	// p.rowPtr, the prefix sum makes them offsets and sizes the entry
-	// arrays exactly, and the numeric pass fills them in place, so no
-	// worker buffers a chunk and nothing is copied or regrown.
-	p := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
+	// the symbolic pass leaves each row's distinct-column count in its
+	// span, the prefix sum makes the counts spans and sizes the arena
+	// exactly, and the numeric pass fills each row's span in place, so
+	// no worker buffers a chunk and nothing is copied or regrown.
+	p := &GMatrix[T]{n: m.n, rows: make([]span, len(m.rows))}
 	scratch := make([]*mulScratch[T], workers)
-	eachRange(m.n, workers, func(w, lo, hi int) {
+	eachRange(len(m.rows), workers, func(w, lo, hi int) {
 		scratch[w] = getScratch[T](m.n)
-		gCountRows(m, o, p.rowPtr, lo, hi, scratch[w])
+		gCountRows(m, o, p.rows, lo, hi, scratch[w])
 	})
-	total := csrOffsets(p.rowPtr, "product")
-	p.colIdx, p.val = make([]int32, total), make([]T, total)
-	eachRange(m.n, workers, func(w, lo, hi int) {
-		gMulRows(ring, m, o, p, lo, hi, scratch[w])
+	p.nnz = spanOffsets(p.rows, "product")
+	p.colIdx, p.val = make([]int32, p.nnz), make([]T, p.nnz)
+	eachRange(len(m.rows), workers, func(w, lo, hi int) {
+		scratch[w].cancelled = gMulRows(ring, m, o, p, lo, hi, scratch[w])
 	})
 	for _, s := range scratch {
+		p.nnz -= s.cancelled
 		scratchPool.Put(s) // normal path only: a panic above abandons it
-	}
-	if slices.Contains(p.colIdx, -1) {
-		p.compact()
 	}
 	return p
 }
@@ -374,9 +444,10 @@ func eachRange(n, workers int, fn func(w, lo, hi int)) {
 // mark[c] is the current stamp. All a reused scratch must guarantee is
 // mark[c] ≤ stamp, which holds wherever a product stops.
 type mulScratch[T any] struct {
-	mark  []uint32
-	acc   []T
-	stamp uint32
+	mark      []uint32
+	acc       []T
+	stamp     uint32
+	cancelled int // entries the worker's last numeric pass dropped
 }
 
 // scratchPool holds *mulScratch[T] of whichever entry types are being
@@ -399,50 +470,58 @@ func getScratch[T any](n int) *mulScratch[T] {
 	return s
 }
 
-// gCountRows is the symbolic pass over rows [lo, hi) of m·o: it stores
-// the number of distinct columns row r reaches in counts[r+1]. A row of
-// m with no entries costs the comparison that finds it empty.
-func gCountRows[T any](m, o *GMatrix[T], counts []int32, lo, hi int, s *mulScratch[T]) {
+// gCountRows is the symbolic pass over rows [lo, hi) of m·o: it leaves
+// the number of distinct columns row r reaches in counts[r].hi. A row
+// of m with no entries costs the comparison that finds it empty.
+func gCountRows[T any](m, o *GMatrix[T], counts []span, lo, hi int, s *mulScratch[T]) {
+	orows := o.rows
 	for r := lo; r < hi; r++ {
-		i, end := m.rowPtr[r], m.rowPtr[r+1]
-		if i == end {
+		sp := m.rows[r]
+		if sp.lo == sp.hi {
 			continue
 		}
 		s.stamp++
 		var cnt int32
-		for ; i < end; i++ {
-			k := m.colIdx[i]
-			for _, c := range o.colIdx[o.rowPtr[k]:o.rowPtr[k+1]] {
+		for _, k := range m.colIdx[sp.lo:sp.hi] {
+			if int(k) >= len(orows) {
+				continue
+			}
+			for _, c := range o.colIdx[orows[k].lo:orows[k].hi] {
 				if s.mark[c] != s.stamp {
 					s.mark[c] = s.stamp
 					cnt++
 				}
 			}
 		}
-		counts[r+1] = cnt
+		counts[r].hi = cnt
 	}
 }
 
 // gMulRows is the numeric pass and the one function that multiplies:
-// rows [lo, hi) of m·o by Gustavson's algorithm, written into the slots
-// p.rowPtr reserves for them. The row's slice of p.colIdx doubles as
-// its touched list — filled in first-touch order, sorted in place, then
+// rows [lo, hi) of m·o by Gustavson's algorithm, written into the spans
+// p.rows reserves for them. The row's slice of p.colIdx doubles as its
+// touched list — filled in first-touch order, sorted in place, then
 // paired with the accumulated values — so a row allocates nothing. An
-// entry the ring cancelled to zero (signed deltas only) is skipped and
-// the row's unused tail flagged with column −1 for compact to close.
-func gMulRows[T any, R Ring[T]](ring R, m, o, p *GMatrix[T], lo, hi int, s *mulScratch[T]) {
+// entry the ring cancelled to zero (signed operands only) is skipped
+// and the row's span ends short of its reservation; the slots left
+// over are dead arena, and their number is returned.
+func gMulRows[T any, R Ring[T]](ring R, m, o, p *GMatrix[T], lo, hi int, s *mulScratch[T]) (cancelled int) {
+	orows := o.rows
 	for r := lo; r < hi; r++ {
-		i, end := m.rowPtr[r], m.rowPtr[r+1]
-		if i == end {
+		sp := m.rows[r]
+		if sp.lo == sp.hi {
 			continue
 		}
 		s.stamp++
-		w := p.rowPtr[r]
-		cols := p.colIdx[w:p.rowPtr[r+1]]
+		w := p.rows[r].lo
+		cols := p.colIdx[w:p.rows[r].hi]
 		n := 0
-		for ; i < end; i++ {
+		for i := sp.lo; i < sp.hi; i++ {
 			k, mv := m.colIdx[i], m.val[i]
-			for j := o.rowPtr[k]; j < o.rowPtr[k+1]; j++ {
+			if int(k) >= len(orows) {
+				continue
+			}
+			for j, end := orows[k].lo, orows[k].hi; j < end; j++ {
 				c, v := o.colIdx[j], ring.MulVia(mv, k, o.val[j])
 				if s.mark[c] != s.stamp {
 					s.mark[c] = s.stamp
@@ -461,70 +540,34 @@ func gMulRows[T any, R Ring[T]](ring R, m, o, p *GMatrix[T], lo, hi int, s *mulS
 				w++
 			}
 		}
-		if w < p.rowPtr[r+1] {
-			p.colIdx[w] = -1
-		}
+		cancelled += int(p.rows[r].hi - w)
+		p.rows[r].hi = w
 	}
+	return cancelled
 }
 
-// compact closes the gaps gMulRows left in rows that lost entries to
-// cancellation: each row's entries up to its −1 marker slide down over
-// the slack and the offsets follow. The arrays keep their allocation.
-func (p *GMatrix[T]) compact() {
-	var w int32
-	for r := 0; r < p.n; r++ {
-		i, end := p.rowPtr[r], p.rowPtr[r+1]
-		p.rowPtr[r] = w
-		for ; i < end && p.colIdx[i] >= 0; i++ {
-			p.colIdx[w], p.val[w] = p.colIdx[i], p.val[i]
-			w++
+// gEqualRows reports whether m and o have the same dimension and, row
+// by row, the same columns and (where eq is non-nil) the same values.
+func gEqualRows[T, U any](m *GMatrix[T], o *GMatrix[U], eq func(a []T, b []U) bool) bool {
+	if m.n != o.n || m.nnz != o.nnz {
+		return false
+	}
+	for r := range max(len(m.rows), len(o.rows)) {
+		ms, os := m.row(r), o.row(r)
+		if !slices.Equal(m.colIdx[ms.lo:ms.hi], o.colIdx[os.lo:os.hi]) {
+			return false
+		}
+		if eq != nil && !eq(m.val[ms.lo:ms.hi], o.val[os.lo:os.hi]) {
+			return false
 		}
 	}
-	p.rowPtr[p.n] = w
-	p.colIdx, p.val = p.colIdx[:w], p.val[:w]
-}
-
-// GIdentityRange returns the n×n matrix with ring ones on the diagonal
-// at rows [lo, hi) and zeros elsewhere. It panics on an invalid range.
-func GIdentityRange[T any, R Ring[T]](ring R, n, lo, hi int) *GMatrix[T] {
-	if lo < 0 || hi < lo || hi > n {
-		panic(fmt.Sprintf("sparse: IdentityRange [%d,%d) out of range for n=%d", lo, hi, n))
-	}
-	m := &GMatrix[T]{
-		n:      n,
-		rowPtr: make([]int32, n+1),
-		colIdx: make([]int32, hi-lo),
-		val:    make([]T, hi-lo),
-	}
-	one := ring.One()
-	for r := lo; r < hi; r++ {
-		m.colIdx[r-lo] = int32(r)
-		m.val[r-lo] = one
-		m.rowPtr[r+1] = int32(r - lo + 1)
-	}
-	for r := hi; r < n; r++ {
-		m.rowPtr[r+1] = m.rowPtr[hi]
-	}
-	return m
+	return true
 }
 
 // SameSupport reports whether m and o have stored entries at exactly
 // the same positions, ignoring values.
 func SameSupport[T, U any](m *GMatrix[T], o *GMatrix[U]) bool {
-	if m.n != o.n || len(m.colIdx) != len(o.colIdx) {
-		return false
-	}
-	for i := range m.rowPtr {
-		if m.rowPtr[i] != o.rowPtr[i] {
-			return false
-		}
-	}
-	for i := range m.colIdx {
-		if m.colIdx[i] != o.colIdx[i] {
-			return false
-		}
-	}
-	return true
+	return gEqualRows(m, o, nil)
 }
 
 // GBooleanClosure returns the reflexive-transitive boolean closure of m

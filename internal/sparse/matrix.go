@@ -1,8 +1,9 @@
 // Package sparse implements the sparse matrix kernel used to compute
 // commuting matrices for RRE patterns (paper §4.3).
 //
-// Matrices are square over the node-id space of a graph and stored in
-// compressed sparse row (CSR) form. The algebra is exactly the one the
+// Matrices are square over the node-id space of a graph and stored as
+// sorted sparse rows: one span per row into an entry arena (kernel.go).
+// The algebra is exactly the one the
 // paper defines for commuting matrices:
 //
 //	M_a        = A_a                    (adjacency of label a)
@@ -24,13 +25,14 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Matrix is an immutable n×n sparse matrix with int64 entries in CSR
-// form — the generic kernel instantiated at the integer semiring. The
-// zero value is an empty 0×0 matrix.
+// Matrix is an immutable n×n sparse matrix with int64 entries — the
+// generic kernel instantiated at the integer semiring. The zero value
+// is an empty 0×0 matrix.
 type Matrix GMatrix[int64]
 
 // gm views the matrix as its generic representation; the conversion is
@@ -49,20 +51,8 @@ type Triple struct {
 // (row, col) entries are summed. Entries that sum to zero are dropped.
 // New panics if any index is out of [0, n).
 func New(n int, triples []Triple) *Matrix {
-	for _, t := range triples {
-		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
-			panic(fmt.Sprintf("sparse: triple (%d,%d) out of range for n=%d", t.Row, t.Col, n))
-		}
-	}
-	sorted := make([]Triple, len(triples))
-	copy(sorted, triples)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &Matrix{n: n, rowPtr: make([]int32, n+1)}
+	sorted := sortTriples(n, slices.Clone(triples))
+	m := &Matrix{n: n, rows: make([]span, n)}
 	m.colIdx = make([]int32, 0, len(sorted))
 	m.val = make([]int64, 0, len(sorted))
 	for i := 0; i < len(sorted); {
@@ -75,14 +65,33 @@ func New(n int, triples []Triple) *Matrix {
 		if sum != 0 {
 			m.colIdx = append(m.colIdx, int32(sorted[i].Col))
 			m.val = append(m.val, sum)
-			m.rowPtr[sorted[i].Row+1]++
+		}
+		if j == len(sorted) || sorted[j].Row != sorted[i].Row {
+			// Rows arrive in order, so a row's span is its predecessor's
+			// end up to here; rows without triples stay the empty span.
+			m.rows[sorted[i].Row] = span{int32(m.nnz), int32(len(m.colIdx))}
+			m.nnz = len(m.colIdx)
 		}
 		i = j
 	}
-	for r := 0; r < n; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
-	}
 	return m
+}
+
+// sortTriples sorts ts in place into row-major order and returns it. It
+// panics if any index is out of [0, n).
+func sortTriples(n int, ts []Triple) []Triple {
+	for _, t := range ts {
+		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
+			panic(fmt.Sprintf("sparse: triple (%d,%d) out of range for n=%d", t.Row, t.Col, n))
+		}
+	}
+	sort.Slice(ts, func(i, j int) bool {
+		if ts[i].Row != ts[j].Row {
+			return ts[i].Row < ts[j].Row
+		}
+		return ts[i].Col < ts[j].Col
+	})
+	return ts
 }
 
 // Identity returns the n×n identity matrix.
@@ -99,7 +108,7 @@ func Zero(n int) *Matrix {
 func (m *Matrix) Dim() int { return m.n }
 
 // NNZ returns the number of stored (nonzero) entries.
-func (m *Matrix) NNZ() int { return len(m.val) }
+func (m *Matrix) NNZ() int { return m.nnz }
 
 // At returns the entry at (row, col). It is O(log nnz(row)).
 func (m *Matrix) At(row, col int) int64 {
@@ -122,8 +131,8 @@ func (m *Matrix) Row(row int, fn func(col int, val int64)) {
 // and sums wrap mod 2⁶⁴ in any order, so such an inner product equals
 // the (u,v) entry of A·Bᵀ bit for bit even where the counts overflow.
 func (m *Matrix) RowView(row int) ([]int32, []int64) {
-	lo, hi := m.rowPtr[row], m.rowPtr[row+1]
-	return m.colIdx[lo:hi], m.val[lo:hi]
+	sp := m.gm().row(row)
+	return m.colIdx[sp.lo:sp.hi], m.val[sp.lo:sp.hi]
 }
 
 // Each calls fn(row, col, val) for every stored entry in row-major order.
@@ -155,15 +164,18 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 
 // MulFlops returns the exact number of scalar multiplications m·o
 // performs — for every entry (i,k) of m, the length of o's row k — read
-// off the two CSRs in O(nnz(m)) without allocating. It is the chain
+// off the two operands' spans in O(nnz(m)) without allocating. It is the chain
 // planner's cost of a product. It panics if dimensions differ.
 func (m *Matrix) MulFlops(o *Matrix) int64 {
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: MulFlops dimension mismatch %d vs %d", m.n, o.n))
 	}
 	var flops int64
-	for _, k := range m.colIdx {
-		flops += int64(o.rowPtr[k+1] - o.rowPtr[k])
+	for _, sp := range m.rows {
+		for _, k := range m.colIdx[sp.lo:sp.hi] {
+			osp := o.gm().row(int(k))
+			flops += int64(osp.hi - osp.lo)
+		}
 	}
 	return flops
 }
@@ -192,53 +204,26 @@ func (m *Matrix) Scale(k int64) *Matrix {
 	if k == 0 {
 		return Zero(m.n)
 	}
-	s := &Matrix{
-		n:      m.n,
-		rowPtr: append([]int32(nil), m.rowPtr...),
-		colIdx: append([]int32(nil), m.colIdx...),
-		val:    make([]int64, len(m.val)),
-	}
-	for i, v := range m.val {
-		s.val[i] = v * k
-	}
-	return s
+	return wrapInt(gMapEntries(m.gm(), func(v int64) (int64, bool) { return v * k, v*k != 0 }))
 }
 
 // Equal reports whether m and o have the same dimension and entries.
+// Rows are compared as values, wherever each operand keeps them.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if m.n != o.n || len(m.val) != len(o.val) {
-		return false
-	}
-	for i := range m.rowPtr {
-		if m.rowPtr[i] != o.rowPtr[i] {
-			return false
-		}
-	}
-	for i := range m.val {
-		if m.colIdx[i] != o.colIdx[i] || m.val[i] != o.val[i] {
-			return false
-		}
-	}
-	return true
+	return gEqualRows(m.gm(), o.gm(), slices.Equal[[]int64])
 }
 
 // RowSums returns the vector of row sums.
 func (m *Matrix) RowSums() []int64 {
 	s := make([]int64, m.n)
-	for r := 0; r < m.n; r++ {
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			s[r] += m.val[i]
-		}
-	}
+	m.Each(func(r, _ int, v int64) { s[r] += v })
 	return s
 }
 
 // Sum returns the sum of all entries.
 func (m *Matrix) Sum() int64 {
 	var s int64
-	for _, v := range m.val {
-		s += v
-	}
+	m.Each(func(_, _ int, v int64) { s += v })
 	return s
 }
 
@@ -254,7 +239,7 @@ func (m *Matrix) BooleanClosure() *Matrix {
 // render as a summary.
 func (m *Matrix) String() string {
 	if m.n > 16 {
-		return fmt.Sprintf("sparse.Matrix{n=%d nnz=%d}", m.n, len(m.val))
+		return fmt.Sprintf("sparse.Matrix{n=%d nnz=%d}", m.n, m.nnz)
 	}
 	var b strings.Builder
 	for r := 0; r < m.n; r++ {

@@ -130,13 +130,7 @@ func TestAnnotatedRingsProjectToIntKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	th := DefaultThresholds()
 	projectCount := func(g *GMatrix[Witness]) *Matrix {
-		out := &Matrix{n: g.n, rowPtr: append([]int32(nil), g.rowPtr...)}
-		out.colIdx = append([]int32(nil), g.colIdx...)
-		out.val = make([]int64, len(g.val))
-		for i, w := range g.val {
-			out.val[i] = w.Count
-		}
-		return out
+		return wrapInt(gMapEntries(g, func(w Witness) (int64, bool) { return w.Count, true }))
 	}
 	projectInt := func(g *GMatrix[int64]) *Matrix { return wrapInt(g) }
 

@@ -3,11 +3,11 @@ package store
 import "relsim/internal/sparse"
 
 // BatchDelta is the edge-level summary of a committed update batch, in
-// the form the incremental cache maintenance consumes: a signed sparse
+// the form the incremental cache maintenance consumes: a thin signed
 // adjacency delta per touched label (added edges +1, removed edges −1)
 // plus the node growth. Triples for the same (row, col) slot are summed
-// by sparse.New, so an edge added and removed in one batch cancels to
-// nothing.
+// by sparse.NewDelta, so an edge added and removed in one batch cancels
+// to nothing.
 type BatchDelta struct {
 	From       uint64 // version before the batch
 	To         uint64 // version after the batch
@@ -51,12 +51,12 @@ func (d BatchDelta) Labels() []string {
 	return ls
 }
 
-// LabelDeltas materializes the per-label signed delta matrices at
-// dimension n (the node count after the batch).
-func (d BatchDelta) LabelDeltas(n int) map[string]*sparse.Matrix {
-	out := make(map[string]*sparse.Matrix, len(d.Edges))
+// LabelDeltas builds the per-label signed deltas at dimension n (the
+// node count after the batch). Each costs its triples, not n.
+func (d BatchDelta) LabelDeltas(n int) map[string]*sparse.Delta {
+	out := make(map[string]*sparse.Delta, len(d.Edges))
 	for l, ts := range d.Edges {
-		out[l] = sparse.New(n, ts)
+		out[l] = sparse.NewDelta(n, ts)
 	}
 	return out
 }

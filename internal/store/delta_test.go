@@ -1,11 +1,22 @@
 package store
 
 import (
+	"slices"
 	"testing"
 
 	"relsim/internal/graph"
 	"relsim/internal/sparse"
 )
+
+// deltaTriples lists a delta's entries in row-major order (nil for a
+// missing label).
+func deltaTriples(d *sparse.Delta) []sparse.Triple {
+	var ts []sparse.Triple
+	if d != nil {
+		d.Each(func(r, c int, v int64) { ts = append(ts, sparse.Triple{Row: r, Col: c, Val: v}) })
+	}
+	return ts
+}
 
 // TestSummarizeUpdates drives real commits through a Store and checks
 // the observer-side summary matches what was committed, including the
@@ -44,17 +55,16 @@ func TestSummarizeUpdates(t *testing.T) {
 	}
 	snap, _ := st.Snapshot()
 	n := snap.NumNodes()
-	m := d0.LabelDeltas(n)["knows"]
-	if m == nil || m.At(int(a), int(b)) != 2 {
-		t.Fatalf("batch 0 knows delta at (a,b) = %v, want 2", m)
+	if got := deltaTriples(d0.LabelDeltas(n)["knows"]); !slices.Equal(got, []sparse.Triple{{Row: int(a), Col: int(b), Val: 2}}) {
+		t.Fatalf("batch 0 knows delta = %v, want 2 at (a,b)", got)
 	}
 
 	d1 := got[1]
 	if d1.From != 4 || d1.To != 5 || d1.NodesAdded != 0 {
 		t.Fatalf("batch 1 = %+v, want From=4 To=5", d1)
 	}
-	if m := d1.LabelDeltas(n)["knows"]; m == nil || m.At(int(a), int(b)) != -1 {
-		t.Fatalf("batch 1 knows delta = %v, want -1 at (a,b)", m)
+	if got := deltaTriples(d1.LabelDeltas(n)["knows"]); !slices.Equal(got, []sparse.Triple{{Row: int(a), Col: int(b), Val: -1}}) {
+		t.Fatalf("batch 1 knows delta = %v, want -1 at (a,b)", got)
 	}
 	if ls := d1.Labels(); len(ls) != 1 || ls[0] != "knows" {
 		t.Fatalf("batch 1 labels = %v", ls)
@@ -62,7 +72,7 @@ func TestSummarizeUpdates(t *testing.T) {
 }
 
 // TestSummarizeCancellation: an edge added and removed in one batch
-// cancels to an empty delta matrix but still marks the label touched.
+// cancels to an empty delta but still marks the label touched.
 func TestSummarizeCancellation(t *testing.T) {
 	d := SummarizeUpdates([]Update{
 		{Version: 3, Op: OpAddEdge, Edge: graph.Edge{From: 0, Label: "x", To: 1}},
@@ -72,11 +82,8 @@ func TestSummarizeCancellation(t *testing.T) {
 		t.Fatalf("range = [%d,%d], want [2,4]", d.From, d.To)
 	}
 	m := d.LabelDeltas(2)["x"]
-	if m.NNZ() != 0 {
-		t.Fatalf("cancelled delta has %d explicit entries, want 0", m.NNZ())
-	}
-	if !m.Equal(sparse.Zero(2)) {
-		t.Fatal("cancelled delta not the canonical zero matrix")
+	if m == nil || m.NNZ() != 0 || m.Dim() != 2 {
+		t.Fatalf("cancelled delta = %v, want the empty 2×2 delta", deltaTriples(m))
 	}
 	if ls := d.Labels(); len(ls) != 1 {
 		t.Fatalf("labels = %v, want the touched label even when cancelled", ls)
