@@ -54,7 +54,7 @@ func TestFlagsDocumented(t *testing.T) {
 			t.Errorf("flag -%s is registered but README.md never mentions it", f.Name)
 		}
 	})
-	for _, name := range []string{"workload-plan", "annotate", "parallel-min-dim", "parallel-min-nnz", "delta-max-density"} {
+	for _, name := range []string{"workload-plan", "annotate", "parallel-min-dim", "parallel-min-nnz", "delta-max-density", "shards", "shard-fn", "delta-maintenance"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s is defined again: its other value was deleted, not parked", name)
 		}

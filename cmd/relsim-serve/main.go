@@ -56,7 +56,6 @@ import (
 	"relsim/internal/replica"
 	"relsim/internal/schema"
 	"relsim/internal/server"
-	"relsim/internal/sparse"
 	"relsim/internal/store"
 	"relsim/internal/wal"
 )
@@ -76,14 +75,11 @@ type config struct {
 	addr, dataset, in, schemaName string
 	workers, cacheLimit           int
 	timeout, drain                time.Duration
-	deltaMaint                    bool
 	dataDir, fsync                string
 	fsyncInterval                 time.Duration
 	checkpointEvery               uint64
 	segmentBytes                  int64
 	logRetention                  int
-	shards                        int
-	shardFn                       string
 	follow                        string
 	pollInterval                  time.Duration
 	maxLag                        uint64
@@ -116,15 +112,12 @@ func bindFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&cfg.cacheLimit, "cache-limit", 0, "max cached commuting matrices across versions, 0 = unbounded")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "default /search and /batch evaluation deadline (0 = none; per-request override via ?timeout_ms=)")
 	fs.DurationVar(&cfg.drain, "drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-	fs.BoolVar(&cfg.deltaMaint, "delta-maintenance", true, "incremental cache maintenance: patch stale cached commuting matrices to the new version with sparse delta products on each commit, instead of evicting them")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty serves in-memory only")
 	fs.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy: always (no committed batch is ever lost), interval, never")
 	fs.DurationVar(&cfg.fsyncInterval, "fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -fsync interval")
 	fs.Uint64Var(&cfg.checkpointEvery, "checkpoint-every", store.DefaultCheckpointEvery, "versions between graph checkpoints (0 = only the boot checkpoint)")
 	fs.Int64Var(&cfg.segmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation bound in bytes (smaller segments let checkpoints trim history sooner)")
 	fs.IntVar(&cfg.logRetention, "log-retention", store.DefaultLogCap, "in-memory replication feed retention in records (a durable store falls back to the WAL past it)")
-	fs.IntVar(&cfg.shards, "shards", 1, "horizontal shard count: >1 partitions the store by edge-source row across independent per-shard MVCC stores and WALs, with scatter-gather block-SpGEMM evaluation; 1 serves the monolithic store")
-	fs.StringVar(&cfg.shardFn, "shard-fn", sparse.PartitionHash, "row-partition function for -shards >1: hash (growth-stable splitmix64) or range (contiguous id chunks, fixed at creation)")
 	fs.StringVar(&cfg.follow, "follow", "", "leader base URL (e.g. http://leader:8080); run as a read replica of it")
 	fs.DurationVar(&cfg.pollInterval, "poll-interval", replica.DefaultPollInterval, "follower: feed poll cadence while caught up")
 	fs.Uint64Var(&cfg.maxLag, "max-lag", 0, "follower: /healthz turns 503 while replication lag exceeds this many versions (0 = unbounded)")
@@ -143,10 +136,10 @@ func bindFlags(fs *flag.FlagSet) *config {
 }
 
 // validate checks the enumerated flags up front, whatever the role or
-// store mode: a typo'd log format, partition function, schema or fsync
-// policy must die with a clear message before anything is opened or
-// listens, not fall through to a stack of store-layer errors — or, for
-// -fsync without -data-dir, not be noticed at all.
+// store mode: a typo'd log format, schema or fsync policy must die with
+// a clear message before anything is opened or listens, not fall
+// through to a stack of store-layer errors — or, for -fsync without
+// -data-dir, not be noticed at all.
 func (cfg *config) validate() error {
 	switch cfg.logFormat {
 	case "text":
@@ -154,12 +147,6 @@ func (cfg *config) validate() error {
 		cfg.accessJSON = true
 	default:
 		return fmt.Errorf("invalid -log-format %q (want text or json)", cfg.logFormat)
-	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("invalid -shards %d (want a positive shard count)", cfg.shards)
-	}
-	if cfg.shardFn != sparse.PartitionHash && cfg.shardFn != sparse.PartitionRange {
-		return fmt.Errorf("invalid -shard-fn %q (want %q or %q)", cfg.shardFn, sparse.PartitionHash, sparse.PartitionRange)
 	}
 	policy, err := wal.ParseSyncPolicy(cfg.fsync)
 	if err != nil {
@@ -197,26 +184,18 @@ func run(args []string) error {
 	srv := server.New(st, sc, serverOptions(cfg)...)
 
 	stats := st.Stats()
-	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, shards %d/%s, timeout %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
-		stats.Nodes, stats.Edges, stats.Labels, cfg.addr, cfg.shards, cfg.shardFn, cfg.timeout, st.Durable(), cfg.slowQuery, cfg.pprof, cfg.maxInflight, cfg.rate, cfg.maxCost)
+	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, timeout %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
+		stats.Nodes, stats.Edges, stats.Labels, cfg.addr, cfg.timeout, st.Durable(), cfg.slowQuery, cfg.pprof, cfg.maxInflight, cfg.rate, cfg.maxCost)
 
 	return serve(srv, st, cfg.addr, cfg.drain, nil, nil)
 }
 
 // openStore builds the store both roles serve from: durable under
-// -data-dir, in-memory otherwise, sharded when -shards > 1. seed is the
-// leader's -dataset/-in graph and nil on a follower, whose graph comes
-// from the leader's checkpoint.
-func openStore(cfg *config, seed *graph.Graph) (store.API, error) {
+// -data-dir, in-memory otherwise. seed is the leader's -dataset/-in
+// graph and nil on a follower, whose graph comes from the leader's
+// checkpoint.
+func openStore(cfg *config, seed *graph.Graph) (*store.Store, error) {
 	if cfg.dataDir == "" {
-		if cfg.shards > 1 {
-			ss, err := store.NewSharded(seed, cfg.shards, cfg.shardFn)
-			if err != nil {
-				return nil, err
-			}
-			ss.SetLogRetention(cfg.logRetention)
-			return ss, nil
-		}
 		ms := store.New(seed)
 		ms.SetLogRetention(cfg.logRetention)
 		return ms, nil
@@ -230,18 +209,8 @@ func openStore(cfg *config, seed *graph.Graph) (store.API, error) {
 		store.WithLogRetention(cfg.logRetention),
 	}
 	// Recovery happens here, before the listener exists: no request
-	// can observe a half-replayed store. A sharded directory recovers
-	// every shard independently and heals laggards forward from the
-	// furthest-ahead shard's full WAL stream before publishing.
-	var (
-		st  store.API
-		err error
-	)
-	if cfg.shards > 1 {
-		st, err = store.OpenSharded(cfg.dataDir, cfg.shards, cfg.shardFn, openOpts...)
-	} else {
-		st, err = store.Open(cfg.dataDir, openOpts...)
-	}
+	// can observe a half-replayed store.
+	st, err := store.Open(cfg.dataDir, openOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +230,6 @@ func serverOptions(cfg *config) []server.Option {
 		server.WithWorkers(cfg.workers),
 		server.WithCacheLimit(cfg.cacheLimit),
 		server.WithTimeout(cfg.timeout),
-		server.WithDeltaMaintenance(cfg.deltaMaint),
 		server.WithSlowQuery(cfg.slowQuery),
 		server.WithPprof(cfg.pprof),
 		server.WithAccessLog(os.Stderr, cfg.accessJSON),
@@ -281,7 +249,7 @@ func serverOptions(cfg *config) []server.Option {
 // fresh signal channel; follower mode passes its own, registered
 // before the bootstrap began, so no delivery window ever reverts to
 // the default die-without-drain disposition.
-func serve(srv *server.Server, st store.API, addr string, drain time.Duration, stopTailer func(), sigc <-chan os.Signal) error {
+func serve(srv *server.Server, st *store.Store, addr string, drain time.Duration, stopTailer func(), sigc <-chan os.Signal) error {
 	hs := &http.Server{Addr: addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
@@ -332,16 +300,6 @@ func runFollower(cfg *config) error {
 	leaderURL, err := replica.LeaderURL(cfg.follow)
 	if err != nil {
 		return err
-	}
-	// Startup shard-count check: a follower must partition edge
-	// ownership exactly like its leader, or the leader's checkpoints
-	// and the follower's materialized shards describe different stores.
-	// An unreachable leader is not an error here — a follower may boot
-	// first and Start retries the bootstrap — the check just cannot run.
-	if n, err := leaderShards(leaderURL); err != nil {
-		log.Printf("leader shard check skipped (leader unreachable): %v", err)
-	} else if n != cfg.shards {
-		return fmt.Errorf("-shards %d disagrees with leader %s serving %d shard(s); a follower must use the leader's shard configuration", cfg.shards, leaderURL, n)
 	}
 	st, err := openStore(cfg, nil)
 	if err != nil {
@@ -403,29 +361,6 @@ func runFollower(cfg *config) error {
 		stopTail()
 		<-tailDone
 	}, relay)
-}
-
-// leaderShards asks the leader's /healthz how many shards it serves.
-// The shards field is absent (0) on a monolithic leader, which reads
-// as 1; any status with a decodable body answers the question — a 503
-// still-syncing chained leader knows its shard count fine.
-func leaderShards(leaderURL string) (int, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(leaderURL + "/healthz")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Shards int `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, fmt.Errorf("decode leader healthz: %w", err)
-	}
-	if h.Shards == 0 {
-		h.Shards = 1
-	}
-	return h.Shards, nil
 }
 
 // flushStats logs the final /stats snapshot so post-mortems see the

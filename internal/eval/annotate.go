@@ -66,21 +66,11 @@ func (a annotator[T, R]) mul(x, y *sparse.GMatrix[T]) *sparse.GMatrix[T] {
 	e.checkCanceled()
 	e.mu.Lock()
 	hook := e.mulHook
-	part, blockHook := e.partition, e.blockHook
 	e.mu.Unlock()
 	if hook != nil {
 		hook(nil, nil)
 	}
 	e.counters.Products.Add(1)
-	if !part.Trivial() {
-		// The scatter-gather path is ring-generic, so witness and counting
-		// annotations shard through the identical block merge as integers.
-		m, st := sparse.GMulBlocked(a.ring, x, y, part, sparse.DefaultThresholds())
-		if blockHook != nil {
-			blockHook(st)
-		}
-		return m
-	}
 	return sparse.GMulThresh(a.ring, x, y, sparse.DefaultThresholds())
 }
 

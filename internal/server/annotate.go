@@ -7,9 +7,9 @@ package server
 // cached in the same versioned cache under a ring-tagged key, so a
 // later /explain?annotate=witness on the same (version, pattern) is a
 // pure projection — it reads the cached annotation and materializes
-// zero additional matrix products. The delta-maintenance layer never
-// patches annotated entries forward (the witness semiring has no
-// subtraction); commits evict the touched ones instead, so a
+// zero additional matrix products. Commit-time maintenance patches
+// only integer entries forward (the witness semiring has no
+// subtraction); each commit evicts the touched annotated entries, so a
 // projection can never serve a stale derivation.
 
 import (

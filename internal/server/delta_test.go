@@ -13,23 +13,24 @@ import (
 )
 
 // TestDeltaMaintenanceDifferential is the serving-path half of the
-// harness that locked incremental maintenance in: two servers over
-// identical graphs — one maintaining cached matrices across commits,
-// one on the pure evict-on-write lifecycle — receive the same seeded
-// interleaving of mutation batches and read workloads, and every
-// response must match byte for byte. Mutations mix edge additions,
-// removals of edges known to be present (so whole batches never roll
-// back and removals are really exercised), and node additions, which
-// grow the matrix dimension mid-stream.
+// harness that locks incremental maintenance in: one server maintains
+// its cached matrices across a seeded interleaving of mutation batches
+// and read workloads, and after every commit its /batch response must
+// match byte for byte that of a cold server built fresh over the same
+// version — a store reset onto the pinned snapshot, with an empty
+// cache, so every matrix it scores from is recomputed from the
+// adjacency. Mutations mix edge additions, removals of edges known to
+// be present (so whole batches never roll back and removals are really
+// exercised), and node additions, which grow the matrix dimension
+// mid-stream.
 func TestDeltaMaintenanceDifferential(t *testing.T) {
 	maintained := New(store.New(testGraph()), nil)
-	evicting := New(store.New(testGraph()), nil, WithDeltaMaintenance(false))
 
 	rng := rand.New(rand.NewSource(131))
 	nodes := []string{"p1", "p2", "p3", "p4", "a1", "a2", "a3"}
 	labels := []string{"by", "cites"}
 	// present tracks edge multiplicity so removals always target a live
-	// edge on both servers.
+	// edge.
 	present := []EdgeSpec{
 		{From: "p1", Label: "by", To: "a1"},
 		{From: "p1", Label: "by", To: "a2"},
@@ -68,25 +69,27 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 			}
 		}
 
-		codeM, bodyM := doJSON(t, maintained, "/graph/edges", mreq)
-		codeE, bodyE := doJSON(t, evicting, "/graph/edges", mreq)
-		if codeM != http.StatusOK || codeE != http.StatusOK {
-			t.Fatalf("round %d: mutation status maintained=%d evicting=%d (%s / %s)",
-				round, codeM, codeE, bodyM, bodyE)
-		}
-		if !bytes.Equal(bodyM, bodyE) {
-			t.Fatalf("round %d: mutation responses diverge\nmaintained: %s\nevicting:   %s", round, bodyM, bodyE)
+		if code, body := doJSON(t, maintained, "/graph/edges", mreq); code != http.StatusOK {
+			t.Fatalf("round %d: mutation status %d (%s)", round, code, body)
 		}
 
-		req := randWorkload(rng)
-		codeM, bodyM = doJSON(t, maintained, "/batch", req)
-		codeE, bodyE = doJSON(t, evicting, "/batch", req)
-		if codeM != http.StatusOK || codeE != http.StatusOK {
-			t.Fatalf("round %d: batch status maintained=%d evicting=%d", round, codeM, codeE)
+		pin := maintained.Store().Pin()
+		coldStore := store.New(nil)
+		if err := coldStore.Reset(pin.Snapshot().Materialize(), pin.Version()); err != nil {
+			t.Fatalf("round %d: reset cold store: %v", round, err)
 		}
-		if !bytes.Equal(bodyM, bodyE) {
-			t.Fatalf("round %d: maintained and evicting servers diverge\nrequest: %+v\nmaintained: %s\nevicting:   %s",
-				round, req, bodyM, bodyE)
+		cold := New(coldStore, maintained.schema)
+
+		req := randWorkload(rng)
+		codeM, bodyM := doJSON(t, maintained, "/batch", req)
+		codeC, bodyC := doJSON(t, cold, "/batch", req)
+		pin.Release()
+		if codeM != http.StatusOK || codeC != http.StatusOK {
+			t.Fatalf("round %d: batch status maintained=%d cold=%d", round, codeM, codeC)
+		}
+		if !bytes.Equal(bodyM, bodyC) {
+			t.Fatalf("round %d: maintained server diverges from a cold recompute at version %d\nrequest: %+v\nmaintained: %s\ncold:       %s",
+				round, pin.Version(), req, bodyM, bodyC)
 		}
 	}
 
@@ -99,9 +102,6 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 	}
 	if ds.Maintained == 0 {
 		t.Error("maintained server never patched a cached pattern forward")
-	}
-	if off := evicting.Stats().Delta; off.Commits != 0 {
-		t.Errorf("delta-off server ran maintenance on %d commits, want 0", off.Commits)
 	}
 }
 

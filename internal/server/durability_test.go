@@ -72,32 +72,6 @@ func TestLogFeedEndpoint(t *testing.T) {
 
 func itoa(v uint64) string { return strconv.FormatUint(v, 10) }
 
-func TestLogFeedDisabled(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.WithSeed(testGraph()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv := New(st, nil, WithDurability(false))
-	ts := newHTTPServer(t, srv)
-	resp, err := http.Get(ts.URL + "/log?since=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("/log served despite WithDurability(false): %d", resp.StatusCode)
-	}
-	// The /stats durability section (which names the on-disk directory)
-	// is part of the withheld surface.
-	var stats StatsResponse
-	get(t, ts, "/stats", &stats)
-	if stats.Durability.Enabled || stats.Durability.Dir != "" {
-		t.Fatalf("durability stats leaked despite WithDurability(false): %+v", stats.Durability)
-	}
-}
-
 // TestMutateDurabilityFaultIs500: a WAL append failure is the server's
 // storage fault, not the client's — the mutation must answer 500, not
 // 400, with the batch rolled back. The fault is injected by removing

@@ -240,7 +240,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// schema (and hits the expand memo, so the handler's own expansion
 	// below is a cache hit), never a snapshot. Expansion errors fall
 	// through — the handler reports them with its usual 400.
-	if s.adm.MaxCost() > 0 && !s.checkCost(w, s.shardCost(s.searchCost(&req))) {
+	if s.adm.MaxCost() > 0 && !s.checkCost(w, s.searchCost(&req)) {
 		return
 	}
 
@@ -248,7 +248,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// against this frozen version, writers proceed unblocked.
 	pin := s.st.Pin()
 	defer pin.Release()
-	ev := s.evaluator(pin.View(), pin.Version()).WithContext(ctx)
+	ev := s.evaluator(pin.Snapshot(), pin.Version()).WithContext(ctx)
 
 	tr := traceFrom(r.Context())
 	tr.SetQuery(req.Pattern, req.Query, req.Alg)
@@ -376,13 +376,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	endPlan := tr.Phase("plan")
 	plan := eval.PlanWorkload(pats)
 	endPlan()
-	if !s.checkCost(w, s.shardCost(plan.EstimatedProducts()+surcharge)) {
+	if !s.checkCost(w, plan.EstimatedProducts()+surcharge) {
 		return
 	}
 
 	pin := s.st.Pin()
 	defer pin.Release()
-	ev := s.evaluator(pin.View(), pin.Version()).WithContext(ctx)
+	ev := s.evaluator(pin.Snapshot(), pin.Version()).WithContext(ctx)
 	tr.SetVersion(pin.Version())
 
 	resp := BatchResponse{Version: pin.Version(), Results: make([]BatchResult, len(req.Queries))}
@@ -665,7 +665,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if req.Annotate != "" {
 			cost = eval.EstimateProductsAnnotated([]*rre.Pattern{p})
 		}
-		if !s.checkCost(w, s.shardCost(cost)) {
+		if !s.checkCost(w, cost) {
 			return
 		}
 	}
@@ -685,7 +685,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	pin := s.st.Pin()
 	defer pin.Release()
-	snap := pin.View()
+	snap := pin.Snapshot()
 	ev := s.evaluator(snap, pin.Version()).WithContext(ctx)
 
 	u, ok := resolveNode(snap, req.From)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"relsim/internal/datasets"
 	"relsim/internal/store"
 )
 
@@ -259,4 +262,112 @@ func newHTTPServer(t *testing.T, srv *Server) *httptest.Server {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// randStormPattern composes a small RRE string over the dblp-small
+// schema, mixing plain steps, reversals and a disjunction block.
+func randStormPattern(rng *rand.Rand) string {
+	steps := []string{"w", "w-", "p-in", "p-in-", "r-a", "r-a-"}
+	pick := func() string { return steps[rng.Intn(len(steps))] }
+	switch rng.Intn(3) {
+	case 0:
+		return pick() + "." + pick()
+	case 1:
+		return "(" + pick() + " + " + pick() + ")." + pick()
+	default:
+		return pick() + "." + pick() + "." + pick()
+	}
+}
+
+// TestMutateQueryStorm drives a dblp-small server with concurrent
+// writers and readers; run under -race it is the acceptance storm for
+// commits (and the delta maintenance they run on the writer's
+// goroutine) interleaved with every read endpoint: /search (counting
+// and witness-annotated), /batch and /explain.
+func TestMutateQueryStorm(t *testing.T) {
+	ds, err := datasets.ByName("dblp-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(ds.Graph)
+	srv := New(st, ds.Schema)
+
+	const writers, readers, iters = 3, 5, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + w)))
+			for i := 0; i < iters; i++ {
+				name := fmt.Sprintf("storm-%d-%d", w, i)
+				req := MutationRequest{
+					AddNodes: []NodeSpec{{Name: name, Type: "author"}},
+					Add: []EdgeSpec{
+						{From: name, Label: "w", To: fmt.Sprintf("paper%d", rng.Intn(100))},
+					},
+				}
+				code, body := doJSON(t, srv, "/graph/edges", req)
+				if code != http.StatusOK {
+					t.Errorf("writer %d iter %d: %d %s", w, i, code, body)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(2000 + r)))
+			for i := 0; i < iters; i++ {
+				q := SearchRequest{
+					Pattern: randStormPattern(rng),
+					Query:   fmt.Sprintf("proc%d", rng.Intn(80)),
+					Type:    "proc",
+					Alg:     "relsim",
+					Top:     3,
+				}
+				var path string
+				var req any
+				switch i % 4 {
+				case 0:
+					q.Annotate = AnnotateWitness
+					path, req = "/search", q
+				case 1:
+					path, req = "/search", q
+				case 2:
+					q2 := q
+					q2.Pattern = randStormPattern(rng)
+					path, req = "/batch", BatchRequest{Workers: 2, Queries: []SearchRequest{q, q2}}
+				default:
+					path, req = "/explain", ExplainRequest{
+						Pattern: q.Pattern,
+						From:    fmt.Sprintf("paper%d", rng.Intn(100)),
+						To:      fmt.Sprintf("paper%d", rng.Intn(100)),
+						Limit:   3,
+					}
+				}
+				code, body := doJSON(t, srv, path, req)
+				if code != http.StatusOK {
+					t.Errorf("reader %d iter %d %s: %d %s", r, i, path, code, body)
+					return
+				}
+				if i%5 == 0 {
+					gw := httptest.NewRecorder()
+					srv.ServeHTTP(gw, httptest.NewRequest(http.MethodGet, "/stats", nil))
+					if gw.Code != http.StatusOK {
+						t.Errorf("reader %d: /stats %d", r, gw.Code)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	// Each mutation batch carries two logical updates (node + edge).
+	if got := st.Version(); got != uint64(2*writers*iters) {
+		t.Fatalf("version %d after storm, want %d (two updates per mutation)", got, 2*writers*iters)
+	}
 }

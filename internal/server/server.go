@@ -87,24 +87,11 @@ const maxLogFeedPage = 10000
 // Server is the HTTP handler. Construct with New; the zero value is not
 // usable.
 type Server struct {
-	st      store.API
+	st      *store.Store
 	cache   *eval.Cache
 	schema  *schema.Schema
 	workers int
 	timeout time.Duration // default per-request deadline; 0 = none
-
-	// Sharding (see store.ShardedStore): part is the store's row
-	// partition (the zero value on a monolithic store — every scatter-
-	// gather path short-circuits on it), shards its shard count (1 when
-	// monolithic). Every evaluator bound to this server inherits part,
-	// so /search, /batch and /explain — integer and annotated kernels
-	// alike — multiply through the block-SpGEMM path, and the block
-	// hook feeds the relsim_shard_block_* counters below.
-	part   sparse.Partition
-	shards int
-
-	nBlockProducts, nBlocksSkipped atomic.Uint64
-	nBlockLocal, nBlockCross       atomic.Int64
 
 	// Traffic hardening (see admission.go): admCfg collects the
 	// WithAdmission* options and New compiles it into adm (nil when
@@ -117,7 +104,6 @@ type Server struct {
 	maxBody    int64
 	maxTimeout time.Duration
 	admWait    *telemetry.Metric
-	logFeed    bool // expose GET /log and /checkpoint (the replication surface)
 	mux        *http.ServeMux
 	start      time.Time
 
@@ -175,15 +161,14 @@ type Server struct {
 	nExplainProjected, nExplainWarm atomic.Uint64
 	nExplainLegacy                  atomic.Uint64
 
-	// Incremental cache maintenance (delta SpGEMM): when deltaMaintain
-	// is on, the commit hook patches stale cached matrices to the new
-	// version instead of evicting them, falling back to eviction per
-	// pattern past eval.DefaultMaxDeltaDensity. The counters accumulate
+	// Incremental cache maintenance (delta SpGEMM): the commit hook
+	// patches stale cached matrices to the new version instead of
+	// evicting them, falling back to eviction per pattern past
+	// eval.DefaultMaxDeltaDensity. The counters accumulate
 	// Cache.Maintain results across commits; deltaNanos is the total
 	// wall time spent maintaining, and deltaDur the latency histogram
 	// handle.
-	deltaMaintain bool
-	deltaDur      *telemetry.Metric
+	deltaDur *telemetry.Metric
 
 	nDeltaCommits, nDeltaRoots, nDeltaMaintained atomic.Uint64
 	nDeltaFallbacks, nDeltaProducts              atomic.Uint64
@@ -226,18 +211,6 @@ func WithTimeout(d time.Duration) Option {
 // removes the bound — only safe when the pattern vocabulary is trusted.
 func WithExpandCacheLimit(n int) Option {
 	return func(s *Server) { s.expandLimit = n }
-}
-
-// WithDurability toggles the durability surface: the GET /log
-// replication feed, the GET /checkpoint bootstrap transfer, and the
-// durability section of /stats. Default on; turn it off when the
-// replication surface must not be reachable through this listener. The
-// feed works for in-memory stores too (it serves the bounded update
-// log, and /checkpoint serializes the live snapshot); with a durable
-// store (store.Open) /log is additionally backed by the WAL, so a
-// follower can catch up past the in-memory retention window.
-func WithDurability(on bool) Option {
-	return func(s *Server) { s.logFeed = on }
 }
 
 // Replication is the view the server needs of a replication tailer —
@@ -297,28 +270,15 @@ func WithAccessLog(w io.Writer, jsonFormat bool) Option {
 	}
 }
 
-// WithDeltaMaintenance toggles incremental maintenance of the shared
-// commuting-matrix cache (default on): the commit hook summarizes each
-// write batch as a signed sparse delta per touched label and patches
-// stale cached matrices to the new version with delta-shaped products,
-// instead of evicting them to be recomputed from scratch on the next
-// read. Off restores the pure evict-on-write lifecycle — the ablation
-// baseline for the delta benchmark. Either way results are identical:
-// maintained matrices are byte-for-byte the ones a recompute would
-// produce.
-func WithDeltaMaintenance(on bool) Option {
-	return func(s *Server) { s.deltaMaintain = on }
-}
-
 // New builds a server over st. sc may be nil; the schema then has no
 // constraints and simple patterns are scored without expansion (the
 // label set is taken from the graph at construction time). The server
 // registers itself as the store's update observer so committed writes
 // age the versioned cache (carry untouched patterns forward, evict the
 // rest).
-func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
+func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 	if sc == nil {
-		v, _ := st.View()
+		v, _ := st.Snapshot()
 		sc = schema.New(v.Labels())
 	}
 	s := &Server{
@@ -326,23 +286,15 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 		cache:       eval.NewCache(),
 		schema:      sc,
 		workers:     DefaultWorkers,
-		logFeed:     true,
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
 		expand:      make(map[expandKey]*querySet),
 		expandLimit: DefaultExpandCacheLimit,
 		maxBody:     DefaultMaxBodyBytes,
 		maxTimeout:  DefaultMaxTimeout,
-
-		deltaMaintain: true,
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	s.shards = 1
-	if sh, ok := st.(*store.ShardedStore); ok {
-		s.part = sh.Partition()
-		s.shards = sh.NumShards()
 	}
 	s.adm = admission.New(s.admCfg)
 	st.OnUpdate(s.ageCache)
@@ -352,18 +304,13 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 	s.mux.HandleFunc("POST /graph/edges", s.handleMutate)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	if s.logFeed {
-		s.mux.HandleFunc("GET /log", s.handleLog)
-		s.mux.HandleFunc("GET /checkpoint", s.handleCheckpoint)
-	}
+	s.mux.HandleFunc("GET /log", s.handleLog)
+	s.mux.HandleFunc("GET /checkpoint", s.handleCheckpoint)
 	s.reg = telemetry.NewRegistry()
 	s.obs = newServerObs(s.reg)
 	s.instrumentEngine(s.reg)
 	s.instrumentSemiring(s.reg)
 	s.instrumentAdmission(s.reg)
-	if _, ok := st.(*store.ShardedStore); ok {
-		s.instrumentShards(s.reg)
-	}
 	st.Instrument(s.reg)
 	// A replication tailer that can describe itself (the concrete
 	// *replica.Follower does) joins the registry; test fakes that
@@ -403,15 +350,13 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 func (s *Server) Cache() *eval.Cache { return s.cache }
 
 // Store returns the server's store.
-func (s *Server) Store() store.API { return s.st }
+func (s *Server) Store() *store.Store { return s.st }
 
 // evaluator binds a view-scoped evaluator over the shared cache.
 // Every evaluator keys the cache canonically, as the workload planner's
 // DAG nodes are, so /search and /explain hit the matrices /batch plans
 // materialize (and vice versa), and all evaluators feed the server's
-// product counter through the mul hook. On a sharded store the
-// evaluator additionally inherits the row partition, so every product
-// runs the scatter-gather block kernel and reports its block statistics.
+// product counter through the mul hook.
 func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 	ev := eval.NewVersioned(g, version, s.cache)
 	ev.SetCanonicalKeys(true)
@@ -423,32 +368,17 @@ func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 			s.nAnnotatedProducts.Add(1)
 		}
 	})
-	if !s.part.Trivial() {
-		ev.SetPartition(s.part)
-		ev.SetBlockHook(func(st sparse.BlockStats) {
-			s.nBlockProducts.Add(uint64(st.Blocks))
-			s.nBlocksSkipped.Add(uint64(st.SkippedEmpty))
-			s.nBlockLocal.Add(st.LocalNNZ)
-			s.nBlockCross.Add(st.CrossShardNNZ)
-		})
-	}
 	return ev
 }
-
-// shardCost prices a product estimate for this server's shard count
-// (eval.ShardCost): on a sharded deployment every product additionally
-// pays its cross-shard block merges, so admission sees sharded requests
-// at their true weight. K=1 returns the estimate bit-unchanged.
-func (s *Server) shardCost(cost int) int { return eval.ShardCost(cost, s.shards) }
 
 // ageCache translates a committed update batch into versioned-cache
 // maintenance. Correctness never requires invalidation under MVCC (all
 // entries are keyed by immutable versions); this is the proactive pass
-// that keeps the cache hot and bounded. With delta maintenance on, the
-// batch is first summarized as a signed sparse delta per touched label
-// and every stale cached pattern is patched to the new version by
-// delta-shaped products (Cache.Maintain) — so the next read of a hot
-// pattern hits instead of recomputing. Advance then carries untouched
+// that keeps the cache hot and bounded. The batch is first summarized
+// as a signed sparse delta per touched label and every stale cached
+// pattern is patched to the new version by delta-shaped products
+// (Cache.Maintain) — so the next read of a hot pattern hits instead of
+// recomputing. Advance then carries untouched
 // patterns forward and evicts whatever maintenance did not (or could
 // not) patch, and EvictBelow drops entries below the oldest
 // still-pinned version. It runs after publication, still on the
@@ -460,8 +390,8 @@ func (s *Server) ageCache(updates []store.Update) {
 	ls := d.Labels()
 	nodesChanged := d.NodesAdded > 0
 	oldestPinned := s.st.OldestPinned()
-	if s.deltaMaintain && (len(ls) > 0 || nodesChanged) {
-		if view, ver := s.st.View(); ver == d.To {
+	if len(ls) > 0 || nodesChanged {
+		if view, ver := s.st.Snapshot(); ver == d.To {
 			start := time.Now()
 			n := view.NumNodes()
 			res := s.cache.Maintain(view, eval.CommitDelta{
@@ -556,24 +486,14 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 // max-lag bound, so a load balancer stops routing reads to a replica
 // that has fallen too far behind.
 type HealthzResponse struct {
-	Status  string `json:"status"`
-	Role    string `json:"role"`
-	Version uint64 `json:"version"`
-	// Shards is the store's shard count; absent (0) on a monolithic
-	// store, which peers read as 1. A follower compares it against its
-	// own shard configuration at startup: replication ships the full
-	// logical update stream either way, but a disagreeing follower
-	// would partition ownership differently and its checkpoints would
-	// not be interchangeable.
-	Shards      int             `json:"shards,omitempty"`
+	Status      string          `json:"status"`
+	Role        string          `json:"role"`
+	Version     uint64          `json:"version"`
 	Replication *replica.Status `json:"replication,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthzResponse{Status: "ok", Role: "leader", Version: s.st.Version()}
-	if _, ok := s.st.(*store.ShardedStore); ok {
-		resp.Shards = s.shards
-	}
 	status := http.StatusOK
 	if s.replica != nil {
 		rs := s.replica.Status()
@@ -609,7 +529,6 @@ type WorkloadStats struct {
 // patterns patched forward vs. left to evict-and-recompute, sparse
 // products spent on deltas, and total maintenance wall time.
 type DeltaStats struct {
-	Enabled            bool    `json:"enabled"`
 	MaxDensity         float64 `json:"max_density"`
 	Commits            uint64  `json:"commits"`
 	Roots              uint64  `json:"roots"`
@@ -645,29 +564,9 @@ type StatsResponse struct {
 	ExpandMemo    ExpandMemoStats       `json:"expand_memo"`
 	// Replication reports follower lag and sync counters; nil on a
 	// leader.
-	Replication *replica.Status `json:"replication,omitempty"`
-	// Sharding reports the partitioned store's per-shard occupancy and
-	// the scatter-gather block-kernel counters; nil on a monolithic
-	// store, so the unsharded /stats body is unchanged.
-	Sharding      *ShardingStats    `json:"sharding,omitempty"`
+	Replication   *replica.Status   `json:"replication,omitempty"`
 	Requests      map[string]uint64 `json:"requests"`
 	UptimeSeconds float64           `json:"uptime_seconds"`
-}
-
-// ShardingStats is the /stats view of a horizontally partitioned store:
-// the partition shape, the block-SpGEMM counters fed by every evaluator
-// bound to this server (row blocks multiplied, empty blocks skipped,
-// and the result entries split by column ownership — local to the
-// producing shard vs. crossing a shard boundary into the gather), and
-// one ShardStat row per shard.
-type ShardingStats struct {
-	Shards        int               `json:"shards"`
-	Fn            string            `json:"fn"`
-	BlockProducts uint64            `json:"block_products"`
-	BlocksSkipped uint64            `json:"blocks_skipped"`
-	LocalEntries  int64             `json:"local_entries"`
-	CrossEntries  int64             `json:"cross_entries"`
-	PerShard      []store.ShardStat `json:"per_shard"`
 }
 
 // Stats assembles the /stats body (also used by the CLI's shutdown
@@ -682,28 +581,10 @@ func (s *Server) Stats() StatsResponse {
 		Evictions: s.expandEvictions,
 	}
 	s.expandMu.Unlock()
-	// The durability section (including the on-disk directory path) is
-	// part of the surface WithDurability(false) withholds.
-	var dur store.DurabilityStats
-	if s.logFeed {
-		dur = s.st.DurabilityStats()
-	}
 	var repl *replica.Status
 	if s.replica != nil {
 		rs := s.replica.Status()
 		repl = &rs
-	}
-	var sharding *ShardingStats
-	if sh, ok := s.st.(*store.ShardedStore); ok {
-		sharding = &ShardingStats{
-			Shards:        sh.NumShards(),
-			Fn:            sh.Partition().Fn(),
-			BlockProducts: s.nBlockProducts.Load(),
-			BlocksSkipped: s.nBlocksSkipped.Load(),
-			LocalEntries:  s.nBlockLocal.Load(),
-			CrossEntries:  s.nBlockCross.Load(),
-			PerShard:      sh.ShardStats(),
-		}
 	}
 	return StatsResponse{
 		Store:         s.st.Stats(),
@@ -720,10 +601,9 @@ func (s *Server) Stats() StatsResponse {
 		Delta:         s.deltaStats(),
 		Semiring:      s.semiringStats(),
 		Admission:     s.adm.Stats(),
-		Durability:    dur,
+		Durability:    s.st.DurabilityStats(),
 		ExpandMemo:    memo,
 		Replication:   repl,
-		Sharding:      sharding,
 		Requests:      s.requestCounts(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
@@ -732,7 +612,6 @@ func (s *Server) Stats() StatsResponse {
 // deltaStats snapshots the incremental-maintenance counters.
 func (s *Server) deltaStats() DeltaStats {
 	return DeltaStats{
-		Enabled:            s.deltaMaintain,
 		MaxDensity:         eval.DefaultMaxDeltaDensity,
 		Commits:            s.nDeltaCommits.Load(),
 		Roots:              s.nDeltaRoots.Load(),

@@ -96,7 +96,7 @@ func randWorkload(rng *rand.Rand) BatchRequest {
 // are marshalled the way handleBatch writes them.
 func naiveBatch(t testing.TB, srv *Server, req BatchRequest) []byte {
 	t.Helper()
-	view, ver := srv.st.View()
+	view, ver := srv.st.Snapshot()
 	resp := BatchResponse{Version: ver, Results: make([]BatchResult, len(req.Queries))}
 	for i := range req.Queries {
 		ev := eval.NewVersioned(view, ver, eval.NewCache())
@@ -221,7 +221,7 @@ func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 
 	// Materialize runs on this goroutine, so a plain counter is enough.
 	var naive uint64
-	view, ver := srv.st.View()
+	view, ver := srv.st.Snapshot()
 	raw := eval.NewVersioned(view, ver, eval.NewCache())
 	raw.SetMulHook(func(_, _ *sparse.Matrix) { naive++ })
 	for _, q := range req.Queries {

@@ -446,3 +446,11 @@ func TestMulAllocationsConstant(t *testing.T) {
 		t.Errorf("GOMAXPROCS=1: parallel entry allocates %.0f times, serial %.0f", got, serial)
 	}
 }
+
+// gEqual reports whether two generic matrices are identical: same
+// dimension and, row by row, the same columns and the same values under
+// ==. For Witness this is exact structural equality, which is what
+// bit-identity demands.
+func gEqual[T comparable](a, b *GMatrix[T]) bool {
+	return gEqualRows(a, b, slices.Equal[[]T])
+}

@@ -19,7 +19,8 @@ import (
 // backing arrays: a row lives wherever its span points in an entry
 // arena that successive versions of a matrix share, and an arena may
 // hold rows no version reads any more. Per-row equality (Equal) is what
-// the delta-maintenance and replication differential harnesses assert.
+// the delta-maintenance differential harness asserts between a
+// maintained matrix and a cold recompute.
 //
 // Semiring-dependent operators are free functions taking the ring
 // explicitly (Go methods cannot add type parameters); structurally

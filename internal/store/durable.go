@@ -132,17 +132,6 @@ type openConfig struct {
 	walOpt          wal.Options
 	checkpointEvery uint64
 	logCap          int
-	// replayFilter, when set, is consulted per replayed update: false
-	// skips materializing the mutation into the graph while still
-	// advancing the version counter. This is how a shard replays the
-	// full logical WAL stream but keeps only the edges it owns.
-	replayFilter func(Update) bool
-}
-
-// withReplayFilter installs a replay materialization filter; package
-// internal, used by OpenSharded.
-func withReplayFilter(fn func(Update) bool) OpenOption {
-	return func(c *openConfig) { c.replayFilter = fn }
 }
 
 // OpenOption configures Open.
@@ -244,10 +233,8 @@ func Open(dir string, opts ...OpenOption) (*Store, error) {
 			if u.Version != version+1 {
 				return fmt.Errorf("store: wal record %d: version %d after %d (gap)", seq, u.Version, version)
 			}
-			if cfg.replayFilter == nil || cfg.replayFilter(u) {
-				if err := applyUpdate(b, u); err != nil {
-					return fmt.Errorf("store: wal record %d: %w", seq, err)
-				}
+			if err := applyUpdate(b, u); err != nil {
+				return fmt.Errorf("store: wal record %d: %w", seq, err)
 			}
 			version++
 		}

@@ -143,14 +143,6 @@ func (s *Store) Snapshot() (*graph.Snapshot, uint64) {
 	return cur.snap, cur.version
 }
 
-// View returns the current immutable view and its version — the
-// implementation-agnostic read path shared with ShardedStore (for a
-// monolithic store the view is the *graph.Snapshot itself).
-func (s *Store) View() (graph.View, uint64) {
-	cur := s.current.Load()
-	return cur.snap, cur.version
-}
-
 // Version returns the current store version: the number of mutations
 // ever committed. It starts at 0 and bumps by one per mutation.
 func (s *Store) Version() uint64 { return s.current.Load().version }
@@ -174,7 +166,7 @@ func (s *Store) Pin() *Pin {
 	cur := s.current.Load()
 	s.pins[cur.version]++
 	s.mu.Unlock()
-	return &Pin{owner: s, view: cur.snap, version: cur.version}
+	return &Pin{owner: s, snap: cur.snap, version: cur.version}
 }
 
 // unpin deregisters one reader of version (Pin.Release).
@@ -188,31 +180,17 @@ func (s *Store) unpin(version uint64) {
 	s.mu.Unlock()
 }
 
-// pinOwner is the store side of a Pin: whatever registered the pin
-// takes it back on Release. Both Store and ShardedStore implement it.
-type pinOwner interface {
-	unpin(version uint64)
-}
-
-// Pin is a pinned view: one reader's consistent view of one version.
+// Pin is a pinned snapshot: one reader's consistent view of one
+// version.
 type Pin struct {
-	owner    pinOwner
-	view     graph.View
+	owner    *Store
+	snap     *graph.Snapshot
 	version  uint64
 	released atomic.Bool
 }
 
-// View returns the pinned graph view.
-func (p *Pin) View() graph.View { return p.view }
-
-// Snapshot returns the pinned monolithic snapshot, or nil when the pin
-// was taken on a sharded store (use View there).
-func (p *Pin) Snapshot() *graph.Snapshot {
-	if s, ok := p.view.(*graph.Snapshot); ok {
-		return s
-	}
-	return nil
-}
+// Snapshot returns the pinned snapshot.
+func (p *Pin) Snapshot() *graph.Snapshot { return p.snap }
 
 // Version returns the pinned version.
 func (p *Pin) Version() uint64 { return p.version }
@@ -399,27 +377,11 @@ func (s *Store) Stats() Stats {
 	return Stats{Version: v, Nodes: snap.NumNodes(), Edges: snap.NumEdges(), Labels: snap.Labels()}
 }
 
-// txBackend is the mutation target a Tx builds against: a plain
-// copy-on-write *graph.Builder for the monolithic store, a
-// shard-routing builder fan-out for ShardedStore. The Tx API and every
-// feed consumer written against it (followers, recovery) is oblivious
-// to which one is underneath.
-type txBackend interface {
-	Has(id graph.NodeID) bool
-	NodeByName(name string) (graph.Node, bool)
-	Base() *graph.Snapshot
-	AddNode(name, typ string) graph.NodeID
-	AddEdge(u graph.NodeID, label string, v graph.NodeID) error
-	RemoveEdge(u graph.NodeID, label string, v graph.NodeID) bool
-}
-
-var _ txBackend = (*graph.Builder)(nil)
-
 // Tx is a write transaction: a batch of mutations built copy-on-write
 // against the version current at transaction start, committed
 // atomically (all-or-nothing). Obtain one via Update.
 type Tx struct {
-	b       txBackend
+	b       *graph.Builder
 	base    uint64
 	updates []Update
 }
@@ -433,9 +395,7 @@ func (tx *Tx) Has(id graph.NodeID) bool { return tx.b.Has(id) }
 func (tx *Tx) NodeByName(name string) (graph.Node, bool) { return tx.b.NodeByName(name) }
 
 // Base returns the snapshot the transaction derives from — the
-// pre-transaction state, useful for validate-before-mutate checks. On a
-// sharded store this is shard 0's snapshot: the node table is complete
-// (every shard replicates it), but it holds only shard 0's edges.
+// pre-transaction state, useful for validate-before-mutate checks.
 func (tx *Tx) Base() *graph.Snapshot { return tx.b.Base() }
 
 // AddNode adds a node and returns its id.

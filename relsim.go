@@ -39,7 +39,6 @@ import (
 	"relsim/internal/schema"
 	"relsim/internal/server"
 	"relsim/internal/sim"
-	"relsim/internal/sparse"
 	"relsim/internal/store"
 	"relsim/internal/wal"
 )
@@ -80,17 +79,6 @@ type (
 	// Store is an MVCC graph store: lock-free snapshot reads,
 	// copy-on-write write transactions.
 	Store = store.Store
-	// StoreAPI is the store surface the server and follower are written
-	// against, satisfied by both *Store and *ShardedStore.
-	StoreAPI = store.API
-	// ShardedStore is a horizontally partitioned MVCC store: K
-	// independent per-shard stores and WALs behind one logical version,
-	// with atomic cross-shard commits and scatter-gather evaluation
-	// (see NewShardedStore / OpenShardedStore).
-	ShardedStore = store.ShardedStore
-	// ShardStat is one shard's occupancy row in a sharded store's
-	// per-shard statistics.
-	ShardStat = store.ShardStat
 	// StorePin is a pinned snapshot: one reader's registered view of one
 	// version (see Store.Pin).
 	StorePin = store.Pin
@@ -132,37 +120,6 @@ func NewGraph() *Graph { return graph.New() }
 // it atomically, bump the version per mutation and feed the update log.
 // Use it with NewServer for live serving.
 func NewStore(g *Graph) *Store { return store.New(g) }
-
-// The row-partition functions for sharded stores.
-const (
-	// ShardByHash scatters rows by a splitmix64 hash of the node id —
-	// growth-stable, so node additions never reshuffle existing owners.
-	ShardByHash = sparse.PartitionHash
-	// ShardByRange assigns contiguous id chunks, fixed at creation time
-	// (the chunk size is persisted with a durable store's manifest).
-	ShardByRange = sparse.PartitionRange
-)
-
-// NewShardedStore wraps g in an in-memory horizontally sharded store:
-// the node table is replicated to every shard, edges live on their
-// source row's owner, commits publish one logical version across all
-// shards atomically, and evaluation runs scatter-gather block-SpGEMM
-// over the row partition. With k == 1 every result is bit-identical to
-// NewStore. fn is ShardByHash or ShardByRange.
-func NewShardedStore(g *Graph, k int, fn string) (*ShardedStore, error) {
-	return store.NewSharded(g, k, fn)
-}
-
-// OpenShardedStore opens (creating if needed) a durable sharded store
-// in dir: one sub-directory per shard, each with its own WAL and
-// checkpoints, plus a partition manifest that pins the shard count and
-// function at creation — reopening with different values is a
-// configuration error, never a silent reshuffle. Shards that crashed
-// behind their siblings are healed forward on open before the store
-// publishes.
-func OpenShardedStore(dir string, k int, fn string, opts ...StoreOpenOption) (*ShardedStore, error) {
-	return store.OpenSharded(dir, k, fn, opts...)
-}
 
 // The WAL fsync policies (see OpenStore / WithStoreSync).
 const (
@@ -214,7 +171,7 @@ func WithStoreLogRetention(n int) StoreOpenOption { return store.WithLogRetentio
 // initial checkpoint bootstrap + catch-up, Run keeps tailing, and a
 // feed gap triggers an automatic re-bootstrap. Pair it with
 // WithServerFollower to serve the replica read-only.
-func NewFollower(st StoreAPI, leaderURL string, opt FollowerOptions) *Follower {
+func NewFollower(st *Store, leaderURL string, opt FollowerOptions) *Follower {
 	return replica.New(st, leaderURL, opt)
 }
 
@@ -228,12 +185,10 @@ func WithServerFollower(f *Follower, maxLag uint64, maxLagAge time.Duration) Ser
 	return server.WithFollower(f, maxLag, maxLagAge)
 }
 
-// NewServer builds the HTTP/JSON query service over st — a *Store or a
-// *ShardedStore (the server detects the partition and routes every
-// matrix product through the scatter-gather block kernel). The schema
+// NewServer builds the HTTP/JSON query service over st. The schema
 // may be nil (no Algorithm-1 expansion constraints). Mount the result
 // on any http.Server; see cmd/relsim-serve for a ready-made binary.
-func NewServer(st StoreAPI, s *Schema, opts ...ServerOption) *Server {
+func NewServer(st *Store, s *Schema, opts ...ServerOption) *Server {
 	return server.New(st, s, opts...)
 }
 
@@ -247,25 +202,6 @@ func WithServerCacheLimit(n int) ServerOption { return server.WithCacheLimit(n) 
 // WithServerTimeout sets the default /search and /batch evaluation
 // deadline (override per request with ?timeout_ms=).
 func WithServerTimeout(d time.Duration) ServerOption { return server.WithTimeout(d) }
-
-// WithServerDeltaMaintenance toggles incremental maintenance of the
-// server's commuting-matrix cache (default on): each committed write
-// batch is summarized as a signed sparse delta per touched label, and
-// stale cached matrices are patched to the new version with
-// delta-shaped products instead of being evicted and recomputed on the
-// next read. Results are identical either way; off is the
-// evict-on-write ablation baseline.
-func WithServerDeltaMaintenance(on bool) ServerOption {
-	return server.WithDeltaMaintenance(on)
-}
-
-// WithServerDurability toggles the server's durability surface (default
-// on): the GET /log replication catch-up feed and the durability
-// section of /stats. Turn it off when the update feed must not be
-// reachable through a public listener.
-func WithServerDurability(on bool) ServerOption {
-	return server.WithDurability(on)
-}
 
 // WithServerExpandCacheLimit bounds the Algorithm-1 expansion memo to n
 // entries with LRU eviction.
