@@ -146,11 +146,11 @@ func TestMaintainFallsBackForAnnotatedEntries(t *testing.T) {
 
 	// The touched witness entry must be gone: a warm lookup at v1 would
 	// otherwise serve a stale annotation.
-	if _, _, ok := cache.lookupEntry(Key{Version: 1, Ring: RingWitness, Pattern: touchedPat.String()}); ok {
+	if cache.lookup(Key{Version: 1, Ring: RingWitness, Pattern: touchedPat.String()}) != nil {
 		t.Fatal("stale witness entry survived the commit")
 	}
 	// The untouched witness entry rides along like any other entry.
-	if _, _, ok := cache.lookupEntry(Key{Version: 1, Ring: RingWitness, Pattern: carriedPat.String()}); !ok {
+	if cache.lookup(Key{Version: 1, Ring: RingWitness, Pattern: carriedPat.String()}) == nil {
 		t.Fatal("untouched witness entry was not carried to the new version")
 	}
 

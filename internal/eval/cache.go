@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"sync"
-
-	"relsim/internal/sparse"
-)
+import "sync"
 
 // Key identifies one cached commuting matrix: the graph version it was
 // computed against, the semiring it was evaluated over, and the
@@ -41,20 +37,10 @@ func (k Key) entryKey() string {
 	return k.Ring + ringSep + k.Pattern
 }
 
-// ringOfEntryKey recovers the ring tag from a bucket key ("" for the
-// integer ring).
-func ringOfEntryKey(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == ringSep[0] {
-			return key[:i]
-		}
-	}
-	return ""
-}
-
 // CachedMatrix is the value type the cache stores: a CSR matrix over
-// any semiring. *sparse.Matrix is the integer instance; annotated
-// instances are *sparse.GMatrix[T].
+// any semiring, always the *sparse.GMatrix[T] of its ring:
+// *sparse.GMatrix[int64] for the integer ring, whose *sparse.Matrix view
+// is a free conversion away.
 type CachedMatrix interface {
 	Dim() int
 	NNZ() int
@@ -71,9 +57,8 @@ type cacheEntry struct {
 
 // versionBucket holds all entries of one graph version, indexed two
 // ways: by pattern string, and by label → patterns mentioning it. The
-// inverted index is what makes the commit path (Advance,
-// InvalidateLabels) proportional to the entries actually touched
-// instead of a scan over every entry's label list.
+// inverted index is what makes the commit path (Advance, Maintain)
+// proportional to the entries actually touched instead of a scan over every entry's label list.
 type versionBucket struct {
 	entries map[string]*cacheEntry
 	byLabel map[string]map[string]struct{}
@@ -138,12 +123,11 @@ type Cache struct {
 	size     int    // total entries across versions
 	limit    int    // max cached matrices; 0 = unbounded
 	tick     uint64 // logical clock for LRU recency
-	gen      uint64 // bumped by invalidation; see Evaluator.Commuting
 
 	hits, misses, evictions, invalidations uint64
 
-	// scanned counts entries examined by the commit path (Advance and
-	// InvalidateLabels). The inverted index makes it proportional to
+	// scanned counts entries examined by the commit path (Advance).
+	// The inverted index makes it proportional to
 	// touched entries; the cache tests gate on it deterministically.
 	scanned uint64
 }
@@ -236,10 +220,9 @@ func (c *Cache) removeLocked(v uint64, pattern string) bool {
 	return true
 }
 
-// lookupEntry returns the cached matrix for key (any ring), recording a
-// hit or miss, plus the generation observed (for insert's stale-compute
-// check).
-func (c *Cache) lookupEntry(key Key) (CachedMatrix, uint64, bool) {
+// lookup returns the matrix cached under key, or nil, recording a hit
+// or miss.
+func (c *Cache) lookup(key Key) CachedMatrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b, ok := c.versions[key.Version]; ok {
@@ -247,38 +230,19 @@ func (c *Cache) lookupEntry(key Key) (CachedMatrix, uint64, bool) {
 			c.hits++
 			c.tick++
 			ent.used = c.tick
-			return ent.m, c.gen, true
+			return ent.m
 		}
 	}
 	c.misses++
-	return nil, c.gen, false
+	return nil
 }
 
-// lookup is lookupEntry for the integer ring.
-func (c *Cache) lookup(key Key) (*sparse.Matrix, uint64, bool) {
-	ent, gen, ok := c.lookupEntry(key)
-	if !ok {
-		return nil, gen, false
-	}
-	m, isInt := ent.(*sparse.Matrix)
-	if !isInt {
-		// A tagged key can only hold its ring's matrix type; reaching
-		// here means the caller built a mismatched Key.
-		return nil, gen, false
-	}
-	return m, gen, true
-}
-
-// insert stores a computed matrix unless an invalidation ran since gen
-// was observed: the computation may then reflect a graph state that is
-// already stale (only possible when the owner mutates a graph in place,
-// as Engine does; immutable snapshots are never stale for their key).
-func (c *Cache) insert(key Key, m CachedMatrix, labels []string, gen uint64) {
+// insert stores a computed matrix. Entries are keyed by immutable
+// versions, so a matrix is never stale for its key: a build that raced
+// a commit lands under the version it was computed at.
+func (c *Cache) insert(key Key, m CachedMatrix, labels []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		return
-	}
 	c.insertLocked(key, m, labels)
 	c.evictLocked()
 }
@@ -294,49 +258,6 @@ func (c *Cache) insertLocked(key Key, m CachedMatrix, labels []string) {
 	c.tick++
 	b.put(ek, &cacheEntry{m: m, labels: labels, used: c.tick})
 	c.size++
-}
-
-// InvalidateLabels evicts every cached matrix with version <= through
-// whose pattern mentions at least one of the given labels, and returns
-// the number evicted. Under MVCC this is a proactive memory hint (those
-// versions' snapshots are immutable, so their entries were still
-// correct); for an Engine mutating its graph in place it is the
-// correctness hook it always was, with through = the engine's version.
-// The label index makes the cost proportional to the evicted entries
-// (plus the live version count), not the cache size.
-func (c *Cache) InvalidateLabels(through uint64, labels ...string) int {
-	if len(labels) == 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for v, b := range c.versions {
-		if v > through {
-			continue
-		}
-		for p := range b.stale(labels) {
-			c.scanned++
-			if c.removeLocked(v, p) {
-				n++
-			}
-		}
-	}
-	c.invalidations += uint64(n)
-	c.gen++
-	return n
-}
-
-// InvalidateAll drops the whole cache.
-func (c *Cache) InvalidateAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.size
-	c.versions = make(map[uint64]*versionBucket)
-	c.size = 0
-	c.invalidations += uint64(n)
-	c.gen++
-	return n
 }
 
 // Advance ages the cache across a committed write from version `from`

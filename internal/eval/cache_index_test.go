@@ -13,7 +13,7 @@ func primeCache(c *Cache, v uint64, n, k int) {
 	m := sparse.Identity(2)
 	for i := 0; i < n; i++ {
 		label := fmt.Sprintf("l%d", i%k)
-		c.insert(Key{Version: v, Pattern: fmt.Sprintf("p%d", i)}, m, []string{label}, 0)
+		c.insert(Key{Version: v, Pattern: fmt.Sprintf("p%d", i)}, m, []string{label})
 	}
 }
 
@@ -21,7 +21,7 @@ func primeCache(c *Cache, v uint64, n, k int) {
 // for the label inverted index: a commit touching one label out of many
 // must examine only the entries mentioning that label, not the whole
 // cache. It gates on the internal scanned counter, which counts entries
-// examined by Advance and InvalidateLabels.
+// examined by Advance.
 func TestCommitPathWorkProportionalToTouched(t *testing.T) {
 	const entries, labels = 10000, 1000 // 10 entries per label
 	c := NewCache()
@@ -47,20 +47,6 @@ func TestCommitPathWorkProportionalToTouched(t *testing.T) {
 		t.Fatalf("Advance examined %d entries for %d touched; want <= %d (index not used?)",
 			scanned, entries/labels, max)
 	}
-
-	c.mu.Lock()
-	c.scanned = 0
-	c.mu.Unlock()
-	if n := c.InvalidateLabels(1, "l9"); n != entries/labels {
-		t.Fatalf("InvalidateLabels = %d, want %d", n, entries/labels)
-	}
-	c.mu.Lock()
-	scanned = c.scanned
-	c.mu.Unlock()
-	if max := uint64(4 * entries / labels); scanned > max {
-		t.Fatalf("InvalidateLabels examined %d entries for %d touched; want <= %d",
-			scanned, entries/labels, max)
-	}
 }
 
 // TestLabelIndexConsistentAfterChurn exercises insert/remove/advance
@@ -68,27 +54,27 @@ func TestCommitPathWorkProportionalToTouched(t *testing.T) {
 func TestLabelIndexConsistentAfterChurn(t *testing.T) {
 	c := NewCache()
 	m := sparse.Identity(2)
-	c.insert(Key{Version: 0, Pattern: "a"}, m, []string{"a"}, 0)
-	c.insert(Key{Version: 0, Pattern: "a.b"}, m, []string{"a", "b"}, 0)
-	c.insert(Key{Version: 0, Pattern: "c"}, m, []string{"c"}, 0)
+	c.insert(Key{Version: 0, Pattern: "a"}, m, []string{"a"})
+	c.insert(Key{Version: 0, Pattern: "a.b"}, m, []string{"a", "b"})
+	c.insert(Key{Version: 0, Pattern: "c"}, m, []string{"c"})
 	// Re-insert same pattern (replace path).
-	c.insert(Key{Version: 0, Pattern: "a.b"}, m, []string{"a", "b"}, 0)
+	c.insert(Key{Version: 0, Pattern: "a.b"}, m, []string{"a", "b"})
 	if c.Size() != 3 {
 		t.Fatalf("Size = %d, want 3 after replace", c.Size())
 	}
-	if n := c.InvalidateLabels(0, "b"); n != 1 {
-		t.Fatalf("InvalidateLabels(b) = %d, want 1", n)
+	if _, evicted := c.Advance(0, 1, []string{"b"}, false, false); evicted != 1 {
+		t.Fatalf("Advance touching b evicted %d, want 1", evicted)
 	}
-	if n := c.InvalidateLabels(0, "b"); n != 0 {
-		t.Fatalf("second InvalidateLabels(b) = %d, want 0 (index left residue)", n)
+	if _, evicted := c.Advance(1, 2, []string{"b"}, false, false); evicted != 0 {
+		t.Fatalf("second Advance touching b evicted %d, want 0 (index left residue)", evicted)
 	}
-	carried, evicted := c.Advance(0, 1, []string{"a"}, false, false)
+	carried, evicted := c.Advance(2, 3, []string{"a"}, false, false)
 	if carried != 1 || evicted != 1 {
 		t.Fatalf("Advance = (%d,%d), want (1,1)", carried, evicted)
 	}
 	occ := c.VersionOccupancy()
-	if occ[0] != 0 || occ[1] != 1 {
-		t.Fatalf("occupancy = %v, want only v1:1", occ)
+	if len(occ) != 1 || occ[3] != 1 {
+		t.Fatalf("occupancy = %v, want only v3:1", occ)
 	}
 }
 
@@ -108,7 +94,7 @@ func BenchmarkCacheCommitPath(b *testing.B) {
 				// Re-insert the touched entries so every iteration evicts
 				// the same amount of work.
 				for j := 0; j < 10; j++ {
-					c.insert(Key{Version: v, Pattern: fmt.Sprintf("p%d", j*(size/10)+7)}, m, []string{"l7"}, 0)
+					c.insert(Key{Version: v, Pattern: fmt.Sprintf("p%d", j*(size/10)+7)}, m, []string{"l7"})
 				}
 				c.Advance(v, v+1, []string{"l7"}, false, false)
 				v++

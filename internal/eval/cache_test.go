@@ -22,77 +22,6 @@ func cacheTestGraph() *graph.Graph {
 	return g
 }
 
-func TestInvalidateLabelsSelective(t *testing.T) {
-	g := cacheTestGraph()
-	ev := New(g)
-	pab := rre.MustParse("a.b")
-	pc := rre.MustParse("c")
-	ev.Materialize(pab, pc)
-	// Cached: "a.b", its halves "a" and "b-" (the right one is kept
-	// reversed, see Cut), "b" under "b-", and "c".
-	if got := ev.CacheSize(); got != 5 {
-		t.Fatalf("CacheSize = %d, want 5", got)
-	}
-
-	// Touching label c must evict only "c".
-	if n := ev.InvalidateLabels("c"); n != 1 {
-		t.Errorf("InvalidateLabels(c) evicted %d, want 1", n)
-	}
-	if got := ev.CacheSize(); got != 4 {
-		t.Errorf("CacheSize after invalidating c = %d, want 4", got)
-	}
-
-	// The surviving "a.b" matrix is served from cache: a hit, no miss.
-	before := ev.Stats()
-	ev.Commuting(pab)
-	after := ev.Stats()
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
-		t.Errorf("expected pure cache hit for a.b, got hits %d→%d misses %d→%d",
-			before.Hits, after.Hits, before.Misses, after.Misses)
-	}
-
-	// Touching label a evicts "a" and "a.b" but not "b".
-	if n := ev.InvalidateLabels("a"); n != 2 {
-		t.Errorf("InvalidateLabels(a) evicted %d, want 2", n)
-	}
-	if got := ev.CacheSize(); got != 2 {
-		t.Errorf("CacheSize = %d, want 2 (only b and b-)", got)
-	}
-}
-
-func TestInvalidationReflectsNewEdges(t *testing.T) {
-	g := cacheTestGraph()
-	ev := New(g)
-	pc := rre.MustParse("c")
-	if got := ev.Commuting(pc).At(0, 3); got != 0 {
-		t.Fatalf("c(0,3) = %d, want 0", got)
-	}
-	g.AddEdge(0, "c", 3)
-	// Without invalidation the stale cached matrix is served.
-	if got := ev.Commuting(pc).At(0, 3); got != 0 {
-		t.Fatalf("stale read should still be 0, got %d", got)
-	}
-	ev.InvalidateLabels("c")
-	if got := ev.Commuting(pc).At(0, 3); got != 1 {
-		t.Errorf("after invalidation c(0,3) = %d, want 1", got)
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	g := cacheTestGraph()
-	ev := New(g)
-	ev.Materialize(rre.MustParse("a"), rre.MustParse("b"), rre.MustParse("c"))
-	if n := ev.InvalidateAll(); n != 3 {
-		t.Errorf("InvalidateAll = %d, want 3", n)
-	}
-	if got := ev.CacheSize(); got != 0 {
-		t.Errorf("CacheSize = %d, want 0", got)
-	}
-	if st := ev.Stats(); st.Invalidations != 3 {
-		t.Errorf("Invalidations = %d, want 3", st.Invalidations)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	g := cacheTestGraph()
 	ev := New(g)

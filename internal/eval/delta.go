@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"relsim/internal/graph"
 	"relsim/internal/rre"
@@ -100,7 +101,11 @@ type maintainer struct {
 	memo     map[string]*maintTerm
 	failed   map[string]error
 	patterns map[string]*rre.Pattern // memo key → pattern, for re-insertion
-	products int
+	products int                     // delta products
+
+	// w runs the products outside the delta algebra (star recomputes,
+	// evicted concatenations) through the evaluator's closure and chain.
+	w walker[int64, sparse.IntRing]
 }
 
 // Maintain patches every stale cached pattern at version d.From to
@@ -161,9 +166,10 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		memo:     make(map[string]*maintTerm),
 		failed:   make(map[string]error),
 		patterns: make(map[string]*rre.Pattern),
+		w:        NewVersioned(view, d.To, c).ints(),
 	}
 	for _, key := range roots {
-		if ringOfEntryKey(key) != "" {
+		if strings.Contains(key, ringSep) {
 			// Annotation rings (witness, count) are not Subtractive:
 			// signed deltas and the telescoping patch have no meaning
 			// there, so a wrong patch is never attempted. The entry
@@ -185,7 +191,7 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		}
 		res.Maintained++
 	}
-	res.Products = mt.products
+	res.Products = mt.products + int(mt.w.e.counters.Products.Load())
 
 	// Insert every successfully maintained term at d.To — the same set
 	// of entries a recompute of the maintained roots would have cached,
@@ -199,19 +205,13 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		if _, dup := dst.entries[key]; dup {
 			continue
 		}
-		c.insertLocked(Key{Version: d.To, Pattern: key}, term.new, mt.patterns[key].Labels())
+		c.insertLocked(Key{Version: d.To, Pattern: key}, gm(term.new), mt.patterns[key].Labels())
 	}
 	if len(dst.entries) == 0 {
 		delete(c.versions, d.To)
 	}
 	c.evictLocked()
 	return res
-}
-
-// mul multiplies under the default parallel gate, counting products.
-func (mt *maintainer) mul(a, b *sparse.Matrix) *sparse.Matrix {
-	mt.products++
-	return a.MulThresh(b, sparse.DefaultThresholds())
 }
 
 // newNodes returns the delta of Identity (and of a boolean closure over
@@ -239,19 +239,6 @@ func patched(t *maintTerm) *maintTerm {
 	return t
 }
 
-// closure is the boolean reflexive-transitive closure with product
-// accounting, matching Evaluator.booleanClosure.
-func (mt *maintainer) closure(m *sparse.Matrix) *sparse.Matrix {
-	cur := sparse.Identity(m.Dim()).Add(m.Boolean()).Boolean()
-	for {
-		next := mt.mul(cur, cur).Boolean()
-		if next.Equal(cur) {
-			return cur
-		}
-		cur = next
-	}
-}
-
 // cachedOld returns the matrix cached at (d.From, key) grown to NewN.
 func (mt *maintainer) cachedOld(key string) (*sparse.Matrix, bool) {
 	mt.cache.mu.Lock()
@@ -264,14 +251,14 @@ func (mt *maintainer) cachedOld(key string) (*sparse.Matrix, bool) {
 	if !ok {
 		return nil, false
 	}
-	m, isInt := ent.m.(*sparse.Matrix)
+	m, isInt := ent.m.(*sparse.GMatrix[int64])
 	if !isInt {
 		// Unreachable for round-tripped pattern keys (tagged keys are
 		// filtered before the walk), but never patch a non-integer
 		// matrix.
 		return nil, false
 	}
-	return m.Grow(mt.d.NewN), true
+	return mat(m).Grow(mt.d.NewN), true
 }
 
 // normalize enforces the maintTerm invariant: an empty delta becomes
@@ -406,10 +393,11 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		} else {
 			// The full product was evicted; rebuild it from the (old)
 			// children — the cost a cache miss would have paid anyway.
-			t.old = terms[0].old
-			for _, ch := range terms[1:] {
-				t.old = mt.mul(t.old, ch.old)
+			olds := make([]*sparse.GMatrix[int64], len(terms))
+			for i, ch := range terms {
+				olds[i] = gm(ch.old)
 			}
+			t.old = mat(mt.w.chain(olds))
 		}
 		return patched(t), nil
 
@@ -446,7 +434,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		}
 		// Closure has no delta algebra; recompute from the maintained
 		// child — the subtree below it is still saved.
-		t.new = mt.closure(ch.new)
+		t.new = mat(mt.w.star(gm(ch.new)))
 		t.delta = sparse.DeltaOf(t.new, t.old)
 		return t, nil
 	}
@@ -495,7 +483,7 @@ func (mt *maintainer) rowLocal(key string, ch *maintTerm,
 // for the new isolated nodes that the true old closure (at OldN, grown)
 // does not have; strip them.
 func (mt *maintainer) starOldFromChild(ch *maintTerm) *sparse.Matrix {
-	c := mt.closure(ch.old)
+	c := mat(mt.w.star(gm(ch.old)))
 	if grown := mt.newNodes(); grown != nil {
 		c = c.Patch(grown.Neg())
 	}

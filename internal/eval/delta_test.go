@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,8 +63,8 @@ func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 	out := make(map[string]*sparse.Matrix)
 	if b, ok := c.versions[v]; ok {
 		for p, ent := range b.entries {
-			if m, isInt := ent.m.(*sparse.Matrix); isInt {
-				out[p] = m
+			if m, isInt := ent.m.(*sparse.GMatrix[int64]); isInt && !strings.Contains(p, ringSep) {
+				out[p] = mat(m)
 			}
 		}
 	}

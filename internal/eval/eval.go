@@ -15,7 +15,10 @@
 // u to v. Kleene star, whose instance set the paper defines as the union
 // I(ε) ∪ I(p) ∪ I(p²) ∪ …, is materialized as the boolean
 // reflexive-transitive closure of M_p: its instance count is capped at 1
-// (existence), since the raw count is unbounded on cyclic data.
+// (existence), since the raw count is unbounded on cyclic data. The
+// recursion is written once, generic over the semiring (walk.go):
+// CommutingWitness and CommutingCount run the same walk over annotation
+// rings.
 //
 // CountInstances is a direct recursive counter over the graph with the
 // same semantics; it exists as an executable specification that the
@@ -32,21 +35,17 @@ import (
 	"relsim/internal/sparse"
 )
 
-// Evaluator evaluates RRE patterns over one graph view, caching
-// commuting matrices in a versioned Cache keyed by (version, canonical
+// Evaluator evaluates RRE patterns over one graph version, caching
+// commuting matrices in a versioned Cache keyed by (version, ring,
 // pattern string). It is safe for concurrent use.
 //
-// There are two binding modes:
-//
-//   - New(g) binds a mutable graph at version 0 with a private cache —
-//     the library/Engine mode. The graph must not be mutated during an
-//     evaluation; between evaluations the owner reports every change
-//     via InvalidateLabels / InvalidateAll, exactly as before.
-//   - NewVersioned(view, version, cache) binds an immutable snapshot —
-//     the MVCC serving mode. Entries the evaluator writes are keyed by
-//     its version, so evaluators over different snapshots share one
-//     cache without aliasing, and a write never invalidates a
-//     still-pinned version's entries.
+// An evaluator is bound to its version for life and never invalidates:
+// entries it writes are keyed by that version, so evaluators over
+// different versions share one cache without aliasing, and a write
+// never disturbs a still-pinned version's entries. An owner whose graph
+// changes binds a new evaluator at the next version and ages the cache
+// across the change with Cache.Advance, as the server does on every
+// commit and relsim.Engine on every reported change.
 type Evaluator struct {
 	g       graph.View
 	version uint64
@@ -75,6 +74,7 @@ type Counters struct {
 }
 
 // New returns an evaluator over g at version 0 with a private cache.
+// g must not change while the evaluator is in use.
 func New(g graph.View) *Evaluator { return NewVersioned(g, 0, NewCache()) }
 
 // NewVersioned returns an evaluator bound to one graph version, writing
@@ -131,19 +131,6 @@ func (e *Evaluator) Stats() CacheStats { return e.cache.Stats() }
 // n <= 0 removes the bound.
 func (e *Evaluator) SetCacheLimit(n int) { e.cache.SetLimit(n) }
 
-// InvalidateLabels evicts cached matrices (up to and including this
-// evaluator's version) whose pattern mentions at least one of the given
-// labels, returning the number evicted. This is the mutation hook for
-// the in-place-mutable binding mode; see Cache.InvalidateLabels.
-func (e *Evaluator) InvalidateLabels(labels ...string) int {
-	return e.cache.InvalidateLabels(e.version, labels...)
-}
-
-// InvalidateAll drops the whole cache. Required after node-count
-// changes to an in-place mutated graph (every matrix dimension goes
-// stale).
-func (e *Evaluator) InvalidateAll() int { return e.cache.InvalidateAll() }
-
 // checkCanceled panics with *Canceled when the evaluator's context is
 // done. It is called between matrix products so a timed-out query stops
 // burning CPU mid-evaluation; Guard at the API boundary converts the
@@ -182,34 +169,6 @@ func (e *Evaluator) SetMulHook(fn func(a, b *sparse.Matrix)) {
 	e.mulHook = fn
 }
 
-// mul multiplies two matrices under the default parallel gate,
-// checking cancellation first.
-func (e *Evaluator) mul(a, b *sparse.Matrix) *sparse.Matrix {
-	e.checkCanceled()
-	e.mu.Lock()
-	hook := e.mulHook
-	e.mu.Unlock()
-	if hook != nil {
-		hook(a, b)
-	}
-	e.counters.Products.Add(1)
-	return a.MulThresh(b, sparse.DefaultThresholds())
-}
-
-// booleanClosure is sparse.BooleanClosure routed through the
-// evaluator's mul, so the repeated-squaring products of a Kleene star
-// honor cancellation and the parallel gate like every other product.
-func (e *Evaluator) booleanClosure(m *sparse.Matrix) *sparse.Matrix {
-	cur := sparse.Identity(m.Dim()).Add(m.Boolean()).Boolean()
-	for {
-		next := e.mul(cur, cur).Boolean()
-		if next.Equal(cur) {
-			return cur
-		}
-		cur = next
-	}
-}
-
 // Materialize precomputes and caches the commuting matrices of the given
 // patterns. Table 4 of the paper assumes all meta-paths up to length 3
 // are materialized; the experiment harness calls this with that set.
@@ -219,22 +178,24 @@ func (e *Evaluator) Materialize(ps ...*rre.Pattern) {
 	}
 }
 
-// Commuting returns the commuting matrix M_p. Results are cached per
-// (version, pattern string), including all sub-pattern matrices. Under
-// SetCanonicalKeys the pattern is canonicalized first, so the key is
-// the canonical rendering and every subexpression of a canonical
-// pattern is cached under its own canonical key. A top-level
+// Commuting returns the commuting matrix M_p, the IntRing instance of
+// the walk. Results are cached per (version, pattern string), including
+// all sub-pattern matrices. Under SetCanonicalKeys the pattern is
+// canonicalized first, so the key is the canonical rendering and every
+// subexpression of a canonical pattern is cached under its own
+// canonical key. A top-level
 // concatenation is the product of the two halves Equation-1 scoring
 // reads (see Cut), so materializing a root leaves them cached.
 func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
+	w := e.ints()
 	p = canonForm(p, e.isCanonical())
 	if p.Kind() != rre.KindConcat {
-		return e.commuting(p)
+		return mat(w.eval(p))
 	}
-	return e.cached(p, func(p *rre.Pattern) *sparse.Matrix {
+	return mat(w.get(p, func(p *rre.Pattern) *sparse.GMatrix[int64] {
 		a, bt := e.Halves(e.Cut(p))
-		return e.mul(a, bt.Transpose())
-	})
+		return w.mul(gm(a), gm(bt.Transpose()))
+	}))
 }
 
 // isCanonical reports whether the evaluator keys its cache canonically.
@@ -248,8 +209,8 @@ func (e *Evaluator) isCanonical() bool {
 // canonicalization is inexact (disjunction branches collapsing, which
 // would change counts) — such a pattern keeps its raw form and raw key,
 // the exact behavior of a non-canonical evaluator. Canonical forms are
-// closed under Subs(), so the recursion below canonicalizes once, at
-// the entry point.
+// closed under Subs(), so the walk canonicalizes once, at the entry
+// point.
 func canonForm(p *rre.Pattern, canonical bool) *rre.Pattern {
 	if canonical {
 		if c, exact := rre.CanonicalExact(p); exact {
@@ -257,64 +218,6 @@ func canonForm(p *rre.Pattern, canonical bool) *rre.Pattern {
 		}
 	}
 	return p
-}
-
-// commuting is the cache-backed recursion; p must already be canonical
-// when the evaluator runs in canonical-key mode.
-func (e *Evaluator) commuting(p *rre.Pattern) *sparse.Matrix {
-	return e.cached(p, e.compute)
-}
-
-// cached returns the matrix cached under p's key, building and
-// inserting it on a miss.
-func (e *Evaluator) cached(p *rre.Pattern, build func(*rre.Pattern) *sparse.Matrix) *sparse.Matrix {
-	key := Key{Version: e.version, Pattern: p.String()}
-	m, gen, ok := e.cache.lookup(key)
-	if ok {
-		e.counters.Hits.Add(1)
-		return m
-	}
-	e.counters.Misses.Add(1)
-	// Recompute outside any lock. If an invalidation runs while we
-	// compute, the matrix may reflect a graph state that is already
-	// stale: return it to this caller (the read raced the write
-	// regardless) but do not poison the cache — insert drops it when the
-	// generation moved past gen.
-	m = build(p)
-	e.cache.insert(key, m, p.Labels(), gen)
-	return m
-}
-
-func (e *Evaluator) compute(p *rre.Pattern) *sparse.Matrix {
-	e.checkCanceled()
-	n := e.g.NumNodes()
-	switch p.Kind() {
-	case rre.KindEps:
-		return sparse.Identity(n)
-	case rre.KindLabel:
-		return e.g.Adjacency(p.LabelName())
-	case rre.KindRev:
-		return e.commuting(p.Subs()[0]).Transpose()
-	case rre.KindConcat:
-		factors := make([]*sparse.Matrix, len(p.Subs()))
-		for i, s := range p.Subs() {
-			factors[i] = e.commuting(s)
-		}
-		return e.mulChain(factors)
-	case rre.KindAlt:
-		m := e.commuting(p.Subs()[0])
-		for _, s := range p.Subs()[1:] {
-			m = m.Add(e.commuting(s))
-		}
-		return m
-	case rre.KindStar:
-		return e.booleanClosure(e.commuting(p.Subs()[0]))
-	case rre.KindSkip:
-		return e.commuting(p.Subs()[0]).Boolean()
-	case rre.KindNest:
-		return e.commuting(p.Subs()[0]).DiagMulBool()
-	}
-	panic("eval: invalid pattern kind")
 }
 
 // CountInstances returns |I^{u,v}(p)| by direct recursion over the graph,
@@ -433,8 +336,8 @@ func PathSimScore(m *sparse.Matrix, u, v graph.NodeID) float64 {
 func MetaPathsUpTo(labels []string, maxLen int) []*rre.Pattern {
 	var out []*rre.Pattern
 	steps := make([]rre.Step, 0, maxLen)
-	var gen func(remaining int)
-	gen = func(remaining int) {
+	var extend func(remaining int)
+	extend = func(remaining int) {
 		if len(steps) > 0 {
 			out = append(out, rre.FromSteps(steps))
 		}
@@ -444,11 +347,11 @@ func MetaPathsUpTo(labels []string, maxLen int) []*rre.Pattern {
 		for _, l := range labels {
 			for _, reverse := range []bool{false, true} {
 				steps = append(steps, rre.Step{Label: l, Reverse: reverse})
-				gen(remaining - 1)
+				extend(remaining - 1)
 				steps = steps[:len(steps)-1]
 			}
 		}
 	}
-	gen(maxLen)
+	extend(maxLen)
 	return out
 }

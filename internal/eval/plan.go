@@ -67,9 +67,10 @@ func (e *Evaluator) Cut(p *rre.Pattern) Cut { return NewCut(p, e.isCanonical()) 
 // cached like any other pattern; the greedy chain below orders the
 // products inside a half.
 func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
-	a = e.commuting(c.Left)
+	w := e.ints()
+	a = mat(w.eval(c.Left))
 	if c.RevRight != nil {
-		bt = e.commuting(c.RevRight)
+		bt = mat(w.eval(c.RevRight))
 	}
 	return a, bt
 }
@@ -81,24 +82,25 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 // by orders of magnitude. The planner greedily multiplies the adjacent
 // pair with the smallest estimated FLOP count until one matrix remains —
 // the classic sparse matrix-chain heuristic. The cost of a pair is
-// sparse.Matrix.MulFlops, the exact count of scalar multiplications
+// sparse.GMatrix.MulFlops, the exact count of scalar multiplications
 // Gustavson's SpGEMM performs on it, read off the operands' CSR in
 // O(nnz(left)) without allocating: a chain step never pays O(n) for a
-// factor with a handful of rows.
+// factor with a handful of rows. Every ring is planned alike: witness
+// vias, like counts, do not depend on the association, because MulVia
+// is associative (sparse.TestWitnessSemiringLaws, FuzzWitnessLaws).
 
-// mulChain multiplies the factor list with greedy cost-based pairing.
-// Each product goes through Evaluator.mul, which applies the parallel
-// kernel gate and checks cancellation between products. costs[i] is the
-// cost of ms[i]·ms[i+1]; a merge invalidates only the two costs next to
-// the new product, so only those are read again.
-func (e *Evaluator) mulChain(factors []*sparse.Matrix) *sparse.Matrix {
+// chain multiplies the factor list with greedy cost-based pairing, each
+// product through mul. costs[i] is the cost of ms[i]·ms[i+1]; a merge
+// invalidates only the two costs next to the new product, so only those
+// are read again.
+func (w walker[T, R]) chain(factors []*sparse.GMatrix[T]) *sparse.GMatrix[T] {
 	switch len(factors) {
 	case 0:
 		panic("eval: empty multiplication chain")
 	case 1:
 		return factors[0]
 	}
-	ms := append([]*sparse.Matrix(nil), factors...)
+	ms := append([]*sparse.GMatrix[T](nil), factors...)
 	costs := make([]int64, len(ms)-1)
 	for i := range costs {
 		costs[i] = ms[i].MulFlops(ms[i+1])
@@ -110,7 +112,7 @@ func (e *Evaluator) mulChain(factors []*sparse.Matrix) *sparse.Matrix {
 				best = i
 			}
 		}
-		prod := e.mul(ms[best], ms[best+1])
+		prod := w.mul(ms[best], ms[best+1])
 		ms[best] = prod
 		ms = append(ms[:best+1], ms[best+2:]...)
 		costs = append(costs[:best], costs[best+1:]...)

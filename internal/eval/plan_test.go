@@ -71,8 +71,8 @@ func TestMulCostEstimateExactForFirstProduct(t *testing.T) {
 }
 
 func TestMulChainSingleFactor(t *testing.T) {
-	m := sparse.Identity(3)
-	if got := New(graph.New()).mulChain([]*sparse.Matrix{m}); got != m {
+	m := gm(sparse.Identity(3))
+	if got := New(graph.New()).ints().chain([]*sparse.GMatrix[int64]{m}); got != m {
 		t.Error("single-factor chain must return the factor")
 	}
 }
@@ -83,31 +83,31 @@ func TestMulChainPanicsOnEmpty(t *testing.T) {
 			t.Fatal("empty chain must panic")
 		}
 	}()
-	New(graph.New()).mulChain(nil)
+	New(graph.New()).ints().chain(nil)
 }
 
 // chainFactors is the planner-overhead input: ten 2000×2000 factors of
 // 4000 entries each.
-func chainFactors() []*sparse.Matrix {
+func chainFactors() []*sparse.GMatrix[int64] {
 	rng := rand.New(rand.NewSource(11))
 	const (
 		n       = 2000
 		factors = 10
 		nnz     = 4000
 	)
-	ms := make([]*sparse.Matrix, factors)
+	ms := make([]*sparse.GMatrix[int64], factors)
 	for i := range ms {
 		ts := make([]sparse.Triple, nnz)
 		for j := range ts {
 			ts[j] = sparse.Triple{Row: rng.Intn(n), Col: rng.Intn(n), Val: 1}
 		}
-		ms[i] = sparse.New(n, ts)
+		ms[i] = gm(sparse.New(n, ts))
 	}
 	return ms
 }
 
 // TestMulChainAllocationsConstant gates the planner's bookkeeping: what
-// mulChain allocates beyond its nine products' own allocations is a
+// the chain allocates beyond its nine products' own allocations is a
 // constant (the working copy of the factor list and the cost vector),
 // not vectors of length n per factor and per intermediate product.
 func TestMulChainAllocationsConstant(t *testing.T) {
@@ -122,7 +122,7 @@ func TestMulChainAllocationsConstant(t *testing.T) {
 	ev := New(graph.New())
 	var pairs [][2]*sparse.Matrix
 	ev.SetMulHook(func(a, b *sparse.Matrix) { pairs = append(pairs, [2]*sparse.Matrix{a, b}) })
-	ev.mulChain(ms)
+	ev.ints().chain(ms)
 	ev.SetMulHook(nil)
 	if len(pairs) != len(ms)-1 {
 		t.Fatalf("chain of %d factors ran %d products", len(ms), len(pairs))
@@ -132,9 +132,9 @@ func TestMulChainAllocationsConstant(t *testing.T) {
 			p[0].Mul(p[1])
 		}
 	})
-	chain := testing.AllocsPerRun(5, func() { ev.mulChain(ms) })
+	chain := testing.AllocsPerRun(5, func() { ev.ints().chain(ms) })
 	if extra := chain - products; extra > 4 {
-		t.Errorf("mulChain allocates %.0f times beyond its products' %.0f, want at most 4", extra, products)
+		t.Errorf("the chain allocates %.0f times beyond its products' %.0f, want at most 4", extra, products)
 	}
 }
 
@@ -146,11 +146,11 @@ func TestMulChainAllocationsConstant(t *testing.T) {
 // allocations per factor show up directly in ns/op and allocs/op here.
 func BenchmarkChainPlanOverhead(b *testing.B) {
 	ms := chainFactors()
-	ev := New(graph.New())
+	w := New(graph.New()).ints()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.mulChain(ms)
+		w.chain(ms)
 	}
 }
 

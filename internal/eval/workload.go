@@ -239,6 +239,7 @@ func EstimateProducts(patterns []*rre.Pattern) int {
 // *Canceled error; nodes already materialized stay cached, so a retry
 // resumes where the schedule stopped.
 func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
+	iw := ev.ints()
 	n := len(wp.nodes)
 	if n > 0 {
 		if workers < 1 {
@@ -277,7 +278,7 @@ func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
 					// bookkeeping below still runs so the drain terminates.
 					if !failed.Load() {
 						if err := Guard(func() error {
-							ev.commuting(nd.pat)
+							iw.eval(nd.pat)
 							return nil
 						}); err != nil {
 							failed.Store(true)
@@ -305,7 +306,7 @@ func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
 	// evaluator falls back to at scoring.
 	for _, p := range wp.unplanned {
 		if err := Guard(func() error {
-			ev.commuting(p)
+			iw.eval(p)
 			return nil
 		}); err != nil {
 			return err

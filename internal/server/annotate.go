@@ -81,8 +81,8 @@ func mergeAnnotate(r *http.Request, body string) (string, error) {
 }
 
 // annotationSurcharge prices the witness twin of an annotated query:
-// the annotated kernel folds the pattern as written (not its
-// Algorithm-1 expansion, and not its halves) left to right, at
+// the annotated walk evaluates the pattern as written (not its
+// Algorithm-1 expansion, and not its halves), at
 // eval.AnnotationCostFactor integer-product equivalents per product.
 // Zero for unannotated queries and for patterns that do not parse (the
 // handler reports those).
@@ -108,11 +108,11 @@ func (s *Server) annotateResults(ev *eval.Evaluator, req *SearchRequest, q graph
 	if err != nil {
 		return err
 	}
-	s.nAnnotated.Add(1)
+	s.n.annotated.Inc()
 	wm := ev.CommutingWitness(p)
 	g := ev.Graph()
 	for i := range results {
-		if w, ok := eval.WitnessLookup(wm, q, results[i].ID); ok {
+		if w, ok := wm.Lookup(int(q), int(results[i].ID)); ok {
 			results[i].Witness = witnessInfo(g, w)
 		}
 	}
@@ -134,31 +134,25 @@ type SemiringStats struct {
 // semiringStats snapshots the annotation counters.
 func (s *Server) semiringStats() SemiringStats {
 	return SemiringStats{
-		AnnotatedRequests:  s.nAnnotated.Load(),
-		AnnotatedProducts:  s.nAnnotatedProducts.Load(),
-		ExplainProjections: s.nExplainProjected.Load(),
-		ExplainWarm:        s.nExplainWarm.Load(),
-		ExplainLegacy:      s.nExplainLegacy.Load(),
+		AnnotatedRequests:  count(s.n.annotated),
+		AnnotatedProducts:  count(s.n.annotatedProducts),
+		ExplainProjections: count(s.n.explainProjected),
+		ExplainWarm:        count(s.n.explainWarm),
+		ExplainLegacy:      count(s.n.explainLegacy),
 	}
 }
 
 // instrumentSemiring registers the relsim_semiring_* and
-// relsim_explain_* series — scrape-time callbacks over the same
-// counters /stats reports, so the two surfaces cannot drift.
+// relsim_explain_* counters.
 func (s *Server) instrumentSemiring(reg *telemetry.Registry) {
-	reg.CounterFunc("relsim_semiring_annotated_requests_total",
-		"Requests that evaluated a semiring-annotated commuting matrix.",
-		func() float64 { return float64(s.nAnnotated.Load()) })
-	reg.CounterFunc("relsim_semiring_annotated_products_total",
-		"Matrix products performed by annotated (non-integer) semiring kernels.",
-		func() float64 { return float64(s.nAnnotatedProducts.Load()) })
-	reg.CounterFunc("relsim_explain_projections_total",
-		"/explain responses answered as witness-annotation projections.",
-		func() float64 { return float64(s.nExplainProjected.Load()) })
-	reg.CounterFunc("relsim_explain_warm_projections_total",
-		"Witness projections served entirely from cache (zero matrix products).",
-		func() float64 { return float64(s.nExplainWarm.Load()) })
-	reg.CounterFunc("relsim_explain_legacy_total",
-		"/explain responses answered by legacy instance enumeration.",
-		func() float64 { return float64(s.nExplainLegacy.Load()) })
+	s.n.annotated = counter(reg, "relsim_semiring_annotated_requests_total",
+		"Requests that evaluated a semiring-annotated commuting matrix.")
+	s.n.annotatedProducts = counter(reg, "relsim_semiring_annotated_products_total",
+		"Matrix products performed by annotated (non-integer) semiring kernels.")
+	s.n.explainProjected = counter(reg, "relsim_explain_projections_total",
+		"/explain responses answered as witness-annotation projections.")
+	s.n.explainWarm = counter(reg, "relsim_explain_warm_projections_total",
+		"Witness projections served entirely from cache (zero matrix products).")
+	s.n.explainLegacy = counter(reg, "relsim_explain_legacy_total",
+		"/explain responses answered by legacy instance enumeration.")
 }

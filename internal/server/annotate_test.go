@@ -131,6 +131,31 @@ func TestWarmExplainProjectionZeroProducts(t *testing.T) {
 	}
 }
 
+// TestWarmAnnotatedSearchZeroProducts: a second annotated /search of
+// the same pattern reads the ranking halves and the witness matrix the
+// first one cached, so it performs zero products.
+func TestWarmAnnotatedSearchZeroProducts(t *testing.T) {
+	srv, ts := newTestServer(t)
+	req := SearchRequest{Pattern: "by.by-", Query: "p1", Type: "paper", Annotate: AnnotateWitness}
+	if code := post(t, ts, "/search", req, nil); code != http.StatusOK {
+		t.Fatalf("prime status = %d", code)
+	}
+	before := srv.Stats().Workload.ProductsMaterialized
+	if before == 0 {
+		t.Fatal("cold annotated search performed no products — hook broken")
+	}
+	var resp SearchResponse
+	if code := post(t, ts, "/search", req, &resp); code != http.StatusOK {
+		t.Fatalf("warm status = %d", code)
+	}
+	if got := srv.Stats().Workload.ProductsMaterialized - before; got != 0 {
+		t.Fatalf("warm annotated search performed %d products, want 0", got)
+	}
+	if len(resp.Results) == 0 || resp.Results[0].Witness == nil {
+		t.Fatalf("warm annotated search lost its witness: %+v", resp.Results)
+	}
+}
+
 // TestAnnotatedCostCeiling is the admission table test: on every
 // evaluation endpoint, a ceiling that admits the plain request must
 // reject its annotated twin with 422 — annotation is priced at

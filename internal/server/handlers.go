@@ -401,10 +401,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Count only completed plans: an aborted schedule saved nothing,
 	// and its retry would otherwise double-book the same dedup.
 	st := plan.Stats()
-	s.nPlanned.Add(1)
-	s.nDeduped.Add(uint64(st.Deduped))
-	s.nProductsSaved.Add(uint64(st.ProductsSaved))
-	s.nUnplannable.Add(uint64(st.Unplannable))
+	s.n.planned.Inc()
+	s.n.deduped.Add(float64(st.Deduped))
+	s.n.productsSaved.Add(float64(st.ProductsSaved))
+	s.n.unplannable.Add(float64(st.Unplannable))
 	tr.SetPlan(st.Deduped, st.ProductsSaved)
 
 	endScore := tr.Phase("score")
@@ -721,16 +721,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				Version:  pin.Version(),
 				Annotate: AnnotateWitness,
 			}
-			if wit, ok := eval.WitnessLookup(wm, u, v); ok {
+			if wit, ok := wm.Lookup(int(u), int(v)); ok {
 				resp.Count = wit.Count
 				resp.Witness = witnessInfo(snap, wit)
 			}
 			return nil
 		})
 		if err == nil {
-			s.nExplainProjected.Add(1)
+			s.n.explainProjected.Inc()
 			if ev.Counters().Products.Load() == 0 {
-				s.nExplainWarm.Add(1)
+				s.n.explainWarm.Inc()
 			}
 		}
 	} else {
@@ -753,7 +753,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 		if err == nil {
-			s.nExplainLegacy.Add(1)
+			s.n.explainLegacy.Inc()
 		}
 	}
 	endEval()

@@ -286,11 +286,31 @@ func (s *Server) logAccess(r *http.Request, tr *Trace, phases []PhaseSpan, statu
 	s.accessMu.Unlock()
 }
 
+// serverCounters are the server's workload, semiring and delta tallies;
+// each registration's help string says what it counts. products is the
+// mul-hook count of every evaluator bound to the server, and
+// annotatedProducts its share with nil operands (non-integer rings).
+// deltaDur's count and sum are the commits and seconds /stats reports.
+type serverCounters struct {
+	planned, deduped, productsSaved, unplannable, products     *telemetry.Metric
+	annotated, annotatedProducts                               *telemetry.Metric
+	explainProjected, explainWarm, explainLegacy               *telemetry.Metric
+	deltaRoots, deltaMaintained, deltaFallbacks, deltaProducts *telemetry.Metric
+	deltaDur                                                   *telemetry.Metric
+}
+
+// counter registers an unlabeled counter and returns its handle.
+func counter(reg *telemetry.Registry, name, help string) *telemetry.Metric {
+	return reg.Counter(name, help).With()
+}
+
+// count reads a counter handle for /stats.
+func count(m *telemetry.Metric) uint64 { return uint64(m.Value()) }
+
 // instrumentEngine registers the evaluation-engine metrics: the shared
-// commuting-matrix cache, the Algorithm-1 expansion memo, the workload
-// planner's dedup counters, and the server-wide product count. All are
-// scrape-time callbacks over the same state /stats reports, so the two
-// surfaces cannot drift.
+// commuting-matrix cache and the Algorithm-1 expansion memo as
+// scrape-time callbacks over the state /stats reports, and the server's
+// workload and delta counters.
 func (s *Server) instrumentEngine(reg *telemetry.Registry) {
 	reg.CounterFunc("relsim_eval_cache_hits_total",
 		"Commuting-matrix cache hits.",
@@ -310,41 +330,32 @@ func (s *Server) instrumentEngine(reg *telemetry.Registry) {
 	reg.GaugeFunc("relsim_eval_cache_versions",
 		"Distinct graph versions with resident cache entries.",
 		func() float64 { return float64(s.cache.Stats().Versions) })
-	reg.CounterFunc("relsim_eval_products_total",
-		"Matrix products performed by evaluators bound to this server.",
-		func() float64 { return float64(s.nProducts.Load()) })
+	s.n.products = counter(reg, "relsim_eval_products_total",
+		"Matrix products performed by evaluators bound to this server.")
 
-	reg.CounterFunc("relsim_delta_commits_total",
-		"Commits that ran incremental cache maintenance.",
-		func() float64 { return float64(s.nDeltaCommits.Load()) })
-	reg.CounterFunc("relsim_delta_roots_total",
-		"Stale cached patterns eligible for incremental maintenance.",
-		func() float64 { return float64(s.nDeltaRoots.Load()) })
-	reg.CounterFunc("relsim_delta_maintained_total",
-		"Cached patterns patched forward by delta products instead of evicted.",
-		func() float64 { return float64(s.nDeltaMaintained.Load()) })
-	reg.CounterFunc("relsim_delta_fallbacks_total",
-		"Patterns maintenance gave up on (dense delta or unwalkable key).",
-		func() float64 { return float64(s.nDeltaFallbacks.Load()) })
-	reg.CounterFunc("relsim_delta_products_total",
-		"Sparse products spent applying commit deltas.",
-		func() float64 { return float64(s.nDeltaProducts.Load()) })
-	s.deltaDur = reg.Histogram("relsim_delta_maintenance_seconds",
+	s.n.deltaDur = reg.Histogram("relsim_delta_maintenance_seconds",
 		"Wall time per commit spent maintaining cached matrices.",
 		nil).With()
+	reg.CounterFunc("relsim_delta_commits_total",
+		"Commits that ran incremental cache maintenance.",
+		func() float64 { return float64(s.n.deltaDur.Count()) })
+	s.n.deltaRoots = counter(reg, "relsim_delta_roots_total",
+		"Stale cached patterns eligible for incremental maintenance.")
+	s.n.deltaMaintained = counter(reg, "relsim_delta_maintained_total",
+		"Cached patterns patched forward by delta products instead of evicted.")
+	s.n.deltaFallbacks = counter(reg, "relsim_delta_fallbacks_total",
+		"Patterns maintenance gave up on (dense delta or unwalkable key).")
+	s.n.deltaProducts = counter(reg, "relsim_delta_products_total",
+		"Sparse products spent applying commit deltas.")
 
-	reg.CounterFunc("relsim_workload_planned_batches_total",
-		"Batches that completed a workload plan.",
-		func() float64 { return float64(s.nPlanned.Load()) })
-	reg.CounterFunc("relsim_workload_subpatterns_deduped_total",
-		"Subexpression materializations avoided by DAG sharing.",
-		func() float64 { return float64(s.nDeduped.Load()) })
-	reg.CounterFunc("relsim_workload_products_saved_total",
-		"Matrix products avoided by workload planning (static estimate).",
-		func() float64 { return float64(s.nProductsSaved.Load()) })
-	reg.CounterFunc("relsim_workload_unplannable_patterns_total",
-		"Patterns excluded from planning (canonicalization not count-exact).",
-		func() float64 { return float64(s.nUnplannable.Load()) })
+	s.n.planned = counter(reg, "relsim_workload_planned_batches_total",
+		"Batches that completed a workload plan.")
+	s.n.deduped = counter(reg, "relsim_workload_subpatterns_deduped_total",
+		"Subexpression materializations avoided by DAG sharing.")
+	s.n.productsSaved = counter(reg, "relsim_workload_products_saved_total",
+		"Matrix products avoided by workload planning (static estimate).")
+	s.n.unplannable = counter(reg, "relsim_workload_unplannable_patterns_total",
+		"Patterns excluded from planning (canonicalization not count-exact).")
 
 	reg.CounterFunc("relsim_expand_memo_hits_total",
 		"Algorithm-1 expansion memo hits.",

@@ -42,7 +42,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"relsim/internal/admission"
@@ -144,35 +143,10 @@ type Server struct {
 	accessJSON    bool
 	accessMu      sync.Mutex
 
-	// Workload-planning counters: batches planned, subexpression
-	// materializations avoided by DAG sharing, products those
-	// materializations would have cost (both static per-plan estimates
-	// versus per-query isolation), patterns excluded from planning
-	// because canonicalization is not count-exact, and products actually
-	// performed by every evaluator bound to this server (the mul-hook
-	// count).
-	nPlanned, nDeduped, nProductsSaved, nUnplannable, nProducts atomic.Uint64
-
-	// Semiring-annotated serving (see annotate.go): the counters split
-	// annotated request traffic, annotated-kernel products (the mul hook
-	// passes nil operands for non-integer products, which is how they are
-	// told apart), and /explain's projection-vs-legacy answers.
-	nAnnotated, nAnnotatedProducts  atomic.Uint64
-	nExplainProjected, nExplainWarm atomic.Uint64
-	nExplainLegacy                  atomic.Uint64
-
-	// Incremental cache maintenance (delta SpGEMM): the commit hook
-	// patches stale cached matrices to the new version instead of
-	// evicting them, falling back to eviction per pattern past
-	// eval.DefaultMaxDeltaDensity. The counters accumulate
-	// Cache.Maintain results across commits; deltaNanos is the total
-	// wall time spent maintaining, and deltaDur the latency histogram
-	// handle.
-	deltaDur *telemetry.Metric
-
-	nDeltaCommits, nDeltaRoots, nDeltaMaintained atomic.Uint64
-	nDeltaFallbacks, nDeltaProducts              atomic.Uint64
-	deltaNanos                                   atomic.Int64
+	// n holds the server's workload, semiring and delta counters as
+	// telemetry handles: /metrics exposes them and /stats reads them back
+	// with Value(), so the two surfaces share one store.
+	n serverCounters
 
 	// testHookEval, when set (tests only), runs at the start of every
 	// query scoring pass with the request about to be scored — the
@@ -297,7 +271,6 @@ func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 		o(s)
 	}
 	s.adm = admission.New(s.admCfg)
-	st.OnUpdate(s.ageCache)
 	s.mux.HandleFunc("POST /search", s.handleSearch)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
 	s.mux.HandleFunc("POST /explain", s.handleExplain)
@@ -319,6 +292,9 @@ func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 		in.Instrument(s.reg)
 	}
 	s.mux.Handle("GET /metrics", s.reg.Handler())
+	// Registered once the counter handles exist: a commit observed from
+	// here on is counted.
+	st.OnUpdate(s.ageCache)
 	if s.slowThreshold > 0 {
 		s.slow = newSlowLog()
 	}
@@ -363,9 +339,9 @@ func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 	// Annotated (non-integer) products fire the hook with nil operands —
 	// the discriminator the semiring counters rely on.
 	ev.SetMulHook(func(a, _ *sparse.Matrix) {
-		s.nProducts.Add(1)
+		s.n.products.Inc()
 		if a == nil {
-			s.nAnnotatedProducts.Add(1)
+			s.n.annotatedProducts.Inc()
 		}
 	})
 	return ev
@@ -382,34 +358,28 @@ func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 // patterns forward and evicts whatever maintenance did not (or could
 // not) patch, and EvictBelow drops entries below the oldest
 // still-pinned version. It runs after publication, still on the
-// writer's goroutine, so batches age the cache in commit order —
-// which also means the live snapshot here is exactly the batch's
-// post-commit version.
-func (s *Server) ageCache(updates []store.Update) {
+// writer's goroutine, so batches age the cache in commit order, each
+// against the snapshot it published.
+func (s *Server) ageCache(view *graph.Snapshot, updates []store.Update) {
 	d := store.SummarizeUpdates(updates)
 	ls := d.Labels()
 	nodesChanged := d.NodesAdded > 0
 	oldestPinned := s.st.OldestPinned()
 	if len(ls) > 0 || nodesChanged {
-		if view, ver := s.st.Snapshot(); ver == d.To {
-			start := time.Now()
-			n := view.NumNodes()
-			res := s.cache.Maintain(view, eval.CommitDelta{
-				From:   d.From,
-				To:     d.To,
-				OldN:   n - d.NodesAdded,
-				NewN:   n,
-				Labels: d.LabelDeltas(n),
-			}, eval.MaintainOptions{MaxDensity: eval.DefaultMaxDeltaDensity})
-			elapsed := time.Since(start)
-			s.nDeltaCommits.Add(1)
-			s.nDeltaRoots.Add(uint64(res.Roots))
-			s.nDeltaMaintained.Add(uint64(res.Maintained))
-			s.nDeltaFallbacks.Add(uint64(res.Fallbacks))
-			s.nDeltaProducts.Add(uint64(res.Products))
-			s.deltaNanos.Add(elapsed.Nanoseconds())
-			s.deltaDur.Observe(elapsed.Seconds())
-		}
+		start := time.Now()
+		n := view.NumNodes()
+		res := s.cache.Maintain(view, eval.CommitDelta{
+			From:   d.From,
+			To:     d.To,
+			OldN:   n - d.NodesAdded,
+			NewN:   n,
+			Labels: d.LabelDeltas(n),
+		}, eval.MaintainOptions{MaxDensity: eval.DefaultMaxDeltaDensity})
+		s.n.deltaRoots.Add(float64(res.Roots))
+		s.n.deltaMaintained.Add(float64(res.Maintained))
+		s.n.deltaFallbacks.Add(float64(res.Fallbacks))
+		s.n.deltaProducts.Add(float64(res.Products))
+		s.n.deltaDur.Observe(time.Since(start).Seconds())
 	}
 	// Readers still pinned at the pre-write version keep their entries
 	// (Advance copies instead of moving); EvictBelow reaps them — and
@@ -592,11 +562,11 @@ func (s *Server) Stats() StatsResponse {
 		Cache:         s.cache.Stats(),
 		CacheVersions: s.cache.VersionOccupancy(),
 		Workload: WorkloadStats{
-			PlannedBatches:       s.nPlanned.Load(),
-			SubpatternsDeduped:   s.nDeduped.Load(),
-			ProductsSaved:        s.nProductsSaved.Load(),
-			UnplannablePatterns:  s.nUnplannable.Load(),
-			ProductsMaterialized: s.nProducts.Load(),
+			PlannedBatches:       count(s.n.planned),
+			SubpatternsDeduped:   count(s.n.deduped),
+			ProductsSaved:        count(s.n.productsSaved),
+			UnplannablePatterns:  count(s.n.unplannable),
+			ProductsMaterialized: count(s.n.products),
 		},
 		Delta:         s.deltaStats(),
 		Semiring:      s.semiringStats(),
@@ -609,16 +579,17 @@ func (s *Server) Stats() StatsResponse {
 	}
 }
 
-// deltaStats snapshots the incremental-maintenance counters.
+// deltaStats snapshots the incremental-maintenance counters. Commits
+// and seconds are the maintenance histogram's count and sum.
 func (s *Server) deltaStats() DeltaStats {
 	return DeltaStats{
 		MaxDensity:         eval.DefaultMaxDeltaDensity,
-		Commits:            s.nDeltaCommits.Load(),
-		Roots:              s.nDeltaRoots.Load(),
-		Maintained:         s.nDeltaMaintained.Load(),
-		Fallbacks:          s.nDeltaFallbacks.Load(),
-		Products:           s.nDeltaProducts.Load(),
-		MaintenanceSeconds: float64(s.deltaNanos.Load()) / float64(time.Second),
+		Commits:            s.n.deltaDur.Count(),
+		Roots:              count(s.n.deltaRoots),
+		Maintained:         count(s.n.deltaMaintained),
+		Fallbacks:          count(s.n.deltaFallbacks),
+		Products:           count(s.n.deltaProducts),
+		MaintenanceSeconds: s.n.deltaDur.Value(),
 	}
 }
 

@@ -149,6 +149,24 @@ func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
 	return &g
 }
 
+// MulFlops returns the exact number of scalar multiplications m·o
+// performs — for every entry (i,k) of m, the length of o's row k — read
+// off the two operands' spans in O(nnz(m)) without allocating. It is
+// the chain planner's cost of a product. It panics if dimensions differ.
+func (m *GMatrix[T]) MulFlops(o *GMatrix[T]) int64 {
+	if m.n != o.n {
+		panic(fmt.Sprintf("sparse: MulFlops dimension mismatch %d vs %d", m.n, o.n))
+	}
+	var flops int64
+	for _, sp := range m.rows {
+		for _, k := range m.colIdx[sp.lo:sp.hi] {
+			osp := o.row(int(k))
+			flops += int64(osp.hi - osp.lo)
+		}
+	}
+	return flops
+}
+
 // withRows returns the n×n matrix (n ≥ m.n) that reads as m except at
 // the given rows — ascending, below n — where row rows[i] becomes
 // cols/vals[ptr[i]:ptr[i+1]] (canonical; empty empties the row). The
@@ -228,8 +246,12 @@ func GIdentity[T any, R Ring[T]](ring R, n int) *GMatrix[T] {
 
 // GLift maps an integer matrix into the ring entry-wise via Lift,
 // dropping entries that lift to zero. This is how base adjacency
-// matrices enter an annotated evaluation.
+// matrices enter an evaluation. At IntRing, where Lift is the identity,
+// it returns m itself.
 func GLift[T any, R Ring[T]](ring R, m *Matrix) *GMatrix[T] {
+	if _, isInt := any(ring).(IntRing); isInt {
+		return any(m.gm()).(*GMatrix[T])
+	}
 	return gMapEntries(m.gm(), func(v int64) (T, bool) {
 		l := ring.Lift(v)
 		return l, !ring.IsZero(l)
@@ -572,16 +594,17 @@ func SameSupport[T, U any](m *GMatrix[T], o *GMatrix[U]) bool {
 }
 
 // GBooleanClosure returns the reflexive-transitive boolean closure of m
-// by repeated squaring. Convergence is detected on the support (the set
-// of truthy positions), not on values: boolean-collapsed integer
-// matrices carry only ones, so for IntRing this is exactly the old
-// value-equality test, while annotation rings — whose derivation depths
-// keep growing with every squaring — still terminate the moment
-// reachability stabilizes.
-func GBooleanClosure[T any, R Ring[T]](ring R, m *GMatrix[T], t Thresholds) *GMatrix[T] {
+// by repeated squaring, each square computed by mul — the caller's
+// product, so its squarings are counted, hooked and cancellable like
+// any other. Convergence is detected on the support (the set of truthy
+// positions), not on values: boolean-collapsed integer matrices carry
+// only ones, so for IntRing this is value equality, while annotation
+// rings — whose derivation depths keep growing with every squaring —
+// still terminate the moment reachability stabilizes.
+func GBooleanClosure[T any, R Ring[T]](ring R, m *GMatrix[T], mul func(a, b *GMatrix[T]) *GMatrix[T]) *GMatrix[T] {
 	cur := GBoolean(ring, GAdd(ring, GIdentity[T](ring, m.n), GBoolean(ring, m)))
 	for {
-		next := GBoolean(ring, GMulThresh(ring, cur, cur, t))
+		next := GBoolean(ring, mul(cur, cur))
 		if SameSupport(next, cur) {
 			return cur
 		}

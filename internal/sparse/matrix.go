@@ -163,22 +163,8 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 }
 
 // MulFlops returns the exact number of scalar multiplications m·o
-// performs — for every entry (i,k) of m, the length of o's row k — read
-// off the two operands' spans in O(nnz(m)) without allocating. It is the chain
-// planner's cost of a product. It panics if dimensions differ.
-func (m *Matrix) MulFlops(o *Matrix) int64 {
-	if m.n != o.n {
-		panic(fmt.Sprintf("sparse: MulFlops dimension mismatch %d vs %d", m.n, o.n))
-	}
-	var flops int64
-	for _, sp := range m.rows {
-		for _, k := range m.colIdx[sp.lo:sp.hi] {
-			osp := o.gm().row(int(k))
-			flops += int64(osp.hi - osp.lo)
-		}
-	}
-	return flops
-}
+// performs (see GMatrix.MulFlops).
+func (m *Matrix) MulFlops(o *Matrix) int64 { return m.gm().MulFlops(o.gm()) }
 
 // Add returns m + o element-wise, the commuting matrix of a disjunction
 // p1 + p2 with p1 ≠ p2. It panics if dimensions differ.
@@ -232,7 +218,9 @@ func (m *Matrix) Sum() int64 {
 // where m is interpreted as a boolean relation. This implements the set
 // semantics of Kleene star instances I(p*) collapsed to reachability.
 func (m *Matrix) BooleanClosure() *Matrix {
-	return wrapInt(GBooleanClosure(IntRing{}, m.gm(), DefaultThresholds()))
+	return wrapInt(GBooleanClosure(IntRing{}, m.gm(), func(a, b *GMatrix[int64]) *GMatrix[int64] {
+		return wrapInt(a).Mul(wrapInt(b)).gm()
+	}))
 }
 
 // String renders small matrices densely for debugging; large matrices

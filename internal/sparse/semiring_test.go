@@ -164,7 +164,9 @@ func TestAnnotatedRingsProjectToIntKernel(t *testing.T) {
 		}
 		// Closure: witness totals keep growing, so only the support is
 		// comparable — and that is the documented contract.
-		wc := GBooleanClosure(WitnessRing{}, wa, th)
+		wc := GBooleanClosure(WitnessRing{}, wa, func(x, y *GMatrix[Witness]) *GMatrix[Witness] {
+			return GMulThresh(WitnessRing{}, x, y, th)
+		})
 		ic := a.BooleanClosure()
 		if !SameSupport(wc, ic.gm()) {
 			t.Fatalf("witness closure support diverges from int closure")

@@ -24,8 +24,12 @@ func deltaTriples(d *sparse.Delta) []sparse.Triple {
 func TestSummarizeUpdates(t *testing.T) {
 	st := New(nil)
 	var got []BatchDelta
-	st.OnUpdate(func(updates []Update) {
-		got = append(got, SummarizeUpdates(updates))
+	st.OnUpdate(func(snap *graph.Snapshot, updates []Update) {
+		d := SummarizeUpdates(updates)
+		if snap.NumNodes() < d.NodesAdded {
+			t.Errorf("published snapshot has %d nodes, batch added %d", snap.NumNodes(), d.NodesAdded)
+		}
+		got = append(got, d)
 	})
 
 	var a, b graph.NodeID

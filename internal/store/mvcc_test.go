@@ -111,7 +111,7 @@ func TestUpdateRollsBackAtomically(t *testing.T) {
 	s := New(g)
 
 	var seen int
-	s.OnUpdate(func(us []Update) { seen += len(us) })
+	s.OnUpdate(func(_ *graph.Snapshot, us []Update) { seen += len(us) })
 
 	err := s.Update(func(tx *Tx) error {
 		tx.AddNode("c", "t")

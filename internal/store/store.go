@@ -81,7 +81,7 @@ type Store struct {
 	// writeMu serializes writers (version chain is single-writer);
 	// readers never touch it.
 	writeMu  sync.Mutex
-	onUpdate func([]Update)
+	onUpdate func(*graph.Snapshot, []Update)
 
 	// mu guards the update log and the pin registry.
 	mu     sync.Mutex
@@ -123,13 +123,15 @@ func New(g *graph.Graph) *Store {
 
 // OnUpdate registers fn to observe every committed mutation batch. fn
 // runs after the new version is published, still under the writer lock,
-// so observers see batches in commit order exactly once. With versioned
+// so observers see batches in commit order exactly once, each with the
+// snapshot the batch published — the version its last update carries,
+// which no later commit can have replaced while fn runs. With versioned
 // snapshots the observer is not needed for correctness (readers at old
 // versions keep consistent data); it is the hook for proactive cache
 // aging. Keep fn fast; it must not call Update (writer re-entry
 // deadlocks). Only one observer is supported; a second call replaces
 // it.
-func (s *Store) OnUpdate(fn func([]Update)) {
+func (s *Store) OnUpdate(fn func(snap *graph.Snapshot, updates []Update)) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.onUpdate = fn
@@ -507,7 +509,7 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 	s.trimLogLocked()
 	s.mu.Unlock()
 	if s.onUpdate != nil {
-		s.onUpdate(tx.updates)
+		s.onUpdate(next.snap, tx.updates)
 	}
 	// Observed before the (asynchronous) checkpoint cadence check: commit
 	// latency is what the caller waited, writeMu wait included.

@@ -86,7 +86,11 @@ func TestRemoveEdgeRoundTrip(t *testing.T) {
 func TestUpdateLogAndObserver(t *testing.T) {
 	s, a, b := newTestStore(t)
 	var observed []Update
-	s.OnUpdate(func(us []Update) { observed = append(observed, us...) })
+	var published *graph.Snapshot
+	s.OnUpdate(func(snap *graph.Snapshot, us []Update) {
+		published = snap
+		observed = append(observed, us...)
+	})
 
 	err := s.Update(func(tx *Tx) error {
 		c := tx.AddNode("c", "t")
@@ -100,6 +104,9 @@ func TestUpdateLogAndObserver(t *testing.T) {
 	}
 	if len(observed) != 3 {
 		t.Fatalf("observer saw %d updates, want 3", len(observed))
+	}
+	if snap, _ := s.Snapshot(); published != snap {
+		t.Fatal("observer was not handed the snapshot the batch published")
 	}
 	wantOps := []Op{OpAddNode, OpAddEdge, OpRemoveEdge}
 	for i, u := range observed {

@@ -28,6 +28,8 @@ package relsim
 import (
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"relsim/internal/eval"
@@ -320,12 +322,17 @@ func VerifyInverse(g *Graph, t, inv Transformation) bool {
 }
 
 // Engine answers similarity queries over one graph database, caching
-// commuting matrices across queries. It is safe for concurrent use.
+// commuting matrices across queries. It is safe for concurrent use. It
+// keeps its own version of g: ev is the evaluator bound to it, and
+// InvalidateLabels / InvalidateAll move to the next version.
 type Engine struct {
 	g      *Graph
 	schema *Schema
-	ev     *eval.Evaluator
 	genOpt pattern.Options
+	cache  *eval.Cache
+
+	mu sync.Mutex // serializes version changes
+	ev atomic.Pointer[eval.Evaluator]
 }
 
 // NewEngine builds an engine for g. The schema may be nil when no
@@ -334,7 +341,9 @@ func NewEngine(g *Graph, s *Schema) *Engine {
 	if s == nil {
 		s = schema.New(g.Labels())
 	}
-	return &Engine{g: g, schema: s, ev: eval.New(g), genOpt: pattern.Default()}
+	e := &Engine{g: g, schema: s, genOpt: pattern.Default(), cache: eval.NewCache()}
+	e.ev.Store(eval.NewVersioned(g, 0, e.cache))
+	return e
 }
 
 // Graph returns the engine's graph.
@@ -356,27 +365,39 @@ func (e *Engine) CheckConstraints(max int) []string {
 // Materialize pre-computes commuting matrices for the given patterns
 // (e.g. all meta-paths of a workload) to speed up later queries.
 func (e *Engine) Materialize(patterns ...*Pattern) {
-	e.ev.Materialize(patterns...)
+	e.ev.Load().Materialize(patterns...)
 }
 
 // InvalidateLabels evicts cached commuting matrices of every pattern
 // mentioning at least one of the given labels, and returns the number
 // evicted. Call it after mutating edges of those labels on the engine's
 // graph; matrices of untouched patterns stay hot.
-func (e *Engine) InvalidateLabels(labels ...string) int {
-	return e.ev.InvalidateLabels(labels...)
-}
+func (e *Engine) InvalidateLabels(labels ...string) int { return e.advance(labels, false) }
 
 // InvalidateAll drops the whole commuting-matrix cache. Required after
 // adding or removing nodes (every matrix dimension changes).
-func (e *Engine) InvalidateAll() int { return e.ev.InvalidateAll() }
+func (e *Engine) InvalidateAll() int { return e.advance(nil, true) }
+
+// advance moves the engine from version v to v+1 as a server commit
+// does: Advance counts the touched entries it evicts, EvictBelow drops
+// the rest of v, and the evaluator at v+1 is swapped in. A computation
+// still running at v inserts under v, where no later reader looks.
+func (e *Engine) advance(labels []string, nodesChanged bool) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v := e.ev.Load().Version()
+	_, evicted := e.cache.Advance(v, v+1, labels, nodesChanged, false)
+	e.cache.EvictBelow(v + 1)
+	e.ev.Store(eval.NewVersioned(e.g, v+1, e.cache))
+	return evicted
+}
 
 // CacheStats returns the commuting-matrix cache counters.
-func (e *Engine) CacheStats() CacheStats { return e.ev.Stats() }
+func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // SetCacheLimit bounds the commuting-matrix cache to n matrices with LRU
 // eviction; n <= 0 removes the bound.
-func (e *Engine) SetCacheLimit(n int) { e.ev.SetCacheLimit(n) }
+func (e *Engine) SetCacheLimit(n int) { e.cache.SetLimit(n) }
 
 // searchConfig collects Search options.
 type searchConfig struct {
@@ -432,9 +453,9 @@ func (e *Engine) SearchPattern(p *Pattern, query NodeID, opts ...SearchOption) (
 		if err != nil {
 			return Ranking{}, err
 		}
-		return sim.RelSimAggregate(e.ev, ps, query, cfg.candidates), nil
+		return sim.RelSimAggregate(e.ev.Load(), ps, query, cfg.candidates), nil
 	}
-	return sim.RelSim(e.ev, p, query, cfg.candidates), nil
+	return sim.RelSim(e.ev.Load(), p, query, cfg.candidates), nil
 }
 
 // ExpandPattern runs Algorithm 1 on a simple pattern and returns the
@@ -445,36 +466,36 @@ func (e *Engine) ExpandPattern(p *Pattern) ([]*Pattern, error) {
 
 // RelSim scores an RRE pattern with Equation 1 (paper §4).
 func (e *Engine) RelSim(p *Pattern, query NodeID, candidates []NodeID) Ranking {
-	return sim.RelSim(e.ev, p, query, candidates)
+	return sim.RelSim(e.ev.Load(), p, query, candidates)
 }
 
 // PathSim scores a simple meta-path with Equation 1 (the baseline).
 func (e *Engine) PathSim(p *Pattern, query NodeID, candidates []NodeID) (Ranking, error) {
-	return sim.PathSim(e.ev, p, query, candidates)
+	return sim.PathSim(e.ev.Load(), p, query, candidates)
 }
 
 // HeteSim scores a (possibly asymmetric) path with the HeteSim relevance
 // measure.
 func (e *Engine) HeteSim(p *Pattern, query NodeID, candidates []NodeID) Ranking {
-	return sim.HeteSimRRE(e.ev, p, query, candidates)
+	return sim.HeteSimRRE(e.ev.Load(), p, query, candidates)
 }
 
 // RWR ranks by random walk with restart (restart probability 0.8, the
 // paper's setting).
 func (e *Engine) RWR(query NodeID, candidates []NodeID) Ranking {
-	return sim.RWR(e.ev, sim.DefaultRWR(), query, candidates)
+	return sim.RWR(e.ev.Load(), sim.DefaultRWR(), query, candidates)
 }
 
 // SimRank ranks by Monte-Carlo SimRank (damping 0.8, deterministic
 // seed).
 func (e *Engine) SimRank(query NodeID, candidates []NodeID) Ranking {
-	return sim.SimRankMC(e.ev, sim.DefaultSimRank(), query, candidates)
+	return sim.SimRankMC(e.ev.Load(), sim.DefaultSimRank(), query, candidates)
 }
 
 // InstanceCount returns |I^{u,v}(p)|, the number of instances of the
 // pattern from u to v (paper §4.2).
 func (e *Engine) InstanceCount(p *Pattern, u, v NodeID) int64 {
-	return e.ev.Commuting(p).At(int(u), int(v))
+	return e.ev.Load().Commuting(p).At(int(u), int(v))
 }
 
 // Explain enumerates up to limit concrete instances of the pattern from
@@ -482,7 +503,7 @@ func (e *Engine) InstanceCount(p *Pattern, u, v NodeID) int64 {
 // semantics — rendered with node names where available. It answers "why
 // are these two entities similar under this pattern?".
 func (e *Engine) Explain(p *Pattern, u, v NodeID, limit int) []string {
-	ins := e.ev.Instances(p, u, v, limit)
+	ins := e.ev.Load().Instances(p, u, v, limit)
 	out := make([]string, len(ins))
 	for i, in := range ins {
 		out[i] = in.Render(e.g)
@@ -511,7 +532,7 @@ type WitnessExplanation struct {
 // enumeration each. It reports false when no instance connects u to v.
 // For the exhaustive listing of instances, use Explain.
 func (e *Engine) ExplainWitness(p *Pattern, u, v NodeID) (WitnessExplanation, bool) {
-	w, ok := eval.WitnessLookup(e.ev.CommutingWitness(p), u, v)
+	w, ok := e.ev.Load().CommutingWitness(p).Lookup(int(u), int(v))
 	if !ok {
 		return WitnessExplanation{}, false
 	}
@@ -532,7 +553,7 @@ type ConjAtom = eval.ConjAtom
 // ConjunctiveSimilarity scores Equation 1 over a conjunctive RRE for a
 // single node pair.
 func (e *Engine) ConjunctiveSimilarity(c ConjunctivePattern, u, v NodeID) (float64, error) {
-	return e.ev.ConjunctivePathSim(c, u, v)
+	return e.ev.Load().ConjunctivePathSim(c, u, v)
 }
 
 // Renaming builds a label-renaming transformation; see

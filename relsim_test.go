@@ -2,6 +2,7 @@ package relsim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -305,6 +306,123 @@ func TestEngineMaterialize(t *testing.T) {
 	r, err := eng.SearchPattern(p, courses[0], WithoutExpansion())
 	if err != nil || r.Len() == 0 {
 		t.Fatalf("materialized search failed: %v", err)
+	}
+}
+
+// invalidationGraph builds a small graph with three labels so patterns
+// over disjoint label sets can be cached side by side.
+func invalidationGraph() *Graph {
+	g := NewGraph()
+	n := make([]NodeID, 4)
+	for i := range n {
+		n[i] = g.AddNode("", "")
+	}
+	g.AddEdge(n[0], "a", n[1])
+	g.AddEdge(n[1], "b", n[2])
+	g.AddEdge(n[2], "c", n[3])
+	g.AddEdge(n[0], "c", n[2])
+	return g
+}
+
+func TestInvalidateLabelsSelective(t *testing.T) {
+	eng := NewEngine(invalidationGraph(), nil)
+	pab := MustParsePattern("a.b")
+	pc := MustParsePattern("c")
+	eng.Materialize(pab, pc)
+	// Cached: "a.b", its halves "a" and "b-" (the right one is kept
+	// reversed), "b" under "b-", and "c".
+	if got := eng.CacheStats().Size; got != 5 {
+		t.Fatalf("cache size = %d, want 5", got)
+	}
+
+	// Touching label c must evict only "c".
+	if n := eng.InvalidateLabels("c"); n != 1 {
+		t.Errorf("InvalidateLabels(c) evicted %d, want 1", n)
+	}
+	if got := eng.CacheStats().Size; got != 4 {
+		t.Errorf("cache size after invalidating c = %d, want 4", got)
+	}
+
+	// The surviving "a.b" matrix is served from cache: a hit, no miss.
+	before := eng.CacheStats()
+	eng.InstanceCount(pab, 0, 2)
+	after := eng.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("expected pure cache hit for a.b, got hits %d→%d misses %d→%d",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+
+	// Touching label a evicts "a" and "a.b" but not "b".
+	if n := eng.InvalidateLabels("a"); n != 2 {
+		t.Errorf("InvalidateLabels(a) evicted %d, want 2", n)
+	}
+	if got := eng.CacheStats().Size; got != 2 {
+		t.Errorf("cache size = %d, want 2 (only b and b-)", got)
+	}
+}
+
+func TestInvalidationReflectsNewEdges(t *testing.T) {
+	g := invalidationGraph()
+	eng := NewEngine(g, nil)
+	pc := MustParsePattern("c")
+	if got := eng.InstanceCount(pc, 0, 3); got != 0 {
+		t.Fatalf("c(0,3) = %d, want 0", got)
+	}
+	g.AddEdge(0, "c", 3)
+	// Without invalidation the stale cached matrix is served.
+	if got := eng.InstanceCount(pc, 0, 3); got != 0 {
+		t.Fatalf("stale read should still be 0, got %d", got)
+	}
+	eng.InvalidateLabels("c")
+	if got := eng.InstanceCount(pc, 0, 3); got != 1 {
+		t.Errorf("after invalidation c(0,3) = %d, want 1", got)
+	}
+}
+
+func TestInvalidateAll(t *testing.T) {
+	eng := NewEngine(invalidationGraph(), nil)
+	eng.Materialize(MustParsePattern("a"), MustParsePattern("b"), MustParsePattern("c"))
+	if n := eng.InvalidateAll(); n != 3 {
+		t.Errorf("InvalidateAll = %d, want 3", n)
+	}
+	if got := eng.CacheStats().Size; got != 0 {
+		t.Errorf("cache size = %d, want 0", got)
+	}
+	if st := eng.CacheStats(); st.Invalidations != 3 {
+		t.Errorf("Invalidations = %d, want 3", st.Invalidations)
+	}
+}
+
+// TestInvalidateConcurrentWithReads moves the engine through versions
+// while readers evaluate: every read sees the unchanged graph's count,
+// and the cache ends holding only the last version's entries.
+func TestInvalidateConcurrentWithReads(t *testing.T) {
+	eng := NewEngine(invalidationGraph(), nil)
+	pab, pc := MustParsePattern("a.b"), MustParsePattern("c")
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := eng.InstanceCount(pab, 0, 2) + eng.InstanceCount(pc, 0, 2); got != 2 {
+					t.Errorf("a.b(0,2) + c(0,2) = %d, want 2", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		if i%10 == 0 {
+			eng.InvalidateAll()
+		} else {
+			eng.InvalidateLabels("c")
+		}
+	}
+	wg.Wait()
+	eng.InvalidateLabels("c")
+	if st := eng.CacheStats(); st.Versions > 1 {
+		t.Fatalf("cache holds %d versions after the last invalidation, want at most 1", st.Versions)
 	}
 }
 
