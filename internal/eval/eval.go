@@ -194,7 +194,7 @@ func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 	}
 	return mat(w.get(p, func(p *rre.Pattern) *sparse.GMatrix[int64] {
 		a, bt := e.Halves(e.Cut(p))
-		return w.mul(gm(a), gm(bt.Transpose()))
+		return w.mul(gm(a), gm(bt.TransposeCached()))
 	}))
 }
 

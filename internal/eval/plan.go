@@ -9,10 +9,12 @@ import (
 // and the diagonal of M_p, never M_p itself. A top-level concatenation
 // f1·…·fk is cut once into f1…fc and fc+1…fk and scored from the two
 // thin halves A = M_Left and Bᵀ = M_RevRight (§4.3: M_{p1·p2} =
-// M_{p1}·M_{p2}, M_{p⁻} = M_pᵀ) as M_p(u,v) = ⟨A[u,·], Bᵀ[v,·]⟩. The
-// right half is kept reversed so both are read by row and a symmetric
-// pattern's halves share one key. RevRight is nil for a pattern that is
-// not a concatenation: Left is the pattern, the right half the identity.
+// M_{p1}·M_{p2}, M_{p⁻} = M_pᵀ): row u of M_p is row u of A pushed
+// through B = (Bᵀ)ᵀ, and M_p(v,v) = ⟨A[v,·], Bᵀ[v,·]⟩. The right half
+// is kept reversed so a symmetric pattern's halves share one key; its
+// transpose B is kept with the cached matrix (Matrix.TransposeCached).
+// RevRight is nil for a pattern that is not a concatenation: Left is the
+// pattern, the right half the identity.
 type Cut struct {
 	Left, RevRight *rre.Pattern
 }
@@ -22,10 +24,13 @@ type Cut struct {
 // and Halves never canonicalizes. The cut is a function of the chain
 // alone and costs no product: the factor boundary that best balances
 // the label count of the two sides (a nest [q] relates a node to itself
-// and weighs nothing), leftmost on a tie. Equal chains thus cut equally
-// on every request, version and replica. For the Algorithm-1 expansion
-// of a symmetric meta-path it is the seam between the rewritten prefix
-// and suffix, so |E_p| roots share ≈ √|E_p| halves.
+// and weighs nothing). Between equally balanced boundaries it takes the
+// one with the lighter right half, since the right half is the one kept
+// in both orientations; leftmost breaks any remaining tie (a.[b].c cuts
+// after a). Equal chains thus cut equally on every request, version and
+// replica. For the Algorithm-1 expansion of a symmetric meta-path it is
+// the seam between the rewritten prefix and suffix, so |E_p| roots share
+// ≈ √|E_p| halves.
 func NewCut(p *rre.Pattern, canonical bool) Cut {
 	p = canonForm(p, canonical)
 	if p.Kind() != rre.KindConcat {
@@ -42,15 +47,15 @@ func NewCut(p *rre.Pattern, canonical bool) Cut {
 	for _, f := range subs {
 		total += weight(f)
 	}
-	c, left, best := 1, 0, total+1
+	c, left, best, bestLeft := 1, 0, total+1, 0
 	for i, f := range subs[:len(subs)-1] {
 		left += weight(f)
 		d := 2*left - total
 		if d < 0 {
 			d = -d
 		}
-		if d < best {
-			c, best = i+1, d
+		if d < best || d == best && left > bestLeft {
+			c, best, bestLeft = i+1, d, left
 		}
 	}
 	return Cut{

@@ -28,6 +28,7 @@ package rre
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind discriminates AST node types.
@@ -72,8 +73,9 @@ func (k Kind) String() string {
 // Pattern values directly.
 type Pattern struct {
 	kind  Kind
-	label string     // KindLabel only
-	subs  []*Pattern // children: 1 for Rev/Star/Nest/Skip, ≥2 for Concat/Alt
+	label string                 // KindLabel only
+	subs  []*Pattern             // children: 1 for Rev/Star/Nest/Skip, ≥2 for Concat/Alt
+	str   atomic.Pointer[string] // String's rendering, set on its first call
 }
 
 // Kind returns the node kind.
@@ -380,11 +382,18 @@ func (p *Pattern) Length() int {
 	return n
 }
 
-// String renders p in the ASCII concrete syntax accepted by Parse.
+// String renders p in the ASCII concrete syntax accepted by Parse. The
+// node is immutable, so the rendering is made once and kept: a cache
+// key is rendered on the first lookup, not on every one.
 func (p *Pattern) String() string {
+	if s := p.str.Load(); s != nil {
+		return *s
+	}
 	var b strings.Builder
 	p.format(&b, 0)
-	return b.String()
+	s := b.String()
+	p.str.Store(&s)
+	return s
 }
 
 // precedence levels: 0 alt, 1 concat, 2 postfix (star/rev), 3 atom

@@ -18,8 +18,20 @@ import (
 // referenceAggregate is RelSimAggregate as it was before scoring moved
 // to the two halves, kept verbatim as the oracle of the differential
 // tests below: it materializes every root M_p and reads it with three
-// At binary searches per (pattern, candidate) into a score map.
+// At binary searches per (pattern, candidate) into a score map. Its
+// candidates are first reduced to the set ScoreCuts reads them as:
+// repeats dropped, ids outside [0, n) ignored.
 func referenceAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.NodeID, candidates []graph.NodeID) Ranking {
+	if candidates != nil {
+		set, seen := []graph.NodeID{}, map[graph.NodeID]bool{}
+		for _, v := range candidates {
+			if v >= 0 && int(v) < ev.Graph().NumNodes() && !seen[v] {
+				seen[v] = true
+				set = append(set, v)
+			}
+		}
+		candidates = set
+	}
 	scores := map[graph.NodeID]float64{}
 	for _, p := range patterns {
 		m := ev.Commuting(p)
@@ -104,6 +116,49 @@ func randomRRE(rng *rand.Rand, depth int) *rre.Pattern {
 	return rre.Concat(fs...)
 }
 
+// differentialCase draws a typed graph, one to four random RREs over it,
+// a query node, and the candidate sets scored for them: nil, one type's
+// nodes, empty, and that type with the query inside and outside it.
+func differentialCase(rng *rand.Rand) (*graph.Graph, []*rre.Pattern, graph.NodeID, map[string][]graph.NodeID) {
+	g := typedGraph(rng)
+	ps := make([]*rre.Pattern, 1+rng.Intn(4))
+	for i := range ps {
+		ps[i] = randomRRE(rng, 3)
+	}
+	query := graph.NodeID(rng.Intn(g.NumNodes()))
+	typed := g.NodesOfType(fmt.Sprintf("t%d", rng.Intn(3)))
+	if typed == nil {
+		typed = []graph.NodeID{}
+	}
+	var outside []graph.NodeID
+	for _, v := range typed {
+		if v != query {
+			outside = append(outside, v)
+		}
+	}
+	inside := append([]graph.NodeID{query}, outside...)
+	return g, ps, query, map[string][]graph.NodeID{
+		"nil": nil, "typed": typed, "empty": {}, "inside": inside, "outside": outside,
+	}
+}
+
+// checkAgainstReference requires RelSimAggregate to rank every candidate
+// set exactly as the reference does, under raw keys over the mutable
+// graph and canonical keys over a snapshot.
+func checkAgainstReference(t *testing.T, what string, g *graph.Graph, ps []*rre.Pattern, query graph.NodeID, sets map[string][]graph.NodeID) {
+	t.Helper()
+	raw := eval.New(g)
+	canonical := eval.NewVersioned(g.Snapshot(), 0, eval.NewCache())
+	canonical.SetCanonicalKeys(true)
+	ref := eval.New(g)
+	for name, cands := range sets {
+		want := referenceAggregate(ref, ps, query, cands)
+		what := fmt.Sprintf("%s, %s candidates, %v", what, name, ps)
+		sameRanking(t, what+" (raw keys)", RelSimAggregate(raw, ps, query, cands), want)
+		sameRanking(t, what+" (canonical keys)", RelSimAggregate(canonical, ps, query, cands), want)
+	}
+}
+
 // TestScoreFromHalvesMatchesReference: over seeded random RREs on small
 // typed graphs, scoring from the halves returns the reference's ids,
 // order and score bits — for roots of every kind, for nil, typed and
@@ -113,39 +168,13 @@ func randomRRE(rng *rand.Rand, depth int) *rre.Pattern {
 func TestScoreFromHalvesMatchesReference(t *testing.T) {
 	rootKinds := map[rre.Kind]int{}
 	for seed := int64(0); seed < 600; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := typedGraph(rng)
-		ps := make([]*rre.Pattern, 1+rng.Intn(4))
-		for i := range ps {
-			ps[i] = randomRRE(rng, 3)
-			rootKinds[ps[i].Kind()]++
+		g, ps, query, sets := differentialCase(rand.New(rand.NewSource(seed)))
+		for _, p := range ps {
+			rootKinds[p.Kind()]++
 		}
-		query := graph.NodeID(rng.Intn(g.NumNodes()))
-		typed := g.NodesOfType(fmt.Sprintf("t%d", rng.Intn(3)))
-		if typed == nil {
-			typed = []graph.NodeID{}
-		}
-		var outside []graph.NodeID
-		for _, v := range typed {
-			if v != query {
-				outside = append(outside, v)
-			}
-		}
-		inside := append([]graph.NodeID{query}, outside...)
-
-		raw := eval.New(g)
-		canonical := eval.NewVersioned(g.Snapshot(), 0, eval.NewCache())
-		canonical.SetCanonicalKeys(true)
-		ref := eval.New(g)
-		for name, cands := range map[string][]graph.NodeID{
-			"nil": nil, "typed": typed, "empty": {}, "inside": inside, "outside": outside,
-		} {
-			want := referenceAggregate(ref, ps, query, cands)
-			what := fmt.Sprintf("seed %d, %s candidates, %v", seed, name, ps)
-			sameRanking(t, what+" (raw keys)", RelSimAggregate(raw, ps, query, cands), want)
-			sameRanking(t, what+" (canonical keys)", RelSimAggregate(canonical, ps, query, cands), want)
-		}
-		for _, v := range inside {
+		checkAgainstReference(t, fmt.Sprintf("seed %d", seed), g, ps, query, sets)
+		raw, ref := eval.New(g), eval.New(g)
+		for _, v := range sets["inside"] {
 			if got, want := PathSimScorePair(raw, ps[0], query, v), eval.PathSimScore(ref.Commuting(ps[0]), query, v); got != want {
 				t.Fatalf("seed %d: PathSimScorePair(%s, %d, %d) = %v, want %v", seed, ps[0], query, v, got, want)
 			}
@@ -160,9 +189,10 @@ func TestScoreFromHalvesMatchesReference(t *testing.T) {
 
 // TestInnerProductsWrapLikeTheKernel: scoring from the halves relies on
 // ring arithmetic mod 2⁶⁴ — int64 products and sums wrap the same way
-// in whatever order they are taken — so where the counts overflow, the
-// inner product ⟨A[u,·], Bᵀ[v,·]⟩ is still the (u,v) entry of A·B bit
-// for bit, and the ranking still the reference's. On three nodes joined
+// in whatever order they are taken — so where the counts overflow, row
+// u of A pushed through B and the inner product ⟨A[u,·], Bᵀ[v,·]⟩ are
+// still the entries of A·B bit for bit, and the ranking still the
+// reference's. On three nodes joined
 // pairwise (and to themselves) by 2000 parallel edges every entry of
 // M_{aᵏ} is 3ᵏ⁻¹·2000ᵏ: past int64 in the root for k = 8, and already
 // in the halves for k = 12.
@@ -194,23 +224,22 @@ func TestInnerProductsWrapLikeTheKernel(t *testing.T) {
 		wrapped := int64(new(big.Int).And(exact, new(big.Int).SetUint64(math.MaxUint64)).Uint64())
 
 		ev := eval.New(g)
-		c := ev.Cut(p)
-		a, bt := ev.Halves(c)
+		a, bt := ev.Halves(ev.Cut(p))
 		root := a.Mul(bt.Transpose())
 		for _, u := range all {
-			q := eq1{x: make([]int64, 3)}
-			if !q.load(ev, c, u) {
-				t.Fatalf("k=%d: row %d of the left half is empty", k, u)
+			s := getScorer(3)
+			ucols, uvals := a.RowView(int(u))
+			if row := s.push(ucols, uvals, bt.TransposeCached()); len(row) != len(all) {
+				t.Fatalf("k=%d: pushing row %d reached %v, want all of %v", k, u, row, all)
 			}
 			for _, v := range all {
-				if got := q.entry(int(v)); got != root.At(int(u), int(v)) || got != wrapped {
-					t.Errorf("k=%d: ⟨A[%d,·],Bᵀ[%d,·]⟩ = %d, A·B has %d, exact count mod 2⁶⁴ is %d", k, u, v, got, root.At(int(u), int(v)), wrapped)
+				if got := s.x[v]; got != root.At(int(u), int(v)) || got != wrapped {
+					t.Errorf("k=%d: (A[%d,·]·B)[%d] = %d, A·B has %d, exact count mod 2⁶⁴ is %d", k, u, v, got, root.At(int(u), int(v)), wrapped)
 				}
-				if got := q.diag(int(v)); got != root.At(int(v), int(v)) {
-					t.Errorf("k=%d: ⟨A[%d,·],Bᵀ[%d,·]⟩ = %d, A·B has %d", k, v, v, got, root.At(int(v), int(v)))
+				if got := inner(a, int(u), bt, int(v)); got != root.At(int(u), int(v)) {
+					t.Errorf("k=%d: ⟨A[%d,·],Bᵀ[%d,·]⟩ = %d, A·B has %d", k, u, v, got, root.At(int(u), int(v)))
 				}
 			}
-			q.unload()
 			sameRanking(t, fmt.Sprintf("a^%d, query %d", k, u),
 				RelSimAggregate(ev, []*rre.Pattern{p}, u, all), referenceAggregate(eval.New(g), []*rre.Pattern{p}, u, all))
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"relsim/internal/eval"
@@ -17,8 +18,8 @@ import (
 //
 // The pattern must be simple (concatenation of possibly reversed labels,
 // §4.1); use RelSim for general RREs. Candidates restricts the answer
-// domain (typically the nodes of the query's entity type); nil ranks all
-// nodes with positive score.
+// domain (typically the nodes of the query's entity type) and is read
+// as a set (see ScoreCuts); nil ranks all nodes with positive score.
 func PathSim(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidates []graph.NodeID) (Ranking, error) {
 	if !p.IsSimple() {
 		return Ranking{}, fmt.Errorf("sim: PathSim requires a simple pattern, got %s", p)
@@ -47,107 +48,65 @@ func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.No
 
 // ScoreCuts is RelSimAggregate over patterns already cut under ev's key
 // mode (eval.NewCut), for callers that memoize the cuts. No M_p is
-// materialized: each pattern is scored from its two halves (eval.Cut).
-// A candidate's score is the sum, in pattern order, of its positive
-// per-pattern scores. Candidates must be distinct.
+// materialized: each pattern is scored from its two halves (eval.Cut)
+// by pushing row u of A through B = (Bᵀ)ᵀ, the transpose kept with the
+// cached right half, so a read costs the query's two-hop neighbourhood,
+// not the candidate domain. A candidate's score is the sum, in pattern
+// order, of its positive per-pattern scores.
+//
+// Candidates are a set over [0, n), for every kind of root: a repeated
+// id is ranked once, and an id outside [0, n) is ignored. nil means
+// every node.
 func ScoreCuts(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, candidates []graph.NodeID) Ranking {
 	n := ev.Graph().NumNodes()
-	if candidates == nil {
-		candidates = make([]graph.NodeID, n)
-		for v := range candidates {
-			candidates[v] = graph.NodeID(v)
-		}
-	}
-	acc := make([]float64, len(candidates))
-	x := getDense(n)
-	q := eq1{x: *x}
+	s := getScorer(n)
+	s.restrict(candidates, n)
 	for _, c := range cuts {
-		if !q.load(ev, c, query) {
-			continue
-		}
-		for i, v := range candidates {
-			if v == query {
-				continue
-			}
-			if s := q.score(int(v)); s > 0 {
-				acc[i] += s
-			}
-		}
-		q.unload()
+		a, bt := ev.Halves(c)
+		s.cut(a, bt, int(query))
 	}
-	densePool.Put(x)
-	ps := make([]scored, 0, len(candidates))
-	for i, v := range candidates {
-		if acc[i] > 0 {
-			ps = append(ps, scored{v, acc[i]})
-		}
+	ps := s.ps[:0]
+	for _, v := range s.hits {
+		ps = append(ps, scored{graph.NodeID(v), s.acc[v]})
+		s.acc[v] = 0
 	}
-	return rank(ps)
+	r := rank(ps)
+	s.hits, s.ps = s.hits[:0], ps[:0]
+	scorerPool.Put(s) // normal path only: a panic above abandons it
+	return r
 }
 
-// PathSimScorePair returns the Equation-1 score for a single node pair.
+// PathSimScorePair returns the Equation-1 score for a single node pair:
+// one pair is three inner products of sorted rows, nothing pushed.
 func PathSimScorePair(ev *eval.Evaluator, p *rre.Pattern, u, v graph.NodeID) float64 {
-	x := getDense(ev.Graph().NumNodes())
-	q := eq1{x: *x}
-	var s float64
-	if q.load(ev, ev.Cut(p), u) {
-		s = q.score(int(v))
-		q.unload()
+	a, bt := ev.Halves(ev.Cut(p))
+	m := func(x, y graph.NodeID) int64 {
+		if bt == nil {
+			return a.At(int(x), int(y))
+		}
+		return inner(a, int(x), bt, int(y))
 	}
-	densePool.Put(x)
-	return s
+	muv := m(u, v)
+	if muv == 0 {
+		return 0
+	}
+	return eq1(muv, m(u, u)+m(v, v))
 }
 
-// eq1 scores one cut pattern for one query node u from its halves:
-// M(u,v) = ⟨A[u,·], Bᵀ[v,·]⟩, with row u of A scattered into the dense
-// vector x between load and unload. With bt nil, M is a.
-type eq1 struct {
-	a, bt *sparse.Matrix
-	x     []int64
-	ucols []int32 // the columns of x that load set
-	muu   int64
+// eq1 is Equation 1, 2·M(u,v) / (M(u,u) + M(v,v)) given the numerator's
+// count and the denominator's, and 0 when the denominator is zero.
+func eq1(muv, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return 2 * float64(muv) / float64(den)
 }
 
-// load fetches the halves and scatters row u of A. It reports false,
-// leaving x untouched, when that row is empty: row u of M is then zero
-// and so is every score.
-func (q *eq1) load(ev *eval.Evaluator, c eval.Cut, u graph.NodeID) bool {
-	q.a, q.bt = ev.Halves(c)
-	cols, vals := q.a.RowView(int(u))
-	for i, k := range cols {
-		q.x[k] = vals[i]
-	}
-	q.ucols = cols
-	q.muu = q.entry(int(u))
-	return len(cols) > 0
-}
-
-func (q *eq1) unload() {
-	for _, k := range q.ucols {
-		q.x[k] = 0
-	}
-}
-
-// entry returns M(u,v).
-func (q *eq1) entry(v int) int64 {
-	if q.bt == nil {
-		return q.x[v]
-	}
-	cols, vals := q.bt.RowView(v)
-	var s int64
-	for i, k := range cols {
-		s += q.x[k] * vals[i]
-	}
-	return s
-}
-
-// diag returns M(v,v) = ⟨A[v,·], Bᵀ[v,·]⟩ by merging the two sorted rows.
-func (q *eq1) diag(v int) int64 {
-	if q.bt == nil {
-		return q.a.At(v, v)
-	}
-	ac, av := q.a.RowView(v)
-	bc, bv := q.bt.RowView(v)
+// inner returns ⟨A[x,·], Bᵀ[y,·]⟩ = (A·B)(x,y) by merging the two
+// sorted rows.
+func inner(a *sparse.Matrix, x int, bt *sparse.Matrix, y int) int64 {
+	ac, av := a.RowView(x)
+	bc, bv := bt.RowView(y)
 	var s int64
 	for i, j := 0, 0; i < len(ac) && j < len(bc); {
 		switch {
@@ -164,29 +123,119 @@ func (q *eq1) diag(v int) int64 {
 	return s
 }
 
-// score is Equation 1, 2·M(u,v) / (M(u,u) + M(v,v)), and 0 when the
-// denominator is zero. A zero numerator skips the diagonal: the score
-// is then zero whatever M(v,v) is.
-func (q *eq1) score(v int) float64 {
-	muv := q.entry(v)
-	if muv == 0 {
-		return 0
-	}
-	den := q.muu + q.diag(v)
-	if den == 0 {
-		return 0
-	}
-	return 2 * float64(muv) / float64(den)
+// scorer is one ScoreCuts call's O(n) state, pooled between calls.
+// Between calls every acc entry is zero and hits is empty. Marks are
+// stamps, so nothing else is cleared: mark[v] ≤ stamp and in[v] ≤ call
+// always hold, x[v] means something only while mark[v] is the current
+// cut's stamp, and v is a candidate while in[v] is the current call's.
+type scorer struct {
+	mark  []uint32 // mark[v] == stamp: v is on row, with M(u,v) in x[v]
+	stamp uint32
+	x     []int64
+	row   []int32   // the columns row u of the current cut's M_p reaches
+	acc   []float64 // a node's score so far, positive exactly on hits
+	hits  []int32   // the nodes with a positive score, in first-touch order
+	in    []uint32  // in[v] == call: v is a candidate
+	call  uint32
+	all   bool // no candidate restriction: every node is one
+	ps    []scored
 }
 
-// densePool recycles the scatter vectors; one is all zeros whenever it
-// is not between an eq1 load and unload.
-var densePool sync.Pool
+var scorerPool sync.Pool
 
-func getDense(n int) *[]int64 {
-	if x, _ := densePool.Get().(*[]int64); x != nil && len(*x) >= n {
-		return x
+// getScorer returns a pooled scorer for n nodes, or a new one with an
+// eighth of headroom, so a graph that grows by a node per commit does
+// not discard the pool on every commit.
+func getScorer(n int) *scorer {
+	if s, _ := scorerPool.Get().(*scorer); s != nil && len(s.mark) >= n {
+		return s
 	}
-	x := make([]int64, n)
-	return &x
+	n += n / 8
+	return &scorer{mark: make([]uint32, n), x: make([]int64, n), acc: make([]float64, n), in: make([]uint32, n)}
+}
+
+// restrict makes candidates the call's answer domain: the set of its ids
+// in [0, n), or every node when it is nil.
+func (s *scorer) restrict(candidates []graph.NodeID, n int) {
+	if s.all = candidates == nil; s.all {
+		return
+	}
+	if s.call == math.MaxUint32 {
+		clear(s.in)
+		s.call = 0
+	}
+	s.call++
+	for _, v := range candidates {
+		if v >= 0 && int(v) < n {
+			s.in[v] = s.call
+		}
+	}
+}
+
+// cut adds one pattern's Equation-1 scores for query u, given the halves
+// of its cut. Only the nodes row u of M_p reaches are visited, and a
+// diagonal entry is computed only where the numerator is nonzero.
+func (s *scorer) cut(a, bt *sparse.Matrix, u int) {
+	ucols, uvals := a.RowView(u)
+	if len(ucols) == 0 {
+		return // row u of M_p is zero, and so is every score
+	}
+	if bt == nil {
+		// Not a concatenation: M_p is A, its row u read as stored.
+		muu := a.At(u, u)
+		for i, v := range ucols {
+			if s.wants(v, u) {
+				s.add(v, uvals[i], muu+a.At(int(v), int(v)))
+			}
+		}
+		return
+	}
+	muu := inner(a, u, bt, u)
+	for _, v := range s.push(ucols, uvals, bt.TransposeCached()) {
+		if muv := s.x[v]; muv != 0 && s.wants(v, u) {
+			s.add(v, muv, muu+inner(a, int(v), bt, int(v)))
+		}
+	}
+}
+
+// push computes row u of A·B as the sparse vector–matrix product of A's
+// row (ucols, uvals) with B: each A[u,k]·B[k,v] is added into x[v]. It
+// returns the columns reached, in first-touch order, each with its
+// value in x.
+func (s *scorer) push(ucols []int32, uvals []int64, b *sparse.Matrix) []int32 {
+	if s.stamp == math.MaxUint32 {
+		clear(s.mark)
+		s.stamp = 0
+	}
+	s.stamp++
+	row := s.row[:0]
+	for i, k := range ucols {
+		bc, bv := b.RowView(int(k))
+		for j, v := range bc {
+			if s.mark[v] != s.stamp {
+				s.mark[v] = s.stamp
+				s.x[v] = uvals[i] * bv[j]
+				row = append(row, v)
+			} else {
+				s.x[v] += uvals[i] * bv[j]
+			}
+		}
+	}
+	s.row = row
+	return row
+}
+
+// wants reports whether v is answered for query u.
+func (s *scorer) wants(v int32, u int) bool {
+	return int(v) != u && (s.all || s.in[v] == s.call)
+}
+
+// add adds v's Equation-1 score to its total when positive.
+func (s *scorer) add(v int32, muv, den int64) {
+	if sc := eq1(muv, den); sc > 0 {
+		if s.acc[v] == 0 {
+			s.hits = append(s.hits, v)
+		}
+		s.acc[v] += sc
+	}
 }

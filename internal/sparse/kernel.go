@@ -22,6 +22,12 @@ import (
 // the delta-maintenance differential harness asserts between a
 // maintained matrix and a cold recompute.
 //
+// A matrix may keep its transpose (Matrix.TransposeCached): Equation-1
+// scoring reads the right half of a cut in both orientations, so the
+// transpose is built once per matrix version and dropped with it. A
+// transpose's spans stop at the last populated column, so a thin half
+// costs a thin transpose, and a symmetric matrix is its own.
+//
 // Semiring-dependent operators are free functions taking the ring
 // explicitly (Go methods cannot add type parameters); structurally
 // generic ones (Transpose, Grow, accessors) are methods.
@@ -35,7 +41,8 @@ type span struct{ lo, hi int32 }
 // result owns a compact arena holding exactly its rows; a matrix made
 // by withRows shares every untouched row with the version it was made
 // from, whose readers keep reading their own spans unchanged. The zero
-// value is an empty 0×0 matrix.
+// value is an empty 0×0 matrix. A GMatrix must not be copied: it holds
+// its transpose once Matrix.TransposeCached has built it.
 type GMatrix[T any] struct {
 	n      int
 	nnz    int     // stored entries: the sum of the span lengths
@@ -43,6 +50,7 @@ type GMatrix[T any] struct {
 	colIdx []int32 // the arena up to this version's end
 	val    []T
 	tip    *arenaTip // nil: the arena is never appended to in place
+	tr     atomic.Pointer[GMatrix[T]]
 }
 
 // arenaTip is shared by the versions of a matrix that live in one
@@ -102,11 +110,19 @@ func (m *GMatrix[T]) Each(fn func(row, col int, val T)) {
 
 // Transpose returns mᵀ by counting sort; it is semiring-free and
 // annotation-preserving (vias are contraction indices, not positions).
+// Its spans stop at m's last populated column: the transpose of a
+// proc×area half holds a span per area, not one per node.
 func (m *GMatrix[T]) Transpose() *GMatrix[T] {
+	width := 0
+	for _, sp := range m.rows {
+		if sp.lo < sp.hi {
+			width = max(width, int(m.colIdx[sp.hi-1])+1)
+		}
+	}
 	t := &GMatrix[T]{
 		n:      m.n,
 		nnz:    m.nnz,
-		rows:   make([]span, m.n),
+		rows:   make([]span, width),
 		colIdx: make([]int32, m.nnz),
 		val:    make([]T, m.nnz),
 	}
@@ -135,8 +151,8 @@ func (m *GMatrix[T]) Transpose() *GMatrix[T] {
 
 // Grow returns m embedded in the top-left corner of an n×n matrix. It
 // shares the spans and the arena — rows past the old dimension are
-// empty by construction — so it costs nothing. It panics if n is
-// smaller than m's dimension.
+// empty by construction — so it costs nothing. The grown matrix starts
+// without a transpose. It panics if n is smaller than m's dimension.
 func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
 	if n == m.n {
 		return m
@@ -144,9 +160,7 @@ func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
 	if n < m.n {
 		panic(fmt.Sprintf("sparse: Grow from %d to smaller %d", m.n, n))
 	}
-	g := *m
-	g.n = n
-	return &g
+	return &GMatrix[T]{n: n, nnz: m.nnz, rows: m.rows, colIdx: m.colIdx, val: m.val, tip: m.tip}
 }
 
 // MulFlops returns the exact number of scalar multiplications m·o

@@ -127,9 +127,10 @@ func (m *Matrix) Row(row int, fn func(col int, val int64)) {
 
 // RowView returns the given row's column indexes, ascending, and its
 // values. Both share the matrix's storage and are read-only. Equation-1
-// scoring reads rows as inner products ⟨A[u,·], B[v,·]⟩; int64 products
-// and sums wrap mod 2⁶⁴ in any order, so such an inner product equals
-// the (u,v) entry of A·Bᵀ bit for bit even where the counts overflow.
+// scoring pushes row u of A through the rows of B it selects, and
+// merges two sorted rows for a diagonal entry ⟨A[v,·], Bᵀ[v,·]⟩; int64
+// products and sums wrap mod 2⁶⁴ in any order, so either way the result
+// equals the entry of A·B bit for bit even where the counts overflow.
 func (m *Matrix) RowView(row int) ([]int32, []int64) {
 	sp := m.gm().row(row)
 	return m.colIdx[sp.lo:sp.hi], m.val[sp.lo:sp.hi]
@@ -152,6 +153,27 @@ func (m *Matrix) Diag() []int64 {
 // Transpose returns Mᵀ, the commuting matrix of a reverse traversal p⁻.
 func (m *Matrix) Transpose() *Matrix {
 	return wrapInt(m.gm().Transpose())
+}
+
+// TransposeCached returns Mᵀ, built on the first call and kept with m,
+// so it lives and dies with m and every later call is one atomic load.
+// A symmetric m is its own transpose and returns itself. Concurrent
+// first callers may each build one, but one compare-and-swap wins and
+// all of them return it. A matrix made from m (Patch, Grow) starts
+// without one.
+func (m *Matrix) TransposeCached() *Matrix {
+	g := m.gm()
+	if t := g.tr.Load(); t != nil {
+		return wrapInt(t)
+	}
+	t := g.Transpose()
+	if m.Equal(wrapInt(t)) {
+		t = g
+	}
+	if !g.tr.CompareAndSwap(nil, t) {
+		t = g.tr.Load()
+	}
+	return wrapInt(t)
 }
 
 // Mul returns the matrix product m·o, the commuting matrix of a

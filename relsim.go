@@ -464,12 +464,15 @@ func (e *Engine) ExpandPattern(p *Pattern) ([]*Pattern, error) {
 	return pattern.Generate(e.schema, p, e.genOpt)
 }
 
-// RelSim scores an RRE pattern with Equation 1 (paper §4).
+// RelSim scores an RRE pattern with Equation 1 (paper §4). Candidates
+// are a set: a repeated id is ranked once, an id outside the graph is
+// ignored, and nil ranks every node.
 func (e *Engine) RelSim(p *Pattern, query NodeID, candidates []NodeID) Ranking {
 	return sim.RelSim(e.ev.Load(), p, query, candidates)
 }
 
 // PathSim scores a simple meta-path with Equation 1 (the baseline).
+// Candidates are read as RelSim reads them.
 func (e *Engine) PathSim(p *Pattern, query NodeID, candidates []NodeID) (Ranking, error) {
 	return sim.PathSim(e.ev.Load(), p, query, candidates)
 }
