@@ -26,7 +26,8 @@ import (
 // which is the distributive expansion (A+ΔA)(B+ΔB) = AB + ΔA·B + A·ΔB
 // + ΔA·ΔB generalized to chains. A commit costs the rows it touches,
 // not what is cached: every product has a thin delta as one operand
-// (Δ·M walks the delta's rows, M·Δ scans M once against them), Boolean
+// (Δ·M walks the delta's rows, M·Δ the matching rows of M's kept
+// transpose, which every patch carries to the new version), Boolean
 // and DiagMulBool are row-local and re-evaluated on the child delta's
 // rows, and the new value is old.Patch(Δ) — a matrix that rewrites the
 // delta's rows and shares every other row, and the entry arena, with
@@ -329,7 +330,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		if old, ok := mt.cachedOld(key); ok {
 			t.old = old
 		} else {
-			t.old = ch.old.Transpose()
+			t.old = ch.old.TransposeCached()
 		}
 		return patched(t), nil
 
@@ -367,7 +368,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		// Telescoping expansion: Δ = Σᵢ N₁…Nᵢ₋₁ · Δᵢ · Oᵢ₊₁…O_k.
 		// Each term is built middle-out, so one operand of every
 		// product is the thin delta: the suffix products walk its rows,
-		// the prefix products scan the new factor once against them.
+		// the prefix products walk the new factor's kept transpose.
 		t := &maintTerm{}
 		for i, ch := range terms {
 			if ch.delta == nil {

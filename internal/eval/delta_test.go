@@ -95,6 +95,30 @@ func checkAgainstRecompute(t *testing.T, c *Cache, v uint64, snap *graph.Snapsho
 	}
 }
 
+// checkKeptTransposes asserts that every cached entry at version v
+// reads, through TransposeCached, a transpose Equal to a fresh
+// Transpose of its value: one carried through the commit, or one built
+// here for an entry that kept none.
+func checkKeptTransposes(t *testing.T, c *Cache, v uint64) {
+	t.Helper()
+	for key, m := range entriesAt(c, v) {
+		if got := m.TransposeCached(); !got.Equal(m.Transpose()) {
+			t.Fatalf("%q at v%d keeps a transpose\n%vthat is not its Transpose\n%v", key, v, got, m.Transpose())
+		}
+	}
+}
+
+// keepSomeTransposes has a random subset of the entries cached at
+// version v build their transposes, so a commit meets entries with and
+// without one.
+func keepSomeTransposes(rng *rand.Rand, c *Cache, v uint64) {
+	for _, m := range entriesAt(c, v) {
+		if rng.Intn(2) == 0 {
+			m.TransposeCached()
+		}
+	}
+}
+
 // --- table-driven rule tests -----------------------------------------------
 
 // fixtureSnap builds the fixed 5-node fixture used by the rule tests.
@@ -391,6 +415,7 @@ func FuzzDeltaMaintain(f *testing.F) {
 		snap := fixtureSnap()
 		cache := NewCache()
 		NewVersioned(snap, 0, cache).Commuting(p)
+		keepSomeTransposes(rand.New(rand.NewSource(int64(len(opBytes)))), cache, 0)
 
 		labels := []string{"a", "b", "c"}
 		var ops []deltaOp
@@ -415,6 +440,7 @@ func FuzzDeltaMaintain(f *testing.F) {
 		cache.Maintain(next, d, MaintainOptions{})
 		cache.Advance(0, 1, touched, nodesAdded, false)
 		checkAgainstRecompute(t, cache, 1, next)
+		checkKeptTransposes(t, cache, 1)
 	})
 }
 
@@ -427,14 +453,17 @@ func FuzzDeltaMaintain(f *testing.F) {
 // arena runs out of room, and rewrites when too much of it is dead
 // (sparse.TestPatchSharesArena pins those three individually). At every
 // commit every entry must be Equal to a cold recompute with a stored
-// NNZ matching a walk of its rows.
+// NNZ matching a walk of its rows, and its kept transpose — carried
+// through the commit by Grow and Patch — Equal to its Transpose. Half
+// the entries keep one before the first commit; the check builds the
+// rest, and every entry keeps one from then on.
 //
 // Readers run beside the writer, as pinned requests do in the server:
-// every 16 commits one takes the matrices of the version just made and
-// a cold recompute of them, then keeps comparing the two while the
-// writer patches that version's successors in the same arenas. Under
-// -race this is the check that a patch writes only slots no older
-// version reads.
+// every 16 commits one takes the matrices of the version just made,
+// their transposes and a cold recompute of them, then keeps comparing
+// while the writer patches that version's successors, and their
+// transposes, in the same arenas. Under -race this is the check that a
+// patch writes only slots no older version or transpose reads.
 func TestMaintainLongChain(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	rng := rand.New(rand.NewSource(99))
@@ -448,6 +477,7 @@ func TestMaintainLongChain(t *testing.T) {
 	for _, p := range pool {
 		ev.Commuting(p)
 	}
+	keepSomeTransposes(rng, cache, 0)
 
 	const commits, readEvery, readFor = 320, 16, 12
 	var readers sync.WaitGroup
@@ -484,6 +514,7 @@ func TestMaintainLongChain(t *testing.T) {
 		totals.Fallbacks += res.Fallbacks
 		snap = next
 		checkAgainstRecompute(t, cache, v+1, snap)
+		checkKeptTransposes(t, cache, v+1)
 
 		if ch, ok := stop[i]; ok {
 			close(ch)
@@ -493,6 +524,10 @@ func TestMaintainLongChain(t *testing.T) {
 			want := make(map[string]*sparse.Matrix, len(pinned))
 			for key := range pinned {
 				want[key] = NewVersioned(snap, 0, NewCache()).Commuting(rre.MustParse(key))
+			}
+			wantT := make(map[string]*sparse.Matrix, len(pinned))
+			for key, m := range want {
+				wantT[key] = m.Transpose()
 			}
 			done := make(chan struct{})
 			stop[i+readFor] = done
@@ -506,8 +541,8 @@ func TestMaintainLongChain(t *testing.T) {
 					default:
 					}
 					for key, m := range pinned {
-						if !m.Equal(want[key]) {
-							t.Errorf("reader pinned at v%d: %q changed under it", v+1, key)
+						if !m.Equal(want[key]) || !m.TransposeCached().Equal(wantT[key]) {
+							t.Errorf("reader pinned at v%d: %q or its transpose changed under it", v+1, key)
 							return
 						}
 					}

@@ -2,9 +2,11 @@ package eval_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"relsim/internal/datasets"
@@ -33,15 +35,9 @@ var benchPool = []struct{ pattern, typ string }{
 	{"p-in-.(w-.w + p-in.p-in-).p-in", "proc"},
 }
 
-// TestMaintainAllocatesWhatItTouches is the gate on "a commit costs the
-// rows it touches": on FullDBLP with the benchmark's 25-entry pool
-// warm, a commit shaped like the benchmark's (one node, a p-in and a w
-// edge in, an older w edge out) through Cache.Maintain allocates at
-// most 10 MB — the spans of the entries it patches and little else.
-// Rewriting every cached entry in full, as Add over n-dimensional
-// deltas did, allocated 33.6 MB. The first commit is not measured: it
-// moves each kernel-made entry into an arena with headroom, once.
-func TestMaintainAllocatesWhatItTouches(t *testing.T) {
+// skipUnderRace skips the gates below when the race detector is
+// compiled in: its instrumentation allocates.
+func skipUnderRace(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -49,13 +45,27 @@ func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 			}
 		}
 	}
+}
+
+// warmPool is benchPool warm on FullDBLP at version 0, as the
+// benchmark keeps it: each pool entry's patterns (a simple pattern
+// expanded as the benchmark expands it) and candidates, over one
+// canonical-key cache holding 25 entries.
+type warmPool struct {
+	snap     *graph.Snapshot
+	cache    *eval.Cache
+	patterns [][]*rre.Pattern
+	cands    [][]graph.NodeID
+}
+
+func newWarmPool(t *testing.T) *warmPool {
+	t.Helper()
 	ds, err := datasets.ByName("dblp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := ds.Graph.Snapshot()
-	cache := eval.NewCache()
-	ev := eval.NewVersioned(snap, 0, cache)
+	w := &warmPool{snap: ds.Graph.Snapshot(), cache: eval.NewCache()}
+	ev := eval.NewVersioned(w.snap, 0, w.cache)
 	ev.SetCanonicalKeys(true)
 	for _, b := range benchPool {
 		ps := []*rre.Pattern{rre.MustParse(b.pattern)}
@@ -64,20 +74,28 @@ func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cands := snap.NodesOfType(b.typ)
+		cands := w.snap.NodesOfType(b.typ)
 		sim.RelSimAggregate(ev, ps, cands[0], cands)
+		w.patterns, w.cands = append(w.patterns, ps), append(w.cands, cands)
 	}
 	if ev.CacheSize() != 25 {
 		t.Fatalf("warm pool holds %d entries, want 25", ev.CacheSize())
 	}
+	return w
+}
 
+// benchCommits returns a function that makes commit k, shaped like the
+// benchmark's: one paper node, a p-in and a w edge in, and from the
+// third commit on the w edge of two commits back out. It returns the
+// new snapshot and the commit's delta from version k to k+1.
+func benchCommits(t *testing.T, w *warmPool) func(k int) (*graph.Snapshot, eval.CommitDelta) {
 	rng := rand.New(rand.NewSource(1))
-	procs, authors := snap.NodesOfType("proc"), snap.NodesOfType("author")
+	procs, authors := w.snap.NodesOfType("proc"), w.snap.NodesOfType("author")
 	type wEdge struct{ author, paper graph.NodeID }
 	var added []wEdge
-	const commits = 9
-	var measured uint64
-	for k := 0; k < commits; k++ {
+	snap := w.snap
+	return func(k int) (*graph.Snapshot, eval.CommitDelta) {
+		t.Helper()
 		b := graph.NewBuilder(snap)
 		paper := b.AddNode(fmt.Sprintf("benchpaper%d", k), "paper")
 		e, proc := wEdge{authors[rng.Intn(len(authors))], paper}, procs[rng.Intn(len(procs))]
@@ -105,22 +123,101 @@ func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 		for l, ts := range labels {
 			d.Labels[l] = sparse.NewDelta(d.NewN, ts)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res := cache.Maintain(next, d, eval.MaintainOptions{})
-		runtime.ReadMemStats(&after)
-		if res.Maintained != 25 || res.Fallbacks != 0 || res.Products != 34 {
-			t.Fatalf("commit %d: %+v, want 25 maintained, 0 fallbacks, 34 delta products", k, res)
-		}
-		if k > 0 {
-			measured += after.TotalAlloc - before.TotalAlloc
-		}
-		cache.Advance(d.From, d.To, []string{"p-in", "w"}, true, false)
 		snap = next
+		return next, d
+	}
+}
+
+// maintain runs commit k through the cache as the server does, checks
+// the exact counts of the benchmark's commits, and returns the bytes
+// Cache.Maintain allocated.
+func (w *warmPool) maintain(t *testing.T, k int, next *graph.Snapshot, d eval.CommitDelta) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := w.cache.Maintain(next, d, eval.MaintainOptions{})
+	runtime.ReadMemStats(&after)
+	if res.Maintained != 25 || res.Fallbacks != 0 || res.Products != 34 {
+		t.Fatalf("commit %d: %+v, want 25 maintained, 0 fallbacks, 34 delta products", k, res)
+	}
+	w.cache.Advance(d.From, d.To, []string{"p-in", "w"}, true, false)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMaintainAllocatesWhatItTouches is the gate on "a commit costs the
+// rows it touches": on FullDBLP with the benchmark's 25-entry pool
+// warm, a commit shaped like the benchmark's (one node, a p-in and a w
+// edge in, an older w edge out) through Cache.Maintain allocates at
+// most 10 MB — the spans of the entries it patches and little else.
+// Rewriting every cached entry in full, as Add over n-dimensional
+// deltas did, allocated 33.6 MB. The first commit is not measured: it
+// moves each kernel-made entry into an arena with headroom, once.
+func TestMaintainAllocatesWhatItTouches(t *testing.T) {
+	skipUnderRace(t)
+	w := newWarmPool(t)
+	commit := benchCommits(t, w)
+	const commits = 9
+	var measured uint64
+	for k := 0; k < commits; k++ {
+		next, d := commit(k)
+		if allocated := w.maintain(t, k, next, d); k > 0 {
+			measured += allocated
+		}
 	}
 	perCommit := float64(measured) / (commits - 1) / (1 << 20)
 	t.Logf("Cache.Maintain allocates %.1f MB per commit", perCommit)
 	if perCommit > 10 {
 		t.Errorf("Cache.Maintain allocates %.1f MB per commit, want at most 10", perCommit)
+	}
+}
+
+// TestFirstReadAfterCommitBuildsNoTranspose is the gate on "an update
+// and the answers after it cost the touched rows": the maintained
+// entries carry their kept transposes through each commit, so the
+// first read after a commit builds none. After each of nine
+// benchmark-shaped commits, taking the kept transpose of the right half
+// of every cut of every pool pattern allocates nothing — transposes
+// built by a read after a commit: 0, where dropping them on every
+// commit rebuilt 9.6 per commit — and the scores read through the
+// maintained cache equal a cold evaluator's bit for bit.
+func TestFirstReadAfterCommitBuildsNoTranspose(t *testing.T) {
+	skipUnderRace(t)
+	w := newWarmPool(t)
+	commit := benchCommits(t, w)
+	for k := 0; k < 9; k++ {
+		next, d := commit(k)
+		w.maintain(t, k, next, d)
+		ev := eval.NewVersioned(next, d.To, w.cache)
+		ev.SetCanonicalKeys(true)
+		cold := eval.NewVersioned(next, 0, eval.NewCache())
+		cold.SetCanonicalKeys(true)
+		built := 0
+		for i, ps := range w.patterns {
+			cuts := make([]eval.Cut, len(ps))
+			for j, p := range ps {
+				cuts[j] = ev.Cut(p)
+				_, bt := ev.Halves(cuts[j])
+				if bt == nil {
+					continue
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				bt.TransposeCached()
+				runtime.ReadMemStats(&after)
+				if after.Mallocs != before.Mallocs {
+					built++
+				}
+			}
+			q := w.cands[i][k%len(w.cands[i])]
+			got := sim.ScoreCuts(ev, cuts, q, w.cands[i])
+			want := sim.RelSimAggregate(cold, ps, q, w.cands[i])
+			if !slices.Equal(got.IDs, want.IDs) || !slices.EqualFunc(got.Scores, want.Scores,
+				func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("commit %d, %s from %d: maintained scores %v, cold %v", k, benchPool[i].pattern, q, got, want)
+			}
+		}
+		if built != 0 {
+			t.Fatalf("commit %d: the first read built %d transposes, want 0", k, built)
+		}
 	}
 }

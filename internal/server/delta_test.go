@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"relsim/internal/rre"
+	"relsim/internal/sparse"
 	"relsim/internal/store"
 )
 
@@ -22,7 +24,11 @@ import (
 // adjacency. Mutations mix edge additions, removals of edges known to
 // be present (so whole batches never roll back and removals are really
 // exercised), and node additions, which grow the matrix dimension
-// mid-stream.
+// mid-stream. Before each commit a random half of the halves every
+// workload so far scores from build their transposes, and after it
+// each of them must read, through TransposeCached, a transpose Equal
+// to its Transpose: the maintained entries carry theirs through the
+// commit.
 func TestDeltaMaintenanceDifferential(t *testing.T) {
 	maintained := New(store.New(testGraph()), nil)
 
@@ -41,9 +47,31 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 		{From: "p1", Label: "cites", To: "p3"},
 	}
 
+	// halves returns the cut halves of every pattern served so far, at
+	// the maintained server's current version.
+	var served []*rre.Pattern
+	halves := func() []*sparse.Matrix {
+		view, ver := maintained.Store().Snapshot()
+		ev := maintained.evaluator(view, ver)
+		var ms []*sparse.Matrix
+		for _, p := range served {
+			a, bt := ev.Halves(ev.Cut(p))
+			ms = append(ms, a)
+			if bt != nil {
+				ms = append(ms, bt)
+			}
+		}
+		return ms
+	}
+
 	const rounds = 120
 	var removals, nodeAdds int
 	for round := 0; round < rounds; round++ {
+		for _, m := range halves() {
+			if rng.Intn(2) == 0 {
+				m.TransposeCached()
+			}
+		}
 		var mreq MutationRequest
 		if rng.Intn(6) == 0 {
 			name := fmt.Sprintf("x%d", round)
@@ -72,6 +100,11 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 		if code, body := doJSON(t, maintained, "/graph/edges", mreq); code != http.StatusOK {
 			t.Fatalf("round %d: mutation status %d (%s)", round, code, body)
 		}
+		for _, m := range halves() {
+			if !m.TransposeCached().Equal(m.Transpose()) {
+				t.Fatalf("round %d: a maintained half keeps a transpose that is not its Transpose", round)
+			}
+		}
 
 		pin := maintained.Store().Pin()
 		coldStore := store.New(nil)
@@ -81,6 +114,9 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 		cold := New(coldStore, maintained.schema)
 
 		req := randWorkload(rng)
+		for _, q := range req.Queries {
+			served = append(served, rre.MustParse(q.Pattern))
+		}
 		codeM, bodyM := doJSON(t, maintained, "/batch", req)
 		codeC, bodyC := doJSON(t, cold, "/batch", req)
 		pin.Release()

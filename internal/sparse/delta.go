@@ -110,6 +110,12 @@ func (d *Delta) Transpose() *Delta {
 	return deltaOfTriples(d.n, ts)
 }
 
+// equal reports whether d and o hold the same entries.
+func (d *Delta) equal(o *Delta) bool {
+	return slices.Equal(d.rows, o.rows) && slices.Equal(d.colIdx, o.colIdx) && slices.Equal(d.val, o.val) &&
+		(len(d.rows) == 0 || slices.Equal(d.ptr, o.ptr))
+}
+
 // Neg returns −d. The structure is shared; only the values are new.
 func (d *Delta) Neg() *Delta {
 	neg := *d
@@ -243,46 +249,18 @@ func (d *Delta) Mul(m *Matrix) *Delta {
 	return p
 }
 
-// MulDelta returns m·d in one scan of m's entries against the stamped
-// set of d's populated rows: an entry of m whose column is not such a
-// row contributes nothing and costs one comparison. m may be smaller
-// than d; it panics if m is larger.
+// MulDelta returns m·d as (dᵀ·mᵀ)ᵀ: each populated row k of d meets
+// row k of m's kept transpose, which is column k of m, so the cost is
+// Σ_k |mᵀ[k,·]|·|d[k,·]| multiply-adds whatever nnz(m) is. m may be
+// smaller than d; it panics if m is larger.
 func (m *Matrix) MulDelta(d *Delta) *Delta {
 	if m.n > d.n {
 		panic(fmt.Sprintf("sparse: MulDelta dimension mismatch %d vs %d", m.n, d.n))
 	}
-	p := &Delta{n: d.n}
 	if len(d.rows) == 0 || m.nnz == 0 {
-		return p
+		return &Delta{n: d.n}
 	}
-	// set.acc[k] is the position of row k among d's populated rows
-	// while set.mark[k] carries the one stamp taken here.
-	set, s := getScratch[int64](d.n), getScratch[int64](d.n)
-	set.stamp++
-	for i, r := range d.rows {
-		set.mark[r], set.acc[r] = set.stamp, int64(i)
-	}
-	for r, sp := range m.rows {
-		live := false
-		for e := sp.lo; e < sp.hi; e++ {
-			k := m.colIdx[e]
-			if set.mark[k] != set.stamp {
-				continue
-			}
-			if !live {
-				live = true
-				s.stamp++
-			}
-			dc, dv := d.rowAt(int(set.acc[k]))
-			p.accumulate(s, m.val[e], dc, dv)
-		}
-		if live {
-			p.closeProductRow(int32(r), s)
-		}
-	}
-	scratchPool.Put(set)
-	scratchPool.Put(s)
-	return p
+	return d.Transpose().Mul(m.TransposeCached()).Transpose()
 }
 
 // rowBuf is pooled scratch for the replacement rows of one patch: a CSR
@@ -311,9 +289,29 @@ func (b *rowBuf) closeRow() {
 
 // Patch returns m + d at d's dimension: m grown, with only d's
 // populated rows rewritten (entries that cancel are dropped, never
-// stored as zeros) and every other row shared with m. It panics if m
-// is larger than d.
+// stored as zeros) and every other row shared with m. If m keeps a
+// transpose, the result keeps it patched by dᵀ. It panics if m is
+// larger than d.
 func (m *Matrix) Patch(d *Delta) *Matrix {
+	return m.carry(m.patch(d), d)
+}
+
+// carry hands out, made from m by adding d, the transpose derived from
+// m's kept one: out is its own transpose if m was and d equals dᵀ, and
+// otherwise keeps m's transpose patched by dᵀ. It returns out.
+func (m *Matrix) carry(out *Matrix, d *Delta) *Matrix {
+	if m.gm().tr.Load() == nil {
+		return out
+	}
+	dT := d.Transpose()
+	out.gm().carryTranspose(m.gm(), d.equal(dT), func(t *GMatrix[int64]) *GMatrix[int64] {
+		return wrapInt(t).patch(dT).gm()
+	})
+	return out
+}
+
+// patch is Patch without the transpose.
+func (m *Matrix) patch(d *Delta) *Matrix {
 	if m.n > d.n {
 		panic(fmt.Sprintf("sparse: Patch dimension mismatch %d vs %d", m.n, d.n))
 	}
@@ -380,7 +378,7 @@ func (m *Matrix) patchRows(child *Matrix, d *Delta, rowOp func(b *rowBuf, r int3
 		diff.colIdx, diff.val = appendMerged(diff.colIdx, diff.val, b.colIdx[start:], b.val[start:], oc, ov, -1)
 		diff.closeRow(r)
 	}
-	return wrapInt(m.gm().withRows(child.n, d.rows, b.ptr, b.colIdx, b.val)), diff
+	return m.carry(wrapInt(m.gm().withRows(child.n, d.rows, b.ptr, b.colIdx, b.val)), diff), diff
 }
 
 // DeltaOf returns new − old by a full scan of both. Maintenance uses it
@@ -404,8 +402,8 @@ func DeltaOf(new, old *Matrix) *Delta {
 // Grow returns m embedded in the top-left corner of an n×n matrix.
 // Commits that add nodes enlarge the id space; a cached matrix from the
 // previous version reads the same at the new dimension, so the spans
-// and the arena are shared and growing costs nothing. It panics if n is
-// smaller than m's dimension.
+// and the arena, and a kept transpose's, are shared and growing costs
+// nothing. It panics if n is smaller than m's dimension.
 func (m *Matrix) Grow(n int) *Matrix {
 	return wrapInt(m.gm().Grow(n))
 }

@@ -115,17 +115,35 @@ func checkMatrix(t *testing.T, what string, m *Matrix, want [][]int64) {
 func add(x, y int64) int64 { return x + y }
 func sub(x, y int64) int64 { return x - y }
 
+// checkKept asserts m keeps a transpose exactly when want says so, and
+// that a kept one is Equal to a fresh Transpose.
+func checkKept(t *testing.T, what string, m *Matrix, want bool) {
+	t.Helper()
+	tr := m.gm().tr.Load()
+	if (tr != nil) != want {
+		t.Fatalf("%s: keeps a transpose: %v, want %v", what, tr != nil, want)
+	}
+	if tr != nil && !wrapInt(tr).Equal(m.Transpose()) {
+		t.Fatalf("%s: kept transpose =\n%vwant\n%v", what, wrapInt(tr), m.Transpose())
+	}
+}
+
 // checkDeltaOps runs every Delta operation on (m, d, e) against the
 // dense reference. m may have a smaller dimension than the deltas.
-func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta) {
+// With keep, m and the row-local operands keep their transposes before
+// they are patched, and every patch must hand the result one that
+// equals its Transpose; without, no patch may build one. M·Δ runs last,
+// so without keep it meets an m whose transpose it builds itself.
+func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta, keep bool) {
 	t.Helper()
 	n := d.Dim()
 	dm, dd, de := denseAt(n, m.Each), denseAt(n, d.Each), denseAt(n, e.Each)
+	if keep {
+		m.TransposeCached()
+	}
 
 	checkDelta(t, "delta", d, dd)
 	checkDelta(t, "Δ·M", d.Mul(m), denseMul(dd, dm))
-	checkDelta(t, "M·Δ", m.MulDelta(d), denseMul(dm, dd))
-	checkDelta(t, "Δ·M·Δ", m.MulDelta(d).Mul(m), denseMul(denseMul(dm, dd), dm))
 	checkDelta(t, "Neg", d.Neg(), denseCombine(make2(n), dd, sub))
 	checkDelta(t, "Add", d.Add(e), denseCombine(dd, de, add))
 	checkDelta(t, "d + (−d)", d.Add(d.Neg()), make2(n))
@@ -142,8 +160,13 @@ func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta) {
 
 	patched := m.Patch(d)
 	checkMatrix(t, "Patch", patched, denseCombine(dm, dd, add))
-	checkMatrix(t, "Patch then un-patch", patched.Patch(d.Neg()), dm)
+	checkKept(t, "Patch", patched, keep)
+	unpatched := patched.Patch(d.Neg())
+	checkMatrix(t, "Patch then un-patch", unpatched, dm)
+	checkKept(t, "Patch then un-patch", unpatched, keep)
 	checkMatrix(t, "receiver after Patch", m, denseAt(m.Dim(), m.Each))
+	checkKept(t, "receiver after Patch", m, keep)
+	checkKept(t, "Grow", m.Grow(n+1), keep)
 	checkDelta(t, "DeltaOf", DeltaOf(patched, m), dd)
 
 	// Row-local re-evaluation: the cached op(m) patched on d's rows must
@@ -157,13 +180,21 @@ func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta) {
 		{"DiagMulBool", (*Matrix).DiagMulBool, (*Matrix).PatchDiagMulBool},
 	} {
 		old, want := op.full(m), op.full(patched)
+		if keep {
+			old.TransposeCached()
+		}
 		got, diff := op.patch(old, patched, d)
 		if !got.Equal(want) {
 			t.Fatalf("Patch%s: got\n%vwant\n%v", op.name, got, want)
 		}
 		checkMatrix(t, "Patch"+op.name, got, denseAt(n, want.Each))
+		checkKept(t, "Patch"+op.name, got, keep)
 		checkDelta(t, "Patch"+op.name+" delta", diff, denseCombine(denseAt(n, want.Each), denseAt(n, old.Each), sub))
 	}
+
+	checkDelta(t, "M·Δ", m.MulDelta(d), denseMul(dm, dd))
+	checkDelta(t, "Δ·M·Δ", m.MulDelta(d).Mul(m), denseMul(denseMul(dm, dd), dm))
+	checkKept(t, "M·Δ's operand", m, len(d.rows) > 0 && m.NNZ() > 0 || keep)
 }
 
 func make2(n int) [][]int64 { return denseAt(n, func(func(r, c int, v int64)) {}) }
@@ -177,7 +208,9 @@ func TestDeltaOpsAgainstDense(t *testing.T) {
 		if mn == 1 || iter%7 == 0 {
 			m = Zero(mn)
 		}
-		checkDeltaOps(t, m, randDelta(rng, n, rng.Intn(2*n)), randDelta(rng, n, rng.Intn(2*n)))
+		d, e := randDelta(rng, n, rng.Intn(2*n)), randDelta(rng, n, rng.Intn(2*n))
+		checkDeltaOps(t, m.Scale(1), d, e, false)
+		checkDeltaOps(t, m.Scale(1), d, e, true)
 	}
 }
 
@@ -331,6 +364,8 @@ func FuzzDeltaOps(f *testing.F) {
 			}
 			return ts
 		}
-		checkDeltaOps(t, New(mn, triples(mb, mn)), NewDelta(n, triples(db, n)), NewDelta(n, triples(eb, n)))
+		d, e := NewDelta(n, triples(db, n)), NewDelta(n, triples(eb, n))
+		checkDeltaOps(t, New(mn, triples(mb, mn)), d, e, false)
+		checkDeltaOps(t, New(mn, triples(mb, mn)), d, e, true)
 	})
 }

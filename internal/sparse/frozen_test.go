@@ -406,6 +406,24 @@ func TestScratchStampWrapStartsOver(t *testing.T) {
 	}
 }
 
+// TestScratchPoolSurvivesGrowth: a fresh scratch has an eighth of
+// headroom, so the product after a commit that added a node reuses the
+// pooled one instead of dropping it for one a node larger. GOMAXPROCS
+// 1 and the collector off make the pool hand back what was put.
+func TestScratchPoolSurvivesGrowth(t *testing.T) {
+	skipUnderRace(t) // the race detector also drops pooled items at random
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for scratchPool.Get() != nil {
+	}
+	const n = 1000
+	s := getScratch[int64](n)
+	scratchPool.Put(s)
+	if got := getScratch[int64](n + 1); got != s {
+		t.Fatalf("getScratch(%d) after a scratch for %d went back: a fresh one of %d", n+1, n, len(got.mark))
+	}
+}
+
 // skipUnderRace skips allocation-count tests when the race detector is
 // compiled in: its instrumentation allocates.
 func skipUnderRace(t *testing.T) {

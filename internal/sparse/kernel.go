@@ -23,10 +23,13 @@ import (
 // maintained matrix and a cold recompute.
 //
 // A matrix may keep its transpose (Matrix.TransposeCached): Equation-1
-// scoring reads the right half of a cut in both orientations, so the
-// transpose is built once per matrix version and dropped with it. A
-// transpose's spans stop at the last populated column, so a thin half
-// costs a thin transpose, and a symmetric matrix is its own.
+// scoring reads the right half of a cut in both orientations, and M·Δ
+// reads M's columns. The transpose is built once and then carried:
+// Grow, Patch and the row-local patches hand the matrix they make a
+// transpose derived from the old one in O(|Δ|), so it lives as long as
+// the cached entry it belongs to. A transpose's spans stop at the last
+// populated column, so a thin half costs a thin transpose, and a
+// symmetric matrix is its own.
 //
 // Semiring-dependent operators are free functions taking the ring
 // explicitly (Go methods cannot add type parameters); structurally
@@ -42,7 +45,8 @@ type span struct{ lo, hi int32 }
 // by withRows shares every untouched row with the version it was made
 // from, whose readers keep reading their own spans unchanged. The zero
 // value is an empty 0×0 matrix. A GMatrix must not be copied: it holds
-// its transpose once Matrix.TransposeCached has built it.
+// its transpose once Matrix.TransposeCached has built it or the version
+// it was made from handed one over.
 type GMatrix[T any] struct {
 	n      int
 	nnz    int     // stored entries: the sum of the span lengths
@@ -151,9 +155,18 @@ func (m *GMatrix[T]) Transpose() *GMatrix[T] {
 
 // Grow returns m embedded in the top-left corner of an n×n matrix. It
 // shares the spans and the arena — rows past the old dimension are
-// empty by construction — so it costs nothing. The grown matrix starts
-// without a transpose. It panics if n is smaller than m's dimension.
+// empty by construction — so it costs nothing. A kept transpose is
+// grown the same way: the grown matrix is its own transpose if m was,
+// and otherwise keeps m's transpose grown. It panics if n is smaller
+// than m's dimension.
 func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
+	g := m.grown(n)
+	g.carryTranspose(m, true, func(t *GMatrix[T]) *GMatrix[T] { return t.grown(n) })
+	return g
+}
+
+// grown is Grow without the transpose.
+func (m *GMatrix[T]) grown(n int) *GMatrix[T] {
 	if n == m.n {
 		return m
 	}
@@ -161,6 +174,21 @@ func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
 		panic(fmt.Sprintf("sparse: Grow from %d to smaller %d", m.n, n))
 	}
 	return &GMatrix[T]{n: n, nnz: m.nnz, rows: m.rows, colIdx: m.colIdx, val: m.val, tip: m.tip}
+}
+
+// carryTranspose hands g, just made from m, the transpose derived from
+// m's kept one: g is its own if m was its own and sym (the change from
+// m to g equals its transpose) holds, and otherwise keeps derive(m's
+// transpose). A matrix keeping none hands none over; nothing is built
+// here that derive does not build, and m is never written.
+func (g *GMatrix[T]) carryTranspose(m *GMatrix[T], sym bool, derive func(t *GMatrix[T]) *GMatrix[T]) {
+	switch t := m.tr.Load(); {
+	case t == nil || g == m:
+	case t == m && sym:
+		g.tr.Store(g)
+	default:
+		g.tr.Store(derive(t))
+	}
 }
 
 // MulFlops returns the exact number of scalar multiplications m·o
@@ -192,11 +220,12 @@ func (m *GMatrix[T]) MulFlops(o *GMatrix[T]) int64 {
 // may be scratch.
 func (m *GMatrix[T]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix[T] {
 	if len(rows) == 0 {
-		return m.Grow(n)
+		return m.grown(n)
 	}
 	out := &GMatrix[T]{n: n, nnz: m.nnz + len(cols)}
-	out.rows = make([]span, max(len(m.rows), int(rows[len(rows)-1])+1))
-	copy(out.rows, m.rows)
+	// Clone, then extend: only the tail of rows new to the spans is
+	// cleared, not the whole array before the copy overwrites it.
+	out.rows = append(slices.Clone(m.rows), make([]span, max(0, int(rows[len(rows)-1])+1-len(m.rows)))...)
 	for _, r := range rows {
 		sp := out.rows[r]
 		out.nnz -= int(sp.hi - sp.lo)
@@ -490,12 +519,14 @@ type mulScratch[T any] struct {
 // scratchPool holds *mulScratch[T] of whichever entry types are being
 // multiplied; getScratch leaves one of another type or a smaller
 // dimension to the collector and makes a fresh one, which is what every
-// product paid before the pool.
+// product paid before the pool. A fresh one has an eighth of headroom,
+// so the commits that add a node each keep the pool.
 var scratchPool sync.Pool
 
 func getScratch[T any](n int) *mulScratch[T] {
 	s, _ := scratchPool.Get().(*mulScratch[T])
 	if s == nil || len(s.mark) < n {
+		n += n / 8
 		return &mulScratch[T]{mark: make([]uint32, n), acc: make([]T, n)}
 	}
 	// A product takes at most two stamps per row; start over before the

@@ -156,11 +156,11 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // TransposeCached returns Mᵀ, built on the first call and kept with m,
-// so it lives and dies with m and every later call is one atomic load.
-// A symmetric m is its own transpose and returns itself. Concurrent
-// first callers may each build one, but one compare-and-swap wins and
-// all of them return it. A matrix made from m (Patch, Grow) starts
-// without one.
+// so every later call is one atomic load. A symmetric m is its own
+// transpose and returns itself. Concurrent first callers may each build
+// one, but one compare-and-swap wins and all of them return it. A
+// matrix made from m (Grow, Patch, PatchBoolean, PatchDiagMulBool)
+// keeps the transpose derived from m's, in O(|Δ|), if m kept one.
 func (m *Matrix) TransposeCached() *Matrix {
 	g := m.gm()
 	if t := g.tr.Load(); t != nil {
