@@ -17,12 +17,10 @@ import (
 // left half and a transposed reversed right half would list the right
 // half's vias in reverse.
 
-// Ring tags for annotated cache keys and request parameters: the
-// rings' Names. The integer ring's tag is the empty string (see Key).
-const (
-	RingWitness = "witness"
-	RingCount   = "count"
-)
+// RingWitness is the witness ring's tag for annotated cache keys and
+// request parameters: its Name. The integer ring's tag is the empty
+// string (see Key).
+const RingWitness = "witness"
 
 // AnnotationCostFactor weights product-count estimates for annotated
 // evaluation: an annotated product runs the same Gustavson kernel over
@@ -46,37 +44,15 @@ func EstimateProductsAnnotated(patterns []*rre.Pattern) int {
 // nodes of a shortlex-minimal derivation). Results are cached under
 // (version, "witness", pattern), p canonicalized under the evaluator's
 // key mode like an integer key.
-func (e *Evaluator) CommutingWitness(p *rre.Pattern) *sparse.GMatrix[sparse.Witness] {
+func (e *Evaluator) CommutingWitness(p *rre.Pattern) *sparse.WitnessMatrix {
 	return walk[sparse.Witness](e, sparse.WitnessRing{}).eval(canonForm(p, e.isCanonical()))
-}
-
-// CommutingCount returns the commuting matrix of p over the saturating
-// counting semiring: identical support to Commuting, counts clamped at
-// MaxInt64 instead of wrapping. Cached under (version, "count",
-// pattern).
-func (e *Evaluator) CommutingCount(p *rre.Pattern) *sparse.GMatrix[int64] {
-	return walk[int64](e, sparse.CountRing{}).eval(canonForm(p, e.isCanonical()))
 }
 
 // WitnessPathSimScore computes Equation 1 of the paper from a
 // witness-annotated commuting matrix's counts — the projection
 // counterpart of PathSimScore, so a warm /explain never needs the
 // integer matrix.
-func WitnessPathSimScore(m *sparse.GMatrix[sparse.Witness], u, v graph.NodeID) float64 {
-	diag := func(i int) int64 {
-		w, ok := m.Lookup(i, i)
-		if !ok {
-			return 0
-		}
-		return w.Count
-	}
-	den := diag(int(u)) + diag(int(v))
-	if den == 0 {
-		return 0
-	}
-	var num int64
-	if w, ok := m.Lookup(int(u), int(v)); ok {
-		num = w.Count
-	}
-	return 2 * float64(num) / float64(den)
+func WitnessPathSimScore(m *sparse.WitnessMatrix, u, v graph.NodeID) float64 {
+	count := func(x, y graph.NodeID) int64 { return m.At(int(x), int(y)).Count }
+	return Eq1(count(u, v), count(u, u)+count(v, v))
 }

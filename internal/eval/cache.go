@@ -13,7 +13,7 @@ import "sync"
 //
 // Ring is the semiring tag: "" is the canonical integer ring (the
 // production ranking path), any other value names an annotation ring
-// ("witness", "count"). Tagged entries live in the same buckets and
+// ("witness"). Tagged entries live in the same buckets and
 // label index as integer ones — so Advance carries/evicts them by the
 // same touched-label rules — but only integer entries are eligible for
 // incremental delta maintenance (see Cache.Maintain).
@@ -38,9 +38,9 @@ func (k Key) entryKey() string {
 }
 
 // CachedMatrix is the value type the cache stores: a CSR matrix over
-// any semiring, always the *sparse.GMatrix[T] of its ring:
-// *sparse.GMatrix[int64] for the integer ring, whose *sparse.Matrix view
-// is a free conversion away.
+// any semiring, always the *sparse.GMatrix[T, R] of its ring R, so the
+// entry's type says which ring it is over: *sparse.Matrix for the
+// integer ring, *sparse.WitnessMatrix for the witness ring.
 type CachedMatrix interface {
 	Dim() int
 	NNZ() int

@@ -202,7 +202,7 @@ func (e *Evaluator) ConjunctivePathSim(c ConjunctivePattern, u, v graph.NodeID) 
 	}
 	den := e.conjCount(c, u, u) + e.conjCount(c, v, v)
 	if den == 0 {
-		return 0, nil
+		return 0, nil // Eq1's answer, without counting the numerator
 	}
-	return 2 * float64(e.conjCount(c, u, v)) / float64(den), nil
+	return Eq1(e.conjCount(c, u, v), den), nil
 }

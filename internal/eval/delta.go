@@ -29,7 +29,7 @@ import (
 // (Δ·M walks the delta's rows, M·Δ the matching rows of M's kept
 // transpose, which every patch carries to the new version), Boolean
 // and DiagMulBool are row-local and re-evaluated on the child delta's
-// rows, and the new value is old.Patch(Δ) — a matrix that rewrites the
+// rows, and the new value is Patch(old, Δ) — a matrix that rewrites the
 // delta's rows and shares every other row, and the entry arena, with
 // the old version its pinned readers keep scoring from. Only the
 // Kleene-star closure has no delta algebra over counting semantics; it
@@ -171,7 +171,7 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 	}
 	for _, key := range roots {
 		if strings.Contains(key, ringSep) {
-			// Annotation rings (witness, count) are not Subtractive:
+			// Annotation rings (witness) have no subtraction:
 			// signed deltas and the telescoping patch have no meaning
 			// there, so a wrong patch is never attempted. The entry
 			// falls back to Advance's touched-label eviction and the
@@ -206,7 +206,7 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		if _, dup := dst.entries[key]; dup {
 			continue
 		}
-		c.insertLocked(Key{Version: d.To, Pattern: key}, gm(term.new), mt.patterns[key].Labels())
+		c.insertLocked(Key{Version: d.To, Pattern: key}, term.new, mt.patterns[key].Labels())
 	}
 	if len(dst.entries) == 0 {
 		delete(c.versions, d.To)
@@ -235,7 +235,7 @@ func (mt *maintainer) newNodes() *sparse.Delta {
 func patched(t *maintTerm) *maintTerm {
 	t.new = t.old
 	if t.delta != nil {
-		t.new = t.old.Patch(t.delta)
+		t.new = sparse.Patch(t.old, t.delta)
 	}
 	return t
 }
@@ -252,14 +252,14 @@ func (mt *maintainer) cachedOld(key string) (*sparse.Matrix, bool) {
 	if !ok {
 		return nil, false
 	}
-	m, isInt := ent.m.(*sparse.GMatrix[int64])
+	m, isInt := ent.m.(*sparse.Matrix)
 	if !isInt {
 		// Unreachable for round-tripped pattern keys (tagged keys are
 		// filtered before the walk), but never patch a non-integer
 		// matrix.
 		return nil, false
 	}
-	return mat(m).Grow(mt.d.NewN), true
+	return m.Grow(mt.d.NewN), true
 }
 
 // normalize enforces the maintTerm invariant: an empty delta becomes
@@ -316,7 +316,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		if dl == nil {
 			return &maintTerm{old: new, new: new}, nil
 		}
-		return &maintTerm{old: new.Patch(dl.Neg()), new: new, delta: dl}, nil
+		return &maintTerm{old: sparse.Patch(new, dl.Neg()), new: new, delta: dl}, nil
 
 	case rre.KindRev:
 		ch, err := mt.node(p.Subs()[0])
@@ -381,7 +381,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 			}
 			for j := i - 1; j >= 0; j-- {
 				mt.products++
-				s = terms[j].new.MulDelta(s)
+				s = sparse.MulDelta(terms[j].new, s)
 			}
 			if t.delta == nil {
 				t.delta = s
@@ -394,11 +394,11 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		} else {
 			// The full product was evicted; rebuild it from the (old)
 			// children — the cost a cache miss would have paid anyway.
-			olds := make([]*sparse.GMatrix[int64], len(terms))
+			olds := make([]*sparse.Matrix, len(terms))
 			for i, ch := range terms {
-				olds[i] = gm(ch.old)
+				olds[i] = ch.old
 			}
-			t.old = mat(mt.w.chain(olds))
+			t.old = mt.w.chain(olds)
 		}
 		return patched(t), nil
 
@@ -407,14 +407,14 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mt.rowLocal(key, ch, (*sparse.Matrix).Boolean, (*sparse.Matrix).PatchBoolean), nil
+		return mt.rowLocal(key, ch, (*sparse.Matrix).Boolean, sparse.PatchBoolean), nil
 
 	case rre.KindNest:
 		ch, err := mt.node(p.Subs()[0])
 		if err != nil {
 			return nil, err
 		}
-		return mt.rowLocal(key, ch, (*sparse.Matrix).DiagMulBool, (*sparse.Matrix).PatchDiagMulBool), nil
+		return mt.rowLocal(key, ch, (*sparse.Matrix).DiagMulBool, sparse.PatchDiagMulBool), nil
 
 	case rre.KindStar:
 		ch, err := mt.node(p.Subs()[0])
@@ -435,7 +435,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		}
 		// Closure has no delta algebra; recompute from the maintained
 		// child — the subtree below it is still saved.
-		t.new = mat(mt.w.star(gm(ch.new)))
+		t.new = mt.w.star(ch.new)
 		t.delta = sparse.DeltaOf(t.new, t.old)
 		return t, nil
 	}
@@ -484,9 +484,9 @@ func (mt *maintainer) rowLocal(key string, ch *maintTerm,
 // for the new isolated nodes that the true old closure (at OldN, grown)
 // does not have; strip them.
 func (mt *maintainer) starOldFromChild(ch *maintTerm) *sparse.Matrix {
-	c := mat(mt.w.star(gm(ch.old)))
+	c := mt.w.star(ch.old)
 	if grown := mt.newNodes(); grown != nil {
-		c = c.Patch(grown.Neg())
+		c = sparse.Patch(c, grown.Neg())
 	}
 	return c
 }

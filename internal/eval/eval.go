@@ -17,8 +17,7 @@
 // reflexive-transitive closure of M_p: its instance count is capped at 1
 // (existence), since the raw count is unbounded on cyclic data. The
 // recursion is written once, generic over the semiring (walk.go):
-// CommutingWitness and CommutingCount run the same walk over annotation
-// rings.
+// CommutingWitness runs the same walk over the witness ring.
 //
 // CountInstances is a direct recursive counter over the graph with the
 // same semantics; it exists as an executable specification that the
@@ -190,12 +189,12 @@ func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 	w := e.ints()
 	p = canonForm(p, e.isCanonical())
 	if p.Kind() != rre.KindConcat {
-		return mat(w.eval(p))
+		return w.eval(p)
 	}
-	return mat(w.get(p, func(p *rre.Pattern) *sparse.GMatrix[int64] {
+	return w.get(p, func(p *rre.Pattern) *sparse.Matrix {
 		a, bt := e.Halves(e.Cut(p))
-		return w.mul(gm(a), gm(bt.TransposeCached()))
-	}))
+		return w.mul(a, bt.TransposeCached())
+	})
 }
 
 // isCanonical reports whether the evaluator keys its cache canonically.
@@ -315,17 +314,22 @@ func (e *Evaluator) reachable(p *rre.Pattern, u, v graph.NodeID) bool {
 	return false
 }
 
-// PathSimScore computes Equation 1 of the paper from a commuting matrix:
+// Eq1 is Equation 1 of the paper,
 //
-//	sim_p(u, v) = 2·M_p(u,v) / (M_p(u,u) + M_p(v,v))
+//	sim_p(u, v) = 2·M_p(u,v) / (M_p(u,u) + M_p(v,v)),
 //
-// It returns 0 when the denominator is zero.
-func PathSimScore(m *sparse.Matrix, u, v graph.NodeID) float64 {
-	den := m.At(int(u), int(u)) + m.At(int(v), int(v))
+// given the numerator's count muv and the denominator's den. It returns
+// 0 when the denominator is zero.
+func Eq1(muv, den int64) float64 {
 	if den == 0 {
 		return 0
 	}
-	return 2 * float64(m.At(int(u), int(v))) / float64(den)
+	return 2 * float64(muv) / float64(den)
+}
+
+// PathSimScore computes Equation 1 of the paper from a commuting matrix.
+func PathSimScore(m *sparse.Matrix, u, v graph.NodeID) float64 {
+	return Eq1(m.At(int(u), int(v)), m.At(int(u), int(u))+m.At(int(v), int(v)))
 }
 
 // MetaPathsUpTo enumerates all simple patterns (meta-paths) over the

@@ -44,7 +44,10 @@ func (in Instance) Render(g graph.View) string {
 // counterpart of CountInstances: for star-free patterns the number of
 // enumerated instances equals the instance count (Kleene star collapses
 // to a single reachability witness, matching the boolean semantics of
-// Commuting). A non-positive limit enumerates everything.
+// Commuting). A non-positive limit enumerates everything; a positive one
+// bounds the work, not only the answer: Instances(p, u, v, L) is the
+// first L of Instances(p, u, v, 0), and no factor of a product is
+// enumerated past the room the limit leaves.
 func (e *Evaluator) Instances(p *rre.Pattern, u, v graph.NodeID, limit int) []Instance {
 	en := &instanceEnum{e: e, limit: limit}
 	seqs := en.enum(p, u, v)
@@ -61,8 +64,23 @@ type instanceEnum struct {
 	count int
 }
 
-func (en *instanceEnum) capped() bool {
-	return en.limit > 0 && en.count >= en.limit
+// full reports whether the limit leaves no room once pending instances
+// not yet taken are.
+func (en *instanceEnum) full(pending int) bool {
+	return en.limit > 0 && en.count+pending >= en.limit
+}
+
+// factor enumerates the instances of one factor of a product that has
+// pending instances not yet taken. No factor contributes more instances
+// to the product than the room the limit leaves, so it enumerates no
+// more than that; without a limit it enumerates everything. Its count
+// is its own: the product is charged when it is taken.
+func (en *instanceEnum) factor(p *rre.Pattern, u, v graph.NodeID, pending int) [][]string {
+	sub := &instanceEnum{e: en.e}
+	if en.limit > 0 {
+		sub.limit = en.limit - en.count - pending
+	}
+	return sub.enum(p, u, v)
 }
 
 func (en *instanceEnum) take(seqs [][]string) [][]string {
@@ -84,7 +102,7 @@ func (en *instanceEnum) take(seqs [][]string) [][]string {
 func node(id graph.NodeID) string { return fmt.Sprintf("%d", id) }
 
 func (en *instanceEnum) enum(p *rre.Pattern, u, v graph.NodeID) [][]string {
-	if en.capped() {
+	if en.full(0) {
 		return nil
 	}
 	g := en.e.Graph()
@@ -114,20 +132,21 @@ func (en *instanceEnum) enum(p *rre.Pattern, u, v graph.NodeID) [][]string {
 		subs := p.Subs()
 		head, tail := subs[0], rre.Concat(subs[1:]...)
 		var out [][]string
-		for w := graph.NodeID(0); int(w) < g.NumNodes(); w++ {
-			if en.limit > 0 && en.count+len(out) >= en.limit {
+		// The commuting matrix's row u lists the midpoints w with an
+		// instance of head from u, ascending.
+		ws, _ := en.e.Commuting(head).RowView(int(u))
+		for _, w := range ws {
+			if en.full(len(out)) {
 				break
 			}
-			// Quick pruning via the commuting matrices.
-			if en.e.Commuting(head).At(int(u), int(w)) == 0 {
-				continue
-			}
-			saved := en.count
-			hs := en.enumUnlimited(head, u, w)
-			ts := en.enumUnlimited(tail, w, v)
-			en.count = saved
+			hs := en.factor(head, u, graph.NodeID(w), len(out))
+			ts := en.factor(tail, graph.NodeID(w), v, len(out))
+		product:
 			for _, h := range hs {
 				for _, t := range ts {
+					if en.full(len(out)) {
+						break product
+					}
 					out = append(out, joinSeq(h, t))
 				}
 			}
@@ -155,27 +174,18 @@ func (en *instanceEnum) enum(p *rre.Pattern, u, v graph.NodeID) [][]string {
 		}
 		inner := p.Subs()[0]
 		var out [][]string
-		for w := graph.NodeID(0); int(w) < g.NumNodes(); w++ {
-			if en.e.Commuting(inner).At(int(u), int(w)) == 0 {
-				continue
+		ws, _ := en.e.Commuting(inner).RowView(int(u))
+		for _, w := range ws {
+			if en.full(len(out)) {
+				break
 			}
-			saved := en.count
-			ws := en.enumUnlimited(inner, u, w)
-			en.count = saved
-			for _, s := range ws {
+			for _, s := range en.factor(inner, u, graph.NodeID(w), len(out)) {
 				out = append(out, append(append([]string{}, s...), "↩", node(u)))
 			}
 		}
 		return en.take(out)
 	}
 	return nil
-}
-
-// enumUnlimited enumerates without charging the cap (used for the parts
-// of a product; the product itself is capped by the caller).
-func (en *instanceEnum) enumUnlimited(p *rre.Pattern, u, v graph.NodeID) [][]string {
-	sub := &instanceEnum{e: en.e}
-	return sub.enum(p, u, v)
 }
 
 // joinSeq implements the paper's s • t: defined when the last entry of s

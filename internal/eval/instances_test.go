@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +51,16 @@ func TestInstancesCountMatches(t *testing.T) {
 				if int64(len(got)) != want {
 					t.Fatalf("trial %d: pattern %s: enumerated %d instances of (%d,%d), count says %d",
 						trial, p, len(got), u, v, want)
+				}
+				// A limit takes a prefix of the unlimited enumeration.
+				for limit := 1; limit <= len(got)+1; limit++ {
+					capped := ev.Instances(p, graph.NodeID(u), graph.NodeID(v), limit)
+					if !slices.EqualFunc(capped, got[:min(limit, len(got))], func(a, b Instance) bool {
+						return a.From == b.From && a.To == b.To && slices.Equal(a.Seq, b.Seq)
+					}) {
+						t.Fatalf("trial %d: pattern %s: (%d,%d) at limit %d is not the first %d of the unlimited enumeration",
+							trial, p, u, v, limit, limit)
+					}
 				}
 			}
 		}
@@ -132,6 +143,32 @@ func TestInstancesLimit(t *testing.T) {
 	capped := ev.Instances(p, names["PatternMining"], names["PatternMining"], 1)
 	if len(capped) != 1 {
 		t.Errorf("limit ignored: %d", len(capped))
+	}
+}
+
+// TestInstancesLimitBoundsWork: a limit bounds what the enumeration
+// builds, not only what it returns. On u→w→{m₁…m_k}→v the instances of
+// a.b.c run through the k midpoints, and the first two cost the same
+// allocations whatever k is.
+func TestInstancesLimitBoundsWork(t *testing.T) {
+	skipUnderRace(t)
+	allocs := func(k int) float64 {
+		g := graph.New()
+		u, w, v := g.AddNode("u", ""), g.AddNode("w", ""), g.AddNode("v", "")
+		g.AddEdge(u, "a", w)
+		for i := 0; i < k; i++ {
+			m := g.AddNode("", "")
+			g.AddEdge(w, "b", m)
+			g.AddEdge(m, "c", v)
+		}
+		ev, p := New(g), rre.MustParse("a.b.c")
+		if got := ev.Instances(p, u, v, 2); len(got) != 2 {
+			t.Fatalf("k=%d: %d instances at limit 2", k, len(got))
+		}
+		return testing.AllocsPerRun(5, func() { ev.Instances(p, u, v, 2) })
+	}
+	if small, large := allocs(100), allocs(20000); large != small {
+		t.Errorf("limit 2 allocates %.0f times at k=100 and %.0f at k=20000, want equal", small, large)
 	}
 }
 

@@ -73,9 +73,9 @@ func (e *Evaluator) Cut(p *rre.Pattern) Cut { return NewCut(p, e.isCanonical()) 
 // products inside a half.
 func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 	w := e.ints()
-	a = mat(w.eval(c.Left))
+	a = w.eval(c.Left)
 	if c.RevRight != nil {
-		bt = mat(w.eval(c.RevRight))
+		bt = w.eval(c.RevRight)
 	}
 	return a, bt
 }
@@ -98,14 +98,14 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 // product through mul. costs[i] is the cost of ms[i]·ms[i+1]; a merge
 // invalidates only the two costs next to the new product, so only those
 // are read again.
-func (w walker[T, R]) chain(factors []*sparse.GMatrix[T]) *sparse.GMatrix[T] {
+func (w walker[T, R]) chain(factors []*sparse.GMatrix[T, R]) *sparse.GMatrix[T, R] {
 	switch len(factors) {
 	case 0:
 		panic("eval: empty multiplication chain")
 	case 1:
 		return factors[0]
 	}
-	ms := append([]*sparse.GMatrix[T](nil), factors...)
+	ms := append([]*sparse.GMatrix[T, R](nil), factors...)
 	costs := make([]int64, len(ms)-1)
 	for i := range costs {
 		costs[i] = ms[i].MulFlops(ms[i+1])

@@ -71,8 +71,8 @@ func TestMulCostEstimateExactForFirstProduct(t *testing.T) {
 }
 
 func TestMulChainSingleFactor(t *testing.T) {
-	m := gm(sparse.Identity(3))
-	if got := New(graph.New()).ints().chain([]*sparse.GMatrix[int64]{m}); got != m {
+	m := sparse.Identity(3)
+	if got := New(graph.New()).ints().chain([]*sparse.Matrix{m}); got != m {
 		t.Error("single-factor chain must return the factor")
 	}
 }
@@ -88,20 +88,20 @@ func TestMulChainPanicsOnEmpty(t *testing.T) {
 
 // chainFactors is the planner-overhead input: ten 2000×2000 factors of
 // 4000 entries each.
-func chainFactors() []*sparse.GMatrix[int64] {
+func chainFactors() []*sparse.Matrix {
 	rng := rand.New(rand.NewSource(11))
 	const (
 		n       = 2000
 		factors = 10
 		nnz     = 4000
 	)
-	ms := make([]*sparse.GMatrix[int64], factors)
+	ms := make([]*sparse.Matrix, factors)
 	for i := range ms {
 		ts := make([]sparse.Triple, nnz)
 		for j := range ts {
 			ts[j] = sparse.Triple{Row: rng.Intn(n), Col: rng.Intn(n), Val: 1}
 		}
-		ms[i] = gm(sparse.New(n, ts))
+		ms[i] = sparse.New(n, ts)
 	}
 	return ms
 }
@@ -111,13 +111,7 @@ func chainFactors() []*sparse.GMatrix[int64] {
 // constant (the working copy of the factor list and the cost vector),
 // not vectors of length n per factor and per intermediate product.
 func TestMulChainAllocationsConstant(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts are inflated by the race detector")
-			}
-		}
-	}
+	skipUnderRace(t)
 	ms := chainFactors()
 	ev := New(graph.New())
 	var pairs [][2]*sparse.Matrix
@@ -185,5 +179,17 @@ func TestChainPlanningSkewedPattern(t *testing.T) {
 	m.Each(func(_, _ int, _ int64) { nnz++ })
 	if nnz != n-1 {
 		t.Errorf("nnz = %d, want %d", nnz, n-1)
+	}
+}
+
+// skipUnderRace skips an allocation gate when the race detector is
+// compiled in: its instrumentation allocates.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are inflated by the race detector")
+			}
+		}
 	}
 }

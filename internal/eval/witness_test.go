@@ -16,37 +16,33 @@ import (
 // WitnessRing with no cache and every concatenation folded strictly left
 // to right. The evaluator plans witness chains greedily, like integer
 // ones; the two agree exactly because MulVia is associative.
-func leftFold(g graph.View, p *rre.Pattern) *sparse.GMatrix[sparse.Witness] {
-	ring := sparse.WitnessRing{}
-	mul := func(a, b *sparse.GMatrix[sparse.Witness]) *sparse.GMatrix[sparse.Witness] {
-		return sparse.GMulThresh(ring, a, b, sparse.DefaultThresholds())
-	}
+func leftFold(g graph.View, p *rre.Pattern) *sparse.WitnessMatrix {
 	subs := p.Subs()
 	switch p.Kind() {
 	case rre.KindEps:
-		return sparse.GIdentity[sparse.Witness](ring, g.NumNodes())
+		return sparse.GIdentity[sparse.Witness, sparse.WitnessRing](g.NumNodes())
 	case rre.KindLabel:
-		return sparse.GLift[sparse.Witness](ring, g.Adjacency(p.LabelName()))
+		return sparse.Lift[sparse.Witness, sparse.WitnessRing](g.Adjacency(p.LabelName()))
 	case rre.KindRev:
 		return leftFold(g, subs[0]).Transpose()
 	case rre.KindConcat:
 		m := leftFold(g, subs[0])
 		for _, s := range subs[1:] {
-			m = mul(m, leftFold(g, s))
+			m = m.Mul(leftFold(g, s))
 		}
 		return m
 	case rre.KindAlt:
 		m := leftFold(g, subs[0])
 		for _, s := range subs[1:] {
-			m = sparse.GAdd(ring, m, leftFold(g, s))
+			m = m.Add(leftFold(g, s))
 		}
 		return m
 	case rre.KindStar:
-		return sparse.GBooleanClosure(ring, leftFold(g, subs[0]), mul)
+		return leftFold(g, subs[0]).BooleanClosure()
 	case rre.KindSkip:
-		return sparse.GBoolean(ring, leftFold(g, subs[0]))
+		return leftFold(g, subs[0]).Boolean()
 	case rre.KindNest:
-		return sparse.GDiagMulBool(ring, leftFold(g, subs[0]))
+		return leftFold(g, subs[0]).DiagMulBool()
 	}
 	panic("invalid pattern kind")
 }
@@ -57,7 +53,7 @@ type witnessEntry struct {
 }
 
 // flatten lists a witness matrix's entries in row-major order.
-func flatten(m *sparse.GMatrix[sparse.Witness]) []witnessEntry {
+func flatten(m *sparse.WitnessMatrix) []witnessEntry {
 	var out []witnessEntry
 	m.Each(func(r, c int, w sparse.Witness) { out = append(out, witnessEntry{r, c, w}) })
 	return out

@@ -25,9 +25,6 @@ import (
 
 // AnnotateWitness is the one annotation mode the HTTP surface accepts:
 // counts plus a bounded shortlex-minimal derivation prefix per entry.
-// (The counting semiring exists at the library layer — see
-// eval.CommutingCount — but adds nothing over the integer path for
-// serving, so it is not exposed as a request parameter.)
 const AnnotateWitness = "witness"
 
 // WitnessStep is one intermediate node of a witness derivation.

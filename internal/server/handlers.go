@@ -609,7 +609,8 @@ func explainCost(p *rre.Pattern) int {
 
 // ExplainRequest is the POST /explain body: explain why From and To
 // are similar under Pattern (nodes are names or ids). The legacy mode
-// enumerates up to Limit concrete instances; with Annotate "witness"
+// enumerates up to Limit concrete instances (default
+// defaultExplainLimit, ceiling maxExplainLimit); with Annotate "witness"
 // (or ?annotate=witness) the answer is instead a projection of the
 // witness-annotated commuting matrix — count, score, and one bounded
 // derivation prefix, read from the versioned cache when an annotated
@@ -638,6 +639,10 @@ type ExplainResponse struct {
 }
 
 const defaultExplainLimit = 10
+
+// maxExplainLimit is the hard ceiling on an /explain request's limit:
+// each instance is enumerated, rendered and encoded.
+const maxExplainLimit = 1000
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
@@ -669,7 +674,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	limit := req.Limit
+	limit := min(req.Limit, maxExplainLimit)
 	if limit <= 0 {
 		limit = defaultExplainLimit
 	}

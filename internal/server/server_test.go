@@ -189,6 +189,29 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainLimitCeiling: a legacy /explain enumerates at most
+// maxExplainLimit instances, however large the limit it is sent.
+func TestExplainLimitCeiling(t *testing.T) {
+	g := graph.New()
+	u, v := g.AddNode("u", "x"), g.AddNode("v", "x")
+	for i := 0; i <= maxExplainLimit; i++ {
+		m := g.AddNode(fmt.Sprintf("m%d", i), "y")
+		g.AddEdge(u, "a", m)
+		g.AddEdge(m, "b", v)
+	}
+	ts := httptest.NewServer(New(store.New(g), nil))
+	t.Cleanup(ts.Close)
+	var resp ExplainResponse
+	req := ExplainRequest{Pattern: "a.b", From: "u", To: "v", Limit: 1 << 30}
+	if code := post(t, ts, "/explain", req, &resp); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	if resp.Count != maxExplainLimit+1 || len(resp.Instances) != maxExplainLimit {
+		t.Fatalf("count %d, %d instances; want %d and the ceiling %d",
+			resp.Count, len(resp.Instances), maxExplainLimit+1, maxExplainLimit)
+	}
+}
+
 // TestMutationRoundTrip is the acceptance scenario: a mutation changes a
 // repeated search's answer, bumps the version, carries untouched cached
 // matrices forward, and patches the touched one to the new version by

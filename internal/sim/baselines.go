@@ -95,7 +95,7 @@ func Katz(ev *eval.Evaluator, opt KatzOptions, query graph.NodeID, candidates []
 	if a == nil {
 		return Ranking{}
 	}
-	af := sparse.FromInt(a)
+	af := sparse.Lift[float64, sparse.FloatRing](a)
 	n := g.NumNodes()
 	// Iterate the row vector x ← x·A, accumulating β^l · x.
 	x := make([]float64, n)
@@ -103,7 +103,7 @@ func Katz(ev *eval.Evaluator, opt KatzOptions, query graph.NodeID, candidates []
 	acc := make([]float64, n)
 	beta := opt.Beta
 	for l := 1; l <= opt.MaxLen; l++ {
-		x = af.VecMul(x)
+		x = sparse.VecMul(af, x)
 		for i, v := range x {
 			acc[i] += beta * v
 		}
@@ -156,8 +156,8 @@ func NewPRank(ev *eval.Evaluator, opt SimRankOptions, lambda float64, maxNodes i
 	if sum == nil {
 		sum = sparse.Zero(n)
 	}
-	wOut := sparse.FromInt(sum).RowNormalize()            // row u: out-neighbors
-	wIn := sparse.FromInt(sum.Transpose()).RowNormalize() // row u: in-neighbors
+	wOut := transition(sum)            // row u: out-neighbors
+	wIn := transition(sum.Transpose()) // row u: in-neighbors
 
 	s := make([]float64, n*n)
 	for i := 0; i < n; i++ {

@@ -68,7 +68,7 @@ func HeteSimRRE(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidat
 // walk at itself: its distribution is the indicator vector).
 func heteSimRank(ev *eval.Evaluator, left, right *rre.Pattern, query graph.NodeID, candidates []graph.NodeID) Ranking {
 	n := ev.Graph().NumNodes()
-	lm := sparse.FromInt(ev.Commuting(left)).RowNormalize()
+	lm := transition(ev.Commuting(left))
 	x := denseRow(lm, query, n)
 	nx := norm(x)
 	scores := map[graph.NodeID]float64{}
@@ -78,7 +78,7 @@ func heteSimRank(ev *eval.Evaluator, left, right *rre.Pattern, query graph.NodeI
 
 	var rm *sparse.FloatMatrix
 	if right != nil {
-		rm = sparse.FromInt(ev.Commuting(right)).RowNormalize()
+		rm = transition(ev.Commuting(right))
 	}
 
 	score := func(v graph.NodeID) {

@@ -90,16 +90,7 @@ func PathSimScorePair(ev *eval.Evaluator, p *rre.Pattern, u, v graph.NodeID) flo
 	if muv == 0 {
 		return 0
 	}
-	return eq1(muv, m(u, u)+m(v, v))
-}
-
-// eq1 is Equation 1, 2·M(u,v) / (M(u,u) + M(v,v)) given the numerator's
-// count and the denominator's, and 0 when the denominator is zero.
-func eq1(muv, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return 2 * float64(muv) / float64(den)
+	return eval.Eq1(muv, m(u, u)+m(v, v))
 }
 
 // inner returns ⟨A[x,·], Bᵀ[y,·]⟩ = (A·B)(x,y) by merging the two
@@ -232,7 +223,7 @@ func (s *scorer) wants(v int32, u int) bool {
 
 // add adds v's Equation-1 score to its total when positive.
 func (s *scorer) add(v int32, muv, den int64) {
-	if sc := eq1(muv, den); sc > 0 {
+	if sc := eval.Eq1(muv, den); sc > 0 {
 		if s.acc[v] == 0 {
 			s.hits = append(s.hits, v)
 		}

@@ -42,7 +42,7 @@ func RWR(ev *eval.Evaluator, opt RWROptions, query graph.NodeID, candidates []gr
 // of the commuting matrix M_p.
 func RWRPattern(ev *eval.Evaluator, p *rre.Pattern, opt RWROptions, query graph.NodeID, candidates []graph.NodeID) Ranking {
 	m := ev.Commuting(p)
-	w := sparse.FromInt(m.Add(m.Transpose())).RowNormalize()
+	w := transition(m.Add(m.Transpose()))
 	return rwrOn(w, opt, query, candidates)
 }
 
@@ -52,7 +52,7 @@ func rwrOn(w *sparse.FloatMatrix, opt RWROptions, query graph.NodeID, candidates
 	r[query] = 1
 	for it := 0; it < opt.MaxIter; it++ {
 		// next = c·e_q + (1−c)·Wᵀ·r ; Wᵀ·r computed as rᵀ·W.
-		next := w.VecMul(r)
+		next := sparse.VecMul(w, r)
 		var diff float64
 		for i := range next {
 			next[i] *= 1 - opt.Restart
@@ -97,5 +97,11 @@ func combinedTransition(ev *eval.Evaluator) *sparse.FloatMatrix {
 	if sum == nil {
 		sum = sparse.Zero(g.NumNodes())
 	}
-	return sparse.FromInt(sum).RowNormalize()
+	return transition(sum)
+}
+
+// transition returns m's row-stochastic transition matrix: every
+// nonzero row of m as float64, scaled to sum to 1.
+func transition(m *sparse.Matrix) *sparse.FloatMatrix {
+	return sparse.RowNormalize(sparse.Lift[float64, sparse.FloatRing](m))
 }

@@ -61,7 +61,7 @@ func SimRankPattern(ev *eval.Evaluator, p *rre.Pattern, opt SimRankOptions, quer
 		return Ranking{}, fmt.Errorf("sim: SimRankPattern on %d nodes exceeds the %d-node cap", n, maxNodes)
 	}
 	m := ev.Commuting(p)
-	w := sparse.FromInt(m.Add(m.Transpose())).RowNormalize()
+	w := transition(m.Add(m.Transpose()))
 	return simRankExactOn(w, opt, query, candidates)
 }
 

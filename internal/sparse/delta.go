@@ -20,9 +20,9 @@ import (
 // row, to one recomputed from scratch; where its rows sit in the arena
 // is not part of its value.
 //
-// Signed deltas require an additive inverse, so these operations exist
-// only on the integer instance (IntRing is the sole Subtractive ring);
-// annotated caches are maintained by eviction instead.
+// Signed deltas require an exact additive inverse, which IntRing alone
+// has, so these operations are functions over *Matrix, not methods of
+// every GMatrix; annotated caches are maintained by eviction instead.
 
 // Delta is an immutable signed n×n difference of integer matrices: the
 // sorted ids of its populated rows and a CSR over just those rows. It
@@ -253,7 +253,7 @@ func (d *Delta) Mul(m *Matrix) *Delta {
 // row k of m's kept transpose, which is column k of m, so the cost is
 // Σ_k |mᵀ[k,·]|·|d[k,·]| multiply-adds whatever nnz(m) is. m may be
 // smaller than d; it panics if m is larger.
-func (m *Matrix) MulDelta(d *Delta) *Delta {
+func MulDelta(m *Matrix, d *Delta) *Delta {
 	if m.n > d.n {
 		panic(fmt.Sprintf("sparse: MulDelta dimension mismatch %d vs %d", m.n, d.n))
 	}
@@ -292,26 +292,24 @@ func (b *rowBuf) closeRow() {
 // stored as zeros) and every other row shared with m. If m keeps a
 // transpose, the result keeps it patched by dᵀ. It panics if m is
 // larger than d.
-func (m *Matrix) Patch(d *Delta) *Matrix {
-	return m.carry(m.patch(d), d)
+func Patch(m *Matrix, d *Delta) *Matrix {
+	return carry(m, patch(m, d), d)
 }
 
 // carry hands out, made from m by adding d, the transpose derived from
 // m's kept one: out is its own transpose if m was and d equals dᵀ, and
 // otherwise keeps m's transpose patched by dᵀ. It returns out.
-func (m *Matrix) carry(out *Matrix, d *Delta) *Matrix {
-	if m.gm().tr.Load() == nil {
+func carry(m, out *Matrix, d *Delta) *Matrix {
+	if m.tr.Load() == nil {
 		return out
 	}
 	dT := d.Transpose()
-	out.gm().carryTranspose(m.gm(), d.equal(dT), func(t *GMatrix[int64]) *GMatrix[int64] {
-		return wrapInt(t).patch(dT).gm()
-	})
+	out.carryTranspose(m, d.equal(dT), func(t *Matrix) *Matrix { return patch(t, dT) })
 	return out
 }
 
 // patch is Patch without the transpose.
-func (m *Matrix) patch(d *Delta) *Matrix {
+func patch(m *Matrix, d *Delta) *Matrix {
 	if m.n > d.n {
 		panic(fmt.Sprintf("sparse: Patch dimension mismatch %d vs %d", m.n, d.n))
 	}
@@ -323,7 +321,7 @@ func (m *Matrix) patch(d *Delta) *Matrix {
 		b.colIdx, b.val = appendMerged(b.colIdx, b.val, mc, mv, dc, dv, 1)
 		b.closeRow()
 	}
-	return wrapInt(m.gm().withRows(d.n, d.rows, b.ptr, b.colIdx, b.val))
+	return m.withRows(d.n, d.rows, b.ptr, b.colIdx, b.val)
 }
 
 // PatchBoolean re-evaluates a cached boolean collapse row-locally. m is
@@ -331,8 +329,8 @@ func (m *Matrix) patch(d *Delta) *Matrix {
 // child's delta: only d's rows of the child changed, so only those rows
 // of the collapse are recomputed. It returns Boolean(child), sharing
 // every other row with m, and its difference from m.
-func (m *Matrix) PatchBoolean(child *Matrix, d *Delta) (*Matrix, *Delta) {
-	return m.patchRows(child, d, func(b *rowBuf, _ int32, cols []int32, vals []int64) {
+func PatchBoolean(m, child *Matrix, d *Delta) (*Matrix, *Delta) {
+	return patchRows(m, child, d, func(b *rowBuf, _ int32, cols []int32, vals []int64) {
 		for j, v := range vals {
 			if v > 0 {
 				b.colIdx, b.val = append(b.colIdx, cols[j]), append(b.val, 1)
@@ -344,8 +342,8 @@ func (m *Matrix) PatchBoolean(child *Matrix, d *Delta) (*Matrix, *Delta) {
 // PatchDiagMulBool is PatchBoolean for the nested-pattern diagonal: m
 // is DiagMulBool of the child's old value, and the result is
 // DiagMulBool(child) and its difference from m.
-func (m *Matrix) PatchDiagMulBool(child *Matrix, d *Delta) (*Matrix, *Delta) {
-	return m.patchRows(child, d, func(b *rowBuf, r int32, _ []int32, vals []int64) {
+func PatchDiagMulBool(m, child *Matrix, d *Delta) (*Matrix, *Delta) {
+	return patchRows(m, child, d, func(b *rowBuf, r int32, _ []int32, vals []int64) {
 		var sum int64
 		for _, v := range vals {
 			if v > 0 {
@@ -362,7 +360,7 @@ func (m *Matrix) PatchDiagMulBool(child *Matrix, d *Delta) (*Matrix, *Delta) {
 // child's rows: rowOp appends row r of the result, given row r of
 // child, to the buffer. It returns the rewritten matrix at child's
 // dimension and new − old on those rows.
-func (m *Matrix) patchRows(child *Matrix, d *Delta, rowOp func(b *rowBuf, r int32, cols []int32, vals []int64)) (*Matrix, *Delta) {
+func patchRows(m, child *Matrix, d *Delta, rowOp func(b *rowBuf, r int32, cols []int32, vals []int64)) (*Matrix, *Delta) {
 	if m.n > child.n || d.n != child.n {
 		panic(fmt.Sprintf("sparse: row patch dimension mismatch: %d, child %d, delta %d", m.n, child.n, d.n))
 	}
@@ -378,7 +376,7 @@ func (m *Matrix) patchRows(child *Matrix, d *Delta, rowOp func(b *rowBuf, r int3
 		diff.colIdx, diff.val = appendMerged(diff.colIdx, diff.val, b.colIdx[start:], b.val[start:], oc, ov, -1)
 		diff.closeRow(r)
 	}
-	return m.carry(wrapInt(m.gm().withRows(child.n, d.rows, b.ptr, b.colIdx, b.val)), diff), diff
+	return carry(m, m.withRows(child.n, d.rows, b.ptr, b.colIdx, b.val), diff), diff
 }
 
 // DeltaOf returns new − old by a full scan of both. Maintenance uses it
@@ -397,13 +395,4 @@ func DeltaOf(new, old *Matrix) *Delta {
 		d.closeRow(int32(r))
 	}
 	return d
-}
-
-// Grow returns m embedded in the top-left corner of an n×n matrix.
-// Commits that add nodes enlarge the id space; a cached matrix from the
-// previous version reads the same at the new dimension, so the spans
-// and the arena, and a kept transpose's, are shared and growing costs
-// nothing. It panics if n is smaller than m's dimension.
-func (m *Matrix) Grow(n int) *Matrix {
-	return wrapInt(m.gm().Grow(n))
 }

@@ -119,12 +119,12 @@ func sub(x, y int64) int64 { return x - y }
 // that a kept one is Equal to a fresh Transpose.
 func checkKept(t *testing.T, what string, m *Matrix, want bool) {
 	t.Helper()
-	tr := m.gm().tr.Load()
+	tr := m.tr.Load()
 	if (tr != nil) != want {
 		t.Fatalf("%s: keeps a transpose: %v, want %v", what, tr != nil, want)
 	}
-	if tr != nil && !wrapInt(tr).Equal(m.Transpose()) {
-		t.Fatalf("%s: kept transpose =\n%vwant\n%v", what, wrapInt(tr), m.Transpose())
+	if tr != nil && !tr.Equal(m.Transpose()) {
+		t.Fatalf("%s: kept transpose =\n%vwant\n%v", what, tr, m.Transpose())
 	}
 }
 
@@ -158,10 +158,10 @@ func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta, keep bool) {
 	}
 	checkDelta(t, "Transpose", d.Transpose(), tr)
 
-	patched := m.Patch(d)
+	patched := Patch(m, d)
 	checkMatrix(t, "Patch", patched, denseCombine(dm, dd, add))
 	checkKept(t, "Patch", patched, keep)
-	unpatched := patched.Patch(d.Neg())
+	unpatched := Patch(patched, d.Neg())
 	checkMatrix(t, "Patch then un-patch", unpatched, dm)
 	checkKept(t, "Patch then un-patch", unpatched, keep)
 	checkMatrix(t, "receiver after Patch", m, denseAt(m.Dim(), m.Each))
@@ -176,8 +176,8 @@ func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta, keep bool) {
 		full  func(*Matrix) *Matrix
 		patch func(old, child *Matrix, d *Delta) (*Matrix, *Delta)
 	}{
-		{"Boolean", (*Matrix).Boolean, (*Matrix).PatchBoolean},
-		{"DiagMulBool", (*Matrix).DiagMulBool, (*Matrix).PatchDiagMulBool},
+		{"Boolean", (*Matrix).Boolean, PatchBoolean},
+		{"DiagMulBool", (*Matrix).DiagMulBool, PatchDiagMulBool},
 	} {
 		old, want := op.full(m), op.full(patched)
 		if keep {
@@ -192,8 +192,8 @@ func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta, keep bool) {
 		checkDelta(t, "Patch"+op.name+" delta", diff, denseCombine(denseAt(n, want.Each), denseAt(n, old.Each), sub))
 	}
 
-	checkDelta(t, "M·Δ", m.MulDelta(d), denseMul(dm, dd))
-	checkDelta(t, "Δ·M·Δ", m.MulDelta(d).Mul(m), denseMul(denseMul(dm, dd), dm))
+	checkDelta(t, "M·Δ", MulDelta(m, d), denseMul(dm, dd))
+	checkDelta(t, "Δ·M·Δ", MulDelta(m, d).Mul(m), denseMul(denseMul(dm, dd), dm))
 	checkKept(t, "M·Δ's operand", m, len(d.rows) > 0 && m.NNZ() > 0 || keep)
 }
 
@@ -209,8 +209,9 @@ func TestDeltaOpsAgainstDense(t *testing.T) {
 			m = Zero(mn)
 		}
 		d, e := randDelta(rng, n, rng.Intn(2*n)), randDelta(rng, n, rng.Intn(2*n))
-		checkDeltaOps(t, m.Scale(1), d, e, false)
-		checkDeltaOps(t, m.Scale(1), d, e, true)
+		// m.Add(Zero) is a fresh copy: each run starts with no transpose.
+		checkDeltaOps(t, m.Add(Zero(mn)), d, e, false)
+		checkDeltaOps(t, m.Add(Zero(mn)), d, e, true)
 	}
 }
 
@@ -237,8 +238,8 @@ func TestDeltaOperandDimensionChecked(t *testing.T) {
 	d, big := NewDelta(2, []Triple{{0, 1, 1}}), Identity(3)
 	for name, f := range map[string]func(){
 		"Mul":      func() { d.Mul(big) },
-		"MulDelta": func() { big.MulDelta(d) },
-		"Patch":    func() { big.Patch(d) },
+		"MulDelta": func() { MulDelta(big, d) },
+		"Patch":    func() { Patch(big, d) },
 		"DeltaOf":  func() { DeltaOf(Identity(2), big) },
 		"Add":      func() { d.Add(NewDelta(3, nil)) },
 	} {
@@ -265,7 +266,7 @@ func TestPatchSharesArena(t *testing.T) {
 	want := dense(base)
 	step := func(m *Matrix, d *Delta) *Matrix {
 		t.Helper()
-		out := m.Patch(d)
+		out := Patch(m, d)
 		want = denseCombine(want, denseAt(n, d.Each), add)
 		checkMatrix(t, "chain", out, want)
 		return out
@@ -285,7 +286,7 @@ func TestPatchSharesArena(t *testing.T) {
 
 	// v1 is no longer the arena's newest version: patching it again must
 	// not write over v2's rows.
-	fork := v1.Patch(one(7, 7, 100))
+	fork := Patch(v1, one(7, 7, 100))
 	if &fork.colIdx[0] == &v1.colIdx[0] {
 		t.Fatal("patch of a superseded version appended in place")
 	}

@@ -24,7 +24,7 @@ func TestAddSubRoundTrip(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		a := randomMatrix(rng, n, rng.Intn(3*n))
 		d := randDelta(rng, n, rng.Intn(2*n))
-		back := a.Patch(d).Patch(d.Neg())
+		back := Patch(Patch(a, d), d.Neg())
 		if !back.Equal(a) {
 			t.Fatalf("iter %d: (a+d)−d != a", iter)
 		}
@@ -41,7 +41,7 @@ func TestAddThenRemoveEdgeLeavesNoResidue(t *testing.T) {
 	adj := New(4, []Triple{{0, 1, 1}, {2, 3, 1}})
 	addDelta := NewDelta(4, []Triple{{1, 2, 1}})
 	removeDelta := NewDelta(4, []Triple{{1, 2, -1}})
-	after := adj.Patch(addDelta).Patch(removeDelta)
+	after := Patch(Patch(adj, addDelta), removeDelta)
 	if !after.Equal(adj) {
 		t.Fatalf("add-then-remove did not restore the original matrix:\n%v", after)
 	}

@@ -2,45 +2,16 @@ package sparse
 
 import "fmt"
 
-// FloatMatrix is an immutable n×n sparse matrix with float64 entries —
-// a defined type over the generic sparse-row representation. It
-// backs the random-walk algorithms (RWR, SimRank) which need
-// row-normalized transition matrices; those are vector-space
-// operations, not semiring ones, so they are implemented directly.
-type FloatMatrix GMatrix[float64]
-
-func (f *FloatMatrix) gm() *GMatrix[float64] { return (*GMatrix[float64])(f) }
-
-// FromInt converts an integer matrix to a float matrix.
-func FromInt(m *Matrix) *FloatMatrix {
-	return (*FloatMatrix)(gMapEntries(m.gm(), func(v int64) (float64, bool) { return float64(v), true }))
-}
-
-// Dim returns the dimension n of the n×n matrix.
-func (f *FloatMatrix) Dim() int { return f.n }
-
-// NNZ returns the number of stored entries.
-func (f *FloatMatrix) NNZ() int { return f.nnz }
-
-// At returns the entry at (row, col) with a linear scan of the row.
-func (f *FloatMatrix) At(row, col int) float64 {
-	sp := f.gm().row(row)
-	for i := sp.lo; i < sp.hi; i++ {
-		if f.colIdx[i] == int32(col) {
-			return f.val[i]
-		}
-	}
-	return 0
-}
-
-// Row calls fn(col, val) for each stored entry of the row.
-func (f *FloatMatrix) Row(row int, fn func(col int, val float64)) {
-	f.gm().Row(row, fn)
-}
+// FloatMatrix is an immutable n×n sparse matrix with float64 entries,
+// the one matrix type at FloatRing. It backs the random-walk
+// algorithms (RWR, SimRank), which need row-normalized transition
+// matrices; normalizing divides, which no ring does, and the vector
+// products are vector-space operations, so those are functions here.
+type FloatMatrix = GMatrix[float64, FloatRing]
 
 // RowNormalize returns the row-stochastic version of f: every nonzero row
 // is scaled to sum to 1; zero rows stay zero (dangling nodes).
-func (f *FloatMatrix) RowNormalize() *FloatMatrix {
+func RowNormalize(f *FloatMatrix) *FloatMatrix {
 	// Same support, so the spans and columns are shared; only the
 	// values are new.
 	out := &FloatMatrix{n: f.n, nnz: f.nnz, rows: f.rows, colIdx: f.colIdx, val: make([]float64, len(f.val))}
@@ -59,14 +30,9 @@ func (f *FloatMatrix) RowNormalize() *FloatMatrix {
 	return out
 }
 
-// Transpose returns fᵀ.
-func (f *FloatMatrix) Transpose() *FloatMatrix {
-	return (*FloatMatrix)(f.gm().Transpose())
-}
-
 // MulVec returns the dense matrix-vector product f·x. It panics if
-// len(x) != Dim().
-func (f *FloatMatrix) MulVec(x []float64) []float64 {
+// len(x) != f.Dim().
+func MulVec(f *FloatMatrix, x []float64) []float64 {
 	if len(x) != f.n {
 		panic(fmt.Sprintf("sparse: MulVec length %d != dim %d", len(x), f.n))
 	}
@@ -81,8 +47,9 @@ func (f *FloatMatrix) MulVec(x []float64) []float64 {
 	return y
 }
 
-// VecMul returns the dense vector-matrix product xᵀ·f as a vector.
-func (f *FloatMatrix) VecMul(x []float64) []float64 {
+// VecMul returns the dense vector-matrix product xᵀ·f as a vector. It
+// panics if len(x) != f.Dim().
+func VecMul(f *FloatMatrix, x []float64) []float64 {
 	if len(x) != f.n {
 		panic(fmt.Sprintf("sparse: VecMul length %d != dim %d", len(x), f.n))
 	}

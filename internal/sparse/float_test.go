@@ -12,14 +12,14 @@ func randomFloat(rng *rand.Rand, n, nnz int) *FloatMatrix {
 	for i := range ts {
 		ts[i] = Triple{Row: rng.Intn(n), Col: rng.Intn(n), Val: int64(1 + rng.Intn(4))}
 	}
-	return FromInt(New(n, ts))
+	return Lift[float64, FloatRing](New(n, ts))
 }
 
-func TestFromInt(t *testing.T) {
+func TestLiftToFloat(t *testing.T) {
 	m := New(2, []Triple{{0, 1, 3}})
-	f := FromInt(m)
+	f := Lift[float64, FloatRing](m)
 	if f.At(0, 1) != 3 || f.At(1, 0) != 0 {
-		t.Errorf("FromInt entries wrong")
+		t.Errorf("lifted entries wrong")
 	}
 	if f.Dim() != 2 || f.NNZ() != 1 {
 		t.Errorf("Dim/NNZ wrong: %d, %d", f.Dim(), f.NNZ())
@@ -28,7 +28,7 @@ func TestFromInt(t *testing.T) {
 
 func TestRowNormalize(t *testing.T) {
 	m := New(3, []Triple{{0, 0, 1}, {0, 1, 3}, {2, 2, 5}})
-	f := FromInt(m).RowNormalize()
+	f := RowNormalize(Lift[float64, FloatRing](m))
 	if got := f.At(0, 0) + f.At(0, 1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("row 0 sums to %v, want 1", got)
 	}
@@ -48,7 +48,7 @@ func TestRowNormalizeStochasticProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(10)
-		m := randomFloat(rng, n, rng.Intn(20)).RowNormalize()
+		m := RowNormalize(randomFloat(rng, n, rng.Intn(20)))
 		for r := 0; r < n; r++ {
 			var sum float64
 			m.Row(r, func(_ int, v float64) { sum += v })
@@ -64,7 +64,7 @@ func TestRowNormalizeStochasticProperty(t *testing.T) {
 }
 
 func TestFloatTranspose(t *testing.T) {
-	m := FromInt(New(3, []Triple{{0, 1, 2}, {2, 0, 7}}))
+	m := Lift[float64, FloatRing](New(3, []Triple{{0, 1, 2}, {2, 0, 7}}))
 	ft := m.Transpose()
 	if ft.At(1, 0) != 2 || ft.At(0, 2) != 7 {
 		t.Error("float transpose entries wrong")
@@ -72,16 +72,16 @@ func TestFloatTranspose(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m := FromInt(New(2, []Triple{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}}))
-	y := m.MulVec([]float64{1, 1})
+	m := Lift[float64, FloatRing](New(2, []Triple{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}}))
+	y := MulVec(m, []float64{1, 1})
 	if y[0] != 3 || y[1] != 3 {
 		t.Errorf("MulVec = %v, want [3 3]", y)
 	}
 }
 
 func TestVecMul(t *testing.T) {
-	m := FromInt(New(2, []Triple{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}}))
-	y := m.VecMul([]float64{1, 1})
+	m := Lift[float64, FloatRing](New(2, []Triple{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}}))
+	y := VecMul(m, []float64{1, 1})
 	// y = xᵀM: y[0] = 1·1 + 1·3 = 4; y[1] = 1·2 = 2.
 	if y[0] != 4 || y[1] != 2 {
 		t.Errorf("VecMul = %v, want [4 2]", y)
@@ -97,8 +97,8 @@ func TestVecMulMatchesTransposeMulVec(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()
 		}
-		a := m.VecMul(x)
-		b := m.Transpose().MulVec(x)
+		a := VecMul(m, x)
+		b := MulVec(m.Transpose(), x)
 		for i := range a {
 			if math.Abs(a[i]-b[i]) > 1e-9 {
 				return false
@@ -112,10 +112,10 @@ func TestVecMulMatchesTransposeMulVec(t *testing.T) {
 }
 
 func TestMulVecPanicsOnLength(t *testing.T) {
-	m := FromInt(New(2, nil))
+	m := Lift[float64, FloatRing](New(2, nil))
 	for _, fn := range []func(){
-		func() { m.MulVec([]float64{1}) },
-		func() { m.VecMul([]float64{1, 2, 3}) },
+		func() { MulVec(m, []float64{1}) },
+		func() { VecMul(m, []float64{1, 2, 3}) },
 	} {
 		func() {
 			defer func() {

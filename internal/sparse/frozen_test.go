@@ -252,7 +252,7 @@ func TestGenericIntKernelByteIdenticalToFrozen(t *testing.T) {
 
 		byteIdentical(t, "mul", a.Mul(b), fa.mul(fb))
 		byteIdentical(t, "add", a.Add(b), fa.merge(fb, 1))
-		byteIdentical(t, "sub", a.Patch(DeltaOf(Zero(n), b)), fa.merge(fb, -1))
+		byteIdentical(t, "sub", Patch(a, DeltaOf(Zero(n), b)), fa.merge(fb, -1))
 		byteIdentical(t, "boolean", a.Boolean(), fa.boolean())
 		byteIdentical(t, "diag", a.DiagMulBool(), fa.diagMulBool())
 		byteIdentical(t, "transpose", a.Transpose(), fa.transpose())
@@ -336,12 +336,12 @@ func TestRowKernelShapesMatchFrozen(t *testing.T) {
 			byteIdentical(t, s.name+"/serial", s.a.MulThresh(s.b, forceSerial), want)
 			byteIdentical(t, s.name+"/parallel", s.a.MulThresh(s.b, forceParallel), want)
 
-			ca, cb := GLift[int64](CountRing{}, s.a), GLift[int64](CountRing{}, s.b)
-			if !gEqual(GMulThresh(CountRing{}, ca, cb, forceSerial), GMulThresh(CountRing{}, ca, cb, forceParallel)) {
+			ca, cb := Lift[int64, CountRing](s.a), Lift[int64, CountRing](s.b)
+			if !ca.MulThresh(cb, forceSerial).Equal(ca.MulThresh(cb, forceParallel)) {
 				t.Fatalf("%s: CountRing serial and parallel products differ", s.name)
 			}
-			wa, wb := GLift[Witness](WitnessRing{}, s.a), GLift[Witness](WitnessRing{}, s.b)
-			if !gEqual(GMulThresh(WitnessRing{}, wa, wb, forceSerial), GMulThresh(WitnessRing{}, wa, wb, forceParallel)) {
+			wa, wb := Lift[Witness, WitnessRing](s.a), Lift[Witness, WitnessRing](s.b)
+			if !wa.MulThresh(wb, forceSerial).Equal(wa.MulThresh(wb, forceParallel)) {
 				t.Fatalf("%s: WitnessRing serial and parallel products differ", s.name)
 			}
 		}
@@ -463,12 +463,4 @@ func TestMulAllocationsConstant(t *testing.T) {
 	if got := testing.AllocsPerRun(3, func() { big.MulThresh(big, forceParallel) }); got != serial {
 		t.Errorf("GOMAXPROCS=1: parallel entry allocates %.0f times, serial %.0f", got, serial)
 	}
-}
-
-// gEqual reports whether two generic matrices are identical: same
-// dimension and, row by row, the same columns and the same values under
-// ==. For Witness this is exact structural equality, which is what
-// bit-identity demands.
-func gEqual[T comparable](a, b *GMatrix[T]) bool {
-	return gEqualRows(a, b, slices.Equal[[]T])
 }

@@ -6,55 +6,52 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Generic sparse-row kernel. Every matrix operator is written once here
-// against Ring[T]; Matrix (int64) and FloatMatrix (float64) are thin
-// defined types over GMatrix instantiations, and the annotated rings
-// (CountRing, WitnessRing) reuse the identical code paths. The kernels
-// keep every row canonical — columns ascending, no explicit ring zeros
-// — so equal values have equal rows. Equality is per row, never of the
-// backing arrays: a row lives wherever its span points in an entry
-// arena that successive versions of a matrix share, and an arena may
-// hold rows no version reads any more. Per-row equality (Equal) is what
-// the delta-maintenance differential harness asserts between a
-// maintained matrix and a cold recompute.
+// The one matrix type. Every operator is written once here as a method
+// of GMatrix[T, R], which takes its semiring from R's zero value (rings
+// are zero-size structs): Matrix is the instance at IntRing, FloatMatrix
+// at FloatRing, WitnessMatrix at WitnessRing, and a ring only tests know
+// runs the same code. The kernels keep every row canonical — columns
+// ascending, no explicit ring zeros — so equal values have equal rows.
+// Equality is per row, never of the backing arrays: a row lives wherever
+// its span points in an entry arena that successive versions of a
+// matrix share, and an arena may hold rows no version reads any more.
+// Per-row equality (Equal) is what the delta-maintenance differential
+// harness asserts between a maintained matrix and a cold recompute.
 //
-// A matrix may keep its transpose (Matrix.TransposeCached): Equation-1
-// scoring reads the right half of a cut in both orientations, and M·Δ
-// reads M's columns. The transpose is built once and then carried:
-// Grow, Patch and the row-local patches hand the matrix they make a
-// transpose derived from the old one in O(|Δ|), so it lives as long as
-// the cached entry it belongs to. A transpose's spans stop at the last
-// populated column, so a thin half costs a thin transpose, and a
-// symmetric matrix is its own.
-//
-// Semiring-dependent operators are free functions taking the ring
-// explicitly (Go methods cannot add type parameters); structurally
-// generic ones (Transpose, Grow, accessors) are methods.
+// A matrix may keep its transpose (TransposeCached): Equation-1 scoring
+// reads the right half of a cut in both orientations, and M·Δ reads M's
+// columns. The transpose is built once and then carried: Grow, Patch
+// and the row-local patches hand the matrix they make a transpose
+// derived from the old one in O(|Δ|), so it lives as long as the cached
+// entry it belongs to. A transpose's spans stop at the last populated
+// column, so a thin half costs a thin transpose, and a symmetric matrix
+// is its own.
 
 // span is one row's half-open range of entries in the arena.
 type span struct{ lo, hi int32 }
 
-// GMatrix is an immutable n×n sparse matrix over an arbitrary entry
-// type: one span per row into an entry arena (colIdx/val). Rows at and
-// past len(rows) are empty, which is what makes Grow free. A kernel
-// result owns a compact arena holding exactly its rows; a matrix made
-// by withRows shares every untouched row with the version it was made
+// GMatrix is an immutable n×n sparse matrix over the semiring R: one
+// span per row into an entry arena (colIdx/val). Rows at and past
+// len(rows) are empty, which is what makes Grow free. A kernel result
+// owns a compact arena holding exactly its rows; a matrix made by
+// withRows shares every untouched row with the version it was made
 // from, whose readers keep reading their own spans unchanged. The zero
 // value is an empty 0×0 matrix. A GMatrix must not be copied: it holds
-// its transpose once Matrix.TransposeCached has built it or the version
-// it was made from handed one over.
-type GMatrix[T any] struct {
+// its transpose once TransposeCached has built it or the version it was
+// made from handed one over.
+type GMatrix[T comparable, R Ring[T]] struct {
 	n      int
 	nnz    int     // stored entries: the sum of the span lengths
 	rows   []span  // len ≤ n
 	colIdx []int32 // the arena up to this version's end
 	val    []T
 	tip    *arenaTip // nil: the arena is never appended to in place
-	tr     atomic.Pointer[GMatrix[T]]
+	tr     atomic.Pointer[GMatrix[T, R]]
 }
 
 // arenaTip is shared by the versions of a matrix that live in one
@@ -65,7 +62,7 @@ type GMatrix[T any] struct {
 type arenaTip struct{ end atomic.Int64 }
 
 // row returns the span of row r, empty at and past len(m.rows).
-func (m *GMatrix[T]) row(r int) span {
+func (m *GMatrix[T, R]) row(r int) span {
 	if r < len(m.rows) {
 		return m.rows[r]
 	}
@@ -73,14 +70,14 @@ func (m *GMatrix[T]) row(r int) span {
 }
 
 // Dim returns the dimension n of the n×n matrix.
-func (m *GMatrix[T]) Dim() int { return m.n }
+func (m *GMatrix[T, R]) Dim() int { return m.n }
 
 // NNZ returns the number of stored entries.
-func (m *GMatrix[T]) NNZ() int { return m.nnz }
+func (m *GMatrix[T, R]) NNZ() int { return m.nnz }
 
 // Lookup returns the stored entry at (row, col) and whether one exists.
-// It is O(log nnz(row)).
-func (m *GMatrix[T]) Lookup(row, col int) (T, bool) {
+// It is O(log nnz(row)) and panics if an index is out of [0, n).
+func (m *GMatrix[T, R]) Lookup(row, col int) (T, bool) {
 	var zero T
 	if row < 0 || row >= m.n || col < 0 || col >= m.n {
 		panic(fmt.Sprintf("sparse: Lookup(%d,%d) out of range for n=%d", row, col, m.n))
@@ -94,17 +91,39 @@ func (m *GMatrix[T]) Lookup(row, col int) (T, bool) {
 	return zero, false
 }
 
+// At returns the entry at (row, col), the ring's zero where none is
+// stored. It is O(log nnz(row)) and panics if an index is out of
+// [0, n).
+func (m *GMatrix[T, R]) At(row, col int) T {
+	if v, ok := m.Lookup(row, col); ok {
+		return v
+	}
+	var ring R
+	return ring.Zero()
+}
+
 // Row calls fn(col, val) for each stored entry in the given row, in
 // ascending column order.
-func (m *GMatrix[T]) Row(row int, fn func(col int, val T)) {
+func (m *GMatrix[T, R]) Row(row int, fn func(col int, val T)) {
 	sp := m.row(row)
 	for i := sp.lo; i < sp.hi; i++ {
 		fn(int(m.colIdx[i]), m.val[i])
 	}
 }
 
+// RowView returns the given row's column indexes, ascending, and its
+// values. Both share the matrix's storage and are read-only. Equation-1
+// scoring pushes row u of A through the rows of B it selects, and
+// merges two sorted rows for a diagonal entry ⟨A[v,·], Bᵀ[v,·]⟩; int64
+// products and sums wrap mod 2⁶⁴ in any order, so either way the result
+// equals the entry of A·B bit for bit even where the counts overflow.
+func (m *GMatrix[T, R]) RowView(row int) ([]int32, []T) {
+	sp := m.row(row)
+	return m.colIdx[sp.lo:sp.hi], m.val[sp.lo:sp.hi]
+}
+
 // Each calls fn(row, col, val) for every stored entry in row-major order.
-func (m *GMatrix[T]) Each(fn func(row, col int, val T)) {
+func (m *GMatrix[T, R]) Each(fn func(row, col int, val T)) {
 	for r, sp := range m.rows {
 		for i := sp.lo; i < sp.hi; i++ {
 			fn(r, int(m.colIdx[i]), m.val[i])
@@ -112,18 +131,19 @@ func (m *GMatrix[T]) Each(fn func(row, col int, val T)) {
 	}
 }
 
-// Transpose returns mᵀ by counting sort; it is semiring-free and
-// annotation-preserving (vias are contraction indices, not positions).
-// Its spans stop at m's last populated column: the transpose of a
-// proc×area half holds a span per area, not one per node.
-func (m *GMatrix[T]) Transpose() *GMatrix[T] {
+// Transpose returns mᵀ, the commuting matrix of a reverse traversal p⁻,
+// by counting sort; it is annotation-preserving (vias are contraction
+// indices, not positions). Its spans stop at m's last populated column:
+// the transpose of a proc×area half holds a span per area, not one per
+// node.
+func (m *GMatrix[T, R]) Transpose() *GMatrix[T, R] {
 	width := 0
 	for _, sp := range m.rows {
 		if sp.lo < sp.hi {
 			width = max(width, int(m.colIdx[sp.hi-1])+1)
 		}
 	}
-	t := &GMatrix[T]{
+	t := &GMatrix[T, R]{
 		n:      m.n,
 		nnz:    m.nnz,
 		rows:   make([]span, width),
@@ -153,27 +173,48 @@ func (m *GMatrix[T]) Transpose() *GMatrix[T] {
 	return t
 }
 
-// Grow returns m embedded in the top-left corner of an n×n matrix. It
-// shares the spans and the arena — rows past the old dimension are
-// empty by construction — so it costs nothing. A kept transpose is
-// grown the same way: the grown matrix is its own transpose if m was,
-// and otherwise keeps m's transpose grown. It panics if n is smaller
-// than m's dimension.
-func (m *GMatrix[T]) Grow(n int) *GMatrix[T] {
+// TransposeCached returns mᵀ, built on the first call and kept with m,
+// so every later call is one atomic load. A symmetric m is its own
+// transpose and returns itself. Concurrent first callers may each build
+// one, but one compare-and-swap wins and all of them return it. A
+// matrix made from m (Grow, Patch, PatchBoolean, PatchDiagMulBool)
+// keeps the transpose derived from m's, in O(|Δ|), if m kept one.
+func (m *GMatrix[T, R]) TransposeCached() *GMatrix[T, R] {
+	if t := m.tr.Load(); t != nil {
+		return t
+	}
+	t := m.Transpose()
+	if m.Equal(t) {
+		t = m
+	}
+	if !m.tr.CompareAndSwap(nil, t) {
+		t = m.tr.Load()
+	}
+	return t
+}
+
+// Grow returns m embedded in the top-left corner of an n×n matrix.
+// Commits that add nodes enlarge the id space; a cached matrix from the
+// previous version reads the same at the new dimension, so the spans
+// and the arena are shared and growing costs nothing. A kept transpose
+// is grown the same way: the grown matrix is its own transpose if m
+// was, and otherwise keeps m's transpose grown. It panics if n is
+// smaller than m's dimension.
+func (m *GMatrix[T, R]) Grow(n int) *GMatrix[T, R] {
 	g := m.grown(n)
-	g.carryTranspose(m, true, func(t *GMatrix[T]) *GMatrix[T] { return t.grown(n) })
+	g.carryTranspose(m, true, func(t *GMatrix[T, R]) *GMatrix[T, R] { return t.grown(n) })
 	return g
 }
 
 // grown is Grow without the transpose.
-func (m *GMatrix[T]) grown(n int) *GMatrix[T] {
+func (m *GMatrix[T, R]) grown(n int) *GMatrix[T, R] {
 	if n == m.n {
 		return m
 	}
 	if n < m.n {
 		panic(fmt.Sprintf("sparse: Grow from %d to smaller %d", m.n, n))
 	}
-	return &GMatrix[T]{n: n, nnz: m.nnz, rows: m.rows, colIdx: m.colIdx, val: m.val, tip: m.tip}
+	return &GMatrix[T, R]{n: n, nnz: m.nnz, rows: m.rows, colIdx: m.colIdx, val: m.val, tip: m.tip}
 }
 
 // carryTranspose hands g, just made from m, the transpose derived from
@@ -181,7 +222,7 @@ func (m *GMatrix[T]) grown(n int) *GMatrix[T] {
 // m to g equals its transpose) holds, and otherwise keeps derive(m's
 // transpose). A matrix keeping none hands none over; nothing is built
 // here that derive does not build, and m is never written.
-func (g *GMatrix[T]) carryTranspose(m *GMatrix[T], sym bool, derive func(t *GMatrix[T]) *GMatrix[T]) {
+func (g *GMatrix[T, R]) carryTranspose(m *GMatrix[T, R], sym bool, derive func(t *GMatrix[T, R]) *GMatrix[T, R]) {
 	switch t := m.tr.Load(); {
 	case t == nil || g == m:
 	case t == m && sym:
@@ -195,7 +236,7 @@ func (g *GMatrix[T]) carryTranspose(m *GMatrix[T], sym bool, derive func(t *GMat
 // performs — for every entry (i,k) of m, the length of o's row k — read
 // off the two operands' spans in O(nnz(m)) without allocating. It is
 // the chain planner's cost of a product. It panics if dimensions differ.
-func (m *GMatrix[T]) MulFlops(o *GMatrix[T]) int64 {
+func (m *GMatrix[T, R]) MulFlops(o *GMatrix[T, R]) int64 {
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: MulFlops dimension mismatch %d vs %d", m.n, o.n))
 	}
@@ -218,11 +259,11 @@ func (m *GMatrix[T]) MulFlops(o *GMatrix[T]) int64 {
 // that would be more than a quarter dead is first rewritten compactly
 // with an eighth of headroom. cols, vals and ptr are copied out of and
 // may be scratch.
-func (m *GMatrix[T]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix[T] {
+func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix[T, R] {
 	if len(rows) == 0 {
 		return m.grown(n)
 	}
-	out := &GMatrix[T]{n: n, nnz: m.nnz + len(cols)}
+	out := &GMatrix[T, R]{n: n, nnz: m.nnz + len(cols)}
 	// Clone, then extend: only the tail of rows new to the spans is
 	// cleared, not the whole array before the copy overwrites it.
 	out.rows = append(slices.Clone(m.rows), make([]span, max(0, int(rows[len(rows)-1])+1-len(m.rows)))...)
@@ -264,20 +305,21 @@ func (m *GMatrix[T]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix
 	return out
 }
 
-// GZero returns the n×n all-zero matrix.
-func GZero[T any](n int) *GMatrix[T] {
-	return &GMatrix[T]{n: n}
+// GZero returns the n×n all-zero matrix over R.
+func GZero[T comparable, R Ring[T]](n int) *GMatrix[T, R] {
+	return &GMatrix[T, R]{n: n}
 }
 
-// GIdentity returns the n×n identity of the ring.
-func GIdentity[T any, R Ring[T]](ring R, n int) *GMatrix[T] {
-	m := &GMatrix[T]{
+// GIdentity returns the n×n identity of R.
+func GIdentity[T comparable, R Ring[T]](n int) *GMatrix[T, R] {
+	m := &GMatrix[T, R]{
 		n:      n,
 		nnz:    n,
 		rows:   make([]span, n),
 		colIdx: make([]int32, n),
 		val:    make([]T, n),
 	}
+	var ring R
 	one := ring.One()
 	for i := 0; i < n; i++ {
 		m.rows[i] = span{int32(i), int32(i + 1)}
@@ -287,26 +329,27 @@ func GIdentity[T any, R Ring[T]](ring R, n int) *GMatrix[T] {
 	return m
 }
 
-// GLift maps an integer matrix into the ring entry-wise via Lift,
+// Lift maps an integer matrix into R entry-wise through R's Lift,
 // dropping entries that lift to zero. This is how base adjacency
-// matrices enter an evaluation. At IntRing, where Lift is the identity,
-// it returns m itself.
-func GLift[T any, R Ring[T]](ring R, m *Matrix) *GMatrix[T] {
-	if _, isInt := any(ring).(IntRing); isInt {
-		return any(m.gm()).(*GMatrix[T])
+// matrices enter an evaluation. When *GMatrix[T, R] is *Matrix, where
+// Lift is the identity, it returns m itself.
+func Lift[T comparable, R Ring[T]](m *Matrix) *GMatrix[T, R] {
+	if g, same := any(m).(*GMatrix[T, R]); same {
+		return g
 	}
-	return gMapEntries(m.gm(), func(v int64) (T, bool) {
+	var ring R
+	return mapEntries[int64, IntRing, T, R](m, func(v int64) (T, bool) {
 		l := ring.Lift(v)
 		return l, !ring.IsZero(l)
 	})
 }
 
-// gMapEntries returns the matrix of f's images of m's entries, keeping
+// mapEntries returns the matrix of f's images of m's entries, keeping
 // those f reports true for. The output is sized once by m's entries:
 // exact unless f drops some (non-positive counts under Boolean or a
 // counting Lift).
-func gMapEntries[S, T any](m *GMatrix[S], f func(S) (T, bool)) *GMatrix[T] {
-	g := &GMatrix[T]{
+func mapEntries[S comparable, RS Ring[S], T comparable, R Ring[T]](m *GMatrix[S, RS], f func(S) (T, bool)) *GMatrix[T, R] {
+	g := &GMatrix[T, R]{
 		n:      m.n,
 		rows:   make([]span, len(m.rows)),
 		colIdx: make([]int32, 0, m.nnz),
@@ -326,15 +369,17 @@ func gMapEntries[S, T any](m *GMatrix[S], f func(S) (T, bool)) *GMatrix[T] {
 	return g
 }
 
-// GAdd returns m ⊕ o element-wise, dropping entries that sum to the
-// ring zero. It panics if dimensions differ. The sorted row merge runs
-// twice — counting, then filling — so the output is allocated once at
-// its exact size, and a row only one operand populates is a copy.
-func GAdd[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
+// Add returns m ⊕ o element-wise, the commuting matrix of a disjunction
+// p1 + p2 with p1 ≠ p2, dropping entries that sum to the ring zero. It
+// panics if dimensions differ. The sorted row merge runs twice —
+// counting, then filling — so the output is allocated once at its exact
+// size, and a row only one operand populates is a copy.
+func (m *GMatrix[T, R]) Add(o *GMatrix[T, R]) *GMatrix[T, R] {
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: Add dimension mismatch %d vs %d", m.n, o.n))
 	}
-	s := &GMatrix[T]{n: m.n, rows: make([]span, max(len(m.rows), len(o.rows)))}
+	var ring R
+	s := &GMatrix[T, R]{n: m.n, rows: make([]span, max(len(m.rows), len(o.rows)))}
 	for fill := false; ; fill = true {
 		for r := range s.rows {
 			w := s.rows[r].lo
@@ -400,22 +445,27 @@ func spanOffsets(rows []span, what string) int {
 	return total
 }
 
-// GBoolean returns the boolean collapse of m: each truthy entry maps
-// through Collapse, everything else is dropped.
-func GBoolean[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
-	return gMapEntries(m, func(v T) (T, bool) { return ring.Collapse(v), ring.Truthy(v) })
+// Boolean returns the boolean collapse of m, the commuting matrix of
+// the skip operation ⌈⌈p⌋⌋: each truthy entry maps through Collapse
+// (an integer count becomes 1), everything else is dropped.
+func (m *GMatrix[T, R]) Boolean() *GMatrix[T, R] {
+	var ring R
+	return mapEntries[T, R, T, R](m, func(v T) (T, bool) { return ring.Collapse(v), ring.Truthy(v) })
 }
 
-// GDiagMulBool returns diag{ m · (mᵀ > 0) } computed directly as the
-// per-row sum of truthy entries (paper §4.3, M_{[p]}).
-func GDiagMulBool[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
+// DiagMulBool returns diag{ m · (mᵀ > 0) } computed directly as the
+// per-row sum of truthy entries: the diagonal matrix whose (u,u) entry
+// counts instances of the nested pattern [p] at node u (paper §4.3,
+// M_{[p]}).
+func (m *GMatrix[T, R]) DiagMulBool() *GMatrix[T, R] {
+	var ring R
 	populated := 0 // populated rows of m bound the diagonal's entries
 	for _, sp := range m.rows {
 		if sp.lo < sp.hi {
 			populated++
 		}
 	}
-	d := &GMatrix[T]{
+	d := &GMatrix[T, R]{
 		n:      m.n,
 		rows:   make([]span, len(m.rows)),
 		colIdx: make([]int32, 0, populated),
@@ -441,16 +491,23 @@ func GDiagMulBool[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
 	return d
 }
 
-// GMulThresh returns the matrix product m·o under the ring. One row
-// kernel computes every product; the gate only decides whether its row
-// ranges run on one goroutine or on GOMAXPROCS of them, and the result
-// is identical either way. It panics if dimensions differ.
-func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatrix[T] {
+// Mul returns the matrix product m·o, the commuting matrix of a
+// concatenation p1·p2, using Gustavson's row-by-row SpGEMM at the
+// default parallel gate (MulThresh). It panics if dimensions differ.
+func (m *GMatrix[T, R]) Mul(o *GMatrix[T, R]) *GMatrix[T, R] {
+	return m.MulThresh(o, DefaultThresholds())
+}
+
+// MulThresh is Mul with an explicit parallel gate. One row kernel
+// computes every product; the gate only decides whether its row ranges
+// run on one goroutine or on GOMAXPROCS of them, and the result is
+// bit-identical either way. It panics if dimensions differ.
+func (m *GMatrix[T, R]) MulThresh(o *GMatrix[T, R], t Thresholds) *GMatrix[T, R] {
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %d vs %d", m.n, o.n))
 	}
 	if m.nnz == 0 {
-		return GZero[T](m.n)
+		return GZero[T, R](m.n)
 	}
 	workers := 1
 	if m.n >= t.MinDim && m.nnz+o.nnz >= t.MinNNZ {
@@ -463,16 +520,16 @@ func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatr
 	// span, the prefix sum makes the counts spans and sizes the arena
 	// exactly, and the numeric pass fills each row's span in place, so
 	// no worker buffers a chunk and nothing is copied or regrown.
-	p := &GMatrix[T]{n: m.n, rows: make([]span, len(m.rows))}
+	p := &GMatrix[T, R]{n: m.n, rows: make([]span, len(m.rows))}
 	scratch := make([]*mulScratch[T], workers)
 	eachRange(len(m.rows), workers, func(w, lo, hi int) {
 		scratch[w] = getScratch[T](m.n)
-		gCountRows(m, o, p.rows, lo, hi, scratch[w])
+		m.countRows(o, p.rows, lo, hi, scratch[w])
 	})
 	p.nnz = spanOffsets(p.rows, "product")
 	p.colIdx, p.val = make([]int32, p.nnz), make([]T, p.nnz)
 	eachRange(len(m.rows), workers, func(w, lo, hi int) {
-		scratch[w].cancelled = gMulRows(ring, m, o, p, lo, hi, scratch[w])
+		scratch[w].cancelled = m.mulRows(o, p, lo, hi, scratch[w])
 	})
 	for _, s := range scratch {
 		p.nnz -= s.cancelled
@@ -538,10 +595,10 @@ func getScratch[T any](n int) *mulScratch[T] {
 	return s
 }
 
-// gCountRows is the symbolic pass over rows [lo, hi) of m·o: it leaves
+// countRows is the symbolic pass over rows [lo, hi) of m·o: it leaves
 // the number of distinct columns row r reaches in counts[r].hi. A row
 // of m with no entries costs the comparison that finds it empty.
-func gCountRows[T any](m, o *GMatrix[T], counts []span, lo, hi int, s *mulScratch[T]) {
+func (m *GMatrix[T, R]) countRows(o *GMatrix[T, R], counts []span, lo, hi int, s *mulScratch[T]) {
 	orows := o.rows
 	for r := lo; r < hi; r++ {
 		sp := m.rows[r]
@@ -565,7 +622,7 @@ func gCountRows[T any](m, o *GMatrix[T], counts []span, lo, hi int, s *mulScratc
 	}
 }
 
-// gMulRows is the numeric pass and the one function that multiplies:
+// mulRows is the numeric pass and the one function that multiplies:
 // rows [lo, hi) of m·o by Gustavson's algorithm, written into the spans
 // p.rows reserves for them. The row's slice of p.colIdx doubles as its
 // touched list — filled in first-touch order, sorted in place, then
@@ -573,7 +630,8 @@ func gCountRows[T any](m, o *GMatrix[T], counts []span, lo, hi int, s *mulScratc
 // entry the ring cancelled to zero (signed operands only) is skipped
 // and the row's span ends short of its reservation; the slots left
 // over are dead arena, and their number is returned.
-func gMulRows[T any, R Ring[T]](ring R, m, o, p *GMatrix[T], lo, hi int, s *mulScratch[T]) (cancelled int) {
+func (m *GMatrix[T, R]) mulRows(o, p *GMatrix[T, R], lo, hi int, s *mulScratch[T]) (cancelled int) {
+	var ring R
 	orows := o.rows
 	for r := lo; r < hi; r++ {
 		sp := m.rows[r]
@@ -614,9 +672,9 @@ func gMulRows[T any, R Ring[T]](ring R, m, o, p *GMatrix[T], lo, hi int, s *mulS
 	return cancelled
 }
 
-// gEqualRows reports whether m and o have the same dimension and, row
-// by row, the same columns and (where eq is non-nil) the same values.
-func gEqualRows[T, U any](m *GMatrix[T], o *GMatrix[U], eq func(a []T, b []U) bool) bool {
+// equalRows reports whether m and o have the same dimension and, row by
+// row, the same columns and (where eq is non-nil) the same values.
+func equalRows[T comparable, R Ring[T], U comparable, Q Ring[U]](m *GMatrix[T, R], o *GMatrix[U, Q], eq func(a []T, b []U) bool) bool {
 	if m.n != o.n || m.nnz != o.nnz {
 		return false
 	}
@@ -632,27 +690,72 @@ func gEqualRows[T, U any](m *GMatrix[T], o *GMatrix[U], eq func(a []T, b []U) bo
 	return true
 }
 
-// SameSupport reports whether m and o have stored entries at exactly
-// the same positions, ignoring values.
-func SameSupport[T, U any](m *GMatrix[T], o *GMatrix[U]) bool {
-	return gEqualRows(m, o, nil)
+// Equal reports whether m and o have the same dimension and entries.
+// Rows are compared as values, wherever each operand keeps them.
+func (m *GMatrix[T, R]) Equal(o *GMatrix[T, R]) bool {
+	return equalRows(m, o, slices.Equal[[]T])
 }
 
-// GBooleanClosure returns the reflexive-transitive boolean closure of m
-// by repeated squaring, each square computed by mul — the caller's
-// product, so its squarings are counted, hooked and cancellable like
-// any other. Convergence is detected on the support (the set of truthy
-// positions), not on values: boolean-collapsed integer matrices carry
-// only ones, so for IntRing this is value equality, while annotation
-// rings — whose derivation depths keep growing with every squaring —
-// still terminate the moment reachability stabilizes.
-func GBooleanClosure[T any, R Ring[T]](ring R, m *GMatrix[T], mul func(a, b *GMatrix[T]) *GMatrix[T]) *GMatrix[T] {
-	cur := GBoolean(ring, GAdd(ring, GIdentity[T](ring, m.n), GBoolean(ring, m)))
+// SameSupport reports whether m and o have stored entries at exactly
+// the same positions, ignoring values.
+func SameSupport[T comparable, R Ring[T], U comparable, Q Ring[U]](m *GMatrix[T, R], o *GMatrix[U, Q]) bool {
+	return equalRows(m, o, nil)
+}
+
+// BooleanClosure returns the reflexive-transitive boolean closure of m:
+// entry (u,v) is truthy iff v is reachable from u via zero or more
+// m-steps where m is interpreted as a boolean relation. This implements
+// the set semantics of Kleene star instances I(p*) collapsed to
+// reachability. Its squarings run through Mul.
+func (m *GMatrix[T, R]) BooleanClosure() *GMatrix[T, R] {
+	return m.BooleanClosureBy((*GMatrix[T, R]).Mul)
+}
+
+// BooleanClosureBy is BooleanClosure by repeated squaring, each square
+// computed by mul — the caller's product, so its squarings are counted,
+// hooked and cancellable like any other. Convergence is detected on the
+// support (the set of truthy positions), not on values: boolean-
+// collapsed integer matrices carry only ones, so for IntRing this is
+// value equality, while annotation rings — whose derivation depths keep
+// growing with every squaring — still terminate the moment
+// reachability stabilizes.
+func (m *GMatrix[T, R]) BooleanClosureBy(mul func(a, b *GMatrix[T, R]) *GMatrix[T, R]) *GMatrix[T, R] {
+	cur := GIdentity[T, R](m.n).Add(m.Boolean()).Boolean()
 	for {
-		next := GBoolean(ring, mul(cur, cur))
+		next := mul(cur, cur).Boolean()
 		if SameSupport(next, cur) {
 			return cur
 		}
 		cur = next
 	}
+}
+
+// RowSums returns the vector of row sums under the ring.
+func (m *GMatrix[T, R]) RowSums() []T {
+	var ring R
+	s := make([]T, m.n)
+	for r := range s {
+		s[r] = ring.Zero()
+	}
+	m.Each(func(r, _ int, v T) { s[r] = ring.Add(s[r], v) })
+	return s
+}
+
+// String renders small matrices densely for debugging; large matrices
+// render as a summary.
+func (m *GMatrix[T, R]) String() string {
+	if m.n > 16 {
+		return fmt.Sprintf("sparse.Matrix{n=%d nnz=%d}", m.n, m.nnz)
+	}
+	var b strings.Builder
+	for r := 0; r < m.n; r++ {
+		for c := 0; c < m.n; c++ {
+			if c > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%v", m.At(r, c))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

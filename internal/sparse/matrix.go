@@ -13,11 +13,13 @@
 //	M_{⌈⌈p⌋⌋}  = M_p > 0                (Boolean)
 //	M_{[p]}    = diag{ M_p (M_pᵀ > 0) } (DiagMulBool)
 //
-// The operators are implemented once, generically over a semiring
-// (kernel.go, semiring.go); Matrix is the canonical int64 instance and
-// every method below delegates to the generic kernel at IntRing, so
-// annotated evaluations (counting, witness provenance) run the exact
-// same code as the production integer path.
+// There is one matrix type, GMatrix[T, R], whose semiring R is part of
+// the type (kernel.go, semiring.go): every operator is one method on
+// it. Matrix is its int64 instance, so annotated evaluations (witness
+// provenance) run the exact same code as the production integer path.
+// The signed delta algebra of incremental maintenance (delta.go) needs
+// exact subtraction, which only the integer ring has, so it is a set of
+// functions over *Matrix.
 //
 // All operations return new matrices; values are never mutated after
 // construction, so matrices are safe for concurrent use.
@@ -27,19 +29,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 )
 
-// Matrix is an immutable n×n sparse matrix with int64 entries — the
-// generic kernel instantiated at the integer semiring. The zero value
-// is an empty 0×0 matrix.
-type Matrix GMatrix[int64]
-
-// gm views the matrix as its generic representation; the conversion is
-// free (identical layout).
-func (m *Matrix) gm() *GMatrix[int64] { return (*GMatrix[int64])(m) }
-
-func wrapInt(g *GMatrix[int64]) *Matrix { return (*Matrix)(g) }
+// Matrix is an immutable n×n sparse matrix with int64 entries: the one
+// matrix type at the integer semiring. The zero value is an empty 0×0
+// matrix.
+type Matrix = GMatrix[int64, IntRing]
 
 // Triple is a single (row, col, value) entry used to build a Matrix.
 type Triple struct {
@@ -96,170 +91,10 @@ func sortTriples(n int, ts []Triple) []Triple {
 
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
-	return wrapInt(GIdentity[int64](IntRing{}, n))
+	return GIdentity[int64, IntRing](n)
 }
 
 // Zero returns the n×n all-zero matrix.
 func Zero(n int) *Matrix {
-	return wrapInt(GZero[int64](n))
-}
-
-// Dim returns the dimension n of the n×n matrix.
-func (m *Matrix) Dim() int { return m.n }
-
-// NNZ returns the number of stored (nonzero) entries.
-func (m *Matrix) NNZ() int { return m.nnz }
-
-// At returns the entry at (row, col). It is O(log nnz(row)).
-func (m *Matrix) At(row, col int) int64 {
-	if row < 0 || row >= m.n || col < 0 || col >= m.n {
-		panic(fmt.Sprintf("sparse: At(%d,%d) out of range for n=%d", row, col, m.n))
-	}
-	v, _ := m.gm().Lookup(row, col)
-	return v
-}
-
-// Row calls fn(col, val) for each stored entry in the given row, in
-// ascending column order.
-func (m *Matrix) Row(row int, fn func(col int, val int64)) {
-	m.gm().Row(row, fn)
-}
-
-// RowView returns the given row's column indexes, ascending, and its
-// values. Both share the matrix's storage and are read-only. Equation-1
-// scoring pushes row u of A through the rows of B it selects, and
-// merges two sorted rows for a diagonal entry ⟨A[v,·], Bᵀ[v,·]⟩; int64
-// products and sums wrap mod 2⁶⁴ in any order, so either way the result
-// equals the entry of A·B bit for bit even where the counts overflow.
-func (m *Matrix) RowView(row int) ([]int32, []int64) {
-	sp := m.gm().row(row)
-	return m.colIdx[sp.lo:sp.hi], m.val[sp.lo:sp.hi]
-}
-
-// Each calls fn(row, col, val) for every stored entry in row-major order.
-func (m *Matrix) Each(fn func(row, col int, val int64)) {
-	m.gm().Each(fn)
-}
-
-// Diag returns the main diagonal as a dense slice of length n.
-func (m *Matrix) Diag() []int64 {
-	d := make([]int64, m.n)
-	for r := 0; r < m.n; r++ {
-		d[r] = m.At(r, r)
-	}
-	return d
-}
-
-// Transpose returns Mᵀ, the commuting matrix of a reverse traversal p⁻.
-func (m *Matrix) Transpose() *Matrix {
-	return wrapInt(m.gm().Transpose())
-}
-
-// TransposeCached returns Mᵀ, built on the first call and kept with m,
-// so every later call is one atomic load. A symmetric m is its own
-// transpose and returns itself. Concurrent first callers may each build
-// one, but one compare-and-swap wins and all of them return it. A
-// matrix made from m (Grow, Patch, PatchBoolean, PatchDiagMulBool)
-// keeps the transpose derived from m's, in O(|Δ|), if m kept one.
-func (m *Matrix) TransposeCached() *Matrix {
-	g := m.gm()
-	if t := g.tr.Load(); t != nil {
-		return wrapInt(t)
-	}
-	t := g.Transpose()
-	if m.Equal(wrapInt(t)) {
-		t = g
-	}
-	if !g.tr.CompareAndSwap(nil, t) {
-		t = g.tr.Load()
-	}
-	return wrapInt(t)
-}
-
-// Mul returns the matrix product m·o, the commuting matrix of a
-// concatenation p1·p2, using Gustavson's row-by-row SpGEMM. Large
-// products spread their row ranges over GOMAXPROCS goroutines; the
-// result is bit-identical either way. It panics if dimensions differ.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	return m.MulThresh(o, DefaultThresholds())
-}
-
-// MulFlops returns the exact number of scalar multiplications m·o
-// performs (see GMatrix.MulFlops).
-func (m *Matrix) MulFlops(o *Matrix) int64 { return m.gm().MulFlops(o.gm()) }
-
-// Add returns m + o element-wise, the commuting matrix of a disjunction
-// p1 + p2 with p1 ≠ p2. It panics if dimensions differ.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	return wrapInt(GAdd(IntRing{}, m.gm(), o.gm()))
-}
-
-// Boolean returns M > 0: each positive entry becomes 1, everything else 0.
-// This is the commuting matrix of the skip operation ⌈⌈p⌋⌋.
-func (m *Matrix) Boolean() *Matrix {
-	return wrapInt(GBoolean(IntRing{}, m.gm()))
-}
-
-// DiagMulBool returns diag{ m · (mᵀ > 0) }: the diagonal matrix whose
-// (u,u) entry counts instances of the nested pattern [p] at node u
-// (paper §4.3, M_{[p]} = diag{M_p (M_pᵀ > 0)}).
-func (m *Matrix) DiagMulBool() *Matrix {
-	return wrapInt(GDiagMulBool(IntRing{}, m.gm()))
-}
-
-// Scale returns m with every entry multiplied by k. Scale(0) is Zero(n).
-func (m *Matrix) Scale(k int64) *Matrix {
-	if k == 0 {
-		return Zero(m.n)
-	}
-	return wrapInt(gMapEntries(m.gm(), func(v int64) (int64, bool) { return v * k, v*k != 0 }))
-}
-
-// Equal reports whether m and o have the same dimension and entries.
-// Rows are compared as values, wherever each operand keeps them.
-func (m *Matrix) Equal(o *Matrix) bool {
-	return gEqualRows(m.gm(), o.gm(), slices.Equal[[]int64])
-}
-
-// RowSums returns the vector of row sums.
-func (m *Matrix) RowSums() []int64 {
-	s := make([]int64, m.n)
-	m.Each(func(r, _ int, v int64) { s[r] += v })
-	return s
-}
-
-// Sum returns the sum of all entries.
-func (m *Matrix) Sum() int64 {
-	var s int64
-	m.Each(func(_, _ int, v int64) { s += v })
-	return s
-}
-
-// BooleanClosure returns the reflexive-transitive boolean closure of m:
-// entry (u,v) is 1 iff v is reachable from u via zero or more m-steps
-// where m is interpreted as a boolean relation. This implements the set
-// semantics of Kleene star instances I(p*) collapsed to reachability.
-func (m *Matrix) BooleanClosure() *Matrix {
-	return wrapInt(GBooleanClosure(IntRing{}, m.gm(), func(a, b *GMatrix[int64]) *GMatrix[int64] {
-		return wrapInt(a).Mul(wrapInt(b)).gm()
-	}))
-}
-
-// String renders small matrices densely for debugging; large matrices
-// render as a summary.
-func (m *Matrix) String() string {
-	if m.n > 16 {
-		return fmt.Sprintf("sparse.Matrix{n=%d nnz=%d}", m.n, m.nnz)
-	}
-	var b strings.Builder
-	for r := 0; r < m.n; r++ {
-		for c := 0; c < m.n; c++ {
-			if c > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d", m.At(r, c))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return GZero[int64, IntRing](n)
 }

@@ -243,24 +243,14 @@ func TestBooleanClosureCycle(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := New(2, []Triple{{0, 1, 3}})
-	if got := a.Scale(2).At(0, 1); got != 6 {
-		t.Errorf("scale entry = %d, want 6", got)
-	}
-	if a.Scale(0).NNZ() != 0 {
-		t.Error("Scale(0) must be the zero matrix")
-	}
-}
-
 func TestRowSumsAndSum(t *testing.T) {
 	a := New(3, []Triple{{0, 0, 1}, {0, 2, 2}, {2, 1, 4}})
 	rs := a.RowSums()
 	if rs[0] != 3 || rs[1] != 0 || rs[2] != 4 {
 		t.Errorf("RowSums = %v", rs)
 	}
-	if a.Sum() != 7 {
-		t.Errorf("Sum = %d, want 7", a.Sum())
+	if sum := rs[0] + rs[1] + rs[2]; sum != 7 {
+		t.Errorf("sum of RowSums = %d, want 7", sum)
 	}
 }
 
@@ -306,7 +296,7 @@ func TestStringSmall(t *testing.T) {
 	}
 }
 
-// forceSerial and forceParallel pin the gate of MulThresh/GMulThresh to
+// forceSerial and forceParallel pin the gate of MulThresh to
 // one side, so a test can run the same product through the row kernel
 // on one goroutine and on GOMAXPROCS of them.
 var (

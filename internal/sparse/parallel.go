@@ -5,9 +5,9 @@ package sparse
 // commuting-matrix products on experiment-scale graphs this is the
 // dominant cost, so above a size threshold Mul hands contiguous row
 // ranges of the product to GOMAXPROCS goroutines. Serial and parallel
-// are the same row kernel (gMulRows in kernel.go, generic over the
-// semiring) writing disjoint ranges of one exactly-sized output, so the
-// results are bit-identical.
+// are the same row kernel (GMatrix.mulRows in kernel.go, generic over
+// the semiring) writing disjoint ranges of one exactly-sized output, so
+// the results are bit-identical.
 
 const (
 	// parallelMinDim and parallelMinNNZ gate the parallel kernel; small
@@ -29,10 +29,4 @@ type Thresholds struct {
 // DefaultThresholds returns the built-in gate used by Mul.
 func DefaultThresholds() Thresholds {
 	return Thresholds{MinDim: parallelMinDim, MinNNZ: parallelMinNNZ}
-}
-
-// MulThresh is Mul with an explicit parallel gate. The result is
-// bit-identical on either side of it. It panics if dimensions differ.
-func (m *Matrix) MulThresh(o *Matrix, t Thresholds) *Matrix {
-	return wrapInt(GMulThresh(IntRing{}, m.gm(), o.gm(), t))
 }

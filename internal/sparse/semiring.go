@@ -2,19 +2,18 @@ package sparse
 
 import "math"
 
-// Semiring algebra. The generic kernel in kernel.go is parameterized by
-// a Ring[T]: the commuting-matrix operators (Mul, Add, Boolean,
-// DiagMulBool, closure) are written once against this interface and
-// instantiated per value type. The integer ring is the canonical
-// instance — Matrix delegates every operation to the generic kernel at
-// IntRing, so the production hot path and the annotated paths run the
-// same code.
+// Semiring algebra. A Ring[T] is the second type parameter of the one
+// matrix type, GMatrix[T, R]: the commuting-matrix operators (Mul, Add,
+// Boolean, DiagMulBool, closure) are its methods, written once against
+// this interface and instantiated per ring. The integer ring is the
+// canonical instance — Matrix is GMatrix[int64, IntRing] — so the
+// production hot path and the annotated paths run the same code.
 //
-// Ring instances are zero-size structs passed by value; instantiating a
-// kernel at a concrete ring compiles to direct calls with no
-// per-element allocation.
+// Ring instances are zero-size structs: a method takes its ring from
+// R's zero value, so a matrix carries no ring at run time and an
+// operator allocates nothing per element for it.
 
-// Ring is the semiring parameter of the generic kernel.
+// Ring is the semiring parameter of GMatrix.
 //
 // MulVia is the ⊗ of the semiring with the SpGEMM intermediate node
 // attached: when row r of the left operand meets column c of the right
@@ -40,20 +39,11 @@ type Ring[T any] interface {
 	Name() string
 }
 
-// Subtractive marks rings with an exact additive inverse, the
-// capability incremental delta maintenance needs: signed deltas and the
-// telescoping patch expansion only make sense when a − b is exact.
-// Rings without it (counting, witness) must be maintained by eviction
-// and recompute, never by patching.
-type Subtractive[T any] interface {
-	Ring[T]
-	Sub(a, b T) T
-}
-
 // IntRing is the canonical instance: plain int64 arithmetic, exactly
 // the algebra the paper's §4.3 commuting matrices use. It is the only
-// Subtractive ring, which is what licenses delta maintenance on the
-// production cache.
+// ring with an exact additive inverse, which is what licenses the signed
+// delta algebra (delta.go) and so delta maintenance of the production
+// cache; the other rings are maintained by eviction and recompute.
 type IntRing struct{}
 
 func (IntRing) Zero() int64                            { return 0 }
@@ -64,15 +54,26 @@ func (IntRing) IsZero(a int64) bool                    { return a == 0 }
 func (IntRing) Truthy(a int64) bool                    { return a > 0 }
 func (IntRing) Collapse(int64) int64                   { return 1 }
 func (IntRing) Lift(v int64) int64                     { return v }
-func (IntRing) Sub(a, b int64) int64                   { return a - b }
 func (IntRing) Name() string                           { return "int" }
+
+// FloatRing is plain float64 arithmetic, the ring of FloatMatrix.
+type FloatRing struct{}
+
+func (FloatRing) Zero() float64                                { return 0 }
+func (FloatRing) One() float64                                 { return 1 }
+func (FloatRing) Add(a, b float64) float64                     { return a + b }
+func (FloatRing) MulVia(a float64, _ int32, b float64) float64 { return a * b }
+func (FloatRing) IsZero(a float64) bool                        { return a == 0 }
+func (FloatRing) Truthy(a float64) bool                        { return a > 0 }
+func (FloatRing) Collapse(float64) float64                     { return 1 }
+func (FloatRing) Lift(v int64) float64                         { return float64(v) }
+func (FloatRing) Name() string                                 { return "float" }
 
 // CountRing is the saturating counting semiring ℕ ∪ {∞} with ∞ encoded
 // as MaxInt64: addition and multiplication clamp instead of wrapping,
 // so huge instance counts degrade to a ceiling rather than going
-// negative. It has no subtraction (saturation destroys inverses), which
-// makes it the minimal test subject for the non-Subtractive
-// maintenance fallback.
+// negative. It has no subtraction (saturation destroys inverses).
+// WitnessRing counts with its arithmetic.
 type CountRing struct{}
 
 func (CountRing) Zero() int64          { return 0 }
@@ -160,6 +161,10 @@ func shortlexLess(a, b Witness) bool {
 // under ⊗. Zero values are normalized to the canonical Witness{} so
 // IsZero is a simple count test. It has no subtraction.
 type WitnessRing struct{}
+
+// WitnessMatrix is the one matrix type at WitnessRing: every entry
+// carries a count and a bounded derivation.
+type WitnessMatrix = GMatrix[Witness, WitnessRing]
 
 func (WitnessRing) Zero() Witness { return Witness{} }
 func (WitnessRing) One() Witness  { return Witness{Count: 1} }

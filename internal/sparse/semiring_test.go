@@ -129,29 +129,31 @@ func randCounts(rng *rand.Rand, n, nnz int) *Matrix {
 func TestAnnotatedRingsProjectToIntKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	th := DefaultThresholds()
-	projectCount := func(g *GMatrix[Witness]) *Matrix {
-		return wrapInt(gMapEntries(g, func(w Witness) (int64, bool) { return w.Count, true }))
+	projectCount := func(g *WitnessMatrix) *Matrix {
+		return mapEntries[Witness, WitnessRing, int64, IntRing](g, func(w Witness) (int64, bool) { return w.Count, true })
 	}
-	projectInt := func(g *GMatrix[int64]) *Matrix { return wrapInt(g) }
+	projectInt := func(g *GMatrix[int64, CountRing]) *Matrix {
+		return mapEntries[int64, CountRing, int64, IntRing](g, func(v int64) (int64, bool) { return v, true })
+	}
 
 	for iter := 0; iter < 300; iter++ {
 		n := 2 + rng.Intn(30)
 		a := randCounts(rng, n, rng.Intn(3*n)+1)
 		b := randCounts(rng, n, rng.Intn(3*n)+1)
-		wa, wb := GLift[Witness](WitnessRing{}, a), GLift[Witness](WitnessRing{}, b)
-		ca, cb := GLift[int64](CountRing{}, a), GLift[int64](CountRing{}, b)
+		wa, wb := Lift[Witness, WitnessRing](a), Lift[Witness, WitnessRing](b)
+		ca, cb := Lift[int64, CountRing](a), Lift[int64, CountRing](b)
 
 		type pair struct {
 			name string
 			want *Matrix
-			wit  *GMatrix[Witness]
-			cnt  *GMatrix[int64]
+			wit  *WitnessMatrix
+			cnt  *GMatrix[int64, CountRing]
 		}
 		cases := []pair{
-			{"mul", a.Mul(b), GMulThresh(WitnessRing{}, wa, wb, th), GMulThresh(CountRing{}, ca, cb, th)},
-			{"add", a.Add(b), GAdd(WitnessRing{}, wa, wb), GAdd(CountRing{}, ca, cb)},
-			{"boolean", a.Boolean(), GBoolean(WitnessRing{}, wa), GBoolean(CountRing{}, ca)},
-			{"diag", a.DiagMulBool(), GDiagMulBool(WitnessRing{}, wa), GDiagMulBool(CountRing{}, ca)},
+			{"mul", a.Mul(b), wa.MulThresh(wb, th), ca.MulThresh(cb, th)},
+			{"add", a.Add(b), wa.Add(wb), ca.Add(cb)},
+			{"boolean", a.Boolean(), wa.Boolean(), ca.Boolean()},
+			{"diag", a.DiagMulBool(), wa.DiagMulBool(), ca.DiagMulBool()},
 			{"transpose", a.Transpose(), wa.Transpose(), ca.Transpose()},
 		}
 		for _, c := range cases {
@@ -164,11 +166,9 @@ func TestAnnotatedRingsProjectToIntKernel(t *testing.T) {
 		}
 		// Closure: witness totals keep growing, so only the support is
 		// comparable — and that is the documented contract.
-		wc := GBooleanClosure(WitnessRing{}, wa, func(x, y *GMatrix[Witness]) *GMatrix[Witness] {
-			return GMulThresh(WitnessRing{}, x, y, th)
-		})
+		wc := wa.BooleanClosureBy(func(x, y *WitnessMatrix) *WitnessMatrix { return x.MulThresh(y, th) })
 		ic := a.BooleanClosure()
-		if !SameSupport(wc, ic.gm()) {
+		if !SameSupport(wc, ic) {
 			t.Fatalf("witness closure support diverges from int closure")
 		}
 	}
@@ -178,13 +178,11 @@ func TestAnnotatedRingsProjectToIntKernel(t *testing.T) {
 // a concrete path graph: 0→1→2→3 under a three-step product must
 // witness the interior nodes 1 and 2.
 func TestWitnessViasAreIntermediateNodes(t *testing.T) {
-	ring := WitnessRing{}
 	n := 4
-	step := func(u, v int) *GMatrix[Witness] {
-		return GLift[Witness](ring, New(n, []Triple{{Row: u, Col: v, Val: 1}}))
+	step := func(u, v int) *WitnessMatrix {
+		return Lift[Witness, WitnessRing](New(n, []Triple{{Row: u, Col: v, Val: 1}}))
 	}
-	th := DefaultThresholds()
-	m := GMulThresh(ring, GMulThresh(ring, step(0, 1), step(1, 2), th), step(2, 3), th)
+	m := step(0, 1).Mul(step(1, 2)).Mul(step(2, 3))
 	w, ok := m.Lookup(0, 3)
 	if !ok {
 		t.Fatal("no witness at (0,3)")

@@ -56,7 +56,7 @@ func TestTransposeCached(t *testing.T) {
 
 	// The versions made from m keep transposes of their own, derived
 	// from m's, and m keeps the one it had.
-	patched := m.Patch(NewDelta(6, []Triple{{5, 5, 7}, {0, 1, -2}}))
+	patched := Patch(m, NewDelta(6, []Triple{{5, 5, 7}, {0, 1, -2}}))
 	pt := patched.TransposeCached()
 	if pt == tr || !pt.Equal(patched.Transpose()) {
 		t.Fatalf("patched version's transpose =\n%v, want one of its own, derived from m's\n%v", pt, patched.Transpose())
@@ -78,21 +78,21 @@ func TestTransposeCached(t *testing.T) {
 // transpose keeps its pointer and its value, also for readers running
 // beside the patches.
 func TestTransposeTravels(t *testing.T) {
-	kept := func(m *Matrix) *Matrix { return wrapInt(m.gm().tr.Load()) }
+	kept := func(m *Matrix) *Matrix { return m.tr.Load() }
 	m := New(6, []Triple{{0, 1, 2}, {0, 3, 1}, {2, 1, 5}, {4, 2, -1}})
 	plain := New(6, []Triple{{0, 1, 2}, {0, 3, 1}, {2, 1, 5}, {4, 2, -1}})
 	tr := m.TransposeCached()
 	trDense := dense(tr)
 	d := NewDelta(8, []Triple{{5, 5, 7}, {0, 1, -2}, {7, 0, 3}, {2, 4, 1}})
 	derived := func(m *Matrix) map[string]*Matrix {
-		child := m.Patch(d)
+		child := Patch(m, d)
 		b, dm := m.Boolean(), m.DiagMulBool()
 		if kept(m) != nil {
 			b.TransposeCached()
 			dm.TransposeCached()
 		}
-		pb, _ := b.PatchBoolean(child, d)
-		pd, _ := dm.PatchDiagMulBool(child, d)
+		pb, _ := PatchBoolean(b, child, d)
+		pd, _ := PatchDiagMulBool(dm, child, d)
 		return map[string]*Matrix{"Patch": child, "Grow": m.Grow(9), "PatchBoolean": pb, "PatchDiagMulBool": pd}
 	}
 	for name, got := range derived(m) {
@@ -111,13 +111,13 @@ func TestTransposeTravels(t *testing.T) {
 
 	sym := New(4, []Triple{{0, 1, 3}, {1, 0, 3}, {2, 2, 1}, {1, 3, -2}, {3, 1, -2}})
 	sym.TransposeCached()
-	if s := sym.Patch(NewDelta(5, []Triple{{0, 2, 1}, {2, 0, 1}, {4, 4, 2}})); kept(s) != s {
+	if s := Patch(sym, NewDelta(5, []Triple{{0, 2, 1}, {2, 0, 1}, {4, 4, 2}})); kept(s) != s {
 		t.Error("a symmetric change of a symmetric matrix built it a transpose")
 	}
 	if g := sym.Grow(6); kept(g) != g {
 		t.Error("a grown symmetric matrix is not its own transpose")
 	}
-	asym := sym.Patch(NewDelta(4, []Triple{{0, 2, 1}}))
+	asym := Patch(sym, NewDelta(4, []Triple{{0, 2, 1}}))
 	if k := kept(asym); k == nil || k == asym || !k.Equal(asym.Transpose()) {
 		t.Errorf("an asymmetric change of a symmetric matrix keeps %v, want\n%v", k, asym.Transpose())
 	}
@@ -157,7 +157,7 @@ func TestTransposeTravels(t *testing.T) {
 				}
 			}()
 		}
-		cur = cur.Patch(randDelta(rng, n, 1+rng.Intn(4)))
+		cur = Patch(cur, randDelta(rng, n, 1+rng.Intn(4)))
 		if k := kept(cur); k == nil || !k.Equal(cur.Transpose()) {
 			t.Fatalf("patch %d: kept transpose diverges from Transpose", i)
 		}
