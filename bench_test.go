@@ -203,6 +203,47 @@ func BenchmarkRelSimQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreCuts measures a warm Equation-1 read on FullDBLP as
+// /search serves it: the cuts memoized, the halves and their diagonals
+// cached, the top 10 answers kept. It times the headline's 49-cut
+// Algorithm-1 expansion over the procs and w.(p-in.p-in- + w-.w).w-
+// over the authors, each cycling through 64 query nodes.
+func BenchmarkScoreCuts(b *testing.B) {
+	ds, err := datasets.ByName("dblp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := ds.Graph.Snapshot()
+	ev := eval.NewVersioned(snap, 0, eval.NewCache())
+	ev.SetCanonicalKeys(true)
+	for _, tc := range []struct{ pattern, typ string }{
+		{"p-in-.r-a.r-a-.p-in", "proc"},
+		{"w.(p-in.p-in- + w-.w).w-", "author"},
+	} {
+		ps := []*rre.Pattern{rre.MustParse(tc.pattern)}
+		if ps[0].IsSimple() {
+			if ps, err = pattern.Generate(ds.Schema, ps[0], pattern.Default()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cuts := make([]eval.Cut, len(ps))
+		for i, p := range ps {
+			cuts[i] = ev.Cut(p)
+		}
+		cands := snap.NodesOfType(tc.typ)
+		queries := cands[:min(64, len(cands))]
+		for _, q := range queries {
+			sim.ScoreCuts(ev, cuts, q, cands, 10)
+		}
+		b.Run(tc.pattern, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sim.ScoreCuts(ev, cuts, queries[i%len(queries)], cands, 10)
+			}
+		})
+	}
+}
+
 // BenchmarkPathSimQuery measures the PathSim baseline per query.
 func BenchmarkPathSimQuery(b *testing.B) {
 	g := benchGraph()

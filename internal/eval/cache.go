@@ -1,6 +1,10 @@
 package eval
 
-import "sync"
+import (
+	"sync"
+
+	"relsim/internal/sparse"
+)
 
 // Key identifies one cached commuting matrix: the graph version it was
 // computed against, the semiring it was evaluated over, and the
@@ -59,15 +63,41 @@ type cacheEntry struct {
 // ways: by pattern string, and by label → patterns mentioning it. The
 // inverted index is what makes the commit path (Advance, Maintain)
 // proportional to the entries actually touched instead of a scan over every entry's label list.
+//
+// Beside the entries it keeps, per scored cut, the diagonal of M_p the
+// cut's halves multiply to (Evaluator.Scoring). A diagonal is not an
+// entry: it is dropped with either half, carried with the bucket while
+// both halves carry, and patched by Maintain when a half is.
 type versionBucket struct {
 	entries map[string]*cacheEntry
 	byLabel map[string]map[string]struct{}
+	diags   map[cutKey]*sparse.Vector
 }
+
+// cutKey names a concatenation's cut by its halves' entry keys.
+type cutKey struct{ left, right string }
 
 func newBucket() *versionBucket {
 	return &versionBucket{
 		entries: make(map[string]*cacheEntry),
 		byLabel: make(map[string]map[string]struct{}),
+		diags:   make(map[cutKey]*sparse.Vector),
+	}
+}
+
+// holds reports whether both halves of the cut are entries of b.
+func (b *versionBucket) holds(k cutKey) bool {
+	_, left := b.entries[k.left]
+	_, right := b.entries[k.right]
+	return left && right
+}
+
+// dropDiags deletes every diagonal with a half for which gone holds.
+func (b *versionBucket) dropDiags(gone func(pattern string) bool) {
+	for k := range b.diags {
+		if gone(k.left) || gone(k.right) {
+			delete(b.diags, k)
+		}
 	}
 }
 
@@ -136,22 +166,28 @@ type Cache struct {
 func NewCache() *Cache { return &Cache{versions: make(map[uint64]*versionBucket)} }
 
 // CacheStats is a point-in-time snapshot of the commuting-matrix cache.
+// Diagonals are the Equation-1 diagonals kept beside the entries, with
+// their stored entries and bytes; they do not count towards Size.
 type CacheStats struct {
-	Size          int    `json:"size"`
-	Versions      int    `json:"versions"`
-	Limit         int    `json:"limit"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
+	Size            int    `json:"size"`
+	Versions        int    `json:"versions"`
+	Limit           int    `json:"limit"`
+	Hits            uint64 `json:"hits"`
+	Misses          uint64 `json:"misses"`
+	Evictions       uint64 `json:"evictions"`
+	Invalidations   uint64 `json:"invalidations"`
+	Diagonals       int    `json:"diagonals"`
+	DiagonalEntries int    `json:"diagonal_entries"`
+	DiagonalBytes   int    `json:"diagonal_bytes"`
 }
 
 // Stats returns the cache counters. Hits and misses count every
-// Commuting call, including the recursive sub-pattern calls.
+// Commuting call, including the recursive sub-pattern calls. It costs
+// O(kept diagonals): each knows its entries and bytes.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		Size:          c.size,
 		Versions:      len(c.versions),
 		Limit:         c.limit,
@@ -160,6 +196,14 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 	}
+	for _, b := range c.versions {
+		for _, d := range b.diags {
+			st.Diagonals++
+			st.DiagonalEntries += d.NNZ()
+			st.DiagonalBytes += d.Bytes()
+		}
+	}
+	return st
 }
 
 // Size returns the number of materialized commuting matrices.
@@ -204,7 +248,8 @@ func (c *Cache) bucket(v uint64) *versionBucket {
 	return b
 }
 
-// removeLocked deletes (v, pattern) if present, maintaining size. c.mu held.
+// removeLocked deletes (v, pattern) if present, maintaining size, and
+// the diagonals it is a half of. c.mu held.
 func (c *Cache) removeLocked(v uint64, pattern string) bool {
 	b, ok := c.versions[v]
 	if !ok {
@@ -213,6 +258,7 @@ func (c *Cache) removeLocked(v uint64, pattern string) bool {
 	if !b.remove(pattern) {
 		return false
 	}
+	b.dropDiags(func(p string) bool { return p == pattern })
 	c.size--
 	if len(b.entries) == 0 {
 		delete(c.versions, v)
@@ -235,6 +281,39 @@ func (c *Cache) lookup(key Key) CachedMatrix {
 	}
 	c.misses++
 	return nil
+}
+
+// lookupCut returns, in one lock, the halves of the cut cached at
+// version v and the diagonal kept beside them (nil if none is), and
+// records a hit for each half. It returns ok false, recording nothing,
+// unless both halves are cached.
+func (c *Cache) lookupCut(v uint64, k cutKey) (a, bt *sparse.Matrix, diag *sparse.Vector, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.versions[v]
+	if b == nil || !b.holds(k) {
+		return nil, nil, nil, false
+	}
+	use := func(key string) *sparse.Matrix {
+		ent := b.entries[key]
+		c.hits++
+		c.tick++
+		ent.used = c.tick
+		m, _ := ent.m.(*sparse.Matrix)
+		return m
+	}
+	return use(k.left), use(k.right), b.diags[k], true
+}
+
+// keepDiagonal keeps diag beside the halves of the cut at version v,
+// unless one is no longer cached there (it would outlive its half) or
+// a diagonal is kept already.
+func (c *Cache) keepDiagonal(v uint64, k cutKey, diag *sparse.Vector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b := c.versions[v]; b != nil && b.holds(k) && b.diags[k] == nil {
+		b.diags[k] = diag
+	}
 }
 
 // insert stores a computed matrix. Entries are keyed by immutable
@@ -270,8 +349,10 @@ func (c *Cache) insertLocked(key Key, m CachedMatrix, labels []string) {
 // readers are still pinned at `from` — every `from` entry stays in
 // place so those readers keep their hits, carried patterns are *copied*
 // to `to`, and EvictBelow reaps the leftovers once the pins release.
-// Entries at older versions are untouched either way. Returns
-// (carried, evicted).
+// Entries at older versions are untouched either way. A kept
+// Equation-1 diagonal goes where both its halves go: it carries while
+// neither is touched and is dropped otherwise, unless Maintain patched
+// it to `to` already. Returns (carried, evicted).
 //
 // With the label index the common path (no pinned reader, nodes
 // unchanged) moves the whole version bucket in O(1) and then removes
@@ -315,6 +396,7 @@ func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, k
 				evicted++
 			}
 		}
+		src.dropDiags(func(p string) bool { _, gone := stale[p]; return gone })
 		if dstExists {
 			for p, ent := range dst.entries {
 				c.scanned++
@@ -323,6 +405,11 @@ func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, k
 					carried--
 				}
 				src.put(p, ent)
+			}
+			for k, d := range dst.diags {
+				if src.holds(k) {
+					src.diags[k] = d
+				}
 			}
 		}
 		if len(src.entries) == 0 {
@@ -345,6 +432,16 @@ func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, k
 				carried++
 			}
 		}
+		for k, d := range src.diags {
+			_, lStale := stale[k.left]
+			_, rStale := stale[k.right]
+			if !lStale && !rStale && dst.diags[k] == nil {
+				dst.diags[k] = d
+			}
+		}
+		// A diagonal Maintain kept at `to` beside an untouched half that
+		// has left `from` since has no half to carry.
+		dst.dropDiags(func(p string) bool { return dst.entries[p] == nil })
 		if len(dst.entries) == 0 {
 			delete(c.versions, to)
 		}

@@ -101,3 +101,55 @@ func TestAdvanceRespectsLimit(t *testing.T) {
 		t.Fatalf("unbounded Advance carried %d, size %d; want 2, 4", carried, c2.Size())
 	}
 }
+
+// TestDiagonalsLiveAndDieWithTheirHalves pins where a kept Equation-1
+// diagonal goes when its halves move: Advance carries it while both
+// halves carry and drops it with a touched half, with a reader pinned
+// at the old version and without; EvictBelow drops it with its version;
+// an LRU eviction of a half drops it. It is never an entry.
+func TestDiagonalsLiveAndDieWithTheirHalves(t *testing.T) {
+	c := NewCache()
+	ev := NewVersioned(cacheTestGraph().Snapshot(), 0, c)
+	ab, cc := rre.MustParse("a.b"), rre.MustParse("c.c-")
+	ev.Materialize(ab, cc)
+	entries := c.Size()
+	scoreCuts(ev, ab, cc)
+	diagsAt := func(v uint64) int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if b := c.versions[v]; b != nil {
+			return len(b.diags)
+		}
+		return 0
+	}
+	if st := c.Stats(); st.Diagonals != 2 || st.Size != entries {
+		t.Fatalf("after scoring: %d diagonals, %d entries; want 2 beside the %d entries", st.Diagonals, st.Size, entries)
+	}
+
+	// b touched, a reader pinned at v0: v0 keeps both, v1 only c.c-'s.
+	// A diagonal kept at v1 beside halves neither version holds (one
+	// Maintain patched beside a half evicted since) is dropped.
+	for _, d := range c.versions[0].diags {
+		c.bucket(1).diags[cutKey{"x", "y"}] = d
+	}
+	c.Advance(0, 1, []string{"b"}, false, true)
+	if diagsAt(0) != 2 || diagsAt(1) != 1 {
+		t.Fatalf("pinned advance: %d diagonals at v0, %d at v1; want 2 and 1", diagsAt(0), diagsAt(1))
+	}
+	if c.EvictBelow(1); diagsAt(0) != 0 {
+		t.Fatalf("EvictBelow(1) left %d diagonals at v0", diagsAt(0))
+	}
+	// Nothing touched, nothing pinned: the bucket moves with its diagonal.
+	c.Advance(1, 2, nil, false, false)
+	if diagsAt(1) != 0 || diagsAt(2) != 1 {
+		t.Fatalf("advance: %d diagonals at v1, %d at v2; want 0 and 1", diagsAt(1), diagsAt(2))
+	}
+	// An LRU eviction of c.c-'s half c, the one entry not used since
+	// scoring, takes its diagonal along.
+	ev2 := NewVersioned(cacheTestGraph().Snapshot(), 2, c)
+	ev2.Materialize(rre.MustParse("a"), cc)
+	c.SetLimit(c.Size() - 1)
+	if diagsAt(2) != 0 {
+		t.Fatalf("a half was evicted, but its diagonal is still kept")
+	}
+}

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"relsim/internal/graph"
@@ -41,6 +42,19 @@ import (
 //
 // Per-commit subterm results are memoized across patterns: two cached
 // patterns sharing a subexpression pay for its delta once.
+//
+// The Equation-1 diagonals kept beside scored cuts (Evaluator.Scoring)
+// ride along. diag(A·B)[v] = ⟨A[v,·], Bᵀ[v,·]⟩ reads row v of each half
+// alone, so when a commit maintains a half of a kept diagonal's cut,
+// the new diagonal is the old one grown to NewN with only the rows of
+// ΔA and Δ(Bᵀ) moved, each by the inner products of those deltas' rows
+// with the new halves (sparse.Vector.Patched) — the deltas the walk
+// already holds. Like the walk, the patching runs outside the cache
+// lock; a patched diagonal is kept only if both its halves are still
+// cached when the results are installed. A diagonal whose halves the
+// commit leaves untouched carries with them in Advance; one with a
+// half that falls back is dropped with it, and the next read builds it
+// in full.
 
 // CommitDelta describes one committed write batch in the form the
 // maintenance engine consumes. All deltas have dimension NewN.
@@ -111,9 +125,10 @@ type maintainer struct {
 
 // Maintain patches every stale cached pattern at version d.From to
 // version d.To by applying the commit's label deltas, inserting the
-// maintained matrices at d.To. It must run before Advance for the same
-// commit (Advance's overlay keeps pre-inserted entries at d.To) and
-// with view bound to the snapshot at d.To. Patterns whose delta
+// maintained matrices at d.To with the diagonals kept beside them. It
+// must run before Advance for the same commit (Advance's overlay keeps
+// pre-inserted entries at d.To) and with view bound to the snapshot at
+// d.To. Patterns whose delta
 // crosses the density threshold, at any node, are skipped and fall
 // back to the evict-and-recompute path.
 func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) MaintainResult {
@@ -151,6 +166,15 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		}
 		for p := range src.stale(labels) {
 			roots = append(roots, p)
+		}
+	}
+	var kept []keptDiag
+	if len(roots) > 0 {
+		kept = make([]keptDiag, 0, len(src.diags))
+		for k, diag := range src.diags {
+			if l, r := src.entries[k.left], src.entries[k.right]; l != nil && r != nil {
+				kept = append(kept, keptDiag{k, diag, *l, *r})
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -193,6 +217,9 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		res.Maintained++
 	}
 	res.Products = mt.products + int(mt.w.e.counters.Products.Load())
+	for i := range kept {
+		kept[i].diag = mt.diagonal(kept[i])
+	}
 
 	// Insert every successfully maintained term at d.To — the same set
 	// of entries a recompute of the maintained roots would have cached,
@@ -208,11 +235,66 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		}
 		c.insertLocked(Key{Version: d.To, Pattern: key}, term.new, mt.patterns[key].Labels())
 	}
+	// Keep each patched diagonal whose halves are both still cached: a
+	// maintained half at d.To, an untouched one at d.From until Advance
+	// carries it.
+	src = c.versions[d.From]
+	held := func(key string) bool {
+		return dst.entries[key] != nil || src != nil && src.entries[key] != nil
+	}
+	for _, kd := range kept {
+		if kd.diag != nil && dst.diags[kd.k] == nil && held(kd.k.left) && held(kd.k.right) {
+			dst.diags[kd.k] = kd.diag
+		}
+	}
 	if len(dst.entries) == 0 {
 		delete(c.versions, d.To)
 	}
 	c.evictLocked()
 	return res
+}
+
+// keptDiag is a diagonal kept at d.From with copies of its halves'
+// entries there, taken under c.mu where Maintain collects its roots so
+// the diagonal can be patched outside the lock.
+type keptDiag struct {
+	k           cutKey
+	diag        *sparse.Vector
+	left, right cacheEntry
+}
+
+// diagonal returns kd's diagonal patched to d.To, or nil when no half
+// of the cut was maintained (Advance carries the diagonal with
+// untouched halves and drops it with stale ones) or one half is stale
+// but fell back. A half that was not maintained stands in at d.To only
+// when the commit left it untouched: the id space did not grow and its
+// pattern mentions no touched label, as a stale half that fell back
+// does.
+func (mt *maintainer) diagonal(kd keptDiag) *sparse.Vector {
+	lt, lok := mt.memo[kd.k.left]
+	rt, rok := mt.memo[kd.k.right]
+	if !lok && !rok {
+		return nil
+	}
+	half := func(t *maintTerm, maintained bool, ent cacheEntry) (*sparse.Matrix, *sparse.Delta) {
+		if maintained {
+			return t.new, t.delta
+		}
+		if mt.d.nodesGrew() || slices.ContainsFunc(ent.labels, func(l string) bool {
+			_, touched := mt.d.Labels[l]
+			return touched
+		}) {
+			return nil, nil
+		}
+		m, _ := ent.m.(*sparse.Matrix)
+		return m, nil
+	}
+	a, da := half(lt, lok, kd.left)
+	bt, dbt := half(rt, rok, kd.right)
+	if a == nil || bt == nil {
+		return nil
+	}
+	return kd.diag.Patched(a, bt, da, dbt)
 }
 
 // newNodes returns the delta of Identity (and of a boolean closure over

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -104,6 +105,40 @@ func checkKeptTransposes(t *testing.T, c *Cache, v uint64) {
 		if got := m.TransposeCached(); !got.Equal(m.Transpose()) {
 			t.Fatalf("%q at v%d keeps a transpose\n%vthat is not its Transpose\n%v", key, v, got, m.Transpose())
 		}
+	}
+}
+
+// checkDiagonals asserts that every Equation-1 diagonal kept at version
+// v sits beside both its halves and is Equal to one built cold from the
+// halves recomputed from the snapshot, and returns how many are kept.
+func checkDiagonals(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) int {
+	t.Helper()
+	c.mu.Lock()
+	var diags map[cutKey]*sparse.Vector
+	if b := c.versions[v]; b != nil {
+		for k := range b.diags {
+			if !b.holds(k) {
+				t.Errorf("diagonal of %q·(%q)⁻ at v%d outlives a half", k.left, k.right, v)
+			}
+		}
+		diags = maps.Clone(b.diags)
+	}
+	c.mu.Unlock()
+	for k, got := range diags {
+		cold := NewVersioned(snap, 0, NewCache())
+		want := sparse.ProductDiagonal(cold.Commuting(rre.MustParse(k.left)), cold.Commuting(rre.MustParse(k.right)))
+		if !got.Equal(want) {
+			t.Fatalf("diagonal of %q·(%q)⁻ at v%d diverges from recompute:\ngot  %v\nwant %v", k.left, k.right, v, got, want)
+		}
+	}
+	return len(diags)
+}
+
+// scoreCuts has the cut of every pattern keep its diagonal at the
+// evaluator's version, as a scoring read does.
+func scoreCuts(ev *Evaluator, ps ...*rre.Pattern) {
+	for _, p := range ps {
+		ev.Scoring(ev.Cut(p))
 	}
 }
 
@@ -338,6 +373,7 @@ func TestDeltaMaintainDifferential(t *testing.T) {
 				for i := 0; i < 2; i++ {
 					ev.Commuting(pool[rng.Intn(len(pool))])
 				}
+				scoreCuts(ev, pool[rng.Intn(len(pool))])
 
 				// Mutate phase: commit a batch, maintain, advance.
 				ops := randBatch(rng, snap.NumNodes(), labels)
@@ -357,9 +393,10 @@ func TestDeltaMaintainDifferential(t *testing.T) {
 				snap, version = next, version+1
 				interleavings++
 
-				// Verify every cached matrix at the new version against a
-				// from-scratch recompute.
+				// Verify every cached matrix and kept diagonal at the new
+				// version against a from-scratch recompute.
 				checkAgainstRecompute(t, cache, version, snap)
+				checkDiagonals(t, cache, version, snap)
 
 				// And that a read through the maintained cache matches a
 				// cache-less evaluation.
@@ -413,7 +450,9 @@ func FuzzDeltaMaintain(f *testing.F) {
 		}
 		snap := fixtureSnap()
 		cache := NewCache()
-		NewVersioned(snap, 0, cache).Commuting(p)
+		ev := NewVersioned(snap, 0, cache)
+		ev.Commuting(p)
+		scoreCuts(ev, p)
 		keepSomeTransposes(rand.New(rand.NewSource(int64(len(opBytes)))), cache, 0)
 
 		labels := []string{"a", "b", "c"}
@@ -440,6 +479,19 @@ func FuzzDeltaMaintain(f *testing.F) {
 		cache.Advance(0, 1, touched, nodesAdded, false)
 		checkAgainstRecompute(t, cache, 1, next)
 		checkKeptTransposes(t, cache, 1)
+		// The cut's diagonal reaches v1 exactly when both its halves do:
+		// patched where a half was maintained, carried where neither
+		// changed, dropped with a half that fell back.
+		kept := checkDiagonals(t, cache, 1, next)
+		if c := ev.Cut(p); c.RevRight != nil {
+			cache.mu.Lock()
+			b := cache.versions[1]
+			want := b != nil && b.holds(cutKey{c.Left.String(), c.RevRight.String()})
+			cache.mu.Unlock()
+			if (kept == 1) != want {
+				t.Fatalf("%s: %d diagonals at v1, halves both there: %v", p, kept, want)
+			}
+		}
 	})
 }
 
@@ -476,7 +528,9 @@ func TestMaintainLongChain(t *testing.T) {
 	for _, p := range pool {
 		ev.Commuting(p)
 	}
+	scoreCuts(ev, pool...)
 	keepSomeTransposes(rng, cache, 0)
+	diagonals := checkDiagonals(t, cache, 0, snap)
 
 	const commits, readEvery, readFor = 320, 16, 12
 	var readers sync.WaitGroup
@@ -514,6 +568,9 @@ func TestMaintainLongChain(t *testing.T) {
 		snap = next
 		checkAgainstRecompute(t, cache, v+1, snap)
 		checkKeptTransposes(t, cache, v+1)
+		if kept := checkDiagonals(t, cache, v+1, snap); kept != diagonals {
+			t.Fatalf("commit %d: %d diagonals kept, want all %d maintained", i, kept, diagonals)
+		}
 
 		if ch, ok := stop[i]; ok {
 			close(ch)
@@ -552,5 +609,46 @@ func TestMaintainLongChain(t *testing.T) {
 	readers.Wait()
 	if totals.Fallbacks != 0 || totals.Maintained < commits {
 		t.Fatalf("chain maintained %d entries with %d fallbacks over %d commits", totals.Maintained, totals.Fallbacks, commits)
+	}
+}
+
+// TestMaintainedDiagonalNeverReadsAStaleHalf: when Maintain patches a
+// kept diagonal whose left half it maintained, a right half it did not
+// maintain — one that fell back, or one no root walk reached — stands
+// in at d.To only if the commit left it untouched. When
+// the commit touched its label or grew the id space, the diagonal is
+// not patched (the next read builds it) instead of being merged against
+// the old half.
+func TestMaintainedDiagonalNeverReadsAStaleHalf(t *testing.T) {
+	snap := fixtureSnap()
+	c := NewCache()
+	ev := NewVersioned(snap, 0, c)
+	p := rre.MustParse("a.b")
+	ev.Commuting(p)
+	scoreCuts(ev, p)
+	cut := ev.Cut(p)
+	k := cutKey{cut.Left.String(), cut.RevRight.String()}
+	src := c.versions[0]
+	diag := src.diags[k]
+	for _, tc := range []struct {
+		name    string
+		ops     []deltaOp
+		patched bool
+	}{
+		{"right half untouched", []deltaOp{{op: "add-edge", u: 2, v: 3, label: "a"}}, true},
+		{"right half touched", []deltaOp{{op: "add-edge", u: 2, v: 3, label: "a"}, {op: "add-edge", u: 0, v: 4, label: "b"}}, false},
+		{"id space grew", []deltaOp{{op: "add-edge", u: 2, v: 3, label: "a"}, {op: "add-node"}}, false},
+	} {
+		next, d, _, _ := applyBatch(snap, 0, tc.ops)
+		cold := NewVersioned(next, 0, NewCache())
+		a, bt := cold.Commuting(cut.Left), cold.Commuting(cut.RevRight)
+		mt := &maintainer{d: d, memo: map[string]*maintTerm{k.left: {new: a, delta: d.Labels["a"]}}}
+		got := mt.diagonal(keptDiag{k, diag, *src.entries[k.left], *src.entries[k.right]})
+		if (got != nil) != tc.patched {
+			t.Fatalf("%s: patched %v, want %v", tc.name, got != nil, tc.patched)
+		}
+		if got != nil && !got.Equal(sparse.ProductDiagonal(a, bt)) {
+			t.Fatalf("%s: patched diagonal %+v, want %+v", tc.name, got, sparse.ProductDiagonal(a, bt))
+		}
 	}
 }

@@ -64,12 +64,13 @@ type Evaluator struct {
 }
 
 // Counters are one evaluator's private tallies: cache hits and misses
-// its lookups saw, and matrix products it performed. The serving layer
-// reads them per request for the slow-query log and Server-Timing
-// phase attribution. Fields are atomics — /batch shares one evaluator
-// across its worker pool.
+// its lookups saw, matrix products it performed, and the transposes and
+// Equation-1 diagonals its scoring reads built because none was kept
+// (Scoring). The serving layer reads them per request for the
+// slow-query log and Server-Timing phase attribution. Fields are
+// atomics — /batch shares one evaluator across its worker pool.
 type Counters struct {
-	Hits, Misses, Products atomic.Uint64
+	Hits, Misses, Products, Transposes, Diagonals atomic.Uint64
 }
 
 // New returns an evaluator over g at version 0 with a private cache.

@@ -35,13 +35,13 @@ var benchPool = []struct{ pattern, typ string }{
 	{"p-in-.(w-.w + p-in.p-in-).p-in", "proc"},
 }
 
-// skipUnderRace skips the gates below when the race detector is
-// compiled in: its instrumentation allocates.
-func skipUnderRace(t *testing.T) {
+// skipUnderRace skips a gate when the race detector is compiled in,
+// for the reason given.
+func skipUnderRace(t *testing.T, why string) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts are inflated by the race detector")
+				t.Skip(why)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func (w *warmPool) maintain(t *testing.T, k int, next *graph.Snapshot, d eval.Co
 // deltas did, allocated 33.6 MB. The first commit is not measured: it
 // moves each kernel-made entry into an arena with headroom, once.
 func TestMaintainAllocatesWhatItTouches(t *testing.T) {
-	skipUnderRace(t)
+	skipUnderRace(t, "allocation counts are inflated by the race detector")
 	w := newWarmPool(t)
 	commit := benchCommits(t, w)
 	const commits = 9
@@ -171,17 +171,17 @@ func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 	}
 }
 
-// TestFirstReadAfterCommitBuildsNoTranspose is the gate on "an update
-// and the answers after it cost the touched rows": the maintained
-// entries carry their kept transposes through each commit, so the
-// first read after a commit builds none. After each of nine
-// benchmark-shaped commits, taking the kept transpose of the right half
-// of every cut of every pool pattern allocates nothing — transposes
-// built by a read after a commit: 0, where dropping them on every
-// commit rebuilt 9.6 per commit — and the scores read through the
-// maintained cache equal a cold evaluator's bit for bit.
-func TestFirstReadAfterCommitBuildsNoTranspose(t *testing.T) {
-	skipUnderRace(t)
+// firstReads runs nine benchmark-shaped commits through the warm pool
+// and after each scores every pool pattern at the new version through
+// the maintained cache — the first read there — requiring a cold
+// evaluator's ranking bit for bit, in full and for the top 10 a search
+// returns. It returns, per commit, the kept transposes and Equation-1
+// diagonals those reads built (the reading evaluator's Counters): the
+// counts see only the reads, never the cold evaluator or the commit.
+// One goroutine does all of it, so the race detector, which makes it
+// ten times slower, has nothing to find; the plain run gates it.
+func firstReads(t *testing.T) (transposes, diagonals []uint64) {
+	skipUnderRace(t, "single-goroutine harness, ten times slower under the race detector")
 	w := newWarmPool(t)
 	commit := benchCommits(t, w)
 	for k := 0; k < 9; k++ {
@@ -191,33 +191,79 @@ func TestFirstReadAfterCommitBuildsNoTranspose(t *testing.T) {
 		ev.SetCanonicalKeys(true)
 		cold := eval.NewVersioned(next, 0, eval.NewCache())
 		cold.SetCanonicalKeys(true)
-		built := 0
 		for i, ps := range w.patterns {
 			cuts := make([]eval.Cut, len(ps))
 			for j, p := range ps {
 				cuts[j] = ev.Cut(p)
-				_, bt := ev.Halves(cuts[j])
-				if bt == nil {
-					continue
-				}
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				bt.TransposeCached()
-				runtime.ReadMemStats(&after)
-				if after.Mallocs != before.Mallocs {
-					built++
-				}
 			}
 			q := w.cands[i][k%len(w.cands[i])]
-			got := sim.ScoreCuts(ev, cuts, q, w.cands[i])
+			got, top := sim.ScoreCuts(ev, cuts, q, w.cands[i], 0), sim.ScoreCuts(ev, cuts, q, w.cands[i], 10)
 			want := sim.RelSimAggregate(cold, ps, q, w.cands[i])
-			if !slices.Equal(got.IDs, want.IDs) || !slices.EqualFunc(got.Scores, want.Scores,
-				func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-				t.Fatalf("commit %d, %s from %d: maintained scores %v, cold %v", k, benchPool[i].pattern, q, got, want)
+			for _, c := range []struct {
+				got, want sim.Ranking
+			}{{got, want}, {top, want.TopK(10)}} {
+				if !slices.Equal(c.got.IDs, c.want.IDs) || !slices.EqualFunc(c.got.Scores, c.want.Scores,
+					func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+					t.Fatalf("commit %d, %s from %d: maintained scores %v, cold %v", k, benchPool[i].pattern, q, c.got, c.want)
+				}
 			}
 		}
-		if built != 0 {
-			t.Fatalf("commit %d: the first read built %d transposes, want 0", k, built)
+		transposes = append(transposes, ev.Counters().Transposes.Load())
+		diagonals = append(diagonals, ev.Counters().Diagonals.Load())
+	}
+	return transposes, diagonals
+}
+
+// TestFirstReadAfterCommitBuildsNoTranspose is the gate on "an update
+// and the answers after it cost the touched rows": the maintained
+// entries carry their kept transposes through each commit, so the
+// first read after a commit builds none — transposes built by a read
+// after a commit: 0, where dropping them on every commit rebuilt 9.6
+// per commit — and scores through the maintained cache equal a cold
+// evaluator's bit for bit.
+func TestFirstReadAfterCommitBuildsNoTranspose(t *testing.T) {
+	transposes, _ := firstReads(t)
+	for k, n := range transposes {
+		if n != 0 {
+			t.Fatalf("commit %d: the first read built %d transposes, want 0", k, n)
 		}
+	}
+}
+
+// TestFirstReadAfterCommitBuildsNoDiagonal is the same gate for
+// Equation 1's diagonal: Cache.Maintain carries every kept diagonal
+// through each commit, moved on the rows the commit touched, so the
+// first read after a commit builds none in full (diagonals built by a
+// read after a commit: 0, where the warm pool keeps 58) and its scores
+// equal a cold evaluator's bit for bit.
+func TestFirstReadAfterCommitBuildsNoDiagonal(t *testing.T) {
+	_, diagonals := firstReads(t)
+	for k, n := range diagonals {
+		if n != 0 {
+			t.Fatalf("commit %d: the first read built %d diagonals in full, want 0", k, n)
+		}
+	}
+}
+
+// TestWarmPoolDiagonalsHoldTheirEntries is the memory guard on the kept
+// diagonals: the warm pool keeps one per cut it scores, 58, holding
+// only the rows both halves populate — 83,960 nonzero entries — so
+// their storage is bounded by those entries, at most the 12 bytes an
+// entry a list of ids and values would take (8 for the value and 3/16
+// for each index the bitmap spans), not by 58 × n.
+func TestWarmPoolDiagonalsHoldTheirEntries(t *testing.T) {
+	w := newWarmPool(t)
+	st := w.cache.Stats()
+	n := w.snap.NumNodes()
+	t.Logf("%d diagonals, %d entries, %d bytes (n = %d)", st.Diagonals, st.DiagonalEntries, st.DiagonalBytes, n)
+	if st.Diagonals != 58 || st.DiagonalEntries != 83960 {
+		t.Errorf("warm pool keeps %d diagonals with %d entries, want 58 with 83960", st.Diagonals, st.DiagonalEntries)
+	}
+	if limit := 12 * st.DiagonalEntries; st.DiagonalBytes > limit {
+		t.Errorf("diagonals hold %d bytes for %d entries, want at most %d (58 dense diagonals would hold %d)",
+			st.DiagonalBytes, st.DiagonalEntries, limit, 58*8*n)
+	}
+	if st.Size != 25 {
+		t.Errorf("cache holds %d entries, want 25: a diagonal is not an entry", st.Size)
 	}
 }

@@ -10,10 +10,14 @@ import (
 // f1·…·fk is cut once into f1…fc and fc+1…fk and scored from the two
 // thin halves A = M_Left and Bᵀ = M_RevRight (§4.3: M_{p1·p2} =
 // M_{p1}·M_{p2}, M_{p⁻} = M_pᵀ): row u of M_p is row u of A pushed
-// through B = (Bᵀ)ᵀ, and M_p(v,v) = ⟨A[v,·], Bᵀ[v,·]⟩. The right half
-// is kept reversed so a symmetric pattern's halves share one key; its
-// transpose B is kept with the cached matrix (Matrix.TransposeCached).
-// RevRight is nil for a pattern that is not a concatenation: Left is the
+// through B = (Bᵀ)ᵀ. The right half is kept reversed so a symmetric
+// pattern's halves share one key; its transpose B is kept with the
+// cached matrix (Matrix.TransposeCached). diag(M_p), whose entry v is
+// ⟨A[v,·], Bᵀ[v,·]⟩, depends only on the version: it is kept beside the
+// halves as a sparse vector over the rows both populate, dropped with
+// either half and patched by Cache.Maintain on the rows a commit
+// changes (Scoring), so a warm read looks M_p(v,v) up in O(1). RevRight
+// is nil for a pattern that is not a concatenation: Left is the
 // pattern, the right half the identity.
 type Cut struct {
 	Left, RevRight *rre.Pattern
@@ -78,6 +82,39 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 		bt = w.eval(c.RevRight)
 	}
 	return a, bt
+}
+
+// Scoring returns what Equation-1 scoring reads of a Cut made under the
+// evaluator's key mode, M_p = A·B: A = M_Left; B = (Bᵀ)ᵀ, the transpose
+// kept with the right half; and diag(M_p) at the evaluator's version
+// (sparse.ProductDiagonal). For a cut that is not a concatenation B
+// and the diagonal are nil: M_p is A, its diagonal A's own. A warm read
+// takes the halves and the diagonal in one cache lookup. A read that
+// finds no transpose or no diagonal kept builds it in full
+// (Counters.Transposes, Counters.Diagonals) and keeps it with its
+// entries; Cache.Maintain carries both across commits.
+func (e *Evaluator) Scoring(c Cut) (a, b *sparse.Matrix, diag *sparse.Vector) {
+	if c.RevRight == nil {
+		a, _ = e.Halves(c)
+		return a, nil, nil
+	}
+	k := cutKey{c.Left.String(), c.RevRight.String()}
+	a, bt, diag, ok := e.cache.lookupCut(e.version, k)
+	if ok {
+		e.counters.Hits.Add(2)
+	} else {
+		a, bt = e.Halves(c)
+	}
+	if b = bt.KeptTranspose(); b == nil {
+		b = bt.TransposeCached()
+		e.counters.Transposes.Add(1)
+	}
+	if diag == nil {
+		diag = sparse.ProductDiagonal(a, bt)
+		e.counters.Diagonals.Add(1)
+		e.cache.keepDiagonal(e.version, k, diag)
+	}
+	return a, b, diag
 }
 
 // Concatenation planning. M_{p1·…·pk} is a chain of sparse matrix

@@ -114,6 +114,10 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 		alg = "search"
 	}
 
+	top := req.Top
+	if top <= 0 {
+		top = defaultTop
+	}
 	var (
 		rank     sim.Ranking
 		expanded int
@@ -139,7 +143,7 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 			if qs.expanded {
 				expanded = len(qs.ps)
 			}
-			rank = sim.ScoreCuts(ev, qs.cuts, q, candidates)
+			rank = sim.ScoreCuts(ev, qs.cuts, q, candidates, top)
 		case "pathsim":
 			var err error
 			rank, err = sim.PathSim(ev, qs.ps[0], q, candidates)
@@ -157,10 +161,6 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 		return nil, err
 	}
 
-	top := req.Top
-	if top <= 0 {
-		top = defaultTop
-	}
 	rank = rank.TopK(top)
 	results := make([]ScoredNode, rank.Len())
 	for i, id := range rank.IDs {

@@ -32,7 +32,7 @@ func PathSim(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidates 
 // language it is structurally robust under invertible transformations
 // (Corollary 1).
 func RelSim(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidates []graph.NodeID) Ranking {
-	return ScoreCuts(ev, []eval.Cut{ev.Cut(p)}, query, candidates)
+	return ScoreCuts(ev, []eval.Cut{ev.Cut(p)}, query, candidates, 0)
 }
 
 // RelSimAggregate ranks nodes by the sum of Equation-1 scores over a set
@@ -43,31 +43,39 @@ func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.No
 	for i, p := range patterns {
 		cuts[i] = ev.Cut(p)
 	}
-	return ScoreCuts(ev, cuts, query, candidates)
+	return ScoreCuts(ev, cuts, query, candidates, 0)
 }
 
 // ScoreCuts is RelSimAggregate over patterns already cut under ev's key
-// mode (eval.NewCut), for callers that memoize the cuts. No M_p is
-// materialized: each pattern is scored from its two halves (eval.Cut)
-// by pushing row u of A through B = (Bᵀ)ᵀ, the transpose kept with the
-// cached right half, so a read costs the query's two-hop neighbourhood,
-// not the candidate domain. A candidate's score is the sum, in pattern
-// order, of its positive per-pattern scores.
+// mode (eval.NewCut), for callers that memoize the cuts, keeping the
+// top answers only. No M_p is materialized: each pattern is scored from
+// its two halves (eval.Cut) by pushing row u of A through B = (Bᵀ)ᵀ,
+// the transpose kept with the cached right half, so a read costs the
+// query's two-hop neighbourhood, not the candidate domain. M_p(u,u) and
+// M_p(v,v) are looked up in the diagonal kept beside the halves
+// (Evaluator.Scoring), so each reached candidate costs O(1) more. A
+// candidate's score is the sum, in pattern order, of its positive
+// per-pattern scores.
+//
+// top bounds the answers returned: a heap keeps the best top of them in
+// the ranking's order (score descending, then id ascending), so the
+// result is the first top entries of the full ranking. top ≤ 0 ranks
+// every answer.
 //
 // Candidates are a set over [0, n), for every kind of root: a repeated
 // id is ranked once, and an id outside [0, n) is ignored. nil means
 // every node.
-func ScoreCuts(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, candidates []graph.NodeID) Ranking {
+func ScoreCuts(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, candidates []graph.NodeID, top int) Ranking {
 	n := ev.Graph().NumNodes()
 	s := getScorer(n)
 	s.restrict(candidates, n)
 	for _, c := range cuts {
-		a, bt := ev.Halves(c)
-		s.cut(a, bt, int(query))
+		a, b, diag := ev.Scoring(c)
+		s.cut(a, b, diag, int(query))
 	}
 	ps := s.ps[:0]
 	for _, v := range s.hits {
-		ps = append(ps, scored{graph.NodeID(v), s.acc[v]})
+		ps = keep(ps, top, scored{graph.NodeID(v), s.acc[v]})
 		s.acc[v] = 0
 	}
 	r := rank(ps)
@@ -93,25 +101,12 @@ func PathSimScorePair(ev *eval.Evaluator, p *rre.Pattern, u, v graph.NodeID) flo
 	return eval.Eq1(muv, m(u, u)+m(v, v))
 }
 
-// inner returns ⟨A[x,·], Bᵀ[y,·]⟩ = (A·B)(x,y) by merging the two
-// sorted rows.
+// inner returns ⟨A[x,·], Bᵀ[y,·]⟩ = (A·B)(x,y), merging the two sorted
+// rows.
 func inner(a *sparse.Matrix, x int, bt *sparse.Matrix, y int) int64 {
 	ac, av := a.RowView(x)
 	bc, bv := bt.RowView(y)
-	var s int64
-	for i, j := 0, 0; i < len(ac) && j < len(bc); {
-		switch {
-		case ac[i] < bc[j]:
-			i++
-		case ac[i] > bc[j]:
-			j++
-		default:
-			s += av[i] * bv[j]
-			i++
-			j++
-		}
-	}
-	return s
+	return sparse.Dot(ac, av, bc, bv)
 }
 
 // scorer is one ScoreCuts call's O(n) state, pooled between calls.
@@ -163,15 +158,17 @@ func (s *scorer) restrict(candidates []graph.NodeID, n int) {
 	}
 }
 
-// cut adds one pattern's Equation-1 scores for query u, given the halves
-// of its cut. Only the nodes row u of M_p reaches are visited, and a
-// diagonal entry is computed only where the numerator is nonzero.
-func (s *scorer) cut(a, bt *sparse.Matrix, u int) {
+// cut adds one pattern's Equation-1 scores for query u, given what
+// eval.Evaluator.Scoring reads of its cut: M_p = A·B and diag(M_p), or
+// M_p = A when b is nil. Only the nodes row u of M_p reaches are
+// visited, and each reads its M_p(v,v) from the diagonal, or from A's
+// own when the pattern is not a concatenation.
+func (s *scorer) cut(a, b *sparse.Matrix, diag *sparse.Vector, u int) {
 	ucols, uvals := a.RowView(u)
 	if len(ucols) == 0 {
 		return // row u of M_p is zero, and so is every score
 	}
-	if bt == nil {
+	if b == nil {
 		// Not a concatenation: M_p is A, its row u read as stored.
 		muu := a.At(u, u)
 		for i, v := range ucols {
@@ -181,10 +178,10 @@ func (s *scorer) cut(a, bt *sparse.Matrix, u int) {
 		}
 		return
 	}
-	muu := inner(a, u, bt, u)
-	for _, v := range s.push(ucols, uvals, bt.TransposeCached()) {
+	muu := diag.At(u)
+	for _, v := range s.push(ucols, uvals, b) {
 		if muv := s.x[v]; muv != 0 && s.wants(v, u) {
-			s.add(v, muv, muu+inner(a, int(v), bt, int(v)))
+			s.add(v, muv, muu+diag.At(int(v)))
 		}
 	}
 }

@@ -6,7 +6,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"relsim/internal/graph"
 )
@@ -71,13 +71,20 @@ func rankScores(scores map[graph.NodeID]float64, query graph.NodeID, candidates 
 	return rank(ps)
 }
 
+// ahead reports whether a ranks before b: a higher score, or an equal
+// score and a lower id.
+func ahead(a, b scored) bool { return a.s > b.s || a.s == b.s && a.id < b.id }
+
 // rank orders answers by descending score, ties by ascending id.
 func rank(ps []scored) Ranking {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].s != ps[j].s {
-			return ps[i].s > ps[j].s
+	slices.SortFunc(ps, func(a, b scored) int {
+		switch {
+		case ahead(a, b):
+			return -1
+		case ahead(b, a):
+			return 1
 		}
-		return ps[i].id < ps[j].id
+		return 0
 	})
 	r := Ranking{IDs: make([]graph.NodeID, len(ps)), Scores: make([]float64, len(ps))}
 	for i, p := range ps {
@@ -85,4 +92,41 @@ func rank(ps []scored) Ranking {
 		r.Scores[i] = p.s
 	}
 	return r
+}
+
+// keep adds p to h, a heap of at most top answers (every one when top ≤
+// 0) whose root is the one that ranks last: once h is full, p replaces
+// the root if it ranks ahead of it. It returns h, which then holds the
+// top answers of all it was given, in heap order.
+func keep(h []scored, top int, p scored) []scored {
+	if top <= 0 {
+		return append(h, p)
+	}
+	i := len(h)
+	if i < top {
+		// Sift up: a parent ranks after both its children.
+		for h = append(h, p); i > 0 && ahead(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+			h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+		}
+		return h
+	}
+	if !ahead(p, h[0]) {
+		return h
+	}
+	// Sift down from the root, towards the child that ranks last.
+	h[0], i = p, 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return h
+		}
+		if c+1 < len(h) && ahead(h[c], h[c+1]) {
+			c++
+		}
+		if !ahead(h[i], h[c]) {
+			return h
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

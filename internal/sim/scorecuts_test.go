@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"relsim/internal/datasets"
@@ -66,10 +67,11 @@ func TestCandidatesAreASet(t *testing.T) {
 
 // TestScoreCutsAllocations is the gate on "a read costs the query's
 // neighbourhood": on warm FullDBLP, scoring allocates a constant number
-// of times per call — the ranking it returns and the sort — whether
-// the read is the 49-cut headline over the procs or w.w- over every
-// author: the scorer's O(n) state is pooled, and nothing it allocates
-// grows with the candidates.
+// of times per call — the ranking it returns — whether the read is the
+// 49-cut headline over the procs or w.w- over every author, ranking
+// every answer or the top 10 a search returns: the scorer's O(n) state
+// and its heap are pooled, and nothing it allocates grows with the
+// candidates.
 func TestScoreCutsAllocations(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -97,36 +99,90 @@ func TestScoreCutsAllocations(t *testing.T) {
 		// A query with at least two answers, so the sort runs in full.
 		q, answers := cands[0], 0
 		for _, v := range cands {
-			if answers = ScoreCuts(ev, cuts, v, cands).Len(); answers >= 2 {
+			if answers = ScoreCuts(ev, cuts, v, cands, 0).Len(); answers >= 2 {
 				q = v
 				break
 			}
 		}
-		allocs := testing.AllocsPerRun(50, func() { ScoreCuts(ev, cuts, q, cands) })
-		// Bytes too, with the collector off so the pool keeps its scorer:
-		// the ranking's 12 bytes an answer and a constant, never a slice
-		// as long as the candidates.
-		gc := debug.SetGCPercent(-1)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 50; i++ {
-			ScoreCuts(ev, cuts, q, cands)
+		for _, top := range []int{0, 10} {
+			kept := answers
+			if top > 0 {
+				kept = min(answers, top)
+			}
+			allocs := testing.AllocsPerRun(50, func() { ScoreCuts(ev, cuts, q, cands, top) })
+			// Bytes too, with the collector off so the pool keeps its
+			// scorer: the ranking's 12 bytes an answer and a constant,
+			// never a slice as long as the candidates.
+			gc := debug.SetGCPercent(-1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				ScoreCuts(ev, cuts, q, cands, top)
+			}
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
+			perCall := (after.TotalAlloc - before.TotalAlloc) / 50
+			t.Logf("%s, top %d: %d cuts, %d candidates, %d answers: %.0f allocations, %d bytes per call", tc.pattern, top, len(cuts), len(cands), kept, allocs, perCall)
+			if allocs > bound {
+				t.Errorf("%s, top %d: %.0f allocations per call, want at most %d", tc.pattern, top, allocs, bound)
+			}
+			if limit := uint64(256 + 16*kept); perCall > limit {
+				t.Errorf("%s, top %d: %d bytes allocated per call, want at most %d for %d answers", tc.pattern, top, perCall, limit, kept)
+			}
+			counts = append(counts, allocs)
 		}
-		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gc)
-		perCall := (after.TotalAlloc - before.TotalAlloc) / 50
-		t.Logf("%s: %d cuts, %d candidates, %d answers: %.0f allocations, %d bytes per call", tc.pattern, len(cuts), len(cands), answers, allocs, perCall)
-		if allocs > bound {
-			t.Errorf("%s: %.0f allocations per call, want at most %d", tc.pattern, allocs, bound)
-		}
-		if limit := uint64(256 + 16*answers); perCall > limit {
-			t.Errorf("%s: %d bytes allocated per call, want at most %d for %d answers", tc.pattern, perCall, limit, answers)
-		}
-		counts = append(counts, allocs)
 	}
-	if counts[0] != counts[1] {
+	if slices.Min(counts) != slices.Max(counts) {
 		t.Errorf("allocations per call depend on the read: %v", counts)
 	}
+}
+
+// checkTop requires ScoreCuts keeping the top k answers to return the
+// first k of its full ranking, ids and score bits, for every k from −1
+// to one past the number of answers: k ≤ 0 keeps them all.
+func checkTop(t *testing.T, what string, ev *eval.Evaluator, ps []*rre.Pattern, query graph.NodeID, cands []graph.NodeID) {
+	t.Helper()
+	cuts := make([]eval.Cut, len(ps))
+	for i, p := range ps {
+		cuts[i] = ev.Cut(p)
+	}
+	full := ScoreCuts(ev, cuts, query, cands, 0)
+	for k := -1; k <= full.Len()+1; k++ {
+		want := full
+		if k > 0 {
+			want = full.TopK(k)
+		}
+		sameRanking(t, fmt.Sprintf("%s, top %d", what, k), ScoreCuts(ev, cuts, query, cands, k), want)
+	}
+}
+
+// TestTopBreaksTiesByID: the heap that keeps a search's top answers
+// orders them as the full ranking does, score descending and then id
+// ascending, through runs of tied scores. Eight nodes reach one hub,
+// n3 and n5 by two parallel edges: from n0 every other node scores 1
+// under l.l- but those two, which score 2·2/(1+4) = 0.8.
+func TestTopBreaksTiesByID(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 8; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), "t")
+	}
+	hub := g.AddNode("hub", "h")
+	for v := graph.NodeID(0); v < 8; v++ {
+		g.AddEdge(v, "l", hub)
+		if v == 3 || v == 5 {
+			g.AddEdge(v, "l", hub)
+		}
+	}
+	ev := eval.New(g)
+	cuts := []eval.Cut{ev.Cut(rre.MustParse("l.l-"))}
+	full := []graph.NodeID{1, 2, 4, 6, 7, 3, 5}
+	for k := 1; k <= len(full); k++ {
+		r := ScoreCuts(ev, cuts, 0, nil, k)
+		if !slices.Equal(r.IDs, full[:k]) {
+			t.Fatalf("top %d: %v, want %v", k, r.IDs, full[:k])
+		}
+	}
+	checkTop(t, "ties", ev, []*rre.Pattern{rre.MustParse("l.l-")}, 0, nil)
 }
 
 // FuzzScoreCuts holds ScoreCuts to the materializing reference beyond
@@ -134,7 +190,9 @@ func TestScoreCutsAllocations(t *testing.T) {
 // graph, one to four random RREs and a query; every candidate set —
 // nil, typed, empty, with and without the query, and one listed by the
 // fuzzer, repeats and ids outside [0, n) included — must rank the
-// reference's ids, order and score bits under raw and canonical keys.
+// reference's ids, order and score bits under raw and canonical keys,
+// and keeping the top k answers must return the ranking's first k,
+// whatever k.
 func FuzzScoreCuts(f *testing.F) {
 	f.Add(int64(0), []byte{})
 	f.Add(int64(7), []byte{1, 1, 2})
@@ -152,5 +210,9 @@ func FuzzScoreCuts(f *testing.F) {
 		}
 		sets["listed"] = ids
 		checkAgainstReference(t, fmt.Sprintf("seed %d", seed), g, ps, query, sets)
+		ev := eval.New(g)
+		for name, cands := range sets {
+			checkTop(t, fmt.Sprintf("seed %d, %s candidates", seed, name), ev, ps, query, cands)
+		}
 	})
 }

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -192,12 +194,75 @@ func checkDeltaOps(t *testing.T, m *Matrix, d, e *Delta, keep bool) {
 		checkDelta(t, "Patch"+op.name+" delta", diff, denseCombine(denseAt(n, want.Each), denseAt(n, old.Each), sub))
 	}
 
+	// Equation 1's diagonal: built from the rows both halves populate,
+	// and patched on the rows of the halves' deltas alone.
+	b := Patch(m, e)
+	db := denseAt(n, b.Each)
+	checkVector(t, "ProductDiagonal", ProductDiagonal(patched, b), denseDiag(denseMul(denseAt(n, patched.Each), transposed(db))))
+	checkVector(t, "ProductDiagonal of one matrix", ProductDiagonal(b, b), denseDiag(denseMul(db, transposed(db))))
+	mg := m.Grow(n)
+	checkVector(t, "Patched", ProductDiagonal(m, m).Patched(patched, b, d, e), denseDiag(denseMul(denseAt(n, patched.Each), transposed(db))))
+	checkVector(t, "Patched, right half unchanged", ProductDiagonal(m, m).Patched(patched, mg, d, nil), denseDiag(denseMul(denseAt(n, patched.Each), transposed(dm))))
+
 	checkDelta(t, "M·Δ", MulDelta(m, d), denseMul(dm, dd))
 	checkDelta(t, "Δ·M·Δ", MulDelta(m, d).Mul(m), denseMul(denseMul(dm, dd), dm))
 	checkKept(t, "M·Δ's operand", m, len(d.rows) > 0 && m.NNZ() > 0 || keep)
 }
 
 func make2(n int) [][]int64 { return denseAt(n, func(func(r, c int, v int64)) {}) }
+
+func transposed(a [][]int64) [][]int64 {
+	out := make2(len(a))
+	for r := range a {
+		for c, v := range a[r] {
+			out[c][r] = v
+		}
+	}
+	return out
+}
+
+func denseDiag(a [][]int64) []int64 {
+	out := make([]int64, len(a))
+	for i := range a {
+		out[i] = a[i][i]
+	}
+	return out
+}
+
+// checkVector asserts v is canonical — no zeros or empty words stored,
+// its directory spanning the words from the one of its first entry to
+// the one of its last — and holds exactly want.
+func checkVector(t *testing.T, what string, v *Vector, want []int64) {
+	t.Helper()
+	if v.n != len(want) {
+		t.Fatalf("%s: dim %d, want %d", what, v.n, len(want))
+	}
+	stored, size := 0, 8*cap(v.words)
+	for _, w := range v.words {
+		if w != nil {
+			if slices.Contains(w.val, 0) || len(w.val) != bits.OnesCount64(w.bits) || w.bits == 0 {
+				t.Fatalf("%s: word %+v not canonical", what, w)
+			}
+			stored += len(w.val)
+			size += 32 + 8*cap(w.val)
+		}
+	}
+	if v.lo%64 != 0 || len(v.words) > 0 && (v.words[0] == nil || v.words[len(v.words)-1] == nil) || stored != v.NNZ() || size != v.Bytes() {
+		t.Fatalf("%s: %+v not canonical", what, v)
+	}
+	nnz := 0
+	for i, x := range want {
+		if got := v.At(i); got != x {
+			t.Fatalf("%s: entry %d = %d, want %d (%v)", what, i, got, x, v)
+		}
+		if x != 0 {
+			nnz++
+		}
+	}
+	if v.NNZ() != nnz {
+		t.Fatalf("%s: NNZ() = %d, want %d", what, v.NNZ(), nnz)
+	}
+}
 
 func TestDeltaOpsAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -369,4 +434,75 @@ func FuzzDeltaOps(f *testing.F) {
 		checkDeltaOps(t, New(mn, triples(mb, mn)), d, e, false)
 		checkDeltaOps(t, New(mn, triples(mb, mn)), d, e, true)
 	})
+}
+
+// TestDiagonalAcrossWords carries a diagonal through 300 random changes
+// of both halves at dimensions spanning many words: entries appear and
+// vanish anywhere, the id space grows, and every row of A in the word
+// of the first or the last entry is emptied, so the directory widens
+// and shrinks at both ends. Every step must equal the
+// diagonal built from scratch and, entry by entry, the sum of A[r,c] ·
+// Bᵀ[r,c] over A's row.
+func TestDiagonalAcrossWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 1500
+	random := func(n, k int) []Triple {
+		ts := make([]Triple, k)
+		for i := range ts {
+			r := rng.Intn(n)
+			ts[i] = Triple{Row: r, Col: (r + rng.Intn(5)) % n, Val: 1 + rng.Int63n(3)}
+		}
+		return ts
+	}
+	// Every 97th row of A is far longer than Bᵀ's, so the merge runs
+	// out the short row first.
+	long, short := random(n, 300), random(n, 300)
+	for r := 0; r < n; r += 97 {
+		for c := 0; c < n; c += 29 {
+			long = append(long, Triple{Row: r, Col: c, Val: int64(1 + c%4)})
+		}
+		short = append(short, Triple{Row: r, Col: 29 * (1 + r%7), Val: 2}, Triple{Row: r, Col: 29*(1+r%7) + 1, Val: 1})
+	}
+	a, bt := New(n, long), New(n, short)
+	v := ProductDiagonal(a, bt)
+	shrunk := [2]int{} // steps whose directory lost words at its start, at its end
+	for step := 0; step < 300; step++ {
+		if rng.Intn(10) == 0 {
+			n += rng.Intn(500)
+		}
+		ts := random(n, rng.Intn(6))
+		if v.NNZ() > 0 && rng.Intn(4) == 0 {
+			base := int(v.lo)
+			if rng.Intn(2) == 0 {
+				base += 64 * (len(v.words) - 1)
+			}
+			for r := base; r < min(base+64, a.Dim()); r++ {
+				cols, vals := a.RowView(r)
+				for i, c := range cols {
+					ts = append(ts, Triple{Row: r, Col: int(c), Val: -vals[i]})
+				}
+			}
+		}
+		d, e := NewDelta(n, ts), NewDelta(n, random(n, rng.Intn(6)))
+		a, bt = Patch(a, d), Patch(bt, e)
+		next := v.Patched(a, bt, d, e)
+		if next.lo > v.lo {
+			shrunk[0]++
+		}
+		if next.NNZ() > 0 && int(next.lo)+64*len(next.words) < int(v.lo)+64*len(v.words) {
+			shrunk[1]++
+		}
+		v = next
+		want := make([]int64, n)
+		for r := range want {
+			a.Row(r, func(c int, x int64) { want[r] += x * bt.At(r, c) })
+		}
+		checkVector(t, fmt.Sprintf("step %d", step), v, want)
+		if built := ProductDiagonal(a, bt); !v.Equal(built) {
+			t.Fatalf("step %d: patched %+v, built %+v", step, v, built)
+		}
+	}
+	if shrunk[0] == 0 || shrunk[1] == 0 {
+		t.Fatalf("the directory shrank at its start %d times and at its end %d times; the walk must do both", shrunk[0], shrunk[1])
+	}
 }

@@ -193,6 +193,10 @@ func (m *GMatrix[T, R]) TransposeCached() *GMatrix[T, R] {
 	return t
 }
 
+// KeptTranspose returns the transpose m keeps, or nil if it keeps none
+// yet. It never builds one; TransposeCached does.
+func (m *GMatrix[T, R]) KeptTranspose() *GMatrix[T, R] { return m.tr.Load() }
+
 // Grow returns m embedded in the top-left corner of an n×n matrix.
 // Commits that add nodes enlarge the id space; a cached matrix from the
 // previous version reads the same at the new dimension, so the spans
