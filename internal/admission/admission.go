@@ -19,7 +19,7 @@
 //     responsive instead of collapsing under its own backlog.
 //
 //   - per-request cost ceilings (MaxCost/RejectCost): the caller
-//     estimates a request's evaluation cost from its workload plan
+//     estimates a request's evaluation cost from its pattern set
 //     (matrix products; see eval.EstimateProducts) and rejects requests
 //     whose estimate exceeds the ceiling with 422 before any
 //     materialization starts. The controller only keeps the ceiling and

@@ -115,11 +115,11 @@ func TestMaintainFallsBackForAnnotatedEntries(t *testing.T) {
 
 	// The touched witness entry must be gone: a warm lookup at v1 would
 	// otherwise serve a stale annotation.
-	if cache.lookup(Key{Version: 1, Ring: RingWitness, Pattern: touchedPat.String()}) != nil {
+	if cache.cached(Key{Version: 1, Ring: RingWitness, Pattern: touchedPat.String()}) != nil {
 		t.Fatal("stale witness entry survived the commit")
 	}
 	// The untouched witness entry rides along like any other entry.
-	if cache.lookup(Key{Version: 1, Ring: RingWitness, Pattern: carriedPat.String()}) == nil {
+	if cache.cached(Key{Version: 1, Ring: RingWitness, Pattern: carriedPat.String()}) == nil {
 		t.Fatal("untouched witness entry was not carried to the new version")
 	}
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"sync"
 
 	"relsim/internal/sparse"
@@ -156,6 +157,9 @@ type Cache struct {
 
 	hits, misses, evictions, invalidations uint64
 
+	// building holds the builds in flight, one per missing key (lookup).
+	building map[Key]*flight
+
 	// scanned counts entries examined by the commit path (Advance).
 	// The inverted index makes it proportional to
 	// touched entries; the cache tests gate on it deterministically.
@@ -163,7 +167,9 @@ type Cache struct {
 }
 
 // NewCache returns an empty, unbounded cache.
-func NewCache() *Cache { return &Cache{versions: make(map[uint64]*versionBucket)} }
+func NewCache() *Cache {
+	return &Cache{versions: make(map[uint64]*versionBucket), building: make(map[Key]*flight)}
+}
 
 // CacheStats is a point-in-time snapshot of the commuting-matrix cache.
 // Diagonals are the Equation-1 diagonals kept beside the entries, with
@@ -266,21 +272,75 @@ func (c *Cache) removeLocked(v uint64, pattern string) bool {
 	return true
 }
 
-// lookup returns the matrix cached under key, or nil, recording a hit
-// or miss.
-func (c *Cache) lookup(key Key) CachedMatrix {
+// flight is one build of a missing key in progress; m, set before done
+// closes, stays nil if the build failed.
+type flight struct {
+	done chan struct{}
+	m    CachedMatrix
+}
+
+// lookup returns the matrix cached under key, recording a hit. On a miss
+// it waits for the build of key in flight, if any, and returns its
+// matrix as a hit, or looks again if that build failed. Otherwise it
+// records the miss and registers a build the caller owns (own) and must
+// end with land. A wait ends early with ctx's error when ctx (nil:
+// never) ends. Waits cannot form a cycle: while its build is open, the
+// builder of p builds and waits only for patterns strictly smaller than
+// p (compute recurses into p.Subs(), Commuting into its cut's halves).
+func (c *Cache) lookup(ctx context.Context, key Key) (m CachedMatrix, own bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b, ok := c.versions[key.Version]; ok {
-		if ent, ok := b.entries[key.entryKey()]; ok {
+	for {
+		if b, ok := c.versions[key.Version]; ok {
+			if ent, ok := b.entries[key.entryKey()]; ok {
+				c.hits++
+				c.tick++
+				ent.used = c.tick
+				return ent.m, false, nil
+			}
+		}
+		fl := c.building[key]
+		if fl == nil {
+			c.misses++
+			c.building[key] = &flight{done: make(chan struct{})}
+			return nil, true, nil
+		}
+		var stop <-chan struct{}
+		if ctx != nil {
+			stop = ctx.Done()
+		}
+		c.mu.Unlock()
+		select {
+		case <-fl.done:
+		case <-stop:
+		}
+		c.mu.Lock()
+		if fl.m != nil {
 			c.hits++
-			c.tick++
-			ent.used = c.tick
-			return ent.m
+			return fl.m, false, nil
+		}
+		if ctx != nil && ctx.Err() != nil {
+			return nil, false, ctx.Err()
 		}
 	}
-	c.misses++
-	return nil
+}
+
+// land stores a computed matrix, unless m is nil (the build failed), and
+// hands m to the waiters of key's build, if any. Entries are keyed by
+// immutable versions, so a build that raced a commit lands, never
+// stale, under the version it was computed at.
+func (c *Cache) land(key Key, m CachedMatrix, labels []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m != nil {
+		c.insertLocked(key, m, labels)
+		c.evictLocked()
+	}
+	if fl := c.building[key]; fl != nil {
+		delete(c.building, key)
+		fl.m = m
+		close(fl.done)
+	}
 }
 
 // lookupCut returns, in one lock, the halves of the cut cached at
@@ -314,16 +374,6 @@ func (c *Cache) keepDiagonal(v uint64, k cutKey, diag *sparse.Vector) {
 	if b := c.versions[v]; b != nil && b.holds(k) && b.diags[k] == nil {
 		b.diags[k] = diag
 	}
-}
-
-// insert stores a computed matrix. Entries are keyed by immutable
-// versions, so a matrix is never stale for its key: a build that raced
-// a commit lands under the version it was computed at.
-func (c *Cache) insert(key Key, m CachedMatrix, labels []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(key, m, labels)
-	c.evictLocked()
 }
 
 // insertLocked stores an entry unconditionally. c.mu held.

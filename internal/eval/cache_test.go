@@ -22,6 +22,19 @@ func cacheTestGraph() *graph.Graph {
 	return g
 }
 
+// cached returns the matrix cached under key, or nil, recording nothing
+// and opening no build.
+func (c *Cache) cached(key Key) CachedMatrix {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b := c.versions[key.Version]; b != nil {
+		if ent := b.entries[key.entryKey()]; ent != nil {
+			return ent.m
+		}
+	}
+	return nil
+}
+
 func TestLRUEviction(t *testing.T) {
 	g := cacheTestGraph()
 	ev := New(g)

@@ -149,9 +149,7 @@ func (e *Evaluator) checkCanceled() {
 // the canonical rendering and semantically interchangeable patterns
 // (alt permutations, redundant grouping) share one materialization.
 // Patterns whose canonicalization is not count-exact are evaluated
-// under their raw key, exactly as without this mode. The workload
-// planner requires canonical keys: DAG nodes are canonical, and query
-// evaluation must hit the matrices the plan materialized.
+// under their raw key, exactly as without this mode.
 func (e *Evaluator) SetCanonicalKeys(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -44,19 +44,28 @@ func (e *Evaluator) ints() walker[int64, sparse.IntRing] {
 func (w walker[T, R]) eval(p *rre.Pattern) *sparse.GMatrix[T, R] { return w.get(p, w.compute) }
 
 // get returns the matrix cached under p's key, building it outside any
-// lock on a miss. A build that raced a commit inserts under this
-// evaluator's version, which readers of later versions never look up.
+// lock on a miss. One build per key is in flight (Cache.lookup): another
+// reader of the key waits for it, performs no product, and counts a
+// hit; a context-bound reader stops waiting when its context ends,
+// panicking with *Canceled like checkCanceled. If the build fails (a
+// panic, or its evaluator's cancellation), one of its waiters builds.
 func (w walker[T, R]) get(p *rre.Pattern, build func(*rre.Pattern) *sparse.GMatrix[T, R]) *sparse.GMatrix[T, R] {
 	e := w.e
 	key := Key{Version: e.version, Ring: w.tag, Pattern: p.String()}
-	if m, ok := e.cache.lookup(key).(*sparse.GMatrix[T, R]); ok {
+	m, own, err := e.cache.lookup(e.ctx, key)
+	if err != nil {
+		panic(&Canceled{Err: err})
+	}
+	if !own {
 		e.counters.Hits.Add(1)
-		return m
+		return m.(*sparse.GMatrix[T, R])
 	}
 	e.counters.Misses.Add(1)
-	m := build(p)
-	e.cache.insert(key, m, p.Labels())
-	return m
+	var built CachedMatrix
+	defer func() { e.cache.land(key, built, p.Labels()) }()
+	out := build(p)
+	built = out
+	return out
 }
 
 func (w walker[T, R]) compute(p *rre.Pattern) *sparse.GMatrix[T, R] {

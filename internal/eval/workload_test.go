@@ -1,10 +1,7 @@
 package eval
 
 import (
-	"context"
-	"errors"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -21,77 +18,56 @@ func mustParseAll(t testing.TB, ss []string) []*rre.Pattern {
 	return ps
 }
 
-// TestPlanWorkloadDedup pins down the DAG bookkeeping: distinct
-// subexpression counts, sharing discovered across patterns, and the
-// product schedule with its savings versus per-query isolation.
+// TestPlanWorkloadDedup pins down the walk over a workload's distinct
+// sub-patterns: the distinct count, the sharing found across patterns,
+// and the products a cold cache builds them with.
 func TestPlanWorkloadDedup(t *testing.T) {
 	cases := []struct {
 		name     string
 		patterns []string
-		roots    []string // expected canonical renderings, aligned
 		nodes    int
 		deduped  int
 		products int
-		saved    int
 	}{
 		{
 			name:     "single chain",
 			patterns: []string{"a.b.c"},
-			roots:    []string{"a.b.c"},
 			nodes:    4, // concat, a, b, c
 			deduped:  0,
 			products: 2,
-			saved:    0,
 		},
 		{
 			name:     "alt permutations collapse",
 			patterns: []string{"a+b", "b+a"},
-			roots:    []string{"a + b", "a + b"},
 			nodes:    3, // alt, a, b
 			deduped:  3, // the second pattern re-uses all three
 			products: 0,
-			saved:    0,
 		},
 		{
 			name:     "shared disjunction block",
 			patterns: []string{"(a.b + c).d", "e.(a.b + c)", "(c + a.b).d"},
-			roots:    []string{"(a.b + c).d", "e.(a.b + c)", "(a.b + c).d"},
 			nodes:    9,  // a, b, a.b, c, a.b+c, d, root1, e, root2
-			deduped:  12, // 7+7+7 isolated nodes vs 9 shared
+			deduped:  12, // 7+7+7 per-pattern nodes vs 9 shared
 			products: 3,  // a.b, root1, root2
-			saved:    3,  // isolation would pay 2 per pattern
 		},
 		{
 			name:     "star body shared",
 			patterns: []string{"(a.b)*", "a.b"},
-			roots:    []string{"(a.b)*", "a.b"},
 			nodes:    4, // a, b, a.b, star
 			deduped:  3,
 			products: 2, // a.b once, star closure lower-bound 1
-			saved:    1, // isolation pays a.b twice
 		},
 		{
 			name:     "exact duplicates",
 			patterns: []string{"a", "a"},
-			roots:    []string{"a", "a"},
 			nodes:    1,
 			deduped:  1,
 			products: 0,
-			saved:    0,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wp := PlanWorkload(mustParseAll(t, tc.patterns))
-			st := wp.Stats()
-			if st.Patterns != len(tc.patterns) {
-				t.Errorf("Patterns = %d, want %d", st.Patterns, len(tc.patterns))
-			}
-			for i, r := range wp.Roots() {
-				if got := r.String(); got != tc.roots[i] {
-					t.Errorf("root %d = %q, want %q", i, got, tc.roots[i])
-				}
-			}
+			st := walkDistinct(mustParseAll(t, tc.patterns))
 			if st.Nodes != tc.nodes {
 				t.Errorf("Nodes = %d, want %d", st.Nodes, tc.nodes)
 			}
@@ -101,53 +77,42 @@ func TestPlanWorkloadDedup(t *testing.T) {
 			if st.Products != tc.products {
 				t.Errorf("Products = %d, want %d", st.Products, tc.products)
 			}
-			if st.ProductsSaved != tc.saved {
-				t.Errorf("ProductsSaved = %d, want %d", st.ProductsSaved, tc.saved)
-			}
-			if len(wp.Schedule()) != st.Nodes {
-				t.Errorf("schedule length %d != nodes %d", len(wp.Schedule()), st.Nodes)
-			}
 		})
 	}
 }
 
 // TestPlanWorkloadUnplannable: a pattern whose canonicalization would
-// collapse disjunction branches (changing counts) is kept out of the
-// DAG, reported in the stats, materialized by Execute under its raw
-// key, and still answers exactly like direct evaluation.
+// collapse disjunction branches (changing counts) is walked, priced and
+// evaluated in its raw form, sharing its sub-patterns by rendering with
+// the rest of the workload, and still answers exactly like direct
+// evaluation.
 func TestPlanWorkloadUnplannable(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := randomGraph(rng, 8, 24, []string{"a", "b", "c"})
 	collapse := rre.MustParse("(a + b).c + (b + a).c")
-	wp := PlanWorkload(mustParseAll(t, []string{"(a + b).c + (b + a).c", "(a+b).c"}))
-	st := wp.Stats()
-	if st.Unplannable != 1 {
-		t.Fatalf("Unplannable = %d, want 1", st.Unplannable)
-	}
-	if got := len(wp.Unplanned()); got != 1 || wp.Unplanned()[0].String() != collapse.String() {
-		t.Fatalf("Unplanned = %v", wp.Unplanned())
-	}
-	// The raw root stays aligned; the exact pattern still plans.
-	if wp.Roots()[0].String() != collapse.String() {
-		t.Errorf("root 0 = %q, want raw rendering %q", wp.Roots()[0], collapse)
-	}
-	for _, nd := range wp.Schedule() {
-		if nd.String() == collapse.String() {
-			t.Error("collapsing pattern leaked into the DAG schedule")
-		}
+	ps := mustParseAll(t, []string{"(a + b).c + (b + a).c", "(a+b).c"})
+	// The raw root, (a + b).c, (b + a).c, a + b, b + a, a, b and c; the
+	// second pattern's canonical form is the raw (a + b).c.
+	if st := walkDistinct(ps); st.Nodes != 8 || st.Products != 2 {
+		t.Fatalf("Stats = %+v, want 8 nodes and 2 products", st)
 	}
 
 	ev := New(g)
 	ev.SetCanonicalKeys(true)
-	if err := wp.Execute(ev, 4); err != nil {
-		t.Fatal(err)
+	var products atomic.Int64
+	ev.SetMulHook(func(_, _ *sparse.Matrix) { products.Add(1) })
+	for _, p := range ps {
+		ev.Commuting(p)
+	}
+	if got, want := products.Load(), int64(EstimateProducts(ps)); got != want {
+		t.Errorf("evaluation performed %d products, EstimateProducts says %d", got, want)
 	}
 	direct := New(g)
 	// The regression the differential review caught: the collapsing
-	// pattern's count is double the collapsed form's, and plan-on must
-	// preserve it.
+	// pattern's count is double the collapsed form's, and canonical keys
+	// must preserve it.
 	if !ev.Commuting(collapse).Equal(direct.Commuting(collapse)) {
-		t.Error("plan-on changed the matrix of the collapsing pattern")
+		t.Error("canonical keys changed the matrix of the collapsing pattern")
 	}
 	if ev.Commuting(collapse).Equal(direct.Commuting(rre.MustParse("(a+b).c"))) {
 		t.Error("fixture too weak: collapse pattern indistinguishable from its canonical form")
@@ -155,9 +120,9 @@ func TestPlanWorkloadUnplannable(t *testing.T) {
 }
 
 // TestEstimateProducts pins the admission-control cost surface: the
-// DAG's scheduled products plus the isolated cost of unplannable
-// patterns, with sharing reflected and stars counted as one product
-// (the static lower bound).
+// products of the distinct sub-patterns, a raw pattern's included when
+// its canonicalization is inexact, with sharing reflected and stars
+// counted as one product (the static lower bound).
 func TestEstimateProducts(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -181,205 +146,5 @@ func TestEstimateProducts(t *testing.T) {
 				t.Fatalf("EstimateProducts(%v) = %d, want %d", tc.patterns, got, tc.want)
 			}
 		})
-	}
-	// The plan-level view agrees with the convenience wrapper.
-	ps := mustParseAll(t, []string{"a.b.c", "(a + b).c + (b + a).c"})
-	if got, want := PlanWorkload(ps).EstimatedProducts(), EstimateProducts(ps); got != want {
-		t.Fatalf("EstimatedProducts = %d, EstimateProducts = %d", got, want)
-	}
-}
-
-// TestPlanScheduleTopological: on random workloads, every node's
-// subexpressions appear before the node itself, every node is distinct,
-// and every canonical root is scheduled.
-func TestPlanScheduleTopological(t *testing.T) {
-	labels := []string{"a", "b", "c"}
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		ps := make([]*rre.Pattern, 2+rng.Intn(6))
-		for i := range ps {
-			ps[i] = randomPattern(rng, labels, 1+rng.Intn(3))
-		}
-		wp := PlanWorkload(ps)
-		sched := wp.Schedule()
-		pos := make(map[string]int, len(sched))
-		for i, p := range sched {
-			key := p.String()
-			if at, dup := pos[key]; dup {
-				t.Fatalf("trial %d: %q scheduled twice (%d and %d)", trial, key, at, i)
-			}
-			pos[key] = i
-			for _, s := range p.Subs() {
-				at, ok := pos[s.String()]
-				if !ok {
-					t.Fatalf("trial %d: %q scheduled before its subexpression %q", trial, key, s)
-				}
-				if at >= i {
-					t.Fatalf("trial %d: subexpression %q at %d not before parent %q at %d", trial, s, at, key, i)
-				}
-			}
-		}
-		for i, r := range wp.Roots() {
-			if _, ok := pos[r.String()]; !ok {
-				t.Fatalf("trial %d: root %d (%q) missing from schedule", trial, i, r)
-			}
-		}
-	}
-}
-
-// TestPlanExecuteSingleMaterialization: the counting mul hook proves
-// every distinct subexpression is materialized exactly once — the
-// executed product count matches the static schedule (star-free, so the
-// lower bound is exact), re-execution over the warm cache performs zero
-// products, and the materialized matrices match direct evaluation.
-func TestPlanExecuteSingleMaterialization(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := randomGraph(rng, 9, 24, []string{"a", "b", "c", "d", "e"})
-	patterns := mustParseAll(t, []string{
-		"(a.b + c).d",
-		"e.(a.b + c)",
-		"(c + a.b).d",
-		"a.b.c",
-	})
-	wp := PlanWorkload(patterns)
-
-	ev := New(g)
-	ev.SetCanonicalKeys(true)
-	var products atomic.Int64
-	ev.SetMulHook(func(_, _ *sparse.Matrix) { products.Add(1) })
-	if err := wp.Execute(ev, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := products.Load(), int64(wp.Stats().Products); got != want {
-		t.Errorf("executed %d products, schedule says %d (duplicate materialization?)", got, want)
-	}
-
-	// Re-execution is a no-op on a warm cache.
-	products.Store(0)
-	if err := wp.Execute(ev, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := products.Load(); got != 0 {
-		t.Errorf("re-execution performed %d products, want 0", got)
-	}
-
-	// The planned matrices agree with direct, unplanned evaluation.
-	direct := New(g)
-	for i, p := range patterns {
-		if !ev.Commuting(p).Equal(direct.Commuting(p)) {
-			t.Errorf("pattern %d (%s): planned matrix differs from direct evaluation", i, p)
-		}
-	}
-}
-
-// TestPlanExecuteHighFanoutOnce: one disjunction block shared by many
-// parents is still materialized exactly once even when the pool is wide
-// and every parent becomes ready the moment the block completes.
-func TestPlanExecuteHighFanoutOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	labels := []string{"a", "b", "c", "x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9"}
-	g := randomGraph(rng, 12, 40, labels)
-	var ss []string
-	for i := 0; i < 10; i++ {
-		ss = append(ss, "(a.b + c).x"+string(rune('0'+i)))
-	}
-	wp := PlanWorkload(mustParseAll(t, ss))
-	// a.b costs 1, each of the 10 roots costs 1.
-	if got, want := wp.Stats().Products, 11; got != want {
-		t.Fatalf("Products = %d, want %d", got, want)
-	}
-	ev := New(g)
-	ev.SetCanonicalKeys(true)
-	var products atomic.Int64
-	ev.SetMulHook(func(_, _ *sparse.Matrix) { products.Add(1) })
-	if err := wp.Execute(ev, 8); err != nil {
-		t.Fatal(err)
-	}
-	if got := products.Load(); got != 11 {
-		t.Errorf("executed %d products, want 11", got)
-	}
-}
-
-// TestPlanExecuteCancellation: a deadline expiring mid-schedule aborts
-// the remaining products and surfaces the *Canceled error; a fresh
-// evaluator over the same cache resumes and completes the schedule.
-func TestPlanExecuteCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := randomGraph(rng, 8, 20, []string{"a", "b", "c", "d"})
-	wp := PlanWorkload(mustParseAll(t, []string{"a.b.c.d"}))
-	if wp.Stats().Products != 3 {
-		t.Fatalf("Products = %d, want 3", wp.Stats().Products)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cache := NewCache()
-	ev := NewVersioned(g, 0, cache).WithContext(ctx)
-	ev.SetCanonicalKeys(true)
-	var products atomic.Int64
-	ev.SetMulHook(func(_, _ *sparse.Matrix) {
-		// Cancel during the first product: the evaluator must stop at the
-		// next product boundary instead of finishing the chain.
-		if products.Add(1) == 1 {
-			cancel()
-		}
-	})
-	err := wp.Execute(ev, 2)
-	if err == nil {
-		t.Fatal("Execute returned nil after mid-schedule cancellation")
-	}
-	var c *Canceled
-	if !errors.As(err, &c) || !errors.Is(c.Err, context.Canceled) {
-		t.Fatalf("Execute error = %v, want *Canceled wrapping context.Canceled", err)
-	}
-	if got := products.Load(); got != 1 {
-		t.Errorf("executed %d products before aborting, want 1", got)
-	}
-
-	// Resume: a fresh, uncanceled evaluator over the same cache finishes.
-	ev2 := NewVersioned(g, 0, cache)
-	ev2.SetCanonicalKeys(true)
-	if err := wp.Execute(ev2, 2); err != nil {
-		t.Fatal(err)
-	}
-	direct := New(g)
-	p := rre.MustParse("a.b.c.d")
-	if !ev2.Commuting(p).Equal(direct.Commuting(p)) {
-		t.Error("resumed execution produced a wrong matrix")
-	}
-}
-
-// TestPlanExecuteEmptyAndConcurrent: an empty plan is a no-op, and
-// concurrent Execute calls on one shared cache race safely (run under
-// -race); the matrices still match direct evaluation.
-func TestPlanExecuteEmptyAndConcurrent(t *testing.T) {
-	if err := PlanWorkload(nil).Execute(New(randomGraph(rand.New(rand.NewSource(1)), 4, 6, []string{"a"})), 4); err != nil {
-		t.Fatalf("empty plan: %v", err)
-	}
-
-	rng := rand.New(rand.NewSource(37))
-	g := randomGraph(rng, 10, 30, []string{"a", "b", "c"})
-	wp := PlanWorkload(mustParseAll(t, []string{"(a+b).c", "c.(b+a)", "[a.b]", "<a.c>*"}))
-	cache := NewCache()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := NewVersioned(g, 0, cache)
-			ev.SetCanonicalKeys(true)
-			if err := wp.Execute(ev, 3); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	ev := NewVersioned(g, 0, cache)
-	ev.SetCanonicalKeys(true)
-	direct := New(g)
-	for _, p := range wp.Roots() {
-		if !ev.Commuting(p).Equal(direct.Commuting(p)) {
-			t.Errorf("pattern %s: concurrent plan execution corrupted the matrix", p)
-		}
 	}
 }

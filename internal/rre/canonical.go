@@ -9,12 +9,12 @@ import "sort"
 // the constructors simplify reversal, star and skip. The canonical form
 // is the fixpoint of those rewrites with disjunction branches sorted by
 // their canonical rendering, so semantically interchangeable workload
-// patterns collapse onto one representative — the dedup key the
-// workload planner and the versioned commuting-matrix cache share.
+// patterns collapse onto one representative — the key of the versioned
+// commuting-matrix cache, which builds each one once.
 //
 // Canonical forms are closed under the constructors: every subtree of a
-// canonical pattern is itself canonical, which is what lets the
-// workload planner hash-cons subexpressions by canonical rendering.
+// canonical pattern is itself canonical, which is what lets an evaluator
+// canonicalize once, at the root, and key every subexpression canonically.
 
 // Interner canonicalizes patterns with hash-consing: canonical
 // subexpressions are shared by rendering, so two patterns canonicalized
@@ -45,7 +45,7 @@ func (in *Interner) Canon(p *Pattern) *Pattern {
 // original evaluation counts them per branch. CanonExact reports
 // ok=false in that case; callers keying matrix caches by the canonical
 // rendering must then fall back to the raw pattern, as
-// Evaluator.Commuting and the workload planner do.
+// Evaluator.Commuting and eval.EstimateProducts do.
 func (in *Interner) CanonExact(p *Pattern) (*Pattern, bool) {
 	return in.canon(p)
 }
@@ -121,7 +121,7 @@ func Canonical(p *Pattern) *Pattern { return NewInterner().Canon(p) }
 // Interner.CanonExact.
 func CanonicalExact(p *Pattern) (*Pattern, bool) { return NewInterner().CanonExact(p) }
 
-// CanonicalKey returns the canonical rendering of p — the cache and
-// dedup key under which the workload planner materializes p (when the
+// CanonicalKey returns the canonical rendering of p — the cache key
+// under which a canonical-key evaluator builds p (when the
 // canonicalization is exact; inexact patterns keep their raw key).
 func CanonicalKey(p *Pattern) string { return Canonical(p).String() }

@@ -16,10 +16,10 @@ package server
 // overloaded), and never occupies a worker. The third mechanism, the
 // per-request cost ceiling, runs later in the handler — it needs the
 // decoded pattern set — but still strictly before any snapshot is
-// pinned or matrix materialized: the product count of a plan over the
-// halves the request reads (eval.EstimateProducts; a root M_p is never
-// built on /search or /batch, so it is never priced) is compared
-// against the ceiling and pathological queries answer 422.
+// pinned or matrix materialized: the product count of the halves the
+// request reads (eval.EstimateProducts; a root M_p is never built on
+// /search or /batch, so it is never priced) is compared against the
+// ceiling and pathological queries answer 422.
 //
 // The observability surface (/healthz, /stats, /metrics, /debug) and
 // the replication surface (/log, /checkpoint) are exempt: probes and
@@ -86,9 +86,9 @@ func WithAdmissionTenantRate(key string, rate float64, burst int) Option {
 }
 
 // WithAdmissionMaxCost sets the per-request cost ceiling in estimated
-// matrix products (the workload plan's schedule length): requests whose
-// pattern set would cost more answer 422 before materialization
-// starts. n <= 0 disables the ceiling.
+// matrix products (see eval.EstimateProducts): requests whose pattern
+// set would cost more answer 422 before materialization starts. n <= 0
+// disables the ceiling.
 func WithAdmissionMaxCost(n int) Option {
 	return func(s *Server) { s.admCfg.MaxCost = n }
 }
@@ -196,7 +196,7 @@ func (s *Server) protected(w http.ResponseWriter, r *http.Request) {
 
 // checkCost enforces the per-request cost ceiling: cost is the
 // request's estimated evaluation cost in matrix products (searchCost,
-// explainCost, or the /batch plan's estimate). Over the ceiling it
+// explainCost, or a /batch's eval.EstimateProducts). Over the ceiling it
 // writes the 422 and reports false; the caller must return without
 // pinning a snapshot.
 func (s *Server) checkCost(w http.ResponseWriter, cost int) bool {

@@ -267,8 +267,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // writeIfCanceled writes the HTTP mapping of an evaluation
 // cancellation — 504 for a server-side deadline (the middleware counts
 // the status as a timeout), 503 for a plain cancellation (typically the
-// client went away) — and reports whether err was one. Every guarded
-// evaluation surface (/search, /batch, /explain) shares this mapping.
+// client went away) — and reports whether err was one. /search and
+// /explain share this mapping; /batch reports its timeouts per query.
 func (s *Server) writeIfCanceled(w http.ResponseWriter, err error) bool {
 	var c *eval.Canceled
 	if !errors.As(err, &c) {
@@ -303,21 +303,13 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
-// handleBatch answers many queries against one pinned snapshot: the
-// distinct pattern set of the whole batch (after Algorithm-1 expansion)
-// is materialized once into the versioned cache, then a worker pool
-// scores the queries against the hot entries. All workers share the
-// single snapshot-bound evaluator, so every result reflects the same
-// graph version even while writers publish new versions concurrently —
-// the old RWMutex design got consistency by blocking those writers; the
-// pinned snapshot gets it for free.
-//
-// The pattern set is first canonicalized and folded into a shared
-// sub-pattern DAG (eval.PlanWorkload); the worker pool materializes
-// every distinct subexpression exactly once in dependency order before
-// any query is scored. A deadline expiring mid-schedule answers 504 —
-// no query had a chance to run, unlike the per-query timeouts the
-// scoring phase reports.
+// handleBatch answers many queries against one pinned snapshot: a
+// worker pool scores them, all workers sharing one snapshot-bound
+// evaluator, so every result reflects the same graph version while
+// writers publish new ones. Workers that miss on one half build it once
+// (the in-flight guard of eval.Cache). A deadline that expires answers
+// 200 with the errors of the queries it cut short, and counts one
+// timeout.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -347,10 +339,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 {
 		workers = s.workers
 	}
-	// The scoring pool is capped by the query count, but the plan
-	// schedule is not: one query can expand into dozens of independent
-	// sub-patterns, and Execute self-caps to the DAG width.
-	planWorkers := workers
 	if workers > len(req.Queries) && len(req.Queries) > 0 {
 		workers = len(req.Queries)
 	}
@@ -358,26 +346,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r.Context())
 	tr.SetBatch(len(req.Queries))
 
-	// Expansion and planning need only the schema, so they run — and the
-	// cost ceiling is enforced — before a snapshot is pinned: a
-	// pathological batch is rejected without ever holding a version open.
-	endExpand := tr.Phase("expand")
-	pats := s.batchPatterns(req.Queries)
-	endExpand()
-	// Annotated queries carry the annotation surcharge on top of the
-	// planned integer cost — per query, so a mixed batch prices only its
-	// annotated members at the higher weight.
-	surcharge := 0
+	// Pricing needs only the schema, so the cost ceiling is enforced
+	// before a snapshot is pinned: a pathological batch is rejected
+	// without ever holding a version open. Annotated queries carry the
+	// annotation surcharge on top of the integer cost, per query, so a
+	// mixed batch prices only its annotated members at the higher weight.
 	if s.adm.MaxCost() > 0 {
+		endExpand := tr.Phase("expand")
+		cost := eval.EstimateProducts(s.batchPatterns(req.Queries))
+		endExpand()
 		for i := range req.Queries {
-			surcharge += annotationSurcharge(&req.Queries[i])
+			cost += annotationSurcharge(&req.Queries[i])
 		}
-	}
-	endPlan := tr.Phase("plan")
-	plan := eval.PlanWorkload(pats)
-	endPlan()
-	if !s.checkCost(w, plan.EstimatedProducts()+surcharge) {
-		return
+		if !s.checkCost(w, cost) {
+			return
+		}
 	}
 
 	pin := s.st.Pin()
@@ -386,27 +369,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr.SetVersion(pin.Version())
 
 	resp := BatchResponse{Version: pin.Version(), Results: make([]BatchResult, len(req.Queries))}
-	endMat := tr.Phase("materialize")
-	err = plan.Execute(ev, planWorkers)
-	endMat()
-	if err != nil {
-		// Canceled mid-schedule: the pinned snapshot is released by the
-		// deferred Release above, already-materialized nodes stay cached
-		// for a retry, and no query has produced a result yet.
-		if !s.writeIfCanceled(w, err) {
-			s.writeError(w, http.StatusServiceUnavailable, err)
-		}
-		return
-	}
-	// Count only completed plans: an aborted schedule saved nothing,
-	// and its retry would otherwise double-book the same dedup.
-	st := plan.Stats()
-	s.n.planned.Inc()
-	s.n.deduped.Add(float64(st.Deduped))
-	s.n.productsSaved.Add(float64(st.ProductsSaved))
-	s.n.unplannable.Add(float64(st.Unplannable))
-	tr.SetPlan(st.Deduped, st.ProductsSaved)
-
 	endScore := tr.Phase("score")
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -454,8 +416,9 @@ type querySet struct {
 	// otherwise the pattern itself as a singleton.
 	ps       []*rre.Pattern
 	expanded bool
-	// cuts are ps cut for Equation-1 scoring, aligned by index. /batch
-	// plans and admission prices their halves: a root M_p is never built.
+	// cuts are ps cut for Equation-1 scoring, aligned by index. Scoring
+	// reads, and admission prices, their halves: a root M_p is never
+	// built.
 	cuts []eval.Cut
 	used uint64 // expand-memo LRU tick
 }
@@ -477,9 +440,9 @@ func newQuerySet(ps []*rre.Pattern, expanded bool) *querySet {
 	return qs
 }
 
-// reads lists the patterns whose matrices scoring the cuts fetches —
-// each cut's halves, duplicates included: the workload planner folds
-// them and counts the sharing.
+// reads lists the patterns whose matrices scoring the cuts fetches:
+// each cut's halves, duplicates included. EstimateProducts prices each
+// distinct one once, as the cache builds it.
 func reads(cuts ...eval.Cut) []*rre.Pattern {
 	out := make([]*rre.Pattern, 0, 2*len(cuts))
 	for _, c := range cuts {
@@ -492,9 +455,9 @@ func reads(cuts ...eval.Cut) []*rre.Pattern {
 }
 
 // queryPatterns resolves what a query scores; it returns (nil, nil) for
-// the pattern-free algorithms. runSearch, batchPatterns and the cost
-// ceiling all dispatch through it, so /batch pre-materializes, and
-// admission prices, exactly the matrices the workers will read.
+// the pattern-free algorithms. runSearch and the cost ceiling both
+// dispatch through it, so admission prices exactly the matrices scoring
+// reads.
 func (s *Server) queryPatterns(req *SearchRequest) (*querySet, error) {
 	if req.Alg == "rwr" || req.Alg == "simrank" {
 		return nil, nil
@@ -565,21 +528,15 @@ func (s *Server) memoQuerySet(p *rre.Pattern, expand bool) (*querySet, error) {
 	return ent, nil
 }
 
-// batchPatterns collects what the batch's distinct query sets read so
-// one planned pass precomputes every matrix the workers need. Queries
-// whose pattern fails to parse or expand are skipped here; the worker
-// reports their error.
+// batchPatterns collects what the batch's queries read, for the cost
+// ceiling to price. Queries whose pattern fails to parse or expand are
+// skipped here; the worker reports their error.
 func (s *Server) batchPatterns(queries []SearchRequest) []*rre.Pattern {
-	seen := make(map[*querySet]bool)
 	var out []*rre.Pattern
 	for i := range queries {
-		// The memo hands equal request patterns one query set.
-		qs, err := s.queryPatterns(&queries[i])
-		if err != nil || qs == nil || seen[qs] {
-			continue
+		if qs, err := s.queryPatterns(&queries[i]); err == nil && qs != nil {
+			out = append(out, reads(qs.cuts...)...)
 		}
-		seen[qs] = true
-		out = append(out, reads(qs.cuts...)...)
 	}
 	return out
 }

@@ -77,7 +77,7 @@ func newServerObs(reg *telemetry.Registry) *serverObs {
 		panics: reg.Counter("relsim_http_panics_total",
 			"Handler panics recovered into 500 responses (or per-query /batch errors).").With(),
 		phase: reg.Histogram("relsim_http_request_phase_seconds",
-			"Time spent per execution phase (expand, plan, materialize, score, evaluate).",
+			"Time spent per execution phase (expand, score, evaluate).",
 			nil, "endpoint", "phase"),
 		requests: make(map[string]*telemetry.Metric, len(endpoints)),
 		errors:   make(map[string]*telemetry.Metric, len(endpoints)),
@@ -212,8 +212,6 @@ func (t *Trace) slowEntry(status int, dur time.Duration) SlowQueryEntry {
 		Alg:              t.alg,
 		Queries:          t.queries,
 		Version:          t.version,
-		PlanDeduped:      t.deduped,
-		PlanSavedMuls:    t.saved,
 		CacheHits:        t.hits,
 		CacheMisses:      t.misses,
 		ProductsComputed: t.products,
@@ -292,8 +290,7 @@ func (s *Server) logAccess(r *http.Request, tr *Trace, phases []PhaseSpan, statu
 // annotatedProducts its share with nil operands (non-integer rings).
 // deltaDur's count and sum are the commits and seconds /stats reports.
 type serverCounters struct {
-	planned, deduped, productsSaved, unplannable, products     *telemetry.Metric
-	annotated, annotatedProducts                               *telemetry.Metric
+	products, annotated, annotatedProducts                     *telemetry.Metric
 	explainProjected, explainWarm, explainLegacy               *telemetry.Metric
 	deltaRoots, deltaMaintained, deltaFallbacks, deltaProducts *telemetry.Metric
 	deltaDur                                                   *telemetry.Metric
@@ -347,15 +344,6 @@ func (s *Server) instrumentEngine(reg *telemetry.Registry) {
 		"Patterns maintenance gave up on (dense delta or unwalkable key).")
 	s.n.deltaProducts = counter(reg, "relsim_delta_products_total",
 		"Sparse products spent applying commit deltas.")
-
-	s.n.planned = counter(reg, "relsim_workload_planned_batches_total",
-		"Batches that completed a workload plan.")
-	s.n.deduped = counter(reg, "relsim_workload_subpatterns_deduped_total",
-		"Subexpression materializations avoided by DAG sharing.")
-	s.n.productsSaved = counter(reg, "relsim_workload_products_saved_total",
-		"Matrix products avoided by workload planning (static estimate).")
-	s.n.unplannable = counter(reg, "relsim_workload_unplannable_patterns_total",
-		"Patterns excluded from planning (canonicalization not count-exact).")
 
 	reg.CounterFunc("relsim_expand_memo_hits_total",
 		"Algorithm-1 expansion memo hits.",

@@ -94,8 +94,6 @@ func TestMetricsExposition(t *testing.T) {
 		"relsim_eval_cache_misses_total",
 		"relsim_eval_cache_entries",
 		"relsim_eval_products_total",
-		"relsim_workload_planned_batches_total",
-		"relsim_workload_subpatterns_deduped_total",
 		"relsim_expand_memo_hits_total",
 		"relsim_store_commit_seconds",
 		"relsim_store_commits_total",

@@ -220,9 +220,9 @@ func WithFollower(rep Replication, maxLag uint64, maxLagAge time.Duration) Optio
 }
 
 // WithSlowQuery enables the slow-query log: requests slower than d are
-// captured — pattern, plan stats, cache behavior, phase timings — into
-// a bounded ring served at GET /debug/queries. d <= 0 disables capture
-// (the default).
+// captured — pattern, cache behavior, phase timings — into a bounded
+// ring served at GET /debug/queries. d <= 0 disables capture (the
+// default).
 func WithSlowQuery(d time.Duration) Option {
 	return func(s *Server) { s.slowThreshold = d }
 }
@@ -329,10 +329,9 @@ func (s *Server) Cache() *eval.Cache { return s.cache }
 func (s *Server) Store() *store.Store { return s.st }
 
 // evaluator binds a view-scoped evaluator over the shared cache.
-// Every evaluator keys the cache canonically, as the workload planner's
-// DAG nodes are, so /search and /explain hit the matrices /batch plans
-// materialize (and vice versa), and all evaluators feed the server's
-// product counter through the mul hook.
+// Every evaluator keys the cache canonically, so /search, /batch and
+// /explain share the matrices any of them builds, and all evaluators
+// feed the server's product counter through the mul hook.
 func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 	ev := eval.NewVersioned(g, version, s.cache)
 	ev.SetCanonicalKeys(true)
@@ -482,15 +481,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, status, resp)
 }
 
-// WorkloadStats is the /stats view of /batch workload planning:
-// batches planned, subexpression materializations deduplicated by the
-// shared DAG, the matrix products those duplicates would have cost, and
-// the products actually performed server-wide.
+// WorkloadStats is the /stats view of evaluation work: the matrix
+// products performed server-wide.
 type WorkloadStats struct {
-	PlannedBatches       uint64 `json:"planned_batches"`
-	SubpatternsDeduped   uint64 `json:"subpatterns_deduped"`
+	// Deprecated: /batch no longer plans; reads 0.
+	PlannedBatches uint64 `json:"planned_batches"`
+	// Deprecated: /batch no longer plans; reads 0.
 	ProductsSaved        uint64 `json:"products_saved"`
-	UnplannablePatterns  uint64 `json:"unplannable_patterns"`
 	ProductsMaterialized uint64 `json:"products_materialized"`
 }
 
@@ -562,10 +559,6 @@ func (s *Server) Stats() StatsResponse {
 		Cache:         s.cache.Stats(),
 		CacheVersions: s.cache.VersionOccupancy(),
 		Workload: WorkloadStats{
-			PlannedBatches:       count(s.n.planned),
-			SubpatternsDeduped:   count(s.n.deduped),
-			ProductsSaved:        count(s.n.productsSaved),
-			UnplannablePatterns:  count(s.n.unplannable),
 			ProductsMaterialized: count(s.n.products),
 		},
 		Delta:         s.deltaStats(),

@@ -9,8 +9,8 @@ import (
 // SlowQueryEntry is one captured slow request, as served by
 // GET /debug/queries: enough detail to reproduce and diagnose the query
 // without re-running it — what was asked, which snapshot version it ran
-// against, how the planner deduped it, how the cache behaved, and where
-// the time went phase by phase.
+// against, how the cache behaved, and where the time went phase by
+// phase.
 type SlowQueryEntry struct {
 	RequestID  string             `json:"request_id"`
 	Endpoint   string             `json:"endpoint"`
@@ -25,8 +25,6 @@ type SlowQueryEntry struct {
 	Queries int    `json:"queries,omitempty"`
 	Version uint64 `json:"version,omitempty"`
 
-	PlanDeduped      int    `json:"plan_deduped,omitempty"`
-	PlanSavedMuls    int    `json:"plan_products_saved,omitempty"`
 	CacheHits        uint64 `json:"cache_hits,omitempty"`
 	CacheMisses      uint64 `json:"cache_misses,omitempty"`
 	ProductsComputed uint64 `json:"products_computed,omitempty"`

@@ -31,14 +31,14 @@ func newRequestID() string {
 }
 
 // PhaseSpan is one timed phase of a request's execution: what the
-// planner/evaluator did on the request's behalf and how long it took.
+// server did on the request's behalf and how long it took.
 type PhaseSpan struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
 }
 
 // Trace is the per-request execution record: the request id, the timed
-// phase spans (expand, plan, materialize, score, ...), and the query
+// phase spans (expand, score, ...), and the query
 // detail the slow-query log captures. Handlers write it through
 // nil-safe methods — /batch workers score with a nil trace and every
 // method no-ops — and the middleware turns it into the Server-Timing
@@ -58,8 +58,6 @@ type Trace struct {
 	alg      string
 	queries  int
 	version  uint64
-	deduped  int
-	saved    int
 	hits     uint64
 	misses   uint64
 	products uint64
@@ -136,16 +134,6 @@ func (t *Trace) SetVersion(v uint64) {
 	}
 	t.mu.Lock()
 	t.version = v
-	t.mu.Unlock()
-}
-
-// SetPlan records the workload plan's dedup stats.
-func (t *Trace) SetPlan(deduped, productsSaved int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.deduped, t.saved = deduped, productsSaved
 	t.mu.Unlock()
 }
 

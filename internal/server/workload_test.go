@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,9 +150,6 @@ func TestBatchPlanDifferential(t *testing.T) {
 				w, req, bodyP, bodyN)
 		}
 	}
-	if got := planned.Stats().Workload.PlannedBatches; got != workloads {
-		t.Errorf("planned batches = %d, want %d", got, workloads)
-	}
 }
 
 // overlapWorkload builds the 100-query overlap fixture over dblp-small:
@@ -206,11 +205,13 @@ func overlapWorkload(rng *rand.Rand) BatchRequest {
 }
 
 // TestWorkloadPlanDedupsOverlapFixture is the CI dedup guard: on the
-// overlap fixture a cold /batch must materialize at least 2x fewer
-// matrix products than one raw-key evaluator reading the halves of the
-// batch's pattern set string by string, and must report nonzero savings. The
-// counts are deterministic (seeded fixture, no timing), so this is a
-// hard assertion, not a flaky perf check.
+// overlap fixture a cold /batch over four workers performs exactly 26
+// matrix products, each distinct canonical half built once under the
+// cache's in-flight guard, where one raw-key evaluator reading the
+// halves of the batch's pattern set string by string performs 73. The
+// counts are deterministic (seeded fixture; the guard makes the cold
+// count independent of how the workers interleave), so this is a hard
+// assertion, not a flaky perf check.
 func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 	req := overlapWorkload(rand.New(rand.NewSource(73)))
 	ds, err := datasets.ByName("dblp-small")
@@ -241,18 +242,13 @@ func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 			t.Fatalf("query %d: %s", i, res.Error)
 		}
 	}
-	wl := srv.Stats().Workload
-	plan := wl.ProductsMaterialized
-	t.Logf("products: naive=%d plan=%d (%.2fx), deduped=%d saved=%d",
-		naive, plan, float64(naive)/float64(plan), wl.SubpatternsDeduped, wl.ProductsSaved)
-	if plan == 0 || naive == 0 {
-		t.Fatalf("zero products measured (naive=%d plan=%d)", naive, plan)
+	batch := srv.Stats().Workload.ProductsMaterialized
+	t.Logf("products: naive=%d batch=%d (%.2fx)", naive, batch, float64(naive)/float64(batch))
+	if naive != 73 {
+		t.Errorf("naive reader performed %d products, want 73", naive)
 	}
-	if wl.SubpatternsDeduped == 0 || wl.ProductsSaved == 0 {
-		t.Fatalf("dedup saved nothing on the overlap fixture: %+v", wl)
-	}
-	if float64(naive) < 2*float64(plan) {
-		t.Errorf("plan materialized %d products vs naive %d: want >= 2x fewer", plan, naive)
+	if batch != 26 {
+		t.Errorf("cold /batch performed %d products, want 26", batch)
 	}
 }
 
@@ -314,18 +310,27 @@ func TestBatchPlanConsistentUnderConcurrentWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchPlanTimeout504NoLeakedPins: a deadline that expires during
-// the materialization schedule answers 504, counts as a timeout, and
-// releases the request's pinned snapshot.
-func TestBatchPlanTimeout504NoLeakedPins(t *testing.T) {
+// TestBatchTimeoutNoLeakedPins: a deadline that expires before the
+// workers evaluate answers 200 with every query's deadline error,
+// counts one timeout, and releases the request's pinned snapshot.
+func TestBatchTimeoutNoLeakedPins(t *testing.T) {
 	srv := New(store.New(testGraph()), nil, WithTimeout(time.Nanosecond))
 	req := BatchRequest{Queries: []SearchRequest{
 		{Pattern: "by.by-", Query: "p1", Type: "paper"},
 		{Pattern: "cites + by.by-", Query: "p1", Alg: "relsim"},
 	}}
 	code, body := doJSON(t, srv, "/batch", req)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504 (body %s)", code, body)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (body %s)", code, body)
+	}
+	var timedOut BatchResponse
+	if err := json.Unmarshal(body, &timedOut); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range timedOut.Results {
+		if !strings.Contains(res.Error, context.DeadlineExceeded.Error()) {
+			t.Errorf("result %d: error %q, want the deadline", i, res.Error)
+		}
 	}
 	if got := srv.Stats().Requests["timeouts"]; got != 1 {
 		t.Errorf("timeouts counter = %d, want 1", got)
@@ -333,10 +338,10 @@ func TestBatchPlanTimeout504NoLeakedPins(t *testing.T) {
 	// The handler's deferred Release runs as ServeHTTP returns, which
 	// doJSON has already waited for.
 	if got := srv.st.PinStats().Readers; got != 0 {
-		t.Errorf("leaked %d pinned readers after plan-phase timeout", got)
+		t.Errorf("leaked %d pinned readers after the timeout", got)
 	}
 	// The deadline never lands in the cache: a fresh generous request
-	// completes and reuses whatever the aborted schedule materialized.
+	// completes and reuses whatever the aborted workers built.
 	code, body = doJSON(t, srv, "/batch?timeout_ms=60000", req)
 	if code != http.StatusOK {
 		t.Fatalf("retry status = %d (%s)", code, body)
@@ -352,9 +357,8 @@ func TestBatchPlanTimeout504NoLeakedPins(t *testing.T) {
 	}
 }
 
-// TestWorkloadStatsReported: /stats surfaces what planning found —
-// batches planned, subexpression dedup, products saved by sharing, and
-// products actually materialized.
+// TestWorkloadStatsReported: /stats surfaces the products a /batch
+// materialized.
 func TestWorkloadStatsReported(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := BatchRequest{Queries: []SearchRequest{
@@ -367,19 +371,7 @@ func TestWorkloadStatsReported(t *testing.T) {
 	}
 	var stats StatsResponse
 	get(t, ts, "/stats", &stats)
-	wl := stats.Workload
-	if wl.PlannedBatches != 1 {
-		t.Errorf("planned_batches = %d, want 1", wl.PlannedBatches)
-	}
-	// The two patterns are one canonical DAG: everything the second
-	// pattern needs is shared with the first.
-	if wl.SubpatternsDeduped == 0 {
-		t.Error("subpatterns_deduped = 0, want sharing across the alt permutations")
-	}
-	if wl.ProductsSaved == 0 {
-		t.Error("products_saved = 0, want the duplicated by.by- product saved")
-	}
-	if wl.ProductsMaterialized == 0 {
+	if stats.Workload.ProductsMaterialized == 0 {
 		t.Error("products_materialized = 0, want at least the by.by- product")
 	}
 }

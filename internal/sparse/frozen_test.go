@@ -458,9 +458,17 @@ func TestMulAllocationsConstant(t *testing.T) {
 	}
 	// GOMAXPROCS=1 must mean no goroutines and one scratch: the parallel
 	// entry then allocates exactly what the serial one does.
+	// A collection empties scratchPool, and the run after it pays for a
+	// fresh scratch; when one lands depends on the machine's load, so each
+	// entry is measured from a collected heap with the collector held off.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serial := testing.AllocsPerRun(3, func() { big.MulThresh(big, forceSerial) })
-	if got := testing.AllocsPerRun(3, func() { big.MulThresh(big, forceParallel) }); got != serial {
+	allocs := func(th Thresholds) float64 {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(3, func() { big.MulThresh(big, th) })
+	}
+	serial := allocs(forceSerial)
+	if got := allocs(forceParallel); got != serial {
 		t.Errorf("GOMAXPROCS=1: parallel entry allocates %.0f times, serial %.0f", got, serial)
 	}
 }

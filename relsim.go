@@ -211,8 +211,8 @@ func WithServerExpandCacheLimit(n int) ServerOption {
 	return server.WithExpandCacheLimit(n)
 }
 
-// WithServerSlowQuery captures requests slower than d — pattern, plan
-// stats, cache behavior, phase timings — into a bounded ring served at
+// WithServerSlowQuery captures requests slower than d — pattern, cache
+// behavior, phase timings — into a bounded ring served at
 // GET /debug/queries. d <= 0 disables capture (the default).
 func WithServerSlowQuery(d time.Duration) ServerOption {
 	return server.WithSlowQuery(d)
@@ -260,9 +260,9 @@ func WithServerAdmissionTenantRate(key string, rate float64, burst int) ServerOp
 }
 
 // WithServerAdmissionMaxCost sets the per-request cost ceiling in
-// estimated matrix products (the workload plan's schedule length):
-// requests whose pattern set would cost more answer 422 before any
-// materialization starts. n <= 0 disables the ceiling.
+// estimated matrix products (see eval.EstimateProducts): requests whose
+// pattern set would cost more answer 422 before any materialization
+// starts. n <= 0 disables the ceiling.
 func WithServerAdmissionMaxCost(n int) ServerOption {
 	return server.WithAdmissionMaxCost(n)
 }
