@@ -207,19 +207,33 @@ func BenchmarkRelSimQuery(b *testing.B) {
 // /search serves it: the cuts memoized, the halves and their diagonals
 // cached, the top 10 answers kept. It times the headline's 49-cut
 // Algorithm-1 expansion over the procs and w.(p-in.p-in- + w-.w).w-
-// over the authors, each cycling through 64 query nodes.
+// over the authors, each cycling through 64 query nodes, with the
+// answer domain given as the type's node list (sim.ScoreCuts) and as
+// the type (sim.ScoreDomain, the /search path). The x16 rows embed the
+// same authors among 16× as many (embedAuthors): the typed read should
+// take the time of the 1× one, while the list form stamps every
+// candidate.
 func BenchmarkScoreCuts(b *testing.B) {
 	ds, err := datasets.ByName("dblp")
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := ds.Graph.Snapshot()
-	ev := eval.NewVersioned(snap, 0, eval.NewCache())
-	ev.SetCanonicalKeys(true)
-	for _, tc := range []struct{ pattern, typ string }{
-		{"p-in-.r-a.r-a-.p-in", "proc"},
-		{"w.(p-in.p-in- + w-.w).w-", "author"},
+	base := ds.Graph.Snapshot()
+	authors := len(base.NodesOfType("author"))
+	for _, tc := range []struct {
+		name, pattern, typ string
+		fill               int
+	}{
+		{"p-in-.r-a.r-a-.p-in", "p-in-.r-a.r-a-.p-in", "proc", 0},
+		{"w.(p-in.p-in- + w-.w).w-", "w.(p-in.p-in- + w-.w).w-", "author", 0},
+		{"w.(p-in.p-in- + w-.w).w-/x16", "w.(p-in.p-in- + w-.w).w-", "author", 15 * authors},
 	} {
+		snap := base
+		if tc.fill > 0 {
+			snap = embedAuthors(base, tc.fill)
+		}
+		ev := eval.NewVersioned(snap, 0, eval.NewCache())
+		ev.SetCanonicalKeys(true)
 		ps := []*rre.Pattern{rre.MustParse(tc.pattern)}
 		if ps[0].IsSimple() {
 			if ps, err = pattern.Generate(ds.Schema, ps[0], pattern.Default()); err != nil {
@@ -230,18 +244,40 @@ func BenchmarkScoreCuts(b *testing.B) {
 		for i, p := range ps {
 			cuts[i] = ev.Cut(p)
 		}
-		cands := snap.NodesOfType(tc.typ)
+		cands, dom := snap.NodesOfType(tc.typ), snap.TypeDomain(tc.typ)
 		queries := cands[:min(64, len(cands))]
 		for _, q := range queries {
 			sim.ScoreCuts(ev, cuts, q, cands, 10)
 		}
-		b.Run(tc.pattern, func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sim.ScoreCuts(ev, cuts, queries[i%len(queries)], cands, 10)
 			}
 		})
+		b.Run(tc.name+"/domain", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sim.ScoreDomain(ev, cuts, queries[i%len(queries)], dom, 10)
+			}
+		})
 	}
+}
+
+// embedAuthors returns snap with n more authors embedded apart from its
+// own: each two of them write a paper of their own, which no author of
+// snap reaches by any pattern.
+func embedAuthors(snap *graph.Snapshot, n int) *graph.Snapshot {
+	b := graph.NewBuilder(snap)
+	for i := 0; i < n; i += 2 {
+		p := b.AddNode("", "paper")
+		for j := i; j < min(i+2, n); j++ {
+			if err := b.AddEdge(b.AddNode("", "author"), "w", p); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return b.Build()
 }
 
 // BenchmarkPathSimQuery measures the PathSim baseline per query.

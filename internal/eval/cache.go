@@ -2,7 +2,10 @@ package eval
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"relsim/internal/sparse"
 )
@@ -64,42 +67,63 @@ type cacheEntry struct {
 // ways: by pattern string, and by label → patterns mentioning it. The
 // inverted index is what makes the commit path (Advance, Maintain)
 // proportional to the entries actually touched instead of a scan over every entry's label list.
-//
-// Beside the entries it keeps, per scored cut, the diagonal of M_p the
-// cut's halves multiply to (Evaluator.Scoring). A diagonal is not an
-// entry: it is dropped with either half, carried with the bucket while
-// both halves carry, and patched by Maintain when a half is.
 type versionBucket struct {
 	entries map[string]*cacheEntry
 	byLabel map[string]map[string]struct{}
-	diags   map[cutKey]*sparse.Vector
 }
 
 // cutKey names a concatenation's cut by its halves' entry keys.
 type cutKey struct{ left, right string }
 
+// cutSlot is what Equation-1 scoring reads of one cut at one version
+// (Evaluator.Scoring): the halves A and Bᵀ, the transpose B that Bᵀ
+// keeps (nil if it kept none when the slot was made), and diag(A·B).
+type cutSlot struct {
+	a, bt, b *sparse.Matrix
+	diag     *sparse.Vector
+}
+
+// cutTable holds one version's cut slots. A slot is not an entry: it
+// lives while both its halves are its version's entries, so it dies
+// with either half, and a half replaced by another matrix counts as
+// dead. It carries with its version's bucket while both halves carry,
+// and Maintain patches it when a half is; until Advance carries them, a
+// slot Maintain patched may sit beside a half still at the version
+// before. A published table is never written: a writer publishes a
+// changed copy (Cache.publish).
+type cutTable map[cutKey]cutSlot
+
+// cutTables maps each version to its cut table.
+type cutTables map[uint64]cutTable
+
 func newBucket() *versionBucket {
 	return &versionBucket{
 		entries: make(map[string]*cacheEntry),
 		byLabel: make(map[string]map[string]struct{}),
-		diags:   make(map[cutKey]*sparse.Vector),
 	}
 }
 
-// holds reports whether both halves of the cut are entries of b.
-func (b *versionBucket) holds(k cutKey) bool {
-	_, left := b.entries[k.left]
-	_, right := b.entries[k.right]
-	return left && right
+// has reports whether m is b's entry under key; a nil bucket has none.
+func (b *versionBucket) has(key string, m *sparse.Matrix) bool {
+	if b == nil {
+		return false
+	}
+	ent := b.entries[key]
+	return ent != nil && ent.m == CachedMatrix(m)
 }
 
-// dropDiags deletes every diagonal with a half for which gone holds.
-func (b *versionBucket) dropDiags(gone func(pattern string) bool) {
-	for k := range b.diags {
-		if gone(k.left) || gone(k.right) {
-			delete(b.diags, k)
+// live returns the slots of ts whose halves are b's entries, the first
+// table to hold a key winning.
+func (b *versionBucket) live(ts ...cutTable) cutTable {
+	out := make(cutTable)
+	for _, t := range ts {
+		for k, s := range t {
+			if _, done := out[k]; !done && b.has(k.left, s.a) && b.has(k.right, s.bt) {
+				out[k] = s
+			}
 		}
 	}
+	return out
 }
 
 // put stores an entry and indexes its labels.
@@ -149,11 +173,16 @@ func (b *versionBucket) stale(labels []string) map[string]struct{} {
 // Cache is a versioned commuting-matrix cache shared by all evaluators
 // of one serving engine. It is safe for concurrent use.
 type Cache struct {
+	// cuts publishes every version's cut table. Writers replace it
+	// copy-on-write under mu; lookupCut on an unbounded cache reads it
+	// without mu.
+	cuts atomic.Pointer[cutTables]
+
 	mu       sync.Mutex
 	versions map[uint64]*versionBucket
-	size     int    // total entries across versions
-	limit    int    // max cached matrices; 0 = unbounded
-	tick     uint64 // logical clock for LRU recency
+	size     int          // total entries across versions
+	limit    atomic.Int64 // max cached matrices; 0 = unbounded. Written under mu.
+	tick     uint64       // logical clock for LRU recency
 
 	hits, misses, evictions, invalidations uint64
 
@@ -164,20 +193,31 @@ type Cache struct {
 	// The inverted index makes it proportional to
 	// touched entries; the cache tests gate on it deterministically.
 	scanned uint64
+
+	// cutHits counts the halves the cut tables served, added once per
+	// scoring call (Evaluator.Scoring), not under mu.
+	cutHits atomic.Uint64
 }
 
 // NewCache returns an empty, unbounded cache.
 func NewCache() *Cache {
-	return &Cache{versions: make(map[uint64]*versionBucket), building: make(map[Key]*flight)}
+	c := &Cache{versions: make(map[uint64]*versionBucket), building: make(map[Key]*flight)}
+	c.cuts.Store(&cutTables{})
+	return c
 }
 
 // CacheStats is a point-in-time snapshot of the commuting-matrix cache.
-// Diagonals are the Equation-1 diagonals kept beside the entries, with
-// their stored entries and bytes; they do not count towards Size.
+// Diagonals are the Equation-1 diagonals kept beside the entries, one
+// per slot of the cut tables, with their stored entries and bytes; they
+// do not count towards Size.
 type CacheStats struct {
-	Size            int    `json:"size"`
-	Versions        int    `json:"versions"`
-	Limit           int    `json:"limit"`
+	Size     int `json:"size"`
+	Versions int `json:"versions"`
+	Limit    int `json:"limit"`
+	// Hits counts the lookups that found their matrix: every Commuting
+	// call's, the recursive sub-pattern calls' included, and two per cut
+	// a scoring read took from a cut table, the latter added once per
+	// read.
 	Hits            uint64 `json:"hits"`
 	Misses          uint64 `json:"misses"`
 	Evictions       uint64 `json:"evictions"`
@@ -187,26 +227,25 @@ type CacheStats struct {
 	DiagonalBytes   int    `json:"diagonal_bytes"`
 }
 
-// Stats returns the cache counters. Hits and misses count every
-// Commuting call, including the recursive sub-pattern calls. It costs
-// O(kept diagonals): each knows its entries and bytes.
+// Stats returns the cache counters. It costs O(kept diagonals): each
+// knows its entries and bytes.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CacheStats{
 		Size:          c.size,
 		Versions:      len(c.versions),
-		Limit:         c.limit,
-		Hits:          c.hits,
+		Limit:         int(c.limit.Load()),
+		Hits:          c.hits + c.cutHits.Load(),
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 	}
-	for _, b := range c.versions {
-		for _, d := range b.diags {
+	for _, t := range *c.cuts.Load() {
+		for _, s := range t {
 			st.Diagonals++
-			st.DiagonalEntries += d.NNZ()
-			st.DiagonalBytes += d.Bytes()
+			st.DiagonalEntries += s.diag.NNZ()
+			st.DiagonalBytes += s.diag.Bytes()
 		}
 	}
 	return st
@@ -240,7 +279,7 @@ func (c *Cache) VersionOccupancy() map[uint64]int {
 func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.limit = n
+	c.limit.Store(int64(max(n, 0)))
 	c.evictLocked()
 }
 
@@ -254,8 +293,8 @@ func (c *Cache) bucket(v uint64) *versionBucket {
 	return b
 }
 
-// removeLocked deletes (v, pattern) if present, maintaining size, and
-// the diagonals it is a half of. c.mu held.
+// removeLocked deletes (v, pattern) if present, maintaining size. The
+// caller drops the slots it is a half of. c.mu held.
 func (c *Cache) removeLocked(v uint64, pattern string) bool {
 	b, ok := c.versions[v]
 	if !ok {
@@ -264,12 +303,41 @@ func (c *Cache) removeLocked(v uint64, pattern string) bool {
 	if !b.remove(pattern) {
 		return false
 	}
-	b.dropDiags(func(p string) bool { return p == pattern })
 	c.size--
 	if len(b.entries) == 0 {
 		delete(c.versions, v)
 	}
 	return true
+}
+
+// table returns version v's published cut table.
+func (c *Cache) table(v uint64) cutTable { return (*c.cuts.Load())[v] }
+
+// prune drops from the cut tables of the versions vs every slot a half
+// of which is no longer the version's entry. c.mu held.
+func (c *Cache) prune(vs ...uint64) {
+	ts := make(cutTables, len(vs))
+	for _, v := range vs {
+		ts[v] = c.versions[v].live(c.table(v))
+	}
+	c.publish(ts)
+}
+
+// publish replaces the cut table of each version in ts with its new
+// one, none when it is empty, in one copy of the published map. c.mu
+// held.
+func (c *Cache) publish(ts cutTables) {
+	old := *c.cuts.Load()
+	m := make(cutTables, len(old)+len(ts))
+	maps.Copy(m, old)
+	for v, t := range ts {
+		if len(t) == 0 {
+			delete(m, v)
+		} else {
+			m[v] = t
+		}
+	}
+	c.cuts.Store(&m)
 }
 
 // flight is one build of a missing key in progress; m, set before done
@@ -343,50 +411,64 @@ func (c *Cache) land(key Key, m CachedMatrix, labels []string) {
 	}
 }
 
-// lookupCut returns, in one lock, the halves of the cut cached at
-// version v and the diagonal kept beside them (nil if none is), and
-// records a hit for each half. It returns ok false, recording nothing,
-// unless both halves are cached.
-func (c *Cache) lookupCut(v uint64, k cutKey) (a, bt *sparse.Matrix, diag *sparse.Vector, ok bool) {
+// lookupCut returns the slot of the cut at version v, if one is kept.
+// On an unbounded cache it reads the published table: it takes no lock
+// and writes nothing. A bounded cache looks under mu and marks both
+// halves used, so its LRU order stays exact. Either way the caller
+// counts the hit (Evaluator.Scoring).
+func (c *Cache) lookupCut(v uint64, k cutKey) (cutSlot, bool) {
+	if c.limit.Load() == 0 {
+		s, ok := (*c.cuts.Load())[v][k]
+		return s, ok
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := c.versions[v]
-	if b == nil || !b.holds(k) {
-		return nil, nil, nil, false
+	s, ok := c.table(v)[k]
+	if b := c.versions[v]; ok && b != nil {
+		for _, key := range [...]string{k.left, k.right} {
+			if ent := b.entries[key]; ent != nil {
+				c.tick++
+				ent.used = c.tick
+			}
+		}
 	}
-	use := func(key string) *sparse.Matrix {
-		ent := b.entries[key]
-		c.hits++
-		c.tick++
-		ent.used = c.tick
-		m, _ := ent.m.(*sparse.Matrix)
-		return m
-	}
-	return use(k.left), use(k.right), b.diags[k], true
+	return s, ok
 }
 
-// keepDiagonal keeps diag beside the halves of the cut at version v,
-// unless one is no longer cached there (it would outlive its half) or
-// a diagonal is kept already.
-func (c *Cache) keepDiagonal(v uint64, k cutKey, diag *sparse.Vector) {
+// keepCut publishes s as the slot of the cut at version v, unless its
+// halves are no longer v's entries (it would outlive a half) or a slot
+// is kept already.
+func (c *Cache) keepCut(v uint64, k cutKey, s cutSlot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b := c.versions[v]; b != nil && b.holds(k) && b.diags[k] == nil {
-		b.diags[k] = diag
+	b, t := c.versions[v], c.table(v)
+	if _, kept := t[k]; kept || b == nil || !b.has(k.left, s.a) || !b.has(k.right, s.bt) {
+		return
 	}
+	t = maps.Clone(t)
+	if t == nil {
+		t = make(cutTable, 1)
+	}
+	t[k] = s
+	c.publish(cutTables{v: t})
 }
 
-// insertLocked stores an entry unconditionally. c.mu held.
+// insertLocked stores an entry unconditionally; the slots of an entry
+// it replaces with another matrix die. c.mu held.
 func (c *Cache) insertLocked(key Key, m CachedMatrix, labels []string) {
 	b := c.bucket(key.Version)
 	ek := key.entryKey()
-	if _, exists := b.entries[ek]; exists {
+	old := b.entries[ek]
+	if old != nil {
 		b.remove(ek)
 		c.size--
 	}
 	c.tick++
 	b.put(ek, &cacheEntry{m: m, labels: labels, used: c.tick})
 	c.size++
+	if old != nil && old.m != m {
+		c.prune(key.Version)
+	}
 }
 
 // Advance ages the cache across a committed write from version `from`
@@ -399,10 +481,12 @@ func (c *Cache) insertLocked(key Key, m CachedMatrix, labels []string) {
 // readers are still pinned at `from` — every `from` entry stays in
 // place so those readers keep their hits, carried patterns are *copied*
 // to `to`, and EvictBelow reaps the leftovers once the pins release.
-// Entries at older versions are untouched either way. A kept
-// Equation-1 diagonal goes where both its halves go: it carries while
-// neither is touched and is dropped otherwise, unless Maintain patched
-// it to `to` already. Returns (carried, evicted).
+// Entries at older versions are untouched either way. A cut slot goes
+// where both its halves go: `to`'s table is rebuilt in one pass from
+// the slots Maintain kept there and those of `from`, keeping each whose
+// halves are `to`'s entries afterwards, so a slot carries while neither
+// half is touched or replaced and is dropped otherwise. Returns
+// (carried, evicted).
 //
 // With the label index the common path (no pinned reader, nodes
 // unchanged) moves the whole version bucket in O(1) and then removes
@@ -446,7 +530,6 @@ func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, k
 				evicted++
 			}
 		}
-		src.dropDiags(func(p string) bool { _, gone := stale[p]; return gone })
 		if dstExists {
 			for p, ent := range dst.entries {
 				c.scanned++
@@ -456,12 +539,8 @@ func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, k
 				}
 				src.put(p, ent)
 			}
-			for k, d := range dst.diags {
-				if src.holds(k) {
-					src.diags[k] = d
-				}
-			}
 		}
+		c.publish(cutTables{from: nil, to: src.live(c.table(to), c.table(from))})
 		if len(src.entries) == 0 {
 			delete(c.versions, to)
 		}
@@ -482,16 +561,9 @@ func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, k
 				carried++
 			}
 		}
-		for k, d := range src.diags {
-			_, lStale := stale[k.left]
-			_, rStale := stale[k.right]
-			if !lStale && !rStale && dst.diags[k] == nil {
-				dst.diags[k] = d
-			}
-		}
-		// A diagonal Maintain kept at `to` beside an untouched half that
-		// has left `from` since has no half to carry.
-		dst.dropDiags(func(p string) bool { return dst.entries[p] == nil })
+		// A slot Maintain kept at `to` beside an untouched half that has
+		// left `from` since has no half to carry.
+		c.publish(cutTables{to: dst.live(c.table(to), c.table(from))})
 		if len(dst.entries) == 0 {
 			delete(c.versions, to)
 		}
@@ -518,6 +590,15 @@ func (c *Cache) EvictBelow(floor uint64) int {
 			delete(c.versions, v)
 		}
 	}
+	gone := cutTables{}
+	for v := range *c.cuts.Load() {
+		if v < floor {
+			gone[v] = nil
+		}
+	}
+	if len(gone) > 0 {
+		c.publish(gone)
+	}
 	c.evictions += uint64(n)
 	return n
 }
@@ -525,10 +606,12 @@ func (c *Cache) EvictBelow(floor uint64) int {
 // LRU enforcement. c.mu held. The linear minimum scan is fine at the
 // cache sizes a bounded service runs with (hundreds of patterns).
 func (c *Cache) evictLocked() {
-	if c.limit <= 0 {
+	limit := int(c.limit.Load())
+	if limit <= 0 || c.size <= limit {
 		return
 	}
-	for c.size > c.limit {
+	var evicted []uint64
+	for c.size > limit {
 		var victimV uint64
 		var victimP string
 		var oldest uint64
@@ -542,5 +625,9 @@ func (c *Cache) evictLocked() {
 		}
 		c.removeLocked(victimV, victimP)
 		c.evictions++
+		if !slices.Contains(evicted, victimV) {
+			evicted = append(evicted, victimV)
+		}
 	}
+	c.prune(evicted...)
 }

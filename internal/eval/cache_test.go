@@ -130,10 +130,7 @@ func TestDiagonalsLiveAndDieWithTheirHalves(t *testing.T) {
 	diagsAt := func(v uint64) int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if b := c.versions[v]; b != nil {
-			return len(b.diags)
-		}
-		return 0
+		return len(c.table(v))
 	}
 	if st := c.Stats(); st.Diagonals != 2 || st.Size != entries {
 		t.Fatalf("after scoring: %d diagonals, %d entries; want 2 beside the %d entries", st.Diagonals, st.Size, entries)
@@ -142,8 +139,9 @@ func TestDiagonalsLiveAndDieWithTheirHalves(t *testing.T) {
 	// b touched, a reader pinned at v0: v0 keeps both, v1 only c.c-'s.
 	// A diagonal kept at v1 beside halves neither version holds (one
 	// Maintain patched beside a half evicted since) is dropped.
-	for _, d := range c.versions[0].diags {
-		c.bucket(1).diags[cutKey{"x", "y"}] = d
+	for _, s := range c.table(0) {
+		c.bucket(1)
+		c.publish(cutTables{1: cutTable{{"x", "y"}: s}})
 	}
 	c.Advance(0, 1, []string{"b"}, false, true)
 	if diagsAt(0) != 2 || diagsAt(1) != 1 {

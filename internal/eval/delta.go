@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -170,10 +171,11 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 	}
 	var kept []keptDiag
 	if len(roots) > 0 {
-		kept = make([]keptDiag, 0, len(src.diags))
-		for k, diag := range src.diags {
+		t := c.table(d.From)
+		kept = make([]keptDiag, 0, len(t))
+		for k, s := range t {
 			if l, r := src.entries[k.left], src.entries[k.right]; l != nil && r != nil {
-				kept = append(kept, keptDiag{k, diag, *l, *r})
+				kept = append(kept, keptDiag{k, s.diag, *l, *r})
 			}
 		}
 	}
@@ -235,17 +237,41 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		}
 		c.insertLocked(Key{Version: d.To, Pattern: key}, term.new, mt.patterns[key].Labels())
 	}
-	// Keep each patched diagonal whose halves are both still cached: a
-	// maintained half at d.To, an untouched one at d.From until Advance
-	// carries it.
+	// Keep each patched diagonal whose halves are both still cached, in
+	// a slot at d.To: a maintained half at d.To, an untouched one at
+	// d.From until Advance carries it.
 	src = c.versions[d.From]
-	held := func(key string) bool {
-		return dst.entries[key] != nil || src != nil && src.entries[key] != nil
-	}
-	for _, kd := range kept {
-		if kd.diag != nil && dst.diags[kd.k] == nil && held(kd.k.left) && held(kd.k.right) {
-			dst.diags[kd.k] = kd.diag
+	held := func(key string) *sparse.Matrix {
+		ent := dst.entries[key]
+		if ent == nil && src != nil {
+			ent = src.entries[key]
 		}
+		if ent == nil {
+			return nil
+		}
+		m, _ := ent.m.(*sparse.Matrix)
+		return m
+	}
+	t := c.table(d.To)
+	var patched cutTable
+	for _, kd := range kept {
+		if _, dup := t[kd.k]; dup || kd.diag == nil {
+			continue
+		}
+		a, bt := held(kd.k.left), held(kd.k.right)
+		if a == nil || bt == nil {
+			continue
+		}
+		if patched == nil {
+			patched = maps.Clone(t)
+			if patched == nil {
+				patched = make(cutTable, len(kept))
+			}
+		}
+		patched[kd.k] = cutSlot{a: a, bt: bt, b: bt.KeptTranspose(), diag: kd.diag}
+	}
+	if patched != nil {
+		c.publish(cutTables{d.To: patched})
 	}
 	if len(dst.entries) == 0 {
 		delete(c.versions, d.To)

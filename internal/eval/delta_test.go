@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -114,17 +113,18 @@ func checkKeptTransposes(t *testing.T, c *Cache, v uint64) {
 func checkDiagonals(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) int {
 	t.Helper()
 	c.mu.Lock()
-	var diags map[cutKey]*sparse.Vector
-	if b := c.versions[v]; b != nil {
-		for k := range b.diags {
-			if !b.holds(k) {
-				t.Errorf("diagonal of %q·(%q)⁻ at v%d outlives a half", k.left, k.right, v)
-			}
+	b, diags := c.versions[v], c.table(v)
+	for k, s := range diags {
+		if b == nil || !b.has(k.left, s.a) || !b.has(k.right, s.bt) {
+			t.Errorf("diagonal of %q·(%q)⁻ at v%d outlives a half", k.left, k.right, v)
 		}
-		diags = maps.Clone(b.diags)
+		if s.b != nil && !s.b.Equal(s.bt.Transpose()) {
+			t.Errorf("slot of %q·(%q)⁻ at v%d keeps a B that is not its Bᵀ transposed", k.left, k.right, v)
+		}
 	}
 	c.mu.Unlock()
-	for k, got := range diags {
+	for k, s := range diags {
+		got := s.diag
 		cold := NewVersioned(snap, 0, NewCache())
 		want := sparse.ProductDiagonal(cold.Commuting(rre.MustParse(k.left)), cold.Commuting(rre.MustParse(k.right)))
 		if !got.Equal(want) {
@@ -138,7 +138,7 @@ func checkDiagonals(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) int 
 // evaluator's version, as a scoring read does.
 func scoreCuts(ev *Evaluator, ps ...*rre.Pattern) {
 	for _, p := range ps {
-		ev.Scoring(ev.Cut(p))
+		ev.Scoring([]Cut{ev.Cut(p)}, nop)
 	}
 }
 
@@ -629,7 +629,7 @@ func TestMaintainedDiagonalNeverReadsAStaleHalf(t *testing.T) {
 	cut := ev.Cut(p)
 	k := cutKey{cut.Left.String(), cut.RevRight.String()}
 	src := c.versions[0]
-	diag := src.diags[k]
+	diag := c.table(0)[k].diag
 	for _, tc := range []struct {
 		name    string
 		ops     []deltaOp
@@ -651,4 +651,9 @@ func TestMaintainedDiagonalNeverReadsAStaleHalf(t *testing.T) {
 			t.Fatalf("%s: patched diagonal %+v, want %+v", tc.name, got, sparse.ProductDiagonal(a, bt))
 		}
 	}
+}
+
+// holds reports whether both halves of the cut are entries of b.
+func (b *versionBucket) holds(k cutKey) bool {
+	return b.entries[k.left] != nil && b.entries[k.right] != nil
 }

@@ -66,9 +66,11 @@ type Evaluator struct {
 // Counters are one evaluator's private tallies: cache hits and misses
 // its lookups saw, matrix products it performed, and the transposes and
 // Equation-1 diagonals its scoring reads built because none was kept
-// (Scoring). The serving layer reads them per request for the
-// slow-query log and Server-Timing phase attribution. Fields are
-// atomics — /batch shares one evaluator across its worker pool.
+// (Scoring). Hits include two per cut a scoring read took from a cut
+// table, added once per Scoring call rather than once per cut. The
+// serving layer reads them per request for the slow-query log and
+// Server-Timing phase attribution. Fields are atomics — /batch shares
+// one evaluator across its worker pool.
 type Counters struct {
 	Hits, Misses, Products, Transposes, Diagonals atomic.Uint64
 }

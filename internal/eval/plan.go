@@ -84,37 +84,59 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 	return a, bt
 }
 
-// Scoring returns what Equation-1 scoring reads of a Cut made under the
-// evaluator's key mode, M_p = A·B: A = M_Left; B = (Bᵀ)ᵀ, the transpose
-// kept with the right half; and diag(M_p) at the evaluator's version
-// (sparse.ProductDiagonal). For a cut that is not a concatenation B
-// and the diagonal are nil: M_p is A, its diagonal A's own. A warm read
-// takes the halves and the diagonal in one cache lookup. A read that
-// finds no transpose or no diagonal kept builds it in full
-// (Counters.Transposes, Counters.Diagonals) and keeps it with its
-// entries; Cache.Maintain carries both across commits.
-func (e *Evaluator) Scoring(c Cut) (a, b *sparse.Matrix, diag *sparse.Vector) {
+// Scoring calls read, for each Cut in turn, with what Equation-1
+// scoring reads of it; the cuts are made under the evaluator's key
+// mode. Of a cut M_p = A·B it reads A = M_Left; B = (Bᵀ)ᵀ, the
+// transpose kept with the right half; and diag(M_p) at the evaluator's
+// version (sparse.ProductDiagonal). For a cut that is not a
+// concatenation B and the diagonal are nil: M_p is A, its diagonal A's
+// own. A warm read finds all three in the slot of its version's cut
+// table (see cutTable), which an unbounded cache reads without a lock.
+// A read that finds no slot takes the halves from the cache, builds the
+// transpose or the diagonal in full if none is kept
+// (Counters.Transposes, Counters.Diagonals), and publishes the slot;
+// Cache.Maintain carries slots across commits. The halves the tables
+// served count as hits with one add per call, not one per cut, so a
+// warm read writes nothing another read reads until it returns.
+func (e *Evaluator) Scoring(cuts []Cut, read func(a, b *sparse.Matrix, diag *sparse.Vector)) {
+	hits := 0
+	for _, c := range cuts {
+		a, b, diag, hit := e.scoring(c)
+		if hit {
+			hits++
+		}
+		read(a, b, diag)
+	}
+	if hits > 0 {
+		e.counters.Hits.Add(2 * uint64(hits))
+		e.cache.cutHits.Add(2 * uint64(hits))
+	}
+}
+
+// scoring is Scoring's read of one cut, reporting whether the cut
+// table served it.
+func (e *Evaluator) scoring(c Cut) (a, b *sparse.Matrix, diag *sparse.Vector, hit bool) {
 	if c.RevRight == nil {
 		a, _ = e.Halves(c)
-		return a, nil, nil
+		return a, nil, nil, false
 	}
 	k := cutKey{c.Left.String(), c.RevRight.String()}
-	a, bt, diag, ok := e.cache.lookupCut(e.version, k)
-	if ok {
-		e.counters.Hits.Add(2)
-	} else {
-		a, bt = e.Halves(c)
+	s, hit := e.cache.lookupCut(e.version, k)
+	if !hit {
+		s.a, s.bt = e.Halves(c)
 	}
-	if b = bt.KeptTranspose(); b == nil {
-		b = bt.TransposeCached()
-		e.counters.Transposes.Add(1)
+	if s.b == nil {
+		if s.b = s.bt.KeptTranspose(); s.b == nil {
+			s.b = s.bt.TransposeCached()
+			e.counters.Transposes.Add(1)
+		}
 	}
-	if diag == nil {
-		diag = sparse.ProductDiagonal(a, bt)
+	if !hit {
+		s.diag = sparse.ProductDiagonal(s.a, s.bt)
 		e.counters.Diagonals.Add(1)
-		e.cache.keepDiagonal(e.version, k, diag)
+		e.cache.keepCut(e.version, k, s)
 	}
-	return a, b, diag
+	return s.a, s.b, s.diag, hit
 }
 
 // Concatenation planning. M_{p1·…·pk} is a chain of sparse matrix

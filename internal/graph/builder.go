@@ -209,8 +209,8 @@ func (b *Builder) NodesAdded() bool { return b.nodes != nil && len(b.nodes) > le
 
 // Build derives the next snapshot. The base is unchanged; the result
 // shares the base's CSR arrays for every label the builder did not
-// touch, the base's node table when no node was added, and the id list
-// of every type that gained no node. Build may be
+// touch, the base's node table and type column when no node was added,
+// and the id list of every type that gained no node. Build may be
 // called once; reusing the builder afterwards is not supported.
 func (b *Builder) Build() *Snapshot {
 	if !b.Changed() {
@@ -219,7 +219,7 @@ func (b *Builder) Build() *Snapshot {
 	s := &Snapshot{
 		nodes:  b.base.nodes,
 		byName: b.base.byName,
-		byType: b.base.byType,
+		types:  b.base.types,
 		out:    b.base.out,
 		in:     b.base.in,
 		edges:  b.base.NumEdges() + b.addCnt - b.delCnt,
@@ -227,9 +227,9 @@ func (b *Builder) Build() *Snapshot {
 	if b.nodes != nil {
 		s.nodes = b.nodes
 		s.byName = b.byName
-		s.byType = cloneTypeIndex(b.base.byType)
+		s.types = b.base.types.forWrite()
 		for _, nd := range b.nodes[len(b.base.nodes):] {
-			s.byType[nd.Type] = append(s.byType[nd.Type], nd.ID)
+			s.types.add(nd.ID, nd.Type)
 		}
 	}
 	touched := b.TouchedLabels()

@@ -44,7 +44,7 @@ type Graph struct {
 	in  map[string][][]NodeID
 
 	byName map[string]NodeID
-	byType map[string][]NodeID // type tag → ids, ascending
+	types  typeIndex
 	edges  int
 	// perLabel counts edges per label so removing the last edge of a
 	// label can drop it from Labels in O(1) instead of scanning the
@@ -58,7 +58,7 @@ func New() *Graph {
 		out:      make(map[string][][]NodeID),
 		in:       make(map[string][][]NodeID),
 		byName:   make(map[string]NodeID),
-		byType:   make(map[string][]NodeID),
+		types:    newTypeIndex(),
 		perLabel: make(map[string]int),
 	}
 }
@@ -69,7 +69,7 @@ func New() *Graph {
 func (g *Graph) AddNode(name, typ string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Type: typ})
-	g.byType[typ] = append(g.byType[typ], id)
+	g.types.add(id, typ)
 	if name != "" {
 		if _, dup := g.byName[name]; !dup {
 			g.byName[name] = id
@@ -288,7 +288,12 @@ func (g *Graph) Adjacency(label string) *sparse.Matrix {
 
 // NodesOfType returns the ids of all nodes with the given type tag, in
 // ascending id order. The slice is the graph's own index: read-only.
-func (g *Graph) NodesOfType(typ string) []NodeID { return g.byType[typ] }
+func (g *Graph) NodesOfType(typ string) []NodeID { return g.types.nodes[typ] }
+
+// TypeDomain returns the domain of the nodes with the given type tag, a
+// view of the graph's type column as it is now: no node when none has
+// the tag.
+func (g *Graph) TypeDomain(typ string) Domain { return g.types.domain(typ) }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
@@ -297,7 +302,7 @@ func (g *Graph) Clone() *Graph {
 	for name, id := range g.byName {
 		c.byName[name] = id
 	}
-	c.byType = cloneTypeIndex(g.byType)
+	c.types = g.types.forWrite()
 	for l, o := range g.out {
 		co := make([][]NodeID, len(o))
 		for u := range o {

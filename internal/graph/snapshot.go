@@ -15,14 +15,15 @@ import (
 //
 // Adjacency is stored per label in CSR form, in both directions.
 // Versions share structure: deriving a snapshot through a Builder
-// copies only the node table and the name index's small overlay (when
-// nodes were added), the id list of each type that gained a node, and
-// the adjacency of the labels the write touched; every other type's ids
-// and label's CSR arrays are shared by pointer with the parent version.
+// copies only the node table, its type column and the name index's
+// small overlay (when nodes were added), the id list of each type that
+// gained a node, and the adjacency of the labels the write touched;
+// every other type's ids and label's CSR arrays are shared by pointer
+// with the parent version.
 type Snapshot struct {
 	nodes  []Node
 	byName nameIndex
-	byType map[string][]NodeID // type tag → ids, ascending; len == cap, so an append copies
+	types  typeIndex
 	out    map[string]*adjacency
 	in     map[string]*adjacency
 	edges  int
@@ -126,7 +127,7 @@ func (g *Graph) Snapshot() *Snapshot {
 	s := &Snapshot{
 		nodes:  append([]Node(nil), g.nodes...),
 		byName: nameIndex{base: maps.Clone(g.byName)},
-		byType: cloneTypeIndex(g.byType),
+		types:  g.types.forWrite(),
 		out:    make(map[string]*adjacency, len(g.out)),
 		in:     make(map[string]*adjacency, len(g.in)),
 		edges:  g.edges,
@@ -255,18 +256,12 @@ func (s *Snapshot) Adjacency(label string) *sparse.Matrix {
 // NodesOfType returns the ids of all nodes with the given type tag, in
 // ascending id order. The slice is the snapshot's own index, shared
 // with the versions derived from it: read-only.
-func (s *Snapshot) NodesOfType(typ string) []NodeID { return s.byType[typ] }
+func (s *Snapshot) NodesOfType(typ string) []NodeID { return s.types.nodes[typ] }
 
-// cloneTypeIndex copies the map of a type index, sharing every id list
-// with its capacity clipped: the first append to a list copies it, so
-// the index it was shared from never sees the new id.
-func cloneTypeIndex(idx map[string][]NodeID) map[string][]NodeID {
-	c := make(map[string][]NodeID, len(idx))
-	for typ, ids := range idx {
-		c[typ] = ids[:len(ids):len(ids)]
-	}
-	return c
-}
+// TypeDomain returns the domain of the nodes with the given type tag,
+// tested against the snapshot's type column: no node when none has the
+// tag.
+func (s *Snapshot) TypeDomain(typ string) Domain { return s.types.domain(typ) }
 
 // Stats returns the snapshot's summary statistics.
 func (s *Snapshot) Stats() Stats {

@@ -258,6 +258,63 @@ func TestBuilderTypeIndexCOW(t *testing.T) {
 	}
 }
 
+// TestBuilderTypeColumnCOW: the type column is carried with the node
+// table. An edge-only write shares it; a node-adding write appends the
+// new nodes' type ids to a copy, so the base, the graph it was frozen
+// from and a second write from the same base each keep their own. Every
+// view's type domain holds exactly the type's NodesOfType, so a type is
+// unknown before the write that adds it.
+func TestBuilderTypeColumnCOW(t *testing.T) {
+	g := snapTestGraph()
+	base := g.Snapshot()
+	b := NewBuilder(base)
+	if err := b.AddEdge(2, "x", 0); err != nil {
+		t.Fatal(err)
+	}
+	if next := b.Build(); &next.types.col[0] != &base.types.col[0] {
+		t.Error("edge-only write copied the type column")
+	}
+
+	b = NewBuilder(base)
+	d := b.AddNode("d", "t")
+	e := b.AddNode("e", "v")
+	next := b.Build()
+	fork := NewBuilder(base)
+	o := fork.AddNode("o", "u")
+	forked := fork.Build()
+	g.AddNode("g", "v")
+	for _, tc := range []struct {
+		name string
+		view View
+		typ  string
+		want []NodeID
+	}{
+		{"base", base, "t", []NodeID{0, 1}},
+		{"base", base, "v", nil},
+		{"next", next, "t", []NodeID{0, 1, d}},
+		{"next", next, "v", []NodeID{e}},
+		{"next", next, "u", []NodeID{2}},
+		{"fork", forked, "u", []NodeID{2, o}},
+		{"fork", forked, "v", nil},
+		{"graph", g, "v", []NodeID{3}},
+		{"graph", g, "", nil},
+	} {
+		dom := tc.view.TypeDomain(tc.typ)
+		var got []NodeID
+		for v := NodeID(-1); int(v) <= tc.view.NumNodes()+1; v++ {
+			if dom.Has(v) {
+				got = append(got, v)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) || !reflect.DeepEqual(got, tc.view.NodesOfType(tc.typ)) {
+			t.Errorf("%s: domain of type %q holds %v, want %v (NodesOfType %v)", tc.name, tc.typ, got, tc.want, tc.view.NodesOfType(tc.typ))
+		}
+	}
+	if !AllNodes.Has(0) || !AllNodes.Has(1<<30) || (Domain{}).Has(0) {
+		t.Error("AllNodes must hold every node and the zero Domain none")
+	}
+}
+
 // TestBuilderRemoveSemantics mirrors Graph.RemoveEdge: one occurrence
 // at a time, labels vanish with their last edge, absent edges refuse.
 func TestBuilderRemoveSemantics(t *testing.T) {

@@ -34,6 +34,9 @@ type View interface {
 	Degree(u NodeID) int
 	// NodesOfType returns the ids of all nodes with the given type tag.
 	NodesOfType(typ string) []NodeID
+	// TypeDomain returns the domain of the nodes with the given type
+	// tag, which tests a node in O(1); no node when none has the tag.
+	TypeDomain(typ string) Domain
 	// Adjacency returns the n×n adjacency matrix of the label.
 	Adjacency(label string) *sparse.Matrix
 	// Stats returns summary statistics.

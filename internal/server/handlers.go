@@ -100,11 +100,16 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 	if !ok {
 		return nil, fmt.Errorf("query node %q not found", req.Query)
 	}
+	// A type restricts the answers to its nodes: the scorer tests each
+	// node it reaches against the type's domain, the baselines take its
+	// node list. A typo'd type yields an empty answer, not an unfiltered
+	// one: its domain holds no node, and its list is kept non-nil, since
+	// nil means "unrestricted" to the sim package. No type ranks every
+	// node.
+	dom := graph.AllNodes
 	var candidates []graph.NodeID
 	if req.Type != "" {
-		// Keep the slice non-nil even when no node has the type: nil
-		// means "unrestricted" to the sim package, and a typo'd type
-		// must yield an empty answer, not an unfiltered one.
+		dom = g.TypeDomain(req.Type)
 		if candidates = g.NodesOfType(req.Type); candidates == nil {
 			candidates = []graph.NodeID{}
 		}
@@ -143,7 +148,7 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 			if qs.expanded {
 				expanded = len(qs.ps)
 			}
-			rank = sim.ScoreCuts(ev, qs.cuts, q, candidates, top)
+			rank = sim.ScoreDomain(ev, qs.cuts, q, dom, top)
 		case "pathsim":
 			var err error
 			rank, err = sim.PathSim(ev, qs.ps[0], q, candidates)
@@ -423,8 +428,8 @@ type querySet struct {
 	used uint64 // expand-memo LRU tick
 }
 
-// expandKey keys the query-set memo: the pattern as parsed, and whether
-// it stands for its Algorithm-1 expansion.
+// expandKey keys the query-set memo: the pattern string as the client
+// sent it, and whether the request asks for its Algorithm-1 expansion.
 type expandKey struct {
 	pattern string
 	expand  bool
@@ -469,26 +474,28 @@ func (s *Server) queryPatterns(req *SearchRequest) (*querySet, error) {
 		}
 		return nil, fmt.Errorf("pattern is required for alg %q", alg)
 	}
-	p, err := rre.Parse(req.Pattern)
-	if err != nil {
-		return nil, err
-	}
 	if req.Alg == "hetesim" {
 		// HeteSim splits the pattern its own way; it reads the root.
+		p, err := rre.Parse(req.Pattern)
+		if err != nil {
+			return nil, err
+		}
 		return &querySet{ps: []*rre.Pattern{p}, cuts: []eval.Cut{{Left: p}}}, nil
 	}
-	return s.memoQuerySet(p, (req.Alg == "" || req.Alg == "search") && p.IsSimple() && !req.NoExpand)
+	return s.memoQuerySet(req.Pattern, (req.Alg == "" || req.Alg == "search") && !req.NoExpand)
 }
 
-// memoQuerySet builds p's query set — the Algorithm-1 expansion when
-// expand is set, the pattern itself otherwise — through the server's
-// memo, so repeated queries on the same pattern (one /batch worker
-// after another, or request after request) expand, canonicalize and cut
-// once. The memo is LRU-bounded (WithExpandCacheLimit): keys are
-// client-supplied pattern strings, and without the bound a stream of
-// distinct patterns grows it forever.
-func (s *Server) memoQuerySet(p *rre.Pattern, expand bool) (*querySet, error) {
-	key := expandKey{p.String(), expand}
+// memoQuerySet builds the query set of the pattern string raw — its
+// Algorithm-1 expansion when expand is set and the pattern is simple,
+// the pattern itself otherwise — through the server's memo, so repeated
+// queries on the same pattern (one /batch worker after another, or
+// request after request) parse, expand, canonicalize and cut once. The
+// memo is keyed by raw as the client sent it, so a hit parses nothing;
+// two spellings of one pattern take an entry each. The memo is
+// LRU-bounded (WithExpandCacheLimit): keys are client-supplied strings,
+// and without the bound a stream of distinct patterns grows it forever.
+func (s *Server) memoQuerySet(raw string, expand bool) (*querySet, error) {
+	key := expandKey{raw, expand}
 	s.expandMu.Lock()
 	if ent, ok := s.expand[key]; ok {
 		s.expandTick++
@@ -499,9 +506,12 @@ func (s *Server) memoQuerySet(p *rre.Pattern, expand bool) (*querySet, error) {
 	}
 	s.expandMisses++
 	s.expandMu.Unlock()
+	p, err := rre.Parse(raw)
+	if err != nil {
+		return nil, err
+	}
 	ps := []*rre.Pattern{p}
-	if expand {
-		var err error
+	if expand = expand && p.IsSimple(); expand {
 		if ps, err = pattern.Generate(s.schema, p, pattern.Default()); err != nil {
 			return nil, err
 		}

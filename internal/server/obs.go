@@ -349,7 +349,7 @@ func (s *Server) instrumentEngine(reg *telemetry.Registry) {
 		"Algorithm-1 expansion memo hits.",
 		func() float64 { s.expandMu.Lock(); defer s.expandMu.Unlock(); return float64(s.expandHits) })
 	reg.CounterFunc("relsim_expand_memo_misses_total",
-		"Algorithm-1 expansion memo misses.",
+		"Algorithm-1 expansion memo misses, the only lookups that parse their pattern string.",
 		func() float64 { s.expandMu.Lock(); defer s.expandMu.Unlock(); return float64(s.expandMisses) })
 	reg.CounterFunc("relsim_expand_memo_evictions_total",
 		"Algorithm-1 expansion memo evictions (LRU bound).",

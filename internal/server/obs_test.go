@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -676,5 +677,27 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 	got := seriesValue(t, body, `relsim_http_requests_total{endpoint="search"}`)
 	if want := float64(workers * 7); got != want {
 		t.Errorf("search requests = %v, want %v", got, want)
+	}
+}
+
+// TestServerTimingFormat pins the Server-Timing value byte for byte
+// against the fmt rendering it replaced ("%s;dur=%.2f, " per span, then
+// the total), which bench/client.go parses on every request: rounding
+// at the half, zero, large and sanitized names included.
+func TestServerTimingFormat(t *testing.T) {
+	tr := newTrace("t", "search")
+	spans := []PhaseSpan{{"expand", 0.000005}, {"score", 0.0012345}, {"plan", 0}, {"encode json", 1234.5678}, {"x", 0.000015}}
+	tr.phases = spans
+	got := tr.serverTiming()
+	var want strings.Builder
+	for _, s := range spans {
+		fmt.Fprintf(&want, "%s;dur=%.2f, ", sanitizeToken(s.Name), s.Seconds*1000)
+	}
+	spanPart, total, ok := strings.Cut(got, "total;dur=")
+	if !ok || spanPart != want.String() {
+		t.Fatalf("Server-Timing = %q, want the spans %q then the total", got, want.String())
+	}
+	if !regexp.MustCompile(`^[0-9]+\.[0-9]{2}$`).MatchString(total) {
+		t.Fatalf("Server-Timing total %q is not a duration with two decimals", total)
 	}
 }

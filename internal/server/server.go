@@ -116,8 +116,8 @@ type Server struct {
 	maxLagAge time.Duration
 
 	// expand memoizes query sets — a pattern or its Algorithm-1
-	// expansion, canonicalized and cut for scoring — by input pattern
-	// string. The schema and generation options are fixed for the
+	// expansion, canonicalized and cut for scoring — by the pattern
+	// string as the client sent it. The schema and generation options are fixed for the
 	// server's lifetime, so entries never go stale — unlike commuting
 	// matrices, expansions do not depend on the graph's edges. The memo is
 	// LRU-bounded: pattern strings come straight off the wire, so an
@@ -506,7 +506,9 @@ type DeltaStats struct {
 }
 
 // ExpandMemoStats is the /stats view of the bounded Algorithm-1
-// expansion memo.
+// expansion memo, keyed by the pattern string as the client sent it
+// and the expansion flag: a hit parses nothing, and only a miss parses
+// and expands.
 type ExpandMemoStats struct {
 	Size      int    `json:"size"`
 	Limit     int    `json:"limit"`

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -161,12 +162,16 @@ func (t *Trace) serverTiming() string {
 	t.mu.Lock()
 	spans := append([]PhaseSpan(nil), t.phases...)
 	t.mu.Unlock()
-	var b strings.Builder
+	b := make([]byte, 0, 24*(len(spans)+1))
 	for _, s := range spans {
-		fmt.Fprintf(&b, "%s;dur=%.2f, ", sanitizeToken(s.Name), s.Seconds*1000)
+		b = append(b, sanitizeToken(s.Name)...)
+		b = append(b, ";dur="...)
+		b = strconv.AppendFloat(b, s.Seconds*1000, 'f', 2, 64)
+		b = append(b, ", "...)
 	}
-	fmt.Fprintf(&b, "total;dur=%.2f", time.Since(t.Start).Seconds()*1000)
-	return b.String()
+	b = append(b, "total;dur="...)
+	b = strconv.AppendFloat(b, time.Since(t.Start).Seconds()*1000, 'f', 2, 64)
+	return string(b)
 }
 
 // sanitizeToken restricts a phase name to header-token-safe runes.

@@ -46,41 +46,74 @@ func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.No
 	return ScoreCuts(ev, cuts, query, candidates, 0)
 }
 
-// ScoreCuts is RelSimAggregate over patterns already cut under ev's key
-// mode (eval.NewCut), for callers that memoize the cuts, keeping the
-// top answers only. No M_p is materialized: each pattern is scored from
-// its two halves (eval.Cut) by pushing row u of A through B = (Bᵀ)ᵀ,
-// the transpose kept with the cached right half, so a read costs the
-// query's two-hop neighbourhood, not the candidate domain. M_p(u,u) and
-// M_p(v,v) are looked up in the diagonal kept beside the halves
-// (Evaluator.Scoring), so each reached candidate costs O(1) more. A
-// candidate's score is the sum, in pattern order, of its positive
+// ScoreDomain is RelSimAggregate over patterns already cut under ev's
+// key mode (eval.NewCut), for callers that memoize the cuts, answering
+// from dom (typically a node type, graph.View.TypeDomain) and keeping
+// the top answers only. No M_p is materialized: each pattern is scored
+// from its two halves (eval.Cut) by pushing row u of A through B =
+// (Bᵀ)ᵀ, the transpose kept with the cached right half, so a read costs
+// the query's two-hop neighbourhood, never the domain: each node the
+// push reaches is tested against dom in O(1). M_p(u,u) and M_p(v,v) are
+// looked up in the diagonal kept beside the halves
+// (Evaluator.Scoring), so each reached answer costs O(1) more. An
+// answer's score is the sum, in pattern order, of its positive
 // per-pattern scores.
 //
 // top bounds the answers returned: a heap keeps the best top of them in
 // the ranking's order (score descending, then id ascending), so the
 // result is the first top entries of the full ranking. top ≤ 0 ranks
 // every answer.
-//
+func ScoreDomain(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, dom graph.Domain, top int) Ranking {
+	s := score(ev, cuts, query, dom)
+	ps := s.ps[:0]
+	for _, v := range s.hits {
+		ps = keep(ps, top, scored{graph.NodeID(v), s.acc[v]})
+	}
+	return s.finish(ps)
+}
+
+// ScoreCuts is ScoreDomain with the answer domain given as a list:
+// every node is scored, and the answers kept are those in candidates.
 // Candidates are a set over [0, n), for every kind of root: a repeated
 // id is ranked once, and an id outside [0, n) is ignored. nil means
 // every node.
 func ScoreCuts(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, candidates []graph.NodeID, top int) Ranking {
-	n := ev.Graph().NumNodes()
-	s := getScorer(n)
-	s.restrict(candidates, n)
-	for _, c := range cuts {
-		a, b, diag := ev.Scoring(c)
-		s.cut(a, b, diag, int(query))
+	if candidates == nil {
+		return ScoreDomain(ev, cuts, query, graph.AllNodes, top)
 	}
+	n := ev.Graph().NumNodes()
+	s := score(ev, cuts, query, graph.AllNodes)
 	ps := s.ps[:0]
+	for _, v := range candidates {
+		if v >= 0 && int(v) < n && s.acc[v] > 0 {
+			ps = keep(ps, top, scored{v, s.acc[v]})
+			s.acc[v] = 0 // a repeated id finds no score left
+		}
+	}
+	return s.finish(ps)
+}
+
+// score runs one read's cuts through a pooled scorer, adding each
+// answer in dom's scores into acc.
+func score(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, dom graph.Domain) *scorer {
+	s := getScorer(ev.Graph().NumNodes())
+	s.dom, s.tests = dom, 0
+	ev.Scoring(cuts, func(a, b *sparse.Matrix, diag *sparse.Vector) {
+		s.cut(a, b, diag, int(query))
+	})
+	return s
+}
+
+// finish ranks the answers kept in ps, clears the scores, and returns
+// the scorer to the pool without its domain, so the pool keeps no
+// snapshot's type column alive.
+func (s *scorer) finish(ps []scored) Ranking {
 	for _, v := range s.hits {
-		ps = keep(ps, top, scored{graph.NodeID(v), s.acc[v]})
 		s.acc[v] = 0
 	}
 	r := rank(ps)
-	s.hits, s.ps = s.hits[:0], ps[:0]
-	scorerPool.Put(s) // normal path only: a panic above abandons it
+	s.hits, s.ps, s.dom = s.hits[:0], ps[:0], graph.Domain{}
+	scorerPool.Put(s) // normal path only: a panic while scoring abandons it
 	return r
 }
 
@@ -109,11 +142,10 @@ func inner(a *sparse.Matrix, x int, bt *sparse.Matrix, y int) int64 {
 	return sparse.Dot(ac, av, bc, bv)
 }
 
-// scorer is one ScoreCuts call's O(n) state, pooled between calls.
-// Between calls every acc entry is zero and hits is empty. Marks are
-// stamps, so nothing else is cleared: mark[v] ≤ stamp and in[v] ≤ call
-// always hold, x[v] means something only while mark[v] is the current
-// cut's stamp, and v is a candidate while in[v] is the current call's.
+// scorer is one read's O(n) state, pooled between calls. Between calls
+// every acc entry is zero and hits is empty. Marks are stamps, so
+// nothing else is cleared: mark[v] ≤ stamp always holds, and x[v] means
+// something only while mark[v] is the current cut's stamp.
 type scorer struct {
 	mark  []uint32 // mark[v] == stamp: v is on row, with M(u,v) in x[v]
 	stamp uint32
@@ -121,9 +153,8 @@ type scorer struct {
 	row   []int32   // the columns row u of the current cut's M_p reaches
 	acc   []float64 // a node's score so far, positive exactly on hits
 	hits  []int32   // the nodes with a positive score, in first-touch order
-	in    []uint32  // in[v] == call: v is a candidate
-	call  uint32
-	all   bool // no candidate restriction: every node is one
+	dom   graph.Domain
+	tests int // domain tests this read made
 	ps    []scored
 }
 
@@ -137,25 +168,7 @@ func getScorer(n int) *scorer {
 		return s
 	}
 	n += n / 8
-	return &scorer{mark: make([]uint32, n), x: make([]int64, n), acc: make([]float64, n), in: make([]uint32, n)}
-}
-
-// restrict makes candidates the call's answer domain: the set of its ids
-// in [0, n), or every node when it is nil.
-func (s *scorer) restrict(candidates []graph.NodeID, n int) {
-	if s.all = candidates == nil; s.all {
-		return
-	}
-	if s.call == math.MaxUint32 {
-		clear(s.in)
-		s.call = 0
-	}
-	s.call++
-	for _, v := range candidates {
-		if v >= 0 && int(v) < n {
-			s.in[v] = s.call
-		}
-	}
+	return &scorer{mark: make([]uint32, n), x: make([]int64, n), acc: make([]float64, n)}
 }
 
 // cut adds one pattern's Equation-1 scores for query u, given what
@@ -215,7 +228,11 @@ func (s *scorer) push(ucols []int32, uvals []int64, b *sparse.Matrix) []int32 {
 
 // wants reports whether v is answered for query u.
 func (s *scorer) wants(v int32, u int) bool {
-	return int(v) != u && (s.all || s.in[v] == s.call)
+	if int(v) == u {
+		return false
+	}
+	s.tests++
+	return s.dom.Has(graph.NodeID(v))
 }
 
 // add adds v's Equation-1 score to its total when positive.

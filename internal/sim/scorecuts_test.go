@@ -69,9 +69,10 @@ func TestCandidatesAreASet(t *testing.T) {
 // neighbourhood": on warm FullDBLP, scoring allocates a constant number
 // of times per call — the ranking it returns — whether the read is the
 // 49-cut headline over the procs or w.w- over every author, ranking
-// every answer or the top 10 a search returns: the scorer's O(n) state
-// and its heap are pooled, and nothing it allocates grows with the
-// candidates.
+// every answer or the top 10 a search returns, and whether the answer
+// domain is a candidate list (ScoreCuts) or a node type (ScoreDomain):
+// the scorer's O(n) state and its heap are pooled, and nothing it
+// allocates grows with the candidates.
 func TestScoreCutsAllocations(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -95,7 +96,7 @@ func TestScoreCutsAllocations(t *testing.T) {
 		for i, p := range ps {
 			cuts[i] = ev.Cut(p)
 		}
-		cands := snap.NodesOfType(tc.typ)
+		cands, dom := snap.NodesOfType(tc.typ), snap.TypeDomain(tc.typ)
 		// A query with at least two answers, so the sort runs in full.
 		q, answers := cands[0], 0
 		for _, v := range cands {
@@ -104,32 +105,40 @@ func TestScoreCutsAllocations(t *testing.T) {
 				break
 			}
 		}
-		for _, top := range []int{0, 10} {
-			kept := answers
-			if top > 0 {
-				kept = min(answers, top)
+		for _, entry := range []struct {
+			name  string
+			score func(top int) Ranking
+		}{
+			{"ScoreCuts", func(top int) Ranking { return ScoreCuts(ev, cuts, q, cands, top) }},
+			{"ScoreDomain", func(top int) Ranking { return ScoreDomain(ev, cuts, q, dom, top) }},
+		} {
+			for _, top := range []int{0, 10} {
+				kept := answers
+				if top > 0 {
+					kept = min(answers, top)
+				}
+				allocs := testing.AllocsPerRun(50, func() { entry.score(top) })
+				// Bytes too, with the collector off so the pool keeps its
+				// scorer: the ranking's 12 bytes an answer and a constant,
+				// never a slice as long as the candidates.
+				gc := debug.SetGCPercent(-1)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 50; i++ {
+					entry.score(top)
+				}
+				runtime.ReadMemStats(&after)
+				debug.SetGCPercent(gc)
+				perCall := (after.TotalAlloc - before.TotalAlloc) / 50
+				t.Logf("%s %s, top %d: %d cuts, %d candidates, %d answers: %.0f allocations, %d bytes per call", entry.name, tc.pattern, top, len(cuts), len(cands), kept, allocs, perCall)
+				if allocs > bound {
+					t.Errorf("%s %s, top %d: %.0f allocations per call, want at most %d", entry.name, tc.pattern, top, allocs, bound)
+				}
+				if limit := uint64(256 + 16*kept); perCall > limit {
+					t.Errorf("%s %s, top %d: %d bytes allocated per call, want at most %d for %d answers", entry.name, tc.pattern, top, perCall, limit, kept)
+				}
+				counts = append(counts, allocs)
 			}
-			allocs := testing.AllocsPerRun(50, func() { ScoreCuts(ev, cuts, q, cands, top) })
-			// Bytes too, with the collector off so the pool keeps its
-			// scorer: the ranking's 12 bytes an answer and a constant,
-			// never a slice as long as the candidates.
-			gc := debug.SetGCPercent(-1)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < 50; i++ {
-				ScoreCuts(ev, cuts, q, cands, top)
-			}
-			runtime.ReadMemStats(&after)
-			debug.SetGCPercent(gc)
-			perCall := (after.TotalAlloc - before.TotalAlloc) / 50
-			t.Logf("%s, top %d: %d cuts, %d candidates, %d answers: %.0f allocations, %d bytes per call", tc.pattern, top, len(cuts), len(cands), kept, allocs, perCall)
-			if allocs > bound {
-				t.Errorf("%s, top %d: %.0f allocations per call, want at most %d", tc.pattern, top, allocs, bound)
-			}
-			if limit := uint64(256 + 16*kept); perCall > limit {
-				t.Errorf("%s, top %d: %d bytes allocated per call, want at most %d for %d answers", tc.pattern, top, perCall, limit, kept)
-			}
-			counts = append(counts, allocs)
 		}
 	}
 	if slices.Min(counts) != slices.Max(counts) {
