@@ -101,17 +101,16 @@ func TestMaintainFallsBackForAnnotatedEntries(t *testing.T) {
 	ev0.CommutingWitness(touchedPat)
 	ev0.CommutingWitness(carriedPat)
 
-	next, d, touched, nodesChanged := applyBatch(snap, 0, []deltaOp{
+	next, d := applyBatch(snap, 0, []deltaOp{
 		{op: "add-edge", u: 2, v: 4, label: "a"},
 	})
-	res := cache.Maintain(next, d, MaintainOptions{})
+	res := cache.Commit(next, d, at(1))
 	if res.Fallbacks == 0 {
-		t.Fatalf("Maintain = %+v, want the annotated root counted as a fallback", res)
+		t.Fatalf("Commit = %+v, want the annotated root counted as a fallback", res)
 	}
 	if res.Maintained == 0 {
-		t.Fatalf("Maintain = %+v, want the integer root maintained", res)
+		t.Fatalf("Commit = %+v, want the integer root maintained", res)
 	}
-	cache.Advance(0, 1, touched, nodesChanged, false)
 
 	// The touched witness entry must be gone: a warm lookup at v1 would
 	// otherwise serve a stale annotation.

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,34 +11,35 @@ import (
 	"relsim/internal/sparse"
 )
 
-// Key identifies one cached commuting matrix: the graph version it was
-// computed against, the semiring it was evaluated over, and the
-// canonical pattern string. Versioning is what makes the cache
-// MVCC-safe: evaluators bound to different snapshots never alias each
-// other's entries, so no invalidation is required for correctness — an
-// entry for (v, ring, p) is valid forever, because version v is
-// immutable. Entries of dead versions age out via the LRU bound and
-// the proactive hints below.
+// Key is what a reader asks the cache for: a commuting matrix at one
+// graph version, over one semiring, of one canonical pattern string.
+// The cache stores each (ring, pattern) once per validity interval: an
+// entry is valid at every version from the one it was built or patched
+// at until a commit touches one of its pattern's labels (Cache.Commit),
+// up to the newest version the cache has seen.
+// So an untouched entry serves every later version without moving, a
+// reader pinned at an old version keeps reading the entry valid there,
+// and evaluators over different versions share one cache without
+// aliasing.
 //
 // Ring is the semiring tag: "" is the canonical integer ring (the
 // production ranking path), any other value names an annotation ring
-// ("witness"). Tagged entries live in the same buckets and
-// label index as integer ones — so Advance carries/evicts them by the
-// same touched-label rules — but only integer entries are eligible for
-// incremental delta maintenance (see Cache.Maintain).
+// ("witness"). A commit closes tagged entries by the same touched-label
+// rule as integer ones, but only integer entries are patched forward
+// (see Cache.Commit).
 type Key struct {
 	Version uint64
 	Ring    string
 	Pattern string
 }
 
-// ringSep joins the ring tag and pattern into one bucket key. NUL can
+// ringSep joins the ring tag and pattern into one entry key. NUL can
 // never appear in a rendered pattern, so tagged keys cannot collide
 // with pattern strings.
 const ringSep = "\x00"
 
-// entryKey renders the in-bucket key: bare pattern for the integer
-// ring, tag-prefixed otherwise.
+// entryKey renders the entry key: bare pattern for the integer ring,
+// tag-prefixed otherwise.
 func (k Key) entryKey() string {
 	if k.Ring == "" {
 		return k.Pattern
@@ -54,169 +56,154 @@ type CachedMatrix interface {
 	NNZ() int
 }
 
-// cacheEntry is one materialized commuting matrix together with the
-// label set of its pattern (for the label-hint eviction and the
-// inverted index) and its last-use tick (for LRU eviction).
+// open ends the interval of an entry no commit has closed: it is valid
+// at the head and at every version after it until a commit touches it.
+const open = math.MaxUint64
+
+// cacheEntry is one materialized matrix, valid at the versions
+// [from, to), with its last-use tick (for LRU eviction).
 type cacheEntry struct {
-	m      CachedMatrix
-	labels []string
-	used   uint64
+	m        CachedMatrix
+	from, to uint64
+	used     uint64
 }
 
-// versionBucket holds all entries of one graph version, indexed two
-// ways: by pattern string, and by label → patterns mentioning it. The
-// inverted index is what makes the commit path (Advance, Maintain)
-// proportional to the entries actually touched instead of a scan over every entry's label list.
-type versionBucket struct {
-	entries map[string]*cacheEntry
-	byLabel map[string]map[string]struct{}
+func (e *cacheEntry) holds(v uint64) bool { return e.from <= v && v < e.to }
+
+// history is every entry of one (ring, pattern) key, their intervals
+// disjoint, at most one of them open, with the pattern's labels for the
+// label index.
+type history struct {
+	labels []string
+	ents   []*cacheEntry
+}
+
+// at returns h's entry valid at version v; a nil history has none.
+func (h *history) at(v uint64) *cacheEntry {
+	if h != nil {
+		for _, e := range h.ents {
+			if e.holds(v) {
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+// current returns h's open entry.
+func (h *history) current() *cacheEntry {
+	if h != nil {
+		for _, e := range h.ents {
+			if e.to == open {
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+// holding returns h's entry of matrix m.
+func (h *history) holding(m CachedMatrix) *cacheEntry {
+	if h != nil {
+		for _, e := range h.ents {
+			if e.m == m {
+				return e
+			}
+		}
+	}
+	return nil
 }
 
 // cutKey names a concatenation's cut by its halves' entry keys.
 type cutKey struct{ left, right string }
 
-// cutSlot is what Equation-1 scoring reads of one cut at one version
-// (Evaluator.Scoring): the halves A and Bᵀ, the transpose B that Bᵀ
-// keeps (nil if it kept none when the slot was made), and diag(A·B).
+// cutSlot is what Equation-1 scoring reads of one cut at the versions
+// [from, to) (Evaluator.Scoring): the halves A and Bᵀ, the transpose B
+// that Bᵀ keeps (nil if it kept none when the slot was made), and
+// diag(A·B). A slot is not an entry: its interval is the meet of its
+// halves' intervals (liveCuts), so it closes when either half closes and
+// goes when either goes, a half replaced by another matrix included.
 type cutSlot struct {
 	a, bt, b *sparse.Matrix
 	diag     *sparse.Vector
+	from, to uint64
 }
 
-// cutTable holds one version's cut slots. A slot is not an entry: it
-// lives while both its halves are its version's entries, so it dies
-// with either half, and a half replaced by another matrix counts as
-// dead. It carries with its version's bucket while both halves carry,
-// and Maintain patches it when a half is; until Advance carries them, a
-// slot Maintain patched may sit beside a half still at the version
-// before. A published table is never written: a writer publishes a
-// changed copy (Cache.publish).
-type cutTable map[cutKey]cutSlot
+// cutTable maps each kept cut to its slots, their intervals disjoint. A
+// published table is never written: a writer publishes a changed copy.
+type cutTable map[cutKey][]cutSlot
 
-// cutTables maps each version to its cut table.
-type cutTables map[uint64]cutTable
-
-func newBucket() *versionBucket {
-	return &versionBucket{
-		entries: make(map[string]*cacheEntry),
-		byLabel: make(map[string]map[string]struct{}),
-	}
-}
-
-// has reports whether m is b's entry under key; a nil bucket has none.
-func (b *versionBucket) has(key string, m *sparse.Matrix) bool {
-	if b == nil {
-		return false
-	}
-	ent := b.entries[key]
-	return ent != nil && ent.m == CachedMatrix(m)
-}
-
-// live returns the slots of ts whose halves are b's entries, the first
-// table to hold a key winning.
-func (b *versionBucket) live(ts ...cutTable) cutTable {
-	out := make(cutTable)
-	for _, t := range ts {
-		for k, s := range t {
-			if _, done := out[k]; !done && b.has(k.left, s.a) && b.has(k.right, s.bt) {
-				out[k] = s
-			}
+// slotAt returns the slot of ss valid at version v.
+func slotAt(ss []cutSlot, v uint64) (cutSlot, bool) {
+	for _, s := range ss {
+		if s.from <= v && v < s.to {
+			return s, true
 		}
 	}
-	return out
-}
-
-// put stores an entry and indexes its labels.
-func (b *versionBucket) put(pattern string, ent *cacheEntry) {
-	b.entries[pattern] = ent
-	for _, l := range ent.labels {
-		set, ok := b.byLabel[l]
-		if !ok {
-			set = make(map[string]struct{})
-			b.byLabel[l] = set
-		}
-		set[pattern] = struct{}{}
-	}
-}
-
-// remove deletes an entry and unindexes its labels. Reports whether the
-// pattern was present.
-func (b *versionBucket) remove(pattern string) bool {
-	ent, ok := b.entries[pattern]
-	if !ok {
-		return false
-	}
-	delete(b.entries, pattern)
-	for _, l := range ent.labels {
-		if set := b.byLabel[l]; set != nil {
-			delete(set, pattern)
-			if len(set) == 0 {
-				delete(b.byLabel, l)
-			}
-		}
-	}
-	return true
-}
-
-// stale returns the set of patterns mentioning any of the given labels,
-// in O(Σ index-bucket sizes) — proportional to the touched entries.
-func (b *versionBucket) stale(labels []string) map[string]struct{} {
-	out := make(map[string]struct{})
-	for _, l := range labels {
-		for p := range b.byLabel[l] {
-			out[p] = struct{}{}
-		}
-	}
-	return out
+	return cutSlot{}, false
 }
 
 // Cache is a versioned commuting-matrix cache shared by all evaluators
 // of one serving engine. It is safe for concurrent use.
 type Cache struct {
-	// cuts publishes every version's cut table. Writers replace it
-	// copy-on-write under mu; lookupCut on an unbounded cache reads it
-	// without mu.
-	cuts atomic.Pointer[cutTables]
+	// cuts publishes the cut table. Writers replace it under mu;
+	// lookupCut on an unbounded cache reads it without mu.
+	cuts atomic.Pointer[cutTable]
 
-	mu       sync.Mutex
-	versions map[uint64]*versionBucket
-	size     int          // total entries across versions
-	limit    atomic.Int64 // max cached matrices; 0 = unbounded. Written under mu.
-	tick     uint64       // logical clock for LRU recency
+	mu      sync.Mutex
+	entries map[string]*history
+	byLabel map[string]map[string]struct{} // label → keys whose pattern mentions it
+	closed  map[string]struct{}            // keys that may hold a closed entry
+	size    int                            // entries across all histories
+	// head is the newest version the cache has seen (Commit, or a build
+	// above it): it answers no version above it. Written under mu, after
+	// the cut table it goes with, so lookupCut loads it first.
+	head atomic.Uint64
+	// floor is the oldest version a reader could still pin at the last
+	// commit.
+	floor uint64
+	limit atomic.Int64 // max cached matrices; 0 = unbounded. Written under mu.
+	tick  uint64       // logical clock for LRU recency
 
 	hits, misses, evictions, invalidations uint64
 
 	// building holds the builds in flight, one per missing key (lookup).
 	building map[Key]*flight
 
-	// scanned counts entries examined by the commit path (Advance).
-	// The inverted index makes it proportional to
-	// touched entries; the cache tests gate on it deterministically.
+	// scanned counts the keys a commit's close pass examined. The label
+	// index makes it proportional to the touched entries; the cache
+	// tests gate on it deterministically.
 	scanned uint64
 
-	// cutHits counts the halves the cut tables served, added once per
+	// cutHits counts the halves the cut table served, added once per
 	// scoring call (Evaluator.Scoring), not under mu.
 	cutHits atomic.Uint64
 }
 
 // NewCache returns an empty, unbounded cache.
 func NewCache() *Cache {
-	c := &Cache{versions: make(map[uint64]*versionBucket), building: make(map[Key]*flight)}
-	c.cuts.Store(&cutTables{})
+	c := &Cache{
+		entries:  make(map[string]*history),
+		byLabel:  make(map[string]map[string]struct{}),
+		closed:   make(map[string]struct{}),
+		building: make(map[Key]*flight),
+	}
+	c.cuts.Store(&cutTable{})
 	return c
 }
 
 // CacheStats is a point-in-time snapshot of the commuting-matrix cache.
 // Diagonals are the Equation-1 diagonals kept beside the entries, one
-// per slot of the cut tables, with their stored entries and bytes; they
-// do not count towards Size.
+// per slot of the cut table, with their stored entries and bytes; they
+// do not count towards Size. Versions is the number of versions
+// VersionOccupancy reports.
 type CacheStats struct {
 	Size     int `json:"size"`
 	Versions int `json:"versions"`
 	Limit    int `json:"limit"`
 	// Hits counts the lookups that found their matrix: every Commuting
 	// call's, the recursive sub-pattern calls' included, and two per cut
-	// a scoring read took from a cut table, the latter added once per
+	// a scoring read took from the cut table, the latter added once per
 	// read.
 	Hits            uint64 `json:"hits"`
 	Misses          uint64 `json:"misses"`
@@ -227,22 +214,22 @@ type CacheStats struct {
 	DiagonalBytes   int    `json:"diagonal_bytes"`
 }
 
-// Stats returns the cache counters. It costs O(kept diagonals): each
-// knows its entries and bytes.
+// Stats returns the cache counters. It costs O(kept diagonals), each
+// knowing its entries and bytes, plus VersionOccupancy's cost.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CacheStats{
 		Size:          c.size,
-		Versions:      len(c.versions),
+		Versions:      len(c.occupancyLocked()),
 		Limit:         int(c.limit.Load()),
 		Hits:          c.hits + c.cutHits.Load(),
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 	}
-	for _, t := range *c.cuts.Load() {
-		for _, s := range t {
+	for _, ss := range *c.cuts.Load() {
+		for _, s := range ss {
 			st.Diagonals++
 			st.DiagonalEntries += s.diag.NNZ()
 			st.DiagonalBytes += s.diag.Bytes()
@@ -258,16 +245,33 @@ func (c *Cache) Size() int {
 	return c.size
 }
 
-// VersionOccupancy returns the number of cached matrices per graph
-// version — the /stats view of how much of the cache still serves old
-// pinned readers.
+// VersionOccupancy maps versions to the number of entries valid there:
+// the head, and each version from the last commit's floor up at which
+// an entry's interval begins (one that began below the floor counting
+// at the floor). It is the /stats view of how much of the cache serves
+// the head and how much only readers still pinned at older versions.
+// Versions no entry is valid at are left out. It costs O(entries ×
+// versions reported).
 func (c *Cache) VersionOccupancy() map[uint64]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.occupancyLocked()
+}
+
+func (c *Cache) occupancyLocked() map[uint64]int {
+	vs := []uint64{c.head.Load()}
+	for _, h := range c.entries {
+		for _, e := range h.ents {
+			vs = append(vs, max(e.from, c.floor))
+		}
+	}
+	slices.Sort(vs)
 	occ := make(map[uint64]int)
-	for v, b := range c.versions {
-		if len(b.entries) > 0 {
-			occ[v] = len(b.entries)
+	for _, v := range slices.Compact(vs) {
+		for _, h := range c.entries {
+			if h.at(v) != nil {
+				occ[v]++
+			}
 		}
 	}
 	return occ
@@ -283,61 +287,112 @@ func (c *Cache) SetLimit(n int) {
 	c.evictLocked()
 }
 
-// bucket returns the bucket for version v, creating it if needed. c.mu held.
-func (c *Cache) bucket(v uint64) *versionBucket {
-	b, ok := c.versions[v]
-	if !ok {
-		b = newBucket()
-		c.versions[v] = b
-	}
-	return b
-}
-
-// removeLocked deletes (v, pattern) if present, maintaining size. The
-// caller drops the slots it is a half of. c.mu held.
-func (c *Cache) removeLocked(v uint64, pattern string) bool {
-	b, ok := c.versions[v]
-	if !ok {
-		return false
-	}
-	if !b.remove(pattern) {
-		return false
-	}
-	c.size--
-	if len(b.entries) == 0 {
-		delete(c.versions, v)
-	}
-	return true
-}
-
-// table returns version v's published cut table.
-func (c *Cache) table(v uint64) cutTable { return (*c.cuts.Load())[v] }
-
-// prune drops from the cut tables of the versions vs every slot a half
-// of which is no longer the version's entry. c.mu held.
-func (c *Cache) prune(vs ...uint64) {
-	ts := make(cutTables, len(vs))
-	for _, v := range vs {
-		ts[v] = c.versions[v].live(c.table(v))
-	}
-	c.publish(ts)
-}
-
-// publish replaces the cut table of each version in ts with its new
-// one, none when it is empty, in one copy of the published map. c.mu
-// held.
-func (c *Cache) publish(ts cutTables) {
-	old := *c.cuts.Load()
-	m := make(cutTables, len(old)+len(ts))
-	maps.Copy(m, old)
-	for v, t := range ts {
-		if len(t) == 0 {
-			delete(m, v)
-		} else {
-			m[v] = t
+// add stores e in key ek's history and indexes a new history's labels.
+// c.mu held.
+func (c *Cache) add(ek string, labels []string, e *cacheEntry) {
+	h := c.entries[ek]
+	if h == nil {
+		h = &history{labels: labels}
+		c.entries[ek] = h
+		for _, l := range labels {
+			set := c.byLabel[l]
+			if set == nil {
+				set = make(map[string]struct{})
+				c.byLabel[l] = set
+			}
+			set[ek] = struct{}{}
 		}
 	}
-	c.cuts.Store(&m)
+	h.ents = append(h.ents, e)
+	c.size++
+	if e.to != open {
+		c.closed[ek] = struct{}{}
+	}
+}
+
+// remove deletes e from key ek's history, and unindexes the history
+// when it empties. The caller republishes the cut table (liveCuts).
+// c.mu held.
+func (c *Cache) remove(ek string, e *cacheEntry) {
+	h := c.entries[ek]
+	h.ents = slices.DeleteFunc(h.ents, func(x *cacheEntry) bool { return x == e })
+	c.size--
+	if len(h.ents) > 0 {
+		return
+	}
+	delete(c.entries, ek)
+	delete(c.closed, ek)
+	for _, l := range h.labels {
+		if set := c.byLabel[l]; set != nil {
+			delete(set, ek)
+			if len(set) == 0 {
+				delete(c.byLabel, l)
+			}
+		}
+	}
+}
+
+// closeAt ends key ek's open entry e at version at, dropping it when no
+// version from the floor up is left in its interval. c.mu held.
+func (c *Cache) closeAt(ek string, e *cacheEntry, at uint64) {
+	e.to = at
+	if max(e.from, c.floor) >= at {
+		c.remove(ek, e)
+	} else {
+		c.closed[ek] = struct{}{}
+	}
+}
+
+// dropBelow removes the closed entries no version from floor up is in
+// the interval of, and returns how many. c.mu held.
+func (c *Cache) dropBelow(floor uint64) int {
+	n := 0
+	for ek := range c.closed {
+		h, left := c.entries[ek], false
+		for i := len(h.ents) - 1; i >= 0; i-- {
+			if e := h.ents[i]; e.to <= floor {
+				c.remove(ek, e)
+				n++
+			} else if e.to != open {
+				left = true
+			}
+		}
+		if !left {
+			delete(c.closed, ek)
+		}
+	}
+	return n
+}
+
+// liveCuts returns t with each slot's interval set to the meet of its
+// halves' entries' intervals, and without the slots a half of which is
+// no longer an entry or whose meet is empty. It is the one rule that
+// decides which slots live: every writer that closes, drops or replaces
+// an entry publishes its result. c.mu held.
+func (c *Cache) liveCuts(t cutTable) *cutTable {
+	out := make(cutTable, len(t))
+	for k, ss := range t {
+		var live []cutSlot
+		for _, s := range ss {
+			if s.from, s.to = c.meet(k, s.a, s.bt); s.from < s.to {
+				live = append(live, s)
+			}
+		}
+		if live != nil {
+			out[k] = live
+		}
+	}
+	return &out
+}
+
+// meet returns the interval at which a and bt are both entries, of the
+// cut's left and right keys: empty when either is not. c.mu held.
+func (c *Cache) meet(k cutKey, a, bt *sparse.Matrix) (from, to uint64) {
+	ea, eb := c.entries[k.left].holding(a), c.entries[k.right].holding(bt)
+	if ea == nil || eb == nil {
+		return 0, 0
+	}
+	return max(ea.from, eb.from), min(ea.to, eb.to)
 }
 
 // flight is one build of a missing key in progress; m, set before done
@@ -359,13 +414,11 @@ func (c *Cache) lookup(ctx context.Context, key Key) (m CachedMatrix, own bool, 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if b, ok := c.versions[key.Version]; ok {
-			if ent, ok := b.entries[key.entryKey()]; ok {
-				c.hits++
-				c.tick++
-				ent.used = c.tick
-				return ent.m, false, nil
-			}
+		if e := c.entries[key.entryKey()].at(key.Version); e != nil && key.Version <= c.head.Load() {
+			c.hits++
+			c.tick++
+			e.used = c.tick
+			return e.m, false, nil
 		}
 		fl := c.building[key]
 		if fl == nil {
@@ -394,9 +447,7 @@ func (c *Cache) lookup(ctx context.Context, key Key) (m CachedMatrix, own bool, 
 }
 
 // land stores a computed matrix, unless m is nil (the build failed), and
-// hands m to the waiters of key's build, if any. Entries are keyed by
-// immutable versions, so a build that raced a commit lands, never
-// stale, under the version it was computed at.
+// hands m to the waiters of key's build, if any.
 func (c *Cache) land(key Key, m CachedMatrix, labels []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -411,24 +462,26 @@ func (c *Cache) land(key Key, m CachedMatrix, labels []string) {
 	}
 }
 
-// lookupCut returns the slot of the cut at version v, if one is kept.
-// On an unbounded cache it reads the published table: it takes no lock
-// and writes nothing. A bounded cache looks under mu and marks both
+// lookupCut returns the slot of the cut valid at version v, if one is
+// kept. On an unbounded cache it reads the published table: it takes no
+// lock and writes nothing. A bounded cache looks under mu and marks both
 // halves used, so its LRU order stays exact. Either way the caller
 // counts the hit (Evaluator.Scoring).
 func (c *Cache) lookupCut(v uint64, k cutKey) (cutSlot, bool) {
+	if v > c.head.Load() {
+		return cutSlot{}, false
+	}
 	if c.limit.Load() == 0 {
-		s, ok := (*c.cuts.Load())[v][k]
-		return s, ok
+		return slotAt((*c.cuts.Load())[k], v)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.table(v)[k]
-	if b := c.versions[v]; ok && b != nil {
-		for _, key := range [...]string{k.left, k.right} {
-			if ent := b.entries[key]; ent != nil {
+	s, ok := slotAt((*c.cuts.Load())[k], v)
+	if ok {
+		for _, e := range [...]*cacheEntry{c.entries[k.left].holding(s.a), c.entries[k.right].holding(s.bt)} {
+			if e != nil {
 				c.tick++
-				ent.used = c.tick
+				e.used = c.tick
 			}
 		}
 	}
@@ -436,171 +489,60 @@ func (c *Cache) lookupCut(v uint64, k cutKey) (cutSlot, bool) {
 }
 
 // keepCut publishes s as the slot of the cut at version v, unless its
-// halves are no longer v's entries (it would outlive a half) or a slot
-// is kept already.
+// halves are no longer the entries valid at v (it would outlive a half)
+// or a slot valid at v is kept already.
 func (c *Cache) keepCut(v uint64, k cutKey, s cutSlot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, t := c.versions[v], c.table(v)
-	if _, kept := t[k]; kept || b == nil || !b.has(k.left, s.a) || !b.has(k.right, s.bt) {
+	t := *c.cuts.Load()
+	if _, kept := slotAt(t[k], v); kept {
+		return
+	}
+	if s.from, s.to = c.meet(k, s.a, s.bt); v < s.from || v >= s.to {
 		return
 	}
 	t = maps.Clone(t)
-	if t == nil {
-		t = make(cutTable, 1)
-	}
-	t[k] = s
-	c.publish(cutTables{v: t})
+	t[k] = append(slices.Clip(t[k]), s)
+	c.cuts.Store(&t)
 }
 
-// insertLocked stores an entry unconditionally; the slots of an entry
-// it replaces with another matrix die. c.mu held.
+// insertLocked stores m as key's entry at key.Version. An entry valid
+// there already takes m in its place, keeping its interval; the slots
+// of a half so replaced with another matrix die. Otherwise the entry's
+// interval depends on where v stands against the head:
+//   - at the head it opens, [v, open);
+//   - below the head it lands as [v, v+1): a reader still at v after a
+//     commit closed v's entries never opens an interval over a version
+//     the commit patched;
+//   - above the head it moves the head to v first, closing every open
+//     entry at v, since no commit described the versions in between.
+//
+// c.mu held.
 func (c *Cache) insertLocked(key Key, m CachedMatrix, labels []string) {
-	b := c.bucket(key.Version)
-	ek := key.entryKey()
-	old := b.entries[ek]
-	if old != nil {
-		b.remove(ek)
-		c.size--
+	v, ek := key.Version, key.entryKey()
+	if v > c.head.Load() {
+		for k, h := range c.entries {
+			if e := h.current(); e != nil {
+				c.closeAt(k, e, v)
+			}
+		}
+		c.cuts.Store(c.liveCuts(*c.cuts.Load()))
+		c.head.Store(v)
 	}
 	c.tick++
-	b.put(ek, &cacheEntry{m: m, labels: labels, used: c.tick})
-	c.size++
-	if old != nil && old.m != m {
-		c.prune(key.Version)
+	if e := c.entries[ek].at(v); e != nil {
+		old := e.m
+		e.m, e.used = m, c.tick
+		if old != m {
+			c.cuts.Store(c.liveCuts(*c.cuts.Load()))
+		}
+		return
 	}
-}
-
-// Advance ages the cache across a committed write from version `from`
-// to version `to`. Entries keyed at `from` whose pattern mentions no
-// touched label are carried to `to`, keeping untouched patterns hot at
-// the new version; touched entries (or every entry at `from` when
-// nodesChanged, since the matrix dimension moves) do not carry. When
-// keepFrom is false the `from` keys are removed in the same pass (the
-// touched ones counting as invalidations); when keepFrom is true —
-// readers are still pinned at `from` — every `from` entry stays in
-// place so those readers keep their hits, carried patterns are *copied*
-// to `to`, and EvictBelow reaps the leftovers once the pins release.
-// Entries at older versions are untouched either way. A cut slot goes
-// where both its halves go: `to`'s table is rebuilt in one pass from
-// the slots Maintain kept there and those of `from`, keeping each whose
-// halves are `to`'s entries afterwards, so a slot carries while neither
-// half is touched or replaced and is dropped otherwise. Returns
-// (carried, evicted).
-//
-// With the label index the common path (no pinned reader, nodes
-// unchanged) moves the whole version bucket in O(1) and then removes
-// the stale patterns — O(touched entries), not O(cache).
-func (c *Cache) Advance(from, to uint64, touchedLabels []string, nodesChanged, keepFrom bool) (int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	src, ok := c.versions[from]
-	if !ok {
-		return 0, 0
+	to := uint64(open)
+	if v < c.head.Load() {
+		to = v + 1
 	}
-
-	var stale map[string]struct{}
-	if nodesChanged {
-		stale = make(map[string]struct{}, len(src.entries))
-		for p := range src.entries {
-			stale[p] = struct{}{}
-		}
-	} else {
-		stale = src.stale(touchedLabels)
-	}
-	c.scanned += uint64(len(stale))
-
-	carried, evicted := 0, 0
-	dst, dstExists := c.versions[to]
-	switch {
-	case !keepFrom:
-		// Fast path: move the bucket wholesale, strip stale patterns,
-		// then overlay whatever already existed at `to` — maintained
-		// entries the delta engine pre-inserted, or entries a reader at
-		// the new version raced ahead and computed. Those copies win (a
-		// raced copy is equally correct; a maintained copy is the point).
-		// Cost: O(touched + |to-bucket|), not O(cache).
-		delete(c.versions, from)
-		c.versions[to] = src
-		carried = len(src.entries)
-		for p := range stale {
-			if src.remove(p) {
-				c.size--
-				carried--
-				evicted++
-			}
-		}
-		if dstExists {
-			for p, ent := range dst.entries {
-				c.scanned++
-				if src.remove(p) {
-					c.size--
-					carried--
-				}
-				src.put(p, ent)
-			}
-		}
-		c.publish(cutTables{from: nil, to: src.live(c.table(to), c.table(from))})
-		if len(src.entries) == 0 {
-			delete(c.versions, to)
-		}
-	default:
-		// Pinned readers at `from`: copy carried entries, leave `from`
-		// intact for EvictBelow to reap once the pins release.
-		if !dstExists {
-			dst = c.bucket(to)
-		}
-		for p, ent := range src.entries {
-			c.scanned++
-			if _, isStale := stale[p]; isStale {
-				continue
-			}
-			if _, dup := dst.entries[p]; !dup {
-				dst.put(p, &cacheEntry{m: ent.m, labels: ent.labels, used: ent.used})
-				c.size++
-				carried++
-			}
-		}
-		// A slot Maintain kept at `to` beside an untouched half that has
-		// left `from` since has no half to carry.
-		c.publish(cutTables{to: dst.live(c.table(to), c.table(from))})
-		if len(dst.entries) == 0 {
-			delete(c.versions, to)
-		}
-	}
-	c.invalidations += uint64(evicted)
-	// Carrying with keepFrom copies entries, so a bounded cache can
-	// exceed its limit here; enforce it like every other insertion path
-	// does instead of waiting for the next insert.
-	c.evictLocked()
-	return carried, evicted
-}
-
-// EvictBelow drops every entry with version < floor and returns the
-// count. The serving layer calls it with the oldest pinned version:
-// entries below the floor can never be read again.
-func (c *Cache) EvictBelow(floor uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for v, b := range c.versions {
-		if v < floor {
-			n += len(b.entries)
-			c.size -= len(b.entries)
-			delete(c.versions, v)
-		}
-	}
-	gone := cutTables{}
-	for v := range *c.cuts.Load() {
-		if v < floor {
-			gone[v] = nil
-		}
-	}
-	if len(gone) > 0 {
-		c.publish(gone)
-	}
-	c.evictions += uint64(n)
-	return n
+	c.add(ek, labels, &cacheEntry{m: m, from: v, to: to, used: c.tick})
 }
 
 // LRU enforcement. c.mu held. The linear minimum scan is fine at the
@@ -610,24 +552,18 @@ func (c *Cache) evictLocked() {
 	if limit <= 0 || c.size <= limit {
 		return
 	}
-	var evicted []uint64
 	for c.size > limit {
-		var victimV uint64
-		var victimP string
-		var oldest uint64
-		first := true
-		for v, b := range c.versions {
-			for p, ent := range b.entries {
-				if first || ent.used < oldest {
-					victimV, victimP, oldest, first = v, p, ent.used, false
+		var victimK string
+		var victim *cacheEntry
+		for k, h := range c.entries {
+			for _, e := range h.ents {
+				if victim == nil || e.used < victim.used {
+					victimK, victim = k, e
 				}
 			}
 		}
-		c.removeLocked(victimV, victimP)
+		c.remove(victimK, victim)
 		c.evictions++
-		if !slices.Contains(evicted, victimV) {
-			evicted = append(evicted, victimV)
-		}
 	}
-	c.prune(evicted...)
+	c.cuts.Store(c.liveCuts(*c.cuts.Load()))
 }

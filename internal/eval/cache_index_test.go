@@ -20,8 +20,8 @@ func primeCache(c *Cache, v uint64, n, k int) {
 // TestCommitPathWorkProportionalToTouched is the deterministic guard
 // for the label inverted index: a commit touching one label out of many
 // must examine only the entries mentioning that label, not the whole
-// cache. It gates on the internal scanned counter, which counts entries
-// examined by Advance.
+// cache. It gates on the internal scanned counter, which counts the keys
+// a commit's close pass examines.
 func TestCommitPathWorkProportionalToTouched(t *testing.T) {
 	const entries, labels = 10000, 1000 // 10 entries per label
 	c := NewCache()
@@ -33,23 +33,23 @@ func TestCommitPathWorkProportionalToTouched(t *testing.T) {
 	c.mu.Lock()
 	c.scanned = 0
 	c.mu.Unlock()
-	carried, evicted := c.Advance(0, 1, []string{"l7"}, false, false)
-	if evicted != entries/labels {
-		t.Fatalf("Advance evicted %d, want %d", evicted, entries/labels)
+	res := c.Commit(nil, touch(0, "l7"), at(1))
+	if res.Closed != entries/labels {
+		t.Fatalf("Commit closed %d, want %d", res.Closed, entries/labels)
 	}
-	if carried != entries-evicted {
-		t.Fatalf("Advance carried %d, want %d", carried, entries-evicted)
+	if carried := c.Size(); carried != entries-res.Closed {
+		t.Fatalf("Commit carried %d, want %d", carried, entries-res.Closed)
 	}
 	c.mu.Lock()
 	scanned := c.scanned
 	c.mu.Unlock()
 	if max := uint64(4 * entries / labels); scanned > max {
-		t.Fatalf("Advance examined %d entries for %d touched; want <= %d (index not used?)",
+		t.Fatalf("Commit examined %d entries for %d touched; want <= %d (index not used?)",
 			scanned, entries/labels, max)
 	}
 }
 
-// TestLabelIndexConsistentAfterChurn exercises insert/remove/advance
+// TestLabelIndexConsistentAfterChurn exercises insert/remove/commit
 // churn and checks the index agrees with the entries.
 func TestLabelIndexConsistentAfterChurn(t *testing.T) {
 	c := NewCache()
@@ -62,15 +62,14 @@ func TestLabelIndexConsistentAfterChurn(t *testing.T) {
 	if c.Size() != 3 {
 		t.Fatalf("Size = %d, want 3 after replace", c.Size())
 	}
-	if _, evicted := c.Advance(0, 1, []string{"b"}, false, false); evicted != 1 {
-		t.Fatalf("Advance touching b evicted %d, want 1", evicted)
+	if res := c.Commit(nil, touch(0, "b"), at(1)); res.Closed != 1 {
+		t.Fatalf("commit touching b closed %d, want 1", res.Closed)
 	}
-	if _, evicted := c.Advance(1, 2, []string{"b"}, false, false); evicted != 0 {
-		t.Fatalf("second Advance touching b evicted %d, want 0 (index left residue)", evicted)
+	if res := c.Commit(nil, touch(1, "b"), at(2)); res.Closed != 0 {
+		t.Fatalf("second commit touching b closed %d, want 0 (index left residue)", res.Closed)
 	}
-	carried, evicted := c.Advance(2, 3, []string{"a"}, false, false)
-	if carried != 1 || evicted != 1 {
-		t.Fatalf("Advance = (%d,%d), want (1,1)", carried, evicted)
+	if res := c.Commit(nil, touch(2, "a"), at(3)); c.Size() != 1 || res.Closed != 1 {
+		t.Fatalf("commit touching a kept %d, closed %d; want (1,1)", c.Size(), res.Closed)
 	}
 	occ := c.VersionOccupancy()
 	if len(occ) != 1 || occ[3] != 1 {
@@ -96,7 +95,7 @@ func BenchmarkCacheCommitPath(b *testing.B) {
 				for j := 0; j < 10; j++ {
 					c.land(Key{Version: v, Pattern: fmt.Sprintf("p%d", j*(size/10)+7)}, m, []string{"l7"})
 				}
-				c.Advance(v, v+1, []string{"l7"}, false, false)
+				c.Commit(nil, touch(v, "l7"), at(v+1))
 				v++
 			}
 		})

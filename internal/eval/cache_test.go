@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"maps"
 	"testing"
 
 	"relsim/internal/graph"
 	"relsim/internal/rre"
+	"relsim/internal/sparse"
 )
 
 // cacheTestGraph builds a small graph with three labels so patterns over
@@ -27,12 +29,35 @@ func cacheTestGraph() *graph.Graph {
 func (c *Cache) cached(key Key) CachedMatrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b := c.versions[key.Version]; b != nil {
-		if ent := b.entries[key.entryKey()]; ent != nil {
-			return ent.m
-		}
+	if e := c.entries[key.entryKey()].at(key.Version); e != nil {
+		return e.m
 	}
 	return nil
+}
+
+// at returns a commit floor of v: the oldest version a reader pins.
+func at(v uint64) func() uint64 { return func() uint64 { return v } }
+
+// touch is the commit from v to v+1 touching labels, with no deltas to
+// patch against.
+func touch(v uint64, labels ...string) CommitDelta {
+	d := CommitDelta{From: v, To: v + 1, Labels: make(map[string]*sparse.Delta, len(labels))}
+	for _, l := range labels {
+		d.Labels[l] = nil
+	}
+	return d
+}
+
+// slotsAt returns the number of slots of the published cut table valid
+// at version v.
+func (c *Cache) slotsAt(v uint64) int {
+	n := 0
+	for _, ss := range *c.cuts.Load() {
+		if _, ok := slotAt(ss, v); ok {
+			n++
+		}
+	}
+	return n
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -75,11 +100,11 @@ func TestSetCacheLimitShrinks(t *testing.T) {
 }
 
 // TestAdvanceRespectsLimit is the regression test for the bounded-cache
-// leak: Advance carries (and with a pinned reader, *copies*) entries to
-// the new version, which used to bypass evictLocked — a bounded cache
-// silently exceeded SetLimit after every committed write until the next
-// insert. Committing writes against a full bounded cache must keep the
-// bound.
+// leak: carrying entries across a commit used to copy them with a
+// reader pinned and bypass evictLocked, so a bounded cache silently
+// exceeded SetLimit after every committed write until the next insert.
+// Committing writes against a full bounded cache must keep the bound,
+// and an untouched entry is never copied.
 func TestAdvanceRespectsLimit(t *testing.T) {
 	g := cacheTestGraph()
 	c := NewCache()
@@ -91,35 +116,40 @@ func TestAdvanceRespectsLimit(t *testing.T) {
 	}
 
 	// A committed write touching none of the cached labels, with a
-	// reader still pinned at version 0: every entry is copied forward.
-	c.Advance(0, 1, []string{"unrelated"}, false, true)
+	// reader still pinned at version 0.
+	c.Commit(nil, touch(0, "unrelated"), at(0))
 	if got := c.Size(); got > 3 {
-		t.Fatalf("cache size after Advance = %d, exceeds limit 3", got)
+		t.Fatalf("cache size after commit = %d, exceeds limit 3", got)
 	}
 
 	// Repeated writes (the mutation-storm shape) never accumulate.
 	for v := uint64(1); v < 10; v++ {
-		c.Advance(v, v+1, []string{"unrelated"}, false, true)
+		c.Commit(nil, touch(v, "unrelated"), at(v))
 		if got := c.Size(); got > 3 {
 			t.Fatalf("cache size after write %d = %d, exceeds limit 3", v, got)
 		}
 	}
 
-	// Unbounded caches are untouched by the enforcement.
+	// Unbounded caches are untouched by the enforcement: both entries
+	// serve the new version without a copy.
 	c2 := NewCache()
 	ev2 := NewVersioned(g.Snapshot(), 0, c2)
 	ev2.Materialize(rre.MustParse("a"), rre.MustParse("b"))
-	carried, _ := c2.Advance(0, 1, nil, false, true)
-	if carried != 2 || c2.Size() != 4 {
-		t.Fatalf("unbounded Advance carried %d, size %d; want 2, 4", carried, c2.Size())
+	c2.Commit(nil, touch(0), at(0))
+	before := c2.Stats()
+	NewVersioned(g.Snapshot(), 1, c2).Materialize(rre.MustParse("a"), rre.MustParse("b"))
+	if after := c2.Stats(); c2.Size() != 2 || after.Hits != before.Hits+2 {
+		t.Fatalf("unbounded commit kept %d entries, %d hits at v1; want 2 and 2", c2.Size(), after.Hits-before.Hits)
 	}
 }
 
 // TestDiagonalsLiveAndDieWithTheirHalves pins where a kept Equation-1
-// diagonal goes when its halves move: Advance carries it while both
-// halves carry and drops it with a touched half, with a reader pinned
-// at the old version and without; EvictBelow drops it with its version;
-// an LRU eviction of a half drops it. It is never an entry.
+// diagonal goes when its halves move: its slot stays valid across a
+// commit that touches neither half and closes with a touched half, with
+// a reader pinned at the old version and without; it is dropped with a
+// half the commit drops; a slot whose halves are not entries is dropped
+// by the next writer; an LRU eviction of a half drops it. It is never
+// an entry.
 func TestDiagonalsLiveAndDieWithTheirHalves(t *testing.T) {
 	c := NewCache()
 	ev := NewVersioned(cacheTestGraph().Snapshot(), 0, c)
@@ -127,40 +157,37 @@ func TestDiagonalsLiveAndDieWithTheirHalves(t *testing.T) {
 	ev.Materialize(ab, cc)
 	entries := c.Size()
 	scoreCuts(ev, ab, cc)
-	diagsAt := func(v uint64) int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.table(v))
-	}
 	if st := c.Stats(); st.Diagonals != 2 || st.Size != entries {
 		t.Fatalf("after scoring: %d diagonals, %d entries; want 2 beside the %d entries", st.Diagonals, st.Size, entries)
 	}
 
 	// b touched, a reader pinned at v0: v0 keeps both, v1 only c.c-'s.
-	// A diagonal kept at v1 beside halves neither version holds (one
-	// Maintain patched beside a half evicted since) is dropped.
-	for _, s := range c.table(0) {
-		c.bucket(1)
-		c.publish(cutTables{1: cutTable{{"x", "y"}: s}})
+	// A slot beside halves the cache does not hold is dropped.
+	c.mu.Lock()
+	t1 := maps.Clone(*c.cuts.Load())
+	for _, ss := range t1 {
+		t1[cutKey{"x", "y"}] = ss
 	}
-	c.Advance(0, 1, []string{"b"}, false, true)
-	if diagsAt(0) != 2 || diagsAt(1) != 1 {
-		t.Fatalf("pinned advance: %d diagonals at v0, %d at v1; want 2 and 1", diagsAt(0), diagsAt(1))
+	c.cuts.Store(&t1)
+	c.mu.Unlock()
+	c.Commit(nil, touch(0, "b"), at(0))
+	if c.slotsAt(0) != 2 || c.slotsAt(1) != 1 {
+		t.Fatalf("pinned commit: %d diagonals at v0, %d at v1; want 2 and 1", c.slotsAt(0), c.slotsAt(1))
 	}
-	if c.EvictBelow(1); diagsAt(0) != 0 {
-		t.Fatalf("EvictBelow(1) left %d diagonals at v0", diagsAt(0))
+	// The pin released: the slot closed with b- goes with it.
+	if c.Commit(nil, touch(1), at(2)); c.Stats().Diagonals != 1 {
+		t.Fatalf("pins released: %d diagonals kept, want c.c-'s alone", c.Stats().Diagonals)
 	}
-	// Nothing touched, nothing pinned: the bucket moves with its diagonal.
-	c.Advance(1, 2, nil, false, false)
-	if diagsAt(1) != 0 || diagsAt(2) != 1 {
-		t.Fatalf("advance: %d diagonals at v1, %d at v2; want 0 and 1", diagsAt(1), diagsAt(2))
+	// Nothing touched, nothing pinned: c.c-'s slot never moved.
+	if c.slotsAt(0) != 1 || c.slotsAt(2) != 1 {
+		t.Fatalf("untouched slot: %d diagonals at v0, %d at v2; want 1 and 1", c.slotsAt(0), c.slotsAt(2))
 	}
 	// An LRU eviction of c.c-'s half c, the one entry not used since
 	// scoring, takes its diagonal along.
 	ev2 := NewVersioned(cacheTestGraph().Snapshot(), 2, c)
 	ev2.Materialize(rre.MustParse("a"), cc)
 	c.SetLimit(c.Size() - 1)
-	if diagsAt(2) != 0 {
+	if c.slotsAt(2) != 0 {
 		t.Fatalf("a half was evicted, but its diagonal is still kept")
 	}
 }

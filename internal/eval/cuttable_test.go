@@ -12,7 +12,7 @@ import (
 )
 
 // TestWarmScoringTakesNoLock: on an unbounded cache a warm Scoring call
-// reads its version's published cut table, so it returns while another
+// reads the published cut table, so it returns while another
 // goroutine holds the cache's lock, and counts its two halves as hits.
 // A bounded cache keeps the locked, exactly-LRU lookup: there the same
 // call waits for the lock.
@@ -75,14 +75,14 @@ func coldScoring(snap *graph.Snapshot, cuts []Cut) []scoringRead {
 	return out
 }
 
-// TestCutTableStorm runs scoring readers against a writer that commits,
-// maintains, advances (with and without a reader pinned at the old
-// version), evicts old versions and switches the cache between bounded
-// and unbounded. Each reader binds to one of the versions still pinned
-// and scores warm cuts; everything Scoring returns must equal a cold
-// recompute at that version. Under -race this is the check that the
-// lock-free read of a published table sees only whole slots, each
-// holding the halves of its own version.
+// TestCutTableStorm runs scoring readers against a writer that commits
+// through the cache (with and without a reader pinned at the old
+// version, so closed entries stay or drop) and switches the cache
+// between bounded and unbounded. Each reader binds to one of the
+// versions still pinned and scores warm cuts; everything Scoring
+// returns must equal a cold recompute at that version. Under -race this
+// is the check that the lock-free read of a published table sees only
+// whole slots, each holding the halves valid at its version.
 func TestCutTableStorm(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	rng := rand.New(rand.NewSource(37))
@@ -150,23 +150,23 @@ func TestCutTableStorm(t *testing.T) {
 			ops = append(ops, deltaOp{op: op, u: graph.NodeID(rng.Intn(n)), v: graph.NodeID(rng.Intn(n)), label: labels[rng.Intn(len(labels))]})
 		}
 		v := uint64(i)
-		next, d, touched, nodesAdded := applyBatch(snap, v, ops)
-		want := coldScoring(next, cuts)
-		cache.Maintain(next, d, MaintainOptions{})
-		mu.Lock()
+		next, d := applyBatch(snap, v, ops)
 		// Readers stay pinned at the last three versions, except that
-		// every third commit unpins all but the new one, so Advance
-		// moves the bucket instead of copying it.
+		// every third commit unpins all but the new one, so the commit
+		// drops what it closes instead of keeping it. The new version
+		// is read only once the commit has run.
 		keep := 3
 		if i%3 == 0 {
 			keep = 1
 		}
-		live = append(live, &version{v + 1, next, want})
-		live = live[max(0, len(live)-keep):]
-		floor := live[0].v
+		mu.Lock()
+		pinned := append(live, &version{v + 1, next, coldScoring(next, cuts)})
+		pinned = pinned[max(0, len(pinned)-keep):]
 		mu.Unlock()
-		cache.Advance(v, v+1, touched, nodesAdded, floor <= v)
-		cache.EvictBelow(floor)
+		cache.Commit(next, d, at(pinned[0].v))
+		mu.Lock()
+		live = pinned
+		mu.Unlock()
 		switch i % 10 {
 		case 3:
 			cache.SetLimit(12)
@@ -201,15 +201,14 @@ func TestReplacedHalfKillsItsSlot(t *testing.T) {
 	cut := ev.Cut(rre.MustParse("a.b.c"))
 	ev.Scoring([]Cut{cut}, nop)
 	k := cutKey{cut.Left.String(), cut.RevRight.String()}
-	s, ok := c.table(0)[k]
-	if !ok {
+	if c.slotsAt(0) != 1 {
 		t.Fatal("a cold Scoring call kept no slot")
 	}
 	c.mu.Lock()
-	c.insertLocked(Key{Pattern: k.left}, s.a, nil)
-	_, same := c.table(0)[k]
-	c.insertLocked(Key{Pattern: k.right}, s.bt.Transpose().Transpose(), nil)
-	_, replaced := c.table(0)[k]
+	c.insertLocked(Key{Pattern: k.left}, (*c.cuts.Load())[k][0].a, nil)
+	same := c.slotsAt(0) == 1
+	c.insertLocked(Key{Pattern: k.right}, (*c.cuts.Load())[k][0].bt.Transpose().Transpose(), nil)
+	replaced := c.slotsAt(0) == 1
 	c.mu.Unlock()
 	if !same || replaced {
 		t.Fatalf("slot kept after storing the same half: %v, after replacing a half: %v; want true, false", same, replaced)

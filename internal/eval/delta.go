@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -16,9 +15,10 @@ import (
 //
 // A committed write batch is summarized as a thin signed delta ΔA per
 // touched label (added edges +1, removed edges −1; sparse.Delta holds
-// only the rows it populates). Instead of evicting every cached pattern
-// mentioning a touched label, Cache.Maintain walks each stale pattern's
-// expression tree and patches it to the new version:
+// only the rows it populates). Cache.Commit runs before the commit is
+// published. It closes, at the new version, the interval of every
+// cached entry whose pattern mentions a touched label, and walks each
+// such pattern's expression tree to patch it to the new version:
 //
 //	Δ(M₁·…·M_k) = Σᵢ N₁·…·Nᵢ₋₁ · ΔMᵢ · Oᵢ₊₁·…·O_k   (O = old, N = new)
 //	Δ(M₁+…+M_k) = ΣΔMᵢ
@@ -39,7 +39,9 @@ import (
 // Every row stays canonical (sorted, no explicit zeros), so a
 // maintained matrix is Equal, row for row, to one recomputed from the
 // new snapshot; where its rows sit in the shared arena, beside rows no
-// version reads any more, is not part of its value.
+// version reads any more, is not part of its value. The patched matrix
+// opens its own interval at the new version; untouched entries never
+// move.
 //
 // Per-commit subterm results are memoized across patterns: two cached
 // patterns sharing a subexpression pay for its delta once.
@@ -51,22 +53,26 @@ import (
 // ΔA and Δ(Bᵀ) moved, each by the inner products of those deltas' rows
 // with the new halves (sparse.Vector.Patched) — the deltas the walk
 // already holds. Like the walk, the patching runs outside the cache
-// lock; a patched diagonal is kept only if both its halves are still
-// cached when the results are installed. A diagonal whose halves the
-// commit leaves untouched carries with them in Advance; one with a
-// half that falls back is dropped with it, and the next read builds it
-// in full.
+// lock; a patched diagonal gets a slot at the new version only if both
+// its halves are the entries valid there when the results are
+// installed. A diagonal whose halves the commit leaves untouched keeps
+// its slot, which never moves; one with a half that falls back closes
+// with it, and the next read builds it in full.
 
 // CommitDelta describes one committed write batch in the form the
 // maintenance engine consumes. All deltas have dimension NewN.
 type CommitDelta struct {
-	From uint64 // version the cache entries were computed at
+	From uint64 // version the cache entries were computed at: the head
 	To   uint64 // version after the commit
 	OldN int    // node-id space before the commit
 	NewN int    // node-id space after (>= OldN; ids are append-only)
 	// Labels maps each touched label to its signed adjacency delta.
-	// A label absent from the map was not touched.
+	// A label absent from the map was not touched. The deltas are read
+	// only when Commit is given a view to patch against.
 	Labels map[string]*sparse.Delta
+	// All marks a commit the deltas do not describe, such as a store
+	// Reset that replaces the whole graph: it touches every entry.
+	All bool
 }
 
 // nodesGrew reports whether the commit enlarged the node-id space.
@@ -78,19 +84,18 @@ func (d CommitDelta) nodesGrew() bool { return d.NewN != d.OldN }
 // distributive terms cost as much as recomputation).
 const DefaultMaxDeltaDensity = 0.25
 
-// MaintainOptions tunes one Maintain call.
-type MaintainOptions struct {
-	// MaxDensity is the per-node delta-density fallback threshold;
-	// <= 0 uses DefaultMaxDeltaDensity.
-	MaxDensity float64
-}
+// maxDeltaDensity is the threshold maintenance applies. In-package
+// tests lower it to force the fallback.
+var maxDeltaDensity = DefaultMaxDeltaDensity
 
-// MaintainResult reports what one Maintain call did.
-type MaintainResult struct {
-	Roots      int `json:"roots"`      // stale cached patterns eligible for maintenance
-	Maintained int `json:"maintained"` // patterns patched to the new version
-	Fallbacks  int `json:"fallbacks"`  // patterns left to evict-and-recompute
-	Products   int `json:"products"`   // sparse products spent on deltas
+// CommitResult reports what one Commit did.
+type CommitResult struct {
+	Roots      int // touched cached patterns eligible for maintenance
+	Maintained int // patterns patched to the new version
+	Fallbacks  int // patterns left to recompute on their next read
+	Products   int // sparse products spent on deltas
+	Closed     int // open entries the commit touched and closed (invalidations)
+	Dropped    int // entries closed before that no reader can read any more (evictions)
 }
 
 // errDeltaDense aborts maintenance of patterns whose delta crosses the
@@ -113,7 +118,6 @@ type maintainer struct {
 	cache    *Cache
 	view     graph.View // snapshot at d.To, for uncached label matrices
 	d        CommitDelta
-	opt      MaintainOptions
 	memo     map[string]*maintTerm
 	failed   map[string]error
 	patterns map[string]*rre.Pattern // memo key → pattern, for re-insertion
@@ -124,72 +128,54 @@ type maintainer struct {
 	w walker[int64, sparse.IntRing]
 }
 
-// Maintain patches every stale cached pattern at version d.From to
-// version d.To by applying the commit's label deltas, inserting the
-// maintained matrices at d.To with the diagonals kept beside them. It
-// must run before Advance for the same commit (Advance's overlay keeps
-// pre-inserted entries at d.To) and with view bound to the snapshot at
-// d.To. Patterns whose delta
-// crosses the density threshold, at any node, are skipped and fall
-// back to the evict-and-recompute path.
-func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) MaintainResult {
-	var res MaintainResult
-	if d.To <= d.From || view == nil || view.NumNodes() != d.NewN || d.NewN < d.OldN {
+// Commit moves the cache across one commit from its head d.From to
+// d.To. The publisher of versions calls it once the commit can no
+// longer fail and before any reader can see d.To (the store's
+// pre-publication hook), so a reader that sees d.To sees every entry
+// the commit patched, in the same pointer swap. Nothing that can fail
+// may run between Commit and that publication: a patched interval then
+// never names a version that is not published.
+//
+// Commit closes at d.To the interval of every open entry the commit
+// touches: each whose pattern mentions a touched label, or every one
+// when d.All is set, the id space grew, or d.From is not the head. An
+// untouched entry never moves. Given view, the snapshot at d.To, each
+// touched integer entry is patched and opens at d.To with the
+// diagonals kept beside it; a pattern whose delta crosses the density
+// threshold, at any node, is not patched, and its next read recomputes
+// it. Closed entries whose interval holds no version from floor() up,
+// floor being the oldest version a reader may still pin, are dropped in
+// the same commit. floor is read after the walk, so a reader that
+// pinned d.From while it ran keeps its entries.
+func (c *Cache) Commit(view graph.View, d CommitDelta, floor func() uint64) CommitResult {
+	var res CommitResult
+	if d.To < d.From {
 		return res
 	}
-	if len(d.Labels) == 0 && !d.nodesGrew() {
-		return res
-	}
-	if opt.MaxDensity <= 0 {
-		opt.MaxDensity = DefaultMaxDeltaDensity
-	}
-
-	// Collect the stale roots: patterns mentioning a touched label,
-	// plus every pattern when the dimension grew (Advance would evict
-	// all of them). Uses the label index, so the common case is
-	// proportional to the touched entries.
+	// Collect the stale roots: the open entries the commit touches,
+	// found through the label index, and the kept slots at d.From.
 	c.mu.Lock()
-	src, ok := c.versions[d.From]
-	if !ok {
-		c.mu.Unlock()
-		return res
+	if d.From != c.head.Load() || d.NewN < d.OldN {
+		d.All = true
 	}
 	var roots []string
-	if d.nodesGrew() {
-		roots = make([]string, 0, len(src.entries))
-		for p := range src.entries {
-			roots = append(roots, p)
-		}
-	} else {
-		labels := make([]string, 0, len(d.Labels))
-		for l := range d.Labels {
-			labels = append(labels, l)
-		}
-		for p := range src.stale(labels) {
-			roots = append(roots, p)
-		}
-	}
 	var kept []keptDiag
-	if len(roots) > 0 {
-		t := c.table(d.From)
-		kept = make([]keptDiag, 0, len(t))
-		for k, s := range t {
-			if l, r := src.entries[k.left], src.entries[k.right]; l != nil && r != nil {
-				kept = append(kept, keptDiag{k, s.diag, *l, *r})
-			}
+	if view != nil && !d.All && view.NumNodes() == d.NewN {
+		roots = c.touchedLocked(d)
+	}
+	for k, ss := range *c.cuts.Load() {
+		if s, ok := slotAt(ss, d.From); ok && len(roots) > 0 {
+			kept = append(kept, keptDiag{k: k, diag: s.diag, a: s.a, bt: s.bt,
+				la: c.entries[k.left].labels, lb: c.entries[k.right].labels})
 		}
 	}
 	c.mu.Unlock()
 	res.Roots = len(roots)
-	if len(roots) == 0 {
-		return res
-	}
 
 	mt := &maintainer{
 		cache:    c,
 		view:     view,
 		d:        d,
-		opt:      opt,
 		memo:     make(map[string]*maintTerm),
 		failed:   make(map[string]error),
 		patterns: make(map[string]*rre.Pattern),
@@ -200,15 +186,14 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 			// Annotation rings (witness) have no subtraction:
 			// signed deltas and the telescoping patch have no meaning
 			// there, so a wrong patch is never attempted. The entry
-			// falls back to Advance's touched-label eviction and the
-			// next annotated request recomputes it fresh.
+			// closes and the next annotated request recomputes it.
 			res.Fallbacks++
 			continue
 		}
 		p, err := rre.Parse(key)
 		if err != nil || p.String() != key {
 			// A cache key that does not round-trip cannot be walked;
-			// leave it to eviction.
+			// leave it to recompute.
 			res.Fallbacks++
 			continue
 		}
@@ -220,107 +205,137 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 	}
 	res.Products = mt.products + int(mt.w.e.counters.Products.Load())
 	for i := range kept {
-		kept[i].diag = mt.diagonal(kept[i])
+		kept[i].diag = mt.diagonal(&kept[i])
 	}
 
-	// Insert every successfully maintained term at d.To — the same set
-	// of entries a recompute of the maintained roots would have cached,
-	// including subterms under roots that later fell back (their values
-	// are correct and save the recompute work). Keep entries a racing
-	// reader at d.To may have inserted already; either copy is correct.
+	fl := floor()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dst := c.bucket(d.To)
-	for key, term := range mt.memo {
-		if _, dup := dst.entries[key]; dup {
-			continue
-		}
-		c.insertLocked(Key{Version: d.To, Pattern: key}, term.new, mt.patterns[key].Labels())
-	}
-	// Keep each patched diagonal whose halves are both still cached, in
-	// a slot at d.To: a maintained half at d.To, an untouched one at
-	// d.From until Advance carries it.
-	src = c.versions[d.From]
-	held := func(key string) *sparse.Matrix {
-		ent := dst.entries[key]
-		if ent == nil && src != nil {
-			ent = src.entries[key]
-		}
-		if ent == nil {
-			return nil
-		}
-		m, _ := ent.m.(*sparse.Matrix)
-		return m
-	}
-	t := c.table(d.To)
-	var patched cutTable
-	for _, kd := range kept {
-		if _, dup := t[kd.k]; dup || kd.diag == nil {
-			continue
-		}
-		a, bt := held(kd.k.left), held(kd.k.right)
-		if a == nil || bt == nil {
-			continue
-		}
-		if patched == nil {
-			patched = maps.Clone(t)
-			if patched == nil {
-				patched = make(cutTable, len(kept))
-			}
-		}
-		patched[kd.k] = cutSlot{a: a, bt: bt, b: bt.KeptTranspose(), diag: kd.diag}
-	}
-	if patched != nil {
-		c.publish(cutTables{d.To: patched})
-	}
-	if len(dst.entries) == 0 {
-		delete(c.versions, d.To)
-	}
-	c.evictLocked()
+	c.install(mt, kept, fl, &res)
 	return res
 }
 
-// keptDiag is a diagonal kept at d.From with copies of its halves'
-// entries there, taken under c.mu where Maintain collects its roots so
-// the diagonal can be patched outside the lock.
-type keptDiag struct {
-	k           cutKey
-	diag        *sparse.Vector
-	left, right cacheEntry
+// install is Commit's step under c.mu. It drops the closed entries no
+// reader from fl up can read, then re-scans the label index for the
+// entries to close: an open entry a reader landed at d.From while the
+// walk ran outside the lock is closed with the rest, so it never
+// answers at d.To. Then it opens every maintained term at d.To — the
+// entries a recompute of the maintained roots would have cached,
+// subterms under roots that fell back included — and a slot for each
+// patched diagonal whose halves are the entries valid at d.To. A touched
+// entry whose maintained value is the same matrix stays open. c.mu held.
+func (c *Cache) install(mt *maintainer, kept []keptDiag, fl uint64, res *CommitResult) {
+	d := mt.d
+	if c.head.Load() != d.From {
+		// A build above the head moved it while the walk ran.
+		d.All, mt.memo, kept = true, nil, nil
+	}
+	res.Dropped = c.dropBelow(fl)
+	c.floor = fl
+	for _, ek := range c.touchedLocked(d) {
+		e := c.entries[ek].current()
+		if t := mt.memo[ek]; t != nil && CachedMatrix(t.new) == e.m {
+			continue
+		}
+		c.closeAt(ek, e, d.To)
+		res.Closed++
+	}
+	for key, term := range mt.memo {
+		if c.entries[key].at(d.To) == nil {
+			c.tick++
+			c.add(key, mt.patterns[key].Labels(), &cacheEntry{m: term.new, from: d.To, to: open, used: c.tick})
+		}
+	}
+	t := *c.liveCuts(*c.cuts.Load())
+	for _, kd := range kept {
+		if kd.diag == nil {
+			continue
+		}
+		if _, dup := slotAt(t[kd.k], d.To); dup {
+			continue
+		}
+		if from, to := c.meet(kd.k, kd.a, kd.bt); from <= d.To && d.To < to {
+			t[kd.k] = append(t[kd.k], cutSlot{a: kd.a, bt: kd.bt, b: kd.bt.KeptTranspose(), diag: kd.diag, from: from, to: to})
+		}
+	}
+	c.cuts.Store(&t)
+	c.head.Store(d.To)
+	c.invalidations += uint64(res.Closed)
+	c.evictions += uint64(res.Dropped)
+	c.evictLocked()
 }
 
-// diagonal returns kd's diagonal patched to d.To, or nil when no half
-// of the cut was maintained (Advance carries the diagonal with
-// untouched halves and drops it with stale ones) or one half is stale
-// but fell back. A half that was not maintained stands in at d.To only
-// when the commit left it untouched: the id space did not grow and its
-// pattern mentions no touched label, as a stale half that fell back
-// does.
-func (mt *maintainer) diagonal(kd keptDiag) *sparse.Vector {
+// touchedLocked returns the keys with an open entry the commit touches,
+// counting each key it examines in c.scanned. c.mu held.
+func (c *Cache) touchedLocked(d CommitDelta) []string {
+	var keys []string
+	visit := func(ek string) {
+		c.scanned++
+		if c.entries[ek].current() != nil {
+			keys = append(keys, ek)
+		}
+	}
+	if d.All || d.nodesGrew() {
+		for ek := range c.entries {
+			visit(ek)
+		}
+		return keys
+	}
+	seen := make(map[string]struct{})
+	for l := range d.Labels {
+		for ek := range c.byLabel[l] {
+			if _, dup := seen[ek]; !dup {
+				seen[ek] = struct{}{}
+				visit(ek)
+			}
+		}
+	}
+	return keys
+}
+
+// keptDiag is a diagonal kept at d.From with its halves and their
+// patterns' labels, taken under c.mu where Commit collects its roots so
+// the diagonal can be patched outside the lock.
+type keptDiag struct {
+	k      cutKey
+	diag   *sparse.Vector
+	a, bt  *sparse.Matrix
+	la, lb []string
+}
+
+// diagonal returns kd's diagonal patched to d.To and sets kd's halves
+// to the ones it was patched against, or returns nil when no half of
+// the cut was maintained (its slot stays open with untouched halves and
+// closes with stale ones) or one half is stale but fell back. A half
+// that was not maintained stands in at d.To only when the commit left
+// it untouched: the id space did not grow and its pattern mentions no
+// touched label, as a stale half that fell back does.
+func (mt *maintainer) diagonal(kd *keptDiag) *sparse.Vector {
 	lt, lok := mt.memo[kd.k.left]
 	rt, rok := mt.memo[kd.k.right]
 	if !lok && !rok {
 		return nil
 	}
-	half := func(t *maintTerm, maintained bool, ent cacheEntry) (*sparse.Matrix, *sparse.Delta) {
+	half := func(t *maintTerm, maintained bool, m *sparse.Matrix, labels []string) (*sparse.Matrix, *sparse.Delta) {
 		if maintained {
 			return t.new, t.delta
 		}
-		if mt.d.nodesGrew() || slices.ContainsFunc(ent.labels, func(l string) bool {
+		if mt.d.nodesGrew() || slices.ContainsFunc(labels, func(l string) bool {
 			_, touched := mt.d.Labels[l]
 			return touched
 		}) {
 			return nil, nil
 		}
-		m, _ := ent.m.(*sparse.Matrix)
 		return m, nil
 	}
-	a, da := half(lt, lok, kd.left)
-	bt, dbt := half(rt, rok, kd.right)
+	a, da := half(lt, lok, kd.a, kd.la)
+	bt, dbt := half(rt, rok, kd.bt, kd.lb)
 	if a == nil || bt == nil {
 		return nil
 	}
-	return kd.diag.Patched(a, bt, da, dbt)
+	diag := kd.diag.Patched(a, bt, da, dbt)
+	kd.a, kd.bt = a, bt
+	return diag
 }
 
 // newNodes returns the delta of Identity (and of a boolean closure over
@@ -352,12 +367,8 @@ func patched(t *maintTerm) *maintTerm {
 func (mt *maintainer) cachedOld(key string) (*sparse.Matrix, bool) {
 	mt.cache.mu.Lock()
 	defer mt.cache.mu.Unlock()
-	b, ok := mt.cache.versions[mt.d.From]
-	if !ok {
-		return nil, false
-	}
-	ent, ok := b.entries[key]
-	if !ok {
+	ent := mt.cache.entries[key].at(mt.d.From)
+	if ent == nil {
 		return nil, false
 	}
 	m, isInt := ent.m.(*sparse.Matrix)
@@ -378,7 +389,7 @@ func (mt *maintainer) normalize(t *maintTerm) (*maintTerm, error) {
 	}
 	if t.delta != nil {
 		n := float64(mt.d.NewN)
-		if float64(t.delta.NNZ()) > mt.opt.MaxDensity*n*n {
+		if float64(t.delta.NNZ()) > maxDeltaDensity*n*n {
 			return nil, errDeltaDense
 		}
 	}

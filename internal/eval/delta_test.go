@@ -22,7 +22,7 @@ type deltaOp struct {
 // applyBatch applies ops on top of snap and returns the new snapshot
 // plus the CommitDelta describing what actually changed (ops that had
 // no effect — removing a missing edge — record nothing).
-func applyBatch(snap *graph.Snapshot, from uint64, ops []deltaOp) (*graph.Snapshot, CommitDelta, []string, bool) {
+func applyBatch(snap *graph.Snapshot, from uint64, ops []deltaOp) (*graph.Snapshot, CommitDelta) {
 	b := graph.NewBuilder(snap)
 	triples := make(map[string][]sparse.Triple)
 	for _, o := range ops {
@@ -47,21 +47,20 @@ func applyBatch(snap *graph.Snapshot, from uint64, ops []deltaOp) (*graph.Snapsh
 		NewN:   next.NumNodes(),
 		Labels: make(map[string]*sparse.Delta, len(triples)),
 	}
-	touched := make([]string, 0, len(triples))
 	for l, ts := range triples {
 		d.Labels[l] = sparse.NewDelta(d.NewN, ts)
-		touched = append(touched, l)
 	}
-	return next, d, touched, b.NodesAdded()
+	return next, d
 }
 
-// entriesAt snapshots the cached (pattern, matrix) pairs at version v.
+// entriesAt snapshots the cached (pattern, matrix) pairs valid at
+// version v.
 func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[string]*sparse.Matrix)
-	if b, ok := c.versions[v]; ok {
-		for p, ent := range b.entries {
+	for p, h := range c.entries {
+		if ent := h.at(v); ent != nil {
 			if m, isInt := ent.m.(*sparse.Matrix); isInt {
 				out[p] = m
 			}
@@ -113,9 +112,14 @@ func checkKeptTransposes(t *testing.T, c *Cache, v uint64) {
 func checkDiagonals(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) int {
 	t.Helper()
 	c.mu.Lock()
-	b, diags := c.versions[v], c.table(v)
+	diags := make(map[cutKey]cutSlot)
+	for k, ss := range *c.cuts.Load() {
+		if s, ok := slotAt(ss, v); ok {
+			diags[k] = s
+		}
+	}
 	for k, s := range diags {
-		if b == nil || !b.has(k.left, s.a) || !b.has(k.right, s.bt) {
+		if a, bt := c.entries[k.left].at(v), c.entries[k.right].at(v); a == nil || bt == nil || a.m != CachedMatrix(s.a) || bt.m != CachedMatrix(s.bt) {
 			t.Errorf("diagonal of %q·(%q)⁻ at v%d outlives a half", k.left, k.right, v)
 		}
 		if s.b != nil && !s.b.Equal(s.bt.Transpose()) {
@@ -224,13 +228,12 @@ func TestMaintainRules(t *testing.T) {
 			snap := fixtureSnap()
 			cache := NewCache()
 			NewVersioned(snap, 0, cache).Commuting(rre.MustParse(tc.pattern))
-			next, d, touched, nodesAdded := applyBatch(snap, 0, tc.ops)
-			res := cache.Maintain(next, d, MaintainOptions{})
-			cache.Advance(0, 1, touched, nodesAdded, false)
+			next, d := applyBatch(snap, 0, tc.ops)
+			res := cache.Commit(next, d, at(1))
 			if res.Fallbacks != 0 {
 				t.Fatalf("unexpected fallbacks: %+v", res)
 			}
-			if len(d.Labels) > 0 || nodesAdded {
+			if len(d.Labels) > 0 || d.nodesGrew() {
 				if res.Maintained == 0 {
 					t.Fatalf("nothing maintained: %+v", res)
 				}
@@ -250,12 +253,13 @@ func TestMaintainDensityFallback(t *testing.T) {
 	snap := fixtureSnap()
 	cache := NewCache()
 	NewVersioned(snap, 0, cache).Commuting(rre.MustParse("a.b"))
-	next, d, touched, _ := applyBatch(snap, 0, []deltaOp{{op: "add-edge", u: 0, v: 3, label: "a"}})
-	res := cache.Maintain(next, d, MaintainOptions{MaxDensity: 1e-9})
+	next, d := applyBatch(snap, 0, []deltaOp{{op: "add-edge", u: 0, v: 3, label: "a"}})
+	defer func(was float64) { maxDeltaDensity = was }(maxDeltaDensity)
+	maxDeltaDensity = 1e-9
+	res := cache.Commit(next, d, at(1))
 	if res.Maintained != 0 || res.Fallbacks == 0 {
 		t.Fatalf("expected pure fallback under tiny density budget, got %+v", res)
 	}
-	cache.Advance(0, 1, touched, false, false)
 	if got := entriesAt(cache, 1); len(got) != len(entriesAt(cache, 0)) && func() bool {
 		_, ok := got["a.b"]
 		return ok
@@ -271,20 +275,19 @@ func TestMaintainDensityFallback(t *testing.T) {
 }
 
 // TestMaintainSkipsUntouchedPatterns: maintenance only walks stale
-// roots; an untouched pattern is neither walked nor duplicated (Advance
-// carries it).
+// roots; an untouched pattern is neither walked nor duplicated (its
+// entry stays open).
 func TestMaintainSkipsUntouchedPatterns(t *testing.T) {
 	snap := fixtureSnap()
 	cache := NewCache()
 	ev := NewVersioned(snap, 0, cache)
 	ev.Commuting(rre.MustParse("c"))
 	ev.Commuting(rre.MustParse("a"))
-	next, d, touched, _ := applyBatch(snap, 0, []deltaOp{{op: "add-edge", u: 0, v: 3, label: "a"}})
-	res := cache.Maintain(next, d, MaintainOptions{})
+	next, d := applyBatch(snap, 0, []deltaOp{{op: "add-edge", u: 0, v: 3, label: "a"}})
+	res := cache.Commit(next, d, at(1))
 	if res.Roots != 1 {
 		t.Fatalf("Roots = %d, want 1 (only the pattern mentioning a)", res.Roots)
 	}
-	cache.Advance(0, 1, touched, false, false)
 	ents := entriesAt(cache, 1)
 	if len(ents) != 2 {
 		t.Fatalf("entries at v1 = %d, want 2 (carried c + maintained a)", len(ents))
@@ -375,7 +378,7 @@ func TestDeltaMaintainDifferential(t *testing.T) {
 				}
 				scoreCuts(ev, pool[rng.Intn(len(pool))])
 
-				// Mutate phase: commit a batch, maintain, advance.
+				// Mutate phase: commit a batch through the cache.
 				ops := randBatch(rng, snap.NumNodes(), labels)
 				for _, o := range ops {
 					switch o.op {
@@ -385,9 +388,8 @@ func TestDeltaMaintainDifferential(t *testing.T) {
 						nodeAdds++
 					}
 				}
-				next, d, touched, nodesAdded := applyBatch(snap, version, ops)
-				res := cache.Maintain(next, d, MaintainOptions{})
-				cache.Advance(version, version+1, touched, nodesAdded, false)
+				next, d := applyBatch(snap, version, ops)
+				res := cache.Commit(next, d, at(version+1))
 				totalMaintained += res.Maintained
 				totalFallbacks += res.Fallbacks
 				snap, version = next, version+1
@@ -474,9 +476,8 @@ func FuzzDeltaMaintain(f *testing.F) {
 				nodes++
 			}
 		}
-		next, d, touched, nodesAdded := applyBatch(snap, 0, ops)
-		cache.Maintain(next, d, MaintainOptions{})
-		cache.Advance(0, 1, touched, nodesAdded, false)
+		next, d := applyBatch(snap, 0, ops)
+		cache.Commit(next, d, at(1))
 		checkAgainstRecompute(t, cache, 1, next)
 		checkKeptTransposes(t, cache, 1)
 		// The cut's diagonal reaches v1 exactly when both its halves do:
@@ -485,8 +486,7 @@ func FuzzDeltaMaintain(f *testing.F) {
 		kept := checkDiagonals(t, cache, 1, next)
 		if c := ev.Cut(p); c.RevRight != nil {
 			cache.mu.Lock()
-			b := cache.versions[1]
-			want := b != nil && b.holds(cutKey{c.Left.String(), c.RevRight.String()})
+			want := cache.entries[c.Left.String()].at(1) != nil && cache.entries[c.RevRight.String()].at(1) != nil
 			cache.mu.Unlock()
 			if (kept == 1) != want {
 				t.Fatalf("%s: %d diagonals at v1, halves both there: %v", p, kept, want)
@@ -535,7 +535,7 @@ func TestMaintainLongChain(t *testing.T) {
 	const commits, readEvery, readFor = 320, 16, 12
 	var readers sync.WaitGroup
 	stop := make(map[int]chan struct{}) // commit at which a reader may stop → its signal
-	totals := MaintainResult{}
+	totals := CommitResult{}
 	for i := 0; i < commits; i++ {
 		n := snap.NumNodes()
 		var ops []deltaOp
@@ -560,9 +560,8 @@ func TestMaintainLongChain(t *testing.T) {
 			}
 		}
 		v := uint64(i)
-		next, d, touched, nodesAdded := applyBatch(snap, v, ops)
-		res := cache.Maintain(next, d, MaintainOptions{})
-		cache.Advance(v, v+1, touched, nodesAdded, false)
+		next, d := applyBatch(snap, v, ops)
+		res := cache.Commit(next, d, at(v+1))
 		totals.Maintained += res.Maintained
 		totals.Fallbacks += res.Fallbacks
 		snap = next
@@ -612,7 +611,7 @@ func TestMaintainLongChain(t *testing.T) {
 	}
 }
 
-// TestMaintainedDiagonalNeverReadsAStaleHalf: when Maintain patches a
+// TestMaintainedDiagonalNeverReadsAStaleHalf: when Commit patches a
 // kept diagonal whose left half it maintained, a right half it did not
 // maintain — one that fell back, or one no root walk reached — stands
 // in at d.To only if the commit left it untouched. When
@@ -628,8 +627,7 @@ func TestMaintainedDiagonalNeverReadsAStaleHalf(t *testing.T) {
 	scoreCuts(ev, p)
 	cut := ev.Cut(p)
 	k := cutKey{cut.Left.String(), cut.RevRight.String()}
-	src := c.versions[0]
-	diag := c.table(0)[k].diag
+	s, _ := slotAt((*c.cuts.Load())[k], 0)
 	for _, tc := range []struct {
 		name    string
 		ops     []deltaOp
@@ -639,11 +637,11 @@ func TestMaintainedDiagonalNeverReadsAStaleHalf(t *testing.T) {
 		{"right half touched", []deltaOp{{op: "add-edge", u: 2, v: 3, label: "a"}, {op: "add-edge", u: 0, v: 4, label: "b"}}, false},
 		{"id space grew", []deltaOp{{op: "add-edge", u: 2, v: 3, label: "a"}, {op: "add-node"}}, false},
 	} {
-		next, d, _, _ := applyBatch(snap, 0, tc.ops)
+		next, d := applyBatch(snap, 0, tc.ops)
 		cold := NewVersioned(next, 0, NewCache())
 		a, bt := cold.Commuting(cut.Left), cold.Commuting(cut.RevRight)
 		mt := &maintainer{d: d, memo: map[string]*maintTerm{k.left: {new: a, delta: d.Labels["a"]}}}
-		got := mt.diagonal(keptDiag{k, diag, *src.entries[k.left], *src.entries[k.right]})
+		got := mt.diagonal(&keptDiag{k: k, diag: s.diag, a: s.a, bt: s.bt, la: c.entries[k.left].labels, lb: c.entries[k.right].labels})
 		if (got != nil) != tc.patched {
 			t.Fatalf("%s: patched %v, want %v", tc.name, got != nil, tc.patched)
 		}
@@ -651,9 +649,4 @@ func TestMaintainedDiagonalNeverReadsAStaleHalf(t *testing.T) {
 			t.Fatalf("%s: patched diagonal %+v, want %+v", tc.name, got, sparse.ProductDiagonal(a, bt))
 		}
 	}
-}
-
-// holds reports whether both halves of the cut are entries of b.
-func (b *versionBucket) holds(k cutKey) bool {
-	return b.entries[k.left] != nil && b.entries[k.right] != nil
 }

@@ -35,16 +35,17 @@ import (
 )
 
 // Evaluator evaluates RRE patterns over one graph version, caching
-// commuting matrices in a versioned Cache keyed by (version, ring,
-// pattern string). It is safe for concurrent use.
+// commuting matrices in a versioned Cache: it reads the entries valid
+// at its version and writes entries that begin there (see Key). It is
+// safe for concurrent use.
 //
 // An evaluator is bound to its version for life and never invalidates:
-// entries it writes are keyed by that version, so evaluators over
-// different versions share one cache without aliasing, and a write
-// never disturbs a still-pinned version's entries. An owner whose graph
-// changes binds a new evaluator at the next version and ages the cache
-// across the change with Cache.Advance, as the server does on every
-// commit and relsim.Engine on every reported change.
+// evaluators over different versions share one cache without aliasing,
+// and a write never disturbs the entries a still-pinned version reads.
+// An owner whose graph changes moves the cache across the change with
+// Cache.Commit before anyone reads the next version, then binds a new
+// evaluator there, as the server does on every commit and
+// relsim.Engine on every reported change.
 type Evaluator struct {
 	g       graph.View
 	version uint64

@@ -128,26 +128,25 @@ func benchCommits(t *testing.T, w *warmPool) func(k int) (*graph.Snapshot, eval.
 	}
 }
 
-// maintain runs commit k through the cache as the server does, checks
-// the exact counts of the benchmark's commits, and returns the bytes
-// Cache.Maintain allocated.
+// maintain runs commit k through the cache as the server does, with no
+// reader pinned, checks the exact counts of the benchmark's commits, and
+// returns the bytes Cache.Commit allocated.
 func (w *warmPool) maintain(t *testing.T, k int, next *graph.Snapshot, d eval.CommitDelta) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := w.cache.Maintain(next, d, eval.MaintainOptions{})
+	res := w.cache.Commit(next, d, func() uint64 { return d.To })
 	runtime.ReadMemStats(&after)
 	if res.Maintained != 25 || res.Fallbacks != 0 || res.Products != 34 {
 		t.Fatalf("commit %d: %+v, want 25 maintained, 0 fallbacks, 34 delta products", k, res)
 	}
-	w.cache.Advance(d.From, d.To, []string{"p-in", "w"}, true, false)
 	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestMaintainAllocatesWhatItTouches is the gate on "a commit costs the
 // rows it touches": on FullDBLP with the benchmark's 25-entry pool
 // warm, a commit shaped like the benchmark's (one node, a p-in and a w
-// edge in, an older w edge out) through Cache.Maintain allocates at
+// edge in, an older w edge out) through Cache.Commit allocates at
 // most 10 MB — the spans of the entries it patches and little else.
 // Rewriting every cached entry in full, as Add over n-dimensional
 // deltas did, allocated 33.6 MB. The first commit is not measured: it
@@ -165,9 +164,9 @@ func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 		}
 	}
 	perCommit := float64(measured) / (commits - 1) / (1 << 20)
-	t.Logf("Cache.Maintain allocates %.1f MB per commit", perCommit)
+	t.Logf("Cache.Commit allocates %.1f MB per commit", perCommit)
 	if perCommit > 10 {
-		t.Errorf("Cache.Maintain allocates %.1f MB per commit, want at most 10", perCommit)
+		t.Errorf("Cache.Commit allocates %.1f MB per commit, want at most 10", perCommit)
 	}
 }
 
@@ -231,7 +230,7 @@ func TestFirstReadAfterCommitBuildsNoTranspose(t *testing.T) {
 }
 
 // TestFirstReadAfterCommitBuildsNoDiagonal is the same gate for
-// Equation 1's diagonal: Cache.Maintain carries every kept diagonal
+// Equation 1's diagonal: Cache.Commit carries every kept diagonal
 // through each commit, moved on the rows the commit touched, so the
 // first read after a commit builds none in full (diagonals built by a
 // read after a commit: 0, where the warm pool keeps 58) and its scores

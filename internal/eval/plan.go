@@ -15,7 +15,7 @@ import (
 // cached matrix (Matrix.TransposeCached). diag(M_p), whose entry v is
 // ⟨A[v,·], Bᵀ[v,·]⟩, depends only on the version: it is kept beside the
 // halves as a sparse vector over the rows both populate, dropped with
-// either half and patched by Cache.Maintain on the rows a commit
+// either half and patched by Cache.Commit on the rows a commit
 // changes (Scoring), so a warm read looks M_p(v,v) up in O(1). RevRight
 // is nil for a pattern that is not a concatenation: Left is the
 // pattern, the right half the identity.
@@ -90,12 +90,12 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 // transpose kept with the right half; and diag(M_p) at the evaluator's
 // version (sparse.ProductDiagonal). For a cut that is not a
 // concatenation B and the diagonal are nil: M_p is A, its diagonal A's
-// own. A warm read finds all three in the slot of its version's cut
-// table (see cutTable), which an unbounded cache reads without a lock.
-// A read that finds no slot takes the halves from the cache, builds the
-// transpose or the diagonal in full if none is kept
+// own. A warm read finds all three in the cut's slot valid at its
+// version (see cutTable), which an unbounded cache reads without a
+// lock. A read that finds no slot takes the halves from the cache,
+// builds the transpose or the diagonal in full if none is kept
 // (Counters.Transposes, Counters.Diagonals), and publishes the slot;
-// Cache.Maintain carries slots across commits. The halves the tables
+// Cache.Commit patches slots across commits. The halves the table
 // served count as hits with one add per call, not one per cut, so a
 // warm read writes nothing another read reads until it returns.
 func (e *Evaluator) Scoring(cuts []Cut, read func(a, b *sparse.Matrix, diag *sparse.Vector)) {

@@ -51,9 +51,9 @@ func TestVersionedCacheNoAliasing(t *testing.T) {
 	}
 }
 
-// TestCacheAdvance: untouched-label entries carry to the new version
-// (staying hot), touched ones are evicted, and node-count changes evict
-// everything at the old version.
+// TestCacheAdvance: a commit leaves untouched-label entries open, so
+// they stay hot at the new version without moving, closes the touched
+// ones, and a node-count change closes everything.
 func TestCacheAdvance(t *testing.T) {
 	g := cacheTestGraph()
 	cache := NewCache()
@@ -63,13 +63,12 @@ func TestCacheAdvance(t *testing.T) {
 		t.Fatalf("primed size = %d, want 5", cache.Size())
 	}
 
-	carried, evicted := cache.Advance(0, 1, []string{"c"}, false, false)
-	if carried != 4 || evicted != 1 {
-		t.Fatalf("Advance = (%d carried, %d evicted), want (4, 1)", carried, evicted)
+	if res := cache.Commit(nil, touch(0, "c"), at(1)); res.Closed != 1 || cache.Size() != 4 {
+		t.Fatalf("Commit closed %d, kept %d entries; want 1 closed, 4 carried", res.Closed, cache.Size())
 	}
 	occ := cache.VersionOccupancy()
 	if occ[0] != 0 || occ[1] != 4 {
-		t.Errorf("occupancy after advance = %v, want all at version 1", occ)
+		t.Errorf("occupancy after commit = %v, want all at version 1", occ)
 	}
 
 	// The carried a.b entry is a hit for a version-1 evaluator.
@@ -81,28 +80,27 @@ func TestCacheAdvance(t *testing.T) {
 		t.Errorf("carried entry missed: %+v → %+v", before, after)
 	}
 
-	// A node-count change evicts everything at the advanced-from version.
-	if _, evicted := cache.Advance(1, 2, nil, true, false); evicted != 4 {
-		t.Errorf("node-change advance evicted %d, want 4", evicted)
+	// A node-count change closes everything open at the committed-from version.
+	if res := cache.Commit(nil, CommitDelta{From: 1, To: 2, OldN: 4, NewN: 5}, at(2)); res.Closed != 4 {
+		t.Errorf("node-change commit closed %d, want 4", res.Closed)
 	}
 	if cache.Size() != 0 {
 		t.Errorf("size = %d, want 0", cache.Size())
 	}
 }
 
-// TestCacheAdvanceKeepsPinnedVersion: with keepFrom (readers still
-// pinned at the pre-write version), untouched entries are copied — not
-// moved — so pinned readers keep hitting, and EvictBelow reaps the old
-// version once the pins release.
+// TestCacheAdvanceKeepsPinnedVersion: with a reader still pinned at the
+// pre-write version, the touched entries close but stay, so pinned
+// readers keep hitting while untouched entries serve both versions, and
+// the next commit drops the closed ones once the pins release.
 func TestCacheAdvanceKeepsPinnedVersion(t *testing.T) {
 	g := cacheTestGraph()
 	cache := NewCache()
 	ev0 := NewVersioned(g.Snapshot(), 0, cache)
 	ev0.Materialize(rre.MustParse("a.b"), rre.MustParse("c"))
 
-	carried, evicted := cache.Advance(0, 1, []string{"c"}, false, true)
-	if carried != 4 || evicted != 0 {
-		t.Fatalf("Advance keepFrom = (%d carried, %d evicted), want (4, 0)", carried, evicted)
+	if res := cache.Commit(nil, touch(0, "c"), at(0)); res.Closed != 1 || res.Dropped != 0 || cache.Size() != 5 {
+		t.Fatalf("pinned commit = %+v with %d entries, want 1 closed, none dropped, 5 kept", res, cache.Size())
 	}
 	occ := cache.VersionOccupancy()
 	if occ[0] != 5 || occ[1] != 4 {
@@ -116,21 +114,22 @@ func TestCacheAdvanceKeepsPinnedVersion(t *testing.T) {
 	if after.Misses != before.Misses {
 		t.Errorf("pinned reader lost its entries: %+v → %+v", before, after)
 	}
-	// Pins released: the old version's leftovers are reaped.
-	if n := cache.EvictBelow(1); n != 5 {
-		t.Errorf("EvictBelow(1) = %d, want 5", n)
+	// Pins released: the old version's leftover is reaped.
+	if res := cache.Commit(nil, touch(1), at(2)); res.Dropped != 1 || cache.Size() != 4 {
+		t.Errorf("commit after the pins released dropped %d, kept %d; want 1 and 4", res.Dropped, cache.Size())
 	}
 }
 
-// TestCacheEvictBelow drops only entries under the floor.
+// TestCacheEvictBelow: a commit drops only the closed entries no
+// version from its floor up can read.
 func TestCacheEvictBelow(t *testing.T) {
 	g := cacheTestGraph()
 	cache := NewCache()
 	pa := rre.MustParse("a")
 	NewVersioned(g.Snapshot(), 3, cache).Commuting(pa)
 	NewVersioned(g.Snapshot(), 7, cache).Commuting(pa)
-	if n := cache.EvictBelow(7); n != 1 {
-		t.Errorf("EvictBelow(7) = %d, want 1", n)
+	if res := cache.Commit(nil, touch(7), at(7)); res.Dropped != 1 {
+		t.Errorf("commit with floor 7 dropped %d, want 1", res.Dropped)
 	}
 	occ := cache.VersionOccupancy()
 	if occ[3] != 0 || occ[7] != 1 {

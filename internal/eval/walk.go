@@ -23,8 +23,8 @@ type walker[T comparable, R sparse.Ring[T]] struct {
 }
 
 // walk binds ring to e. The integer ring keys the cache untagged, which
-// is what makes its entries eligible for Cache.Maintain; every other
-// ring keys under its Name.
+// is what makes its entries eligible for patching (Cache.Commit); every
+// other ring keys under its Name.
 func walk[T comparable, R sparse.Ring[T]](e *Evaluator, ring R) walker[T, R] {
 	w := walker[T, R]{e: e, tag: ring.Name()}
 	if _, isInt := any(ring).(sparse.IntRing); isInt {

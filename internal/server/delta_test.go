@@ -147,7 +147,7 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 // consistency — every result in a batch carries the batch's single
 // pinned version and exact duplicate queries agree. Maintenance runs on
 // the writer's goroutine against the same cache the readers hit, so
-// this is where a locking mistake in Maintain would surface.
+// this is where a locking mistake in Cache.Commit would surface.
 func TestDeltaMaintenanceConsistentUnderConcurrentWrites(t *testing.T) {
 	_, ts := newTestServer(t)
 	const rounds = 20

@@ -247,9 +247,9 @@ func WithAccessLog(w io.Writer, jsonFormat bool) Option {
 // New builds a server over st. sc may be nil; the schema then has no
 // constraints and simple patterns are scored without expansion (the
 // label set is taken from the graph at construction time). The server
-// registers itself as the store's update observer so committed writes
-// age the versioned cache (carry untouched patterns forward, evict the
-// rest).
+// registers itself as the store's pre-publication hook, so every commit
+// moves the versioned cache to the new version before readers see it
+// (ageCache).
 func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 	if sc == nil {
 		v, _ := st.Snapshot()
@@ -294,7 +294,7 @@ func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 	s.mux.Handle("GET /metrics", s.reg.Handler())
 	// Registered once the counter handles exist: a commit observed from
 	// here on is counted.
-	st.OnUpdate(s.ageCache)
+	st.BeforePublish(s.ageCache)
 	if s.slowThreshold > 0 {
 		s.slow = newSlowLog()
 	}
@@ -346,46 +346,35 @@ func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 	return ev
 }
 
-// ageCache translates a committed update batch into versioned-cache
-// maintenance. Correctness never requires invalidation under MVCC (all
-// entries are keyed by immutable versions); this is the proactive pass
-// that keeps the cache hot and bounded. The batch is first summarized
-// as a signed sparse delta per touched label and every stale cached
-// pattern is patched to the new version by delta-shaped products
-// (Cache.Maintain) — so the next read of a hot pattern hits instead of
-// recomputing. Advance then carries untouched
-// patterns forward and evicts whatever maintenance did not (or could
-// not) patch, and EvictBelow drops entries below the oldest
-// still-pinned version. It runs after publication, still on the
-// writer's goroutine, so batches age the cache in commit order, each
-// against the snapshot it published.
-func (s *Server) ageCache(view *graph.Snapshot, updates []store.Update) {
-	d := store.SummarizeUpdates(updates)
-	ls := d.Labels()
-	nodesChanged := d.NodesAdded > 0
-	oldestPinned := s.st.OldestPinned()
-	if len(ls) > 0 || nodesChanged {
-		start := time.Now()
-		n := view.NumNodes()
-		res := s.cache.Maintain(view, eval.CommitDelta{
-			From:   d.From,
-			To:     d.To,
-			OldN:   n - d.NodesAdded,
-			NewN:   n,
-			Labels: d.LabelDeltas(n),
-		}, eval.MaintainOptions{MaxDensity: eval.DefaultMaxDeltaDensity})
-		s.n.deltaRoots.Add(float64(res.Roots))
-		s.n.deltaMaintained.Add(float64(res.Maintained))
-		s.n.deltaFallbacks.Add(float64(res.Fallbacks))
-		s.n.deltaProducts.Add(float64(res.Products))
-		s.n.deltaDur.Observe(time.Since(start).Seconds())
+// ageCache is the store's pre-publication hook: it moves the versioned
+// cache across each commit before any reader can see the new version
+// (Cache.Commit). The batch is summarized as a signed sparse delta per
+// touched label, every cached pattern it touches is patched to the new
+// version by delta-shaped products — so the first read of a hot
+// pattern there hits instead of recomputing — and entries no pinned
+// reader can read any more are dropped. A Reset touches everything. It
+// runs on the writer's goroutine, so commits reach the cache in order.
+func (s *Server) ageCache(c store.Commit) {
+	start := time.Now()
+	d := eval.CommitDelta{From: c.From, To: c.To, All: c.Updates == nil}
+	if !d.All {
+		b := store.SummarizeUpdates(c.Updates)
+		n := c.Snap.NumNodes()
+		d.OldN, d.NewN, d.Labels = n-b.NodesAdded, n, b.LabelDeltas(n)
 	}
-	// Readers still pinned at the pre-write version keep their entries
-	// (Advance copies instead of moving); EvictBelow reaps them — and
-	// any older version's leftovers — once no pin needs them. Advance
-	// keeps the entries Maintain pre-inserted at the new version.
-	s.cache.Advance(d.From, d.To, ls, nodesChanged, oldestPinned <= d.From)
-	s.cache.EvictBelow(oldestPinned)
+	res := s.cache.Commit(c.Snap, d, func() uint64 {
+		// The oldest pinned version, or c.To when no reader pins one
+		// (the store's live version is still c.From).
+		if ps := s.st.PinStats(); len(ps.Pinned) > 0 {
+			return ps.Pinned[0]
+		}
+		return c.To
+	})
+	s.n.deltaRoots.Add(float64(res.Roots))
+	s.n.deltaMaintained.Add(float64(res.Maintained))
+	s.n.deltaFallbacks.Add(float64(res.Fallbacks))
+	s.n.deltaProducts.Add(float64(res.Products))
+	s.n.deltaDur.Observe(time.Since(start).Seconds())
 }
 
 // requestContext derives the evaluation context: the server default
@@ -492,9 +481,9 @@ type WorkloadStats struct {
 }
 
 // DeltaStats is the /stats view of incremental cache maintenance:
-// commits that ran maintenance, stale patterns eligible (roots),
-// patterns patched forward vs. left to evict-and-recompute, sparse
-// products spent on deltas, and total maintenance wall time.
+// commits the cache went through (Resets included), stale patterns
+// eligible (roots), patterns patched forward vs. left to recompute,
+// sparse products spent on deltas, and total maintenance wall time.
 type DeltaStats struct {
 	MaxDensity         float64 `json:"max_density"`
 	Commits            uint64  `json:"commits"`
@@ -522,8 +511,9 @@ type StatsResponse struct {
 	Store store.Stats     `json:"store"`
 	Pins  store.PinStats  `json:"pins"`
 	Cache eval.CacheStats `json:"cache"`
-	// CacheVersions maps graph version → cached matrix count: how much
-	// of the cache serves the live version vs. still-pinned history.
+	// CacheVersions maps graph versions to the cached matrices valid
+	// there (eval.Cache.VersionOccupancy): the live version, and each
+	// version a still-pinned reader may read at which an entry begins.
 	CacheVersions map[uint64]int        `json:"cache_versions"`
 	Workload      WorkloadStats         `json:"workload"`
 	Delta         DeltaStats            `json:"delta"`

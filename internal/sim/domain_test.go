@@ -76,13 +76,10 @@ func TestScoreDomainMatchesScoreCutsOnFullDBLP(t *testing.T) {
 	}
 	next := b.Build()
 	d := eval.CommitDelta{From: 0, To: 1, OldN: snap.NumNodes(), NewN: next.NumNodes(), Labels: map[string]*sparse.Delta{}}
-	var touched []string
 	for l, ts := range triples {
 		d.Labels[l] = sparse.NewDelta(d.NewN, ts)
-		touched = append(touched, l)
 	}
-	cache.Maintain(next, d, eval.MaintainOptions{})
-	cache.Advance(0, 1, touched, true, false)
+	cache.Commit(next, d, func() uint64 { return 1 })
 	ev1 := eval.NewVersioned(next, 1, cache)
 	ev1.SetCanonicalKeys(true)
 	check(ev1, next, map[string]graph.NodeID{"author": author, "paper": paper, "proc": proc})

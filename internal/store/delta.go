@@ -17,8 +17,8 @@ type BatchDelta struct {
 	Edges map[string][]sparse.Triple
 }
 
-// SummarizeUpdates folds a batch of update records (as delivered to an
-// OnUpdate observer: non-empty, contiguous, in commit order) into its
+// SummarizeUpdates folds a batch of update records (as delivered to the
+// BeforePublish hook: non-empty, contiguous, in commit order) into its
 // edge-level delta.
 func SummarizeUpdates(updates []Update) BatchDelta {
 	d := BatchDelta{Edges: make(map[string][]sparse.Triple)}
@@ -40,15 +40,6 @@ func SummarizeUpdates(updates []Update) BatchDelta {
 		}
 	}
 	return d
-}
-
-// Labels returns the touched label set.
-func (d BatchDelta) Labels() []string {
-	ls := make([]string, 0, len(d.Edges))
-	for l := range d.Edges {
-		ls = append(ls, l)
-	}
-	return ls
 }
 
 // LabelDeltas builds the per-label signed deltas at dimension n (the

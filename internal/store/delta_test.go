@@ -19,15 +19,21 @@ func deltaTriples(d *sparse.Delta) []sparse.Triple {
 }
 
 // TestSummarizeUpdates drives real commits through a Store and checks
-// the observer-side summary matches what was committed, including the
+// the hook-side summary matches what was committed, including the
 // signed cancellation of an edge added and removed across batches.
 func TestSummarizeUpdates(t *testing.T) {
 	st := New(nil)
 	var got []BatchDelta
-	st.OnUpdate(func(snap *graph.Snapshot, updates []Update) {
-		d := SummarizeUpdates(updates)
-		if snap.NumNodes() < d.NodesAdded {
-			t.Errorf("published snapshot has %d nodes, batch added %d", snap.NumNodes(), d.NodesAdded)
+	st.BeforePublish(func(c Commit) {
+		d := SummarizeUpdates(c.Updates)
+		if c.Snap.NumNodes() < d.NodesAdded {
+			t.Errorf("snapshot to publish has %d nodes, batch added %d", c.Snap.NumNodes(), d.NodesAdded)
+		}
+		if d.From != c.From || d.To != c.To {
+			t.Errorf("summary spans v%d→v%d, the commit v%d→v%d", d.From, d.To, c.From, c.To)
+		}
+		if _, v := st.Snapshot(); v != c.From {
+			t.Errorf("Snapshot() inside the hook returns v%d, want the old v%d", v, c.From)
 		}
 		got = append(got, d)
 	})
@@ -70,8 +76,8 @@ func TestSummarizeUpdates(t *testing.T) {
 	if got := deltaTriples(d1.LabelDeltas(n)["knows"]); !slices.Equal(got, []sparse.Triple{{Row: int(a), Col: int(b), Val: -1}}) {
 		t.Fatalf("batch 1 knows delta = %v, want -1 at (a,b)", got)
 	}
-	if ls := d1.Labels(); len(ls) != 1 || ls[0] != "knows" {
-		t.Fatalf("batch 1 labels = %v", ls)
+	if _, knows := d1.Edges["knows"]; len(d1.Edges) != 1 || !knows {
+		t.Fatalf("batch 1 touches %v, want knows alone", d1.Edges)
 	}
 }
 
@@ -89,8 +95,8 @@ func TestSummarizeCancellation(t *testing.T) {
 	if m == nil || m.NNZ() != 0 || m.Dim() != 2 {
 		t.Fatalf("cancelled delta = %v, want the empty 2×2 delta", deltaTriples(m))
 	}
-	if ls := d.Labels(); len(ls) != 1 {
-		t.Fatalf("labels = %v, want the touched label even when cancelled", ls)
+	if _, x := d.Edges["x"]; len(d.Edges) != 1 || !x {
+		t.Fatalf("touched %v, want the touched label even when cancelled", d.Edges)
 	}
 }
 

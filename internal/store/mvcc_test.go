@@ -111,7 +111,7 @@ func TestUpdateRollsBackAtomically(t *testing.T) {
 	s := New(g)
 
 	var seen int
-	s.OnUpdate(func(_ *graph.Snapshot, us []Update) { seen += len(us) })
+	s.BeforePublish(func(c Commit) { seen += len(c.Updates) })
 
 	err := s.Update(func(tx *Tx) error {
 		tx.AddNode("c", "t")
@@ -131,7 +131,7 @@ func TestUpdateRollsBackAtomically(t *testing.T) {
 		t.Errorf("failed batch leaked state: %d nodes %d edges", snap.NumNodes(), snap.NumEdges())
 	}
 	if seen != 0 {
-		t.Errorf("observer saw %d updates from a rolled-back batch", seen)
+		t.Errorf("hook saw %d updates from a rolled-back batch", seen)
 	}
 	if len(s.Log(0)) != 0 {
 		t.Errorf("rolled-back batch reached the log: %+v", s.Log(0))
@@ -151,8 +151,8 @@ func TestPinStats(t *testing.T) {
 	if ps.Live != 3 || ps.Readers != 2 || ps.Spread != 2 {
 		t.Errorf("PinStats = %+v, want live 3, 2 readers, spread 2", ps)
 	}
-	if s.OldestPinned() != 1 {
-		t.Errorf("OldestPinned = %d, want 1", s.OldestPinned())
+	if len(ps.Pinned) == 0 || ps.Pinned[0] != 1 {
+		t.Errorf("oldest pinned = %v, want 1", ps.Pinned)
 	}
 	p0.Release()
 	p0.Release() // idempotent
@@ -160,11 +160,8 @@ func TestPinStats(t *testing.T) {
 		t.Errorf("after release: %+v", ps)
 	}
 	p1.Release()
-	if ps := s.PinStats(); ps.Readers != 0 || ps.Spread != 0 {
-		t.Errorf("after all releases: %+v", ps)
-	}
-	if s.OldestPinned() != 3 {
-		t.Errorf("OldestPinned with no pins = %d, want live 3", s.OldestPinned())
+	if ps := s.PinStats(); ps.Readers != 0 || ps.Spread != 0 || len(ps.Pinned) != 0 || ps.Live != 3 {
+		t.Errorf("after all releases: %+v, want no pinned version, live 3", ps)
 	}
 }
 

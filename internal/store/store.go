@@ -10,9 +10,9 @@
 // Version numbers are monotonic and bump once per mutation; a batch of
 // k mutations moves the store forward k versions in one publish. The
 // bounded update log records every committed mutation with the version
-// it produced, and a registered observer (OnUpdate) sees each committed
-// batch — internal/server uses it to age the evaluator's versioned
-// commuting-matrix cache.
+// it produced, and a registered pre-publication hook (BeforePublish)
+// sees each commit before readers do — internal/server uses it to move
+// the evaluator's versioned commuting-matrix cache to the new version.
 //
 // Readers that want their version accounted for in monitoring pin it:
 // Pin() registers the version until Release, and PinStats reports the
@@ -80,8 +80,8 @@ type Store struct {
 
 	// writeMu serializes writers (version chain is single-writer);
 	// readers never touch it.
-	writeMu  sync.Mutex
-	onUpdate func(*graph.Snapshot, []Update)
+	writeMu       sync.Mutex
+	beforePublish func(Commit)
 
 	// mu guards the update log and the pin registry.
 	mu     sync.Mutex
@@ -121,20 +121,29 @@ func New(g *graph.Graph) *Store {
 	return s
 }
 
-// OnUpdate registers fn to observe every committed mutation batch. fn
-// runs after the new version is published, still under the writer lock,
-// so observers see batches in commit order exactly once, each with the
-// snapshot the batch published — the version its last update carries,
-// which no later commit can have replaced while fn runs. With versioned
-// snapshots the observer is not needed for correctness (readers at old
-// versions keep consistent data); it is the hook for proactive cache
-// aging. Keep fn fast; it must not call Update (writer re-entry
-// deadlocks). Only one observer is supported; a second call replaces
-// it.
-func (s *Store) OnUpdate(fn func(snap *graph.Snapshot, updates []Update)) {
+// Commit is one commit as the pre-publication hook sees it: the
+// version it moves from and the one it publishes, that version's
+// snapshot, and the batch. Updates is nil for a Reset, which replaces
+// the whole graph: everything is touched.
+type Commit struct {
+	From, To uint64
+	Snap     *graph.Snapshot
+	Updates  []Update
+}
+
+// BeforePublish registers fn to run in every commit and Reset after
+// everything that can fail has succeeded (the batch, the WAL append, a
+// Reset's checkpoint) and before the new snapshot is published, under
+// the writer lock. So fn sees commits in order exactly once, while
+// Snapshot still returns c.From, and whatever fn prepares for c.To is
+// visible to the first reader of c.To. Nothing that can fail runs
+// after fn: c.To is always published once fn returns. fn must not call
+// Update or Reset (writer re-entry deadlocks). Only one hook is
+// supported; a second call replaces it.
+func (s *Store) BeforePublish(fn func(c Commit)) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.onUpdate = fn
+	s.beforePublish = fn
 }
 
 // Snapshot returns the current immutable snapshot and its version with
@@ -161,8 +170,8 @@ func (s *Store) Read(fn func(snap *graph.Snapshot, version uint64) error) error 
 // snapshot is the reader's consistent view, and the version counts
 // toward PinStats until Release. Release is idempotent. The load and
 // the registration happen under the same mutex commits publish under,
-// so a pin is never invisible to a concurrent commit's OldestPinned
-// pass.
+// so a pin holds either a version a commit replaces, registered before
+// the commit publishes, or the version it publishes.
 func (s *Store) Pin() *Pin {
 	s.mu.Lock()
 	cur := s.current.Load()
@@ -230,22 +239,6 @@ func (s *Store) PinStats() PinStats {
 		ps.Spread = live - ps.Pinned[0]
 	}
 	return ps
-}
-
-// OldestPinned returns the oldest pinned version, or the live version
-// when nothing is pinned. Cache aging uses it as the eviction floor:
-// entries below it can serve no pinned reader.
-func (s *Store) OldestPinned() uint64 {
-	live := s.Version()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	oldest := live
-	for v := range s.pins {
-		if v < oldest {
-			oldest = v
-		}
-	}
-	return oldest
 }
 
 // Log returns the retained update records with version > since, oldest
@@ -460,9 +453,9 @@ func (tx *Tx) record(u Update) {
 
 // Update runs fn as a write transaction. Mutations accumulate in a
 // copy-on-write builder; if fn returns nil the batch is appended to the
-// write-ahead log (when the store is durable), then the next snapshot
-// is built and published atomically, the update log grows by the batch,
-// and the OnUpdate observer runs. If fn returns an error — or the WAL
+// write-ahead log (when the store is durable), the BeforePublish hook
+// runs, then the next snapshot is published atomically and the update
+// log grows by the batch. If fn returns an error — or the WAL
 // append fails — NOTHING is published: the batch rolls back wholesale
 // and readers never see partial state. The append happens strictly
 // before publication, so a version a reader can observe is always
@@ -497,6 +490,7 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 			return fmt.Errorf("store: wal append (batch rolled back): %w: %w", ErrDurability, err)
 		}
 	}
+	s.runBeforePublish(Commit{From: cur.version, To: next.version, Snap: next.snap, Updates: tx.updates})
 	// Publish under s.mu (alongside the log append) so Pin's
 	// load-and-register is atomic with respect to commits: after this
 	// critical section, any reader pinning the old version is already
@@ -508,9 +502,6 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 	s.log = append(s.log, tx.updates...)
 	s.trimLogLocked()
 	s.mu.Unlock()
-	if s.onUpdate != nil {
-		s.onUpdate(next.snap, tx.updates)
-	}
 	// Observed before the (asynchronous) checkpoint cadence check: commit
 	// latency is what the caller waited, writeMu wait included.
 	s.observeCommit(start)
@@ -518,6 +509,13 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 		s.maybeCheckpointLocked(next)
 	}
 	return nil
+}
+
+// runBeforePublish runs the BeforePublish hook, if any. writeMu held.
+func (s *Store) runBeforePublish(c Commit) {
+	if s.beforePublish != nil {
+		s.beforePublish(c)
+	}
 }
 
 // trimLogLocked enforces the bounded-log retention and advances the
@@ -540,9 +538,8 @@ func (s *Store) trimLogLocked() {
 // durable store the new state is checkpointed before it is published
 // (the same durability-before-visibility discipline commits follow), so
 // a restart recovers the bootstrapped state, not the pre-gap one.
-// The OnUpdate observer does not run: there is no mutation batch, and
-// version-keyed caches stay correct because no previously-seen version
-// changes meaning.
+// The BeforePublish hook runs with no updates: everything is touched,
+// since the new graph may differ anywhere, even at an equal version.
 func (s *Store) Reset(g *graph.Graph, version uint64) error {
 	if g == nil {
 		g = graph.New()
@@ -562,6 +559,7 @@ func (s *Store) Reset(g *graph.Graph, version uint64) error {
 			return err
 		}
 	}
+	s.runBeforePublish(Commit{From: cur.version, To: version, Snap: next.snap})
 	s.mu.Lock()
 	s.current.Store(next)
 	s.log = nil

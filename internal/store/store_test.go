@@ -87,9 +87,12 @@ func TestUpdateLogAndObserver(t *testing.T) {
 	s, a, b := newTestStore(t)
 	var observed []Update
 	var published *graph.Snapshot
-	s.OnUpdate(func(snap *graph.Snapshot, us []Update) {
-		published = snap
-		observed = append(observed, us...)
+	s.BeforePublish(func(c Commit) {
+		if snap, v := s.Snapshot(); v != c.From || snap == c.Snap {
+			t.Errorf("Snapshot() inside the hook returns v%d, want the old v%d, not the one to publish", v, c.From)
+		}
+		published = c.Snap
+		observed = append(observed, c.Updates...)
 	})
 
 	err := s.Update(func(tx *Tx) error {
@@ -103,10 +106,10 @@ func TestUpdateLogAndObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(observed) != 3 {
-		t.Fatalf("observer saw %d updates, want 3", len(observed))
+		t.Fatalf("hook saw %d updates, want 3", len(observed))
 	}
 	if snap, _ := s.Snapshot(); published != snap {
-		t.Fatal("observer was not handed the snapshot the batch published")
+		t.Fatal("hook was not handed the snapshot the batch published")
 	}
 	wantOps := []Op{OpAddNode, OpAddEdge, OpRemoveEdge}
 	for i, u := range observed {
@@ -123,6 +126,38 @@ func TestUpdateLogAndObserver(t *testing.T) {
 	}
 	if tail := s.Log(2); len(tail) != 1 || tail[0].Op != OpRemoveEdge {
 		t.Errorf("Log(2) = %+v, want the remove-edge record only", tail)
+	}
+}
+
+// TestResetRunsBeforePublish: a Reset runs the pre-publication hook
+// with no updates — everything touched — at the same version too, while
+// Snapshot still returns the graph it replaces, and not for a refused
+// backwards Reset.
+func TestResetRunsBeforePublish(t *testing.T) {
+	s, a, b := newTestStore(t)
+	if err := s.AddEdge(b, "x", a); err != nil {
+		t.Fatal(err)
+	}
+	var seen []Commit
+	s.BeforePublish(func(c Commit) {
+		if snap, v := s.Snapshot(); v != c.From || snap == c.Snap {
+			t.Errorf("Snapshot() inside the hook returns v%d, want the old v%d, not the one to publish", v, c.From)
+		}
+		seen = append(seen, c)
+	})
+	g := graph.New()
+	g.AddNode("z", "t")
+	for _, v := range []uint64{1, 4, 2} {
+		s.Reset(g, v)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("hook ran %d times for two Resets and a refused one", len(seen))
+	}
+	for i, want := range []Commit{{From: 1, To: 1}, {From: 1, To: 4}} {
+		if c := seen[i]; c.From != want.From || c.To != want.To || c.Updates != nil || c.Snap.NumNodes() != 1 {
+			t.Errorf("Reset %d: hook saw v%d→v%d with %d updates over %d nodes, want v%d→v%d, none, 1",
+				i, c.From, c.To, len(c.Updates), c.Snap.NumNodes(), want.From, want.To)
+		}
 	}
 }
 

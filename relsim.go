@@ -41,6 +41,7 @@ import (
 	"relsim/internal/schema"
 	"relsim/internal/server"
 	"relsim/internal/sim"
+	"relsim/internal/sparse"
 	"relsim/internal/store"
 	"relsim/internal/wal"
 )
@@ -378,18 +379,24 @@ func (e *Engine) InvalidateLabels(labels ...string) int { return e.advance(label
 // adding or removing nodes (every matrix dimension changes).
 func (e *Engine) InvalidateAll() int { return e.advance(nil, true) }
 
-// advance moves the engine from version v to v+1 as a server commit
-// does: Advance counts the touched entries it evicts, EvictBelow drops
-// the rest of v, and the evaluator at v+1 is swapped in. A computation
-// still running at v inserts under v, where no later reader looks.
-func (e *Engine) advance(labels []string, nodesChanged bool) int {
+// advance moves the engine from version v to v+1 through the cache's
+// one commit entry point, as a server commit does, then swaps in the
+// evaluator at v+1. The commit closes the entries of the touched labels
+// (all of them when all is set) and returns their count; with no
+// deltas to patch against and no pinned readers, it drops them too. A
+// computation still running at v lands as [v, v+1), where no later
+// reader looks.
+func (e *Engine) advance(labels []string, all bool) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	v := e.ev.Load().Version()
-	_, evicted := e.cache.Advance(v, v+1, labels, nodesChanged, false)
-	e.cache.EvictBelow(v + 1)
+	d := eval.CommitDelta{From: v, To: v + 1, All: all, Labels: make(map[string]*sparse.Delta, len(labels))}
+	for _, l := range labels {
+		d.Labels[l] = nil
+	}
+	res := e.cache.Commit(nil, d, func() uint64 { return v + 1 })
 	e.ev.Store(eval.NewVersioned(e.g, v+1, e.cache))
-	return evicted
+	return res.Closed
 }
 
 // CacheStats returns the commuting-matrix cache counters.
