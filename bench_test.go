@@ -233,7 +233,6 @@ func BenchmarkScoreCuts(b *testing.B) {
 			snap = embedAuthors(base, tc.fill)
 		}
 		ev := eval.NewVersioned(snap, 0, eval.NewCache())
-		ev.SetCanonicalKeys(true)
 		ps := []*rre.Pattern{rre.MustParse(tc.pattern)}
 		if ps[0].IsSimple() {
 			if ps, err = pattern.Generate(ds.Schema, ps[0], pattern.Default()); err != nil {

@@ -4,11 +4,9 @@
 // controller, applied in the order identify → quota → admit:
 //
 //   - per-client token-bucket rate limiting (Allow): each client key —
-//     an API key or remote address — draws from its own bucket, with
-//     per-tenant overrides for clients whose contract differs from the
-//     default. A drained bucket means "throttled": the caller should
-//     answer 429 with a Retry-After derived from the bucket's refill
-//     rate.
+//     an API key or remote address — draws from its own bucket. A
+//     drained bucket means "throttled": the caller should answer 429
+//     with a Retry-After derived from the bucket's refill rate.
 //
 //   - concurrency-gated admission (Acquire): at most MaxInFlight
 //     requests run concurrently; up to QueueDepth more may wait, each
@@ -52,14 +50,6 @@ const DefaultQueueWait = 2 * time.Second
 // evicted past the bound.
 const DefaultMaxClients = 4096
 
-// RateLimit is one token-bucket setting: sustained requests/second and
-// the burst capacity above it. Rate <= 0 in a per-tenant override means
-// that tenant is unlimited.
-type RateLimit struct {
-	Rate  float64 `json:"rate"`
-	Burst int     `json:"burst"`
-}
-
 // Config configures a Controller. The zero value disables every
 // mechanism (Enabled returns false; New returns nil).
 type Config struct {
@@ -72,14 +62,10 @@ type Config struct {
 	// QueueWait bounds how long one queued request waits before it is
 	// shed; 0 means DefaultQueueWait. Ignored without MaxInFlight.
 	QueueWait time.Duration
-	// Rate/Burst is the default per-client token bucket; Rate <= 0
-	// disables rate limiting for clients without an override.
+	// Rate/Burst is the per-client token bucket; Rate <= 0 disables
+	// rate limiting.
 	Rate  float64
 	Burst int
-	// Overrides maps client keys to per-tenant rate limits, replacing
-	// the default bucket for those keys (an override with Rate <= 0
-	// makes that tenant unlimited).
-	Overrides map[string]RateLimit
 	// MaxClients bounds the tracked client keys; 0 means
 	// DefaultMaxClients.
 	MaxClients int
@@ -90,7 +76,7 @@ type Config struct {
 
 // Enabled reports whether the config turns on any admission mechanism.
 func (c Config) Enabled() bool {
-	return c.MaxInFlight > 0 || c.Rate > 0 || len(c.Overrides) > 0 || c.MaxCost > 0
+	return c.MaxInFlight > 0 || c.Rate > 0 || c.MaxCost > 0
 }
 
 // Stats is a point-in-time controller summary (the /stats admission
@@ -161,7 +147,7 @@ func New(cfg Config) *Controller {
 			c.queue = make(chan struct{}, cfg.QueueDepth)
 		}
 	}
-	if cfg.Rate > 0 || len(cfg.Overrides) > 0 {
+	if cfg.Rate > 0 {
 		c.buckets = make(map[string]*bucket)
 	}
 	return c
@@ -177,9 +163,8 @@ func (c *Controller) Config() Config {
 
 // Allow draws one token from key's bucket. ok=false means the client is
 // throttled; retryAfter is how long until the bucket next holds a full
-// token (the 429 Retry-After hint). A nil controller, a disabled
-// limiter, and an unlimited tenant all admit with zero cost beyond one
-// map probe.
+// token (the 429 Retry-After hint). A nil controller and a disabled
+// limiter admit at no cost.
 func (c *Controller) Allow(key string) (ok bool, retryAfter time.Duration) {
 	if c == nil || c.buckets == nil {
 		return true, 0
@@ -187,12 +172,6 @@ func (c *Controller) Allow(key string) (ok bool, retryAfter time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rate, burst := c.cfg.Rate, float64(c.cfg.Burst)
-	if o, isOverride := c.cfg.Overrides[key]; isOverride {
-		rate, burst = o.Rate, float64(o.Burst)
-	}
-	if rate <= 0 {
-		return true, 0
-	}
 	if burst < 1 {
 		burst = 1
 	}

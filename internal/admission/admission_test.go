@@ -225,36 +225,6 @@ func TestRateLimitKeysAreIndependent(t *testing.T) {
 	}
 }
 
-func TestRateLimitTenantOverrides(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{
-		Rate: 1, Burst: 1,
-		Overrides: map[string]RateLimit{
-			"gold":    {Rate: 100, Burst: 10},
-			"batchjb": {Rate: 0}, // unlimited
-		},
-	})
-	c.now = clk.now
-	for i := 0; i < 10; i++ {
-		if ok, _ := c.Allow("gold"); !ok {
-			t.Fatalf("gold burst request %d throttled", i)
-		}
-	}
-	if ok, _ := c.Allow("gold"); ok {
-		t.Fatal("gold past its burst admitted")
-	}
-	for i := 0; i < 100; i++ {
-		if ok, _ := c.Allow("batchjb"); !ok {
-			t.Fatal("unlimited tenant throttled")
-		}
-	}
-	// The default applies to everyone else.
-	c.Allow("anon")
-	if ok, _ := c.Allow("anon"); ok {
-		t.Fatal("default-bucket client past its burst admitted")
-	}
-}
-
 func TestRateLimitKeyBoundEvictsLRU(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{Rate: 1, Burst: 1, MaxClients: 3})

@@ -42,10 +42,10 @@ func EstimateProductsAnnotated(patterns []*rre.Pattern) int {
 // entry (u,v) carries |I^{u,v}(p)| as a saturating count plus a bounded
 // derivation prefix (the first sparse.MaxWitnessSteps intermediate
 // nodes of a shortlex-minimal derivation). Results are cached under
-// (version, "witness", pattern), p canonicalized under the evaluator's
-// key mode like an integer key.
+// ("witness", pattern) over a validity interval, p canonicalized like
+// an integer key (canonForm).
 func (e *Evaluator) CommutingWitness(p *rre.Pattern) *sparse.WitnessMatrix {
-	return walk[sparse.Witness](e, sparse.WitnessRing{}).eval(canonForm(p, e.isCanonical()))
+	return walk[sparse.Witness](e, sparse.WitnessRing{}).eval(canonForm(p))
 }
 
 // WitnessPathSimScore computes Equation 1 of the paper from a

@@ -63,7 +63,7 @@ func (c *Cache) slotsAt(v uint64) int {
 func TestLRUEviction(t *testing.T) {
 	g := cacheTestGraph()
 	ev := New(g)
-	ev.SetCacheLimit(2)
+	ev.Cache().SetLimit(2)
 	pa, pb, pc := rre.MustParse("a"), rre.MustParse("b"), rre.MustParse("c")
 	ev.Commuting(pa)
 	ev.Commuting(pb)
@@ -93,9 +93,9 @@ func TestSetCacheLimitShrinks(t *testing.T) {
 	g := cacheTestGraph()
 	ev := New(g)
 	ev.Materialize(rre.MustParse("a"), rre.MustParse("b"), rre.MustParse("c"))
-	ev.SetCacheLimit(1)
+	ev.Cache().SetLimit(1)
 	if got := ev.CacheSize(); got != 1 {
-		t.Errorf("CacheSize after SetCacheLimit(1) = %d, want 1", got)
+		t.Errorf("CacheSize after SetLimit(1) = %d, want 1", got)
 	}
 }
 

@@ -21,13 +21,10 @@ func TestCutKeepsTheLighterHalfRight(t *testing.T) {
 		{"a.b.c", "a.b", "c-"},
 		{"a.b.c.d", "a.b", "d-.c-"},
 	} {
-		for _, canonical := range []bool{false, true} {
-			c := NewCut(rre.MustParse(tc.pattern), canonical)
-			left := canonForm(rre.MustParse(tc.left), canonical)
-			revRight := canonForm(rre.MustParse(tc.revRight), canonical)
-			if !c.Left.Equal(left) || c.RevRight == nil || !c.RevRight.Equal(revRight) {
-				t.Errorf("NewCut(%s, canonical=%v) = (%s, %v), want (%s, %s)", tc.pattern, canonical, c.Left, c.RevRight, left, revRight)
-			}
+		c := NewCut(rre.MustParse(tc.pattern))
+		left, revRight := canonForm(rre.MustParse(tc.left)), canonForm(rre.MustParse(tc.revRight))
+		if !c.Left.Equal(left) || c.RevRight == nil || !c.RevRight.Equal(revRight) {
+			t.Errorf("NewCut(%s) = (%s, %v), want (%s, %s)", tc.pattern, c.Left, c.RevRight, left, revRight)
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestCutTableStorm(t *testing.T) {
 	snap := randomGraph(rng, 30, 240, labels).Snapshot()
 	var cuts []Cut
 	for _, s := range []string{"a.b", "a.b-.c", "<a.b>.c", "[a.b].c-", "(a + b-).c", "a-.[b].c", "<a>.<b->", "c.c-", "a.b.c.a-"} {
-		cuts = append(cuts, NewCut(rre.MustParse(s), false))
+		cuts = append(cuts, NewCut(rre.MustParse(s)))
 	}
 	type version struct {
 		v    uint64

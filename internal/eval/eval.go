@@ -59,9 +59,8 @@ type Evaluator struct {
 	// in one place.
 	counters *Counters
 
-	mu        sync.Mutex
-	canonical bool
-	mulHook   func(a, b *sparse.Matrix)
+	mu      sync.Mutex
+	mulHook func(a, b *sparse.Matrix)
 }
 
 // Counters are one evaluator's private tallies: cache hits and misses
@@ -99,13 +98,12 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return &Evaluator{
-		g:         e.g,
-		version:   e.version,
-		cache:     e.cache,
-		ctx:       ctx,
-		counters:  e.counters,
-		canonical: e.canonical,
-		mulHook:   e.mulHook,
+		g:        e.g,
+		version:  e.version,
+		cache:    e.cache,
+		ctx:      ctx,
+		counters: e.counters,
+		mulHook:  e.mulHook,
 	}
 }
 
@@ -130,10 +128,6 @@ func (e *Evaluator) CacheSize() int { return e.cache.Size() }
 // Stats returns the cache counters.
 func (e *Evaluator) Stats() CacheStats { return e.cache.Stats() }
 
-// SetCacheLimit bounds the cache to at most n matrices (LRU eviction);
-// n <= 0 removes the bound.
-func (e *Evaluator) SetCacheLimit(n int) { e.cache.SetLimit(n) }
-
 // checkCanceled panics with *Canceled when the evaluator's context is
 // done. It is called between matrix products so a timed-out query stops
 // burning CPU mid-evaluation; Guard at the API boundary converts the
@@ -147,17 +141,11 @@ func (e *Evaluator) checkCanceled() {
 	}
 }
 
-// SetCanonicalKeys makes the evaluator canonicalize patterns
-// (rre.CanonicalExact) before evaluation, so cache entries are keyed by
-// the canonical rendering and semantically interchangeable patterns
-// (alt permutations, redundant grouping) share one materialization.
-// Patterns whose canonicalization is not count-exact are evaluated
-// under their raw key, exactly as without this mode.
-func (e *Evaluator) SetCanonicalKeys(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.canonical = on
-}
+// SetCanonicalKeys does nothing: every evaluator keys its cache
+// canonically (see canonForm).
+//
+// Deprecated: kept only so bench/layers.go, which calls it, compiles.
+func (e *Evaluator) SetCanonicalKeys(bool) {}
 
 // SetMulHook installs fn to observe every matrix product the evaluator
 // performs (concatenation chains and Kleene-star closure squarings).
@@ -180,16 +168,17 @@ func (e *Evaluator) Materialize(ps ...*rre.Pattern) {
 }
 
 // Commuting returns the commuting matrix M_p, the IntRing instance of
-// the walk. Results are cached per (version, pattern string), including
-// all sub-pattern matrices. Under SetCanonicalKeys the pattern is
-// canonicalized first, so the key is the canonical rendering and every
-// subexpression of a canonical pattern is cached under its own
-// canonical key. A top-level
-// concatenation is the product of the two halves Equation-1 scoring
-// reads (see Cut), so materializing a root leaves them cached.
+// the walk. The pattern is canonicalized first (canonForm), so the
+// result is cached under the canonical rendering, with every
+// subexpression under its own canonical key, in an entry valid over
+// the interval of versions its labels stay untouched (see Key).
+// Semantically interchangeable patterns (alt permutations, redundant
+// grouping) thus share one materialization. A top-level concatenation
+// is the product of the two halves Equation-1 scoring reads (see Cut),
+// so materializing a root leaves them cached.
 func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 	w := e.ints()
-	p = canonForm(p, e.isCanonical())
+	p = canonForm(p)
 	if p.Kind() != rre.KindConcat {
 		return w.eval(p)
 	}
@@ -199,24 +188,15 @@ func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 	})
 }
 
-// isCanonical reports whether the evaluator keys its cache canonically.
-func (e *Evaluator) isCanonical() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.canonical
-}
-
-// canonForm returns p's canonical form when canonical is set, unless
-// canonicalization is inexact (disjunction branches collapsing, which
-// would change counts) — such a pattern keeps its raw form and raw key,
-// the exact behavior of a non-canonical evaluator. Canonical forms are
-// closed under Subs(), so the walk canonicalizes once, at the entry
-// point.
-func canonForm(p *rre.Pattern, canonical bool) *rre.Pattern {
-	if canonical {
-		if c, exact := rre.CanonicalExact(p); exact {
-			return c
-		}
+// canonForm returns the form the cache keys p by: its canonical form,
+// unless canonicalization is inexact (disjunction branches collapsing,
+// which would change counts under bag semantics) — such a pattern keeps
+// its raw form and raw key. Exact rewrites leave M_p unchanged, which
+// is all Equation 1 reads. Canonical forms are closed under Subs(), so
+// the walk canonicalizes once, at the entry point.
+func canonForm(p *rre.Pattern) *rre.Pattern {
+	if c, exact := rre.CanonicalExact(p); exact {
+		return c
 	}
 	return p
 }

@@ -62,7 +62,6 @@ func coldRead(t *testing.T, g *graph.Graph, cache *Cache, ps []*rre.Pattern, rea
 	fns := make([]func(), readers)
 	for r := range evs {
 		ev := NewVersioned(g, 0, cache)
-		ev.SetCanonicalKeys(true)
 		ev.SetMulHook(func(_, _ *sparse.Matrix) {
 			if n.Add(1) == 1 {
 				time.Sleep(50 * time.Millisecond)

@@ -30,7 +30,7 @@ func (in Instance) Render(g graph.View) string {
 	parts := make([]string, len(in.Seq))
 	for i, s := range in.Seq {
 		parts[i] = s
-		if id, err := strconv.Atoi(s); err == nil && g.Has(graph.NodeID(id)) {
+		if id, err := strconv.ParseInt(s, 10, 32); err == nil && g.Has(graph.NodeID(id)) {
 			if name := g.Node(graph.NodeID(id)).Name; name != "" {
 				parts[i] = name
 			}

@@ -66,7 +66,6 @@ func newWarmPool(t *testing.T) *warmPool {
 	}
 	w := &warmPool{snap: ds.Graph.Snapshot(), cache: eval.NewCache()}
 	ev := eval.NewVersioned(w.snap, 0, w.cache)
-	ev.SetCanonicalKeys(true)
 	for _, b := range benchPool {
 		ps := []*rre.Pattern{rre.MustParse(b.pattern)}
 		if ps[0].IsSimple() {
@@ -187,9 +186,7 @@ func firstReads(t *testing.T) (transposes, diagonals []uint64) {
 		next, d := commit(k)
 		w.maintain(t, k, next, d)
 		ev := eval.NewVersioned(next, d.To, w.cache)
-		ev.SetCanonicalKeys(true)
 		cold := eval.NewVersioned(next, 0, eval.NewCache())
-		cold.SetCanonicalKeys(true)
 		for i, ps := range w.patterns {
 			cuts := make([]eval.Cut, len(ps))
 			for j, p := range ps {

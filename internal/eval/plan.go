@@ -23,9 +23,9 @@ type Cut struct {
 	Left, RevRight *rre.Pattern
 }
 
-// NewCut cuts p; with canonical set, into the forms a SetCanonicalKeys
-// evaluator keys its cache by (see canonForm), so a Cut can be memoized
-// and Halves never canonicalizes. The cut is a function of the chain
+// NewCut cuts p into the forms an evaluator keys its cache by (see
+// canonForm), so a Cut can be memoized and Halves never canonicalizes.
+// The cut is a function of the chain
 // alone and costs no product: the factor boundary that best balances
 // the label count of the two sides (a nest [q] relates a node to itself
 // and weighs nothing). Between equally balanced boundaries it takes the
@@ -35,8 +35,8 @@ type Cut struct {
 // replica. For the Algorithm-1 expansion of a symmetric meta-path it is
 // the seam between the rewritten prefix and suffix, so |E_p| roots share
 // ≈ √|E_p| halves.
-func NewCut(p *rre.Pattern, canonical bool) Cut {
-	p = canonForm(p, canonical)
+func NewCut(p *rre.Pattern) Cut {
+	p = canonForm(p)
 	if p.Kind() != rre.KindConcat {
 		return Cut{Left: p}
 	}
@@ -64,15 +64,14 @@ func NewCut(p *rre.Pattern, canonical bool) Cut {
 	}
 	return Cut{
 		Left:     rre.Concat(subs[:c]...),
-		RevRight: canonForm(rre.Rev(rre.Concat(subs[c:]...)), canonical),
+		RevRight: canonForm(rre.Rev(rre.Concat(subs[c:]...))),
 	}
 }
 
-// Cut cuts p under the evaluator's key mode.
-func (e *Evaluator) Cut(p *rre.Pattern) Cut { return NewCut(p, e.isCanonical()) }
+// Cut cuts p (NewCut).
+func (e *Evaluator) Cut(p *rre.Pattern) Cut { return NewCut(p) }
 
-// Halves returns the matrices of a Cut made under the evaluator's key
-// mode, A = M_Left and Bᵀ = M_RevRight (nil when RevRight is), each
+// Halves returns the matrices of a Cut (NewCut), A = M_Left and Bᵀ = M_RevRight (nil when RevRight is), each
 // cached like any other pattern; the greedy chain below orders the
 // products inside a half.
 func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
@@ -85,14 +84,14 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 }
 
 // Scoring calls read, for each Cut in turn, with what Equation-1
-// scoring reads of it; the cuts are made under the evaluator's key
-// mode. Of a cut M_p = A·B it reads A = M_Left; B = (Bᵀ)ᵀ, the
-// transpose kept with the right half; and diag(M_p) at the evaluator's
-// version (sparse.ProductDiagonal). For a cut that is not a
-// concatenation B and the diagonal are nil: M_p is A, its diagonal A's
-// own. A warm read finds all three in the cut's slot valid at its
-// version (see cutTable), which an unbounded cache reads without a
-// lock. A read that finds no slot takes the halves from the cache,
+// scoring reads of it; the cuts are made by NewCut. Of a cut M_p = A·B
+// it reads A = M_Left; B = (Bᵀ)ᵀ, the transpose kept with the right
+// half; and diag(M_p) at the evaluator's version
+// (sparse.ProductDiagonal). For a cut that is not a concatenation B and
+// the diagonal are nil: M_p is A, its diagonal A's own. A warm read
+// finds all three in the cut's slot valid at its version (see
+// cutTable), which an unbounded cache reads without a lock. A read
+// that finds no slot takes the halves from the cache,
 // builds the transpose or the diagonal in full if none is kept
 // (Counters.Transposes, Counters.Diagonals), and publishes the slot;
 // Cache.Commit patches slots across commits. The halves the table

@@ -38,9 +38,10 @@ func (e *Evaluator) ints() walker[int64, sparse.IntRing] {
 	return walk[int64](e, sparse.IntRing{})
 }
 
-// eval returns M_p over the ring, cached per (version, ring, pattern)
-// with every sub-pattern's matrix. Under SetCanonicalKeys p must already
-// be canonical.
+// eval returns M_p over the ring, cached under (ring, pattern) in the
+// entry valid at the evaluator's version, with every sub-pattern's
+// matrix. p must already be in its key form (canonForm); eval itself
+// never canonicalizes.
 func (w walker[T, R]) eval(p *rre.Pattern) *sparse.GMatrix[T, R] { return w.get(p, w.compute) }
 
 // get returns the matrix cached under p's key, building it outside any

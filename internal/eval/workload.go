@@ -24,7 +24,7 @@ func nodeCost(p *rre.Pattern) int {
 }
 
 // walkDistinct walks the distinct sub-patterns of the patterns, each
-// under the key a canonical-key evaluator builds it by (canonForm).
+// under the key an evaluator builds it by (canonForm).
 func walkDistinct(patterns []*rre.Pattern) WorkloadStats {
 	in := rre.NewInterner()
 	all := make(map[string]bool)

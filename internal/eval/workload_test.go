@@ -98,7 +98,6 @@ func TestPlanWorkloadUnplannable(t *testing.T) {
 	}
 
 	ev := New(g)
-	ev.SetCanonicalKeys(true)
 	var products atomic.Int64
 	ev.SetMulHook(func(_, _ *sparse.Matrix) { products.Add(1) })
 	for _, p := range ps {

@@ -122,6 +122,6 @@ func Canonical(p *Pattern) *Pattern { return NewInterner().Canon(p) }
 func CanonicalExact(p *Pattern) (*Pattern, bool) { return NewInterner().CanonExact(p) }
 
 // CanonicalKey returns the canonical rendering of p — the cache key
-// under which a canonical-key evaluator builds p (when the
-// canonicalization is exact; inexact patterns keep their raw key).
+// under which an evaluator builds p (when the canonicalization is
+// exact; inexact patterns keep their raw key).
 func CanonicalKey(p *Pattern) string { return Canonical(p).String() }

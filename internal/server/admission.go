@@ -57,31 +57,14 @@ func WithAdmissionLimits(maxInFlight, queueDepth int) Option {
 	}
 }
 
-// WithAdmissionQueueWait bounds how long one queued request waits for
-// capacity before it is shed (default admission.DefaultQueueWait).
-func WithAdmissionQueueWait(d time.Duration) Option {
-	return func(s *Server) { s.admCfg.QueueWait = d }
-}
-
 // WithAdmissionRate enables per-client token-bucket rate limiting:
 // rate sustained requests/second with burst capacity above it, keyed
 // by X-Relsim-Api-Key (falling back to the remote address). rate <= 0
-// disables the default bucket; per-tenant overrides still apply.
+// disables rate limiting.
 func WithAdmissionRate(rate float64, burst int) Option {
 	return func(s *Server) {
 		s.admCfg.Rate = rate
 		s.admCfg.Burst = burst
-	}
-}
-
-// WithAdmissionTenantRate overrides the token bucket for one client
-// key (rate <= 0 makes that tenant unlimited). May be repeated.
-func WithAdmissionTenantRate(key string, rate float64, burst int) Option {
-	return func(s *Server) {
-		if s.admCfg.Overrides == nil {
-			s.admCfg.Overrides = make(map[string]admission.RateLimit)
-		}
-		s.admCfg.Overrides[key] = admission.RateLimit{Rate: rate, Burst: burst}
 	}
 }
 

@@ -29,6 +29,12 @@ func newAdmServer(t *testing.T, opts ...Option) (*store.Store, *Server, *httptes
 	return st, srv, ts
 }
 
+// queueWait bounds how long one queued request waits for admission
+// capacity (admission.DefaultQueueWait otherwise).
+func queueWait(d time.Duration) Option {
+	return func(s *Server) { s.admCfg.QueueWait = d }
+}
+
 // postKeyed posts body with an API key, returning the status, the
 // Retry-After header, and the decoded error body (zero on success).
 func postKeyed(t *testing.T, ts *httptest.Server, path, key string, body any) (int, string, errorResponse) {
@@ -301,12 +307,9 @@ func TestShedBeforePin(t *testing.T) {
 }
 
 // TestRateLimit verifies per-client token buckets: independent keys,
-// 429 + Retry-After on a drained bucket, and per-tenant overrides.
+// and 429 + Retry-After on a drained bucket.
 func TestRateLimit(t *testing.T) {
-	_, _, ts := newAdmServer(t,
-		WithAdmissionRate(0.5, 2),
-		WithAdmissionTenantRate("vip", 0, 0), // unlimited
-	)
+	_, _, ts := newAdmServer(t, WithAdmissionRate(0.5, 2))
 	req := SearchRequest{Pattern: "by.by-", Query: "p1"}
 	for i := 0; i < 2; i++ {
 		if code, _, e := postKeyed(t, ts, "/search", "alice", req); code != http.StatusOK {
@@ -320,14 +323,9 @@ func TestRateLimit(t *testing.T) {
 	if retry == "" {
 		t.Fatal("429 missing Retry-After")
 	}
-	// bob has his own bucket; vip is exempt however hard it hammers.
+	// bob has his own bucket.
 	if code, _, _ := postKeyed(t, ts, "/search", "bob", req); code != http.StatusOK {
 		t.Fatalf("bob throttled by alice's bucket: %d", code)
-	}
-	for i := 0; i < 5; i++ {
-		if code, _, _ := postKeyed(t, ts, "/search", "vip", req); code != http.StatusOK {
-			t.Fatalf("vip request %d throttled despite override: %d", i, code)
-		}
 	}
 }
 
@@ -508,7 +506,7 @@ func TestOverloadStorm(t *testing.T) {
 	const maxInFlight = 4
 	st, srv, ts := newAdmServer(t,
 		WithAdmissionLimits(maxInFlight, 2),
-		WithAdmissionQueueWait(50*time.Millisecond),
+		queueWait(50*time.Millisecond),
 	)
 	// Slow every search a little so the gate actually saturates.
 	srv.testHookEval = func(req *SearchRequest) { time.Sleep(2 * time.Millisecond) }
@@ -661,7 +659,7 @@ func TestOverloadStorm(t *testing.T) {
 // TestQueueAdmitsWhenCapacityFrees: a queued request (not shed — depth
 // allows it) is admitted once a blocked request finishes.
 func TestQueueAdmitsWhenCapacityFrees(t *testing.T) {
-	_, srv, ts := newAdmServer(t, WithAdmissionLimits(1, 1), WithAdmissionQueueWait(5*time.Second))
+	_, srv, ts := newAdmServer(t, WithAdmissionLimits(1, 1), queueWait(5*time.Second))
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	srv.testHookEval = func(req *SearchRequest) {

@@ -4,12 +4,13 @@ package server
 // /batch and /explain. An annotated request evaluates the pattern's
 // commuting matrix over the witness semiring (internal/sparse) in
 // addition to the integer ranking matrices; the witness matrix is
-// cached in the same versioned cache under a ring-tagged key, so a
-// later /explain?annotate=witness on the same (version, pattern) is a
-// pure projection — it reads the cached annotation and materializes
-// zero additional matrix products. Commit-time maintenance patches
-// only integer entries forward (the witness semiring has no
-// subtraction); each commit evicts the touched annotated entries, so a
+// cached in the same cache under a ring-tagged key, so a later
+// /explain?annotate=witness of the pattern at a version its entry is
+// valid at is a pure projection — it reads the cached annotation and
+// materializes zero additional matrix products. Commit-time maintenance
+// patches only integer entries forward (the witness semiring has no
+// subtraction): a commit closes the validity interval of every
+// annotated entry whose labels it touches and opens no successor, so a
 // projection can never serve a stale derivation.
 
 import (

@@ -174,7 +174,8 @@ func TestExplainTimeout(t *testing.T) {
 // TestExpandMemoBounded is the regression test for the Algorithm-1
 // expansion memo growing without bound under distinct-pattern traffic.
 func TestExpandMemoBounded(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithExpandCacheLimit(2))
+	srv := New(store.New(testGraph()), nil)
+	srv.expandLimit = 2
 	ts := newHTTPServer(t, srv)
 
 	for _, p := range []string{"by", "cites", "by.by-", "cites-"} {

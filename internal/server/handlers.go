@@ -435,12 +435,11 @@ type expandKey struct {
 	expand  bool
 }
 
-// newQuerySet cuts ps under the canonical keys every server evaluator
-// uses.
+// newQuerySet cuts ps into the keys every evaluator reads (eval.NewCut).
 func newQuerySet(ps []*rre.Pattern, expanded bool) *querySet {
 	qs := &querySet{ps: ps, expanded: expanded, cuts: make([]eval.Cut, len(ps))}
 	for i, p := range ps {
-		qs.cuts[i] = eval.NewCut(p, true)
+		qs.cuts[i] = eval.NewCut(p)
 	}
 	return qs
 }
@@ -492,8 +491,9 @@ func (s *Server) queryPatterns(req *SearchRequest) (*querySet, error) {
 // request after request) parse, expand, canonicalize and cut once. The
 // memo is keyed by raw as the client sent it, so a hit parses nothing;
 // two spellings of one pattern take an entry each. The memo is
-// LRU-bounded (WithExpandCacheLimit): keys are client-supplied strings,
-// and without the bound a stream of distinct patterns grows it forever.
+// LRU-bounded (DefaultExpandCacheLimit): keys are client-supplied
+// strings, and without the bound a stream of distinct patterns grows it
+// forever.
 func (s *Server) memoQuerySet(raw string, expand bool) (*querySet, error) {
 	key := expandKey{raw, expand}
 	s.expandMu.Lock()
@@ -521,18 +521,16 @@ func (s *Server) memoQuerySet(raw string, expand bool) (*querySet, error) {
 	s.expandTick++
 	ent.used = s.expandTick
 	s.expand[key] = ent
-	if s.expandLimit > 0 {
-		for len(s.expand) > s.expandLimit {
-			var victim expandKey
-			oldest, first := uint64(0), true
-			for k, ent := range s.expand {
-				if first || ent.used < oldest {
-					victim, oldest, first = k, ent.used, false
-				}
+	for len(s.expand) > s.expandLimit {
+		var victim expandKey
+		oldest, first := uint64(0), true
+		for k, ent := range s.expand {
+			if first || ent.used < oldest {
+				victim, oldest, first = k, ent.used, false
 			}
-			delete(s.expand, victim)
-			s.expandEvictions++
 		}
+		delete(s.expand, victim)
+		s.expandEvictions++
 	}
 	s.expandMu.Unlock()
 	return ent, nil
@@ -566,7 +564,7 @@ func (s *Server) searchCost(req *SearchRequest) int {
 // explainCost prices a legacy /explain, which materializes M_p on
 // demand: the halves of a concatenation and the one product of the two.
 func explainCost(p *rre.Pattern) int {
-	c := eval.NewCut(p, true)
+	c := eval.NewCut(p)
 	cost := eval.EstimateProducts(reads(c))
 	if c.RevRight != nil {
 		cost++

@@ -2,7 +2,7 @@
 // HTTP/JSON service over an MVCC store.Store:
 //
 //	POST /search       one similarity query (structurally robust pipeline)
-//	POST /batch        many queries, amortizing materialization across a worker pool
+//	POST /batch        many queries over one pinned snapshot and a worker pool
 //	POST /explain      instance-level provenance: why are u and v similar under p?
 //	POST /graph/edges  mutations: add nodes, add edges, remove edges
 //	GET  /healthz      liveness + role (leader/follower) + follower readiness
@@ -18,13 +18,16 @@
 // queries evaluate against that frozen version with zero lock cost and
 // are never blocked by writers; /batch shares a single pinned snapshot
 // and a single snapshot-bound evaluator across its whole worker pool,
-// so the amortized materialization pass stays consistent even while
-// writes land concurrently. Mutations commit copy-on-write versions
-// through the store and age the shared commuting-matrix cache: entries
-// are keyed by (version, pattern), so a write can never corrupt a
-// pinned reader's results — the label-based hook merely carries
-// untouched patterns' matrices forward to the new version and evicts
-// the rest proactively.
+// so every query of a batch reads one version even while writes land
+// concurrently. Mutations commit copy-on-write versions through the
+// store, and the store's pre-publication hook moves the shared
+// commuting-matrix cache across each commit before the new version is
+// visible (ageCache): each entry is valid over an interval of versions,
+// an entry the commit does not touch stays valid at the new version
+// without moving, a touched one has its interval closed and, when the
+// delta allows, a patched successor opened at the new version. A
+// closed interval still serves the readers pinned inside it, so a
+// write can never corrupt a pinned reader's results.
 //
 // /search and /batch run under a context deadline (WithTimeout default,
 // ?timeout_ms= per-request override); cancellation is checked between
@@ -120,8 +123,9 @@ type Server struct {
 	// string as the client sent it. The schema and generation options are fixed for the
 	// server's lifetime, so entries never go stale — unlike commuting
 	// matrices, expansions do not depend on the graph's edges. The memo is
-	// LRU-bounded: pattern strings come straight off the wire, so an
-	// unbounded memo is a memory leak under adversarial traffic.
+	// LRU-bounded at expandLimit (DefaultExpandCacheLimit; tests lower
+	// it): pattern strings come straight off the wire, so an unbounded
+	// memo is a memory leak under adversarial traffic.
 	expandMu        sync.Mutex
 	expand          map[expandKey]*querySet
 	expandLimit     int
@@ -178,13 +182,6 @@ func WithCacheLimit(n int) Option {
 // disables the default (the zero value).
 func WithTimeout(d time.Duration) Option {
 	return func(s *Server) { s.timeout = d }
-}
-
-// WithExpandCacheLimit bounds the Algorithm-1 expansion memo to n
-// entries with LRU eviction (default DefaultExpandCacheLimit). n <= 0
-// removes the bound — only safe when the pattern vocabulary is trusted.
-func WithExpandCacheLimit(n int) Option {
-	return func(s *Server) { s.expandLimit = n }
 }
 
 // Replication is the view the server needs of a replication tailer —
@@ -328,13 +325,12 @@ func (s *Server) Cache() *eval.Cache { return s.cache }
 // Store returns the server's store.
 func (s *Server) Store() *store.Store { return s.st }
 
-// evaluator binds a view-scoped evaluator over the shared cache.
-// Every evaluator keys the cache canonically, so /search, /batch and
-// /explain share the matrices any of them builds, and all evaluators
-// feed the server's product counter through the mul hook.
+// evaluator binds a view-scoped evaluator over the shared cache, so
+// /search, /batch and /explain share the matrices any of them builds
+// (every evaluator keys them canonically), and all evaluators feed the
+// server's product counter through the mul hook.
 func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 	ev := eval.NewVersioned(g, version, s.cache)
-	ev.SetCanonicalKeys(true)
 	// Annotated (non-integer) products fire the hook with nil operands —
 	// the discriminator the semiring counters rely on.
 	ev.SetMulHook(func(a, _ *sparse.Matrix) {
@@ -623,8 +619,10 @@ func resolveNode(g nodeResolver, ref string) (graph.NodeID, bool) {
 	if n, ok := g.NodeByName(ref); ok {
 		return n.ID, true
 	}
-	id, err := strconv.Atoi(ref)
-	if err != nil || id < 0 || !g.Has(graph.NodeID(id)) {
+	// Parse at NodeID's width: an id past int32 must not wrap onto a
+	// small one.
+	id, err := strconv.ParseInt(ref, 10, 32)
+	if err != nil || !g.Has(graph.NodeID(id)) {
 		return 0, false
 	}
 	return graph.NodeID(id), true

@@ -359,6 +359,38 @@ func TestMutationErrors(t *testing.T) {
 	}
 }
 
+// TestNodeIDsPastInt32AreUnknown: a decimal node reference that does
+// not fit a NodeID names no node, rather than wrapping onto a small id
+// (4294967299 = 2³² + 3 would otherwise read as p4, and 4294967296 as
+// p1). A search on one answers 400; a mutation batch naming one rolls
+// back whole, its valid edge included, with no version bump.
+func TestNodeIDsPastInt32AreUnknown(t *testing.T) {
+	srv, ts := newTestServer(t)
+	var e errorResponse
+	if code := post(t, ts, "/search", SearchRequest{Pattern: "by.by-", Query: "4294967299"}, &e); code != http.StatusBadRequest {
+		t.Errorf("search on id 2^32+3: status = %d, want 400", code)
+	}
+	before := srv.Store().Version()
+	var mut MutationResponse
+	code := post(t, ts, "/graph/edges", MutationRequest{Add: []EdgeSpec{
+		{From: "p2", Label: "by", To: "a3"},
+		{From: "4294967296", Label: "by", To: "a3"},
+	}}, &mut)
+	if code != http.StatusBadRequest || mut.Error == "" {
+		t.Errorf("mutation on id 2^32: status = %d, error = %q; want 400 with message", code, mut.Error)
+	}
+	if v := srv.Store().Version(); v != before || mut.Version != before {
+		t.Errorf("version after the failed batch = %d (response %d), want %d", v, mut.Version, before)
+	}
+	snap, _ := srv.Store().Snapshot()
+	p1, _ := snap.NodeByName("p1")
+	p2, _ := snap.NodeByName("p2")
+	a3, _ := snap.NodeByName("a3")
+	if snap.EdgeCount(p1.ID, "by", a3.ID) != 0 || snap.EdgeCount(p2.ID, "by", a3.ID) != 0 {
+		t.Error("the failed batch left an edge behind")
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	_, ts := newTestServer(t)
 	post(t, ts, "/search", SearchRequest{Pattern: "by.by-", Query: "p1"}, &SearchResponse{})

@@ -92,9 +92,8 @@ func randWorkload(rng *rand.Rand) BatchRequest {
 }
 
 // naiveBatch is the reference /batch the planner is held to: every
-// query is answered in isolation by a fresh raw-key evaluator over its
-// own empty cache — no canonicalization, no shared DAG, no worker pool
-// — through the same runSearch the batch workers call, and the outcomes
+// query is answered in isolation by a fresh evaluator over its own
+// empty cache — no shared entries, no worker pool — through the same runSearch the batch workers call, and the outcomes
 // are marshalled the way handleBatch writes them.
 func naiveBatch(t testing.TB, srv *Server, req BatchRequest) []byte {
 	t.Helper()
@@ -157,9 +156,8 @@ func TestBatchPlanDifferential(t *testing.T) {
 // meta-path steps, so the block sits inside the half that takes a
 // product — sampled 100 times (so ~70% of the queries reuse an earlier
 // base), each occurrence rendered with a random permutation of the
-// disjunction branches. Every rendering is a distinct string a raw-key
-// evaluator materializes separately; canonicalization folds each base
-// back onto one materialization.
+// disjunction branches. Every rendering is a distinct string;
+// canonicalization folds each base back onto one materialization.
 func overlapWorkload(rng *rand.Rand) BatchRequest {
 	steps := []string{"w", "w-", "p-in", "p-in-", "r-a", "r-a-"}
 	const bases = 30
@@ -207,8 +205,8 @@ func overlapWorkload(rng *rand.Rand) BatchRequest {
 // TestWorkloadPlanDedupsOverlapFixture is the CI dedup guard: on the
 // overlap fixture a cold /batch over four workers performs exactly 26
 // matrix products, each distinct canonical half built once under the
-// cache's in-flight guard, where one raw-key evaluator reading the
-// halves of the batch's pattern set string by string performs 73. The
+// cache's in-flight guard — as many as one evaluator reading the halves
+// of the batch's pattern set in order, on a fresh cache of its own. The
 // counts are deterministic (seeded fixture; the guard makes the cold
 // count independent of how the workers interleave), so this is a hard
 // assertion, not a flaky perf check.
@@ -221,12 +219,12 @@ func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 	srv := New(store.New(ds.Graph), ds.Schema)
 
 	// Materialize runs on this goroutine, so a plain counter is enough.
-	var naive uint64
+	var sequential uint64
 	view, ver := srv.st.Snapshot()
-	raw := eval.NewVersioned(view, ver, eval.NewCache())
-	raw.SetMulHook(func(_, _ *sparse.Matrix) { naive++ })
+	ev := eval.NewVersioned(view, ver, eval.NewCache())
+	ev.SetMulHook(func(_, _ *sparse.Matrix) { sequential++ })
 	for _, q := range req.Queries {
-		raw.Halves(raw.Cut(rre.MustParse(q.Pattern)))
+		ev.Halves(ev.Cut(rre.MustParse(q.Pattern)))
 	}
 
 	code, body := doJSON(t, srv, "/batch", req)
@@ -243,9 +241,9 @@ func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 		}
 	}
 	batch := srv.Stats().Workload.ProductsMaterialized
-	t.Logf("products: naive=%d batch=%d (%.2fx)", naive, batch, float64(naive)/float64(batch))
-	if naive != 73 {
-		t.Errorf("naive reader performed %d products, want 73", naive)
+	t.Logf("products: sequential=%d batch=%d", sequential, batch)
+	if sequential != 26 {
+		t.Errorf("sequential reader performed %d products, want 26", sequential)
 	}
 	if batch != 26 {
 		t.Errorf("cold /batch performed %d products, want 26", batch)

@@ -143,13 +143,12 @@ func differentialCase(rng *rand.Rand) (*graph.Graph, []*rre.Pattern, graph.NodeI
 }
 
 // checkAgainstReference requires RelSimAggregate to rank every candidate
-// set exactly as the reference does, under raw keys over the mutable
-// graph and canonical keys over a snapshot.
+// set exactly as the reference does, through an evaluator over the
+// mutable graph and one over a snapshot.
 func checkAgainstReference(t *testing.T, what string, g *graph.Graph, ps []*rre.Pattern, query graph.NodeID, sets map[string][]graph.NodeID) {
 	t.Helper()
 	raw := eval.New(g)
 	canonical := eval.NewVersioned(g.Snapshot(), 0, eval.NewCache())
-	canonical.SetCanonicalKeys(true)
 	ref := eval.New(g)
 	for name, cands := range sets {
 		want := referenceAggregate(ref, ps, query, cands)
@@ -163,8 +162,7 @@ func checkAgainstReference(t *testing.T, what string, g *graph.Graph, ps []*rre.
 // typed graphs, scoring from the halves returns the reference's ids,
 // order and score bits — for roots of every kind, for nil, typed and
 // empty candidates with the query inside and outside them, and under
-// both evaluator bindings (raw keys over a mutable graph, canonical
-// keys over a snapshot).
+// both evaluator bindings (over a mutable graph and over a snapshot).
 func TestScoreFromHalvesMatchesReference(t *testing.T) {
 	rootKinds := map[rre.Kind]int{}
 	for seed := int64(0); seed < 600; seed++ {
@@ -292,7 +290,6 @@ func TestFullDBLPMatchesReference(t *testing.T) {
 	ref := eval.New(g)
 	raw := eval.New(g)
 	canonical := eval.NewVersioned(snap, 0, eval.NewCache())
-	canonical.SetCanonicalKeys(true)
 	var products int
 	var madds int64
 	canonical.SetMulHook(func(a, b *sparse.Matrix) {
@@ -320,13 +317,13 @@ func TestFullDBLPMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	canonical.SetCacheLimit(32)
+	canonical.Cache().SetLimit(32)
 	before := products
 	RelSimAggregate(canonical, headline, procs[0], procs)
 	if products != before {
-		t.Errorf("a second headline read under SetCacheLimit(32) performed %d products, want 0", products-before)
+		t.Errorf("a second headline read under SetLimit(32) performed %d products, want 0", products-before)
 	}
-	canonical.SetCacheLimit(0)
+	canonical.Cache().SetLimit(0)
 
 	for _, side := range benchSidePool {
 		ps := benchPatterns(t, ds, side.pattern)

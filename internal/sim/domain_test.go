@@ -27,7 +27,6 @@ func TestScoreDomainMatchesScoreCutsOnFullDBLP(t *testing.T) {
 	snap := ds.Graph.Snapshot()
 	cache := eval.NewCache()
 	ev := eval.NewVersioned(snap, 0, cache)
-	ev.SetCanonicalKeys(true)
 	reads := append([]struct{ pattern, typ string }{{benchHeadline, "proc"}}, benchSidePool...)
 	cuts := make([][]eval.Cut, len(reads))
 	for i, r := range reads {
@@ -81,7 +80,6 @@ func TestScoreDomainMatchesScoreCutsOnFullDBLP(t *testing.T) {
 	}
 	cache.Commit(next, d, func() uint64 { return 1 })
 	ev1 := eval.NewVersioned(next, 1, cache)
-	ev1.SetCanonicalKeys(true)
 	check(ev1, next, map[string]graph.NodeID{"author": author, "paper": paper, "proc": proc})
 	coauthors := ScoreDomain(ev1, []eval.Cut{ev1.Cut(benchPatterns(t, ds, "w.w-")[0])}, first("author"), next.TypeDomain("author"), 0)
 	if coauthors.Rank(author) == 0 {
@@ -137,7 +135,6 @@ func TestScoreDomainCostsItsAnswers(t *testing.T) {
 		var at []read
 		for _, snap := range sizes {
 			ev := eval.NewVersioned(snap, 0, eval.NewCache())
-			ev.SetCanonicalKeys(true)
 			var cuts []eval.Cut
 			for _, p := range benchPatterns(t, ds, src) {
 				cuts = append(cuts, ev.Cut(p))

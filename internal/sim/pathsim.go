@@ -46,8 +46,8 @@ func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.No
 	return ScoreCuts(ev, cuts, query, candidates, 0)
 }
 
-// ScoreDomain is RelSimAggregate over patterns already cut under ev's
-// key mode (eval.NewCut), for callers that memoize the cuts, answering
+// ScoreDomain is RelSimAggregate over patterns already cut
+// (eval.NewCut), for callers that memoize the cuts, answering
 // from dom (typically a node type, graph.View.TypeDomain) and keeping
 // the top answers only. No M_p is materialized: each pattern is scored
 // from its two halves (eval.Cut) by pushing row u of A through B =

@@ -45,7 +45,6 @@ func TestCandidatesAreASet(t *testing.T) {
 	}
 	raw := eval.New(g)
 	canonical := eval.NewVersioned(g.Snapshot(), 0, eval.NewCache())
-	canonical.SetCanonicalKeys(true)
 	for _, src := range []string{"l.l-", "<l.l->", "(l.l-)*", "l.l- + l-.l"} {
 		p := rre.MustParse(src)
 		for _, tc := range cases {
@@ -87,7 +86,6 @@ func TestScoreCutsAllocations(t *testing.T) {
 	}
 	snap := ds.Graph.Snapshot()
 	ev := eval.NewVersioned(snap, 0, eval.NewCache())
-	ev.SetCanonicalKeys(true)
 	const bound = 8
 	var counts []float64
 	for _, tc := range []struct{ pattern, typ string }{{benchHeadline, "proc"}, {"w.w-", "author"}} {

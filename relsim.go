@@ -23,27 +23,24 @@
 // lower-level entry points (RelSim, PathSim, HeteSim, RWR, SimRank) are
 // exposed for benchmarking and comparisons, as is the Theorem 2 pattern
 // rewriting across schema mappings (RewritePattern).
+//
+// This package is the library. The HTTP service over a live, durable,
+// replicated store is the cmd/relsim-serve binary.
 package relsim
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"relsim/internal/eval"
 	"relsim/internal/graph"
 	"relsim/internal/mapping"
 	"relsim/internal/pattern"
-	"relsim/internal/replica"
 	"relsim/internal/rre"
 	"relsim/internal/schema"
-	"relsim/internal/server"
 	"relsim/internal/sim"
 	"relsim/internal/sparse"
-	"relsim/internal/store"
-	"relsim/internal/wal"
 )
 
 // Re-exported core types. The facade aliases the internal packages so a
@@ -79,207 +76,12 @@ type (
 	Snapshot = graph.Snapshot
 	// GraphView is the read interface shared by *Graph and *Snapshot.
 	GraphView = graph.View
-	// Store is an MVCC graph store: lock-free snapshot reads,
-	// copy-on-write write transactions.
-	Store = store.Store
-	// StorePin is a pinned snapshot: one reader's registered view of one
-	// version (see Store.Pin).
-	StorePin = store.Pin
-	// StoreUpdate is one record of a store's update log.
-	StoreUpdate = store.Update
-	// StoreOpenOption configures OpenStore.
-	StoreOpenOption = store.OpenOption
-	// StoreFeed is one page of a store's replication feed (GET /log).
-	StoreFeed = store.Feed
-	// DurabilityStats is the monitoring view of a durable store's WAL
-	// and checkpoint layer.
-	DurabilityStats = store.DurabilityStats
-	// SyncPolicy selects when WAL appends reach stable storage.
-	SyncPolicy = wal.SyncPolicy
-	// Follower tails a leader's replication feed into a local Store —
-	// checkpoint bootstrap, contiguous /log pages, automatic
-	// re-bootstrap on gap (see NewFollower).
-	Follower = replica.Follower
-	// FollowerOptions configures a Follower (poll cadence, page size,
-	// backoff cap, HTTP client).
-	FollowerOptions = replica.Options
-	// ReplicationStatus is a point-in-time view of a follower's lag and
-	// sync counters.
-	ReplicationStatus = replica.Status
-	// Server is the HTTP/JSON query service over a Store.
-	Server = server.Server
-	// ServerOption configures NewServer.
-	ServerOption = server.Option
 	// CacheStats is a snapshot of an engine's commuting-matrix cache.
 	CacheStats = eval.CacheStats
 )
 
 // NewGraph returns an empty graph database.
 func NewGraph() *Graph { return graph.New() }
-
-// NewStore wraps g in an MVCC store: Store.Snapshot returns the current
-// immutable version with one atomic load (readers are never blocked),
-// and write transactions build the next version copy-on-write, publish
-// it atomically, bump the version per mutation and feed the update log.
-// Use it with NewServer for live serving.
-func NewStore(g *Graph) *Store { return store.New(g) }
-
-// The WAL fsync policies (see OpenStore / WithStoreSync).
-const (
-	// SyncAlways fsyncs every committed batch before publication: a
-	// version a reader can observe survives any crash.
-	SyncAlways = wal.SyncAlways
-	// SyncInterval fsyncs on a background cadence: a crash loses at
-	// most the last interval's commits (each lost whole, never torn).
-	SyncInterval = wal.SyncEvery
-	// SyncNever leaves flushing to the OS.
-	SyncNever = wal.SyncNever
-)
-
-// OpenStore opens (creating if needed) a durable MVCC store in dir:
-// every committed batch is appended to a checksummed write-ahead log
-// before it is published, the graph is checkpointed periodically, and
-// recovery on boot replays checkpoint + WAL tail — truncating a torn
-// tail record instead of failing — resuming the version counter exactly
-// where the crash left it.
-func OpenStore(dir string, opts ...StoreOpenOption) (*Store, error) {
-	return store.Open(dir, opts...)
-}
-
-// WithStoreSeed supplies the initial graph for a fresh data directory;
-// a directory that already holds state ignores it (recovered state
-// wins).
-func WithStoreSeed(g *Graph) StoreOpenOption { return store.WithSeed(g) }
-
-// WithStoreSync sets the WAL fsync policy (default SyncAlways).
-func WithStoreSync(p SyncPolicy) StoreOpenOption { return store.WithSync(p) }
-
-// WithStoreSyncInterval sets the SyncInterval cadence.
-func WithStoreSyncInterval(d time.Duration) StoreOpenOption { return store.WithSyncInterval(d) }
-
-// WithStoreCheckpointEvery checkpoints the graph every n committed
-// versions; 0 disables periodic checkpoints.
-func WithStoreCheckpointEvery(n uint64) StoreOpenOption { return store.WithCheckpointEvery(n) }
-
-// WithStoreSegmentBytes sets the WAL segment rotation bound; smaller
-// segments let checkpoints trim history at finer granularity.
-func WithStoreSegmentBytes(n int64) StoreOpenOption { return store.WithSegmentBytes(n) }
-
-// WithStoreLogRetention bounds the in-memory replication feed to n
-// records; a durable store serves older pages from the WAL.
-func WithStoreLogRetention(n int) StoreOpenOption { return store.WithLogRetention(n) }
-
-// NewFollower builds a replication tailer that follows the leader
-// relsim-serve instance at leaderURL into st: Start performs the
-// initial checkpoint bootstrap + catch-up, Run keeps tailing, and a
-// feed gap triggers an automatic re-bootstrap. Pair it with
-// WithServerFollower to serve the replica read-only.
-func NewFollower(st *Store, leaderURL string, opt FollowerOptions) *Follower {
-	return replica.New(st, leaderURL, opt)
-}
-
-// WithServerFollower puts the server in read-replica mode backed by f:
-// mutations answer 403 naming the leader, /healthz reports the
-// follower role and turns 503 while lag exceeds maxLag versions or
-// maxLagAge of wall time (each 0 = unbounded; the time bound is what
-// catches an unreachable leader, whose version lag freezes at the last
-// successful poll), and /stats grows a replication section.
-func WithServerFollower(f *Follower, maxLag uint64, maxLagAge time.Duration) ServerOption {
-	return server.WithFollower(f, maxLag, maxLagAge)
-}
-
-// NewServer builds the HTTP/JSON query service over st. The schema
-// may be nil (no Algorithm-1 expansion constraints). Mount the result
-// on any http.Server; see cmd/relsim-serve for a ready-made binary.
-func NewServer(st *Store, s *Schema, opts ...ServerOption) *Server {
-	return server.New(st, s, opts...)
-}
-
-// WithServerWorkers sets the default /batch worker-pool size.
-func WithServerWorkers(n int) ServerOption { return server.WithWorkers(n) }
-
-// WithServerCacheLimit bounds the server's versioned commuting-matrix
-// cache to n matrices with LRU eviction across all graph versions.
-func WithServerCacheLimit(n int) ServerOption { return server.WithCacheLimit(n) }
-
-// WithServerTimeout sets the default /search and /batch evaluation
-// deadline (override per request with ?timeout_ms=).
-func WithServerTimeout(d time.Duration) ServerOption { return server.WithTimeout(d) }
-
-// WithServerExpandCacheLimit bounds the Algorithm-1 expansion memo to n
-// entries with LRU eviction.
-func WithServerExpandCacheLimit(n int) ServerOption {
-	return server.WithExpandCacheLimit(n)
-}
-
-// WithServerSlowQuery captures requests slower than d — pattern, cache
-// behavior, phase timings — into a bounded ring served at
-// GET /debug/queries. d <= 0 disables capture (the default).
-func WithServerSlowQuery(d time.Duration) ServerOption {
-	return server.WithSlowQuery(d)
-}
-
-// WithServerPprof mounts net/http/pprof under /debug/pprof/ (default
-// off: profiles expose process memory, so the surface is opt-in).
-func WithServerPprof(on bool) ServerOption { return server.WithPprof(on) }
-
-// WithServerAccessLog emits one structured line per request to w (JSON
-// when jsonFormat, text otherwise): request id, endpoint, status,
-// duration, and per-phase breakdown.
-func WithServerAccessLog(w io.Writer, jsonFormat bool) ServerOption {
-	return server.WithAccessLog(w, jsonFormat)
-}
-
-// WithServerAdmissionLimits enables concurrency-gated admission: at
-// most maxInFlight evaluation/mutation requests run concurrently, up to
-// queueDepth more wait in a bounded queue, and the rest are shed with
-// 503 + Retry-After before any snapshot is pinned or body decoded.
-// maxInFlight <= 0 disables the gate.
-func WithServerAdmissionLimits(maxInFlight, queueDepth int) ServerOption {
-	return server.WithAdmissionLimits(maxInFlight, queueDepth)
-}
-
-// WithServerAdmissionQueueWait bounds how long one queued request waits
-// for admission capacity before it is shed.
-func WithServerAdmissionQueueWait(d time.Duration) ServerOption {
-	return server.WithAdmissionQueueWait(d)
-}
-
-// WithServerAdmissionRate enables per-client token-bucket rate
-// limiting — rate sustained requests/second with burst capacity above
-// it, keyed by the X-Relsim-Api-Key header (falling back to the remote
-// address). Drained buckets answer 429 + Retry-After. rate <= 0
-// disables the default bucket.
-func WithServerAdmissionRate(rate float64, burst int) ServerOption {
-	return server.WithAdmissionRate(rate, burst)
-}
-
-// WithServerAdmissionTenantRate overrides the token bucket for one
-// client key (rate <= 0 makes that tenant unlimited). May be repeated.
-func WithServerAdmissionTenantRate(key string, rate float64, burst int) ServerOption {
-	return server.WithAdmissionTenantRate(key, rate, burst)
-}
-
-// WithServerAdmissionMaxCost sets the per-request cost ceiling in
-// estimated matrix products (see eval.EstimateProducts): requests whose
-// pattern set would cost more answer 422 before any materialization
-// starts. n <= 0 disables the ceiling.
-func WithServerAdmissionMaxCost(n int) ServerOption {
-	return server.WithAdmissionMaxCost(n)
-}
-
-// WithServerMaxBodyBytes bounds request bodies; larger bodies answer
-// 413 at decode time. n <= 0 removes the bound.
-func WithServerMaxBodyBytes(n int64) ServerOption {
-	return server.WithMaxBodyBytes(n)
-}
-
-// WithServerMaxTimeout caps the per-request ?timeout_ms= override:
-// clients can shorten the server deadline but never extend it past the
-// operator's ceiling. d <= 0 removes the cap.
-func WithServerMaxTimeout(d time.Duration) ServerOption {
-	return server.WithMaxTimeout(d)
-}
 
 // CanonicalPattern returns the canonical form of p: associativity
 // flattened, reversal pushed onto labels, disjunction branches sorted

@@ -487,43 +487,18 @@ func TestRenamingFacade(t *testing.T) {
 	}
 }
 
-func TestOpenStoreFacade(t *testing.T) {
-	dir := t.TempDir()
+// TestEngineSharesCanonicalEntries: the engine keys its cache by the
+// canonical form of each pattern, so a disjunction written in another
+// branch order is served from the entries the first spelling built.
+func TestEngineSharesCanonicalEntries(t *testing.T) {
 	g, _, _ := courseGraph()
-	st, err := OpenStore(dir,
-		WithStoreSeed(g),
-		WithStoreSync(SyncAlways),
-		WithStoreCheckpointEvery(0),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := st.AddNode("facade-node", "subject")
-	if err := st.AddEdge(a, "os", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Version() != 2 {
-		t.Fatalf("recovered version = %d, want 2", st2.Version())
-	}
-	var ds DurabilityStats = st2.DurabilityStats()
-	if !ds.Enabled || ds.Recovery.RecoveredVersion != 2 {
-		t.Fatalf("durability stats = %+v", ds)
-	}
-	var feed StoreFeed = st2.LogFeed(0, 10)
-	if feed.Gap || len(feed.Updates) != 2 {
-		t.Fatalf("feed = %+v", feed)
-	}
-	// The server option compiles and wires over a durable store.
-	if srv := NewServer(st2, nil, WithServerExpandCacheLimit(16)); srv == nil {
-		t.Fatal("NewServer returned nil")
+	eng := NewEngine(g, courseSchema())
+	eng.Materialize(MustParsePattern("co.(os + co-)"))
+	before := eng.CacheStats()
+	eng.Materialize(MustParsePattern("co.(co- + os)"))
+	after := eng.CacheStats()
+	if after.Size != before.Size || after.Misses != before.Misses {
+		t.Fatalf("second spelling: size %d -> %d, misses %d -> %d; want no new entry",
+			before.Size, after.Size, before.Misses, after.Misses)
 	}
 }
