@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"relsim/internal/graph"
 	"relsim/internal/rre"
 	"relsim/internal/sparse"
@@ -10,12 +12,11 @@ import (
 // over an annotation semiring, so every entry of the result carries its
 // derivation metadata computed *during* SpGEMM — no second pass, no
 // instance enumeration. Results are cached in the shared versioned
-// cache under ring-tagged keys, which is what lets a warm /explain be a
-// pure projection: the witness matrix a previous annotated request
-// materialized is read back with zero additional products. Unlike
-// Commuting, an annotated root is not cut into halves: the product of a
-// left half and a transposed reversed right half would list the right
-// half's vias in reverse.
+// cache under ring-tagged keys. A read is cut like an integer one and
+// pushes row u of the left half through the right half as written
+// (WitnessRow), never building the root. Transpose keeps a witness's
+// ordered Via list, so a reversed right half would list its vias in
+// reverse.
 
 // RingWitness is the witness ring's tag for annotated cache keys and
 // request parameters: its Name. The integer ring's tag is the empty
@@ -30,14 +31,6 @@ const RingWitness = "witness"
 // 1.5–2x the integer kernel; 2 keeps the 422 pricing conservative.
 const AnnotationCostFactor = 2
 
-// EstimateProductsAnnotated prices a pattern set for a request that
-// evaluates both the integer ranking matrices and their annotated
-// twins: the integer estimate plus the annotation surcharge.
-func EstimateProductsAnnotated(patterns []*rre.Pattern) int {
-	base := EstimateProducts(patterns)
-	return base * (1 + AnnotationCostFactor)
-}
-
 // CommutingWitness returns the witness-annotated commuting matrix of p:
 // entry (u,v) carries |I^{u,v}(p)| as a saturating count plus a bounded
 // derivation prefix (the first sparse.MaxWitnessSteps intermediate
@@ -48,11 +41,35 @@ func (e *Evaluator) CommutingWitness(p *rre.Pattern) *sparse.WitnessMatrix {
 	return walk[sparse.Witness](e, sparse.WitnessRing{}).eval(canonForm(p))
 }
 
-// WitnessPathSimScore computes Equation 1 of the paper from a
-// witness-annotated commuting matrix's counts — the projection
-// counterpart of PathSimScore, so a warm /explain never needs the
-// integer matrix.
-func WitnessPathSimScore(m *sparse.WitnessMatrix, u, v graph.NodeID) float64 {
-	count := func(x, y graph.NodeID) int64 { return m.At(int(x), int(y)).Count }
-	return Eq1(count(u, v), count(u, u)+count(v, v))
+// WitnessRow is row u of a pattern's witness matrix: its columns
+// ascending and their witnesses.
+type WitnessRow struct {
+	cols []int32
+	ws   []sparse.Witness
+}
+
+// Len returns the number of witnesses stored in the row.
+func (r WitnessRow) Len() int { return len(r.cols) }
+
+// At returns the witness at (u, v) and whether one is stored.
+func (r WitnessRow) At(v graph.NodeID) (sparse.Witness, bool) {
+	if i, ok := slices.BinarySearch(r.cols, int32(v)); ok {
+		return r.ws[i], true
+	}
+	return sparse.Witness{}, false
+}
+
+// WitnessRow returns row u of CommutingWitness of a Cut's pattern
+// without building that matrix: row u of W_Left pushed through W_Right
+// (sparse.GMatrix.MulRow), both cached under the witness tag; MulVia is
+// associative, so the split changes no via.
+func (e *Evaluator) WitnessRow(c Cut, u graph.NodeID) WitnessRow {
+	w := walk[sparse.Witness](e, sparse.WitnessRing{})
+	a := w.eval(c.Left)
+	if c.Right == nil {
+		cols, ws := a.RowView(int(u))
+		return WitnessRow{cols, ws}
+	}
+	cols, ws := a.MulRow(int(u), w.eval(c.Right))
+	return WitnessRow{cols, ws}
 }

@@ -19,9 +19,10 @@ func mustParse(t *testing.T, s string) *rre.Pattern {
 }
 
 // TestAnnotatedCountsMatchInteger checks the projection invariant on
-// full pattern evaluations: annotated counts must equal the integer
-// commuting matrix for every operator combination, and the witness
-// PathSim score must equal the integer one.
+// the pushed rows: for every operator combination, the witness counts
+// WitnessRow pushes through a cut's witness halves and the counts Pair
+// reads from its integer halves must equal the integer commuting
+// matrix, and Pair's score must equal PathSimScore of that matrix.
 func TestAnnotatedCountsMatchInteger(t *testing.T) {
 	snap := fixtureSnap()
 	patterns := []string{
@@ -31,26 +32,28 @@ func TestAnnotatedCountsMatchInteger(t *testing.T) {
 	ev := NewVersioned(snap, 0, NewCache())
 	for _, ps := range patterns {
 		p := mustParse(t, ps)
-		want := ev.Commuting(p)
-		wit := ev.CommutingWitness(p)
 		if p.Kind() == rre.KindStar {
 			// Star collapses to reachability; annotated closures agree on
 			// support only (documented contract).
 			continue
 		}
+		want := ev.Commuting(p)
+		c := NewCut(p)
 		for r := 0; r < want.Dim(); r++ {
-			for c := 0; c < want.Dim(); c++ {
-				iv := want.At(r, c)
-				wv, _ := wit.Lookup(r, c)
+			row := ev.WitnessRow(c, graph.NodeID(r))
+			for col := 0; col < want.Dim(); col++ {
+				u, v := graph.NodeID(r), graph.NodeID(col)
+				iv := want.At(r, col)
+				wv, _ := row.At(v)
 				if wv.Count != iv {
-					t.Fatalf("%q at (%d,%d): int %d, witness %d", ps, r, c, iv, wv.Count)
+					t.Fatalf("%q at (%d,%d): int %d, pushed witness %d", ps, r, col, iv, wv.Count)
 				}
-				if iv > 0 {
-					is := PathSimScore(want, graph.NodeID(r), graph.NodeID(c))
-					ws := WitnessPathSimScore(wit, graph.NodeID(r), graph.NodeID(c))
-					if is != ws {
-						t.Fatalf("%q at (%d,%d): PathSim %v vs witness %v", ps, r, c, is, ws)
-					}
+				count, score := ev.Pair(c, u, v)
+				if count != iv {
+					t.Fatalf("%q at (%d,%d): int %d, pair %d", ps, r, col, iv, count)
+				}
+				if is := PathSimScore(want, u, v); score != is {
+					t.Fatalf("%q at (%d,%d): PathSim %v vs pair %v", ps, r, col, is, score)
 				}
 			}
 		}
@@ -135,17 +138,4 @@ func TestMaintainFallsBackForAnnotatedEntries(t *testing.T) {
 	}
 	// And the maintained integer entry still matches its recompute.
 	checkAgainstRecompute(t, cache, 1, next)
-}
-
-// TestEstimateProductsAnnotated pins the admission pricing: annotated
-// requests cost the integer estimate plus the annotation surcharge.
-func TestEstimateProductsAnnotated(t *testing.T) {
-	ps := []*rre.Pattern{mustParse(t, "a.b.c"), mustParse(t, "a.b")}
-	base := EstimateProducts(ps)
-	if base <= 0 {
-		t.Fatalf("EstimateProducts = %d, want > 0", base)
-	}
-	if got, want := EstimateProductsAnnotated(ps), base*(1+AnnotationCostFactor); got != want {
-		t.Fatalf("EstimateProductsAnnotated = %d, want %d", got, want)
-	}
 }

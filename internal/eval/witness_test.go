@@ -61,7 +61,8 @@ func flatten(m *sparse.WitnessMatrix) []witnessEntry {
 
 // checkLeftFold asserts CommutingWitness(p) flattens identically to the
 // left fold of the pattern the evaluator walks: p's canonical form when
-// its canonicalization is exact, p itself otherwise.
+// its canonicalization is exact, p itself otherwise. Every row pushed
+// through p's witness halves must equal that matrix's row too.
 func checkLeftFold(t *testing.T, g graph.View, p *rre.Pattern) {
 	t.Helper()
 	walked := p
@@ -71,6 +72,26 @@ func checkLeftFold(t *testing.T, g graph.View, p *rre.Pattern) {
 	got, want := eval.New(g).CommutingWitness(p), leftFold(g, walked)
 	if got.Dim() != want.Dim() || !slices.Equal(flatten(got), flatten(want)) {
 		t.Fatalf("%s: witness matrix differs from the left fold", p)
+	}
+	checkWitnessRows(t, eval.New(g), p, got)
+}
+
+// checkWitnessRows asserts that every row ev.WitnessRow pushes through
+// p's witness halves equals the row of want, p's witness matrix.
+func checkWitnessRows(t testing.TB, ev *eval.Evaluator, p *rre.Pattern, want *sparse.WitnessMatrix) {
+	t.Helper()
+	c := eval.NewCut(p)
+	for u := 0; u < want.Dim(); u++ {
+		row := ev.WitnessRow(c, graph.NodeID(u))
+		cols, ws := want.RowView(u)
+		if row.Len() != len(cols) {
+			t.Fatalf("%s: pushed row %d holds %d witnesses, the matrix %d", p, u, row.Len(), len(cols))
+		}
+		for i, v := range cols {
+			if w, ok := row.At(graph.NodeID(v)); !ok || w != ws[i] {
+				t.Fatalf("%s: pushed witness at (%d,%d) = %+v, the matrix has %+v", p, u, v, w, ws[i])
+			}
+		}
 	}
 }
 
@@ -155,4 +176,36 @@ func TestWitnessMatchesLeftFoldDBLP(t *testing.T) {
 	} {
 		checkLeftFold(t, ds.Graph, rre.MustParse(s))
 	}
+}
+
+// FuzzWitnessRow holds the pushed witness row to the witness matrix:
+// on a random graph and a random chain of randomFactor factors, every
+// row WitnessRow pushes through the chain's witness halves equals
+// CommutingWitness's row, entry for entry.
+func FuzzWitnessRow(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 2029, -3} {
+		f.Add(seed)
+	}
+	labels := []string{"a", "b", "c"}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(18)
+		g := graph.New()
+		for i := 0; i < n; i++ {
+			g.AddNode("", "")
+		}
+		for i := 0; i < 3*n; i++ {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if l := labels[rng.Intn(len(labels))]; !g.HasEdge(u, l, v) {
+				g.AddEdge(u, l, v)
+			}
+		}
+		factors := make([]*rre.Pattern, 1+rng.Intn(6))
+		for i := range factors {
+			factors[i] = randomFactor(rng, labels, rng.Intn(3))
+		}
+		p := rre.Concat(factors...)
+		ev := eval.New(g)
+		checkWitnessRows(t, ev, p, ev.CommutingWitness(p))
+	})
 }

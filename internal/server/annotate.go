@@ -1,17 +1,15 @@
 package server
 
-// Semiring-annotated serving: the annotate= parameter on /search,
-// /batch and /explain. An annotated request evaluates the pattern's
-// commuting matrix over the witness semiring (internal/sparse) in
-// addition to the integer ranking matrices; the witness matrix is
-// cached in the same cache under a ring-tagged key, so a later
-// /explain?annotate=witness of the pattern at a version its entry is
-// valid at is a pure projection — it reads the cached annotation and
-// materializes zero additional matrix products. Commit-time maintenance
-// patches only integer entries forward (the witness semiring has no
-// subtraction): a commit closes the validity interval of every
-// annotated entry whose labels it touches and opens no successor, so a
-// projection can never serve a stale derivation.
+// Semiring-annotated serving: the annotate= parameter on /search and
+// /batch, and the witness every /explain answers with. A read pushes
+// the query's row of the pattern's left witness half through its right
+// one (eval.Evaluator.WitnessRow) and never builds the witness root.
+// The halves are cached under ring-tagged keys, so a repeated read of
+// the pattern at a version they are valid at performs no product.
+// Commit-time maintenance patches only integer entries forward (the
+// witness semiring has no subtraction): a commit closes the validity
+// interval of every annotated entry whose labels it touches and opens
+// no successor, so a read can never serve a stale derivation.
 
 import (
 	"fmt"
@@ -78,39 +76,47 @@ func mergeAnnotate(r *http.Request, body string) (string, error) {
 	return v, nil
 }
 
-// annotationSurcharge prices the witness twin of an annotated query:
-// the annotated walk evaluates the pattern as written (not its
-// Algorithm-1 expansion, and not its halves), at
-// eval.AnnotationCostFactor integer-product equivalents per product.
-// Zero for unannotated queries and for patterns that do not parse (the
-// handler reports those).
-func annotationSurcharge(req *SearchRequest) int {
+// annotationSurcharge prices the witness halves an annotated query
+// reads: those of the pattern as written (not its Algorithm-1
+// expansion), at eval.AnnotationCostFactor integer-product equivalents
+// per product. Zero for unannotated queries and for patterns that do
+// not parse (the handler reports those).
+func (s *Server) annotationSurcharge(req *SearchRequest) int {
 	if req.Annotate == "" {
 		return 0
 	}
-	p, err := rre.Parse(req.Pattern)
+	qs, err := s.memoQuerySet(req.Pattern, false)
 	if err != nil {
 		return 0
 	}
-	return eval.AnnotationCostFactor * eval.EstimateProducts([]*rre.Pattern{p})
+	return witnessCost(qs.cuts[0])
+}
+
+// witnessCost prices the witness halves of a cut (Evaluator.WitnessRow).
+func witnessCost(c eval.Cut) int {
+	halves := []*rre.Pattern{c.Left}
+	if c.Right != nil {
+		halves = append(halves, c.Right)
+	}
+	return eval.AnnotationCostFactor * eval.EstimateProducts(halves)
 }
 
 // annotateResults attaches witness annotations to a ranked answer
-// list: the witness commuting matrix of the base pattern (as written,
-// not its Algorithm-1 expansion — the derivation explains the user's
-// pattern) is evaluated through the ring-tagged cache and projected at
-// (query, answer) for every result. The matrix this materializes is
-// exactly what a later /explain?annotate=witness projects from warm.
+// list: the query's witness row of the base pattern (as written, not
+// its Algorithm-1 expansion — the derivation explains the user's
+// pattern), read at every result. Its cut comes from the query-set
+// memo, and the witness halves it caches are what a later /explain of
+// the pattern reads warm.
 func (s *Server) annotateResults(ev *eval.Evaluator, req *SearchRequest, q graph.NodeID, results []ScoredNode) error {
-	p, err := rre.Parse(req.Pattern)
+	qs, err := s.memoQuerySet(req.Pattern, false)
 	if err != nil {
 		return err
 	}
 	s.n.annotated.Inc()
-	wm := ev.CommutingWitness(p)
+	row := ev.WitnessRow(qs.cuts[0], q)
 	g := ev.Graph()
 	for i := range results {
-		if w, ok := wm.Lookup(int(q), int(results[i].ID)); ok {
+		if w, ok := row.At(results[i].ID); ok {
 			results[i].Witness = witnessInfo(g, w)
 		}
 	}
@@ -119,14 +125,13 @@ func (s *Server) annotateResults(ev *eval.Evaluator, req *SearchRequest, q graph
 
 // SemiringStats is the /stats view of semiring-annotated serving:
 // annotated requests served, products spent in annotated kernels, and
-// the /explain split between witness projections (warm ones
-// materialized zero products) and legacy instance enumeration.
+// the /explain responses, each a count, a score and a witness, with
+// how many of them performed zero products.
 type SemiringStats struct {
 	AnnotatedRequests  uint64 `json:"annotated_requests"`
 	AnnotatedProducts  uint64 `json:"annotated_products"`
 	ExplainProjections uint64 `json:"explain_projections"`
 	ExplainWarm        uint64 `json:"explain_warm_projections"`
-	ExplainLegacy      uint64 `json:"explain_legacy"`
 }
 
 // semiringStats snapshots the annotation counters.
@@ -136,7 +141,6 @@ func (s *Server) semiringStats() SemiringStats {
 		AnnotatedProducts:  count(s.n.annotatedProducts),
 		ExplainProjections: count(s.n.explainProjected),
 		ExplainWarm:        count(s.n.explainWarm),
-		ExplainLegacy:      count(s.n.explainLegacy),
 	}
 }
 
@@ -144,13 +148,11 @@ func (s *Server) semiringStats() SemiringStats {
 // relsim_explain_* counters.
 func (s *Server) instrumentSemiring(reg *telemetry.Registry) {
 	s.n.annotated = counter(reg, "relsim_semiring_annotated_requests_total",
-		"Requests that evaluated a semiring-annotated commuting matrix.")
+		"Requests that read a semiring-annotated row.")
 	s.n.annotatedProducts = counter(reg, "relsim_semiring_annotated_products_total",
 		"Matrix products performed by annotated (non-integer) semiring kernels.")
 	s.n.explainProjected = counter(reg, "relsim_explain_projections_total",
-		"/explain responses answered as witness-annotation projections.")
+		"/explain responses: a count, a score and a witness read from the pattern's halves.")
 	s.n.explainWarm = counter(reg, "relsim_explain_warm_projections_total",
-		"Witness projections served entirely from cache (zero matrix products).")
-	s.n.explainLegacy = counter(reg, "relsim_explain_legacy_total",
-		"/explain responses answered by legacy instance enumeration.")
+		"/explain responses served entirely from cache (zero matrix products).")
 }

@@ -361,7 +361,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		cost := eval.EstimateProducts(s.batchPatterns(req.Queries))
 		endExpand()
 		for i := range req.Queries {
-			cost += annotationSurcharge(&req.Queries[i])
+			cost += s.annotationSurcharge(&req.Queries[i])
 		}
 		if !s.checkCost(w, cost) {
 			return
@@ -558,94 +558,67 @@ func (s *Server) searchCost(req *SearchRequest) int {
 	if err != nil || qs == nil {
 		return 0
 	}
-	return eval.EstimateProducts(reads(qs.cuts...)) + annotationSurcharge(req)
+	return eval.EstimateProducts(reads(qs.cuts...)) + s.annotationSurcharge(req)
 }
 
-// explainCost prices a legacy /explain, which materializes M_p on
-// demand: the halves of a concatenation and the one product of the two.
-func explainCost(p *rre.Pattern) int {
-	c := eval.NewCut(p)
-	cost := eval.EstimateProducts(reads(c))
-	if c.RevRight != nil {
-		cost++
-	}
-	return cost
+// explainCost prices an /explain of a cut: the integer halves its
+// count and score read, plus the witness halves (witnessCost).
+func explainCost(c eval.Cut) int {
+	return eval.EstimateProducts(reads(c)) + witnessCost(c)
 }
 
 // ExplainRequest is the POST /explain body: explain why From and To
-// are similar under Pattern (nodes are names or ids). The legacy mode
-// enumerates up to Limit concrete instances (default
-// defaultExplainLimit, ceiling maxExplainLimit); with Annotate "witness"
-// (or ?annotate=witness) the answer is instead a projection of the
-// witness-annotated commuting matrix — count, score, and one bounded
-// derivation prefix, read from the versioned cache when an annotated
-// request already materialized it (zero additional matrix products).
+// are similar under Pattern (nodes are names or ids). Annotate, like
+// ?annotate=, may be "" or "witness"; every answer carries the witness.
+// An unknown field, such as an older client's limit, is ignored.
 type ExplainRequest struct {
 	Pattern  string `json:"pattern"`
 	From     string `json:"from"`
 	To       string `json:"to"`
-	Limit    int    `json:"limit,omitempty"`
 	Annotate string `json:"annotate,omitempty"`
 }
 
-// ExplainResponse is the POST /explain body: the instance count |I^{u,v}(p)|,
-// the Equation-1 score, and either the rendered traversal sequences
-// (legacy) or the witness projection (annotate=witness).
+// ExplainResponse is the POST /explain body: the instance count
+// |I^{u,v}(p)| and the Equation-1 score from the integer halves
+// (eval.Evaluator.Pair), and the witness pushed through the witness
+// halves (eval.Evaluator.WitnessRow), nil when no instance connects u
+// to v.
 type ExplainResponse struct {
-	Pattern   string       `json:"pattern"`
-	FromID    graph.NodeID `json:"from_id"`
-	ToID      graph.NodeID `json:"to_id"`
-	Count     int64        `json:"count"`
-	Score     float64      `json:"score"`
-	Version   uint64       `json:"version"`
-	Annotate  string       `json:"annotate,omitempty"`
-	Witness   *WitnessInfo `json:"witness,omitempty"`
-	Instances []string     `json:"instances,omitempty"`
+	Pattern  string       `json:"pattern"`
+	FromID   graph.NodeID `json:"from_id"`
+	ToID     graph.NodeID `json:"to_id"`
+	Count    int64        `json:"count"`
+	Score    float64      `json:"score"`
+	Version  uint64       `json:"version"`
+	Annotate string       `json:"annotate,omitempty"`
+	Witness  *WitnessInfo `json:"witness,omitempty"`
 }
-
-const defaultExplainLimit = 10
-
-// maxExplainLimit is the hard ceiling on an /explain request's limit:
-// each instance is enumerated, rendered and encoded.
-const maxExplainLimit = 1000
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	an, err := mergeAnnotate(r, req.Annotate)
+	if _, err := mergeAnnotate(r, req.Annotate); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	qs, err := s.memoQuerySet(req.Pattern, false)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req.Annotate = an
-	p, err := rre.Parse(req.Pattern)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	c := qs.cuts[0]
+	// Explanations read the pattern's halves, so the cost ceiling
+	// applies exactly as it does on /search — before the pin. A warm
+	// explanation costs nothing, but admission prices the cold worst
+	// case, never the hoped-for cache state.
+	if s.adm.MaxCost() > 0 && !s.checkCost(w, explainCost(c)) {
 		return
 	}
-	// Explanations evaluate the pattern's commuting matrix, so the cost
-	// ceiling applies exactly as it does on /search — before the pin.
-	// An annotated explanation is priced with the annotation surcharge;
-	// a warm projection costs far less, but admission prices the cold
-	// worst case, never the hoped-for cache state.
-	if s.adm.MaxCost() > 0 {
-		cost := explainCost(p)
-		if req.Annotate != "" {
-			cost = eval.EstimateProductsAnnotated([]*rre.Pattern{p})
-		}
-		if !s.checkCost(w, cost) {
-			return
-		}
-	}
-	limit := min(req.Limit, maxExplainLimit)
-	if limit <= 0 {
-		limit = defaultExplainLimit
-	}
-	// Explanations evaluate the pattern's commuting matrix just like
-	// /search does, so they honor the same deadline: -timeout by
-	// default, ?timeout_ms= per request, 504 when it expires.
+	// Explanations evaluate the pattern's halves just like /search
+	// does, so they honor the same deadline: -timeout by default,
+	// ?timeout_ms= per request, 504 when it expires.
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -672,58 +645,26 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	tr.SetQuery(req.Pattern, req.From+" -> "+req.To, "explain")
 	tr.SetVersion(pin.Version())
 	endEval := tr.Phase("evaluate")
-	var resp ExplainResponse
-	if req.Annotate == AnnotateWitness {
-		// Projection mode: everything the answer needs — count, score,
-		// derivation prefix — lives in the witness matrix, computed
-		// during SpGEMM when it was (or is now) materialized. No integer
-		// matrix, no instance enumeration; when a previous annotated
-		// request cached the matrix at this version, the whole response
-		// is a read (the evaluator is request-fresh, so a zero product
-		// counter after the call is the warm-projection proof).
-		err = eval.Guard(func() error {
-			wm := ev.CommutingWitness(p)
-			resp = ExplainResponse{
-				Pattern:  req.Pattern,
-				FromID:   u,
-				ToID:     v,
-				Score:    eval.WitnessPathSimScore(wm, u, v),
-				Version:  pin.Version(),
-				Annotate: AnnotateWitness,
-			}
-			if wit, ok := wm.Lookup(int(u), int(v)); ok {
-				resp.Count = wit.Count
-				resp.Witness = witnessInfo(snap, wit)
-			}
-			return nil
-		})
-		if err == nil {
-			s.n.explainProjected.Inc()
-			if ev.Counters().Products.Load() == 0 {
-				s.n.explainWarm.Inc()
-			}
+	resp := ExplainResponse{
+		Pattern:  req.Pattern,
+		FromID:   u,
+		ToID:     v,
+		Version:  pin.Version(),
+		Annotate: AnnotateWitness,
+	}
+	// The evaluator is request-fresh, so a zero product counter after
+	// the reads means every half came from the cache.
+	err = eval.Guard(func() error {
+		resp.Count, resp.Score = ev.Pair(c, u, v)
+		if wit, ok := ev.WitnessRow(c, u).At(v); ok {
+			resp.Witness = witnessInfo(snap, wit)
 		}
-	} else {
-		err = eval.Guard(func() error {
-			m := ev.Commuting(p)
-			ins := ev.Instances(p, u, v, limit)
-			rendered := make([]string, len(ins))
-			for i, in := range ins {
-				rendered[i] = in.Render(snap)
-			}
-			resp = ExplainResponse{
-				Pattern:   req.Pattern,
-				FromID:    u,
-				ToID:      v,
-				Count:     m.At(int(u), int(v)),
-				Score:     eval.PathSimScore(m, u, v),
-				Version:   pin.Version(),
-				Instances: rendered,
-			}
-			return nil
-		})
-		if err == nil {
-			s.n.explainLegacy.Inc()
+		return nil
+	})
+	if err == nil {
+		s.n.explainProjected.Inc()
+		if ev.Counters().Products.Load() == 0 {
+			s.n.explainWarm.Inc()
 		}
 	}
 	endEval()

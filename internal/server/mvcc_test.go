@@ -349,7 +349,6 @@ func TestMutateQueryStorm(t *testing.T) {
 						Pattern: q.Pattern,
 						From:    fmt.Sprintf("paper%d", rng.Intn(100)),
 						To:      fmt.Sprintf("paper%d", rng.Intn(100)),
-						Limit:   3,
 					}
 				}
 				code, body := doJSON(t, srv, path, req)

@@ -291,7 +291,7 @@ func (s *Server) logAccess(r *http.Request, tr *Trace, phases []PhaseSpan, statu
 // deltaDur's count and sum are the commits and seconds /stats reports.
 type serverCounters struct {
 	products, annotated, annotatedProducts                     *telemetry.Metric
-	explainProjected, explainWarm, explainLegacy               *telemetry.Metric
+	explainProjected, explainWarm                              *telemetry.Metric
 	deltaRoots, deltaMaintained, deltaFallbacks, deltaProducts *telemetry.Metric
 	deltaDur                                                   *telemetry.Metric
 }

@@ -3,7 +3,7 @@
 //
 //	POST /search       one similarity query (structurally robust pipeline)
 //	POST /batch        many queries over one pinned snapshot and a worker pool
-//	POST /explain      instance-level provenance: why are u and v similar under p?
+//	POST /explain      why are u and v similar under p? count, score and one witness derivation
 //	POST /graph/edges  mutations: add nodes, add edges, remove edges
 //	GET  /healthz      liveness + role (leader/follower) + follower readiness
 //	GET  /stats        store version, pinned-version spread, cache and request counters

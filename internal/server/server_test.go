@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"relsim/internal/eval"
 	"relsim/internal/graph"
+	"relsim/internal/rre"
 	"relsim/internal/store"
 )
 
@@ -166,6 +168,24 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// explainRoot builds, in the test, the commuting matrix /explain never
+// builds, and returns its count and Equation-1 score at (from, to).
+func explainRoot(t *testing.T, g graph.View, pattern, from, to string) (int64, float64) {
+	t.Helper()
+	u, ok := resolveNode(g, from)
+	if !ok {
+		t.Fatalf("no node %q", from)
+	}
+	v, ok := resolveNode(g, to)
+	if !ok {
+		t.Fatalf("no node %q", to)
+	}
+	root := eval.New(g).Commuting(rre.MustParse(pattern))
+	return root.At(int(u), int(v)), eval.PathSimScore(root, u, v)
+}
+
+// TestExplain: /explain answers the count and score of the root it
+// does not build, and a witness of the pair.
 func TestExplain(t *testing.T) {
 	_, ts := newTestServer(t)
 	var resp ExplainResponse
@@ -176,39 +196,12 @@ func TestExplain(t *testing.T) {
 	if resp.Count != 2 {
 		t.Errorf("count = %d, want 2 (two shared authors)", resp.Count)
 	}
-	if len(resp.Instances) != 2 {
-		t.Fatalf("instances = %v, want 2", resp.Instances)
+	if _, score := explainRoot(t, testGraph(), "by.by-", "p1", "p2"); resp.Score != score || score <= 0 {
+		t.Errorf("score = %v, want the root's %v", resp.Score, score)
 	}
-	if resp.Score <= 0 {
-		t.Errorf("score = %v, want > 0", resp.Score)
-	}
-	for _, in := range resp.Instances {
-		if !bytes.Contains([]byte(in), []byte("p1")) || !bytes.Contains([]byte(in), []byte("p2")) {
-			t.Errorf("instance %q does not mention both endpoints by name", in)
-		}
-	}
-}
-
-// TestExplainLimitCeiling: a legacy /explain enumerates at most
-// maxExplainLimit instances, however large the limit it is sent.
-func TestExplainLimitCeiling(t *testing.T) {
-	g := graph.New()
-	u, v := g.AddNode("u", "x"), g.AddNode("v", "x")
-	for i := 0; i <= maxExplainLimit; i++ {
-		m := g.AddNode(fmt.Sprintf("m%d", i), "y")
-		g.AddEdge(u, "a", m)
-		g.AddEdge(m, "b", v)
-	}
-	ts := httptest.NewServer(New(store.New(g), nil))
-	t.Cleanup(ts.Close)
-	var resp ExplainResponse
-	req := ExplainRequest{Pattern: "a.b", From: "u", To: "v", Limit: 1 << 30}
-	if code := post(t, ts, "/explain", req, &resp); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if resp.Count != maxExplainLimit+1 || len(resp.Instances) != maxExplainLimit {
-		t.Fatalf("count %d, %d instances; want %d and the ceiling %d",
-			resp.Count, len(resp.Instances), maxExplainLimit+1, maxExplainLimit)
+	w := resp.Witness
+	if w == nil || w.Count != 2 || w.PathNodes != 1 || len(w.Steps) != 1 || w.Steps[0].Name != "a1" {
+		t.Fatalf("witness = %+v, want count 2 and one step through a1", w)
 	}
 }
 

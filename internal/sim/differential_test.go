@@ -173,8 +173,10 @@ func TestScoreFromHalvesMatchesReference(t *testing.T) {
 		checkAgainstReference(t, fmt.Sprintf("seed %d", seed), g, ps, query, sets)
 		raw, ref := eval.New(g), eval.New(g)
 		for _, v := range sets["inside"] {
-			if got, want := PathSimScorePair(raw, ps[0], query, v), eval.PathSimScore(ref.Commuting(ps[0]), query, v); got != want {
-				t.Fatalf("seed %d: PathSimScorePair(%s, %d, %d) = %v, want %v", seed, ps[0], query, v, got, want)
+			root := ref.Commuting(ps[0])
+			count, got := raw.Pair(raw.Cut(ps[0]), query, v)
+			if want := eval.PathSimScore(root, query, v); got != want || count != root.At(int(query), int(v)) {
+				t.Fatalf("seed %d: Pair(%s, %d, %d) = %d, %v; want %d, %v", seed, ps[0], query, v, count, got, root.At(int(query), int(v)), want)
 			}
 		}
 	}
@@ -242,6 +244,14 @@ func TestInnerProductsWrapLikeTheKernel(t *testing.T) {
 				RelSimAggregate(ev, []*rre.Pattern{p}, u, all), referenceAggregate(eval.New(g), []*rre.Pattern{p}, u, all))
 		}
 	}
+}
+
+// inner returns ⟨A[x,·], Bᵀ[y,·]⟩ = (A·B)(x,y), merging the two sorted
+// rows.
+func inner(a *sparse.Matrix, x int, bt *sparse.Matrix, y int) int64 {
+	ac, av := a.RowView(x)
+	bc, bv := bt.RowView(y)
+	return sparse.Dot(ac, av, bc, bv)
 }
 
 // benchHeadline and benchSidePool are the patterns bench/workloads.go

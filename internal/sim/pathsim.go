@@ -117,31 +117,6 @@ func (s *scorer) finish(ps []scored) Ranking {
 	return r
 }
 
-// PathSimScorePair returns the Equation-1 score for a single node pair:
-// one pair is three inner products of sorted rows, nothing pushed.
-func PathSimScorePair(ev *eval.Evaluator, p *rre.Pattern, u, v graph.NodeID) float64 {
-	a, bt := ev.Halves(ev.Cut(p))
-	m := func(x, y graph.NodeID) int64 {
-		if bt == nil {
-			return a.At(int(x), int(y))
-		}
-		return inner(a, int(x), bt, int(y))
-	}
-	muv := m(u, v)
-	if muv == 0 {
-		return 0
-	}
-	return eval.Eq1(muv, m(u, u)+m(v, v))
-}
-
-// inner returns ⟨A[x,·], Bᵀ[y,·]⟩ = (A·B)(x,y), merging the two sorted
-// rows.
-func inner(a *sparse.Matrix, x int, bt *sparse.Matrix, y int) int64 {
-	ac, av := a.RowView(x)
-	bc, bv := bt.RowView(y)
-	return sparse.Dot(ac, av, bc, bv)
-}
-
 // scorer is one read's O(n) state, pooled between calls. Between calls
 // every acc entry is zero and hits is empty. Marks are stamps, so
 // nothing else is cleared: mark[v] ≤ stamp always holds, and x[v] means

@@ -676,6 +676,46 @@ func (m *GMatrix[T, R]) mulRows(o, p *GMatrix[T, R], lo, hi int, s *mulScratch[T
 	return cancelled
 }
 
+// MulRow returns row r of m·o, its columns ascending and their values,
+// without building m·o: one row of Gustavson's algorithm, accumulated
+// as mulRows does in the products' pooled O(n) scratch. It allocates
+// only the row, and panics if dimensions differ.
+func (m *GMatrix[T, R]) MulRow(r int, o *GMatrix[T, R]) ([]int32, []T) {
+	if m.n != o.n {
+		panic(fmt.Sprintf("sparse: MulRow dimension mismatch %d vs %d", m.n, o.n))
+	}
+	var ring R
+	s := getScratch[T](m.n)
+	s.stamp++
+	var cols []int32
+	sp := m.row(r)
+	for i := sp.lo; i < sp.hi; i++ {
+		k, mv := m.colIdx[i], m.val[i]
+		osp := o.row(int(k))
+		for j := osp.lo; j < osp.hi; j++ {
+			c, v := o.colIdx[j], ring.MulVia(mv, k, o.val[j])
+			if s.mark[c] != s.stamp {
+				s.mark[c] = s.stamp
+				cols = append(cols, c)
+				s.acc[c] = v
+			} else {
+				s.acc[c] = ring.Add(s.acc[c], v)
+			}
+		}
+	}
+	slices.Sort(cols)
+	vals := make([]T, 0, len(cols))
+	out := cols[:0]
+	for _, c := range cols {
+		if v := s.acc[c]; !ring.IsZero(v) {
+			out = append(out, c)
+			vals = append(vals, v)
+		}
+	}
+	scratchPool.Put(s) // normal path only: a panic above abandons it
+	return out, vals
+}
+
 // equalRows reports whether m and o have the same dimension and, row by
 // row, the same columns and (where eq is non-nil) the same values.
 func equalRows[T comparable, R Ring[T], U comparable, Q Ring[U]](m *GMatrix[T, R], o *GMatrix[U, Q], eq func(a []T, b []U) bool) bool {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -195,5 +196,31 @@ func TestWitnessViasAreIntermediateNodes(t *testing.T) {
 	tw, ok := m.Transpose().Lookup(3, 0)
 	if !ok || tw != w {
 		t.Fatalf("transpose witness = %+v, want %+v", tw, w)
+	}
+}
+
+// checkMulRow asserts that MulRow reproduces every row of m·o.
+func checkMulRow[T comparable, R Ring[T]](t *testing.T, m, o *GMatrix[T, R]) {
+	t.Helper()
+	p := m.Mul(o)
+	for r := 0; r < m.Dim(); r++ {
+		cols, vals := m.MulRow(r, o)
+		wc, wv := p.RowView(r)
+		if !slices.Equal(cols, wc) || !slices.Equal(vals, wv) {
+			t.Fatalf("row %d: MulRow = %v %v, Mul = %v %v", r, cols, vals, wc, wv)
+		}
+	}
+}
+
+// TestMulRowMatchesMul: the pushed row equals the product's row, over
+// the integer ring and over witnesses that already carry derivations.
+func TestMulRowMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(30)
+		a, b, c := randCounts(rng, n, rng.Intn(3*n)+1), randCounts(rng, n, rng.Intn(3*n)+1), randCounts(rng, n, rng.Intn(3*n)+1)
+		checkMulRow(t, a, b)
+		wa := Lift[Witness, WitnessRing](a).Mul(Lift[Witness, WitnessRing](b))
+		checkMulRow(t, wa, Lift[Witness, WitnessRing](c).Mul(wa))
 	}
 }

@@ -305,9 +305,11 @@ func (e *Engine) SimRank(query NodeID, candidates []NodeID) Ranking {
 }
 
 // InstanceCount returns |I^{u,v}(p)|, the number of instances of the
-// pattern from u to v (paper §4.2).
+// pattern from u to v (paper §4.2), read from the pattern's two halves
+// without building its commuting matrix.
 func (e *Engine) InstanceCount(p *Pattern, u, v NodeID) int64 {
-	return e.ev.Load().Commuting(p).At(int(u), int(v))
+	count, _ := e.ev.Load().Pair(eval.NewCut(p), u, v)
+	return count
 }
 
 // Explain enumerates up to limit concrete instances of the pattern from
@@ -337,14 +339,15 @@ type WitnessExplanation struct {
 }
 
 // ExplainWitness answers "why are u and v similar under p?" from the
-// witness semiring: one evaluation of the pattern's commuting matrix
-// over provenance-carrying values yields, for every reachable pair, the
-// instance count and a canonical derivation — so explaining many pairs
-// of the same pattern costs one matrix evaluation, not one instance
-// enumeration each. It reports false when no instance connects u to v.
-// For the exhaustive listing of instances, use Explain.
+// witness semiring: the pattern's two halves, evaluated once over
+// provenance-carrying values, yield for any pair the instance count and
+// a canonical derivation, u's row of the left half pushed through the
+// right — so explaining many pairs of the same pattern costs one
+// evaluation of its halves, not one instance enumeration each. It
+// reports false when no instance connects u to v. For the exhaustive
+// listing of instances, use Explain.
 func (e *Engine) ExplainWitness(p *Pattern, u, v NodeID) (WitnessExplanation, bool) {
-	w, ok := e.ev.Load().CommutingWitness(p).Lookup(int(u), int(v))
+	w, ok := e.ev.Load().WitnessRow(eval.NewCut(p), u).At(v)
 	if !ok {
 		return WitnessExplanation{}, false
 	}
