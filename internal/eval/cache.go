@@ -11,49 +11,20 @@ import (
 	"relsim/internal/sparse"
 )
 
-// Key is what a reader asks the cache for: a commuting matrix at one
-// graph version, over one semiring, of one canonical pattern string.
-// The cache stores each (ring, pattern) once per validity interval: an
-// entry is valid at every version from the one it was built or patched
-// at until a commit touches one of its pattern's labels (Cache.Commit),
-// up to the newest version the cache has seen.
+// Key is what a reader asks the cache for: the integer commuting
+// matrix of one canonical pattern string at one graph version. The
+// cache stores each pattern once per validity interval: an entry is
+// valid at every version from the one it was built or patched at until
+// a commit touches one of its pattern's labels (Cache.Commit), up to
+// the newest version the cache has seen.
 // So an untouched entry serves every later version without moving, a
 // reader pinned at an old version keeps reading the entry valid there,
 // and evaluators over different versions share one cache without
-// aliasing.
-//
-// Ring is the semiring tag: "" is the canonical integer ring (the
-// production ranking path), any other value names an annotation ring
-// ("witness"). A commit closes tagged entries by the same touched-label
-// rule as integer ones, but only integer entries are patched forward
-// (see Cache.Commit).
+// aliasing. Only integer matrices are cached: a walk over any other
+// ring memoizes for its one call (walk).
 type Key struct {
 	Version uint64
-	Ring    string
 	Pattern string
-}
-
-// ringSep joins the ring tag and pattern into one entry key. NUL can
-// never appear in a rendered pattern, so tagged keys cannot collide
-// with pattern strings.
-const ringSep = "\x00"
-
-// entryKey renders the entry key: bare pattern for the integer ring,
-// tag-prefixed otherwise.
-func (k Key) entryKey() string {
-	if k.Ring == "" {
-		return k.Pattern
-	}
-	return k.Ring + ringSep + k.Pattern
-}
-
-// CachedMatrix is the value type the cache stores: a CSR matrix over
-// any semiring, always the *sparse.GMatrix[T, R] of its ring R, so the
-// entry's type says which ring it is over: *sparse.Matrix for the
-// integer ring, *sparse.WitnessMatrix for the witness ring.
-type CachedMatrix interface {
-	Dim() int
-	NNZ() int
 }
 
 // open ends the interval of an entry no commit has closed: it is valid
@@ -63,14 +34,14 @@ const open = math.MaxUint64
 // cacheEntry is one materialized matrix, valid at the versions
 // [from, to), with its last-use tick (for LRU eviction).
 type cacheEntry struct {
-	m        CachedMatrix
+	m        *sparse.Matrix
 	from, to uint64
 	used     uint64
 }
 
 func (e *cacheEntry) holds(v uint64) bool { return e.from <= v && v < e.to }
 
-// history is every entry of one (ring, pattern) key, their intervals
+// history is every entry of one pattern key, their intervals
 // disjoint, at most one of them open, with the pattern's labels for the
 // label index.
 type history struct {
@@ -103,7 +74,7 @@ func (h *history) current() *cacheEntry {
 }
 
 // holding returns h's entry of matrix m.
-func (h *history) holding(m CachedMatrix) *cacheEntry {
+func (h *history) holding(m *sparse.Matrix) *cacheEntry {
 	if h != nil {
 		for _, e := range h.ents {
 			if e.m == m {
@@ -399,7 +370,7 @@ func (c *Cache) meet(k cutKey, a, bt *sparse.Matrix) (from, to uint64) {
 // closes, stays nil if the build failed.
 type flight struct {
 	done chan struct{}
-	m    CachedMatrix
+	m    *sparse.Matrix
 }
 
 // lookup returns the matrix cached under key, recording a hit. On a miss
@@ -410,11 +381,11 @@ type flight struct {
 // never) ends. Waits cannot form a cycle: while its build is open, the
 // builder of p builds and waits only for patterns strictly smaller than
 // p (compute recurses into p.Subs(), Commuting into its cut's halves).
-func (c *Cache) lookup(ctx context.Context, key Key) (m CachedMatrix, own bool, err error) {
+func (c *Cache) lookup(ctx context.Context, key Key) (m *sparse.Matrix, own bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if e := c.entries[key.entryKey()].at(key.Version); e != nil && key.Version <= c.head.Load() {
+		if e := c.entries[key.Pattern].at(key.Version); e != nil && key.Version <= c.head.Load() {
 			c.hits++
 			c.tick++
 			e.used = c.tick
@@ -448,7 +419,7 @@ func (c *Cache) lookup(ctx context.Context, key Key) (m CachedMatrix, own bool, 
 
 // land stores a computed matrix, unless m is nil (the build failed), and
 // hands m to the waiters of key's build, if any.
-func (c *Cache) land(key Key, m CachedMatrix, labels []string) {
+func (c *Cache) land(key Key, m *sparse.Matrix, labels []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m != nil {
@@ -518,8 +489,8 @@ func (c *Cache) keepCut(v uint64, k cutKey, s cutSlot) {
 //     entry at v, since no commit described the versions in between.
 //
 // c.mu held.
-func (c *Cache) insertLocked(key Key, m CachedMatrix, labels []string) {
-	v, ek := key.Version, key.entryKey()
+func (c *Cache) insertLocked(key Key, m *sparse.Matrix, labels []string) {
+	v, ek := key.Version, key.Pattern
 	if v > c.head.Load() {
 		for k, h := range c.entries {
 			if e := h.current(); e != nil {

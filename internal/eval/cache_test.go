@@ -26,10 +26,10 @@ func cacheTestGraph() *graph.Graph {
 
 // cached returns the matrix cached under key, or nil, recording nothing
 // and opening no build.
-func (c *Cache) cached(key Key) CachedMatrix {
+func (c *Cache) cached(key Key) *sparse.Matrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key.entryKey()].at(key.Version); e != nil {
+	if e := c.entries[key.Pattern].at(key.Version); e != nil {
 		return e.m
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 
 	"relsim/internal/graph"
 	"relsim/internal/rre"
@@ -182,14 +181,6 @@ func (c *Cache) Commit(view graph.View, d CommitDelta, floor func() uint64) Comm
 		w:        NewVersioned(view, d.To, c).ints(),
 	}
 	for _, key := range roots {
-		if strings.Contains(key, ringSep) {
-			// Annotation rings (witness) have no subtraction:
-			// signed deltas and the telescoping patch have no meaning
-			// there, so a wrong patch is never attempted. The entry
-			// closes and the next annotated request recomputes it.
-			res.Fallbacks++
-			continue
-		}
 		p, err := rre.Parse(key)
 		if err != nil || p.String() != key {
 			// A cache key that does not round-trip cannot be walked;
@@ -234,7 +225,7 @@ func (c *Cache) install(mt *maintainer, kept []keptDiag, fl uint64, res *CommitR
 	c.floor = fl
 	for _, ek := range c.touchedLocked(d) {
 		e := c.entries[ek].current()
-		if t := mt.memo[ek]; t != nil && CachedMatrix(t.new) == e.m {
+		if t := mt.memo[ek]; t != nil && t.new == e.m {
 			continue
 		}
 		c.closeAt(ek, e, d.To)
@@ -371,14 +362,7 @@ func (mt *maintainer) cachedOld(key string) (*sparse.Matrix, bool) {
 	if ent == nil {
 		return nil, false
 	}
-	m, isInt := ent.m.(*sparse.Matrix)
-	if !isInt {
-		// Unreachable for round-tripped pattern keys (tagged keys are
-		// filtered before the walk), but never patch a non-integer
-		// matrix.
-		return nil, false
-	}
-	return m.Grow(mt.d.NewN), true
+	return ent.m.Grow(mt.d.NewN), true
 }
 
 // normalize enforces the maintTerm invariant: an empty delta becomes

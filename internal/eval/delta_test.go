@@ -61,9 +61,7 @@ func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 	out := make(map[string]*sparse.Matrix)
 	for p, h := range c.entries {
 		if ent := h.at(v); ent != nil {
-			if m, isInt := ent.m.(*sparse.Matrix); isInt {
-				out[p] = m
-			}
+			out[p] = ent.m
 		}
 	}
 	return out
@@ -119,7 +117,7 @@ func checkDiagonals(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) int 
 		}
 	}
 	for k, s := range diags {
-		if a, bt := c.entries[k.left].at(v), c.entries[k.right].at(v); a == nil || bt == nil || a.m != CachedMatrix(s.a) || bt.m != CachedMatrix(s.bt) {
+		if a, bt := c.entries[k.left].at(v), c.entries[k.right].at(v); a == nil || bt == nil || a.m != s.a || bt.m != s.bt {
 			t.Errorf("diagonal of %q·(%q)⁻ at v%d outlives a half", k.left, k.right, v)
 		}
 		if s.b != nil && !s.b.Equal(s.bt.Transpose()) {

@@ -17,7 +17,9 @@
 // reflexive-transitive closure of M_p: its instance count is capped at 1
 // (existence), since the raw count is unbounded on cyclic data. The
 // recursion is written once, generic over the semiring (walk.go):
-// CommutingWitness runs the same walk over the witness ring.
+// CommutingWitness runs the same walk over the witness ring. A reader
+// of one row of M_p (Pair, WitnessRow) pushes it through the pattern
+// instead (push.go), and never builds M_p.
 //
 // CountInstances is a direct recursive counter over the graph with the
 // same semantics; it exists as an executable specification that the
@@ -182,7 +184,7 @@ func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 	if p.Kind() != rre.KindConcat {
 		return w.eval(p)
 	}
-	return w.get(p, func(p *rre.Pattern) *sparse.Matrix {
+	return e.cached(p, func(p *rre.Pattern) *sparse.Matrix {
 		a, bt := e.Halves(e.Cut(p))
 		return w.mul(a, bt.TransposeCached())
 	})

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"relsim/internal/graph"
 	"relsim/internal/rre"
 	"relsim/internal/sparse"
 )
@@ -17,12 +16,11 @@ import (
 // ⟨A[v,·], Bᵀ[v,·]⟩, depends only on the version: it is kept beside the
 // halves as a sparse vector over the rows both populate, dropped with
 // either half and patched by Cache.Commit on the rows a commit
-// changes (Scoring), so a warm read looks M_p(v,v) up in O(1). Right,
-// the right half as written, is what WitnessRow reads. Both are nil for
-// a pattern that is not a concatenation: Left is the pattern, the right
-// half the identity.
+// changes (Scoring), so a warm read looks M_p(v,v) up in O(1).
+// RevRight is nil for a pattern that is not a concatenation: Left is
+// the pattern, the right half the identity.
 type Cut struct {
-	Left, RevRight, Right *rre.Pattern
+	Left, RevRight *rre.Pattern
 }
 
 // NewCut cuts p into the forms an evaluator keys its cache by (see
@@ -64,11 +62,9 @@ func NewCut(p *rre.Pattern) Cut {
 			c, best, bestLeft = i+1, d, left
 		}
 	}
-	right := rre.Concat(subs[c:]...)
 	return Cut{
 		Left:     rre.Concat(subs[:c]...),
-		RevRight: canonForm(rre.Rev(right)),
-		Right:    right,
+		RevRight: canonForm(rre.Rev(rre.Concat(subs[c:]...))),
 	}
 }
 
@@ -85,23 +81,6 @@ func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
 		bt = w.eval(c.RevRight)
 	}
 	return a, bt
-}
-
-// Pair returns M_p(u,v) and its Equation-1 score for a Cut's pattern:
-// three merges of sorted rows, ⟨A[x,·], Bᵀ[y,·]⟩ = M_p(x,y) at (u,v),
-// (u,u) and (v,v). Nothing is pushed and no root is built.
-func (e *Evaluator) Pair(c Cut, u, v graph.NodeID) (count int64, score float64) {
-	a, bt := e.Halves(c)
-	m := func(x, y graph.NodeID) int64 {
-		if bt == nil {
-			return a.At(int(x), int(y))
-		}
-		ac, av := a.RowView(int(x))
-		bc, bv := bt.RowView(int(y))
-		return sparse.Dot(ac, av, bc, bv)
-	}
-	count = m(u, v)
-	return count, Eq1(count, m(u, u)+m(v, v))
 }
 
 // Scoring calls read, for each Cut in turn, with what Equation-1

@@ -7,28 +7,30 @@ import (
 
 // The matrix recursion of paper §4.3, written once over the semiring:
 // Commuting is its IntRing instance, CommutingWitness its witness one,
-// and the delta maintainer borrows its closure and product. So there is
-// one cache path, one product site, one chain planner and one closure,
-// and whatever a product must honor (cancellation, the mul hook, the
-// per-request counters) every ring honors. The ring is part of the
-// matrix type (sparse.GMatrix[T, R]), so the walk calls its operators
-// as methods and a cached matrix's type says which ring it is over.
+// the row push (push.go) takes its composite factors from it, and the
+// delta maintainer borrows its closure and product. So there is one
+// product site, one chain planner and one closure, and whatever a
+// product must honor (cancellation, the mul hook, the per-request
+// counters) every ring honors. The ring is part of the matrix type
+// (sparse.GMatrix[T, R]), so the walk calls its operators as methods.
+// Only the integer walk reads and fills the shared cache; a walk over
+// any other ring memoizes its matrices for its one call.
 
 // walker evaluates patterns over the ring R for one evaluator, sharing
-// its graph, version, cache, cancellation, counters and mul hook. tag is
-// the ring's cache-key tag (see Key).
+// its graph, version, cancellation, counters and mul hook. memo holds
+// the matrices of a walk over any ring but IntRing, which the cache
+// never sees; it is nil for the integer walk.
 type walker[T comparable, R sparse.Ring[T]] struct {
-	e   *Evaluator
-	tag string
+	e    *Evaluator
+	memo map[string]*sparse.GMatrix[T, R]
 }
 
-// walk binds ring to e. The integer ring keys the cache untagged, which
-// is what makes its entries eligible for patching (Cache.Commit); every
-// other ring keys under its Name.
+// walk binds ring to e: the integer ring to the evaluator's cache,
+// every other ring to a memo of its own.
 func walk[T comparable, R sparse.Ring[T]](e *Evaluator, ring R) walker[T, R] {
-	w := walker[T, R]{e: e, tag: ring.Name()}
-	if _, isInt := any(ring).(sparse.IntRing); isInt {
-		w.tag = ""
+	w := walker[T, R]{e: e}
+	if _, isInt := any(ring).(sparse.IntRing); !isInt {
+		w.memo = make(map[string]*sparse.GMatrix[T, R])
 	}
 	return w
 }
@@ -38,35 +40,47 @@ func (e *Evaluator) ints() walker[int64, sparse.IntRing] {
 	return walk[int64](e, sparse.IntRing{})
 }
 
-// eval returns M_p over the ring, cached under (ring, pattern) in the
-// entry valid at the evaluator's version, with every sub-pattern's
-// matrix. p must already be in its key form (canonForm); eval itself
-// never canonicalizes.
-func (w walker[T, R]) eval(p *rre.Pattern) *sparse.GMatrix[T, R] { return w.get(p, w.compute) }
+// eval returns M_p over the ring with every sub-pattern's matrix: from
+// the cache entry valid at the evaluator's version for the integer
+// ring (Evaluator.cached), from the walk's memo for any other. p must
+// already be in its key form (canonForm); eval itself never
+// canonicalizes.
+func (w walker[T, R]) eval(p *rre.Pattern) *sparse.GMatrix[T, R] {
+	if w.memo == nil {
+		m := w.e.cached(p, func(p *rre.Pattern) *sparse.Matrix { return any(w.compute(p)).(*sparse.Matrix) })
+		return any(m).(*sparse.GMatrix[T, R])
+	}
+	k := p.String()
+	m, ok := w.memo[k]
+	if !ok {
+		m = w.compute(p)
+		w.memo[k] = m
+	}
+	return m
+}
 
-// get returns the matrix cached under p's key, building it outside any
-// lock on a miss. One build per key is in flight (Cache.lookup): another
-// reader of the key waits for it, performs no product, and counts a
-// hit; a context-bound reader stops waiting when its context ends,
-// panicking with *Canceled like checkCanceled. If the build fails (a
-// panic, or its evaluator's cancellation), one of its waiters builds.
-func (w walker[T, R]) get(p *rre.Pattern, build func(*rre.Pattern) *sparse.GMatrix[T, R]) *sparse.GMatrix[T, R] {
-	e := w.e
-	key := Key{Version: e.version, Ring: w.tag, Pattern: p.String()}
+// cached returns the integer matrix cached under p's key, building it
+// outside any lock on a miss. One build per key is in flight
+// (Cache.lookup): another reader of the key waits for it, performs no
+// product, and counts a hit; a context-bound reader stops waiting when
+// its context ends, panicking with *Canceled like checkCanceled. If the
+// build fails (a panic, or its evaluator's cancellation), one of its
+// waiters builds.
+func (e *Evaluator) cached(p *rre.Pattern, build func(*rre.Pattern) *sparse.Matrix) *sparse.Matrix {
+	key := Key{Version: e.version, Pattern: p.String()}
 	m, own, err := e.cache.lookup(e.ctx, key)
 	if err != nil {
 		panic(&Canceled{Err: err})
 	}
 	if !own {
 		e.counters.Hits.Add(1)
-		return m.(*sparse.GMatrix[T, R])
+		return m
 	}
 	e.counters.Misses.Add(1)
-	var built CachedMatrix
+	var built *sparse.Matrix
 	defer func() { e.cache.land(key, built, p.Labels()) }()
-	out := build(p)
-	built = out
-	return out
+	built = build(p)
+	return built
 }
 
 func (w walker[T, R]) compute(p *rre.Pattern) *sparse.GMatrix[T, R] {

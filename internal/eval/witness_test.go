@@ -61,8 +61,8 @@ func flatten(m *sparse.WitnessMatrix) []witnessEntry {
 
 // checkLeftFold asserts CommutingWitness(p) flattens identically to the
 // left fold of the pattern the evaluator walks: p's canonical form when
-// its canonicalization is exact, p itself otherwise. Every row pushed
-// through p's witness halves must equal that matrix's row too.
+// its canonicalization is exact, p itself otherwise. Every row of p's
+// witness push must equal that matrix's row too.
 func checkLeftFold(t *testing.T, g graph.View, p *rre.Pattern) {
 	t.Helper()
 	walked := p
@@ -77,15 +77,16 @@ func checkLeftFold(t *testing.T, g graph.View, p *rre.Pattern) {
 }
 
 // checkWitnessRows asserts that every row ev.WitnessRow pushes through
-// p's witness halves equals the row of want, p's witness matrix.
+// p equals the row of want, p's witness matrix.
 func checkWitnessRows(t testing.TB, ev *eval.Evaluator, p *rre.Pattern, want *sparse.WitnessMatrix) {
 	t.Helper()
-	c := eval.NewCut(p)
 	for u := 0; u < want.Dim(); u++ {
-		row := ev.WitnessRow(c, graph.NodeID(u))
+		row := ev.WitnessRow(p, graph.NodeID(u))
 		cols, ws := want.RowView(u)
-		if row.Len() != len(cols) {
-			t.Fatalf("%s: pushed row %d holds %d witnesses, the matrix %d", p, u, row.Len(), len(cols))
+		for v, w := range row {
+			if _, ok := want.Lookup(u, int(v)); !ok && w.Count != 0 {
+				t.Fatalf("%s: pushed row %d holds a witness at %d, the matrix none", p, u, v)
+			}
 		}
 		for i, v := range cols {
 			if w, ok := row.At(graph.NodeID(v)); !ok || w != ws[i] {
@@ -178,10 +179,28 @@ func TestWitnessMatchesLeftFoldDBLP(t *testing.T) {
 	}
 }
 
-// FuzzWitnessRow holds the pushed witness row to the witness matrix:
-// on a random graph and a random chain of randomFactor factors, every
-// row WitnessRow pushes through the chain's witness halves equals
-// CommutingWitness's row, entry for entry.
+// checkIntRows asserts that the integer push of every e_u equals row u
+// of want, p's commuting matrix: Pair's count at every (u,v), and its
+// score that of want.
+func checkIntRows(t testing.TB, ev *eval.Evaluator, p *rre.Pattern, want *sparse.Matrix) {
+	t.Helper()
+	for u := 0; u < want.Dim(); u++ {
+		for v := 0; v < want.Dim(); v++ {
+			x, y := graph.NodeID(u), graph.NodeID(v)
+			count, score := ev.Pair(p, x, y)
+			if count != want.At(u, v) || score != eval.PathSimScore(want, x, y) {
+				t.Fatalf("%s: pushed (%d,%d) = %d, %v; the matrix has %d, %v",
+					p, u, v, count, score, want.At(u, v), eval.PathSimScore(want, x, y))
+			}
+		}
+	}
+}
+
+// FuzzWitnessRow holds the row push to the matrices: on a random graph
+// with parallel edges and a random chain of randomFactor factors, at
+// times the top-level alternation of two such chains, every row
+// WitnessRow pushes equals CommutingWitness's row, and every integer
+// push Commuting's row, entry for entry.
 func FuzzWitnessRow(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 2029, -3} {
 		f.Add(seed)
@@ -196,16 +215,21 @@ func FuzzWitnessRow(f *testing.F) {
 		}
 		for i := 0; i < 3*n; i++ {
 			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if l := labels[rng.Intn(len(labels))]; !g.HasEdge(u, l, v) {
-				g.AddEdge(u, l, v)
+			g.AddEdge(u, labels[rng.Intn(len(labels))], v)
+		}
+		chain := func() *rre.Pattern {
+			factors := make([]*rre.Pattern, 1+rng.Intn(6))
+			for i := range factors {
+				factors[i] = randomFactor(rng, labels, rng.Intn(3))
 			}
+			return rre.Concat(factors...)
 		}
-		factors := make([]*rre.Pattern, 1+rng.Intn(6))
-		for i := range factors {
-			factors[i] = randomFactor(rng, labels, rng.Intn(3))
+		p := chain()
+		if rng.Intn(3) == 0 {
+			p = rre.Alt(p, chain())
 		}
-		p := rre.Concat(factors...)
 		ev := eval.New(g)
 		checkWitnessRows(t, ev, p, ev.CommutingWitness(p))
+		checkIntRows(t, ev, p, ev.Commuting(p))
 	})
 }

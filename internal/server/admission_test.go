@@ -335,22 +335,23 @@ func TestRateLimit(t *testing.T) {
 // the halves a request reads, never of the roots it does not build:
 // /search and /batch read by.by-.cites and cites-.by.by- for the long
 // pattern (two products each, nothing shared) and the one half by.by-
-// twice for the cheap one. /explain reads those integer halves and
-// pushes its witness through the halves as written, by.by-.cites (two
-// products) or by.by- (one), each product priced at
-// eval.AnnotationCostFactor = 2; by.by- reads labels only and costs 0.
+// twice for the cheap one. /explain pushes its rows through the pattern
+// and reads no half: a label chain costs 0, and the nest over the long
+// chain costs its 5 integer products plus their witness twins at
+// eval.AnnotationCostFactor = 2, 15 in all.
 func TestCostCeiling(t *testing.T) {
 	long := "by.by-.cites.by.by-.cites"
 	cheap := "by.by-.by.by-"
+	nest := "[" + long + "]"
 	_, srv, ts := newAdmServer(t, WithAdmissionMaxCost(2))
 	for _, tc := range []struct {
 		pattern         string
 		search, explain int
-	}{{cheap, 1, 3}, {long, 4, 8}, {"by.by-", 0, 0}} {
+	}{{cheap, 1, 0}, {long, 4, 0}, {"by.by-", 0, 0}, {nest, 5, 15}} {
 		if got := srv.searchCost(&SearchRequest{Pattern: tc.pattern, NoExpand: true}); got != tc.search {
 			t.Errorf("searchCost(%s) = %d, want %d", tc.pattern, got, tc.search)
 		}
-		if got := explainCost(eval.NewCut(mustPat(t, tc.pattern))); got != tc.explain {
+		if got := explainCost(mustPat(t, tc.pattern)); got != tc.explain {
 			t.Errorf("explainCost(%s) = %d, want %d", tc.pattern, got, tc.explain)
 		}
 	}
@@ -359,7 +360,7 @@ func TestCostCeiling(t *testing.T) {
 	if code != http.StatusUnprocessableEntity || e.Code != "cost_ceiling" {
 		t.Fatalf("/search over ceiling: status %d code %q, want 422 cost_ceiling", code, e.Code)
 	}
-	code, _, e = postKeyed(t, ts, "/explain", "", ExplainRequest{Pattern: long, From: "p1", To: "p2"})
+	code, _, e = postKeyed(t, ts, "/explain", "", ExplainRequest{Pattern: nest, From: "p1", To: "p2"})
 	if code != http.StatusUnprocessableEntity || e.Code != "cost_ceiling" {
 		t.Fatalf("/explain over ceiling: status %d code %q, want 422 cost_ceiling", code, e.Code)
 	}
@@ -376,7 +377,7 @@ func TestCostCeiling(t *testing.T) {
 	if code, _, e := postKeyed(t, ts, "/search", "", SearchRequest{Pattern: cheap, Query: "p1"}); code != http.StatusOK {
 		t.Fatalf("/search under ceiling: status %d %+v", code, e)
 	}
-	if code, _, e := postKeyed(t, ts, "/explain", "", ExplainRequest{Pattern: "by.by-", From: "p1", To: "p2"}); code != http.StatusOK {
+	if code, _, e := postKeyed(t, ts, "/explain", "", ExplainRequest{Pattern: long, From: "p1", To: "p2"}); code != http.StatusOK {
 		t.Fatalf("/explain under ceiling: status %d %+v", code, e)
 	}
 }

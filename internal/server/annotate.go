@@ -2,14 +2,12 @@ package server
 
 // Semiring-annotated serving: the annotate= parameter on /search and
 // /batch, and the witness every /explain answers with. A read pushes
-// the query's row of the pattern's left witness half through its right
-// one (eval.Evaluator.WitnessRow) and never builds the witness root.
-// The halves are cached under ring-tagged keys, so a repeated read of
-// the pattern at a version they are valid at performs no product.
-// Commit-time maintenance patches only integer entries forward (the
-// witness semiring has no subtraction): a commit closes the validity
-// interval of every annotated entry whose labels it touches and opens
-// no successor, so a read can never serve a stale derivation.
+// the query's row through the pattern as written over the witness ring
+// (eval.Evaluator.WitnessRow): a label step reads the snapshot's own
+// rows, so a label chain performs no product and caches nothing. Only
+// a star, nest, skip or reversed composite factor builds its witness
+// matrix, for that one read; no witness matrix is ever cached, so a
+// commit has none to close and a read never serves a stale derivation.
 
 import (
 	"fmt"
@@ -76,11 +74,12 @@ func mergeAnnotate(r *http.Request, body string) (string, error) {
 	return v, nil
 }
 
-// annotationSurcharge prices the witness halves an annotated query
-// reads: those of the pattern as written (not its Algorithm-1
+// annotationSurcharge prices the witness push an annotated query
+// reads: that of the pattern as written (not its Algorithm-1
 // expansion), at eval.AnnotationCostFactor integer-product equivalents
-// per product. Zero for unannotated queries and for patterns that do
-// not parse (the handler reports those).
+// per product of its composite factors (pushCost). Zero for unannotated
+// queries, for label chains, and for patterns that do not parse (the
+// handler reports those).
 func (s *Server) annotationSurcharge(req *SearchRequest) int {
 	if req.Annotate == "" {
 		return 0
@@ -89,31 +88,28 @@ func (s *Server) annotationSurcharge(req *SearchRequest) int {
 	if err != nil {
 		return 0
 	}
-	return witnessCost(qs.cuts[0])
+	return eval.AnnotationCostFactor * pushCost(qs.ps[0])
 }
 
-// witnessCost prices the witness halves of a cut (Evaluator.WitnessRow).
-func witnessCost(c eval.Cut) int {
-	halves := []*rre.Pattern{c.Left}
-	if c.Right != nil {
-		halves = append(halves, c.Right)
-	}
-	return eval.AnnotationCostFactor * eval.EstimateProducts(halves)
+// pushCost prices a row push of p in integer products: those of the
+// composite factors it takes from the walk (eval.PushReads). A label
+// chain costs 0.
+func pushCost(p *rre.Pattern) int {
+	return eval.EstimateProducts(eval.PushReads(p))
 }
 
 // annotateResults attaches witness annotations to a ranked answer
 // list: the query's witness row of the base pattern (as written, not
 // its Algorithm-1 expansion — the derivation explains the user's
-// pattern), read at every result. Its cut comes from the query-set
-// memo, and the witness halves it caches are what a later /explain of
-// the pattern reads warm.
+// pattern), read at every result. Its pattern comes from the query-set
+// memo.
 func (s *Server) annotateResults(ev *eval.Evaluator, req *SearchRequest, q graph.NodeID, results []ScoredNode) error {
 	qs, err := s.memoQuerySet(req.Pattern, false)
 	if err != nil {
 		return err
 	}
 	s.n.annotated.Inc()
-	row := ev.WitnessRow(qs.cuts[0], q)
+	row := ev.WitnessRow(qs.ps[0], q)
 	g := ev.Graph()
 	for i := range results {
 		if w, ok := row.At(results[i].ID); ok {
@@ -124,9 +120,10 @@ func (s *Server) annotateResults(ev *eval.Evaluator, req *SearchRequest, q graph
 }
 
 // SemiringStats is the /stats view of semiring-annotated serving:
-// annotated requests served, products spent in annotated kernels, and
-// the /explain responses, each a count, a score and a witness, with
-// how many of them performed zero products.
+// annotated requests served, products spent in annotated kernels (a
+// push's composite witness factors), and the /explain responses, each
+// a count, a score and a witness pushed from the pattern, with how many
+// of them performed zero products, as every label chain's does.
 type SemiringStats struct {
 	AnnotatedRequests  uint64 `json:"annotated_requests"`
 	AnnotatedProducts  uint64 `json:"annotated_products"`
@@ -152,7 +149,7 @@ func (s *Server) instrumentSemiring(reg *telemetry.Registry) {
 	s.n.annotatedProducts = counter(reg, "relsim_semiring_annotated_products_total",
 		"Matrix products performed by annotated (non-integer) semiring kernels.")
 	s.n.explainProjected = counter(reg, "relsim_explain_projections_total",
-		"/explain responses: a count, a score and a witness read from the pattern's halves.")
+		"/explain responses: a count, a score and a witness pushed from the pattern's rows.")
 	s.n.explainWarm = counter(reg, "relsim_explain_warm_projections_total",
-		"/explain responses served entirely from cache (zero matrix products).")
+		"/explain responses that performed zero matrix products.")
 }

@@ -75,16 +75,16 @@ func TestBatchAnnotateQueryParam(t *testing.T) {
 	}
 }
 
-// TestWarmExplainProjectionZeroProducts: /explain reads the halves an
-// annotated /search cached, so once the search has run, its answer
-// performs zero products and equals the count and score of the root a
-// test builds. by.by-.by.by- has halves that cost a product each (one
-// integer, one witness); by.by- has label halves only.
+// TestWarmExplainProjectionZeroProducts: /explain pushes its rows
+// through the pattern, so after an annotated /search of the pattern its
+// answer performs zero products and equals the count and score of the
+// root a test builds. by.by- and by.by-.by.by- are label chains, whose
+// pushes read the snapshot's rows and no matrix. The witness push of
+// by.[by-.by].by- builds the witness matrix of its composite factor
+// [by-.by], one annotated product.
 func TestWarmExplainProjectionZeroProducts(t *testing.T) {
 	srv, ts := newTestServer(t)
 	for i, pat := range []string{"by.by-", "by.by-.by.by-"} {
-		// Prime: the annotated search caches the integer halves and the
-		// witness halves of the pattern as written.
 		var sr SearchResponse
 		if code := post(t, ts, "/search", SearchRequest{
 			Pattern: pat, Query: "p1", Type: "paper", Annotate: AnnotateWitness,
@@ -120,16 +120,25 @@ func TestWarmExplainProjectionZeroProducts(t *testing.T) {
 			t.Errorf("%s: semiring stats = %+v, want %d explanations, all warm", pat, sem, n)
 		}
 	}
-	if srv.Stats().Semiring.AnnotatedProducts == 0 {
-		t.Fatal("annotated primes performed no annotated products — hook discriminator broken")
+	if got := srv.Stats().Semiring.AnnotatedProducts; got != 0 {
+		t.Fatalf("label chains performed %d annotated products, want 0", got)
+	}
+	if code := post(t, ts, "/search", SearchRequest{
+		Pattern: "by.[by-.by].by-", Query: "p1", Type: "paper", Annotate: AnnotateWitness,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("composite search status = %d", code)
+	}
+	if got := srv.Stats().Semiring.AnnotatedProducts; got != 1 {
+		t.Fatalf("the witness of [by-.by] took %d annotated products, want 1 — hook discriminator broken", got)
 	}
 }
 
 // TestWarmAnnotatedSearchZeroProducts: a second annotated /search of
-// the same pattern reads the ranking halves and the witness halves the
-// first one cached, so it performs zero products. The pattern's halves
-// are by.by-, so the cold search performs products; by.by- itself has
-// label halves and would perform none cold either.
+// the same pattern reads the ranking halves the first one cached and
+// pushes its witness row over label rows, so it performs zero products.
+// The pattern's halves are by.by-, so the cold search performs
+// products; by.by- itself has label halves and would perform none cold
+// either.
 func TestWarmAnnotatedSearchZeroProducts(t *testing.T) {
 	srv, ts := newTestServer(t)
 	req := SearchRequest{Pattern: "by.by-.by.by-", Query: "p1", Type: "paper", Annotate: AnnotateWitness}
@@ -154,21 +163,29 @@ func TestWarmAnnotatedSearchZeroProducts(t *testing.T) {
 
 // TestAnnotatedCostCeiling is the admission table test: on /search and
 // /batch, a ceiling that admits the plain request must reject its
-// annotated twin with 422 — annotation is priced at its witness halves,
+// annotated twin with 422 — annotation is priced at its witness push,
 // never smuggled in at integer cost. Alg "relsim" scores the pattern as
-// given (no Algorithm-1 expansion): by.by-.by.by- reads the integer
-// half by.by- twice (1 product) and the witness half by.by- twice,
-// another product at eval.AnnotationCostFactor = 2, so plain costs 1
-// and annotated 3. /explain has no plain twin: every answer carries its
-// witness, and explainCost prices it (TestCostCeiling).
+// given (no Algorithm-1 expansion): by.[by-.by].by- reads the halves by
+// and by.[by-.by] (2 products), and its witness push builds the witness
+// of [by-.by], one product at eval.AnnotationCostFactor = 2, so plain
+// costs 2 and annotated 4. A label chain's push costs nothing, so its
+// annotated read costs what its plain one does. /explain has no plain
+// twin: every answer carries its witness, and explainCost prices it
+// (TestCostCeiling).
 func TestAnnotatedCostCeiling(t *testing.T) {
-	const pat, ceiling = "by.by-.by.by-", 1
+	const pat, ceiling = "by.[by-.by].by-", 2
 	q := SearchRequest{Pattern: pat, Query: "p1", Type: "paper", Alg: "relsim"}
 	aq := q
 	aq.Annotate = AnnotateWitness
 	srv := New(store.New(testGraph()), nil)
-	if plain, annot := srv.searchCost(&q), srv.searchCost(&aq); plain != 1 || annot != 3 {
-		t.Fatalf("searchCost = %d plain, %d annotated; want 1 and 3", plain, annot)
+	if plain, annot := srv.searchCost(&q), srv.searchCost(&aq); plain != 2 || annot != 4 {
+		t.Fatalf("searchCost = %d plain, %d annotated; want 2 and 4", plain, annot)
+	}
+	chain := SearchRequest{Pattern: "by.by-.by.by-", Query: "p1", Type: "paper", Alg: "relsim"}
+	achain := chain
+	achain.Annotate = AnnotateWitness
+	if plain, annot := srv.searchCost(&chain), srv.searchCost(&achain); plain != 1 || annot != 1 {
+		t.Fatalf("label chain searchCost = %d plain, %d annotated; want 1 and 1", plain, annot)
 	}
 
 	cases := []struct {
@@ -200,14 +217,16 @@ func TestAnnotatedCostCeiling(t *testing.T) {
 }
 
 // TestColdAnnotatedReadsBuildNoRoot: on FullDBLP, annotated reads and
-// /explain push the query's row through cached halves and build no
-// root. A cold annotated relsim /search of w.p-in.p-in-.w- performs 3
-// products: the integer half w.p-in (the reversed right half is the
-// same key) and the witness halves w.p-in and p-in-.w-. Building the
-// witness root instead took a fourth product and about 72 MB. A cold
-// /explain of w.r-a.r-a-.w-, whose root holds about 10 GB, performs 3
-// products the same way, with no cost ceiling set. The race detector
-// inflates allocations, so under it only the products are checked.
+// /explain push the query's row through the pattern's label rows and
+// build no witness matrix. A cold annotated relsim /search of
+// w.p-in.p-in-.w- performs the plain read's 1 product, the integer half
+// w.p-in (the reversed right half is the same key), and allocates at
+// most 1.25× what the same plain cold read allocates. A cold /explain
+// of w.r-a.r-a-.w-, whose root holds about 10 GB, reads no half: it
+// pushes e_u and e_v over the integer ring and e_u over the witness
+// ring, performs 0 products and allocates under 2 MB, with no cost
+// ceiling set. The race detector inflates allocations, so under it
+// only the products are checked.
 func TestColdAnnotatedReadsBuildNoRoot(t *testing.T) {
 	race := false
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -219,32 +238,59 @@ func TestColdAnnotatedReadsBuildNoRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		path     string
-		req      any
-		products uint64
-		maxBytes uint64
-	}{
-		{"/search", SearchRequest{Pattern: "w.p-in.p-in-.w-", Query: "author0", Type: "author",
-			Alg: "relsim", Annotate: AnnotateWitness}, 3, 24 << 20},
-		{"/explain", ExplainRequest{Pattern: "w.r-a.r-a-.w-", From: "author0", To: "author1"}, 3, 64<<20 - 1},
-	}
-	for _, tc := range cases {
+	cold := func(path string, req any) (products, allocated uint64) {
 		srv := New(store.New(ds.Graph), ds.Schema)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		code, body := doJSON(t, srv, tc.path, tc.req)
+		code, body := doJSON(t, srv, path, req)
 		runtime.ReadMemStats(&after)
 		if code != http.StatusOK {
-			t.Fatalf("%s: status %d (%s)", tc.path, code, body)
+			t.Fatalf("%s: status %d (%s)", path, code, body)
 		}
-		products := srv.Stats().Workload.ProductsMaterialized
-		allocated := after.TotalAlloc - before.TotalAlloc
-		t.Logf("cold %s: %d products, %.1f MB allocated", tc.path, products, float64(allocated)/(1<<20))
-		if products != tc.products || !race && allocated > tc.maxBytes {
-			t.Errorf("cold %s: %d products and %d bytes, want %d products and at most %d bytes",
-				tc.path, products, allocated, tc.products, tc.maxBytes)
+		products, allocated = srv.Stats().Workload.ProductsMaterialized, after.TotalAlloc-before.TotalAlloc
+		t.Logf("cold %s: %d products, %.2f MB allocated", path, products, float64(allocated)/(1<<20))
+		return products, allocated
+	}
+
+	search := SearchRequest{Pattern: "w.p-in.p-in-.w-", Query: "author0", Type: "author", Alg: "relsim"}
+	_, plain := cold("/search", search)
+	search.Annotate = AnnotateWitness
+	if products, annotated := cold("/search", search); products != 1 || !race && annotated > plain+plain/4 {
+		t.Errorf("cold annotated /search: %d products and %d bytes, want 1 product and at most 1.25 × %d bytes",
+			products, annotated, plain)
+	}
+	explain := ExplainRequest{Pattern: "w.r-a.r-a-.w-", From: "author0", To: "author1"}
+	if products, allocated := cold("/explain", explain); products != 0 || !race && allocated >= 2<<20 {
+		t.Errorf("cold /explain: %d products and %d bytes, want 0 products and under %d bytes",
+			products, allocated, 2<<20)
+	}
+}
+
+// TestAnnotatedReadsCacheNothing: an annotated /search and an /explain
+// of a pattern leave the cache holding what the plain /search of it
+// leaves, on a label chain and on a pattern with a composite factor: a
+// push reads label rows from the snapshot and builds no witness
+// matrix into the cache.
+func TestAnnotatedReadsCacheNothing(t *testing.T) {
+	for _, pat := range []string{"by.by-.by.by-", "by.[by-.by].by-"} {
+		search := SearchRequest{Pattern: pat, Query: "p1", Type: "paper", Alg: "relsim"}
+		plain, _ := newTestServer(t)
+		if code, body := doJSON(t, plain, "/search", search); code != http.StatusOK {
+			t.Fatalf("%s: plain /search status %d (%s)", pat, code, body)
+		}
+		annotated, _ := newTestServer(t)
+		search.Annotate = AnnotateWitness
+		if code, body := doJSON(t, annotated, "/search", search); code != http.StatusOK {
+			t.Fatalf("%s: annotated /search status %d (%s)", pat, code, body)
+		}
+		if code, body := doJSON(t, annotated, "/explain", ExplainRequest{Pattern: pat, From: "p1", To: "p2"}); code != http.StatusOK {
+			t.Fatalf("%s: /explain status %d (%s)", pat, code, body)
+		}
+		want, got := plain.Stats().Cache.Size, annotated.Stats().Cache.Size
+		if want == 0 || got != want {
+			t.Errorf("%s: cache holds %d entries after an annotated /search and an /explain, %d after the plain /search",
+				pat, got, want)
 		}
 	}
 }

@@ -18,15 +18,15 @@ func percentile50(ds []time.Duration) time.Duration {
 }
 
 // BenchmarkExplainProjection measures /explain on dblp-small. One
-// annotated /search caches the pattern's integer and witness halves;
-// after that every timed request is warm. It measures three request
-// classes — /explain (count and score from the integer halves, the
-// witness pushed through the witness halves), plain warm /search, and
-// annotated warm /search — and fails outright unless every warm request
-// is a read: each explanation and each repeated search (plain or
-// annotated) materializes zero matrix products, and the explanation's
-// count and witness agree with the annotated search's answer. The
-// deterministic halves are TestWarmExplainProjectionZeroProducts and
+// annotated /search caches the pattern's integer halves; after that
+// every timed search is warm. It measures three request classes —
+// /explain (count, score and witness pushed through the label chain
+// w.w-), plain warm /search, and annotated warm /search — and fails
+// outright unless every timed request is a read: each explanation and
+// each repeated search (plain or annotated) materializes zero matrix
+// products, and the explanation's count and witness agree with the
+// annotated search's answer. The deterministic halves are
+// TestWarmExplainProjectionZeroProducts and
 // TestWarmAnnotatedSearchZeroProducts.
 func BenchmarkExplainProjection(b *testing.B) {
 	ds, err := datasets.ByName("dblp-small")
@@ -40,8 +40,8 @@ func BenchmarkExplainProjection(b *testing.B) {
 	annotSearch := plainSearch
 	annotSearch.Annotate = AnnotateWitness
 
-	// Prime: the annotated search caches the integer and witness halves,
-	// and its answers pick the /explain target — a co-author-connected
+	// Prime: the annotated search caches the integer halves, and its
+	// answers pick the /explain target — a co-author-connected
 	// peer, not the query itself.
 	code, body := doJSON(b, srv, "/search", annotSearch)
 	if code != http.StatusOK {

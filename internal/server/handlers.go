@@ -551,8 +551,9 @@ func (s *Server) batchPatterns(queries []SearchRequest) []*rre.Pattern {
 
 // searchCost prices one query for the cost ceiling: the products a cold
 // cache would perform for the halves scoring reads, plus the witness
-// twin of an annotated query. A query whose pattern does not resolve
-// prices at zero; the handler reports the error.
+// push of an annotated query (annotationSurcharge). A query whose
+// pattern does not resolve prices at zero; the handler reports the
+// error.
 func (s *Server) searchCost(req *SearchRequest) int {
 	qs, err := s.queryPatterns(req)
 	if err != nil || qs == nil {
@@ -561,10 +562,11 @@ func (s *Server) searchCost(req *SearchRequest) int {
 	return eval.EstimateProducts(reads(qs.cuts...)) + s.annotationSurcharge(req)
 }
 
-// explainCost prices an /explain of a cut: the integer halves its
-// count and score read, plus the witness halves (witnessCost).
-func explainCost(c eval.Cut) int {
-	return eval.EstimateProducts(reads(c)) + witnessCost(c)
+// explainCost prices an /explain of p: its integer push (pushCost),
+// which the count and score read, plus its witness push at
+// eval.AnnotationCostFactor. A label chain costs 0.
+func explainCost(p *rre.Pattern) int {
+	return (1 + eval.AnnotationCostFactor) * pushCost(p)
 }
 
 // ExplainRequest is the POST /explain body: explain why From and To
@@ -579,10 +581,10 @@ type ExplainRequest struct {
 }
 
 // ExplainResponse is the POST /explain body: the instance count
-// |I^{u,v}(p)| and the Equation-1 score from the integer halves
-// (eval.Evaluator.Pair), and the witness pushed through the witness
-// halves (eval.Evaluator.WitnessRow), nil when no instance connects u
-// to v.
+// |I^{u,v}(p)| and the Equation-1 score from the integer pushes of e_u
+// and e_v (eval.Evaluator.Pair), and the witness from the witness push
+// of e_u (eval.Evaluator.WitnessRow), nil when no instance connects u
+// to v. No cut is read and no root is built.
 type ExplainResponse struct {
 	Pattern  string       `json:"pattern"`
 	FromID   graph.NodeID `json:"from_id"`
@@ -608,17 +610,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	c := qs.cuts[0]
-	// Explanations read the pattern's halves, so the cost ceiling
-	// applies exactly as it does on /search — before the pin. A warm
-	// explanation costs nothing, but admission prices the cold worst
-	// case, never the hoped-for cache state.
-	if s.adm.MaxCost() > 0 && !s.checkCost(w, explainCost(c)) {
+	p := qs.ps[0]
+	// A push takes the matrices of the pattern's composite factors, so
+	// the cost ceiling applies exactly as it does on /search — before
+	// the pin. Admission prices the cold worst case, never the
+	// hoped-for cache state.
+	if s.adm.MaxCost() > 0 && !s.checkCost(w, explainCost(p)) {
 		return
 	}
-	// Explanations evaluate the pattern's halves just like /search
-	// does, so they honor the same deadline: -timeout by default,
-	// ?timeout_ms= per request, 504 when it expires.
+	// Explanations evaluate like /search does, so they honor the same
+	// deadline: -timeout by default, ?timeout_ms= per request, 504 when
+	// it expires.
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -652,11 +654,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Version:  pin.Version(),
 		Annotate: AnnotateWitness,
 	}
-	// The evaluator is request-fresh, so a zero product counter after
-	// the reads means every half came from the cache.
+	// The evaluator is request-fresh, so its product counter counts
+	// what the pushes took: nothing, for a label chain.
 	err = eval.Guard(func() error {
-		resp.Count, resp.Score = ev.Pair(c, u, v)
-		if wit, ok := ev.WitnessRow(c, u).At(v); ok {
+		resp.Count, resp.Score = ev.Pair(p, u, v)
+		if wit, ok := ev.WitnessRow(p, u).At(v); ok {
 			resp.Witness = witnessInfo(snap, wit)
 		}
 		return nil

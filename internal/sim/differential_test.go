@@ -174,7 +174,7 @@ func TestScoreFromHalvesMatchesReference(t *testing.T) {
 		raw, ref := eval.New(g), eval.New(g)
 		for _, v := range sets["inside"] {
 			root := ref.Commuting(ps[0])
-			count, got := raw.Pair(raw.Cut(ps[0]), query, v)
+			count, got := raw.Pair(ps[0], query, v)
 			if want := eval.PathSimScore(root, query, v); got != want || count != root.At(int(query), int(v)) {
 				t.Fatalf("seed %d: Pair(%s, %d, %d) = %d, %v; want %d, %v", seed, ps[0], query, v, count, got, root.At(int(query), int(v)), want)
 			}

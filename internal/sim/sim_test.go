@@ -140,7 +140,7 @@ func TestPathSimScorePairEquation1(t *testing.T) {
 	ev := eval.New(g)
 	p := rre.MustParse("area-.area")
 	// DM self-count 3 (CM, PM, SM), DB self-count 2 (PM, SM), shared 2.
-	count, got := ev.Pair(ev.Cut(p), n["DM"], n["DB"])
+	count, got := ev.Pair(p, n["DM"], n["DB"])
 	want := 2.0 * 2 / (3 + 2)
 	if count != 2 || math.Abs(got-want) > 1e-12 {
 		t.Errorf("Equation 1 = %v from count %d, want %v from 2", got, count, want)

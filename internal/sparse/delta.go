@@ -245,7 +245,7 @@ func (d *Delta) Mul(m *Matrix) *Delta {
 		}
 		p.closeProductRow(r, s)
 	}
-	scratchPool.Put(s)
+	putScratch(s)
 	return p
 }
 

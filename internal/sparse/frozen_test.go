@@ -394,9 +394,9 @@ func TestScratchStampWrapStartsOver(t *testing.T) {
 	for c := range stale.mark {
 		stale.mark[c] = uint32(c + 1)
 	}
-	for scratchPool.Get() != nil { // drain, so the next Get sees the plant
+	for scratchPool[int64]().Get() != nil { // drain, so the next Get sees the plant
 	}
-	scratchPool.Put(stale)
+	putScratch(stale)
 	s := getScratch[int64](n)
 	if s != stale {
 		t.Skip("the pool did not hand back the planted scratch")
@@ -414,11 +414,11 @@ func TestScratchPoolSurvivesGrowth(t *testing.T) {
 	skipUnderRace(t) // the race detector also drops pooled items at random
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for scratchPool.Get() != nil {
+	for scratchPool[int64]().Get() != nil {
 	}
 	const n = 1000
 	s := getScratch[int64](n)
-	scratchPool.Put(s)
+	putScratch(s)
 	if got := getScratch[int64](n + 1); got != s {
 		t.Fatalf("getScratch(%d) after a scratch for %d went back: a fresh one of %d", n+1, n, len(got.mark))
 	}

@@ -537,7 +537,7 @@ func (m *GMatrix[T, R]) MulThresh(o *GMatrix[T, R], t Thresholds) *GMatrix[T, R]
 	})
 	for _, s := range scratch {
 		p.nnz -= s.cancelled
-		scratchPool.Put(s) // normal path only: a panic above abandons it
+		putScratch(s)
 	}
 	return p
 }
@@ -577,15 +577,25 @@ type mulScratch[T any] struct {
 	cancelled int // entries the worker's last numeric pass dropped
 }
 
-// scratchPool holds *mulScratch[T] of whichever entry types are being
-// multiplied; getScratch leaves one of another type or a smaller
-// dimension to the collector and makes a fresh one, which is what every
-// product paid before the pool. A fresh one has an eighth of headroom,
-// so the commits that add a node each keep the pool.
-var scratchPool sync.Pool
+// scratchPools holds one sync.Pool of *mulScratch[T] per entry type,
+// keyed by a nil *T, so a product over one ring never drops the pooled
+// scratch of another. getScratch leaves one of a smaller dimension to
+// the collector and makes a fresh one, which is what every product paid
+// before the pool. A fresh one has an eighth of headroom, so the
+// commits that add a node each keep the pool.
+var scratchPools sync.Map
+
+// scratchPool returns the pool of T's scratches.
+func scratchPool[T any]() *sync.Pool {
+	p, ok := scratchPools.Load((*T)(nil))
+	if !ok {
+		p, _ = scratchPools.LoadOrStore((*T)(nil), new(sync.Pool))
+	}
+	return p.(*sync.Pool)
+}
 
 func getScratch[T any](n int) *mulScratch[T] {
-	s, _ := scratchPool.Get().(*mulScratch[T])
+	s, _ := scratchPool[T]().Get().(*mulScratch[T])
 	if s == nil || len(s.mark) < n {
 		n += n / 8
 		return &mulScratch[T]{mark: make([]uint32, n), acc: make([]T, n)}
@@ -598,6 +608,10 @@ func getScratch[T any](n int) *mulScratch[T] {
 	}
 	return s
 }
+
+// putScratch returns s to its type's pool. Callers put on the normal
+// path only: a panic mid-product abandons the scratch.
+func putScratch[T any](s *mulScratch[T]) { scratchPool[T]().Put(s) }
 
 // countRows is the symbolic pass over rows [lo, hi) of m·o: it leaves
 // the number of distinct columns row r reaches in counts[r].hi. A row
@@ -674,46 +688,6 @@ func (m *GMatrix[T, R]) mulRows(o, p *GMatrix[T, R], lo, hi int, s *mulScratch[T
 		p.rows[r].hi = w
 	}
 	return cancelled
-}
-
-// MulRow returns row r of m·o, its columns ascending and their values,
-// without building m·o: one row of Gustavson's algorithm, accumulated
-// as mulRows does in the products' pooled O(n) scratch. It allocates
-// only the row, and panics if dimensions differ.
-func (m *GMatrix[T, R]) MulRow(r int, o *GMatrix[T, R]) ([]int32, []T) {
-	if m.n != o.n {
-		panic(fmt.Sprintf("sparse: MulRow dimension mismatch %d vs %d", m.n, o.n))
-	}
-	var ring R
-	s := getScratch[T](m.n)
-	s.stamp++
-	var cols []int32
-	sp := m.row(r)
-	for i := sp.lo; i < sp.hi; i++ {
-		k, mv := m.colIdx[i], m.val[i]
-		osp := o.row(int(k))
-		for j := osp.lo; j < osp.hi; j++ {
-			c, v := o.colIdx[j], ring.MulVia(mv, k, o.val[j])
-			if s.mark[c] != s.stamp {
-				s.mark[c] = s.stamp
-				cols = append(cols, c)
-				s.acc[c] = v
-			} else {
-				s.acc[c] = ring.Add(s.acc[c], v)
-			}
-		}
-	}
-	slices.Sort(cols)
-	vals := make([]T, 0, len(cols))
-	out := cols[:0]
-	for _, c := range cols {
-		if v := s.acc[c]; !ring.IsZero(v) {
-			out = append(out, c)
-			vals = append(vals, v)
-		}
-	}
-	scratchPool.Put(s) // normal path only: a panic above abandons it
-	return out, vals
 }
 
 // equalRows reports whether m and o have the same dimension and, row by

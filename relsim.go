@@ -305,10 +305,12 @@ func (e *Engine) SimRank(query NodeID, candidates []NodeID) Ranking {
 }
 
 // InstanceCount returns |I^{u,v}(p)|, the number of instances of the
-// pattern from u to v (paper §4.2), read from the pattern's two halves
-// without building its commuting matrix.
+// pattern from u to v (paper §4.2): entry v of e_u pushed through the
+// pattern, a label step at a time over the graph's own rows, without
+// building its commuting matrix. Only a star, nest, skip or reversed
+// composite factor is read from the cache.
 func (e *Engine) InstanceCount(p *Pattern, u, v NodeID) int64 {
-	count, _ := e.ev.Load().Pair(eval.NewCut(p), u, v)
+	count, _ := e.ev.Load().Pair(p, u, v)
 	return count
 }
 
@@ -339,15 +341,14 @@ type WitnessExplanation struct {
 }
 
 // ExplainWitness answers "why are u and v similar under p?" from the
-// witness semiring: the pattern's two halves, evaluated once over
-// provenance-carrying values, yield for any pair the instance count and
-// a canonical derivation, u's row of the left half pushed through the
-// right — so explaining many pairs of the same pattern costs one
-// evaluation of its halves, not one instance enumeration each. It
+// witness semiring: e_u pushed through the pattern over
+// provenance-carrying values yields, for every v at once, the instance
+// count and a canonical derivation, at the cost of the edges the push
+// crosses, not of an instance enumeration or a witness matrix. It
 // reports false when no instance connects u to v. For the exhaustive
 // listing of instances, use Explain.
 func (e *Engine) ExplainWitness(p *Pattern, u, v NodeID) (WitnessExplanation, bool) {
-	w, ok := e.ev.Load().WitnessRow(eval.NewCut(p), u).At(v)
+	w, ok := e.ev.Load().WitnessRow(p, u).At(v)
 	if !ok {
 		return WitnessExplanation{}, false
 	}

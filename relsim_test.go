@@ -344,9 +344,10 @@ func TestInvalidateLabelsSelective(t *testing.T) {
 	}
 
 	// The surviving halves of "a.b" are served from cache: a hit each,
-	// no miss.
+	// no miss. RelSim scores from them; InstanceCount would push over
+	// the graph's rows and read no cache.
 	before := eng.CacheStats()
-	eng.InstanceCount(pab, 0, 2)
+	eng.RelSim(pab, 0, []NodeID{2})
 	after := eng.CacheStats()
 	if after.Hits != before.Hits+2 || after.Misses != before.Misses {
 		t.Errorf("expected pure cache hits for a and b-, got hits %d→%d misses %d→%d",
@@ -362,21 +363,32 @@ func TestInvalidateLabelsSelective(t *testing.T) {
 	}
 }
 
+// TestInvalidationReflectsNewEdges reads c.c- through the cache: RelSim
+// scores node 2 against node 0 from the pattern's cached halves. The
+// edge 0 -c-> 3 gives the two nodes a shared c-target, moving the score
+// from 0 to 2·1/(2+1).
 func TestInvalidationReflectsNewEdges(t *testing.T) {
 	g := invalidationGraph()
 	eng := NewEngine(g, nil)
-	pc := MustParsePattern("c")
-	if got := eng.InstanceCount(pc, 0, 3); got != 0 {
-		t.Fatalf("c(0,3) = %d, want 0", got)
+	pcc := MustParsePattern("c.c-")
+	score := func() float64 {
+		r := eng.RelSim(pcc, 0, []NodeID{2})
+		if r.Len() == 0 {
+			return 0
+		}
+		return r.Scores[0]
+	}
+	if got := score(); got != 0 {
+		t.Fatalf("c.c-(0,2) scores %v, want 0", got)
 	}
 	g.AddEdge(0, "c", 3)
-	// Without invalidation the stale cached matrix is served.
-	if got := eng.InstanceCount(pc, 0, 3); got != 0 {
-		t.Fatalf("stale read should still be 0, got %d", got)
+	// Without invalidation the stale cached matrices are served.
+	if got := score(); got != 0 {
+		t.Fatalf("stale read should still score 0, got %v", got)
 	}
 	eng.InvalidateLabels("c")
-	if got := eng.InstanceCount(pc, 0, 3); got != 1 {
-		t.Errorf("after invalidation c(0,3) = %d, want 1", got)
+	if got, want := score(), 2.0/3; got != want {
+		t.Errorf("after invalidation c.c-(0,2) scores %v, want %v", got, want)
 	}
 }
 
