@@ -157,22 +157,22 @@ func BenchmarkChainPlanned(b *testing.B) {
 }
 
 func BenchmarkChainLeftToRight(b *testing.B) {
-	g := benchGraph()
+	s := benchGraph().Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := g.Adjacency(datasets.LabelWrites)
+		w := s.Adjacency(datasets.LabelWrites)
 		m := w.Transpose().Mul(w)
-		m = m.Mul(g.Adjacency(datasets.LabelPubIn))
-		m.Mul(g.Adjacency(datasets.LabelRscArea).Transpose())
+		m = m.Mul(s.Adjacency(datasets.LabelPubIn))
+		m.Mul(s.Adjacency(datasets.LabelRscArea).Transpose())
 	}
 }
 
 // BenchmarkSpGEMM measures sparse matrix multiplication on the
 // paper-pattern intermediates.
 func BenchmarkSpGEMM(b *testing.B) {
-	g := benchGraph()
-	a1 := g.Adjacency(datasets.LabelPubIn).Transpose()
-	a2 := g.Adjacency(datasets.LabelRscArea)
+	s := benchGraph().Snapshot()
+	a1 := s.Adjacency(datasets.LabelPubIn).Transpose()
+	a2 := s.Adjacency(datasets.LabelRscArea)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a1.Mul(a2)
@@ -181,8 +181,7 @@ func BenchmarkSpGEMM(b *testing.B) {
 
 // BenchmarkSparseTranspose measures CSR transposition.
 func BenchmarkSparseTranspose(b *testing.B) {
-	g := benchGraph()
-	a := g.Adjacency(datasets.LabelWrites)
+	a := benchGraph().Snapshot().Adjacency(datasets.LabelWrites)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Transpose()
@@ -412,12 +411,13 @@ func BenchmarkKendallTau(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphAdjacency measures adjacency-matrix extraction.
+// BenchmarkGraphAdjacency measures adjacency-matrix extraction from a
+// snapshot.
 func BenchmarkGraphAdjacency(b *testing.B) {
-	g := benchGraph()
+	s := benchGraph().Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Adjacency(datasets.LabelWrites)
+		s.Adjacency(datasets.LabelWrites)
 	}
 }
 
@@ -425,7 +425,7 @@ func BenchmarkGraphAdjacency(b *testing.B) {
 // phenotype parent forest.
 func BenchmarkBooleanClosure(b *testing.B) {
 	data := datasets.BioMed(datasets.SmallBioMed())
-	a := data.Graph.Adjacency(datasets.LabelParent)
+	a := data.Graph.Snapshot().Adjacency(datasets.LabelParent)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.BooleanClosure()

@@ -115,7 +115,7 @@ type maintTerm struct {
 // roots so subterm deltas are computed once.
 type maintainer struct {
 	cache    *Cache
-	view     graph.View // snapshot at d.To, for uncached label matrices
+	view     *graph.Snapshot // snapshot at d.To, for uncached label matrices
 	d        CommitDelta
 	memo     map[string]*maintTerm
 	failed   map[string]error
@@ -146,7 +146,7 @@ type maintainer struct {
 // floor being the oldest version a reader may still pin, are dropped in
 // the same commit. floor is read after the walk, so a reader that
 // pinned d.From while it ran keeps its entries.
-func (c *Cache) Commit(view graph.View, d CommitDelta, floor func() uint64) CommitResult {
+func (c *Cache) Commit(view *graph.Snapshot, d CommitDelta, floor func() uint64) CommitResult {
 	var res CommitResult
 	if d.To < d.From {
 		return res

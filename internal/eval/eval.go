@@ -1,4 +1,6 @@
 // Package eval computes RRE pattern instances over a graph database.
+// Every evaluation reads one immutable graph.Snapshot, the evaluator's
+// version; New snapshots a mutable graph once for offline callers.
 //
 // The primary entry point is Evaluator.Commuting, which materializes the
 // commuting matrix M_p of a pattern p following the matrix rules of
@@ -36,10 +38,10 @@ import (
 	"relsim/internal/sparse"
 )
 
-// Evaluator evaluates RRE patterns over one graph version, caching
-// commuting matrices in a versioned Cache: it reads the entries valid
-// at its version and writes entries that begin there (see Key). It is
-// safe for concurrent use.
+// Evaluator evaluates RRE patterns over one graph version, a snapshot,
+// caching commuting matrices in a versioned Cache: it reads the entries
+// valid at its version and writes entries that begin there (see Key).
+// It is safe for concurrent use.
 //
 // An evaluator is bound to its version for life and never invalidates:
 // evaluators over different versions share one cache without aliasing,
@@ -49,7 +51,7 @@ import (
 // evaluator there, as the server does on every commit and
 // relsim.Engine on every reported change.
 type Evaluator struct {
-	g       graph.View
+	g       *graph.Snapshot
 	version uint64
 	cache   *Cache
 	ctx     context.Context // nil = never canceled
@@ -77,15 +79,14 @@ type Counters struct {
 	Hits, Misses, Products, Transposes, Diagonals atomic.Uint64
 }
 
-// New returns an evaluator over g at version 0 with a private cache.
-// g must not change while the evaluator is in use.
-func New(g graph.View) *Evaluator { return NewVersioned(g, 0, NewCache()) }
+// New returns an evaluator over g as it is now, at version 0 with a
+// private cache: it evaluates over a snapshot of g taken here, so later
+// changes to g are not seen.
+func New(g *graph.Graph) *Evaluator { return NewVersioned(g.Snapshot(), 0, NewCache()) }
 
-// NewVersioned returns an evaluator bound to one graph version, writing
-// and reading cache entries keyed by that version. The view must be
-// immutable for the evaluator's lifetime (a graph.Snapshot, or a graph
-// the owner promises not to mutate while this version is live).
-func NewVersioned(g graph.View, version uint64, cache *Cache) *Evaluator {
+// NewVersioned returns an evaluator bound to one graph version, the
+// snapshot g, writing and reading cache entries keyed by that version.
+func NewVersioned(g *graph.Snapshot, version uint64, cache *Cache) *Evaluator {
 	if cache == nil {
 		cache = NewCache()
 	}
@@ -114,8 +115,8 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 // lives for the evaluator's lifetime.
 func (e *Evaluator) Counters() *Counters { return e.counters }
 
-// Graph returns the underlying graph view.
-func (e *Evaluator) Graph() graph.View { return e.g }
+// Graph returns the snapshot the evaluator reads.
+func (e *Evaluator) Graph() *graph.Snapshot { return e.g }
 
 // Version returns the graph version the evaluator is bound to.
 func (e *Evaluator) Version() uint64 { return e.version }

@@ -56,12 +56,13 @@ func within(t *testing.T, fns ...func()) {
 // reader's matrices in ps order.
 func coldRead(t *testing.T, g *graph.Graph, cache *Cache, ps []*rre.Pattern, readers int) (products int64, misses uint64, got [][]*sparse.Matrix) {
 	t.Helper()
+	snap := g.Snapshot()
 	var n atomic.Int64
 	evs := make([]*Evaluator, readers)
 	got = make([][]*sparse.Matrix, readers)
 	fns := make([]func(), readers)
 	for r := range evs {
-		ev := NewVersioned(g, 0, cache)
+		ev := NewVersioned(snap, 0, cache)
 		ev.SetMulHook(func(_, _ *sparse.Matrix) {
 			if n.Add(1) == 1 {
 				time.Sleep(50 * time.Millisecond)
@@ -176,10 +177,11 @@ func TestInFlightEmptyAndConcurrent(t *testing.T) {
 func TestInFlightWaiterCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomGraph(rng, 8, 20, []string{"a", "b", "c", "d"})
+	snap := g.Snapshot()
 	p := rre.MustParse("a.b.c.d")
 	cache := NewCache()
 
-	builder := NewVersioned(g, 0, cache)
+	builder := NewVersioned(snap, 0, cache)
 	entered, release := make(chan struct{}), make(chan struct{})
 	var hold sync.Once
 	builder.SetMulHook(func(_, _ *sparse.Matrix) {
@@ -198,7 +200,7 @@ func TestInFlightWaiterCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	waiter := NewVersioned(g, 0, cache).WithContext(ctx)
+	waiter := NewVersioned(snap, 0, cache).WithContext(ctx)
 	var waiterProducts atomic.Int64
 	waiter.SetMulHook(func(_, _ *sparse.Matrix) { waiterProducts.Add(1) })
 	var err error
@@ -242,12 +244,13 @@ func TestInFlightWaiterCanceled(t *testing.T) {
 func TestInFlightBuilderCanceledWakesWaiters(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomGraph(rng, 8, 20, []string{"a", "b", "c", "d"})
+	snap := g.Snapshot()
 	p := rre.MustParse("a.b.c.d")
 	cache := NewCache()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	builder := NewVersioned(g, 0, cache).WithContext(ctx)
+	builder := NewVersioned(snap, 0, cache).WithContext(ctx)
 	entered := make(chan struct{})
 	var builderProducts atomic.Int64
 	builder.SetMulHook(func(_, _ *sparse.Matrix) {
@@ -274,7 +277,7 @@ func TestInFlightBuilderCanceledWakesWaiters(t *testing.T) {
 	for i := range got {
 		fns = append(fns, func() {
 			<-entered
-			ev := NewVersioned(g, 0, cache)
+			ev := NewVersioned(snap, 0, cache)
 			ev.SetMulHook(func(_, _ *sparse.Matrix) { waiterProducts.Add(1) })
 			got[i] = ev.Commuting(p)
 		})

@@ -26,7 +26,7 @@ func (in Instance) String() string {
 // Render renders the instance for display, substituting node names for
 // node-id entries where available. An entry is a node id only if the
 // whole token parses as an integer — "12x" is a label, not node 12.
-func (in Instance) Render(g graph.View) string {
+func (in Instance) Render(g *graph.Snapshot) string {
 	parts := make([]string, len(in.Seq))
 	for i, s := range in.Seq {
 		parts[i] = s

@@ -33,7 +33,7 @@ func (minPlus) MulVia(a int64, _ int32, b int64) int64 {
 }
 
 // shortestWalk is the brute-force reference, recursing over p.
-func shortestWalk(g graph.View, p *rre.Pattern, u, v graph.NodeID) int64 {
+func shortestWalk(g *graph.Graph, p *rre.Pattern, u, v graph.NodeID) int64 {
 	subs, best := p.Subs(), int64(noWalk)
 	switch p.Kind() {
 	case rre.KindEps:

@@ -25,9 +25,10 @@ func TestChainPlanningPreservesResults(t *testing.T) {
 		}
 		p := rre.FromSteps(steps)
 
+		snap := g.Snapshot()
 		var want *sparse.Matrix
 		for _, st := range steps {
-			f := g.Adjacency(st.Label)
+			f := snap.Adjacency(st.Label)
 			if st.Reverse {
 				f = f.Transpose()
 			}

@@ -16,7 +16,7 @@ import (
 // WitnessRing with no cache and every concatenation folded strictly left
 // to right. The evaluator plans witness chains greedily, like integer
 // ones; the two agree exactly because MulVia is associative.
-func leftFold(g graph.View, p *rre.Pattern) *sparse.WitnessMatrix {
+func leftFold(g *graph.Snapshot, p *rre.Pattern) *sparse.WitnessMatrix {
 	subs := p.Subs()
 	switch p.Kind() {
 	case rre.KindEps:
@@ -63,13 +63,13 @@ func flatten(m *sparse.WitnessMatrix) []witnessEntry {
 // left fold of the pattern the evaluator walks: p's canonical form when
 // its canonicalization is exact, p itself otherwise. Every row of p's
 // witness push must equal that matrix's row too.
-func checkLeftFold(t *testing.T, g graph.View, p *rre.Pattern) {
+func checkLeftFold(t *testing.T, g *graph.Graph, p *rre.Pattern) {
 	t.Helper()
 	walked := p
 	if c, exact := rre.CanonicalExact(p); exact {
 		walked = c
 	}
-	got, want := eval.New(g).CommutingWitness(p), leftFold(g, walked)
+	got, want := eval.New(g).CommutingWitness(p), leftFold(g.Snapshot(), walked)
 	if got.Dim() != want.Dim() || !slices.Equal(flatten(got), flatten(want)) {
 		t.Fatalf("%s: witness matrix differs from the left fold", p)
 	}
@@ -151,7 +151,7 @@ func TestWitnessMatchesLeftFold(t *testing.T) {
 		}
 		p := rre.Concat(factors...)
 		checkLeftFold(t, g, p)
-		for _, e := range flatten(leftFold(g, p)) {
+		for _, e := range flatten(leftFold(g.Snapshot(), p)) {
 			if e.w.Truncated() {
 				long++
 				break

@@ -4,15 +4,15 @@
 //
 // Nodes carry an optional human-readable name and a type tag (used by the
 // dataset generators and examples; the algorithms only see ids and edge
-// labels). Edges are stored per label in both directions so pattern
-// evaluation can traverse a and a⁻ in O(out-degree).
+// labels). A Graph is built and mutated; evaluation reads a Snapshot, an
+// immutable version of it. Edges are stored per label in both
+// directions, so a snapshot lets pattern evaluation traverse a and a⁻
+// in O(degree).
 package graph
 
 import (
 	"fmt"
 	"sort"
-
-	"relsim/internal/sparse"
 )
 
 // NodeID identifies a node. IDs are dense: a graph with n nodes uses ids
@@ -198,16 +198,6 @@ func (g *Graph) Out(u NodeID, label string) []NodeID {
 	return o[u]
 }
 
-// In returns the in-neighbors of v via label. The returned slice must not
-// be modified.
-func (g *Graph) In(v NodeID, label string) []NodeID {
-	in := g.in[label]
-	if int(v) >= len(in) {
-		return nil
-	}
-	return in[v]
-}
-
 // HasEdge reports whether at least one (u, label, v) edge exists.
 func (g *Graph) HasEdge(u NodeID, label string, v NodeID) bool {
 	for _, w := range g.Out(u, label) {
@@ -271,29 +261,9 @@ func (g *Graph) Degree(u NodeID) int {
 	return d
 }
 
-// Adjacency returns the n×n adjacency matrix A_label where entry (u,v)
-// counts the (u, label, v) edges. This is the base case of the commuting
-// matrix computation (§4.3).
-func (g *Graph) Adjacency(label string) *sparse.Matrix {
-	n := len(g.nodes)
-	o := g.out[label]
-	triples := make([]sparse.Triple, 0)
-	for u := range o {
-		for _, v := range o[u] {
-			triples = append(triples, sparse.Triple{Row: u, Col: int(v), Val: 1})
-		}
-	}
-	return sparse.New(n, triples)
-}
-
 // NodesOfType returns the ids of all nodes with the given type tag, in
 // ascending id order. The slice is the graph's own index: read-only.
 func (g *Graph) NodesOfType(typ string) []NodeID { return g.types.nodes[typ] }
-
-// TypeDomain returns the domain of the nodes with the given type tag, a
-// view of the graph's type column as it is now: no node when none has
-// the tag.
-func (g *Graph) TypeDomain(typ string) Domain { return g.types.domain(typ) }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {

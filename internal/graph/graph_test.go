@@ -31,7 +31,7 @@ func TestAddAndQuery(t *testing.T) {
 	if got := g.Out(0, "l1"); len(got) != 1 || got[0] != 1 {
 		t.Errorf("Out(0,l1) = %v", got)
 	}
-	if got := g.In(2, "l1"); len(got) != 1 || got[0] != 1 {
+	if got := g.Snapshot().In(2, "l1"); len(got) != 1 || got[0] != 1 {
 		t.Errorf("In(2,l1) = %v", got)
 	}
 	if g.Degree(0) != 2 {
@@ -67,7 +67,7 @@ func TestNodesOfType(t *testing.T) {
 
 func TestAdjacency(t *testing.T) {
 	g := small()
-	a := g.Adjacency("l1")
+	a := g.Snapshot().Adjacency("l1")
 	if a.At(0, 1) != 1 || a.At(1, 2) != 1 {
 		t.Error("adjacency entries missing")
 	}
@@ -80,7 +80,7 @@ func TestAdjacency(t *testing.T) {
 	v := g2.AddNode("", "")
 	g2.AddEdge(u, "l", v)
 	g2.AddEdge(u, "l", v)
-	if g2.Adjacency("l").At(0, 1) != 2 {
+	if g2.Snapshot().Adjacency("l").At(0, 1) != 2 {
 		t.Error("parallel edges must count")
 	}
 }

@@ -26,7 +26,7 @@ func TestRemoveEdge(t *testing.T) {
 	if got := g.NumEdges(); got != 2 {
 		t.Errorf("NumEdges = %d, want 2", got)
 	}
-	if got := len(g.In(b, "x")); got != 1 {
+	if got := len(g.Snapshot().In(b, "x")); got != 1 {
 		t.Errorf("in-neighbor list length = %d, want 1", got)
 	}
 
@@ -41,10 +41,11 @@ func TestRemoveEdge(t *testing.T) {
 	}
 
 	// Adjacency of the removed label is all-zero; y is untouched.
-	if g.Adjacency("x").At(int(a), int(b)) != 0 {
+	s := g.Snapshot()
+	if s.Adjacency("x").At(int(a), int(b)) != 0 {
 		t.Error("adjacency of removed edge is nonzero")
 	}
-	if g.Adjacency("y").At(int(b), int(a)) != 1 {
+	if s.Adjacency("y").At(int(b), int(a)) != 1 {
 		t.Error("unrelated label lost its edge")
 	}
 }

@@ -263,11 +263,6 @@ func (s *Snapshot) NodesOfType(typ string) []NodeID { return s.types.nodes[typ] 
 // tag.
 func (s *Snapshot) TypeDomain(typ string) Domain { return s.types.domain(typ) }
 
-// Stats returns the snapshot's summary statistics.
-func (s *Snapshot) Stats() Stats {
-	return Stats{Nodes: s.NumNodes(), Edges: s.NumEdges(), Labels: s.Labels()}
-}
-
 // Materialize converts the snapshot back into a mutable Graph (a full
 // copy; the snapshot is unaffected). Used when offline tooling needs a
 // *Graph from a served version.

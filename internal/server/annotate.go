@@ -44,7 +44,7 @@ type WitnessInfo struct {
 
 // witnessInfo renders a witness value with node names resolved against
 // the request's snapshot.
-func witnessInfo(g graph.View, w sparse.Witness) *WitnessInfo {
+func witnessInfo(g *graph.Snapshot, w sparse.Witness) *WitnessInfo {
 	steps := w.Steps()
 	info := &WitnessInfo{
 		Count:     w.Count,

@@ -325,11 +325,11 @@ func (s *Server) Cache() *eval.Cache { return s.cache }
 // Store returns the server's store.
 func (s *Server) Store() *store.Store { return s.st }
 
-// evaluator binds a view-scoped evaluator over the shared cache, so
+// evaluator binds a snapshot-scoped evaluator over the shared cache, so
 // /search, /batch and /explain share the matrices any of them builds
 // (every evaluator keys them canonically), and all evaluators feed the
 // server's product counter through the mul hook.
-func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
+func (s *Server) evaluator(g *graph.Snapshot, version uint64) *eval.Evaluator {
 	ev := eval.NewVersioned(g, version, s.cache)
 	// Annotated (non-integer) products fire the hook with nil operands —
 	// the discriminator the semiring counters rely on.
@@ -607,7 +607,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // nodeResolver is the lookup surface resolveNode needs; satisfied by
-// graph views and by write transactions (read-your-writes).
+// snapshots, graphs and write transactions (read-your-writes).
 type nodeResolver interface {
 	NodeByName(name string) (graph.Node, bool)
 	Has(id graph.NodeID) bool

@@ -170,7 +170,7 @@ func TestBatch(t *testing.T) {
 
 // explainRoot builds, in the test, the commuting matrix /explain never
 // builds, and returns its count and Equation-1 score at (from, to).
-func explainRoot(t *testing.T, g graph.View, pattern, from, to string) (int64, float64) {
+func explainRoot(t *testing.T, g *graph.Graph, pattern, from, to string) (int64, float64) {
 	t.Helper()
 	u, ok := resolveNode(g, from)
 	if !ok {

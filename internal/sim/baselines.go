@@ -47,13 +47,13 @@ func CommonNeighbors(ev *eval.Evaluator, query graph.NodeID, candidates []graph.
 	return rankScores(scores, query, candidates)
 }
 
-func neighborSet(g graph.View, u graph.NodeID) map[graph.NodeID]bool {
+func neighborSet(g *graph.Snapshot, u graph.NodeID) map[graph.NodeID]bool {
 	set := map[graph.NodeID]bool{}
 	forEachNeighbor(g, u, func(w graph.NodeID) { set[w] = true })
 	return set
 }
 
-func forEachNeighbor(g graph.View, u graph.NodeID, fn func(graph.NodeID)) {
+func forEachNeighbor(g *graph.Snapshot, u graph.NodeID, fn func(graph.NodeID)) {
 	for _, l := range g.Labels() {
 		for _, w := range g.Out(u, l) {
 			fn(w)

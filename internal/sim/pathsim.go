@@ -48,7 +48,7 @@ func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.No
 
 // ScoreDomain is RelSimAggregate over patterns already cut
 // (eval.NewCut), for callers that memoize the cuts, answering
-// from dom (typically a node type, graph.View.TypeDomain) and keeping
+// from dom (typically a node type, graph.Snapshot.TypeDomain) and keeping
 // the top answers only. No M_p is materialized: each pattern is scored
 // from its two halves (eval.Cut) by pushing row u of A through B =
 // (Bᵀ)ᵀ, the transpose kept with the cached right half, so a read costs

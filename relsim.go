@@ -24,6 +24,11 @@
 // exposed for benchmarking and comparisons, as is the Theorem 2 pattern
 // rewriting across schema mappings (RewritePattern).
 //
+// An engine answers every query from one immutable snapshot of g, its
+// version: one answer per database state. After mutating g, call
+// InvalidateLabels with the touched labels (or InvalidateAll) to move
+// the engine to the graph as it is then.
+//
 // This package is the library. The HTTP service over a live, durable,
 // replicated store is the cmd/relsim-serve binary.
 package relsim
@@ -74,8 +79,6 @@ type (
 	Ranking = sim.Ranking
 	// Snapshot is an immutable graph version (MVCC read view).
 	Snapshot = graph.Snapshot
-	// GraphView is the read interface shared by *Graph and *Snapshot.
-	GraphView = graph.View
 	// CacheStats is a snapshot of an engine's commuting-matrix cache.
 	CacheStats = eval.CacheStats
 )
@@ -125,9 +128,11 @@ func VerifyInverse(g *Graph, t, inv Transformation) bool {
 }
 
 // Engine answers similarity queries over one graph database, caching
-// commuting matrices across queries. It is safe for concurrent use. It
-// keeps its own version of g: ev is the evaluator bound to it, and
-// InvalidateLabels / InvalidateAll move to the next version.
+// commuting matrices across queries. It is safe for concurrent use.
+// Every answer reads one immutable snapshot of g, the engine's version:
+// ev is the evaluator bound to it. A change to g is not seen until
+// InvalidateLabels or InvalidateAll snapshots g again and moves to the
+// next version.
 type Engine struct {
 	g      *Graph
 	schema *Schema
@@ -145,11 +150,12 @@ func NewEngine(g *Graph, s *Schema) *Engine {
 		s = schema.New(g.Labels())
 	}
 	e := &Engine{g: g, schema: s, genOpt: pattern.Default(), cache: eval.NewCache()}
-	e.ev.Store(eval.NewVersioned(g, 0, e.cache))
+	e.ev.Store(eval.NewVersioned(g.Snapshot(), 0, e.cache))
 	return e
 }
 
-// Graph returns the engine's graph.
+// Graph returns the engine's graph, which may be ahead of the version
+// the engine answers from.
 func (e *Engine) Graph() *Graph { return e.g }
 
 // Schema returns the engine's schema.
@@ -171,34 +177,45 @@ func (e *Engine) Materialize(patterns ...*Pattern) {
 	e.ev.Load().Materialize(patterns...)
 }
 
-// InvalidateLabels evicts cached commuting matrices of every pattern
-// mentioning at least one of the given labels, and returns the number
-// evicted. Call it after mutating edges of those labels on the engine's
-// graph; matrices of untouched patterns stay hot.
+// InvalidateLabels moves the engine to g as it is now, evicting the
+// cached commuting matrices of every pattern mentioning at least one of
+// the given labels, and returns the number evicted. Call it after
+// mutating edges of those labels on the engine's graph; matrices of
+// untouched patterns stay hot unless nodes were added, which evicts
+// every matrix (their dimension changes).
 func (e *Engine) InvalidateLabels(labels ...string) int { return e.advance(labels, false) }
 
-// InvalidateAll drops the whole commuting-matrix cache. Required after
-// adding or removing nodes (every matrix dimension changes).
+// InvalidateAll moves the engine to g as it is now and drops the whole
+// commuting-matrix cache.
 func (e *Engine) InvalidateAll() int { return e.advance(nil, true) }
 
-// advance moves the engine from version v to v+1 through the cache's
-// one commit entry point, as a server commit does, then swaps in the
-// evaluator at v+1. The commit closes the entries of the touched labels
-// (all of them when all is set) and returns their count; with no
-// deltas to patch against and no pinned readers, it drops them too. A
-// computation still running at v lands as [v, v+1), where no later
-// reader looks.
+// advance moves the engine from version v to v+1, a fresh snapshot of
+// g, through the cache's one commit entry point, as a server commit
+// does, then swaps in the evaluator at v+1. The commit closes the
+// entries of the touched labels (every entry when all is set or the
+// node count changed) and returns their count; with no deltas to patch
+// against and no pinned readers, it drops them too. A computation
+// still running at v lands as [v, v+1), where no later reader looks.
 func (e *Engine) advance(labels []string, all bool) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v := e.ev.Load().Version()
-	d := eval.CommitDelta{From: v, To: v + 1, All: all, Labels: make(map[string]*sparse.Delta, len(labels))}
+	old, next := e.ev.Load(), e.g.Snapshot()
+	v := old.Version()
+	d := eval.CommitDelta{From: v, To: v + 1, OldN: old.Graph().NumNodes(), NewN: next.NumNodes(), All: all,
+		Labels: make(map[string]*sparse.Delta, len(labels))}
 	for _, l := range labels {
 		d.Labels[l] = nil
 	}
 	res := e.cache.Commit(nil, d, func() uint64 { return v + 1 })
-	e.ev.Store(eval.NewVersioned(e.g, v+1, e.cache))
+	e.ev.Store(eval.NewVersioned(next, v+1, e.cache))
 	return res.Closed
+}
+
+// at returns the evaluator at the engine's version and whether query is
+// a node of its snapshot: a ranking for any other id is empty.
+func (e *Engine) at(query NodeID) (*eval.Evaluator, bool) {
+	ev := e.ev.Load()
+	return ev, ev.Graph().Has(query)
 }
 
 // CacheStats returns the commuting-matrix cache counters.
@@ -250,7 +267,8 @@ func (e *Engine) Search(patternSrc string, query NodeID, opts ...SearchOption) (
 
 // SearchPattern is Search with a pre-parsed pattern.
 func (e *Engine) SearchPattern(p *Pattern, query NodeID, opts ...SearchOption) (Ranking, error) {
-	if !e.g.Has(query) {
+	ev, ok := e.at(query)
+	if !ok {
 		return Ranking{}, fmt.Errorf("relsim: query node %d does not exist", query)
 	}
 	var cfg searchConfig
@@ -262,9 +280,9 @@ func (e *Engine) SearchPattern(p *Pattern, query NodeID, opts ...SearchOption) (
 		if err != nil {
 			return Ranking{}, err
 		}
-		return sim.RelSimAggregate(e.ev.Load(), ps, query, cfg.candidates), nil
+		return sim.RelSimAggregate(ev, ps, query, cfg.candidates), nil
 	}
-	return sim.RelSim(e.ev.Load(), p, query, cfg.candidates), nil
+	return sim.RelSim(ev, p, query, cfg.candidates), nil
 }
 
 // ExpandPattern runs Algorithm 1 on a simple pattern and returns the
@@ -275,40 +293,61 @@ func (e *Engine) ExpandPattern(p *Pattern) ([]*Pattern, error) {
 
 // RelSim scores an RRE pattern with Equation 1 (paper §4). Candidates
 // are a set: a repeated id is ranked once, an id outside the graph is
-// ignored, and nil ranks every node.
+// ignored, and nil ranks every node. Like every ranking method of the
+// engine, it returns an empty ranking for a query outside the graph.
 func (e *Engine) RelSim(p *Pattern, query NodeID, candidates []NodeID) Ranking {
-	return sim.RelSim(e.ev.Load(), p, query, candidates)
+	ev, ok := e.at(query)
+	if !ok {
+		return Ranking{}
+	}
+	return sim.RelSim(ev, p, query, candidates)
 }
 
 // PathSim scores a simple meta-path with Equation 1 (the baseline).
 // Candidates are read as RelSim reads them.
 func (e *Engine) PathSim(p *Pattern, query NodeID, candidates []NodeID) (Ranking, error) {
-	return sim.PathSim(e.ev.Load(), p, query, candidates)
+	ev, ok := e.at(query)
+	if !ok {
+		return Ranking{}, nil
+	}
+	return sim.PathSim(ev, p, query, candidates)
 }
 
 // HeteSim scores a (possibly asymmetric) path with the HeteSim relevance
 // measure.
 func (e *Engine) HeteSim(p *Pattern, query NodeID, candidates []NodeID) Ranking {
-	return sim.HeteSimRRE(e.ev.Load(), p, query, candidates)
+	ev, ok := e.at(query)
+	if !ok {
+		return Ranking{}
+	}
+	return sim.HeteSimRRE(ev, p, query, candidates)
 }
 
 // RWR ranks by random walk with restart (restart probability 0.8, the
 // paper's setting).
 func (e *Engine) RWR(query NodeID, candidates []NodeID) Ranking {
-	return sim.RWR(e.ev.Load(), sim.DefaultRWR(), query, candidates)
+	ev, ok := e.at(query)
+	if !ok {
+		return Ranking{}
+	}
+	return sim.RWR(ev, sim.DefaultRWR(), query, candidates)
 }
 
 // SimRank ranks by Monte-Carlo SimRank (damping 0.8, deterministic
 // seed).
 func (e *Engine) SimRank(query NodeID, candidates []NodeID) Ranking {
-	return sim.SimRankMC(e.ev.Load(), sim.DefaultSimRank(), query, candidates)
+	ev, ok := e.at(query)
+	if !ok {
+		return Ranking{}
+	}
+	return sim.SimRankMC(ev, sim.DefaultSimRank(), query, candidates)
 }
 
 // InstanceCount returns |I^{u,v}(p)|, the number of instances of the
 // pattern from u to v (paper §4.2): entry v of e_u pushed through the
-// pattern, a label step at a time over the graph's own rows, without
-// building its commuting matrix. Only a star, nest, skip or reversed
-// composite factor is read from the cache.
+// pattern, a label step at a time over the rows of the engine's
+// snapshot, without building its commuting matrix. Only a star, nest,
+// skip or reversed composite factor is read from the cache.
 func (e *Engine) InstanceCount(p *Pattern, u, v NodeID) int64 {
 	count, _ := e.ev.Load().Pair(p, u, v)
 	return count
@@ -317,12 +356,17 @@ func (e *Engine) InstanceCount(p *Pattern, u, v NodeID) int64 {
 // Explain enumerates up to limit concrete instances of the pattern from
 // u to v — the recorded traversal sequences of the paper's §4.2 instance
 // semantics — rendered with node names where available. It answers "why
-// are these two entities similar under this pattern?".
+// are these two entities similar under this pattern?". A node outside
+// the graph has no instances.
 func (e *Engine) Explain(p *Pattern, u, v NodeID, limit int) []string {
-	ins := e.ev.Load().Instances(p, u, v, limit)
+	ev, ok := e.at(u)
+	if !ok || !ev.Graph().Has(v) {
+		return nil
+	}
+	ins := ev.Instances(p, u, v, limit)
 	out := make([]string, len(ins))
 	for i, in := range ins {
-		out[i] = in.Render(e.g)
+		out[i] = in.Render(ev.Graph())
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package relsim
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -345,7 +346,7 @@ func TestInvalidateLabelsSelective(t *testing.T) {
 
 	// The surviving halves of "a.b" are served from cache: a hit each,
 	// no miss. RelSim scores from them; InstanceCount would push over
-	// the graph's rows and read no cache.
+	// the snapshot's rows and read no cache.
 	before := eng.CacheStats()
 	eng.RelSim(pab, 0, []NodeID{2})
 	after := eng.CacheStats()
@@ -366,7 +367,10 @@ func TestInvalidateLabelsSelective(t *testing.T) {
 // TestInvalidationReflectsNewEdges reads c.c- through the cache: RelSim
 // scores node 2 against node 0 from the pattern's cached halves. The
 // edge 0 -c-> 3 gives the two nodes a shared c-target, moving the score
-// from 0 to 2·1/(2+1).
+// from 0 to 2·1/(2+1), the instance count from 0 to 1 and the witness
+// from none to the derivation through node 3. Until InvalidateLabels,
+// the pushes that answer InstanceCount and ExplainWitness are as stale
+// as the cached halves.
 func TestInvalidationReflectsNewEdges(t *testing.T) {
 	g := invalidationGraph()
 	eng := NewEngine(g, nil)
@@ -382,13 +386,138 @@ func TestInvalidationReflectsNewEdges(t *testing.T) {
 		t.Fatalf("c.c-(0,2) scores %v, want 0", got)
 	}
 	g.AddEdge(0, "c", 3)
-	// Without invalidation the stale cached matrices are served.
+	// Without invalidation the engine answers from the version it is
+	// bound to.
 	if got := score(); got != 0 {
 		t.Fatalf("stale read should still score 0, got %v", got)
+	}
+	if got := eng.InstanceCount(pcc, 0, 2); got != 0 {
+		t.Fatalf("stale c.c-(0,2) count = %d, want 0", got)
+	}
+	if ex, ok := eng.ExplainWitness(pcc, 0, 2); ok {
+		t.Fatalf("stale witness for c.c-(0,2) = %+v, want none", ex)
 	}
 	eng.InvalidateLabels("c")
 	if got, want := score(), 2.0/3; got != want {
 		t.Errorf("after invalidation c.c-(0,2) scores %v, want %v", got, want)
+	}
+	if got := eng.InstanceCount(pcc, 0, 2); got != 1 {
+		t.Errorf("after invalidation c.c-(0,2) count = %d, want 1", got)
+	}
+	if ex, ok := eng.ExplainWitness(pcc, 0, 2); !ok || ex.Count != 1 || len(ex.Steps) != 1 || ex.Steps[0] != 3 {
+		t.Errorf("after invalidation witness for c.c-(0,2) = %+v, %v, want count 1 through node 3", ex, ok)
+	}
+}
+
+// TestEngineAnswersOneVersion: an engine answers every read from the
+// snapshot it is bound to. Between a mutation and its invalidation,
+// counts, witnesses, rankings and searches all answer the old version,
+// and a node added since is not a query; after the invalidation they
+// all answer the new one. An invalidation after AddNode closes every
+// cached entry, touched label or not, so an alternation over a touched
+// and an untouched label answers what a fresh engine does.
+func TestEngineAnswersOneVersion(t *testing.T) {
+	g := NewGraph()
+	a, b, c := g.AddNode("a", "author"), g.AddNode("b", "author"), g.AddNode("c", "author")
+	p := g.AddNode("p", "paper")
+	g.AddEdge(a, "w", p)
+	g.AddEdge(b, "w", p)
+	g.AddEdge(a, "x", p)
+	g.AddEdge(b, "x", p)
+	eng := NewEngine(g, nil)
+	ww := MustParsePattern("w.w-")
+	check := func(when string, wantC bool) {
+		t.Helper()
+		want := []NodeID{b}
+		if wantC {
+			want = []NodeID{b, c}
+		}
+		if got := eng.RelSim(ww, a, nil).IDs; !slices.Equal(got, want) {
+			t.Errorf("%s: RelSim(w.w-, a) = %v, want %v", when, got, want)
+		}
+		r, err := eng.Search("w.w-", a)
+		if err != nil || !slices.Equal(r.IDs, want) {
+			t.Errorf("%s: Search(w.w-, a) = %v, %v, want %v", when, r.IDs, err, want)
+		}
+		count := int64(0)
+		if wantC {
+			count = 1
+		}
+		if got := eng.InstanceCount(ww, a, c); got != count {
+			t.Errorf("%s: InstanceCount(w.w-, a, c) = %d, want %d", when, got, count)
+		}
+		if ex, ok := eng.ExplainWitness(ww, a, c); ok != wantC || ok && ex.Count != 1 {
+			t.Errorf("%s: ExplainWitness(w.w-, a, c) = %+v, %v, want found = %v", when, ex, ok, wantC)
+		}
+	}
+	check("before the edge", false)
+	g.AddEdge(c, "w", p)
+	d := g.AddNode("d", "author")
+	check("after the edge, before its invalidation", false)
+	if r, err := eng.Search("w.w-", d); err == nil || r.Len() != 0 {
+		t.Errorf("Search from node %d, added after the engine's version = %v, %v, want an error", d, r.IDs, err)
+	}
+	eng.InvalidateLabels("w")
+	check("after invalidation", true)
+
+	// Warm x's entries, then add a node e that writes p. Only label w
+	// is invalidated, but the node count grew, so x's cached entries
+	// must not survive at the old dimension.
+	alt := MustParsePattern("w.w- + x.x-")
+	eng.RelSim(alt, a, nil)
+	e := g.AddNode("e", "author")
+	g.AddEdge(e, "w", p)
+	eng.InvalidateLabels("w")
+	got, want := eng.RelSim(alt, a, nil), NewEngine(g, nil).RelSim(alt, a, nil)
+	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Scores, want.Scores) {
+		t.Errorf("after AddNode and InvalidateLabels(w): RelSim(%s, a) = %+v, a fresh engine gives %+v", alt, got, want)
+	}
+}
+
+// TestEngineRankingOutsideGraphIsEmpty: every ranking method of the
+// engine returns an empty ranking for a query that is not a node of the
+// engine's version: a negative id, the node count, and a node added to
+// the graph since. Explain lists no instance from or to such an id,
+// even for a star or skip, whose factors are read as matrices.
+func TestEngineRankingOutsideGraphIsEmpty(t *testing.T) {
+	g := invalidationGraph()
+	eng := NewEngine(g, nil)
+	n := NodeID(g.NumNodes())
+	g.AddNode("", "")
+	p := MustParsePattern("c.c-")
+	methods := []struct {
+		name string
+		rank func(q NodeID) Ranking
+	}{
+		{"Search", func(q NodeID) Ranking { r, _ := eng.Search("c.c-", q); return r }},
+		{"RelSim", func(q NodeID) Ranking { return eng.RelSim(p, q, nil) }},
+		{"PathSim", func(q NodeID) Ranking {
+			r, err := eng.PathSim(p, q, nil)
+			if err != nil {
+				t.Errorf("PathSim(%d): %v", q, err)
+			}
+			return r
+		}},
+		{"HeteSim", func(q NodeID) Ranking { return eng.HeteSim(p, q, nil) }},
+		{"RWR", func(q NodeID) Ranking { return eng.RWR(q, nil) }},
+		{"SimRank", func(q NodeID) Ranking { return eng.SimRank(q, nil) }},
+	}
+	for _, m := range methods {
+		for _, q := range []NodeID{-1, n} {
+			if r := m.rank(q); r.Len() != 0 || len(r.Scores) != 0 {
+				t.Errorf("%s(%d) = %+v, want an empty ranking", m.name, q, r)
+			}
+		}
+	}
+	for _, src := range []string{"a*", "<a.b>"} {
+		for _, q := range []NodeID{-1, n} {
+			if got := eng.Explain(MustParsePattern(src), q, 0, 3); len(got) != 0 {
+				t.Errorf("Explain(%s, %d, 0) = %q, want no instance", src, q, got)
+			}
+			if got := eng.Explain(MustParsePattern(src), 0, q, 3); len(got) != 0 {
+				t.Errorf("Explain(%s, 0, %d) = %q, want no instance", src, q, got)
+			}
+		}
 	}
 }
 
