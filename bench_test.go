@@ -240,7 +240,7 @@ func BenchmarkScoreCuts(b *testing.B) {
 		}
 		cuts := make([]eval.Cut, len(ps))
 		for i, p := range ps {
-			cuts[i] = ev.Cut(p)
+			cuts[i] = eval.NewCut(p)
 		}
 		cands, dom := snap.NodesOfType(tc.typ), snap.TypeDomain(tc.typ)
 		queries := cands[:min(64, len(cands))]

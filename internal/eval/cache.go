@@ -85,7 +85,7 @@ func (h *history) holding(m *sparse.Matrix) *cacheEntry {
 	return nil
 }
 
-// cutKey names a concatenation's cut by its halves' entry keys.
+// cutKey names a concatenation term's cut (Term) by its halves' entry keys.
 type cutKey struct{ left, right string }
 
 // cutSlot is what Equation-1 scoring reads of one cut at the versions

@@ -19,7 +19,7 @@ import (
 func TestWarmScoringTakesNoLock(t *testing.T) {
 	c := NewCache()
 	ev := NewVersioned(cacheTestGraph().Snapshot(), 0, c)
-	cut := []Cut{ev.Cut(rre.MustParse("a.b.c"))}
+	cut := []Cut{NewCut(rre.MustParse("a.b.c"))}
 	ev.Scoring(cut, nop) // cold: builds the halves and publishes the slot
 	hits := ev.Counters().Hits.Load()
 
@@ -56,21 +56,30 @@ func TestWarmScoringTakesNoLock(t *testing.T) {
 	<-done
 }
 
-// scoringRead is what Scoring returns for one cut.
+// scoringRead is what Scoring returns for one term.
 type scoringRead struct {
 	a, b *sparse.Matrix
 	diag *sparse.Vector
 }
 
-// coldScoring is what Scoring must return for each cut at snap: halves
-// recomputed by a fresh evaluator, B transposed afresh, and the diagonal
-// built in full.
+// coldScoring is what Scoring must return for each term of the cuts at
+// snap, in order: halves recomputed by a fresh evaluator, B transposed
+// afresh, and the diagonal built in full.
 func coldScoring(snap *graph.Snapshot, cuts []Cut) []scoringRead {
 	cold := NewVersioned(snap, 0, NewCache())
-	out := make([]scoringRead, len(cuts))
-	for i, c := range cuts {
-		a, bt := cold.Commuting(c.Left), cold.Commuting(c.RevRight)
-		out[i] = scoringRead{a, bt.Transpose(), sparse.ProductDiagonal(a, bt)}
+	var out []scoringRead
+	for _, t := range terms(cuts) {
+		a, bt := cold.Commuting(t.Left), cold.Commuting(t.RevRight)
+		out = append(out, scoringRead{a, bt.Transpose(), sparse.ProductDiagonal(a, bt)})
+	}
+	return out
+}
+
+// terms lists the terms of the cuts, in the order Scoring reads them.
+func terms(cuts []Cut) []Term {
+	var out []Term
+	for _, c := range cuts {
+		out = append(out, c...)
 	}
 	return out
 }
@@ -91,6 +100,7 @@ func TestCutTableStorm(t *testing.T) {
 	for _, s := range []string{"a.b", "a.b-.c", "<a.b>.c", "[a.b].c-", "(a + b-).c", "a-.[b].c", "<a>.<b->", "c.c-", "a.b.c.a-"} {
 		cuts = append(cuts, NewCut(rre.MustParse(s)))
 	}
+	ts := terms(cuts)
 	type version struct {
 		v    uint64
 		snap *graph.Snapshot
@@ -119,10 +129,10 @@ func TestCutTableStorm(t *testing.T) {
 				ver := live[rng.Intn(len(live))]
 				mu.Unlock()
 				i, bad := 0, false
-				NewVersioned(ver.snap, ver.v, cache).Scoring(cuts, func(a, b *sparse.Matrix, diag *sparse.Vector) {
+				NewVersioned(ver.snap, ver.v, cache).Scoring(cuts, func(a, b *sparse.Matrix, diag *sparse.Vector, _ bool) {
 					w := ver.want[i]
 					if !bad && (!a.Equal(w.a) || !b.Equal(w.b) || !diag.Equal(w.diag)) {
-						t.Errorf("reader at v%d: cut %d (%s | %s) reads something a cold recompute does not", ver.v, i, cuts[i].Left, cuts[i].RevRight)
+						t.Errorf("reader at v%d: term %d (%s | %s) reads something a cold recompute does not", ver.v, i, ts[i].Left, ts[i].RevRight)
 						bad = true
 					}
 					i++
@@ -188,8 +198,8 @@ func TestCutTableStorm(t *testing.T) {
 	}
 }
 
-// nop reads nothing of a cut.
-func nop(_, _ *sparse.Matrix, _ *sparse.Vector) {}
+// nop reads nothing of a term.
+func nop(_, _ *sparse.Matrix, _ *sparse.Vector, _ bool) {}
 
 // TestReplacedHalfKillsItsSlot: a slot lives while both its halves are
 // its version's entries. Storing another matrix under a half's key kills
@@ -198,9 +208,9 @@ func nop(_, _ *sparse.Matrix, _ *sparse.Vector) {}
 func TestReplacedHalfKillsItsSlot(t *testing.T) {
 	c := NewCache()
 	ev := NewVersioned(cacheTestGraph().Snapshot(), 0, c)
-	cut := ev.Cut(rre.MustParse("a.b.c"))
+	cut := NewCut(rre.MustParse("a.b.c"))
 	ev.Scoring([]Cut{cut}, nop)
-	k := cutKey{cut.Left.String(), cut.RevRight.String()}
+	k := cutKey{cut[0].Left.String(), cut[0].RevRight.String()}
 	if c.slotsAt(0) != 1 {
 		t.Fatal("a cold Scoring call kept no slot")
 	}

@@ -10,6 +10,7 @@
 //	M_{p⁻}     = M_pᵀ
 //	M_{p1·p2}  = M_{p1} M_{p2}
 //	M_{p1+p2}  = M_{p1} + M_{p2}     (p1 ≠ p2; Alt dedupes equal branches)
+//	M_{a·(b+c)·d} = M_{a·b·d} + M_{a·c·d}   (distributivity)
 //	M_{⌈⌈p⌋⌋}  = M_p > 0
 //	M_{[p]}    = diag{ M_p (M_pᵀ > 0) }
 //
@@ -22,6 +23,14 @@
 // CommutingWitness runs the same walk over the witness ring. A reader
 // of one row of M_p (Pair, WitnessRow) pushes it through the pattern
 // instead (push.go), and never builds M_p.
+//
+// Scoring reads M_p as a sum of products (NewCut): an alternation that
+// is the pattern or a factor of its top-level concatenation is
+// distributed over the other factors, up to a fixed cap of 8 terms,
+// and each term is read from two cached halves. Distributivity keeps
+// bag counts as long as the terms stay a list: equal terms are never
+// merged. Nothing under a star, nest or skip is distributed, since
+// those operators are not linear.
 //
 // CountInstances is a direct recursive counter over the graph with the
 // same semantics; it exists as an executable specification that the
@@ -177,8 +186,10 @@ func (e *Evaluator) Materialize(ps ...*rre.Pattern) {
 // the interval of versions its labels stay untouched (see Key).
 // Semantically interchangeable patterns (alt permutations, redundant
 // grouping) thus share one materialization. A top-level concatenation
-// is the product of the two halves Equation-1 scoring reads (see Cut),
-// so materializing a root leaves them cached.
+// is the product of the two halves of its whole cut (cutTerm), so
+// materializing a root leaves them cached. Commuting does not
+// distribute: the halves of a pattern NewCut distributes are its
+// terms', which a root built whole never reads.
 func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 	w := e.ints()
 	p = canonForm(p)
@@ -186,7 +197,7 @@ func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
 		return w.eval(p)
 	}
 	return e.cached(p, func(p *rre.Pattern) *sparse.Matrix {
-		a, bt := e.Halves(e.Cut(p))
+		a, bt := e.Halves(cutTerm(p))
 		return w.mul(a, bt.TransposeCached())
 	})
 }

@@ -50,7 +50,9 @@ func skipUnderRace(t *testing.T, why string) {
 // warmPool is benchPool warm on FullDBLP at version 0, as the
 // benchmark keeps it: each pool entry's patterns (a simple pattern
 // expanded as the benchmark expands it) and candidates, over one
-// canonical-key cache holding 25 entries.
+// canonical-key cache holding 23 entries. Its three alternation
+// patterns are read as their terms (eval.NewCut), whose halves are
+// mostly the pool's own; cut whole they held 25.
 type warmPool struct {
 	snap     *graph.Snapshot
 	cache    *eval.Cache
@@ -77,8 +79,8 @@ func newWarmPool(t *testing.T) *warmPool {
 		sim.RelSimAggregate(ev, ps, cands[0], cands)
 		w.patterns, w.cands = append(w.patterns, ps), append(w.cands, cands)
 	}
-	if ev.CacheSize() != 25 {
-		t.Fatalf("warm pool holds %d entries, want 25", ev.CacheSize())
+	if ev.CacheSize() != 23 {
+		t.Fatalf("warm pool holds %d entries, want 23", ev.CacheSize())
 	}
 	return w
 }
@@ -136,14 +138,14 @@ func (w *warmPool) maintain(t *testing.T, k int, next *graph.Snapshot, d eval.Co
 	runtime.ReadMemStats(&before)
 	res := w.cache.Commit(next, d, func() uint64 { return d.To })
 	runtime.ReadMemStats(&after)
-	if res.Maintained != 25 || res.Fallbacks != 0 || res.Products != 34 {
-		t.Fatalf("commit %d: %+v, want 25 maintained, 0 fallbacks, 34 delta products", k, res)
+	if res.Maintained != 23 || res.Fallbacks != 0 || res.Products != 32 {
+		t.Fatalf("commit %d: %+v, want 23 maintained, 0 fallbacks, 32 delta products", k, res)
 	}
 	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestMaintainAllocatesWhatItTouches is the gate on "a commit costs the
-// rows it touches": on FullDBLP with the benchmark's 25-entry pool
+// rows it touches": on FullDBLP with the benchmark's 23-entry pool
 // warm, a commit shaped like the benchmark's (one node, a p-in and a w
 // edge in, an older w edge out) through Cache.Commit allocates at
 // most 10 MB — the spans of the entries it patches and little else.
@@ -190,7 +192,7 @@ func firstReads(t *testing.T) (transposes, diagonals []uint64) {
 		for i, ps := range w.patterns {
 			cuts := make([]eval.Cut, len(ps))
 			for j, p := range ps {
-				cuts[j] = ev.Cut(p)
+				cuts[j] = eval.NewCut(p)
 			}
 			q := w.cands[i][k%len(w.cands[i])]
 			got, top := sim.ScoreCuts(ev, cuts, q, w.cands[i], 0), sim.ScoreCuts(ev, cuts, q, w.cands[i], 10)
@@ -230,7 +232,7 @@ func TestFirstReadAfterCommitBuildsNoTranspose(t *testing.T) {
 // Equation 1's diagonal: Cache.Commit carries every kept diagonal
 // through each commit, moved on the rows the commit touched, so the
 // first read after a commit builds none in full (diagonals built by a
-// read after a commit: 0, where the warm pool keeps 58) and its scores
+// read after a commit: 0, where the warm pool keeps 57) and its scores
 // equal a cold evaluator's bit for bit.
 func TestFirstReadAfterCommitBuildsNoDiagonal(t *testing.T) {
 	_, diagonals := firstReads(t)
@@ -242,24 +244,25 @@ func TestFirstReadAfterCommitBuildsNoDiagonal(t *testing.T) {
 }
 
 // TestWarmPoolDiagonalsHoldTheirEntries is the memory guard on the kept
-// diagonals: the warm pool keeps one per cut it scores, 58, holding
-// only the rows both halves populate — 83,960 nonzero entries — so
-// their storage is bounded by those entries, at most the 12 bytes an
-// entry a list of ids and values would take (8 for the value and 3/16
-// for each index the bitmap spans), not by 58 × n.
+// diagonals: the warm pool keeps one per concatenation term it scores,
+// 57, holding only the rows both halves populate — 75,528 nonzero
+// entries (58 and 83,960 with the alternations cut whole) — so their
+// storage is bounded by those entries, at most the 12 bytes an entry a
+// list of ids and values would take (8 for the value and 3/16 for each
+// index the bitmap spans), not by 57 × n.
 func TestWarmPoolDiagonalsHoldTheirEntries(t *testing.T) {
 	w := newWarmPool(t)
 	st := w.cache.Stats()
 	n := w.snap.NumNodes()
 	t.Logf("%d diagonals, %d entries, %d bytes (n = %d)", st.Diagonals, st.DiagonalEntries, st.DiagonalBytes, n)
-	if st.Diagonals != 58 || st.DiagonalEntries != 83960 {
-		t.Errorf("warm pool keeps %d diagonals with %d entries, want 58 with 83960", st.Diagonals, st.DiagonalEntries)
+	if st.Diagonals != 57 || st.DiagonalEntries != 75528 {
+		t.Errorf("warm pool keeps %d diagonals with %d entries, want 57 with 75528", st.Diagonals, st.DiagonalEntries)
 	}
 	if limit := 12 * st.DiagonalEntries; st.DiagonalBytes > limit {
-		t.Errorf("diagonals hold %d bytes for %d entries, want at most %d (58 dense diagonals would hold %d)",
-			st.DiagonalBytes, st.DiagonalEntries, limit, 58*8*n)
+		t.Errorf("diagonals hold %d bytes for %d entries, want at most %d (57 dense diagonals would hold %d)",
+			st.DiagonalBytes, st.DiagonalEntries, limit, 57*8*n)
 	}
-	if st.Size != 25 {
-		t.Errorf("cache holds %d entries, want 25: a diagonal is not an entry", st.Size)
+	if st.Size != 23 {
+		t.Errorf("cache holds %d entries, want 23: a diagonal is not an entry", st.Size)
 	}
 }

@@ -6,39 +6,111 @@ import (
 )
 
 // Cut is a pattern prepared for Equation-1 scoring, which reads row u
-// and the diagonal of M_p, never M_p itself. A top-level concatenation
+// and the diagonal of M_p, never M_p itself: a list of product terms
+// whose matrices sum to M_p (§4.3: M_{a·(b+c)·d} = M_{a·b·d} +
+// M_{a·c·d}). Terms are a list, never a set: two equal terms count
+// twice, as their instances do, so every count is the pattern's bag
+// count (NewCut).
+type Cut []Term
+
+// Term is one product term of a Cut. A term that is a concatenation
 // f1·…·fk is cut once into f1…fc and fc+1…fk and scored from the two
 // thin halves A = M_Left and Bᵀ = M_RevRight (§4.3: M_{p1·p2} =
-// M_{p1}·M_{p2}, M_{p⁻} = M_pᵀ): row u of M_p is row u of A pushed
+// M_{p1}·M_{p2}, M_{p⁻} = M_pᵀ): row u of M_term is row u of A pushed
 // through B = (Bᵀ)ᵀ. The right half is kept reversed so a symmetric
-// pattern's halves share one key; its transpose B is kept with the
-// cached matrix (Matrix.TransposeCached). diag(M_p), whose entry v is
+// term's halves share one key; its transpose B is kept with the cached
+// matrix (Matrix.TransposeCached). diag(M_term), whose entry v is
 // ⟨A[v,·], Bᵀ[v,·]⟩, depends only on the version: it is kept beside the
 // halves as a sparse vector over the rows both populate, dropped with
 // either half and patched by Cache.Commit on the rows a commit
-// changes (Scoring), so a warm read looks M_p(v,v) up in O(1).
-// RevRight is nil for a pattern that is not a concatenation: Left is
-// the pattern, the right half the identity.
-type Cut struct {
+// changes (Scoring), so a warm read looks M_term(v,v) up in O(1).
+// RevRight is nil for a term that is not a concatenation: Left is the
+// term, the right half the identity.
+type Term struct {
 	Left, RevRight *rre.Pattern
 }
 
-// NewCut cuts p into the forms an evaluator keys its cache by (see
-// canonForm), so a Cut can be memoized and Halves never canonicalizes.
-// The cut is a function of the chain
-// alone and costs no product: the factor boundary that best balances
-// the label count of the two sides (a nest [q] relates a node to itself
-// and weighs nothing). Between equally balanced boundaries it takes the
-// one with the lighter right half, since the right half is the one kept
-// in both orientations; leftmost breaks any remaining tie (a.[b].c cuts
-// after a). Equal chains thus cut equally on every request, version and
+// maxTerms bounds the terms NewCut distributes a pattern into. The
+// benchmark pool's alternations distribute into two terms each.
+const maxTerms = 8
+
+// NewCut cuts p into terms in the forms an evaluator keys its cache by
+// (see canonForm), so a Cut can be memoized and Halves never
+// canonicalizes. An alternation that is p itself or a factor of p's
+// top-level concatenation is distributed over the other factors,
+// M_{a·(b+c)·d} = M_{a·b·d} + M_{a·c·d}, so no half is wider than its
+// terms' and each term shares its keys with the chains it spells
+// (w.(p-in.p-in- + w-.w).w- is w.p-in.p-in-.w- + w.w-.w.w-). Nothing
+// under a star, nest or skip is distributed: M_{[b+c]} is not M_{[b]} +
+// M_{[c]}. Past maxTerms terms p is cut whole, as one term. Each term
+// is canonicalized and cut once, a function of its chain alone at no
+// product: at the factor boundary that best balances the label count of
+// the two sides (a nest [q] relates a node to itself and weighs
+// nothing). Between equally balanced boundaries it takes the one with
+// the lighter right half, since the right half is the one kept in both
+// orientations; leftmost breaks any remaining tie (a.[b].c cuts after
+// a). Equal chains thus cut equally on every request, version and
 // replica. For the Algorithm-1 expansion of a symmetric meta-path it is
 // the seam between the rewritten prefix and suffix, so |E_p| roots share
 // ≈ √|E_p| halves.
 func NewCut(p *rre.Pattern) Cut {
 	p = canonForm(p)
+	terms := distribute(p)
+	if len(terms) < 2 {
+		return Cut{cutTerm(p)}
+	}
+	c := make(Cut, len(terms))
+	for i, t := range terms {
+		c[i] = cutTerm(canonForm(t))
+	}
+	return c
+}
+
+// distribute returns p as a list of product terms: the branches of an
+// alternation p, or, for a concatenation, one term per choice of a
+// branch of each alternation factor, in order (the first factor's
+// branch varies slowest). It returns nil, and NewCut cuts p whole,
+// when p has no alternation to distribute or past maxTerms terms.
+func distribute(p *rre.Pattern) []*rre.Pattern {
+	subs := p.Subs()
+	switch p.Kind() {
+	case rre.KindAlt:
+		if len(subs) > maxTerms {
+			return nil
+		}
+		return subs
+	case rre.KindConcat:
+		n := 1
+		for _, f := range subs {
+			if f.Kind() == rre.KindAlt {
+				if n *= len(f.Subs()); n > maxTerms {
+					return nil
+				}
+			}
+		}
+		if n == 1 {
+			return nil
+		}
+		terms, factors := make([]*rre.Pattern, n), make([]*rre.Pattern, len(subs))
+		for i := range terms {
+			r := i
+			for j := len(subs) - 1; j >= 0; j-- {
+				factors[j] = subs[j]
+				if bs := subs[j].Subs(); subs[j].Kind() == rre.KindAlt {
+					factors[j], r = bs[r%len(bs)], r/len(bs)
+				}
+			}
+			terms[i] = rre.Concat(factors...)
+		}
+		return terms
+	}
+	return nil
+}
+
+// cutTerm cuts one term, p in its key form, at NewCut's balance rule.
+func cutTerm(p *rre.Pattern) Term {
 	if p.Kind() != rre.KindConcat {
-		return Cut{Left: p}
+		return Term{Left: p}
 	}
 	subs := p.Subs()
 	weight := func(f *rre.Pattern) int {
@@ -62,49 +134,49 @@ func NewCut(p *rre.Pattern) Cut {
 			c, best, bestLeft = i+1, d, left
 		}
 	}
-	return Cut{
+	return Term{
 		Left:     rre.Concat(subs[:c]...),
 		RevRight: canonForm(rre.Rev(rre.Concat(subs[c:]...))),
 	}
 }
 
-// Cut cuts p (NewCut).
-func (e *Evaluator) Cut(p *rre.Pattern) Cut { return NewCut(p) }
-
-// Halves returns the matrices of a Cut (NewCut), A = M_Left and Bᵀ = M_RevRight (nil when RevRight is), each
-// cached like any other pattern; the greedy chain below orders the
-// products inside a half.
-func (e *Evaluator) Halves(c Cut) (a, bt *sparse.Matrix) {
+// Halves returns the matrices of a Term, A = M_Left and Bᵀ =
+// M_RevRight (nil when RevRight is), each cached like any other
+// pattern; the greedy chain below orders the products inside a half.
+func (e *Evaluator) Halves(t Term) (a, bt *sparse.Matrix) {
 	w := e.ints()
-	a = w.eval(c.Left)
-	if c.RevRight != nil {
-		bt = w.eval(c.RevRight)
+	a = w.eval(t.Left)
+	if t.RevRight != nil {
+		bt = w.eval(t.RevRight)
 	}
 	return a, bt
 }
 
-// Scoring calls read, for each Cut in turn, with what Equation-1
-// scoring reads of it; the cuts are made by NewCut. Of a cut M_p = A·B
-// it reads A = M_Left; B = (Bᵀ)ᵀ, the transpose kept with the right
-// half; and diag(M_p) at the evaluator's version
-// (sparse.ProductDiagonal). For a cut that is not a concatenation B and
-// the diagonal are nil: M_p is A, its diagonal A's own. A warm read
-// finds all three in the cut's slot valid at its version (see
-// cutTable), which an unbounded cache reads without a lock. A read
-// that finds no slot takes the halves from the cache,
-// builds the transpose or the diagonal in full if none is kept
+// Scoring calls read, for each term of each Cut in turn, with what
+// Equation-1 scoring reads of it; last marks a cut's last term, after
+// which the reader has all of M_p's row and diagonal: the sums of its
+// terms'. The cuts are made by NewCut. Of a term M = A·B it reads A =
+// M_Left; B = (Bᵀ)ᵀ, the transpose kept with the right half; and
+// diag(M) at the evaluator's version (sparse.ProductDiagonal). For a
+// term that is not a concatenation B and the diagonal are nil: M is A,
+// its diagonal A's own. A warm read finds all three in the term's slot
+// valid at its version (see cutTable), which an unbounded cache reads
+// without a lock. A read that finds no slot takes the halves from the
+// cache, builds the transpose or the diagonal in full if none is kept
 // (Counters.Transposes, Counters.Diagonals), and publishes the slot;
 // Cache.Commit patches slots across commits. The halves the table
-// served count as hits with one add per call, not one per cut, so a
+// served count as hits with one add per call, not one per term, so a
 // warm read writes nothing another read reads until it returns.
-func (e *Evaluator) Scoring(cuts []Cut, read func(a, b *sparse.Matrix, diag *sparse.Vector)) {
+func (e *Evaluator) Scoring(cuts []Cut, read func(a, b *sparse.Matrix, diag *sparse.Vector, last bool)) {
 	hits := 0
 	for _, c := range cuts {
-		a, b, diag, hit := e.scoring(c)
-		if hit {
-			hits++
+		for i, t := range c {
+			a, b, diag, hit := e.scoring(t)
+			if hit {
+				hits++
+			}
+			read(a, b, diag, i == len(c)-1)
 		}
-		read(a, b, diag)
 	}
 	if hits > 0 {
 		e.counters.Hits.Add(2 * uint64(hits))
@@ -112,17 +184,17 @@ func (e *Evaluator) Scoring(cuts []Cut, read func(a, b *sparse.Matrix, diag *spa
 	}
 }
 
-// scoring is Scoring's read of one cut, reporting whether the cut
+// scoring is Scoring's read of one term, reporting whether the cut
 // table served it.
-func (e *Evaluator) scoring(c Cut) (a, b *sparse.Matrix, diag *sparse.Vector, hit bool) {
-	if c.RevRight == nil {
-		a, _ = e.Halves(c)
+func (e *Evaluator) scoring(t Term) (a, b *sparse.Matrix, diag *sparse.Vector, hit bool) {
+	if t.RevRight == nil {
+		a, _ = e.Halves(t)
 		return a, nil, nil, false
 	}
-	k := cutKey{c.Left.String(), c.RevRight.String()}
+	k := cutKey{t.Left.String(), t.RevRight.String()}
 	s, hit := e.cache.lookupCut(e.version, k)
 	if !hit {
-		s.a, s.bt = e.Halves(c)
+		s.a, s.bt = e.Halves(t)
 	}
 	if s.b == nil {
 		if s.b = s.bt.KeptTranspose(); s.b == nil {

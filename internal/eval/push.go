@@ -153,12 +153,40 @@ func PushReads(p *rre.Pattern) []*rre.Pattern {
 	return out
 }
 
-// Pair returns M_p(u,v) and its Equation-1 score: M_p(u,v) and
-// M_p(u,u) from the integer push of e_u, M_p(v,v) from the push of
-// e_v. It reads no cut and builds no root.
+// Pair returns M_p(u,v) and its Equation-1 score, summed over the
+// terms scoring reads (NewCut). The halves of a term meet in the
+// middle: M(x,y) = ⟨row x of M_Left, row y of M_RevRight⟩, each row an
+// integer push of one half, so no row of M_p is pushed whole. A term
+// that is not a concatenation is pushed from u and from v. Pair reads
+// no cut table and builds no root.
 func (e *Evaluator) Pair(p *rre.Pattern, u, v graph.NodeID) (count int64, score float64) {
-	w, p := e.ints(), canonForm(p)
-	ru, rv := w.push(p, int32(u)), w.push(p, int32(v))
-	count = ru[int32(v)]
-	return count, Eq1(count, ru[int32(u)]+rv[int32(v)])
+	w := e.ints()
+	x, y := int32(u), int32(v)
+	var muu, mvv int64
+	for _, t := range NewCut(p) {
+		lu, lv := w.push(t.Left, x), w.push(t.Left, y)
+		if t.RevRight == nil {
+			count, muu, mvv = count+lu[y], muu+lu[x], mvv+lv[y]
+			continue
+		}
+		ru, rv := lu, lv
+		if !t.RevRight.Equal(t.Left) {
+			ru, rv = w.push(t.RevRight, x), w.push(t.RevRight, y)
+		}
+		count, muu, mvv = count+dot(lu, rv), muu+dot(lu, ru), mvv+dot(lv, rv)
+	}
+	return count, Eq1(count, muu+mvv)
+}
+
+// dot returns ⟨x, y⟩ over the integers, wrapping mod 2⁶⁴ like the
+// kernel.
+func dot(x, y Row[int64, sparse.IntRing]) int64 {
+	if len(y) < len(x) {
+		x, y = y, x
+	}
+	var s int64
+	for k, xk := range x {
+		s += xk * y[k]
+	}
+	return s
 }

@@ -223,8 +223,9 @@ func TestAnnotatedCostCeiling(t *testing.T) {
 // w.p-in (the reversed right half is the same key), and allocates at
 // most 1.25× what the same plain cold read allocates. A cold /explain
 // of w.r-a.r-a-.w-, whose root holds about 10 GB, reads no half: it
-// pushes e_u and e_v over the integer ring and e_u over the witness
-// ring, performs 0 products and allocates under 2 MB, with no cost
+// pushes e_u and e_v through its one half w.r-a over the integer ring
+// and e_u through the pattern over the witness ring, performs 0
+// products and allocates under 2 MB (0.59 MB measured), with no cost
 // ceiling set. The race detector inflates allocations, so under it
 // only the products are checked.
 func TestColdAnnotatedReadsBuildNoRoot(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"relsim/internal/eval"
 	"relsim/internal/rre"
 	"relsim/internal/sparse"
 	"relsim/internal/store"
@@ -55,10 +56,12 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 		ev := maintained.evaluator(view, ver)
 		var ms []*sparse.Matrix
 		for _, p := range served {
-			a, bt := ev.Halves(ev.Cut(p))
-			ms = append(ms, a)
-			if bt != nil {
-				ms = append(ms, bt)
+			for _, t := range eval.NewCut(p) {
+				a, bt := ev.Halves(t)
+				ms = append(ms, a)
+				if bt != nil {
+					ms = append(ms, bt)
+				}
 			}
 		}
 		return ms

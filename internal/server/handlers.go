@@ -445,14 +445,16 @@ func newQuerySet(ps []*rre.Pattern, expanded bool) *querySet {
 }
 
 // reads lists the patterns whose matrices scoring the cuts fetches:
-// each cut's halves, duplicates included. EstimateProducts prices each
+// each term's halves, duplicates included. EstimateProducts prices each
 // distinct one once, as the cache builds it.
 func reads(cuts ...eval.Cut) []*rre.Pattern {
 	out := make([]*rre.Pattern, 0, 2*len(cuts))
 	for _, c := range cuts {
-		out = append(out, c.Left)
-		if c.RevRight != nil {
-			out = append(out, c.RevRight)
+		for _, t := range c {
+			out = append(out, t.Left)
+			if t.RevRight != nil {
+				out = append(out, t.RevRight)
+			}
 		}
 	}
 	return out
@@ -479,7 +481,7 @@ func (s *Server) queryPatterns(req *SearchRequest) (*querySet, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &querySet{ps: []*rre.Pattern{p}, cuts: []eval.Cut{{Left: p}}}, nil
+		return &querySet{ps: []*rre.Pattern{p}, cuts: []eval.Cut{{{Left: p}}}}, nil
 	}
 	return s.memoQuerySet(req.Pattern, (req.Alg == "" || req.Alg == "search") && !req.NoExpand)
 }
@@ -562,11 +564,16 @@ func (s *Server) searchCost(req *SearchRequest) int {
 	return eval.EstimateProducts(reads(qs.cuts...)) + s.annotationSurcharge(req)
 }
 
-// explainCost prices an /explain of p: its integer push (pushCost),
-// which the count and score read, plus its witness push at
-// eval.AnnotationCostFactor. A label chain costs 0.
+// explainCost prices an /explain of p: the integer pushes of its
+// terms' halves (eval.Evaluator.Pair), which the count and score read,
+// plus its witness push at eval.AnnotationCostFactor (pushCost). A
+// label chain costs 0.
 func explainCost(p *rre.Pattern) int {
-	return (1 + eval.AnnotationCostFactor) * pushCost(p)
+	var composites []*rre.Pattern
+	for _, h := range reads(eval.NewCut(p)) {
+		composites = append(composites, eval.PushReads(h)...)
+	}
+	return eval.EstimateProducts(composites) + eval.AnnotationCostFactor*pushCost(p)
 }
 
 // ExplainRequest is the POST /explain body: explain why From and To
@@ -582,9 +589,10 @@ type ExplainRequest struct {
 
 // ExplainResponse is the POST /explain body: the instance count
 // |I^{u,v}(p)| and the Equation-1 score from the integer pushes of e_u
-// and e_v (eval.Evaluator.Pair), and the witness from the witness push
-// of e_u (eval.Evaluator.WitnessRow), nil when no instance connects u
-// to v. No cut is read and no root is built.
+// and e_v through its terms' halves (eval.Evaluator.Pair), and the
+// witness from the witness push of e_u (eval.Evaluator.WitnessRow), nil
+// when no instance connects u to v. No cut table is read and no root
+// is built.
 type ExplainResponse struct {
 	Pattern  string       `json:"pattern"`
 	FromID   graph.NodeID `json:"from_id"`

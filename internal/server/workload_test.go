@@ -203,10 +203,13 @@ func overlapWorkload(rng *rand.Rand) BatchRequest {
 }
 
 // TestWorkloadPlanDedupsOverlapFixture is the CI dedup guard: on the
-// overlap fixture a cold /batch over four workers performs exactly 26
+// overlap fixture a cold /batch over four workers performs exactly 34
 // matrix products, each distinct canonical half built once under the
 // cache's in-flight guard — as many as one evaluator reading the halves
-// of the batch's pattern set in order, on a fresh cache of its own. The
+// of the batch's pattern set in order, on a fresh cache of its own.
+// Each base s0.(b1 + b2 + b3).s1 is read as its three terms s0.bi.s1
+// (eval.NewCut), so a product builds the half s0.bi; cut whole, the
+// bases took 26, one s0.(b1 + b2 + b3) each. The
 // counts are deterministic (seeded fixture; the guard makes the cold
 // count independent of how the workers interleave), so this is a hard
 // assertion, not a flaky perf check.
@@ -224,7 +227,9 @@ func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 	ev := eval.NewVersioned(view, ver, eval.NewCache())
 	ev.SetMulHook(func(_, _ *sparse.Matrix) { sequential++ })
 	for _, q := range req.Queries {
-		ev.Halves(ev.Cut(rre.MustParse(q.Pattern)))
+		for _, t := range eval.NewCut(rre.MustParse(q.Pattern)) {
+			ev.Halves(t)
+		}
 	}
 
 	code, body := doJSON(t, srv, "/batch", req)
@@ -242,11 +247,11 @@ func TestWorkloadPlanDedupsOverlapFixture(t *testing.T) {
 	}
 	batch := srv.Stats().Workload.ProductsMaterialized
 	t.Logf("products: sequential=%d batch=%d", sequential, batch)
-	if sequential != 26 {
-		t.Errorf("sequential reader performed %d products, want 26", sequential)
+	if sequential != 34 {
+		t.Errorf("sequential reader performed %d products, want 34", sequential)
 	}
-	if batch != 26 {
-		t.Errorf("cold /batch performed %d products, want 26", batch)
+	if batch != 34 {
+		t.Errorf("cold /batch performed %d products, want 34", batch)
 	}
 }
 
@@ -356,12 +361,14 @@ func TestBatchTimeoutNoLeakedPins(t *testing.T) {
 }
 
 // TestWorkloadStatsReported: /stats surfaces the products a /batch
-// materialized.
+// materialized. The alternation is read as its terms, and the term
+// by.by-.by reads the half by.by-, a product; a two-label term such as
+// by.by- would read two labels and perform none.
 func TestWorkloadStatsReported(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := BatchRequest{Queries: []SearchRequest{
-		{Pattern: "by.by- + cites", Query: "p1", Alg: "relsim"},
-		{Pattern: "cites + by.by-", Query: "p2", Alg: "relsim"},
+		{Pattern: "by.by-.by + cites", Query: "p1", Alg: "relsim"},
+		{Pattern: "cites + by.by-.by", Query: "p2", Alg: "relsim"},
 	}}
 	var resp BatchResponse
 	if code := post(t, ts, "/batch", req, &resp); code != http.StatusOK {

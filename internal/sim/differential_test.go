@@ -224,13 +224,14 @@ func TestInnerProductsWrapLikeTheKernel(t *testing.T) {
 		wrapped := int64(new(big.Int).And(exact, new(big.Int).SetUint64(math.MaxUint64)).Uint64())
 
 		ev := eval.New(g)
-		a, bt := ev.Halves(ev.Cut(p))
+		a, bt := ev.Halves(eval.NewCut(p)[0])
 		root := a.Mul(bt.Transpose())
 		for _, u := range all {
 			s := getScorer(3)
 			ucols, uvals := a.RowView(int(u))
-			if row := s.push(ucols, uvals, bt.TransposeCached()); len(row) != len(all) {
-				t.Fatalf("k=%d: pushing row %d reached %v, want all of %v", k, u, row, all)
+			s.begin()
+			if s.push(ucols, uvals, bt.TransposeCached()); len(s.row) != len(all) {
+				t.Fatalf("k=%d: pushing row %d reached %v, want all of %v", k, u, s.row, all)
 			}
 			for _, v := range all {
 				if got := s.x[v]; got != root.At(int(u), int(v)) || got != wrapped {
@@ -345,8 +346,9 @@ func TestFullDBLPMatchesReference(t *testing.T) {
 		sameRanking(t, what+" (canonical keys)", RelSimAggregate(canonical, ps, q, cands), want)
 	}
 	t.Logf("whole pool: %d products, %d multiply-adds, %d cache entries", products, madds, canonical.CacheSize())
-	if products != poolProducts || canonical.CacheSize() != poolEntries {
-		t.Errorf("warming the whole pool: %d products, %d entries; want %d, %d", products, canonical.CacheSize(), poolProducts, poolEntries)
+	if products != poolProducts || madds != poolMadds || canonical.CacheSize() != poolEntries {
+		t.Errorf("warming the whole pool: %d products, %d multiply-adds, %d entries; want %d, %d, %d",
+			products, madds, canonical.CacheSize(), poolProducts, poolMadds, poolEntries)
 	}
 }
 
@@ -354,11 +356,16 @@ func TestFullDBLPMatchesReference(t *testing.T) {
 // FullDBLP (ROADMAP rule ii: a count that repeats exactly changes only
 // when a PR names its new value). Before the halves a cold headline read
 // was 193 products, 2,951,213 multiply-adds and 63 entries, and the
-// whole pool 211 products and 74 entries.
+// whole pool 211 products and 74 entries. With the pool's three
+// alternation patterns cut whole, the pool took 18 products, 1,900,860
+// multiply-adds and 25 entries; read as their terms (eval.NewCut) it
+// takes 0.35× the multiply-adds, and never builds the 830,423-entry
+// half w.(p-in.p-in- + w-.w).
 const (
 	coldHeadlineProducts = 12
 	coldHeadlineMadds    = 434166
 	coldHeadlineEntries  = 16
-	poolProducts         = 18
-	poolEntries          = 25
+	poolProducts         = 17
+	poolMadds            = 660866
+	poolEntries          = 23
 )

@@ -31,7 +31,7 @@ func TestScoreDomainMatchesScoreCutsOnFullDBLP(t *testing.T) {
 	cuts := make([][]eval.Cut, len(reads))
 	for i, r := range reads {
 		for _, p := range benchPatterns(t, ds, r.pattern) {
-			cuts[i] = append(cuts[i], ev.Cut(p))
+			cuts[i] = append(cuts[i], eval.NewCut(p))
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -81,7 +81,7 @@ func TestScoreDomainMatchesScoreCutsOnFullDBLP(t *testing.T) {
 	cache.Commit(next, d, func() uint64 { return 1 })
 	ev1 := eval.NewVersioned(next, 1, cache)
 	check(ev1, next, map[string]graph.NodeID{"author": author, "paper": paper, "proc": proc})
-	coauthors := ScoreDomain(ev1, []eval.Cut{ev1.Cut(benchPatterns(t, ds, "w.w-")[0])}, first("author"), next.TypeDomain("author"), 0)
+	coauthors := ScoreDomain(ev1, []eval.Cut{eval.NewCut(benchPatterns(t, ds, "w.w-")[0])}, first("author"), next.TypeDomain("author"), 0)
 	if coauthors.Rank(author) == 0 {
 		t.Fatalf("the new author does not rank among the co-authors of author %d: %v", first("author"), coauthors.IDs)
 	}
@@ -137,7 +137,7 @@ func TestScoreDomainCostsItsAnswers(t *testing.T) {
 			ev := eval.NewVersioned(snap, 0, eval.NewCache())
 			var cuts []eval.Cut
 			for _, p := range benchPatterns(t, ds, src) {
-				cuts = append(cuts, ev.Cut(p))
+				cuts = append(cuts, eval.NewCut(p))
 			}
 			at = append(at, read{ev, cuts, snap.TypeDomain("author")})
 		}

@@ -32,7 +32,7 @@ func PathSim(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidates 
 // language it is structurally robust under invertible transformations
 // (Corollary 1).
 func RelSim(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidates []graph.NodeID) Ranking {
-	return ScoreCuts(ev, []eval.Cut{ev.Cut(p)}, query, candidates, 0)
+	return ScoreCuts(ev, []eval.Cut{eval.NewCut(p)}, query, candidates, 0)
 }
 
 // RelSimAggregate ranks nodes by the sum of Equation-1 scores over a set
@@ -41,7 +41,7 @@ func RelSim(ev *eval.Evaluator, p *rre.Pattern, query graph.NodeID, candidates [
 func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.NodeID, candidates []graph.NodeID) Ranking {
 	cuts := make([]eval.Cut, len(patterns))
 	for i, p := range patterns {
-		cuts[i] = ev.Cut(p)
+		cuts[i] = eval.NewCut(p)
 	}
 	return ScoreCuts(ev, cuts, query, candidates, 0)
 }
@@ -49,14 +49,15 @@ func RelSimAggregate(ev *eval.Evaluator, patterns []*rre.Pattern, query graph.No
 // ScoreDomain is RelSimAggregate over patterns already cut
 // (eval.NewCut), for callers that memoize the cuts, answering
 // from dom (typically a node type, graph.Snapshot.TypeDomain) and keeping
-// the top answers only. No M_p is materialized: each pattern is scored
-// from its two halves (eval.Cut) by pushing row u of A through B =
-// (Bᵀ)ᵀ, the transpose kept with the cached right half, so a read costs
-// the query's two-hop neighbourhood, never the domain: each node the
-// push reaches is tested against dom in O(1). M_p(u,u) and M_p(v,v) are
-// looked up in the diagonal kept beside the halves
-// (Evaluator.Scoring), so each reached answer costs O(1) more. An
-// answer's score is the sum, in pattern order, of its positive
+// the top answers only. No M_p is materialized: each term of a pattern
+// is read from its two halves (eval.Term) by pushing row u of A through
+// B = (Bᵀ)ᵀ, the transpose kept with the cached right half, and the
+// terms of one pattern push into one accumulator, so a read costs the
+// query's two-hop neighbourhood, never the domain: each node the push
+// reaches is tested against dom in O(1). M_p(u,u) and M_p(v,v) are the
+// sums of the diagonals kept beside the terms' halves
+// (Evaluator.Scoring), so each reached answer costs O(1) per term more.
+// An answer's score is the sum, in pattern order, of its positive
 // per-pattern scores.
 //
 // top bounds the answers returned: a heap keeps the best top of them in
@@ -98,8 +99,8 @@ func ScoreCuts(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, candidat
 func score(ev *eval.Evaluator, cuts []eval.Cut, query graph.NodeID, dom graph.Domain) *scorer {
 	s := getScorer(ev.Graph().NumNodes())
 	s.dom, s.tests = dom, 0
-	ev.Scoring(cuts, func(a, b *sparse.Matrix, diag *sparse.Vector) {
-		s.cut(a, b, diag, int(query))
+	ev.Scoring(cuts, func(a, b *sparse.Matrix, diag *sparse.Vector, last bool) {
+		s.term(a, b, diag, int(query), last)
 	})
 	return s
 }
@@ -118,14 +119,16 @@ func (s *scorer) finish(ps []scored) Ranking {
 }
 
 // scorer is one read's O(n) state, pooled between calls. Between calls
-// every acc entry is zero and hits is empty. Marks are stamps, so
-// nothing else is cleared: mark[v] ≤ stamp always holds, and x[v] means
-// something only while mark[v] is the current cut's stamp.
+// every acc entry is zero and hits and terms are empty. Marks are
+// stamps, so nothing else is cleared: mark[v] ≤ stamp always holds, and
+// x[v] means something only while mark[v] is the current pattern's
+// stamp.
 type scorer struct {
 	mark  []uint32 // mark[v] == stamp: v is on row, with M(u,v) in x[v]
 	stamp uint32
 	x     []int64
-	row   []int32   // the columns row u of the current cut's M_p reaches
+	row   []int32   // the columns row u of the current pattern's M_p reaches
+	terms []diagOf  // the diagonals of the current pattern's terms so far
 	acc   []float64 // a node's score so far, positive exactly on hits
 	hits  []int32   // the nodes with a positive score, in first-touch order
 	dom   graph.Domain
@@ -146,47 +149,88 @@ func getScorer(n int) *scorer {
 	return &scorer{mark: make([]uint32, n), x: make([]int64, n), acc: make([]float64, n)}
 }
 
-// cut adds one pattern's Equation-1 scores for query u, given what
-// eval.Evaluator.Scoring reads of its cut: M_p = A·B and diag(M_p), or
-// M_p = A when b is nil. Only the nodes row u of M_p reaches are
-// visited, and each reads its M_p(v,v) from the diagonal, or from A's
-// own when the pattern is not a concatenation.
-func (s *scorer) cut(a, b *sparse.Matrix, diag *sparse.Vector, u int) {
-	ucols, uvals := a.RowView(u)
-	if len(ucols) == 0 {
-		return // row u of M_p is zero, and so is every score
-	}
-	if b == nil {
-		// Not a concatenation: M_p is A, its row u read as stored.
-		muu := a.At(u, u)
-		for i, v := range ucols {
-			if s.wants(v, u) {
-				s.add(v, uvals[i], muu+a.At(int(v), int(v)))
-			}
-		}
-		return
-	}
-	muu := diag.At(u)
-	for _, v := range s.push(ucols, uvals, b) {
-		if muv := s.x[v]; muv != 0 && s.wants(v, u) {
-			s.add(v, muv, muu+diag.At(int(v)))
-		}
-	}
+// diagOf reads one term's diagonal: the kept diag, or A's own for a
+// term that is not a concatenation.
+type diagOf struct {
+	a    *sparse.Matrix
+	diag *sparse.Vector
 }
 
-// push computes row u of A·B as the sparse vector–matrix product of A's
-// row (ucols, uvals) with B: each A[u,k]·B[k,v] is added into x[v]. It
-// returns the columns reached, in first-touch order, each with its
-// value in x.
-func (s *scorer) push(ucols []int32, uvals []int64, b *sparse.Matrix) []int32 {
+// one is the identity's one entry: a row pushed through ε is itself.
+var one = []int64{1}
+
+// term adds one term of a pattern's cut to row u of M_p, given what
+// eval.Evaluator.Scoring reads of it: M = A·B and diag(M), or M = A
+// when b is nil. The terms of one pattern share one accumulator, and on
+// its last term the pattern's Equation-1 scores are added: only the
+// nodes row u of M_p reaches are visited, each reading its M_p(v,v) as
+// the sum of the terms' diagonals.
+func (s *scorer) term(a, b *sparse.Matrix, diag *sparse.Vector, u int, last bool) {
+	if len(s.terms) == 0 {
+		s.begin()
+	}
+	s.terms = append(s.terms, diagOf{a, diag})
+	ucols, uvals := a.RowView(u)
+	s.push(ucols, uvals, b)
+	if !last {
+		return
+	}
+	muu := s.diagAt(u)
+	if len(s.terms) == 1 && diag != nil {
+		// One concatenation term, as in every headline pattern: its
+		// diagonal is M_p's, read without diagAt's loop, which costs the
+		// headline's warm read about a fifth more.
+		for _, v := range s.row {
+			if muv := s.x[v]; muv != 0 && s.wants(v, u) {
+				s.add(v, muv, muu+diag.At(int(v)))
+			}
+		}
+	} else {
+		for _, v := range s.row {
+			if muv := s.x[v]; muv != 0 && s.wants(v, u) {
+				s.add(v, muv, muu+s.diagAt(int(v)))
+			}
+		}
+	}
+	clear(s.terms) // the pool keeps no matrix alive
+	s.terms = s.terms[:0]
+}
+
+// diagAt returns M_p(v,v), summed over the current pattern's terms.
+func (s *scorer) diagAt(v int) int64 {
+	var d int64
+	for _, t := range s.terms {
+		if t.diag != nil {
+			d += t.diag.At(v)
+		} else {
+			d += t.a.At(v, v)
+		}
+	}
+	return d
+}
+
+// begin starts a pattern: a fresh stamp, so no node is on its row.
+func (s *scorer) begin() {
 	if s.stamp == math.MaxUint32 {
 		clear(s.mark)
 		s.stamp = 0
 	}
 	s.stamp++
-	row := s.row[:0]
+	s.row = s.row[:0]
+}
+
+// push adds row u of A·B into x as the sparse vector–matrix product of
+// A's row (ucols, uvals) with B, or A's row itself when b is nil (B is
+// the identity): each A[u,k]·B[k,v] is added into x[v]. s.row lists the
+// columns reached since begin, in first-touch order, each with its
+// value in x.
+func (s *scorer) push(ucols []int32, uvals []int64, b *sparse.Matrix) {
+	row := s.row
 	for i, k := range ucols {
-		bc, bv := b.RowView(int(k))
+		bc, bv := ucols[i:i+1], one
+		if b != nil {
+			bc, bv = b.RowView(int(k))
+		}
 		for j, v := range bc {
 			if s.mark[v] != s.stamp {
 				s.mark[v] = s.stamp
@@ -198,7 +242,6 @@ func (s *scorer) push(ucols []int32, uvals []int64, b *sparse.Matrix) []int32 {
 		}
 	}
 	s.row = row
-	return row
 }
 
 // wants reports whether v is answered for query u.

@@ -92,7 +92,7 @@ func TestScoreCutsAllocations(t *testing.T) {
 		ps := benchPatterns(t, ds, tc.pattern)
 		cuts := make([]eval.Cut, len(ps))
 		for i, p := range ps {
-			cuts[i] = ev.Cut(p)
+			cuts[i] = eval.NewCut(p)
 		}
 		cands, dom := snap.NodesOfType(tc.typ), snap.TypeDomain(tc.typ)
 		// A query with at least two answers, so the sort runs in full.
@@ -151,7 +151,7 @@ func checkTop(t *testing.T, what string, ev *eval.Evaluator, ps []*rre.Pattern, 
 	t.Helper()
 	cuts := make([]eval.Cut, len(ps))
 	for i, p := range ps {
-		cuts[i] = ev.Cut(p)
+		cuts[i] = eval.NewCut(p)
 	}
 	full := ScoreCuts(ev, cuts, query, cands, 0)
 	for k := -1; k <= full.Len()+1; k++ {
@@ -181,7 +181,7 @@ func TestTopBreaksTiesByID(t *testing.T) {
 		}
 	}
 	ev := eval.New(g)
-	cuts := []eval.Cut{ev.Cut(rre.MustParse("l.l-"))}
+	cuts := []eval.Cut{eval.NewCut(rre.MustParse("l.l-"))}
 	full := []graph.NodeID{1, 2, 4, 6, 7, 3, 5}
 	for k := 1; k <= len(full); k++ {
 		r := ScoreCuts(ev, cuts, 0, nil, k)

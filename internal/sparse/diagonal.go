@@ -8,7 +8,7 @@ import (
 )
 
 // Equation 1's denominator reads the diagonal of M_p = A·B, where a cut
-// keeps A and Bᵀ (eval.Cut). diag(A·B)[v] = ⟨A[v,·], Bᵀ[v,·]⟩ depends
+// keeps A and Bᵀ (eval.Term). diag(A·B)[v] = ⟨A[v,·], Bᵀ[v,·]⟩ depends
 // only on the graph version, so it is kept beside the two halves as a
 // sparse vector: built once from the rows both halves populate, then
 // carried across a commit by moving only the entries of the rows of ΔA
