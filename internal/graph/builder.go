@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync/atomic"
 )
 
 // Builder accumulates mutations against a base snapshot and derives the
@@ -11,8 +12,9 @@ import (
 // snapshot is never modified, and Build produces a new snapshot that
 // shares every untouched label's adjacency (and, for edge-only writes,
 // the node table) with the base by pointer. A write that adds nodes
-// copies the node table and the name index's overlay, never the map of
-// every name.
+// copies the name index's overlay, never the map of every name, and
+// extends the node table and type index in place when it takes the
+// base's tail claim (see Snapshot), or copies them.
 //
 // A Builder is single-writer state; it must not be used concurrently.
 // Reads through the Builder (Has, NodeByName, EdgeCount) see the
@@ -21,9 +23,11 @@ type Builder struct {
 	base *Snapshot
 
 	// nodes stays nil (and byName unset) until the first AddNode; Build
-	// then reuses the base's table unchanged.
-	nodes  []Node
-	byName nameIndex
+	// then reuses the base's table unchanged. inPlace: the builder holds
+	// the base's tail claim and extends its arrays in place.
+	nodes   []Node
+	byName  nameIndex
+	inPlace bool
 
 	// adds[label][u] holds appended out-neighbors; dels[label][u][v]
 	// counts removed (u,label,v) occurrences. Only labels present in
@@ -78,11 +82,15 @@ func (b *Builder) NodeByName(name string) (Node, bool) {
 }
 
 // AddNode appends a node and returns its id. The first node addition
-// copies the base node table (copy-on-write); edge-only transactions
-// never touch it.
+// appends to the base's table in place if it takes the tail claim, and
+// to a copy if not; edge-only transactions never touch the table.
 func (b *Builder) AddNode(name, typ string) NodeID {
 	if b.nodes == nil {
-		b.nodes = append([]Node(nil), b.base.nodes...)
+		b.inPlace = b.base.tail.CompareAndSwap(false, true)
+		b.nodes = b.base.nodes
+		if !b.inPlace {
+			b.nodes = slices.Clip(b.nodes)
+		}
 		b.byName = b.base.byName.forWrite()
 	}
 	id := NodeID(len(b.nodes))
@@ -209,25 +217,29 @@ func (b *Builder) NodesAdded() bool { return b.nodes != nil && len(b.nodes) > le
 
 // Build derives the next snapshot. The base is unchanged; the result
 // shares the base's CSR arrays for every label the builder did not
-// touch, the base's node table and type column when no node was added,
-// and the id list of every type that gained no node. Build may be
+// touch, its node table and type index when no node was added, and its
+// checkpoint blocks holding no added node or touched row. Build may be
 // called once; reusing the builder afterwards is not supported.
 func (b *Builder) Build() *Snapshot {
 	if !b.Changed() {
 		return b.base
 	}
 	s := &Snapshot{
-		nodes:  b.base.nodes,
-		byName: b.base.byName,
-		types:  b.base.types,
-		out:    b.base.out,
-		in:     b.base.in,
-		edges:  b.base.NumEdges() + b.addCnt - b.delCnt,
+		nodes:      b.base.nodes,
+		byName:     b.base.byName,
+		types:      b.base.types,
+		tail:       b.base.tail,
+		nodeBlocks: b.base.nodeBlocks,
+		out:        b.base.out,
+		in:         b.base.in,
+		edges:      b.base.NumEdges() + b.addCnt - b.delCnt,
 	}
 	if b.nodes != nil {
 		s.nodes = b.nodes
 		s.byName = b.byName
-		s.types = b.base.types.forWrite()
+		s.tail = new(atomic.Bool)
+		s.nodeBlocks = carryBlocks(b.base.nodeBlocks, len(b.nodes), nil, len(b.base.nodes))
+		s.types = b.base.types.forWrite(b.inPlace)
 		for _, nd := range b.nodes[len(b.base.nodes):] {
 			s.types.add(nd.ID, nd.Type)
 		}
@@ -270,23 +282,29 @@ func (b *Builder) Build() *Snapshot {
 				revDels[v][u] += n
 			}
 		}
-		out := rebuildAdjacency(b.base.out[l], b.adds[l], b.dels[l])
+		out, touchedRows := rebuildAdjacency(b.base.out[l], b.adds[l], b.dels[l])
 		if out.nnz() == 0 {
 			delete(s.out, l)
 			delete(s.in, l)
 			continue
 		}
+		var carried []*block
+		if base := b.base.out[l]; base != nil {
+			carried = base.blocks
+		}
+		out.blocks = carryBlocks(carried, out.rows(), touchedRows, out.rows())
 		s.out[l] = out
-		s.in[l] = rebuildAdjacency(b.base.in[l], revAdds, revDels)
+		s.in[l], _ = rebuildAdjacency(b.base.in[l], revAdds, revDels)
 	}
 	return s
 }
 
 // rebuildAdjacency applies per-row additions and per-occurrence
-// removals to a base CSR, producing a fresh CSR. base may be nil (new
-// label). Only the touched rows are rebuilt entry by entry; the runs of
-// rows between them are copied whole, their offsets shifted.
-func rebuildAdjacency(base *adjacency, adds map[NodeID][]NodeID, dels map[NodeID]map[NodeID]int) *adjacency {
+// removals to a base CSR, producing a fresh CSR and the touched rows in
+// ascending order. base may be nil (new label). Only the touched rows
+// are rebuilt entry by entry; the runs of rows between them are copied
+// whole, their offsets shifted.
+func rebuildAdjacency(base *adjacency, adds map[NodeID][]NodeID, dels map[NodeID]map[NodeID]int) (*adjacency, []NodeID) {
 	rows := base.rows()
 	touched := make([]NodeID, 0, len(adds)+len(dels))
 	addTotal := 0
@@ -336,5 +354,5 @@ func rebuildAdjacency(base *adjacency, adds map[NodeID][]NodeID, dels map[NodeID
 		next = int(u) + 1
 	}
 	copyRows(next, rows)
-	return a
+	return a, touched
 }

@@ -272,7 +272,7 @@ func (g *Graph) Clone() *Graph {
 	for name, id := range g.byName {
 		c.byName[name] = id
 	}
-	c.types = g.types.forWrite()
+	c.types = g.types.forWrite(false)
 	for l, o := range g.out {
 		co := make([][]NodeID, len(o))
 		for u := range o {

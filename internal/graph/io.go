@@ -2,11 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // The on-disk format is line-oriented JSON: one record per line, either a
@@ -32,54 +34,114 @@ type record struct {
 }
 
 // Write serializes g to w in the line-oriented JSON format.
-func Write(w io.Writer, g *Graph) error { return WriteView(w, g) }
-
-// edgeView is the surface serialization needs; satisfied by both the
-// mutable *Graph and the immutable *Snapshot, so checkpoints can be
-// written straight from a served version without materializing a copy.
-type edgeView interface {
-	NumNodes() int
-	Node(id NodeID) Node
-	EachEdge(fn func(e Edge))
+func Write(w io.Writer, g *Graph) error {
+	_, err := WriteView(w, g.Snapshot())
+	return err
 }
 
-// WriteView serializes any graph view (mutable *Graph or immutable
-// *Snapshot) to w in the line-oriented JSON format. A checkpoint writes
-// every node and edge of the served version, so records are appended to
-// one reused line buffer instead of reflected through encoding/json one
-// by one; the bytes are those json.Encoder produces for record.
-func WriteView(w io.Writer, g edgeView) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(NodeID(i))
-		line = append(line[:0], `{"node":{"id":`...)
-		line = strconv.AppendInt(line, int64(n.ID), 10)
+// blockRows is how many nodes, or source rows of one label, a block of
+// encoded lines covers.
+const blockRows = 256
+
+// block is filled the first time a checkpoint writes it and never
+// changes after, so versions equal in its rows share it by pointer.
+type block struct {
+	once sync.Once
+	b    []byte
+}
+
+// carryBlocks returns the blocks of a table of n rows derived from one
+// with blocks old: old[k], or a new block if block k holds a row in
+// touched (ascending) or at or past from. An untouched row the old
+// table lacks has no edges and encodes to nothing.
+func carryBlocks(old []*block, n int, touched []NodeID, from int) []*block {
+	bs := make([]*block, (n+blockRows-1)/blockRows)
+	for k := range bs {
+		hi := (k + 1) * blockRows
+		hit := min(hi, n) > from
+		for len(touched) > 0 && int(touched[0]) < hi {
+			hit = true
+			touched = touched[1:]
+		}
+		if k < len(old) && !hit {
+			bs[k] = old[k]
+		} else {
+			bs[k] = new(block)
+		}
+	}
+	return bs
+}
+
+// WriteStats counts what one WriteView call wrote: Bytes, of which
+// Encoded bytes in EncodedBlocks blocks it encoded itself.
+type WriteStats struct {
+	Bytes, Encoded int64
+	EncodedBlocks  int
+}
+
+// WriteView serializes s to w in the line-oriented JSON format: nodes in
+// id order, then edges by label, source node and insertion order, as
+// json.Encoder writes each record. It encodes only the blocks of s no
+// earlier WriteView of s or of a version sharing them encoded.
+func WriteView(w io.Writer, s *Snapshot) (WriteStats, error) {
+	bw := bufio.NewWriterSize(w, 256<<10) // a checkpoint is megabytes: few large writes
+	var st WriteStats
+	var scratch []byte
+	put := func(blk *block, encode func([]byte) []byte) {
+		blk.once.Do(func() {
+			scratch = encode(scratch[:0])
+			blk.b = bytes.Clone(scratch)
+			st.Encoded += int64(len(blk.b))
+			st.EncodedBlocks++
+		})
+		st.Bytes += int64(len(blk.b))
+		_, _ = bw.Write(blk.b) // a failed write sticks to bw, and Flush returns it
+	}
+	for k, blk := range s.nodeBlocks {
+		nodes := s.nodes[k*blockRows : min((k+1)*blockRows, len(s.nodes))]
+		put(blk, func(dst []byte) []byte { return appendNodes(dst, nodes) })
+	}
+	for _, l := range s.Labels() {
+		a := s.out[l]
+		for k, blk := range a.blocks {
+			put(blk, func(dst []byte) []byte { return appendEdges(dst, a, l, k*blockRows, min((k+1)*blockRows, a.rows())) })
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return st, fmt.Errorf("graph: write: %w", err)
+	}
+	return st, nil
+}
+
+// appendNodes appends the node records of nodes.
+func appendNodes(dst []byte, nodes []Node) []byte {
+	for _, n := range nodes {
+		dst = append(dst, `{"node":{"id":`...)
+		dst = strconv.AppendInt(dst, int64(n.ID), 10)
 		if n.Name != "" {
-			line = appendJSONString(append(line, `,"name":`...), n.Name)
+			dst = appendJSONString(append(dst, `,"name":`...), n.Name)
 		}
 		if n.Type != "" {
-			line = appendJSONString(append(line, `,"type":`...), n.Type)
+			dst = appendJSONString(append(dst, `,"type":`...), n.Type)
 		}
-		if _, err := bw.Write(append(line, "}}\n"...)); err != nil {
-			return fmt.Errorf("graph: write node %d: %w", i, err)
+		dst = append(dst, "}}\n"...)
+	}
+	return dst
+}
+
+// appendEdges appends the edge records of a's rows [lo, hi).
+func appendEdges(dst []byte, a *adjacency, label string, lo, hi int) []byte {
+	quoted := appendJSONString(nil, label)
+	for u := lo; u < hi; u++ {
+		for _, v := range a.row(NodeID(u)) {
+			dst = append(dst, `{"edge":{"from":`...)
+			dst = strconv.AppendInt(dst, int64(u), 10)
+			dst = append(append(dst, `,"label":`...), quoted...)
+			dst = strconv.AppendInt(append(dst, `,"to":`...), int64(v), 10)
+			dst = append(dst, "}}\n"...)
 		}
 	}
-	var werr error
-	g.EachEdge(func(e Edge) {
-		if werr != nil {
-			return
-		}
-		line = append(line[:0], `{"edge":{"from":`...)
-		line = strconv.AppendInt(line, int64(e.From), 10)
-		line = appendJSONString(append(line, `,"label":`...), e.Label)
-		line = strconv.AppendInt(append(line, `,"to":`...), int64(e.To), 10)
-		_, werr = bw.Write(append(line, "}}\n"...))
-	})
-	if werr != nil {
-		return fmt.Errorf("graph: write edge: %w", werr)
-	}
-	return bw.Flush()
+	return dst
 }
 
 // appendJSONString appends s as encoding/json writes a string. Printable
@@ -108,16 +170,20 @@ func Read(r io.Reader) (*Graph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var p lineParser
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		var rec record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
+		rec := &p.rec
+		if !p.parse(line) {
+			rec = new(record)
+			if err := json.Unmarshal(line, rec); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
+			}
 		}
 		switch {
 		case rec.Node != nil:
@@ -139,4 +205,78 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}
 	return g, nil
+}
+
+// lineParser reads, without reflection, the two record shapes WriteView
+// writes, {"node":{"id":N[,"name":S][,"type":S]}} and
+// {"edge":{"from":N,"label":S,"to":N}}, N a canonical int32 ≥ 0 and S
+// printable ASCII json leaves unescaped, exactly as json.Unmarshal does.
+// parse declines any other line, which Read hands to encoding/json.
+type lineParser struct {
+	rec  record
+	node nodeRecord
+	edge edgeRecord
+	b    []byte // the rest of the line
+	ok   bool   // false from the first byte that does not fit
+}
+
+func (p *lineParser) parse(line []byte) bool {
+	p.b, p.ok = line, true
+	switch {
+	case p.lit(`{"node":{"id":`):
+		p.node = nodeRecord{ID: p.id()}
+		if p.lit(`,"name":`) {
+			p.node.Name = p.str()
+		}
+		if p.lit(`,"type":`) {
+			p.node.Type = p.str()
+		}
+		p.rec = record{Node: &p.node}
+	case p.lit(`{"edge":{"from":`):
+		p.edge.From = p.id()
+		p.ok = p.lit(`,"label":`)
+		p.edge.Label = p.str()
+		p.ok = p.lit(`,"to":`)
+		p.edge.To = p.id()
+		p.rec = record{Edge: &p.edge}
+	default:
+		return false
+	}
+	return p.lit("}}") && len(p.b) == 0
+}
+
+// lit consumes s if the line goes on with it, and else nothing.
+func (p *lineParser) lit(s string) bool {
+	if !p.ok || len(p.b) < len(s) || string(p.b[:len(s)]) != s {
+		return false
+	}
+	p.b = p.b[len(s):]
+	return true
+}
+
+func (p *lineParser) id() NodeID {
+	n, i := int64(0), 0
+	for ; p.ok && i < len(p.b) && '0' <= p.b[i] && p.b[i] <= '9'; i++ {
+		n = n*10 + int64(p.b[i]-'0')
+		p.ok = n <= math.MaxInt32
+	}
+	if p.ok = p.ok && i > 0 && (p.b[0] != '0' || i == 1); p.ok {
+		p.b = p.b[i:]
+	}
+	return NodeID(n)
+}
+
+func (p *lineParser) str() string {
+	p.ok = p.ok && len(p.b) > 0 && p.b[0] == '"'
+	for i := 1; p.ok && i < len(p.b); i++ {
+		if c := p.b[i]; c == '"' {
+			s := string(p.b[1:i])
+			p.b = p.b[i+1:]
+			return s
+		} else if c < 0x20 || c >= 0x7f || c == '\\' {
+			break
+		}
+	}
+	p.ok = false
+	return ""
 }

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"relsim/internal/datasets"
@@ -76,17 +79,16 @@ func TestWriteViewBytesMatchReferenceEncoder(t *testing.T) {
 	}
 	for name, g := range map[string]*graph.Graph{"dblp-small": ds.Graph, "adversarial": adversarialGraph()} {
 		want := referenceWrite(t, g)
-		for view, v := range map[string]interface {
-			NumNodes() int
-			Node(graph.NodeID) graph.Node
-			EachEdge(func(graph.Edge))
-		}{"graph": g, "snapshot": g.Snapshot()} {
+		for view, write := range map[string]func(w *bytes.Buffer) error{
+			"Write":     func(w *bytes.Buffer) error { return graph.Write(w, g) },
+			"WriteView": func(w *bytes.Buffer) error { _, err := graph.WriteView(w, g.Snapshot()); return err },
+		} {
 			var got bytes.Buffer
-			if err := graph.WriteView(&got, v); err != nil {
+			if err := write(&got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("%s (%s): WriteView differs from the reference encoder at byte %d of %d",
+				t.Fatalf("%s (%s): output differs from the reference encoder at byte %d of %d",
 					name, view, firstDiff(got.Bytes(), want), len(want))
 			}
 		}
@@ -114,4 +116,136 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return min(len(a), len(b))
+}
+
+// TestWriteViewFollowsCommitChains derives 200 versions by random
+// builders: node additions that cross block boundaries, edges under old
+// and new labels, removals down to a label's last edge, forks from older
+// versions, and builders rolled back after they took their base's tail
+// claim. Some versions are written when they are made and some are not,
+// so blocks are filled by whichever version writes them first. Every
+// version's WriteView must equal the reference encoding of its own
+// graph, when it is made and again at the end, after every later
+// version shared or extended what it holds.
+func TestWriteViewFollowsCommitChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	types := []string{"a", "b", "c"}
+	g := graph.New()
+	for i := 0; i < 600; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), types[i%len(types)])
+	}
+	for i := 0; i < 1500; i++ {
+		g.AddEdge(graph.NodeID(rng.Intn(600)), []string{"x", "y"}[rng.Intn(2)], graph.NodeID(rng.Intn(600)))
+	}
+	type version struct {
+		snap *graph.Snapshot
+		want []byte
+	}
+	versions := []version{{g.Snapshot(), referenceWrite(t, g)}}
+	check := func(step int, v version) {
+		t.Helper()
+		var got bytes.Buffer
+		if _, err := graph.WriteView(&got, v.snap); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), v.want) {
+			t.Fatalf("step %d: WriteView differs from the reference encoder at byte %d of %d",
+				step, firstDiff(got.Bytes(), v.want), len(v.want))
+		}
+	}
+	labels := []string{"x", "y", "z", "w"}
+	for step := 0; step < 200; step++ {
+		base := versions[len(versions)-1]
+		if rng.Intn(4) == 0 {
+			base = versions[rng.Intn(len(versions))] // a fork
+		}
+		b := graph.NewBuilder(base.snap)
+		adds := rng.Intn(3)
+		if rng.Intn(20) == 0 {
+			adds = 300
+		}
+		for i := 0; i < adds; i++ {
+			b.AddNode(fmt.Sprintf("s%d-%d", step, i), types[rng.Intn(len(types))])
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			n := b.NumNodes()
+			if err := b.AddEdge(graph.NodeID(rng.Intn(n)), labels[rng.Intn(len(labels))], graph.NodeID(rng.Intn(n))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		edges := base.snap.Edges()
+		for i := rng.Intn(4); i > 0 && len(edges) > 0; i-- {
+			e := edges[rng.Intn(len(edges))]
+			b.RemoveEdge(e.From, e.Label, e.To)
+		}
+		if rng.Intn(12) == 0 { // a label loses its last edge
+			l := labels[rng.Intn(len(labels))]
+			for _, e := range edges {
+				if e.Label == l {
+					b.RemoveEdge(e.From, e.Label, e.To)
+				}
+			}
+		}
+		if rng.Intn(8) == 0 {
+			continue // rolled back
+		}
+		next := version{snap: b.Build()}
+		next.want = referenceWrite(t, next.snap.Materialize())
+		if rng.Intn(3) > 0 {
+			check(step, next)
+		}
+		versions = append(versions, next)
+	}
+	for step, v := range versions {
+		check(step, v)
+		if again := referenceWrite(t, v.snap.Materialize()); !bytes.Equal(again, v.want) {
+			t.Fatalf("version %d changed after later versions were derived from it", step)
+		}
+	}
+}
+
+// TestConcurrentForksShareBlocks races builders for one base's tail
+// claim and writes the versions they derive, and the base, from several
+// goroutines at once, so shared blocks are filled concurrently. Run it
+// under -race.
+func TestConcurrentForksShareBlocks(t *testing.T) {
+	ds, err := datasets.ByName("dblp-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ds.Graph.Snapshot()
+	want := referenceWrite(t, ds.Graph)
+	const forks = 4
+	snaps := make([]*graph.Snapshot, forks)
+	got := make([][]byte, 2*forks)
+	var wg sync.WaitGroup
+	for i := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := graph.NewBuilder(base)
+			u := b.AddNode(fmt.Sprintf("fork%d", i), "paper")
+			if err := b.AddEdge(u, "w", graph.NodeID(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			snaps[i] = b.Build()
+			for j, s := range []*graph.Snapshot{snaps[i], base} {
+				var buf bytes.Buffer
+				if _, err := graph.WriteView(&buf, s); err != nil {
+					t.Error(err)
+				}
+				got[2*i+j] = buf.Bytes()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, s := range snaps {
+		if s == nil {
+			t.FailNow()
+		}
+		if !bytes.Equal(got[2*i], referenceWrite(t, s.Materialize())) || !bytes.Equal(got[2*i+1], want) {
+			t.Fatalf("fork %d: a concurrent write differs from the reference encoder", i)
+		}
+	}
 }

@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"relsim/internal/sparse"
 )
@@ -15,18 +17,31 @@ import (
 //
 // Adjacency is stored per label in CSR form, in both directions.
 // Versions share structure: deriving a snapshot through a Builder
-// copies only the node table, its type column and the name index's
-// small overlay (when nodes were added), the id list of each type that
-// gained a node, and the adjacency of the labels the write touched;
-// every other type's ids and label's CSR arrays are shared by pointer
-// with the parent version.
+// copies the name index's small overlay (when nodes were added) and the
+// adjacency of the labels the write touched; every other label's CSR
+// arrays are shared by pointer with the parent version.
+//
+// The node table, type column and type id lists only grow, and readers
+// read up to their own version's length, so a builder may append to its
+// base's arrays in place. tail is the claim on that, shared by the
+// versions sharing the node table: the first builder to take it appends
+// in place, and any other (a fork, or a retry after a rolled-back
+// builder took it) copies.
+//
+// A snapshot carries its checkpoint encoding in blocks of blockRows
+// nodes and of blockRows source rows per label, each encoded when first
+// written (a version no checkpoint writes fills none). A derived version
+// shares every block its write did not touch, so a checkpoint encodes
+// only what changed since one of an ancestor.
 type Snapshot struct {
-	nodes  []Node
-	byName nameIndex
-	types  typeIndex
-	out    map[string]*adjacency
-	in     map[string]*adjacency
-	edges  int
+	nodes      []Node
+	byName     nameIndex
+	types      typeIndex
+	tail       *atomic.Bool
+	nodeBlocks []*block
+	out        map[string]*adjacency
+	in         map[string]*adjacency
+	edges      int
 }
 
 // nameIndex resolves a display name to the first node added with it. A
@@ -79,9 +94,11 @@ func (x *nameIndex) add(name string, id NodeID) {
 // has len rows+1 with rows <= NumNodes; nodes beyond rows have no
 // edges with this label. Neighbor lists keep insertion order and repeat
 // entries for parallel edges, matching the mutable Graph representation.
+// Only an out-direction adjacency has checkpoint blocks.
 type adjacency struct {
 	rowPtr []int32
 	nbr    []NodeID
+	blocks []*block
 }
 
 func (a *adjacency) rows() int {
@@ -125,15 +142,19 @@ func compileAdjacency(lists [][]NodeID) *adjacency {
 // unaffected (node table and adjacency are copied, not aliased).
 func (g *Graph) Snapshot() *Snapshot {
 	s := &Snapshot{
-		nodes:  append([]Node(nil), g.nodes...),
-		byName: nameIndex{base: maps.Clone(g.byName)},
-		types:  g.types.forWrite(),
-		out:    make(map[string]*adjacency, len(g.out)),
-		in:     make(map[string]*adjacency, len(g.in)),
-		edges:  g.edges,
+		nodes:      append([]Node(nil), g.nodes...),
+		byName:     nameIndex{base: maps.Clone(g.byName)},
+		types:      g.types.forWrite(false),
+		tail:       new(atomic.Bool),
+		nodeBlocks: carryBlocks(nil, len(g.nodes), nil, 0),
+		out:        make(map[string]*adjacency, len(g.out)),
+		in:         make(map[string]*adjacency, len(g.in)),
+		edges:      g.edges,
 	}
 	for l, lists := range g.out {
-		s.out[l] = compileAdjacency(lists)
+		a := compileAdjacency(lists)
+		a.blocks = carryBlocks(nil, a.rows(), nil, 0)
+		s.out[l] = a
 	}
 	for l, lists := range g.in {
 		s.in[l] = compileAdjacency(lists)
@@ -254,9 +275,9 @@ func (s *Snapshot) Adjacency(label string) *sparse.Matrix {
 }
 
 // NodesOfType returns the ids of all nodes with the given type tag, in
-// ascending id order. The slice is the snapshot's own index, shared
-// with the versions derived from it: read-only.
-func (s *Snapshot) NodesOfType(typ string) []NodeID { return s.types.nodes[typ] }
+// ascending id order. The slice is the snapshot's own index, shared with
+// its derived versions: read-only, and clipped, so an append copies it.
+func (s *Snapshot) NodesOfType(typ string) []NodeID { return slices.Clip(s.types.nodes[typ]) }
 
 // TypeDomain returns the domain of the nodes with the given type tag,
 // tested against the snapshot's type column: no node when none has the

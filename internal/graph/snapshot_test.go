@@ -218,11 +218,14 @@ func TestBuilderNameIndexCOW(t *testing.T) {
 	}
 }
 
-// TestBuilderTypeIndexCOW: the type → ids index is shared copy-on-write.
-// An edge-only write shares the whole index; adding a node copies only
-// its type's id list, every other type's list is shared by pointer, and
-// neither the base snapshot nor the graph it was frozen from sees the
-// new id.
+// TestBuilderTypeIndexCOW: the type → ids index is shared by the
+// versions derived from one another. An edge-only write shares the
+// whole index, and an untouched type's id list is shared by pointer.
+// Whether a node-adding write appends in place (it took the base's tail
+// claim) or copies (a fork from the same base, or a retry after a
+// rolled-back builder took the claim), every version keeps exactly its
+// own ids, and neither the base nor the graph it was frozen from sees a
+// later node.
 func TestBuilderTypeIndexCOW(t *testing.T) {
 	g := snapTestGraph()
 	base := g.Snapshot()
@@ -242,28 +245,49 @@ func TestBuilderTypeIndexCOW(t *testing.T) {
 	if &next.NodesOfType("u")[0] != &base.NodesOfType("u")[0] {
 		t.Error("untouched type u was copied")
 	}
-	if &next.NodesOfType("t")[0] == &base.NodesOfType("t")[0] {
-		t.Error("touched type t still shares its id list with the base")
-	}
-	if got, want := next.NodesOfType("t"), []NodeID{0, 1, d, f}; !reflect.DeepEqual(got, want) {
-		t.Errorf("next NodesOfType(t) = %v, want %v", got, want)
+	// next's lists have room to grow: the next writer appends in place,
+	// a fork from next and a retry after a rolled-back one copy.
+	NewBuilder(next).AddNode("rolled-back", "t")
+	retry := NewBuilder(next)
+	r := retry.AddNode("r", "t")
+	retried := retry.Build()
+	inPlace := NewBuilder(retried)
+	h := inPlace.AddNode("h", "t")
+	grown := inPlace.Build()
+	fork := NewBuilder(retried)
+	k := fork.AddNode("k", "t")
+	forked := fork.Build()
+	g.AddNode("g", "t")
+	for _, tc := range []struct {
+		name string
+		view *Snapshot
+		want []NodeID
+	}{
+		{"base", base, []NodeID{0, 1}},
+		{"base, edge-only", NewBuilder(base).Build(), []NodeID{0, 1}},
+		{"next", next, []NodeID{0, 1, d, f}},
+		{"retried", retried, []NodeID{0, 1, d, f, r}},
+		{"grown", grown, []NodeID{0, 1, d, f, r, h}},
+		{"forked", forked, []NodeID{0, 1, d, f, r, k}},
+		{"graph", g.Snapshot(), []NodeID{0, 1, 3}},
+	} {
+		if got := tc.view.NodesOfType("t"); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: NodesOfType(t) = %v, want %v", tc.name, got, tc.want)
+		}
+		for i, id := range tc.want {
+			if nd := tc.view.Node(id); nd.Type != "t" || nd.ID != id {
+				t.Errorf("%s: node %d (the %dth of type t) is %+v", tc.name, id, i, nd)
+			}
+		}
 	}
 	if got, want := next.NodesOfType("v"), []NodeID{e}; !reflect.DeepEqual(got, want) {
 		t.Errorf("next NodesOfType(v) = %v, want %v", got, want)
 	}
-	// The graph keeps growing after the freeze, into the same backing
-	// array the snapshot's list was clipped from.
-	g.AddNode("g", "t")
-	for _, s := range []*Snapshot{base, NewBuilder(base).Build()} {
-		if got, want := s.NodesOfType("t"), []NodeID{0, 1}; !reflect.DeepEqual(got, want) {
-			t.Errorf("base NodesOfType(t) = %v, want %v", got, want)
-		}
-		if s.NodesOfType("v") != nil {
-			t.Error("base snapshot sees the new type")
-		}
+	if base.NodesOfType("v") != nil {
+		t.Error("base snapshot sees the new type")
 	}
-	if got, want := g.NodesOfType("t"), []NodeID{0, 1, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("graph NodesOfType(t) = %v, want %v", got, want)
+	if &grown.nodes[0] != &retried.nodes[0] || &forked.nodes[0] == &retried.nodes[0] {
+		t.Error("the first node-adding writer must extend the node table in place, and only it")
 	}
 }
 

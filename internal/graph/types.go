@@ -1,14 +1,15 @@
 package graph
 
-import "maps"
+import (
+	"maps"
+	"slices"
+)
 
 // typeIndex indexes a node table by type tag, two ways: each tag's node
 // ids (NodesOfType), and a dense column holding each node's tag id, which
 // tests a node's type in O(1) (TypeDomain). It is carried with the node
 // table: a version that adds no node shares it, and one that adds nodes
-// appends them to a copy made by forWrite, never recomputing a node's id.
-// In an index forWrite made, every slice has len == cap, so its first
-// append copies it and the index it was made from never sees the node.
+// appends them to an index forWrite made, never recomputing a node's id.
 type typeIndex struct {
 	nodes map[string][]NodeID // tag → ids, ascending
 	ids   map[string]uint32   // tag → its id, dense from 0
@@ -19,12 +20,18 @@ func newTypeIndex() typeIndex {
 	return typeIndex{nodes: make(map[string][]NodeID), ids: make(map[string]uint32)}
 }
 
-// forWrite returns an index equal to x that add may extend: x, and every
-// version that shares it, is left as it is.
-func (x typeIndex) forWrite() typeIndex {
-	c := typeIndex{nodes: make(map[string][]NodeID, len(x.nodes)), ids: maps.Clone(x.ids), col: x.col[:len(x.col):len(x.col)]}
-	for typ, ids := range x.nodes {
-		c.nodes[typ] = ids[:len(ids):len(ids)]
+// forWrite returns an index equal to x that add may extend, with maps
+// of its own. In place, add appends into the slices' spare capacity,
+// past every length x reads: only the holder of the node table's tail
+// claim may ask for that. Otherwise every slice has len == cap, so its
+// first append copies it and x never sees the node.
+func (x typeIndex) forWrite(inPlace bool) typeIndex {
+	c := typeIndex{nodes: maps.Clone(x.nodes), ids: maps.Clone(x.ids), col: x.col}
+	if !inPlace {
+		c.col = slices.Clip(c.col)
+		for typ, ids := range c.nodes {
+			c.nodes[typ] = slices.Clip(ids)
+		}
 	}
 	return c
 }

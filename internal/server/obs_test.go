@@ -148,6 +148,8 @@ func TestMetricsExpositionDurable(t *testing.T) {
 		"relsim_wal_active_segment_bytes",
 		"relsim_store_checkpoints_total",
 		"relsim_store_checkpoint_errors_total",
+		"relsim_store_checkpoint_bytes_total",
+		"relsim_store_checkpoint_encoded_bytes_total",
 		"relsim_store_last_checkpoint_version",
 	} {
 		if !fams[name] {
@@ -159,6 +161,10 @@ func TestMetricsExpositionDurable(t *testing.T) {
 	}
 	if v := seriesValue(t, body, "relsim_wal_appended_bytes_total"); v <= 0 {
 		t.Errorf("wal appended bytes = %v, want > 0", v)
+	}
+	// The seed checkpoint encoded every block it wrote.
+	if w, e := seriesValue(t, body, "relsim_store_checkpoint_bytes_total"), seriesValue(t, body, "relsim_store_checkpoint_encoded_bytes_total"); w <= 0 || e != w {
+		t.Errorf("checkpoint bytes = %v, encoded %v: want the seed checkpoint's bytes, all encoded", w, e)
 	}
 }
 

@@ -55,9 +55,11 @@ type durable struct {
 	syncPolicy      wal.SyncPolicy
 	checkpointEvery uint64
 
-	lastCheckpoint atomic.Uint64 // version of the newest checkpoint
-	checkpoints    atomic.Uint64 // checkpoints written this process
-	checkpointErrs atomic.Uint64
+	lastCheckpoint    atomic.Uint64 // version of the newest checkpoint
+	checkpoints       atomic.Uint64 // checkpoints written this process
+	checkpointErrs    atomic.Uint64
+	checkpointBytes   atomic.Uint64 // bytes checkpoints wrote
+	checkpointEncoded atomic.Uint64 // the part of them encoded afresh
 
 	// ckptMu serializes checkpoint writers (the background cadence
 	// goroutine and manual Checkpoint calls); inFlight dedupes cadence
@@ -407,7 +409,7 @@ func (s *Store) CheckpointReader() (rc io.ReadCloser, version uint64, size int64
 	if d == nil {
 		cur := s.current.Load()
 		var buf bytes.Buffer
-		if err := graph.WriteView(&buf, cur.snap); err != nil {
+		if _, err := graph.WriteView(&buf, cur.snap); err != nil {
 			return nil, 0, 0, fmt.Errorf("store: checkpoint stream: %w", err)
 		}
 		return io.NopCloser(bytes.NewReader(buf.Bytes())), cur.version, int64(buf.Len()), nil
@@ -457,13 +459,13 @@ func (d *durable) appendBatch(version uint64, ups []Update) error {
 }
 
 // maybeCheckpointLocked launches a background checkpoint when the
-// cadence says so. writeMu held (commit path) — but the checkpoint
-// itself serializes an immutable snapshot, so it runs on its own
-// goroutine and adds nothing to commit latency; at most one is in
-// flight, and while one runs further cadence triggers are skipped (the
-// next commit re-checks). Checkpoint failure never fails a commit — the
-// batch is already durable in the WAL — it only bumps the error
-// counter; replay just stays longer until a checkpoint succeeds.
+// cadence says so. writeMu held (commit path) — the checkpoint writes
+// an immutable snapshot on its own goroutine, adding no commit latency
+// but taking CPU (see checkpointNow); at most one is in flight, and
+// while one runs further cadence triggers are skipped (the next commit
+// re-checks). Checkpoint failure never fails a commit — the batch is
+// already durable in the WAL — it only bumps the error counter; replay
+// just stays longer until a checkpoint succeeds.
 func (s *Store) maybeCheckpointLocked(v *versioned) {
 	d := s.dur
 	if d.checkpointEvery == 0 || v.version-d.lastCheckpoint.Load() < d.checkpointEvery {
@@ -486,7 +488,10 @@ func (s *Store) maybeCheckpointLocked(v *versioned) {
 // retires older checkpoints and trims covered WAL segments. v.snap is
 // immutable, so no store lock is needed; ckptMu serializes concurrent
 // checkpointers, and a version already covered by a newer checkpoint is
-// skipped.
+// skipped. It encodes only the blocks of v.snap that no checkpoint of
+// an ancestor wrote, those the commits since touched, and copies the
+// rest as they are: it costs those blocks plus writing and fsyncing the
+// whole file.
 func (s *Store) checkpointNow(v *versioned) error {
 	start := time.Now()
 	d := s.dur
@@ -507,7 +512,10 @@ func (s *Store) checkpointNow(v *versioned) error {
 	if err != nil {
 		return fmt.Errorf("store: checkpoint: %w", err)
 	}
-	if err := graph.WriteView(f, v.snap); err != nil {
+	st, err := graph.WriteView(f, v.snap)
+	d.checkpointBytes.Add(uint64(st.Bytes))
+	d.checkpointEncoded.Add(uint64(st.Encoded))
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("store: checkpoint: %w", err)

@@ -3,8 +3,8 @@
 // atomic pointer: Snapshot() costs one atomic load — readers never take
 // a lock and are never blocked by writers. Write transactions build the
 // next version copy-on-write through a graph.Builder (only the touched
-// labels' adjacency and, on node additions, the node table are copied)
-// and publish it atomically; a transaction whose callback fails
+// labels' adjacency is copied; node additions extend the node table in
+// place) and publish it atomically; a transaction whose callback fails
 // publishes nothing, so batches are all-or-nothing.
 //
 // Version numbers are monotonic and bump once per mutation; a batch of

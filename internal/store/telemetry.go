@@ -71,6 +71,12 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("relsim_store_checkpoint_errors_total",
 		"Checkpoint attempts that failed.",
 		func() float64 { return float64(d.checkpointErrs.Load()) })
+	reg.CounterFunc("relsim_store_checkpoint_bytes_total",
+		"Bytes written to checkpoints this process.",
+		func() float64 { return float64(d.checkpointBytes.Load()) })
+	reg.CounterFunc("relsim_store_checkpoint_encoded_bytes_total",
+		"Checkpoint bytes encoded afresh; the rest were blocks carried from an earlier checkpoint.",
+		func() float64 { return float64(d.checkpointEncoded.Load()) })
 	reg.GaugeFunc("relsim_store_last_checkpoint_version",
 		"Version of the newest checkpoint on disk.",
 		func() float64 { return float64(d.lastCheckpoint.Load()) })
