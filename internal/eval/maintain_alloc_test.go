@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
 	"relsim/internal/datasets"
 	"relsim/internal/eval"
@@ -66,6 +67,13 @@ func newWarmPool(t *testing.T) *warmPool {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return warmPoolOf(t, ds)
+}
+
+// warmPoolOf is newWarmPool on the dataset given.
+func warmPoolOf(t *testing.T, ds datasets.Dataset) *warmPool {
+	t.Helper()
+	var err error
 	w := &warmPool{snap: ds.Graph.Snapshot(), cache: eval.NewCache()}
 	ev := eval.NewVersioned(w.snap, 0, w.cache)
 	for _, b := range benchPool {
@@ -134,24 +142,35 @@ func benchCommits(t *testing.T, w *warmPool) func(k int) (*graph.Snapshot, eval.
 // returns the bytes Cache.Commit allocated.
 func (w *warmPool) maintain(t *testing.T, k int, next *graph.Snapshot, d eval.CommitDelta) uint64 {
 	t.Helper()
+	allocated, _ := w.maintainTimed(t, k, next, d)
+	return allocated
+}
+
+// maintainTimed is maintain that also returns how long Cache.Commit
+// took.
+func (w *warmPool) maintainTimed(t *testing.T, k int, next *graph.Snapshot, d eval.CommitDelta) (uint64, time.Duration) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	start := time.Now()
 	res := w.cache.Commit(next, d, func() uint64 { return d.To })
+	took := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if res.Maintained != 23 || res.Fallbacks != 0 || res.Products != 32 {
 		t.Fatalf("commit %d: %+v, want 23 maintained, 0 fallbacks, 32 delta products", k, res)
 	}
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, took
 }
 
 // TestMaintainAllocatesWhatItTouches is the gate on "a commit costs the
 // rows it touches": on FullDBLP with the benchmark's 23-entry pool
 // warm, a commit shaped like the benchmark's (one node, a p-in and a w
 // edge in, an older w edge out) through Cache.Commit allocates at
-// most 10 MB — the spans of the entries it patches and little else.
-// Rewriting every cached entry in full, as Add over n-dimensional
-// deltas did, allocated 33.6 MB. The first commit is not measured: it
-// moves each kernel-made entry into an arena with headroom, once.
+// most 1 MB (0.3 MB measured). Cloning every patched entry's n spans
+// allocated 2.3 MB, and rewriting every cached entry
+// in full, as Add over n-dimensional deltas did, 33.6 MB. The first
+// commit is not measured: it moves each kernel-made entry into an
+// arena with headroom, once.
 func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 	skipUnderRace(t, "allocation counts are inflated by the race detector")
 	w := newWarmPool(t)
@@ -166,8 +185,54 @@ func TestMaintainAllocatesWhatItTouches(t *testing.T) {
 	}
 	perCommit := float64(measured) / (commits - 1) / (1 << 20)
 	t.Logf("Cache.Commit allocates %.1f MB per commit", perCommit)
-	if perCommit > 10 {
-		t.Errorf("Cache.Commit allocates %.1f MB per commit, want at most 10", perCommit)
+	if perCommit > 1 {
+		t.Errorf("Cache.Commit allocates %.1f MB per commit, want at most 1", perCommit)
+	}
+}
+
+// TestCommitCostsTouchedBlocksAtScale is the gate on "a commit costs
+// what it touches, not |D|" across scales: the benchmark's warm pool on
+// FullDBLP (×1) and on FullDBLP with 16 times the proceedings and the
+// author pool (×16, 312,421 nodes), each taking the same run of
+// benchmark-shaped commits, alternated so both see the same machine.
+// At ×16 the median commit through Cache.Commit allocates at most 1 MB,
+// where cloning every patched entry's n spans allocated 34.2 MB, and
+// takes at most twice the ×1 median (13.0 against 0.72 ms with the
+// clones). Medians, because a commit that follows a collection also
+// remakes the n-sized product scratch the collection emptied from its
+// pool (4.2 MB at ×16). The first commit of each is not measured: it
+// moves each kernel-made entry into an arena with headroom, once.
+func TestCommitCostsTouchedBlocksAtScale(t *testing.T) {
+	skipUnderRace(t, "allocation counts are inflated by the race detector")
+	if testing.Short() {
+		t.Skip("builds and warms a 312k-node graph")
+	}
+	cfg := datasets.FullDBLP()
+	cfg.Procs, cfg.AuthorsPool = 16*cfg.Procs, 16*cfg.AuthorsPool
+	pools := []*warmPool{newWarmPool(t), warmPoolOf(t, datasets.DBLP(cfg))}
+	commits := []func(int) (*graph.Snapshot, eval.CommitDelta){benchCommits(t, pools[0]), benchCommits(t, pools[1])}
+	const n = 17
+	var bytes [2][]uint64
+	var took [2][]time.Duration
+	for k := 0; k < n; k++ {
+		for i, w := range pools {
+			next, d := commits[i](k)
+			if b, dt := w.maintainTimed(t, k, next, d); k > 0 {
+				bytes[i], took[i] = append(bytes[i], b), append(took[i], dt)
+			}
+		}
+	}
+	median := func(xs []uint64) float64 { return float64(slices.Sorted(slices.Values(xs))[len(xs)/2]) / (1 << 20) }
+	slices.Sort(took[0])
+	slices.Sort(took[1])
+	x1, x16 := took[0][len(took[0])/2], took[1][len(took[1])/2]
+	t.Logf("Cache.Commit medians: ×1 %v and %.2f MB, ×16 (n = %d) %v and %.2f MB (at most %.2f MB)",
+		x1, median(bytes[0]), pools[1].snap.NumNodes(), x16, median(bytes[1]), float64(slices.Max(bytes[1]))/(1<<20))
+	if median(bytes[1]) > 1 {
+		t.Errorf("a commit at ×16 allocates %.2f MB (median), want at most 1", median(bytes[1]))
+	}
+	if x16 > 2*x1 {
+		t.Errorf("a commit at ×16 takes %v (median), want at most twice ×1's %v", x16, x1)
 	}
 }
 

@@ -72,6 +72,11 @@ func carryBlocks(old []*block, n int, touched []NodeID, from int) []*block {
 	return bs
 }
 
+// writerPool holds WriteView's buffered writers, so a checkpoint does
+// not allocate its 256 KB buffer afresh: a checkpoint is megabytes,
+// written in few large writes.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
+
 // WriteStats counts what one WriteView call wrote: Bytes, of which
 // Encoded bytes in EncodedBlocks blocks it encoded itself.
 type WriteStats struct {
@@ -84,7 +89,12 @@ type WriteStats struct {
 // json.Encoder writes each record. It encodes only the blocks of s no
 // earlier WriteView of s or of a version sharing them encoded.
 func WriteView(w io.Writer, s *Snapshot) (WriteStats, error) {
-	bw := bufio.NewWriterSize(w, 256<<10) // a checkpoint is megabytes: few large writes
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil) // the pool holds no file
+		writerPool.Put(bw)
+	}()
 	var st WriteStats
 	var scratch []byte
 	put := func(blk *block, encode func([]byte) []byte) {

@@ -388,7 +388,7 @@ func DeltaOf(new, old *Matrix) *Delta {
 		panic(fmt.Sprintf("sparse: DeltaOf dimension mismatch %d vs %d", new.n, old.n))
 	}
 	d := &Delta{n: new.n}
-	for r := range max(len(new.rows), len(old.rows)) {
+	for r := range max(new.nrows, old.nrows) {
 		nc, nv := new.RowView(r)
 		oc, ov := old.RowView(r)
 		d.colIdx, d.val = appendMerged(d.colIdx, d.val, nc, nv, oc, ov, -1)

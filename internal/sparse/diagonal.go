@@ -152,14 +152,15 @@ func ProductDiagonal(a, bt *Matrix) *Vector {
 	b := diagBufPool.Get().(*diagBuf)
 	defer diagBufPool.Put(b)
 	b.idx, b.val = b.idx[:0], b.val[:0]
-	for r := range min(len(a.rows), len(bt.rows)) {
-		if a.rows[r].lo == a.rows[r].hi || bt.rows[r].lo == bt.rows[r].hi {
-			continue
-		}
-		ac, av := a.RowView(r)
-		bc, bv := bt.RowView(r)
-		if x := Dot(ac, av, bc, bv); x != 0 {
-			b.idx, b.val = append(b.idx, int32(r)), append(b.val, x)
+	for base, sps := range a.spans(0, bt.nrows) {
+		for i, sp := range sps {
+			if sp.lo == sp.hi {
+				continue
+			}
+			bc, bv := bt.RowView(base + i)
+			if x := Dot(a.colIdx[sp.lo:sp.hi], a.val[sp.lo:sp.hi], bc, bv); x != 0 {
+				b.idx, b.val = append(b.idx, int32(base+i)), append(b.val, x)
+			}
 		}
 	}
 	idx := b.idx

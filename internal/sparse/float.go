@@ -12,19 +12,21 @@ type FloatMatrix = GMatrix[float64, FloatRing]
 // RowNormalize returns the row-stochastic version of f: every nonzero row
 // is scaled to sum to 1; zero rows stay zero (dangling nodes).
 func RowNormalize(f *FloatMatrix) *FloatMatrix {
-	// Same support, so the spans and columns are shared; only the
+	// Same support, so the span blocks and columns are shared; only the
 	// values are new.
-	out := &FloatMatrix{n: f.n, nnz: f.nnz, rows: f.rows, colIdx: f.colIdx, val: make([]float64, len(f.val))}
-	for _, sp := range f.rows {
-		var sum float64
-		for _, v := range f.val[sp.lo:sp.hi] {
-			sum += v
-		}
-		if sum == 0 {
-			continue
-		}
-		for i := sp.lo; i < sp.hi; i++ {
-			out.val[i] = f.val[i] / sum
+	out := &FloatMatrix{n: f.n, nnz: f.nnz, nrows: f.nrows, blocks: f.blocks, colIdx: f.colIdx, val: make([]float64, len(f.val))}
+	for _, sps := range f.spans(0, f.nrows) {
+		for _, sp := range sps {
+			var sum float64
+			for _, v := range f.val[sp.lo:sp.hi] {
+				sum += v
+			}
+			if sum == 0 {
+				continue
+			}
+			for i := sp.lo; i < sp.hi; i++ {
+				out.val[i] = f.val[i] / sum
+			}
 		}
 	}
 	return out
@@ -37,12 +39,14 @@ func MulVec(f *FloatMatrix, x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: MulVec length %d != dim %d", len(x), f.n))
 	}
 	y := make([]float64, f.n)
-	for r, sp := range f.rows {
-		var s float64
-		for i := sp.lo; i < sp.hi; i++ {
-			s += f.val[i] * x[f.colIdx[i]]
+	for base, sps := range f.spans(0, f.nrows) {
+		for r, sp := range sps {
+			var s float64
+			for i := sp.lo; i < sp.hi; i++ {
+				s += f.val[i] * x[f.colIdx[i]]
+			}
+			y[base+r] = s
 		}
-		y[r] = s
 	}
 	return y
 }
@@ -54,13 +58,15 @@ func VecMul(f *FloatMatrix, x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: VecMul length %d != dim %d", len(x), f.n))
 	}
 	y := make([]float64, f.n)
-	for r, sp := range f.rows {
-		xv := x[r]
-		if xv == 0 {
-			continue
-		}
-		for i := sp.lo; i < sp.hi; i++ {
-			y[f.colIdx[i]] += f.val[i] * xv
+	for base, sps := range f.spans(0, f.nrows) {
+		for r, sp := range sps {
+			xv := x[base+r]
+			if xv == 0 {
+				continue
+			}
+			for i := sp.lo; i < sp.hi; i++ {
+				y[f.colIdx[i]] += f.val[i] * xv
+			}
 		}
 	}
 	return y

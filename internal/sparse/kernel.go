@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime"
 	"slices"
@@ -35,20 +36,33 @@ import (
 // span is one row's half-open range of entries in the arena.
 type span struct{ lo, hi int32 }
 
+// blockRows is the number of rows one span block holds.
+const blockRows = 256
+
+// spanBlock holds the spans of blockRows consecutive rows.
+type spanBlock [blockRows]span
+
 // GMatrix is an immutable n×n sparse matrix over the semiring R: one
-// span per row into an entry arena (colIdx/val). Rows at and past
-// len(rows) are empty, which is what makes Grow free. A kernel result
-// owns a compact arena holding exactly its rows; a matrix made by
-// withRows shares every untouched row with the version it was made
-// from, whose readers keep reading their own spans unchanged. The zero
-// value is an empty 0×0 matrix. A GMatrix must not be copied: it holds
-// its transpose once TransposeCached has built it or the version it was
-// made from handed one over.
+// span per row into an entry arena (colIdx/val), the spans kept in a
+// directory of fixed blocks of 256. Rows at and past nrows, in a nil
+// block or past the directory are empty, which is what makes Grow
+// free. A kernel result owns a compact arena holding exactly its rows
+// and one flat span array, padded to a whole block, that its directory
+// aliases. A matrix made by withRows shares every untouched row with
+// the version it was made from, and every block none of its replaced
+// rows fall in: a patch copies the directory and the blocks it
+// touches, never n spans, and the version it was made from keeps
+// reading its own blocks unchanged. Blocks, like spans, are never
+// written once a matrix is published. The zero value is an empty 0×0
+// matrix. A GMatrix must not be copied: it holds its transpose once
+// TransposeCached has built it or the version it was made from handed
+// one over.
 type GMatrix[T comparable, R Ring[T]] struct {
 	n      int
-	nnz    int     // stored entries: the sum of the span lengths
-	rows   []span  // len ≤ n
-	colIdx []int32 // the arena up to this version's end
+	nnz    int          // stored entries: the sum of the span lengths
+	nrows  int          // rows at and past nrows are empty; nrows ≤ n
+	blocks []*spanBlock // block b holds rows [256b, 256b+256); nil reads as empty
+	colIdx []int32      // the arena up to this version's end
 	val    []T
 	tip    *arenaTip // nil: the arena is never appended to in place
 	tr     atomic.Pointer[GMatrix[T, R]]
@@ -61,12 +75,46 @@ type GMatrix[T comparable, R Ring[T]] struct {
 // version never write the same slots.
 type arenaTip struct{ end atomic.Int64 }
 
-// row returns the span of row r, empty at and past len(m.rows).
-func (m *GMatrix[T, R]) row(r int) span {
-	if r < len(m.rows) {
-		return m.rows[r]
+// row returns the span of row r, empty in a nil block and past the
+// directory.
+func (m *GMatrix[T, R]) row(r int) span { return rowOf(m.blocks, r) }
+
+// rowOf is row over a directory a hot loop holds in a local, so the
+// directory is not loaded again through the matrix on every lookup.
+func rowOf(blocks []*spanBlock, r int) span {
+	if b := uint(r) / blockRows; b < uint(len(blocks)) {
+		if blk := blocks[b]; blk != nil {
+			return blk[uint(r)%blockRows]
+		}
 	}
 	return span{}
+}
+
+// flatSpans gives m nrows rows over one fresh span array, padded to a
+// whole block, that a directory of as many blocks aliases, and returns
+// the first nrows spans for a kernel to fill before m is published.
+func (m *GMatrix[T, R]) flatSpans(nrows int) []span {
+	flat := make([]span, (nrows+blockRows-1)/blockRows*blockRows)
+	m.nrows, m.blocks = nrows, make([]*spanBlock, len(flat)/blockRows)
+	for b := range m.blocks {
+		m.blocks[b] = (*spanBlock)(flat[b*blockRows:])
+	}
+	return flat[:nrows]
+}
+
+// spans yields, block by block, the spans of m's rows in [lo, hi): the
+// first row's id and the spans from it to the end of its block or hi,
+// whichever comes first. Nil blocks are skipped; rows past nrows are
+// never yielded.
+func (m *GMatrix[T, R]) spans(lo, hi int) iter.Seq2[int, []span] {
+	return func(yield func(int, []span) bool) {
+		for r, end := lo, min(hi, m.nrows); r < end; r = (r/blockRows + 1) * blockRows {
+			blk := m.blocks[r/blockRows]
+			if blk != nil && !yield(r, blk[r%blockRows:min(blockRows, end-r/blockRows*blockRows)]) {
+				return
+			}
+		}
+	}
 }
 
 // Dim returns the dimension n of the n×n matrix.
@@ -124,9 +172,11 @@ func (m *GMatrix[T, R]) RowView(row int) ([]int32, []T) {
 
 // Each calls fn(row, col, val) for every stored entry in row-major order.
 func (m *GMatrix[T, R]) Each(fn func(row, col int, val T)) {
-	for r, sp := range m.rows {
-		for i := sp.lo; i < sp.hi; i++ {
-			fn(r, int(m.colIdx[i]), m.val[i])
+	for base, sps := range m.spans(0, m.nrows) {
+		for r, sp := range sps {
+			for i := sp.lo; i < sp.hi; i++ {
+				fn(base+r, int(m.colIdx[i]), m.val[i])
+			}
 		}
 	}
 }
@@ -138,36 +188,42 @@ func (m *GMatrix[T, R]) Each(fn func(row, col int, val T)) {
 // node.
 func (m *GMatrix[T, R]) Transpose() *GMatrix[T, R] {
 	width := 0
-	for _, sp := range m.rows {
-		if sp.lo < sp.hi {
-			width = max(width, int(m.colIdx[sp.hi-1])+1)
+	for _, sps := range m.spans(0, m.nrows) {
+		for _, sp := range sps {
+			if sp.lo < sp.hi {
+				width = max(width, int(m.colIdx[sp.hi-1])+1)
+			}
 		}
 	}
 	t := &GMatrix[T, R]{
 		n:      m.n,
 		nnz:    m.nnz,
-		rows:   make([]span, width),
 		colIdx: make([]int32, m.nnz),
 		val:    make([]T, m.nnz),
 	}
-	for _, sp := range m.rows {
-		for _, c := range m.colIdx[sp.lo:sp.hi] {
-			t.rows[c].hi++
+	rows := t.flatSpans(width)
+	for _, sps := range m.spans(0, m.nrows) {
+		for _, sp := range sps {
+			for _, c := range m.colIdx[sp.lo:sp.hi] {
+				rows[c].hi++
+			}
 		}
 	}
 	// Each row starts empty at its offset; the fill below advances hi,
 	// so the span doubles as the row's write cursor.
 	var off int32
-	for c, sp := range t.rows {
-		t.rows[c] = span{off, off}
+	for c, sp := range rows {
+		rows[c] = span{off, off}
 		off += sp.hi
 	}
-	for r, sp := range m.rows {
-		for i := sp.lo; i < sp.hi; i++ {
-			w := &t.rows[m.colIdx[i]].hi
-			t.colIdx[*w] = int32(r)
-			t.val[*w] = m.val[i]
-			*w++
+	for base, sps := range m.spans(0, m.nrows) {
+		for r, sp := range sps {
+			for i := sp.lo; i < sp.hi; i++ {
+				w := &rows[m.colIdx[i]].hi
+				t.colIdx[*w] = int32(base + r)
+				t.val[*w] = m.val[i]
+				*w++
+			}
 		}
 	}
 	return t
@@ -199,11 +255,12 @@ func (m *GMatrix[T, R]) KeptTranspose() *GMatrix[T, R] { return m.tr.Load() }
 
 // Grow returns m embedded in the top-left corner of an n×n matrix.
 // Commits that add nodes enlarge the id space; a cached matrix from the
-// previous version reads the same at the new dimension, so the spans
-// and the arena are shared and growing costs nothing. A kept transpose
-// is grown the same way: the grown matrix is its own transpose if m
-// was, and otherwise keeps m's transpose grown. It panics if n is
-// smaller than m's dimension.
+// previous version reads the same at the new dimension, so the block
+// directory, its blocks and the arena are shared and growing costs
+// nothing: the new rows are past nrows, and read as empty. A kept
+// transpose is grown the same way: the grown matrix is its own
+// transpose if m was, and otherwise keeps m's transpose grown. It
+// panics if n is smaller than m's dimension.
 func (m *GMatrix[T, R]) Grow(n int) *GMatrix[T, R] {
 	g := m.grown(n)
 	g.carryTranspose(m, true, func(t *GMatrix[T, R]) *GMatrix[T, R] { return t.grown(n) })
@@ -218,7 +275,7 @@ func (m *GMatrix[T, R]) grown(n int) *GMatrix[T, R] {
 	if n < m.n {
 		panic(fmt.Sprintf("sparse: Grow from %d to smaller %d", m.n, n))
 	}
-	return &GMatrix[T, R]{n: n, nnz: m.nnz, rows: m.rows, colIdx: m.colIdx, val: m.val, tip: m.tip}
+	return &GMatrix[T, R]{n: n, nnz: m.nnz, nrows: m.nrows, blocks: m.blocks, colIdx: m.colIdx, val: m.val, tip: m.tip}
 }
 
 // carryTranspose hands g, just made from m, the transpose derived from
@@ -245,10 +302,13 @@ func (m *GMatrix[T, R]) MulFlops(o *GMatrix[T, R]) int64 {
 		panic(fmt.Sprintf("sparse: MulFlops dimension mismatch %d vs %d", m.n, o.n))
 	}
 	var flops int64
-	for _, sp := range m.rows {
-		for _, k := range m.colIdx[sp.lo:sp.hi] {
-			osp := o.row(int(k))
-			flops += int64(osp.hi - osp.lo)
+	oblocks := o.blocks
+	for _, sps := range m.spans(0, m.nrows) {
+		for _, sp := range sps {
+			for _, k := range m.colIdx[sp.lo:sp.hi] {
+				osp := rowOf(oblocks, int(k))
+				flops += int64(osp.hi - osp.lo)
+			}
 		}
 	}
 	return flops
@@ -257,24 +317,24 @@ func (m *GMatrix[T, R]) MulFlops(o *GMatrix[T, R]) int64 {
 // withRows returns the n×n matrix (n ≥ m.n) that reads as m except at
 // the given rows — ascending, below n — where row rows[i] becomes
 // cols/vals[ptr[i]:ptr[i+1]] (canonical; empty empties the row). The
-// spans are copied and the replacement rows appended to m's arena, so
-// every other row is shared with m. Only the arena's newest version
-// may append in place; anything else, an arena out of capacity, or one
-// that would be more than a quarter dead is first rewritten compactly
-// with an eighth of headroom. cols, vals and ptr are copied out of and
-// may be scratch.
+// replacement rows are appended to m's arena, the directory is copied,
+// and so is each block a replaced row falls in: every other block, and
+// every other row, is shared with m, so a patch costs the directory
+// (n/256 pointers) and 2 KB per touched block, never n spans. Only the
+// arena's newest version may append in place; anything else, an arena
+// out of capacity, or one that would be more than a quarter dead is
+// first rewritten compactly with an eighth of headroom, over fresh flat
+// spans. cols, vals and ptr are copied out of and may be scratch.
 func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix[T, R] {
 	if len(rows) == 0 {
 		return m.grown(n)
 	}
 	out := &GMatrix[T, R]{n: n, nnz: m.nnz + len(cols)}
-	// Clone, then extend: only the tail of rows new to the spans is
-	// cleared, not the whole array before the copy overwrites it.
-	out.rows = append(slices.Clone(m.rows), make([]span, max(0, int(rows[len(rows)-1])+1-len(m.rows)))...)
 	for _, r := range rows {
-		sp := out.rows[r]
+		sp := m.row(int(r))
 		out.nnz -= int(sp.hi - sp.lo)
 	}
+	nrows := max(m.nrows, int(rows[len(rows)-1])+1)
 	end := len(m.colIdx)
 	grown := end + len(cols)
 	if m.tip != nil && grown <= cap(m.colIdx) && (grown-out.nnz)*4 <= grown &&
@@ -282,8 +342,19 @@ func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMat
 		out.colIdx, out.val, out.tip = m.colIdx[:grown], m.val[:grown], m.tip
 		copy(out.colIdx[end:], cols)
 		copy(out.val[end:], vals)
+		out.nrows, out.blocks = nrows, make([]*spanBlock, (nrows+blockRows-1)/blockRows)
+		copy(out.blocks, m.blocks)
+		copied := -1 // rows ascend, so a block's rows come together
 		for i, r := range rows {
-			out.rows[r] = span{int32(end) + ptr[i], int32(end) + ptr[i+1]}
+			b := int(r) / blockRows
+			if b != copied {
+				blk := new(spanBlock)
+				if old := out.blocks[b]; old != nil {
+					*blk = *old
+				}
+				out.blocks[b], copied = blk, b
+			}
+			out.blocks[b][int(r)%blockRows] = span{int32(end) + ptr[i], int32(end) + ptr[i+1]}
 		}
 		return out
 	}
@@ -295,7 +366,9 @@ func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMat
 	out.tip = &arenaTip{}
 	out.tip.end.Store(int64(out.nnz))
 	w, i := 0, 0
-	for r, sp := range out.rows {
+	spans := out.flatSpans(nrows)
+	for r := range spans {
+		sp := m.row(r)
 		sc, sv := m.colIdx[sp.lo:sp.hi], m.val[sp.lo:sp.hi]
 		if i < len(rows) && int(rows[i]) == r {
 			sc, sv = cols[ptr[i]:ptr[i+1]], vals[ptr[i]:ptr[i+1]]
@@ -303,7 +376,7 @@ func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMat
 		}
 		copy(out.colIdx[w:], sc)
 		copy(out.val[w:], sv)
-		out.rows[r] = span{int32(w), int32(w + len(sc))}
+		spans[r] = span{int32(w), int32(w + len(sc))}
 		w += len(sc)
 	}
 	return out
@@ -319,14 +392,14 @@ func GIdentity[T comparable, R Ring[T]](n int) *GMatrix[T, R] {
 	m := &GMatrix[T, R]{
 		n:      n,
 		nnz:    n,
-		rows:   make([]span, n),
 		colIdx: make([]int32, n),
 		val:    make([]T, n),
 	}
+	rows := m.flatSpans(n)
 	var ring R
 	one := ring.One()
 	for i := 0; i < n; i++ {
-		m.rows[i] = span{int32(i), int32(i + 1)}
+		rows[i] = span{int32(i), int32(i + 1)}
 		m.colIdx[i] = int32(i)
 		m.val[i] = one
 	}
@@ -355,19 +428,21 @@ func Lift[T comparable, R Ring[T]](m *Matrix) *GMatrix[T, R] {
 func mapEntries[S comparable, RS Ring[S], T comparable, R Ring[T]](m *GMatrix[S, RS], f func(S) (T, bool)) *GMatrix[T, R] {
 	g := &GMatrix[T, R]{
 		n:      m.n,
-		rows:   make([]span, len(m.rows)),
 		colIdx: make([]int32, 0, m.nnz),
 		val:    make([]T, 0, m.nnz),
 	}
-	for r, sp := range m.rows {
-		start := int32(len(g.colIdx))
-		for i := sp.lo; i < sp.hi; i++ {
-			if v, keep := f(m.val[i]); keep {
-				g.colIdx = append(g.colIdx, m.colIdx[i])
-				g.val = append(g.val, v)
+	rows := g.flatSpans(m.nrows)
+	for base, sps := range m.spans(0, m.nrows) {
+		for r, sp := range sps {
+			start := int32(len(g.colIdx))
+			for i := sp.lo; i < sp.hi; i++ {
+				if v, keep := f(m.val[i]); keep {
+					g.colIdx = append(g.colIdx, m.colIdx[i])
+					g.val = append(g.val, v)
+				}
 			}
+			rows[base+r] = span{start, int32(len(g.colIdx))}
 		}
-		g.rows[r] = span{start, int32(len(g.colIdx))}
 	}
 	g.nnz = len(g.colIdx)
 	return g
@@ -383,11 +458,12 @@ func (m *GMatrix[T, R]) Add(o *GMatrix[T, R]) *GMatrix[T, R] {
 		panic(fmt.Sprintf("sparse: Add dimension mismatch %d vs %d", m.n, o.n))
 	}
 	var ring R
-	s := &GMatrix[T, R]{n: m.n, rows: make([]span, max(len(m.rows), len(o.rows)))}
+	s := &GMatrix[T, R]{n: m.n}
+	rows := s.flatSpans(max(m.nrows, o.nrows))
 	for fill := false; ; fill = true {
-		for r := range s.rows {
-			w := s.rows[r].lo
-			if fill && w == s.rows[r].hi {
+		for r := range rows {
+			w := rows[r].lo
+			if fill && w == rows[r].hi {
 				continue // nothing of this row survived the count
 			}
 			mr, or := m.row(r), o.row(r)
@@ -421,13 +497,13 @@ func (m *GMatrix[T, R]) Add(o *GMatrix[T, R]) *GMatrix[T, R] {
 				copy(s.colIdx[w+cnt:], o.colIdx[j:jEnd])
 				copy(s.val[w+cnt:], o.val[j:jEnd])
 			} else {
-				s.rows[r].hi = cnt + (iEnd - i) + (jEnd - j)
+				rows[r].hi = cnt + (iEnd - i) + (jEnd - j)
 			}
 		}
 		if fill {
 			return s
 		}
-		s.nnz = spanOffsets(s.rows, "sum")
+		s.nnz = spanOffsets(rows, "sum")
 		s.colIdx, s.val = make([]int32, s.nnz), make([]T, s.nnz)
 	}
 }
@@ -464,32 +540,37 @@ func (m *GMatrix[T, R]) Boolean() *GMatrix[T, R] {
 func (m *GMatrix[T, R]) DiagMulBool() *GMatrix[T, R] {
 	var ring R
 	populated := 0 // populated rows of m bound the diagonal's entries
-	for _, sp := range m.rows {
-		if sp.lo < sp.hi {
-			populated++
+	for _, sps := range m.spans(0, m.nrows) {
+		for _, sp := range sps {
+			if sp.lo < sp.hi {
+				populated++
+			}
 		}
 	}
 	d := &GMatrix[T, R]{
 		n:      m.n,
-		rows:   make([]span, len(m.rows)),
 		colIdx: make([]int32, 0, populated),
 		val:    make([]T, 0, populated),
 	}
-	for r, sp := range m.rows {
-		sum := ring.Zero()
-		any := false
-		for i := sp.lo; i < sp.hi; i++ {
-			if ring.Truthy(m.val[i]) {
-				sum = ring.Add(sum, m.val[i])
-				any = true
+	rows := d.flatSpans(m.nrows)
+	for base, sps := range m.spans(0, m.nrows) {
+		for i, sp := range sps {
+			r := base + i
+			sum := ring.Zero()
+			any := false
+			for k := sp.lo; k < sp.hi; k++ {
+				if ring.Truthy(m.val[k]) {
+					sum = ring.Add(sum, m.val[k])
+					any = true
+				}
 			}
+			start := int32(len(d.colIdx))
+			if any && !ring.IsZero(sum) {
+				d.colIdx = append(d.colIdx, int32(r))
+				d.val = append(d.val, sum)
+			}
+			rows[r] = span{start, int32(len(d.colIdx))}
 		}
-		start := int32(len(d.colIdx))
-		if any && !ring.IsZero(sum) {
-			d.colIdx = append(d.colIdx, int32(r))
-			d.val = append(d.val, sum)
-		}
-		d.rows[r] = span{start, int32(len(d.colIdx))}
 	}
 	d.nnz = len(d.colIdx)
 	return d
@@ -524,16 +605,17 @@ func (m *GMatrix[T, R]) MulThresh(o *GMatrix[T, R], t Thresholds) *GMatrix[T, R]
 	// span, the prefix sum makes the counts spans and sizes the arena
 	// exactly, and the numeric pass fills each row's span in place, so
 	// no worker buffers a chunk and nothing is copied or regrown.
-	p := &GMatrix[T, R]{n: m.n, rows: make([]span, len(m.rows))}
+	p := &GMatrix[T, R]{n: m.n}
+	rows := p.flatSpans(m.nrows)
 	scratch := make([]*mulScratch[T], workers)
-	eachRange(len(m.rows), workers, func(w, lo, hi int) {
+	eachRange(m.nrows, workers, func(w, lo, hi int) {
 		scratch[w] = getScratch[T](m.n)
-		m.countRows(o, p.rows, lo, hi, scratch[w])
+		m.countRows(o, rows, lo, hi, scratch[w])
 	})
-	p.nnz = spanOffsets(p.rows, "product")
+	p.nnz = spanOffsets(rows, "product")
 	p.colIdx, p.val = make([]int32, p.nnz), make([]T, p.nnz)
-	eachRange(len(m.rows), workers, func(w, lo, hi int) {
-		scratch[w].cancelled = m.mulRows(o, p, lo, hi, scratch[w])
+	eachRange(m.nrows, workers, func(w, lo, hi int) {
+		scratch[w].cancelled = m.mulRows(o, p, rows, lo, hi, scratch[w])
 	})
 	for _, s := range scratch {
 		p.nnz -= s.cancelled
@@ -615,77 +697,78 @@ func putScratch[T any](s *mulScratch[T]) { scratchPool[T]().Put(s) }
 
 // countRows is the symbolic pass over rows [lo, hi) of m·o: it leaves
 // the number of distinct columns row r reaches in counts[r].hi. A row
-// of m with no entries costs the comparison that finds it empty.
+// of m with no entries costs the comparison that finds it empty, and a
+// nil block of m not even that.
 func (m *GMatrix[T, R]) countRows(o *GMatrix[T, R], counts []span, lo, hi int, s *mulScratch[T]) {
-	orows := o.rows
-	for r := lo; r < hi; r++ {
-		sp := m.rows[r]
-		if sp.lo == sp.hi {
-			continue
-		}
-		s.stamp++
-		var cnt int32
-		for _, k := range m.colIdx[sp.lo:sp.hi] {
-			if int(k) >= len(orows) {
+	oblocks := o.blocks
+	for base, sps := range m.spans(lo, hi) {
+		for i, sp := range sps {
+			if sp.lo == sp.hi {
 				continue
 			}
-			for _, c := range o.colIdx[orows[k].lo:orows[k].hi] {
-				if s.mark[c] != s.stamp {
-					s.mark[c] = s.stamp
-					cnt++
+			s.stamp++
+			var cnt int32
+			for _, k := range m.colIdx[sp.lo:sp.hi] {
+				osp := rowOf(oblocks, int(k))
+				for _, c := range o.colIdx[osp.lo:osp.hi] {
+					if s.mark[c] != s.stamp {
+						s.mark[c] = s.stamp
+						cnt++
+					}
 				}
 			}
+			counts[base+i].hi = cnt
 		}
-		counts[r].hi = cnt
 	}
 }
 
 // mulRows is the numeric pass and the one function that multiplies:
-// rows [lo, hi) of m·o by Gustavson's algorithm, written into the spans
-// p.rows reserves for them. The row's slice of p.colIdx doubles as its
-// touched list — filled in first-touch order, sorted in place, then
-// paired with the accumulated values — so a row allocates nothing. An
-// entry the ring cancelled to zero (signed operands only) is skipped
-// and the row's span ends short of its reservation; the slots left
-// over are dead arena, and their number is returned.
-func (m *GMatrix[T, R]) mulRows(o, p *GMatrix[T, R], lo, hi int, s *mulScratch[T]) (cancelled int) {
+// rows [lo, hi) of m·o by Gustavson's algorithm, written into p's
+// arena at the spans rows reserves for them. The row's slice of
+// p.colIdx doubles as its touched list — filled in first-touch order,
+// sorted in place, then paired with the accumulated values — so a row
+// allocates nothing. An entry the ring cancelled to zero (signed
+// operands only) is skipped and the row's span ends short of its
+// reservation; the slots left over are dead arena, and their number is
+// returned.
+func (m *GMatrix[T, R]) mulRows(o, p *GMatrix[T, R], rows []span, lo, hi int, s *mulScratch[T]) (cancelled int) {
 	var ring R
-	orows := o.rows
-	for r := lo; r < hi; r++ {
-		sp := m.rows[r]
-		if sp.lo == sp.hi {
-			continue
-		}
-		s.stamp++
-		w := p.rows[r].lo
-		cols := p.colIdx[w:p.rows[r].hi]
-		n := 0
-		for i := sp.lo; i < sp.hi; i++ {
-			k, mv := m.colIdx[i], m.val[i]
-			if int(k) >= len(orows) {
+	oblocks := o.blocks
+	for base, sps := range m.spans(lo, hi) {
+		for ri, sp := range sps {
+			if sp.lo == sp.hi {
 				continue
 			}
-			for j, end := orows[k].lo, orows[k].hi; j < end; j++ {
-				c, v := o.colIdx[j], ring.MulVia(mv, k, o.val[j])
-				if s.mark[c] != s.stamp {
-					s.mark[c] = s.stamp
-					cols[n] = c
-					n++
-					s.acc[c] = v
-				} else {
-					s.acc[c] = ring.Add(s.acc[c], v)
+			s.stamp++
+			out := &rows[base+ri]
+			w := out.lo
+			cols := p.colIdx[w:out.hi]
+			n := 0
+			for i := sp.lo; i < sp.hi; i++ {
+				k, mv := m.colIdx[i], m.val[i]
+				osp := rowOf(oblocks, int(k))
+				for j := osp.lo; j < osp.hi; j++ {
+					c, v := o.colIdx[j], ring.MulVia(mv, k, o.val[j])
+					if s.mark[c] != s.stamp {
+						s.mark[c] = s.stamp
+						cols[n] = c
+						n++
+						s.acc[c] = v
+					} else {
+						s.acc[c] = ring.Add(s.acc[c], v)
+					}
 				}
 			}
-		}
-		slices.Sort(cols)
-		for _, c := range cols {
-			if v := s.acc[c]; !ring.IsZero(v) {
-				p.colIdx[w], p.val[w] = c, v
-				w++
+			slices.Sort(cols)
+			for _, c := range cols {
+				if v := s.acc[c]; !ring.IsZero(v) {
+					p.colIdx[w], p.val[w] = c, v
+					w++
+				}
 			}
+			cancelled += int(out.hi - w)
+			out.hi = w
 		}
-		cancelled += int(p.rows[r].hi - w)
-		p.rows[r].hi = w
 	}
 	return cancelled
 }
@@ -696,7 +779,7 @@ func equalRows[T comparable, R Ring[T], U comparable, Q Ring[U]](m *GMatrix[T, R
 	if m.n != o.n || m.nnz != o.nnz {
 		return false
 	}
-	for r := range max(len(m.rows), len(o.rows)) {
+	for r := range max(m.nrows, o.nrows) {
 		ms, os := m.row(r), o.row(r)
 		if !slices.Equal(m.colIdx[ms.lo:ms.hi], o.colIdx[os.lo:os.hi]) {
 			return false

@@ -2,7 +2,10 @@
 // commuting matrices for RRE patterns (paper §4.3).
 //
 // Matrices are square over the node-id space of a graph and stored as
-// sorted sparse rows: one span per row into an entry arena (kernel.go).
+// sorted sparse rows: one span per row into an entry arena, the spans
+// kept in a directory of fixed blocks of 256 rows (kernel.go). Versions
+// of a matrix share every block a patch did not touch, so a patch
+// copies the directory and the blocks its rows fall in, never n spans.
 // The algebra is exactly the one the
 // paper defines for commuting matrices:
 //
@@ -47,7 +50,8 @@ type Triple struct {
 // New panics if any index is out of [0, n).
 func New(n int, triples []Triple) *Matrix {
 	sorted := sortTriples(n, slices.Clone(triples))
-	m := &Matrix{n: n, rows: make([]span, n)}
+	m := &Matrix{n: n}
+	rows := m.flatSpans(n)
 	m.colIdx = make([]int32, 0, len(sorted))
 	m.val = make([]int64, 0, len(sorted))
 	for i := 0; i < len(sorted); {
@@ -64,7 +68,7 @@ func New(n int, triples []Triple) *Matrix {
 		if j == len(sorted) || sorted[j].Row != sorted[i].Row {
 			// Rows arrive in order, so a row's span is its predecessor's
 			// end up to here; rows without triples stay the empty span.
-			m.rows[sorted[i].Row] = span{int32(m.nnz), int32(len(m.colIdx))}
+			rows[sorted[i].Row] = span{int32(m.nnz), int32(len(m.colIdx))}
 			m.nnz = len(m.colIdx)
 		}
 		i = j

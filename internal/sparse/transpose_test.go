@@ -22,11 +22,11 @@ func TestTransposeCached(t *testing.T) {
 	if again := m.TransposeCached(); again != tr {
 		t.Error("a second call built another transpose")
 	}
-	if len(tr.rows) != 4 {
-		t.Errorf("transpose holds %d spans, want 4: the last populated column + 1", len(tr.rows))
+	if tr.nrows != 4 {
+		t.Errorf("transpose holds %d spans, want 4: the last populated column + 1", tr.nrows)
 	}
-	if z := Zero(6).Transpose(); len(z.rows) != 0 {
-		t.Errorf("transpose of the zero matrix holds %d spans, want 0", len(z.rows))
+	if z := Zero(6).Transpose(); z.nrows != 0 {
+		t.Errorf("transpose of the zero matrix holds %d spans, want 0", z.nrows)
 	}
 
 	sym := New(4, []Triple{{0, 1, 3}, {1, 0, 3}, {2, 2, 1}, {1, 3, -2}, {3, 1, -2}})

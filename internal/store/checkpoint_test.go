@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"relsim/internal/datasets"
@@ -155,13 +154,7 @@ func TestCheckpointEncodesWhatChanged(t *testing.T) {
 // Copying them cost 935,578 bytes a commit. The first commit is not
 // measured: the seed snapshot's type column has no room to grow yet.
 func TestNodeAddingCommitAllocates(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts are inflated by the race detector")
-			}
-		}
-	}
+	skipUnderRace(t)
 	s := New(datasets.DBLP(datasets.FullDBLP()).Graph)
 	s.AddNode("warm", "paper")
 	const commits = 16

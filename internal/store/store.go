@@ -519,11 +519,17 @@ func (s *Store) runBeforePublish(c Commit) {
 }
 
 // trimLogLocked enforces the bounded-log retention and advances the
-// gap-detection watermark past every dropped record. s.mu held.
+// gap-detection watermark past every dropped record. s.mu held. The
+// dropped records are sliced off the front, not the kept ones copied:
+// append moves the kept ones once it runs out of room, so a full log
+// costs a commit one record moved on average, not the whole log. Log
+// and memFeed copy the records they return, so nothing aliases the
+// backing array.
 func (s *Store) trimLogLocked() {
 	if over := len(s.log) - s.logCap; over > 0 {
 		s.logDropped = s.log[over-1].Version
-		s.log = append(s.log[:0:0], s.log[over:]...)
+		clear(s.log[:over]) // the strings they hold go with them
+		s.log = s.log[over:]
 	}
 }
 

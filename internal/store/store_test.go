@@ -1,6 +1,9 @@
 package store
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -174,6 +177,57 @@ func TestLogRetentionBound(t *testing.T) {
 	}
 	if got, want := log[len(log)-1].Version, s.Version(); got != want {
 		t.Errorf("newest retained version = %d, want %d", got, want)
+	}
+}
+
+// TestFullLogCommitAllocates: once the update log holds DefaultLogCap
+// records, a commit drops the oldest by slicing, so a node-only commit
+// allocates what one made before the log filled did. Copying the
+// retained records on every trim made it 1,384 → 28,664 bytes here
+// (1,400 with the front sliced off). Each
+// commit is measured alone and the median taken, so the log's
+// occasional regrowth, which moves the kept records once, is not what
+// is compared. Every node takes one name, so the graph's name index,
+// which copies the names added since its last fold, stays one entry.
+func TestFullLogCommitAllocates(t *testing.T) {
+	skipUnderRace(t)
+	s, _, _ := newTestStore(t)
+	commits := 0
+	median := func(k int) uint64 {
+		bytes := make([]uint64, k)
+		var before, after runtime.MemStats
+		for i := range bytes {
+			runtime.ReadMemStats(&before)
+			s.AddNode("n", "t")
+			runtime.ReadMemStats(&after)
+			bytes[i], commits = after.TotalAlloc-before.TotalAlloc, commits+1
+		}
+		slices.Sort(bytes)
+		return bytes[k/2]
+	}
+	early := median(21)
+	for ; commits < DefaultLogCap+300; commits++ {
+		s.AddNode("n", "t")
+	}
+	full := median(21)
+	t.Logf("a node-only commit allocates %d bytes with the log filling, %d with it full", early, full)
+	if len(s.Log(0)) != DefaultLogCap {
+		t.Fatalf("log holds %d records, want %d", len(s.Log(0)), DefaultLogCap)
+	}
+	if full*2 > early*3 {
+		t.Errorf("a node-only commit allocates %d bytes with the log full, want within 1.5× of %d", full, early)
+	}
+}
+
+// skipUnderRace skips an allocation gate when the race detector is
+// compiled in: its instrumentation allocates.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are inflated by the race detector")
+			}
+		}
 	}
 }
 
