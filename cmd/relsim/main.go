@@ -98,8 +98,8 @@ func runGen(args []string) error {
 	if err := saveGraph(*out, ds.Graph); err != nil {
 		return err
 	}
-	st := ds.Graph.Stats()
-	fmt.Printf("wrote %s: %d nodes, %d edges, labels %v\n", *out, st.Nodes, st.Edges, st.Labels)
+	s := ds.Graph.Snapshot()
+	fmt.Printf("wrote %s: %d nodes, %d edges, labels %v\n", *out, s.NumNodes(), s.NumEdges(), s.Labels())
 	return nil
 }
 
@@ -138,7 +138,7 @@ func runTransform(args []string) error {
 	if err := saveGraph(*out, h); err != nil {
 		return err
 	}
-	fmt.Printf("applied %s: %d nodes, %d edges\n", t.Name, h.NumNodes(), h.NumEdges())
+	fmt.Printf("applied %s: %d nodes, %d edges\n", t.Name, h.NumNodes(), h.Snapshot().NumEdges())
 	return nil
 }
 
@@ -226,11 +226,11 @@ func runStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	st := g.Stats()
-	fmt.Printf("nodes: %d\nedges: %d\nlabels: %v\n", st.Nodes, st.Edges, st.Labels)
+	s := g.Snapshot()
+	fmt.Printf("nodes: %d\nedges: %d\nlabels: %v\n", s.NumNodes(), s.NumEdges(), s.Labels())
 	types := map[string]int{}
-	for i := 0; i < g.NumNodes(); i++ {
-		types[g.Node(relsim.NodeID(i)).Type]++
+	for i := 0; i < s.NumNodes(); i++ {
+		types[s.Node(relsim.NodeID(i)).Type]++
 	}
 	for t, c := range types {
 		if t == "" {

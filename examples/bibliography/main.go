@@ -124,7 +124,7 @@ func main() {
 		panic("transformation must be invertible on this instance")
 	}
 	dst := t.Apply(src)
-	fmt.Printf("source: %v\ntransformed: %v (information-equivalent)\n\n", src, dst)
+	fmt.Printf("source: %v\ntransformed: %v (information-equivalent)\n\n", src.Snapshot(), dst.Snapshot())
 
 	engS := relsim.NewEngine(src, nil)
 	engT := relsim.NewEngine(dst, nil)

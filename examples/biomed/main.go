@@ -31,7 +31,7 @@ func main() {
 	cfg.Queries = 10
 	data := datasets.BioMed(cfg)
 	g := data.Graph
-	fmt.Printf("BioMed graph: %v\n", g)
+	fmt.Printf("BioMed graph: %v\n", g.Snapshot())
 
 	// The curators' restructuring: drop all derived indirect edges.
 	t, inv := datasets.BioMedT(), datasets.BioMedTInverse()
@@ -39,7 +39,7 @@ func main() {
 		panic("BioMedT must be invertible: indirect edges are derivable")
 	}
 	dropped := t.Apply(g)
-	fmt.Printf("after BioMedT: %v (indirect edges removed, still recoverable)\n\n", dropped)
+	fmt.Printf("after BioMedT: %v (indirect edges removed, still recoverable)\n\n", dropped.Snapshot())
 
 	engFull := relsim.NewEngine(g, datasets.BioMedSchema())
 	engDropped := relsim.NewEngine(dropped, nil)

@@ -284,7 +284,7 @@ func BioMed(cfg BioMedConfig) BioMedData {
 				if added >= limit {
 					return
 				}
-				if !g.HasEdge(gt, LabelTarget, prot[p]) {
+				if g.EdgeCount(gt, LabelTarget, prot[p]) == 0 {
 					g.AddEdge(gt, LabelTarget, prot[p])
 				}
 				added++

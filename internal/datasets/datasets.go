@@ -82,7 +82,8 @@ func SchemaByName(name string) *schema.Schema {
 // their node degrees"). The sample is deterministic for a fixed seed and
 // sorted by node id.
 func DegreeWeightedSample(g *graph.Graph, typ string, n int, seed int64) []graph.NodeID {
-	ids := g.NodesOfType(typ)
+	s := g.Snapshot()
+	ids := s.NodesOfType(typ)
 	if len(ids) <= n {
 		return append([]graph.NodeID(nil), ids...)
 	}
@@ -90,7 +91,7 @@ func DegreeWeightedSample(g *graph.Graph, typ string, n int, seed int64) []graph
 	weights := make([]float64, len(ids))
 	var total float64
 	for i, id := range ids {
-		weights[i] = float64(1 + g.Degree(id))
+		weights[i] = float64(1 + s.Degree(id))
 		total += weights[i]
 	}
 	chosen := map[graph.NodeID]bool{}
@@ -117,7 +118,8 @@ func DegreeWeightedSample(g *graph.Graph, typ string, n int, seed int64) []graph
 // "(.95)" transformations of §7.1, which drop 5% of edges after
 // restructuring.
 func RemoveRandomEdges(g *graph.Graph, fraction float64, seed int64) *graph.Graph {
-	edges := g.Edges()
+	s := g.Snapshot()
+	edges := s.Edges()
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	keep := len(edges) - int(float64(len(edges))*fraction)
@@ -135,8 +137,8 @@ func RemoveRandomEdges(g *graph.Graph, fraction float64, seed int64) *graph.Grap
 		return kept[i].To < kept[j].To
 	})
 	out := graph.New()
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(graph.NodeID(i))
+	for i := 0; i < s.NumNodes(); i++ {
+		n := s.Node(graph.NodeID(i))
 		out.AddNode(n.Name, n.Type)
 	}
 	for _, e := range kept {

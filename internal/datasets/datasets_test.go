@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"slices"
 	"testing"
 
 	"relsim/internal/mapping"
@@ -25,10 +26,10 @@ func TestDBLPShape(t *testing.T) {
 	}
 	// Every paper has exactly one proceedings and at least one area.
 	for _, p := range g.NodesOfType("paper") {
-		if len(g.Out(p, LabelPubIn)) != 1 {
-			t.Fatalf("paper %d has %d p-in edges", p, len(g.Out(p, LabelPubIn)))
+		if len(g.Snapshot().Out(p, LabelPubIn)) != 1 {
+			t.Fatalf("paper %d has %d p-in edges", p, len(g.Snapshot().Out(p, LabelPubIn)))
 		}
-		if len(g.Out(p, LabelRscArea)) == 0 {
+		if len(g.Snapshot().Out(p, LabelRscArea)) == 0 {
 			t.Fatalf("paper %d has no areas", p)
 		}
 	}
@@ -63,7 +64,7 @@ func TestDBLP2SIGMXAddsNodes(t *testing.T) {
 	if extended.NumNodes() <= plain.NumNodes() {
 		t.Error("DBLP2SIGMX must add connector nodes")
 	}
-	if !extended.HasLabel(LabelAPAuthor) || !extended.HasLabel(LabelAPProc) {
+	if ls := extended.Snapshot().Labels(); !slices.Contains(ls, LabelAPAuthor) || !slices.Contains(ls, LabelAPProc) {
 		t.Error("connector edge labels missing")
 	}
 }
@@ -80,7 +81,7 @@ func TestWSUSatisfiesConstraintAndInverts(t *testing.T) {
 
 func TestWSUScale(t *testing.T) {
 	ds := WSU(DefaultWSU())
-	n, e := ds.Graph.NumNodes(), ds.Graph.NumEdges()
+	n, e := ds.Graph.NumNodes(), ds.Graph.Snapshot().NumEdges()
 	// The real dataset has 1,124 nodes and 1,959 edges; stay in that
 	// ballpark (within 3x).
 	if n < 400 || n > 3500 {
@@ -125,10 +126,11 @@ func TestBioMedQueries(t *testing.T) {
 func TestBioMedTRemovesIndirect(t *testing.T) {
 	data := BioMed(SmallBioMed())
 	out := BioMedT().Apply(data.Graph)
-	if out.HasLabel(LabelIndDzPh) || out.HasLabel(LabelIndPhAn) {
+	ls := out.Snapshot().Labels()
+	if slices.Contains(ls, LabelIndDzPh) || slices.Contains(ls, LabelIndPhAn) {
 		t.Error("BioMedT must remove indirect edges")
 	}
-	if !out.HasLabel(LabelDzPh) || !out.HasLabel(LabelParent) {
+	if !slices.Contains(ls, LabelDzPh) || !slices.Contains(ls, LabelParent) {
 		t.Error("BioMedT must keep base edges")
 	}
 }
@@ -142,8 +144,8 @@ func TestMASShape(t *testing.T) {
 		}
 	}
 	for _, c := range g.NodesOfType("conf") {
-		if len(g.Out(c, LabelMASConfArea)) != 1 {
-			t.Fatalf("conf %d has %d areas", c, len(g.Out(c, LabelMASConfArea)))
+		if len(g.Snapshot().Out(c, LabelMASConfArea)) != 1 {
+			t.Fatalf("conf %d has %d areas", c, len(g.Snapshot().Out(c, LabelMASConfArea)))
 		}
 	}
 }
@@ -177,9 +179,9 @@ func TestRemoveRandomEdges(t *testing.T) {
 	ds := WSU(DefaultWSU())
 	g := ds.Graph
 	lossy := RemoveRandomEdges(g, 0.05, 9)
-	want := g.NumEdges() - int(float64(g.NumEdges())*0.05)
-	if lossy.NumEdges() != want {
-		t.Errorf("lossy edges = %d, want %d", lossy.NumEdges(), want)
+	want := g.Snapshot().NumEdges() - int(float64(g.Snapshot().NumEdges())*0.05)
+	if lossy.Snapshot().NumEdges() != want {
+		t.Errorf("lossy edges = %d, want %d", lossy.Snapshot().NumEdges(), want)
 	}
 	if lossy.NumNodes() != g.NumNodes() {
 		t.Error("node set must be preserved")
@@ -198,7 +200,7 @@ func TestApplyLossy(t *testing.T) {
 	ds := DBLP(SmallDBLP())
 	full := DBLP2SIGM().Apply(ds.Graph)
 	lossy := ApplyLossy(DBLP2SIGM(), ds.Graph, 0.05, 5)
-	if lossy.NumEdges() >= full.NumEdges() {
+	if lossy.Snapshot().NumEdges() >= full.Snapshot().NumEdges() {
 		t.Error("lossy transform must drop edges")
 	}
 }
@@ -217,8 +219,8 @@ func TestMASTwins(t *testing.T) {
 		for twin := range data.Relevant[i] {
 			// Twins share at least TwinOverlap keywords.
 			shared := 0
-			for _, kw := range g.Out(q, LabelMASAreaKw) {
-				for _, kw2 := range g.Out(twin, LabelMASAreaKw) {
+			for _, kw := range g.Snapshot().Out(q, LabelMASAreaKw) {
+				for _, kw2 := range g.Snapshot().Out(twin, LabelMASAreaKw) {
 					if kw == kw2 {
 						shared++
 					}
@@ -245,7 +247,7 @@ func TestBioMedHubDrugs(t *testing.T) {
 	g := data.Graph
 	maxTargets := 0
 	for _, d := range g.NodesOfType("drug") {
-		if n := len(g.Out(d, LabelTarget)); n > maxTargets {
+		if n := len(g.Snapshot().Out(d, LabelTarget)); n > maxTargets {
 			maxTargets = n
 		}
 	}

@@ -141,7 +141,7 @@ func TestWitnessMatchesLeftFold(t *testing.T) {
 		}
 		for i := 0; i < 3*n; i++ {
 			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if l := labels[rng.Intn(len(labels))]; !g.HasEdge(u, l, v) {
+			if l := labels[rng.Intn(len(labels))]; g.EdgeCount(u, l, v) == 0 {
 				g.AddEdge(u, l, v)
 			}
 		}

@@ -116,7 +116,7 @@ func TestAverageTauBounds(t *testing.T) {
 func TestLossyVariant(t *testing.T) {
 	s := DBLPScenario(tinyDBLPCfg(), datasets.DBLP2SIGM(), datasets.DBLP2SIGMInverse())
 	l := LossyVariant(s, 0.05, 7)
-	if l.Dst.NumEdges() >= s.Dst.NumEdges() {
+	if l.Dst.Snapshot().NumEdges() >= s.Dst.Snapshot().NumEdges() {
 		t.Error("lossy variant must drop edges")
 	}
 	if !strings.Contains(l.Name, "0.95") {

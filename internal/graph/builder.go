@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -18,7 +19,9 @@ import (
 //
 // A Builder is single-writer state; it must not be used concurrently.
 // Reads through the Builder (Has, NodeByName, EdgeCount) see the
-// pending mutations — read-your-writes within a transaction.
+// pending mutations — read-your-writes within a transaction. A pending
+// edge is found by a scan of its label's added edges, so such reads
+// suit a transaction's few writes or a load's rare checks.
 type Builder struct {
 	base *Snapshot
 
@@ -29,30 +32,25 @@ type Builder struct {
 	byName  nameIndex
 	inPlace bool
 
-	// adds[label][u] holds appended out-neighbors; dels[label][u][v]
-	// counts removed (u,label,v) occurrences. Only labels present in
-	// these maps are rebuilt by Build.
-	adds map[string]map[NodeID][]NodeID
+	// adds[label] holds the label's added edges in the order they came;
+	// dels[label][u][v] counts removed (u,label,v) base occurrences.
+	// Only labels present in these maps are rebuilt by Build.
+	adds map[string][]arc
 	dels map[string]map[NodeID]map[NodeID]int
 
 	addCnt, delCnt int
 }
 
+// arc is one edge of a known label, from u to v.
+type arc struct{ u, v NodeID }
+
 // NewBuilder starts a builder over base. A nil base builds from the
 // empty graph.
 func NewBuilder(base *Snapshot) *Builder {
 	if base == nil {
-		base = New().Snapshot()
+		base = emptySnapshot()
 	}
 	return &Builder{base: base}
-}
-
-// Base returns the snapshot the builder derives from.
-func (b *Builder) Base() *Snapshot { return b.base }
-
-// Changed reports whether any mutation is pending.
-func (b *Builder) Changed() bool {
-	return b.nodes != nil || b.addCnt > 0 || b.delCnt > 0
 }
 
 // NumNodes returns the node count including pending additions.
@@ -62,9 +60,6 @@ func (b *Builder) NumNodes() int {
 	}
 	return b.base.NumNodes()
 }
-
-// NumEdges returns the edge count including pending mutations.
-func (b *Builder) NumEdges() int { return b.base.NumEdges() + b.addCnt - b.delCnt }
 
 // Has reports whether id is a node, including pending additions.
 func (b *Builder) Has(id NodeID) bool { return id >= 0 && int(id) < b.NumNodes() }
@@ -104,16 +99,11 @@ func (b *Builder) AddNode(name, typ string) NodeID {
 // EdgeCount returns the number of (u, label, v) edges including pending
 // mutations.
 func (b *Builder) EdgeCount(u NodeID, label string, v NodeID) int {
-	n := b.base.EdgeCount(u, label, v)
-	if la := b.adds[label]; la != nil {
-		for _, w := range la[u] {
-			if w == v {
-				n++
-			}
+	n := b.base.EdgeCount(u, label, v) - b.dels[label][u][v]
+	for _, a := range b.adds[label] {
+		if a == (arc{u, v}) {
+			n++
 		}
-	}
-	if ld := b.dels[label]; ld != nil {
-		n -= ld[u][v]
 	}
 	return n
 }
@@ -127,37 +117,26 @@ func (b *Builder) AddEdge(u NodeID, label string, v NodeID) error {
 		return fmt.Errorf("graph: add edge (%d,,%d): empty label", u, v)
 	}
 	if b.adds == nil {
-		b.adds = make(map[string]map[NodeID][]NodeID)
+		b.adds = make(map[string][]arc)
 	}
-	la := b.adds[label]
-	if la == nil {
-		la = make(map[NodeID][]NodeID)
-		b.adds[label] = la
-	}
-	la[u] = append(la[u], v)
+	b.adds[label] = append(b.adds[label], arc{u, v})
 	b.addCnt++
 	return nil
 }
 
 // RemoveEdge removes one (u, label, v) occurrence and reports whether
-// an edge was removed. An edge added earlier in the same builder is
-// cancelled in place; otherwise a removal of a base edge is recorded.
+// an edge was removed. The edge added last in the same builder is
+// cancelled; otherwise a removal of a base edge is recorded.
 func (b *Builder) RemoveEdge(u NodeID, label string, v NodeID) bool {
-	if la := b.adds[label]; la != nil {
-		vs := la[u]
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i] == v {
-				la[u] = append(vs[:i:i], vs[i+1:]...)
-				b.addCnt--
-				return true
-			}
+	la := b.adds[label]
+	for i := len(la) - 1; i >= 0; i-- {
+		if la[i] == (arc{u, v}) {
+			b.adds[label] = slices.Delete(la, i, i+1)
+			b.addCnt--
+			return true
 		}
 	}
-	removed := 0
-	if ld := b.dels[label]; ld != nil {
-		removed = ld[u][v]
-	}
-	if b.base.EdgeCount(u, label, v)-removed <= 0 {
+	if b.base.EdgeCount(u, label, v)-b.dels[label][u][v] <= 0 {
 		return false
 	}
 	if b.dels == nil {
@@ -176,52 +155,17 @@ func (b *Builder) RemoveEdge(u NodeID, label string, v NodeID) bool {
 	return true
 }
 
-// TouchedLabels returns the labels whose adjacency the pending
-// mutations modify, in no particular order.
-func (b *Builder) TouchedLabels() []string {
-	seen := make(map[string]bool, len(b.adds)+len(b.dels))
-	for l, la := range b.adds {
-		for _, vs := range la {
-			if len(vs) > 0 {
-				seen[l] = true
-				break
-			}
-		}
-	}
-	for l, ld := range b.dels {
-		if seen[l] {
-			continue
-		}
-		for _, vd := range ld {
-			for _, n := range vd {
-				if n > 0 {
-					seen[l] = true
-					break
-				}
-			}
-			if seen[l] {
-				break
-			}
-		}
-	}
-	ls := make([]string, 0, len(seen))
-	for l := range seen {
-		ls = append(ls, l)
-	}
-	return ls
-}
-
-// NodesAdded reports whether the builder added nodes (the next
-// snapshot's matrix dimension differs from the base's).
-func (b *Builder) NodesAdded() bool { return b.nodes != nil && len(b.nodes) > len(b.base.nodes) }
-
 // Build derives the next snapshot. The base is unchanged; the result
 // shares the base's CSR arrays for every label the builder did not
 // touch, its node table and type index when no node was added, and its
-// checkpoint blocks holding no added node or touched row. Build may be
-// called once; reusing the builder afterwards is not supported.
+// checkpoint blocks holding no added node or touched row. More than
+// nameOverlayMax added names go to the new version's base name map, so
+// no later commit copies them. The in-direction rows Build rewrites
+// list their sources in ascending order, whatever order the edges came
+// in. Build may be called once; reusing the builder afterwards is not
+// supported.
 func (b *Builder) Build() *Snapshot {
-	if !b.Changed() {
+	if b.nodes == nil && b.addCnt == 0 && b.delCnt == 0 {
 		return b.base
 	}
 	s := &Snapshot{
@@ -237,6 +181,9 @@ func (b *Builder) Build() *Snapshot {
 	if b.nodes != nil {
 		s.nodes = b.nodes
 		s.byName = b.byName
+		if len(s.byName.overlay) > nameOverlayMax {
+			s.byName = s.byName.folded()
+		}
 		s.tail = new(atomic.Bool)
 		s.nodeBlocks = carryBlocks(b.base.nodeBlocks, len(b.nodes), nil, len(b.base.nodes))
 		s.types = b.base.types.forWrite(b.inPlace)
@@ -244,45 +191,27 @@ func (b *Builder) Build() *Snapshot {
 			s.types.add(nd.ID, nd.Type)
 		}
 	}
-	touched := b.TouchedLabels()
+	var touched []string
+	for l, adds := range b.adds {
+		if len(adds) > 0 {
+			touched = append(touched, l)
+		}
+	}
+	for l := range b.dels {
+		if len(b.adds[l]) == 0 {
+			touched = append(touched, l)
+		}
+	}
 	if len(touched) == 0 {
 		return s
 	}
 	s.out = make(map[string]*adjacency, len(b.base.out)+len(touched))
 	s.in = make(map[string]*adjacency, len(b.base.in)+len(touched))
-	for l, a := range b.base.out {
-		s.out[l] = a
-	}
-	for l, a := range b.base.in {
-		s.in[l] = a
-	}
+	maps.Copy(s.out, b.base.out)
+	maps.Copy(s.in, b.base.in)
 	for _, l := range touched {
-		// Reverse the per-label deltas for the in-direction rebuild.
-		var revAdds map[NodeID][]NodeID
-		for u, vs := range b.adds[l] {
-			for _, v := range vs {
-				if revAdds == nil {
-					revAdds = make(map[NodeID][]NodeID)
-				}
-				revAdds[v] = append(revAdds[v], u)
-			}
-		}
-		var revDels map[NodeID]map[NodeID]int
-		for u, vd := range b.dels[l] {
-			for v, n := range vd {
-				if n == 0 {
-					continue
-				}
-				if revDels == nil {
-					revDels = make(map[NodeID]map[NodeID]int)
-				}
-				if revDels[v] == nil {
-					revDels[v] = make(map[NodeID]int)
-				}
-				revDels[v][u] += n
-			}
-		}
-		out, touchedRows := rebuildAdjacency(b.base.out[l], b.adds[l], b.dels[l])
+		adds := byRow(b.adds[l])
+		out, rows := rebuildAdjacency(b.base.out[l], adds, b.dels[l])
 		if out.nnz() == 0 {
 			delete(s.out, l)
 			delete(s.in, l)
@@ -292,36 +221,90 @@ func (b *Builder) Build() *Snapshot {
 		if base := b.base.out[l]; base != nil {
 			carried = base.blocks
 		}
-		out.blocks = carryBlocks(carried, out.rows(), touchedRows, out.rows())
+		out.blocks = carryBlocks(carried, out.rows(), rows, out.rows())
 		s.out[l] = out
-		s.in[l], _ = rebuildAdjacency(b.base.in[l], revAdds, revDels)
+		// The in-direction takes the same deltas reversed. adds lists
+		// its sources in ascending order and byRow keeps that order
+		// within a target, so an in-row needs sorting only where its
+		// new sources interleave with its base row.
+		rev := make([]arc, len(adds))
+		for i, a := range adds {
+			rev[i] = arc{a.v, a.u}
+		}
+		var revDels map[NodeID]map[NodeID]int
+		for u, vd := range b.dels[l] {
+			for v, n := range vd {
+				if revDels == nil {
+					revDels = make(map[NodeID]map[NodeID]int)
+				}
+				if revDels[v] == nil {
+					revDels[v] = make(map[NodeID]int)
+				}
+				revDels[v][u] += n
+			}
+		}
+		in, inRows := rebuildAdjacency(b.base.in[l], byRow(rev), revDels)
+		for _, v := range inRows {
+			slices.Sort(in.row(v))
+		}
+		s.in[l] = in
 	}
 	return s
 }
 
-// rebuildAdjacency applies per-row additions and per-occurrence
+// byRow orders arcs by source, keeping their order within a source:
+// by counting when they are many for the rows they span, as when a
+// database is loaded, and by a stable sort in place otherwise.
+func byRow(arcs []arc) []arc {
+	rows := 0
+	for _, a := range arcs {
+		rows = max(rows, int(a.u)+1)
+	}
+	if len(arcs)*8 < rows {
+		slices.SortStableFunc(arcs, func(a, b arc) int { return cmp.Compare(a.u, b.u) })
+		return arcs
+	}
+	next := make([]int, rows+1)
+	for _, a := range arcs {
+		next[a.u+1]++
+	}
+	for u := range rows {
+		next[u+1] += next[u]
+	}
+	sorted := make([]arc, len(arcs))
+	for _, a := range arcs {
+		sorted[next[a.u]] = a
+		next[a.u]++
+	}
+	return sorted
+}
+
+// rebuildAdjacency applies additions, ordered by row, and per-occurrence
 // removals to a base CSR, producing a fresh CSR and the touched rows in
 // ascending order. base may be nil (new label). Only the touched rows
 // are rebuilt entry by entry; the runs of rows between them are copied
 // whole, their offsets shifted.
-func rebuildAdjacency(base *adjacency, adds map[NodeID][]NodeID, dels map[NodeID]map[NodeID]int) (*adjacency, []NodeID) {
+func rebuildAdjacency(base *adjacency, adds []arc, dels map[NodeID]map[NodeID]int) (*adjacency, []NodeID) {
 	rows := base.rows()
-	touched := make([]NodeID, 0, len(adds)+len(dels))
-	addTotal := 0
-	for u, vs := range adds {
-		touched = append(touched, u)
-		addTotal += len(vs)
-		rows = max(rows, int(u)+1)
+	if len(adds) > 0 {
+		rows = max(rows, int(adds[len(adds)-1].u)+1)
 	}
-	for u := range dels {
-		if _, both := adds[u]; !both {
-			touched = append(touched, u)
+	touched := make([]NodeID, 0, len(dels))
+	for i, a := range adds {
+		if i == 0 || a.u != adds[i-1].u {
+			touched = append(touched, a.u)
 		}
 	}
-	slices.Sort(touched)
+	if len(dels) > 0 {
+		for u := range dels {
+			touched = append(touched, u)
+		}
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+	}
 	a := &adjacency{
 		rowPtr: make([]int32, rows+1),
-		nbr:    make([]NodeID, 0, base.nnz()+addTotal),
+		nbr:    make([]NodeID, 0, base.nnz()+len(adds)),
 	}
 	// copyRows carries base rows [lo, hi) over unchanged; rows the base
 	// does not have are empty.
@@ -349,7 +332,9 @@ func rebuildAdjacency(base *adjacency, adds map[NodeID][]NodeID, dels map[NodeID
 			}
 			a.nbr = append(a.nbr, v)
 		}
-		a.nbr = append(a.nbr, adds[u]...)
+		for ; len(adds) > 0 && adds[0].u == u; adds = adds[1:] {
+			a.nbr = append(a.nbr, adds[0].v)
+		}
 		a.rowPtr[u+1] = int32(len(a.nbr))
 		next = int(u) + 1
 	}

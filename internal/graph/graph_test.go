@@ -19,25 +19,26 @@ func small() *Graph {
 
 func TestAddAndQuery(t *testing.T) {
 	g := small()
-	if g.NumNodes() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("nodes=%d edges=%d", g.NumNodes(), g.NumEdges())
+	s := g.Snapshot()
+	if g.NumNodes() != 3 || s.NumEdges() != 3 {
+		t.Fatalf("nodes=%d edges=%d", g.NumNodes(), s.NumEdges())
 	}
-	if !g.HasEdge(0, "l1", 1) {
+	if !s.HasEdge(0, "l1", 1) {
 		t.Error("missing edge (0,l1,1)")
 	}
-	if g.HasEdge(1, "l2", 0) {
+	if s.HasEdge(1, "l2", 0) {
 		t.Error("phantom edge (1,l2,0)")
 	}
-	if got := g.Out(0, "l1"); len(got) != 1 || got[0] != 1 {
+	if got := s.Out(0, "l1"); len(got) != 1 || got[0] != 1 {
 		t.Errorf("Out(0,l1) = %v", got)
 	}
-	if got := g.Snapshot().In(2, "l1"); len(got) != 1 || got[0] != 1 {
+	if got := s.In(2, "l1"); len(got) != 1 || got[0] != 1 {
 		t.Errorf("In(2,l1) = %v", got)
 	}
-	if g.Degree(0) != 2 {
-		t.Errorf("Degree(0) = %d, want 2", g.Degree(0))
+	if s.Degree(0) != 2 {
+		t.Errorf("Degree(0) = %d, want 2", s.Degree(0))
 	}
-	labels := g.Labels()
+	labels := s.Labels()
 	if len(labels) != 2 || labels[0] != "l1" || labels[1] != "l2" {
 		t.Errorf("Labels = %v", labels)
 	}
@@ -96,18 +97,25 @@ func TestEdgeCount(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: two graphs that start from one snapshot share
+// its storage but not their writes, in either direction.
 func TestCloneIndependence(t *testing.T) {
 	g := small()
-	c := g.Clone()
+	c := &Graph{snap: g.Snapshot()}
 	if !g.Equal(c) {
-		t.Fatal("clone must equal original")
+		t.Fatal("fork must equal original")
 	}
 	c.AddEdge(0, "l1", 2)
 	if g.Equal(c) {
-		t.Error("mutating clone must not affect original")
+		t.Error("writing to the fork must not affect the original")
 	}
-	if g.NumEdges() != 3 {
+	if g.Snapshot().NumEdges() != 3 || g.EdgeCount(0, "l1", 2) != 0 {
 		t.Error("original edge count changed")
+	}
+	g.RemoveEdge(0, "l2", 2)
+	g.AddNode("d", "x")
+	if c.EdgeCount(0, "l2", 2) != 1 || c.NumNodes() != 3 || c.Snapshot().NumEdges() != 4 {
+		t.Error("writing to the original must not affect the fork")
 	}
 }
 
@@ -134,8 +142,8 @@ func TestEqualEdges(t *testing.T) {
 
 func TestEdgesDeterministic(t *testing.T) {
 	g := small()
-	e1 := g.Edges()
-	e2 := g.Edges()
+	e1 := g.Snapshot().Edges()
+	e2 := g.Snapshot().Edges()
 	if len(e1) != 3 {
 		t.Fatalf("Edges len = %d", len(e1))
 	}
@@ -182,9 +190,10 @@ func TestIORoundTrip(t *testing.T) {
 
 func TestReadRejectsBadInput(t *testing.T) {
 	cases := []string{
-		`{"edge":{"from":0,"label":"l","to":1}}`, // edge before nodes
-		`{"node":{"id":5}}`,                      // out-of-order id
-		`{}`,                                     // neither node nor edge
+		`{"edge":{"from":0,"label":"l","to":1}}`,                             // edge before nodes
+		`{"node":{"id":0}}` + "\n" + `{"edge":{"from":0,"label":"","to":0}}`, // empty label
+		`{"node":{"id":5}}`, // out-of-order id
+		`{}`,                // neither node nor edge
 		`not json`,
 	}
 	for _, in := range cases {
@@ -206,8 +215,7 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := small().Stats()
-	if s.Nodes != 3 || s.Edges != 3 || len(s.Labels) != 2 {
-		t.Errorf("Stats = %+v", s)
+	if got, want := small().Snapshot().String(), "graph{nodes=3 edges=3 labels=2}"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }

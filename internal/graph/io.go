@@ -175,9 +175,11 @@ func appendJSONString(dst []byte, s string) []byte {
 }
 
 // Read parses a graph from the line-oriented JSON format produced by
-// Write. Node ids must be dense and in ascending order.
+// Write into a builder over the empty snapshot, which the graph's first
+// Snapshot builds. Node ids must be dense and in ascending order.
 func Read(r io.Reader) (*Graph, error) {
 	g := New()
+	b := g.builder()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var p lineParser
@@ -197,16 +199,14 @@ func Read(r io.Reader) (*Graph, error) {
 		}
 		switch {
 		case rec.Node != nil:
-			id := g.AddNode(rec.Node.Name, rec.Node.Type)
+			id := b.AddNode(rec.Node.Name, rec.Node.Type)
 			if id != rec.Node.ID {
 				return nil, fmt.Errorf("graph: line %d: node id %d out of order (expected %d)", lineNo, rec.Node.ID, id)
 			}
 		case rec.Edge != nil:
-			e := rec.Edge
-			if !g.Has(e.From) || !g.Has(e.To) {
-				return nil, fmt.Errorf("graph: line %d: edge references unknown node", lineNo)
+			if err := b.AddEdge(rec.Edge.From, rec.Edge.Label, rec.Edge.To); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}
-			g.AddEdge(e.From, e.Label, e.To)
 		default:
 			return nil, fmt.Errorf("graph: line %d: record has neither node nor edge", lineNo)
 		}

@@ -17,7 +17,7 @@ import (
 // json.Encoder.Encode per record. WriteView's bytes must stay exactly
 // these — checkpoints, the replication bootstrap and the CLI's files
 // are all this format.
-func referenceWrite(t *testing.T, g *graph.Graph) []byte {
+func referenceWrite(t *testing.T, s *graph.Snapshot) []byte {
 	t.Helper()
 	type nodeRecord struct {
 		ID   graph.NodeID `json:"id"`
@@ -36,13 +36,13 @@ func referenceWrite(t *testing.T, g *graph.Graph) []byte {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	enc := json.NewEncoder(bw)
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(graph.NodeID(i))
+	for i := 0; i < s.NumNodes(); i++ {
+		n := s.Node(graph.NodeID(i))
 		if err := enc.Encode(&record{Node: &nodeRecord{ID: n.ID, Name: n.Name, Type: n.Type}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g.EachEdge(func(e graph.Edge) {
+	s.EachEdge(func(e graph.Edge) {
 		if err := enc.Encode(&record{Edge: &edgeRecord{From: e.From, Label: e.Label, To: e.To}}); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestWriteViewBytesMatchReferenceEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, g := range map[string]*graph.Graph{"dblp-small": ds.Graph, "adversarial": adversarialGraph()} {
-		want := referenceWrite(t, g)
+		want := referenceWrite(t, g.Snapshot())
 		for view, write := range map[string]func(w *bytes.Buffer) error{
 			"Write":     func(w *bytes.Buffer) error { return graph.Write(w, g) },
 			"WriteView": func(w *bytes.Buffer) error { _, err := graph.WriteView(w, g.Snapshot()); return err },
@@ -99,9 +99,9 @@ func TestWriteViewBytesMatchReferenceEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Read(WriteView(g)): %v", name, err)
 		}
-		if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
+		if back.NumNodes() != g.NumNodes() || back.Snapshot().NumEdges() != g.Snapshot().NumEdges() {
 			t.Fatalf("%s: round trip kept %d nodes, %d edges of %d, %d",
-				name, back.NumNodes(), back.NumEdges(), g.NumNodes(), g.NumEdges())
+				name, back.NumNodes(), back.Snapshot().NumEdges(), g.NumNodes(), g.Snapshot().NumEdges())
 		}
 		if name == "dblp-small" && !back.Equal(g) {
 			t.Fatalf("%s: Read(WriteView(g)) is not g", name)
@@ -141,7 +141,7 @@ func TestWriteViewFollowsCommitChains(t *testing.T) {
 		snap *graph.Snapshot
 		want []byte
 	}
-	versions := []version{{g.Snapshot(), referenceWrite(t, g)}}
+	versions := []version{{g.Snapshot(), referenceWrite(t, g.Snapshot())}}
 	check := func(step int, v version) {
 		t.Helper()
 		var got bytes.Buffer
@@ -190,7 +190,7 @@ func TestWriteViewFollowsCommitChains(t *testing.T) {
 			continue // rolled back
 		}
 		next := version{snap: b.Build()}
-		next.want = referenceWrite(t, next.snap.Materialize())
+		next.want = referenceWrite(t, next.snap)
 		if rng.Intn(3) > 0 {
 			check(step, next)
 		}
@@ -198,7 +198,7 @@ func TestWriteViewFollowsCommitChains(t *testing.T) {
 	}
 	for step, v := range versions {
 		check(step, v)
-		if again := referenceWrite(t, v.snap.Materialize()); !bytes.Equal(again, v.want) {
+		if again := referenceWrite(t, v.snap); !bytes.Equal(again, v.want) {
 			t.Fatalf("version %d changed after later versions were derived from it", step)
 		}
 	}
@@ -214,7 +214,7 @@ func TestConcurrentForksShareBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := ds.Graph.Snapshot()
-	want := referenceWrite(t, ds.Graph)
+	want := referenceWrite(t, base)
 	const forks = 4
 	snaps := make([]*graph.Snapshot, forks)
 	got := make([][]byte, 2*forks)
@@ -244,7 +244,7 @@ func TestConcurrentForksShareBlocks(t *testing.T) {
 		if s == nil {
 			t.FailNow()
 		}
-		if !bytes.Equal(got[2*i], referenceWrite(t, s.Materialize())) || !bytes.Equal(got[2*i+1], want) {
+		if !bytes.Equal(got[2*i], referenceWrite(t, s)) || !bytes.Equal(got[2*i+1], want) {
 			t.Fatalf("fork %d: a concurrent write differs from the reference encoder", i)
 		}
 	}

@@ -73,6 +73,15 @@ func (x nameIndex) forWrite() nameIndex {
 	if len(x.overlay) < nameOverlayMax {
 		return nameIndex{base: x.base, overlay: maps.Clone(x.overlay)}
 	}
+	return x.folded()
+}
+
+// folded returns an index equal to x with no overlay. Its base is a
+// fresh map, or x's overlay itself when x's base is empty.
+func (x nameIndex) folded() nameIndex {
+	if len(x.base) == 0 {
+		return nameIndex{base: x.overlay}
+	}
 	base := make(map[string]NodeID, len(x.base)+len(x.overlay))
 	maps.Copy(base, x.base)
 	maps.Copy(base, x.overlay)
@@ -93,8 +102,9 @@ func (x *nameIndex) add(name string, id NodeID) {
 // adjacency is one direction of one label's edges in CSR form. rowPtr
 // has len rows+1 with rows <= NumNodes; nodes beyond rows have no
 // edges with this label. Neighbor lists keep insertion order and repeat
-// entries for parallel edges, matching the mutable Graph representation.
-// Only an out-direction adjacency has checkpoint blocks.
+// entries for parallel edges; an in-direction row lists its sources in
+// ascending order, as a checkpoint round trip does. Only an
+// out-direction adjacency has checkpoint blocks.
 type adjacency struct {
 	rowPtr []int32
 	nbr    []NodeID
@@ -122,44 +132,10 @@ func (a *adjacency) nnz() int {
 	return len(a.nbr)
 }
 
-// compileAdjacency builds a CSR from ragged per-node neighbor lists.
-func compileAdjacency(lists [][]NodeID) *adjacency {
-	a := &adjacency{rowPtr: make([]int32, len(lists)+1)}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	a.nbr = make([]NodeID, 0, total)
-	for u, l := range lists {
-		a.nbr = append(a.nbr, l...)
-		a.rowPtr[u+1] = int32(len(a.nbr))
-	}
-	return a
-}
-
-// Snapshot freezes the graph's current state into an immutable
-// snapshot. The graph may keep mutating afterwards; the snapshot is
-// unaffected (node table and adjacency are copied, not aliased).
-func (g *Graph) Snapshot() *Snapshot {
-	s := &Snapshot{
-		nodes:      append([]Node(nil), g.nodes...),
-		byName:     nameIndex{base: maps.Clone(g.byName)},
-		types:      g.types.forWrite(false),
-		tail:       new(atomic.Bool),
-		nodeBlocks: carryBlocks(nil, len(g.nodes), nil, 0),
-		out:        make(map[string]*adjacency, len(g.out)),
-		in:         make(map[string]*adjacency, len(g.in)),
-		edges:      g.edges,
-	}
-	for l, lists := range g.out {
-		a := compileAdjacency(lists)
-		a.blocks = carryBlocks(nil, a.rows(), nil, 0)
-		s.out[l] = a
-	}
-	for l, lists := range g.in {
-		s.in[l] = compileAdjacency(lists)
-	}
-	return s
+// emptySnapshot returns the version with no node and no edge, the base
+// every loaded or generated database is built over.
+func emptySnapshot() *Snapshot {
+	return &Snapshot{types: newTypeIndex(), tail: new(atomic.Bool)}
 }
 
 // Has reports whether id is a node of the snapshot.
@@ -197,9 +173,6 @@ func (s *Snapshot) Labels() []string {
 	sort.Strings(ls)
 	return ls
 }
-
-// HasLabel reports whether any edge with the given label exists.
-func (s *Snapshot) HasLabel(label string) bool { return s.out[label].nnz() > 0 }
 
 // Out returns the out-neighbors of u via label (repeated for parallel
 // edges). The returned slice is shared and must not be modified.
@@ -284,19 +257,25 @@ func (s *Snapshot) NodesOfType(typ string) []NodeID { return slices.Clip(s.types
 // tag.
 func (s *Snapshot) TypeDomain(typ string) Domain { return s.types.domain(typ) }
 
-// Materialize converts the snapshot back into a mutable Graph (a full
-// copy; the snapshot is unaffected). Used when offline tooling needs a
-// *Graph from a served version.
-func (s *Snapshot) Materialize() *Graph {
-	g := New()
-	for _, nd := range s.nodes {
-		g.AddNode(nd.Name, nd.Type)
+// sameEdges reports whether s and o hold the same edge multiset: per
+// label and source, the same targets in any order.
+func (s *Snapshot) sameEdges(o *Snapshot) bool {
+	if s.edges != o.edges || len(s.out) != len(o.out) {
+		return false
 	}
-	s.EachEdge(func(e Edge) { g.AddEdge(e.From, e.Label, e.To) })
-	return g
+	for l, a := range s.out {
+		b := o.out[l]
+		for u := range max(a.rows(), b.rows()) {
+			x, y := a.row(NodeID(u)), b.row(NodeID(u))
+			if !slices.Equal(x, y) && !slices.Equal(slices.Sorted(slices.Values(x)), slices.Sorted(slices.Values(y))) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // String implements fmt.Stringer with a short summary.
 func (s *Snapshot) String() string {
-	return fmt.Sprintf("snapshot{nodes=%d edges=%d labels=%d}", s.NumNodes(), s.NumEdges(), len(s.out))
+	return fmt.Sprintf("graph{nodes=%d edges=%d labels=%d}", s.NumNodes(), s.NumEdges(), len(s.out))
 }

@@ -159,7 +159,7 @@ func SatisfiesSigmaStar(g *graph.Graph, sigma []schema.Constraint) bool {
 		byLabel[l] = append(byLabel[l], c)
 	}
 	ok := true
-	g.EachEdge(func(e graph.Edge) {
+	g.Snapshot().EachEdge(func(e graph.Edge) {
 		if !ok {
 			return
 		}

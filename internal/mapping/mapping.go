@@ -262,32 +262,26 @@ func bindingLess(a, b map[schema.Var]graph.NodeID) bool {
 // This is the operational meaning of Definition 1's invertibility on a
 // single database.
 func VerifyInverse(src *graph.Graph, t, inv Transformation) bool {
-	j := t.Apply(src)
-	k := inv.Apply(j)
-	// k has at least src.NumNodes() nodes (ids preserved), possibly plus
-	// fresh nodes from j that survived as isolated nodes. Compare the edge
-	// multisets over the original id range.
-	if k.NumEdges() != src.NumEdges() {
+	s, k := src.Snapshot(), inv.Apply(t.Apply(src)).Snapshot()
+	// k has at least s.NumNodes() nodes (ids preserved), possibly plus
+	// fresh nodes from Σ(src) that survived as isolated nodes. Compare
+	// the edge multisets over the original id range.
+	if k.NumEdges() != s.NumEdges() {
 		return false
 	}
 	equal := true
 	k.EachEdge(func(e graph.Edge) {
-		if int(e.From) >= src.NumNodes() || int(e.To) >= src.NumNodes() {
-			equal = false
-			return
-		}
-		if !src.HasEdge(e.From, e.Label, e.To) {
+		if !s.HasEdge(e.From, e.Label, e.To) {
 			equal = false
 		}
 	})
 	if !equal {
 		return false
 	}
-	missing := false
-	src.EachEdge(func(e graph.Edge) {
+	s.EachEdge(func(e graph.Edge) {
 		if !k.HasEdge(e.From, e.Label, e.To) {
-			missing = true
+			equal = false
 		}
 	})
-	return !missing
+	return equal
 }

@@ -85,19 +85,19 @@ func TestApplyClosedWorld(t *testing.T) {
 	if got := out.EdgeCount(c1.ID, "r-a", a1.ID); got != 1 {
 		t.Errorf("c1-r-a-a1 count = %d, want 1 (set semantics)", got)
 	}
-	if !out.HasEdge(c1.ID, "r-a", a2.ID) || !out.HasEdge(c2.ID, "r-a", a2.ID) {
+	if !out.Snapshot().HasEdge(c1.ID, "r-a", a2.ID) || !out.Snapshot().HasEdge(c2.ID, "r-a", a2.ID) {
 		t.Error("missing proc area edges")
 	}
-	if out.HasEdge(c2.ID, "r-a", a1.ID) {
+	if out.Snapshot().HasEdge(c2.ID, "r-a", a1.ID) {
 		t.Error("phantom proc area edge")
 	}
 	// Papers lost their direct area edges (closed world: only rule
 	// conclusions exist).
 	for _, p := range g.NodesOfType("paper") {
-		if len(out.Out(p, "r-a")) != 0 {
+		if len(out.Snapshot().Out(p, "r-a")) != 0 {
 			t.Error("paper area edge leaked into target")
 		}
-		if len(out.Out(p, "p-in")) == 0 {
+		if len(out.Snapshot().Out(p, "p-in")) == 0 {
 			t.Error("identity rule lost p-in edge")
 		}
 	}
@@ -146,7 +146,7 @@ func TestApplyExistentials(t *testing.T) {
 	}
 	// Each fresh node has exactly one ap-a and one ap-c edge.
 	for i := g.NumNodes(); i < out.NumNodes(); i++ {
-		if len(out.Out(graph.NodeID(i), "ap-a")) != 1 || len(out.Out(graph.NodeID(i), "ap-c")) != 1 {
+		if s := out.Snapshot(); len(s.Out(graph.NodeID(i), "ap-a")) != 1 || len(s.Out(graph.NodeID(i), "ap-c")) != 1 {
 			t.Errorf("fresh node %d miswired", i)
 		}
 	}

@@ -42,7 +42,7 @@ func randomDerivedSetup(rng *rand.Rand) derivedSetup {
 		u := graph.NodeID(rng.Intn(n))
 		v := graph.NodeID(rng.Intn(n))
 		l := base[rng.Intn(len(base))]
-		if !g.HasEdge(u, l, v) {
+		if g.EdgeCount(u, l, v) == 0 {
 			g.AddEdge(u, l, v)
 		}
 	}

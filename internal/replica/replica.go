@@ -501,13 +501,14 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		// path, but Reset would refuse anyway; make the message clearer.
 		return fmt.Errorf("replica: leader checkpoint at version %d is behind local version %d", version, local)
 	}
-	if err := f.st.Reset(g, version); err != nil {
+	snap := g.Snapshot()
+	if err := f.st.Reset(snap, version); err != nil {
 		return fmt.Errorf("replica: %w", err)
 	}
 	f.mu.Lock()
 	f.bootstraps++
 	f.mu.Unlock()
-	f.logf("bootstrapped from %s at version %d (%d nodes, %d edges)", f.leader, version, g.NumNodes(), g.NumEdges())
+	f.logf("bootstrapped from %s at version %d (%d nodes, %d edges)", f.leader, version, snap.NumNodes(), snap.NumEdges())
 	return nil
 }
 

@@ -62,11 +62,11 @@ func TestResetDropsCachedAnswers(t *testing.T) {
 			warm := New(st, nil)
 			search(warm)
 			v := st.Version() + tc.ahead
-			if err := st.Reset(resetGraph(), v); err != nil {
+			if err := st.Reset(resetGraph().Snapshot(), v); err != nil {
 				t.Fatal(err)
 			}
 			coldSt := store.New(nil)
-			if err := coldSt.Reset(resetGraph(), v); err != nil {
+			if err := coldSt.Reset(resetGraph().Snapshot(), v); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := search(warm), search(New(coldSt, nil)); !bytes.Equal(got, want) {

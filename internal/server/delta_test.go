@@ -111,7 +111,7 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 
 		pin := maintained.Store().Pin()
 		coldStore := store.New(nil)
-		if err := coldStore.Reset(pin.Snapshot().Materialize(), pin.Version()); err != nil {
+		if err := coldStore.Reset(pin.Snapshot(), pin.Version()); err != nil {
 			t.Fatalf("round %d: reset cold store: %v", round, err)
 		}
 		cold := New(coldStore, maintained.schema)

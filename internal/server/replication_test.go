@@ -131,8 +131,8 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if v := resp.Header.Get(replica.CheckpointVersionHeader); v != "0" {
 		t.Fatalf("checkpoint version header = %q, want 0", v)
 	}
-	if g.NumEdges() != 7 {
-		t.Fatalf("boot checkpoint edges = %d, want the 7 seed edges", g.NumEdges())
+	if g.Snapshot().NumEdges() != 7 {
+		t.Fatalf("boot checkpoint edges = %d, want the 7 seed edges", g.Snapshot().NumEdges())
 	}
 
 	// fresh=1 checkpoints the live version before streaming.
@@ -140,8 +140,8 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if v := resp.Header.Get(replica.CheckpointVersionHeader); v != "3" {
 		t.Fatalf("fresh checkpoint version header = %q, want 3", v)
 	}
-	if g.NumEdges() != 10 {
-		t.Fatalf("fresh checkpoint edges = %d, want 10", g.NumEdges())
+	if g.Snapshot().NumEdges() != 10 {
+		t.Fatalf("fresh checkpoint edges = %d, want 10", g.Snapshot().NumEdges())
 	}
 
 	// Conditional: a follower already at 3 gets 204 and no body.

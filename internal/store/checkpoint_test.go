@@ -45,9 +45,9 @@ func benchCommit(t *testing.T, s *Store, rng *rand.Rand, k int, authors *[]graph
 	}
 }
 
-// referenceEncode writes g one reflected json.Encoder.Encode per record:
+// referenceEncode writes s one reflected json.Encoder.Encode per record:
 // the checkpoint format as encoding/json defines it.
-func referenceEncode(t *testing.T, g *graph.Graph) []byte {
+func referenceEncode(t *testing.T, s *graph.Snapshot) []byte {
 	t.Helper()
 	type node struct {
 		ID   graph.NodeID `json:"id"`
@@ -66,13 +66,13 @@ func referenceEncode(t *testing.T, g *graph.Graph) []byte {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	enc := json.NewEncoder(bw)
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(graph.NodeID(i))
+	for i := 0; i < s.NumNodes(); i++ {
+		n := s.Node(graph.NodeID(i))
 		if err := enc.Encode(record{Node: &node{n.ID, n.Name, n.Type}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, e := range g.Edges() {
+	for _, e := range s.Edges() {
 		if err := enc.Encode(record{Edge: &edge{e.From, e.Label, e.To}}); err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestCheckpointEncodesWhatChanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := referenceEncode(t, cur.Materialize()); !bytes.Equal(got, want) {
+	if want := referenceEncode(t, cur); !bytes.Equal(got, want) {
 		t.Fatalf("checkpoint file (%d bytes) is not the reference encoding of the graph (%d bytes)", len(got), len(want))
 	}
 }

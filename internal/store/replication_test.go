@@ -227,7 +227,7 @@ func TestResetBootstrap(t *testing.T) {
 		if err := s.AddEdge(0, "y", 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Reset(g2, 40); err != nil {
+		if err := s.Reset(g2.Snapshot(), 40); err != nil {
 			t.Fatal(err)
 		}
 		snap, v := s.Snapshot()
@@ -241,7 +241,7 @@ func TestResetBootstrap(t *testing.T) {
 		if f := s.LogFeed(40, 0); f.Gap || len(f.Updates) != 0 {
 			t.Fatalf("feed at reset point = %+v", f)
 		}
-		if err := s.Reset(g2, 39); err == nil {
+		if err := s.Reset(g2.Snapshot(), 39); err == nil {
 			t.Fatal("backwards reset accepted")
 		}
 		// Tailing resumes with exact version continuity.
@@ -264,7 +264,7 @@ func TestResetBootstrap(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Reset(g2, 40); err != nil {
+		if err := s.Reset(g2.Snapshot(), 40); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.AddEdge(0, "x", 1); err != nil {
@@ -313,8 +313,8 @@ func TestCheckpointReader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.NumNodes() != 2 || g.NumEdges() != 2 {
-			t.Fatalf("streamed graph: %d nodes %d edges", g.NumNodes(), g.NumEdges())
+		if g.NumNodes() != 2 || g.Snapshot().NumEdges() != 2 {
+			t.Fatalf("streamed graph: %d nodes %d edges", g.NumNodes(), g.Snapshot().NumEdges())
 		}
 	})
 
@@ -355,8 +355,8 @@ func TestCheckpointReader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.NumEdges() != 4 {
-			t.Fatalf("streamed graph edges = %d, want 4", g.NumEdges())
+		if g.Snapshot().NumEdges() != 4 {
+			t.Fatalf("streamed graph edges = %d, want 4", g.Snapshot().NumEdges())
 		}
 	})
 }

@@ -109,9 +109,9 @@ type Store struct {
 	obs atomic.Pointer[storeObs]
 }
 
-// New wraps g in a store at version 0. The snapshot is taken eagerly;
-// the caller may keep using g, but later mutations to it are invisible
-// to the store.
+// New wraps g in a store at version 0: it publishes g.Snapshot(). The
+// caller may keep writing to g; those writes go to a builder over the
+// store's snapshot and never reach the store.
 func New(g *graph.Graph) *Store {
 	if g == nil {
 		g = graph.New()
@@ -389,10 +389,6 @@ func (tx *Tx) Has(id graph.NodeID) bool { return tx.b.Has(id) }
 // additions.
 func (tx *Tx) NodeByName(name string) (graph.Node, bool) { return tx.b.NodeByName(name) }
 
-// Base returns the snapshot the transaction derives from — the
-// pre-transaction state, useful for validate-before-mutate checks.
-func (tx *Tx) Base() *graph.Snapshot { return tx.b.Base() }
-
 // AddNode adds a node and returns its id.
 func (tx *Tx) AddNode(name, typ string) graph.NodeID {
 	id := tx.b.AddNode(name, typ)
@@ -533,7 +529,7 @@ func (s *Store) trimLogLocked() {
 	}
 }
 
-// Reset replaces the store's entire state with g at version — the
+// Reset replaces the store's entire state with snap at version — the
 // follower-bootstrap primitive. A replica that finds a gap in the
 // leader's feed fetches a checkpoint and Resets onto it, then resumes
 // tailing from version. The version may only move forward (equal is
@@ -546,10 +542,7 @@ func (s *Store) trimLogLocked() {
 // a restart recovers the bootstrapped state, not the pre-gap one.
 // The BeforePublish hook runs with no updates: everything is touched,
 // since the new graph may differ anywhere, even at an equal version.
-func (s *Store) Reset(g *graph.Graph, version uint64) error {
-	if g == nil {
-		g = graph.New()
-	}
+func (s *Store) Reset(snap *graph.Snapshot, version uint64) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if s.closed.Load() {
@@ -559,7 +552,7 @@ func (s *Store) Reset(g *graph.Graph, version uint64) error {
 	if version < cur.version {
 		return fmt.Errorf("store: reset to version %d would move backwards (live %d)", version, cur.version)
 	}
-	next := &versioned{snap: g.Snapshot(), version: version}
+	next := &versioned{snap: snap, version: version}
 	if s.dur != nil {
 		if err := s.checkpointNow(next); err != nil {
 			return err

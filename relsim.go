@@ -147,7 +147,7 @@ type Engine struct {
 // constraints are known; Search then behaves like plain RelSim.
 func NewEngine(g *Graph, s *Schema) *Engine {
 	if s == nil {
-		s = schema.New(g.Labels())
+		s = schema.New(g.Snapshot().Labels())
 	}
 	e := &Engine{g: g, schema: s, genOpt: pattern.Default(), cache: eval.NewCache()}
 	e.ev.Store(eval.NewVersioned(g.Snapshot(), 0, e.cache))
