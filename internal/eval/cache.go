@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"relsim/internal/rre"
 	"relsim/internal/sparse"
 )
 
@@ -42,9 +43,11 @@ type cacheEntry struct {
 func (e *cacheEntry) holds(v uint64) bool { return e.from <= v && v < e.to }
 
 // history is every entry of one pattern key, their intervals
-// disjoint, at most one of them open, with the pattern's labels for the
-// label index.
+// disjoint, at most one of them open, with the pattern itself, which a
+// commit walks without parsing the key, and its labels for the label
+// index.
 type history struct {
+	p      *rre.Pattern
 	labels []string
 	ents   []*cacheEntry
 }
@@ -258,14 +261,14 @@ func (c *Cache) SetLimit(n int) {
 	c.evictLocked()
 }
 
-// add stores e in key ek's history and indexes a new history's labels.
-// c.mu held.
-func (c *Cache) add(ek string, labels []string, e *cacheEntry) {
+// add stores e in key ek's history, pattern p's, and indexes a new
+// history's labels. c.mu held.
+func (c *Cache) add(ek string, p *rre.Pattern, e *cacheEntry) {
 	h := c.entries[ek]
 	if h == nil {
-		h = &history{labels: labels}
+		h = &history{p: p, labels: p.Labels()}
 		c.entries[ek] = h
-		for _, l := range labels {
+		for _, l := range h.labels {
 			set := c.byLabel[l]
 			if set == nil {
 				set = make(map[string]struct{})
@@ -417,13 +420,13 @@ func (c *Cache) lookup(ctx context.Context, key Key) (m *sparse.Matrix, own bool
 	}
 }
 
-// land stores a computed matrix, unless m is nil (the build failed), and
-// hands m to the waiters of key's build, if any.
-func (c *Cache) land(key Key, m *sparse.Matrix, labels []string) {
+// land stores a computed matrix of pattern p, unless m is nil (the
+// build failed), and hands m to the waiters of key's build, if any.
+func (c *Cache) land(key Key, m *sparse.Matrix, p *rre.Pattern) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m != nil {
-		c.insertLocked(key, m, labels)
+		c.insertLocked(key, m, p)
 		c.evictLocked()
 	}
 	if fl := c.building[key]; fl != nil {
@@ -489,7 +492,7 @@ func (c *Cache) keepCut(v uint64, k cutKey, s cutSlot) {
 //     entry at v, since no commit described the versions in between.
 //
 // c.mu held.
-func (c *Cache) insertLocked(key Key, m *sparse.Matrix, labels []string) {
+func (c *Cache) insertLocked(key Key, m *sparse.Matrix, p *rre.Pattern) {
 	v, ek := key.Version, key.Pattern
 	if v > c.head.Load() {
 		for k, h := range c.entries {
@@ -513,7 +516,7 @@ func (c *Cache) insertLocked(key Key, m *sparse.Matrix, labels []string) {
 	if v < c.head.Load() {
 		to = v + 1
 	}
-	c.add(ek, labels, &cacheEntry{m: m, from: v, to: to, used: c.tick})
+	c.add(ek, p, &cacheEntry{m: m, from: v, to: to, used: c.tick})
 }
 
 // LRU enforcement. c.mu held. The linear minimum scan is fine at the

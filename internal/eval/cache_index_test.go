@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"relsim/internal/rre"
 	"relsim/internal/sparse"
 )
 
@@ -13,7 +14,7 @@ func primeCache(c *Cache, v uint64, n, k int) {
 	m := sparse.Identity(2)
 	for i := 0; i < n; i++ {
 		label := fmt.Sprintf("l%d", i%k)
-		c.land(Key{Version: v, Pattern: fmt.Sprintf("p%d", i)}, m, []string{label})
+		c.land(Key{Version: v, Pattern: fmt.Sprintf("p%d", i)}, m, rre.MustParse(label))
 	}
 }
 
@@ -54,11 +55,11 @@ func TestCommitPathWorkProportionalToTouched(t *testing.T) {
 func TestLabelIndexConsistentAfterChurn(t *testing.T) {
 	c := NewCache()
 	m := sparse.Identity(2)
-	c.land(Key{Version: 0, Pattern: "a"}, m, []string{"a"})
-	c.land(Key{Version: 0, Pattern: "a.b"}, m, []string{"a", "b"})
-	c.land(Key{Version: 0, Pattern: "c"}, m, []string{"c"})
+	c.land(Key{Version: 0, Pattern: "a"}, m, rre.MustParse("a"))
+	c.land(Key{Version: 0, Pattern: "a.b"}, m, rre.MustParse("a.b"))
+	c.land(Key{Version: 0, Pattern: "c"}, m, rre.MustParse("c"))
 	// Re-insert same pattern (replace path).
-	c.land(Key{Version: 0, Pattern: "a.b"}, m, []string{"a", "b"})
+	c.land(Key{Version: 0, Pattern: "a.b"}, m, rre.MustParse("a.b"))
 	if c.Size() != 3 {
 		t.Fatalf("Size = %d, want 3 after replace", c.Size())
 	}
@@ -93,7 +94,7 @@ func BenchmarkCacheCommitPath(b *testing.B) {
 				// Re-insert the touched entries so every iteration evicts
 				// the same amount of work.
 				for j := 0; j < 10; j++ {
-					c.land(Key{Version: v, Pattern: fmt.Sprintf("p%d", j*(size/10)+7)}, m, []string{"l7"})
+					c.land(Key{Version: v, Pattern: fmt.Sprintf("p%d", j*(size/10)+7)}, m, rre.MustParse("l7"))
 				}
 				c.Commit(nil, touch(v, "l7"), at(v+1))
 				v++

@@ -215,9 +215,9 @@ func TestReplacedHalfKillsItsSlot(t *testing.T) {
 		t.Fatal("a cold Scoring call kept no slot")
 	}
 	c.mu.Lock()
-	c.insertLocked(Key{Pattern: k.left}, (*c.cuts.Load())[k][0].a, nil)
+	c.insertLocked(Key{Pattern: k.left}, (*c.cuts.Load())[k][0].a, cut[0].Left)
 	same := c.slotsAt(0) == 1
-	c.insertLocked(Key{Pattern: k.right}, (*c.cuts.Load())[k][0].bt.Transpose().Transpose(), nil)
+	c.insertLocked(Key{Pattern: k.right}, (*c.cuts.Load())[k][0].bt.Transpose().Transpose(), cut[0].RevRight)
 	replaced := c.slotsAt(0) == 1
 	c.mu.Unlock()
 	if !same || replaced {

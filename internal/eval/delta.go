@@ -157,10 +157,12 @@ func (c *Cache) Commit(view *graph.Snapshot, d CommitDelta, floor func() uint64)
 	if d.From != c.head.Load() || d.NewN < d.OldN {
 		d.All = true
 	}
-	var roots []string
+	var roots []*rre.Pattern
 	var kept []keptDiag
 	if view != nil && !d.All && view.NumNodes() == d.NewN {
-		roots = c.touchedLocked(d)
+		for _, key := range c.touchedLocked(d) {
+			roots = append(roots, c.entries[key].p)
+		}
 	}
 	for k, ss := range *c.cuts.Load() {
 		if s, ok := slotAt(ss, d.From); ok && len(roots) > 0 {
@@ -180,14 +182,7 @@ func (c *Cache) Commit(view *graph.Snapshot, d CommitDelta, floor func() uint64)
 		patterns: make(map[string]*rre.Pattern),
 		w:        NewVersioned(view, d.To, c).ints(),
 	}
-	for _, key := range roots {
-		p, err := rre.Parse(key)
-		if err != nil || p.String() != key {
-			// A cache key that does not round-trip cannot be walked;
-			// leave it to recompute.
-			res.Fallbacks++
-			continue
-		}
+	for _, p := range roots {
 		if _, err := mt.node(p); err != nil {
 			res.Fallbacks++
 			continue
@@ -234,7 +229,7 @@ func (c *Cache) install(mt *maintainer, kept []keptDiag, fl uint64, res *CommitR
 	for key, term := range mt.memo {
 		if c.entries[key].at(d.To) == nil {
 			c.tick++
-			c.add(key, mt.patterns[key].Labels(), &cacheEntry{m: term.new, from: d.To, to: open, used: c.tick})
+			c.add(key, mt.patterns[key], &cacheEntry{m: term.new, from: d.To, to: open, used: c.tick})
 		}
 	}
 	t := *c.liveCuts(*c.cuts.Load())

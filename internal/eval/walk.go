@@ -78,7 +78,7 @@ func (e *Evaluator) cached(p *rre.Pattern, build func(*rre.Pattern) *sparse.Matr
 	}
 	e.counters.Misses.Add(1)
 	var built *sparse.Matrix
-	defer func() { e.cache.land(key, built, p.Labels()) }()
+	defer func() { e.cache.land(key, built, p) }()
 	built = build(p)
 	return built
 }

@@ -11,11 +11,11 @@ import (
 // Builder accumulates mutations against a base snapshot and derives the
 // next version copy-on-write. It is the write half of MVCC: the base
 // snapshot is never modified, and Build produces a new snapshot that
-// shares every untouched label's adjacency (and, for edge-only writes,
-// the node table) with the base by pointer. A write that adds nodes
-// copies the name index's overlay, never the map of every name, and
-// extends the node table and type index in place when it takes the
-// base's tail claim (see Snapshot), or copies them.
+// shares every untouched label's adjacency, every untouched chunk of a
+// touched one (and, for edge-only writes, the node table) with the base
+// by pointer. A write that adds nodes extends the node table, type index
+// and name index in place when it takes the base's tail claim (see
+// Snapshot), or copies them.
 //
 // A Builder is single-writer state; it must not be used concurrently.
 // Reads through the Builder (Has, NodeByName, EdgeCount) see the
@@ -25,11 +25,12 @@ import (
 type Builder struct {
 	base *Snapshot
 
-	// nodes stays nil (and byName unset) until the first AddNode; Build
-	// then reuses the base's table unchanged. inPlace: the builder holds
-	// the base's tail claim and extends its arrays in place.
+	// nodes stays nil (and names unset) until the first AddNode; Build
+	// then reuses the base's table unchanged. names holds the names the
+	// builder added. inPlace: the builder holds the base's tail claim and
+	// extends its arrays in place.
 	nodes   []Node
-	byName  nameIndex
+	names   map[string]NodeID
 	inPlace bool
 
 	// adds[label] holds the label's added edges in the order they came;
@@ -66,10 +67,10 @@ func (b *Builder) Has(id NodeID) bool { return id >= 0 && int(id) < b.NumNodes()
 
 // NodeByName resolves a display name, seeing pending additions.
 func (b *Builder) NodeByName(name string) (Node, bool) {
-	if b.nodes == nil {
-		return b.base.NodeByName(name)
+	if nd, ok := b.base.NodeByName(name); ok {
+		return nd, true
 	}
-	id, ok := b.byName.lookup(name)
+	id, ok := b.names[name]
 	if !ok {
 		return Node{}, false
 	}
@@ -86,12 +87,14 @@ func (b *Builder) AddNode(name, typ string) NodeID {
 		if !b.inPlace {
 			b.nodes = slices.Clip(b.nodes)
 		}
-		b.byName = b.base.byName.forWrite()
+		b.names = make(map[string]NodeID)
 	}
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, Node{ID: id, Name: name, Type: typ})
 	if name != "" {
-		b.byName.add(name, id)
+		if _, taken := b.NodeByName(name); !taken {
+			b.names[name] = id
+		}
 	}
 	return id
 }
@@ -156,14 +159,14 @@ func (b *Builder) RemoveEdge(u NodeID, label string, v NodeID) bool {
 }
 
 // Build derives the next snapshot. The base is unchanged; the result
-// shares the base's CSR arrays for every label the builder did not
-// touch, its node table and type index when no node was added, and its
-// checkpoint blocks holding no added node or touched row. More than
-// nameOverlayMax added names go to the new version's base name map, so
-// no later commit copies them. The in-direction rows Build rewrites
-// list their sources in ascending order, whatever order the edges came
-// in. Build may be called once; reusing the builder afterwards is not
-// supported.
+// shares the base's adjacency for every label the builder did not touch,
+// and every chunk of a touched label holding no touched row; its node
+// table, type index and name index when no node was added; and its node
+// blocks holding no added node. A load is a Build over the empty
+// snapshot, which fills every chunk. The in-direction rows Build
+// rewrites list their sources in ascending order, whatever order the
+// edges came in. Build may be called once; reusing the builder
+// afterwards is not supported.
 func (b *Builder) Build() *Snapshot {
 	if b.nodes == nil && b.addCnt == 0 && b.delCnt == 0 {
 		return b.base
@@ -174,18 +177,25 @@ func (b *Builder) Build() *Snapshot {
 		types:      b.base.types,
 		tail:       b.base.tail,
 		nodeBlocks: b.base.nodeBlocks,
+		nodeTail:   b.base.nodeTail,
 		out:        b.base.out,
 		in:         b.base.in,
 		edges:      b.base.NumEdges() + b.addCnt - b.delCnt,
 	}
 	if b.nodes != nil {
 		s.nodes = b.nodes
-		s.byName = b.byName
-		if len(s.byName.overlay) > nameOverlayMax {
-			s.byName = s.byName.folded()
-		}
+		s.byName = b.base.byName.with(b.names, len(b.base.nodes), b.inPlace)
 		s.tail = new(atomic.Bool)
-		s.nodeBlocks = carryBlocks(b.base.nodeBlocks, len(b.nodes), nil, len(b.base.nodes))
+		if !b.inPlace {
+			s.nodeBlocks = slices.Clip(s.nodeBlocks)
+		}
+		for len(s.nodeBlocks) < len(b.nodes)/blockRows {
+			s.nodeBlocks = append(s.nodeBlocks, new(BlockID))
+		}
+		s.nodeTail = nil
+		if len(b.nodes)%blockRows != 0 {
+			s.nodeTail = new(BlockID)
+		}
 		s.types = b.base.types.forWrite(b.inPlace)
 		for _, nd := range b.nodes[len(b.base.nodes):] {
 			s.types.add(nd.ID, nd.Type)
@@ -211,17 +221,12 @@ func (b *Builder) Build() *Snapshot {
 	maps.Copy(s.in, b.base.in)
 	for _, l := range touched {
 		adds := byRow(b.adds[l])
-		out, rows := rebuildAdjacency(b.base.out[l], adds, b.dels[l])
-		if out.nnz() == 0 {
+		out := b.base.out[l].patched(adds, b.dels[l], false)
+		if out.edgeCount() == 0 {
 			delete(s.out, l)
 			delete(s.in, l)
 			continue
 		}
-		var carried []*block
-		if base := b.base.out[l]; base != nil {
-			carried = base.blocks
-		}
-		out.blocks = carryBlocks(carried, out.rows(), rows, out.rows())
 		s.out[l] = out
 		// The in-direction takes the same deltas reversed. adds lists
 		// its sources in ascending order and byRow keeps that order
@@ -243,11 +248,7 @@ func (b *Builder) Build() *Snapshot {
 				revDels[v][u] += n
 			}
 		}
-		in, inRows := rebuildAdjacency(b.base.in[l], byRow(rev), revDels)
-		for _, v := range inRows {
-			slices.Sort(in.row(v))
-		}
-		s.in[l] = in
+		s.in[l] = b.base.in[l].patched(byRow(rev), revDels, true)
 	}
 	return s
 }
@@ -279,65 +280,94 @@ func byRow(arcs []arc) []arc {
 	return sorted
 }
 
-// rebuildAdjacency applies additions, ordered by row, and per-occurrence
-// removals to a base CSR, producing a fresh CSR and the touched rows in
-// ascending order. base may be nil (new label). Only the touched rows
-// are rebuilt entry by entry; the runs of rows between them are copied
-// whole, their offsets shifted.
-func rebuildAdjacency(base *adjacency, adds []arc, dels map[NodeID]map[NodeID]int) (*adjacency, []NodeID) {
-	rows := base.rows()
-	if len(adds) > 0 {
-		rows = max(rows, int(adds[len(adds)-1].u)+1)
+// patched applies additions, ordered by row, and per-occurrence removals
+// to a, which may be nil (a new label), and returns the result. It
+// copies a's directory and rebuilds only the chunks holding a touched
+// row; every other chunk is shared with a. With sorted, a rebuilt row
+// that gained neighbours is sorted.
+func (a *adjacency) patched(adds []arc, dels map[NodeID]map[NodeID]int, sorted bool) *adjacency {
+	var base []*chunk
+	if a != nil {
+		base = a.chunks
 	}
-	touched := make([]NodeID, 0, len(dels))
-	for i, a := range adds {
-		if i == 0 || a.u != adds[i-1].u {
-			touched = append(touched, a.u)
+	touched := make([]int, 0, len(dels)+1)
+	for i, e := range adds {
+		if k := int(e.u) / blockRows; i == 0 || k != touched[len(touched)-1] {
+			touched = append(touched, k)
 		}
 	}
 	if len(dels) > 0 {
 		for u := range dels {
-			touched = append(touched, u)
+			touched = append(touched, int(u)/blockRows)
 		}
 		slices.Sort(touched)
 		touched = slices.Compact(touched)
 	}
-	a := &adjacency{
-		rowPtr: make([]int32, rows+1),
-		nbr:    make([]NodeID, 0, base.nnz()+len(adds)),
+	n := len(base)
+	if len(touched) > 0 {
+		n = max(n, touched[len(touched)-1]+1)
 	}
-	// copyRows carries base rows [lo, hi) over unchanged; rows the base
-	// does not have are empty.
-	copyRows := func(lo, hi int) {
-		if kept := min(hi, base.rows()); lo < kept {
-			shift := int32(len(a.nbr)) - base.rowPtr[lo]
-			a.nbr = append(a.nbr, base.nbr[base.rowPtr[lo]:base.rowPtr[kept]]...)
-			for u := lo; u < kept; u++ {
-				a.rowPtr[u+1] = base.rowPtr[u+1] + shift
+	p := &adjacency{chunks: make([]*chunk, n), nnz: a.edgeCount()}
+	copy(p.chunks, base)
+	for _, k := range touched {
+		lo := k * blockRows
+		in := 0
+		for in < len(adds) && int(adds[in].u) < lo+blockRows {
+			in++
+		}
+		old := p.chunks[k]
+		p.chunks[k] = old.patched(NodeID(lo), adds[:in], dels, sorted)
+		adds = adds[in:]
+		p.nnz += p.chunks[k].edges() - old.edges()
+	}
+	for len(p.chunks) > 0 && p.chunks[len(p.chunks)-1] == nil {
+		p.chunks = p.chunks[:len(p.chunks)-1]
+	}
+	return p
+}
+
+// patched returns c, the chunk of rows [lo, lo+blockRows) (nil when
+// none of them has an edge), with adds, all in those rows and ordered by
+// row, appended to their rows and the removals dels names taken out.
+// It returns nil when no edge is left.
+func (c *chunk) patched(lo NodeID, adds []arc, dels map[NodeID]map[NodeID]int, sorted bool) *chunk {
+	p := &chunk{nbr: make([]NodeID, 0, c.edges()+len(adds))}
+	for i := range blockRows {
+		u := lo + NodeID(i)
+		row := c.row(i)
+		if left := dels[u]; left != nil {
+			left = maps.Clone(left)
+			for _, v := range row {
+				if left[v] > 0 {
+					left[v]--
+					continue
+				}
+				p.nbr = append(p.nbr, v)
 			}
-			lo = kept
+		} else {
+			p.nbr = append(p.nbr, row...)
 		}
-		for u := lo; u < hi; u++ {
-			a.rowPtr[u+1] = int32(len(a.nbr))
-		}
-	}
-	next := 0
-	for _, u := range touched {
-		copyRows(next, int(u))
-		left := maps.Clone(dels[u])
-		for _, v := range base.row(u) {
-			if left[v] > 0 {
-				left[v]--
-				continue
+		if len(adds) > 0 && adds[0].u == u {
+			start := int(p.off[i])
+			for ; len(adds) > 0 && adds[0].u == u; adds = adds[1:] {
+				p.nbr = append(p.nbr, adds[0].v)
 			}
-			a.nbr = append(a.nbr, v)
+			if sorted {
+				slices.Sort(p.nbr[start:])
+			}
 		}
-		for ; len(adds) > 0 && adds[0].u == u; adds = adds[1:] {
-			a.nbr = append(a.nbr, adds[0].v)
-		}
-		a.rowPtr[u+1] = int32(len(a.nbr))
-		next = int(u) + 1
+		p.off[i+1] = int32(len(p.nbr))
 	}
-	copyRows(next, rows)
-	return a, touched
+	if len(p.nbr) == 0 {
+		return nil
+	}
+	return p
+}
+
+// edges returns the number of edges c holds.
+func (c *chunk) edges() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.nbr)
 }

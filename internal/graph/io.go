@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"strconv"
 	"sync"
@@ -40,36 +41,69 @@ func Write(w io.Writer, g *Graph) error {
 }
 
 // blockRows is how many nodes, or source rows of one label, a block of
-// encoded lines covers.
+// encoded lines covers, and how many rows an adjacency chunk holds.
 const blockRows = 256
 
-// block is filled the first time a checkpoint writes it and never
-// changes after, so versions equal in its rows share it by pointer.
-type block struct {
+// BlockID is one block of checkpoint text: filled the first time a
+// checkpoint writes it and never changed after, so versions equal in
+// its rows share it by pointer, and the pointer identifies the text.
+type BlockID struct {
 	once sync.Once
-	b    []byte
+	text []byte
 }
 
-// carryBlocks returns the blocks of a table of n rows derived from one
-// with blocks old: old[k], or a new block if block k holds a row in
-// touched (ascending) or at or past from. An untouched row the old
-// table lacks has no edges and encodes to nothing.
-func carryBlocks(old []*block, n int, touched []NodeID, from int) []*block {
-	bs := make([]*block, (n+blockRows-1)/blockRows)
-	for k := range bs {
-		hi := (k + 1) * blockRows
-		hit := min(hi, n) > from
-		for len(touched) > 0 && int(touched[0]) < hi {
-			hit = true
-			touched = touched[1:]
+// Block is one block of a snapshot's checkpoint text, as Blocks yields
+// it: the node records of blockRows nodes, or the edge records of one
+// label's chunk of blockRows source rows.
+type Block struct {
+	ID     *BlockID
+	encode func(dst []byte) []byte
+}
+
+// encodeBufs holds the buffers blocks are encoded in before their text
+// is copied out at its exact size.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Text returns the block's text, encoding it unless a version sharing
+// the block already did, and reports whether this call encoded it.
+func (b Block) Text() (text []byte, encoded bool) {
+	b.ID.once.Do(func() {
+		buf := encodeBufs.Get().(*[]byte)
+		*buf = b.encode((*buf)[:0])
+		b.ID.text = bytes.Clone(*buf)
+		encodeBufs.Put(buf)
+		encoded = true
+	})
+	return b.ID.text, encoded
+}
+
+// Blocks yields s's checkpoint blocks in file order: its nodes in id
+// order, then each label's edges by label, source node and insertion
+// order. Their texts concatenated are what WriteView writes.
+func (s *Snapshot) Blocks() iter.Seq[Block] {
+	return func(yield func(Block) bool) {
+		for k := range len(s.nodeBlocks) + 1 {
+			id := s.nodeTail
+			if k < len(s.nodeBlocks) {
+				id = s.nodeBlocks[k]
+			}
+			nodes := s.nodes[k*blockRows : min((k+1)*blockRows, len(s.nodes))]
+			if id != nil && !yield(Block{ID: id, encode: func(dst []byte) []byte { return appendNodes(dst, nodes) }}) {
+				return
+			}
 		}
-		if k < len(old) && !hit {
-			bs[k] = old[k]
-		} else {
-			bs[k] = new(block)
+		for _, l := range s.Labels() {
+			for k, c := range s.out[l].chunks {
+				if c == nil {
+					continue
+				}
+				lo := NodeID(k * blockRows)
+				if !yield(Block{ID: &c.text, encode: func(dst []byte) []byte { return c.appendEdges(dst, l, lo) }}) {
+					return
+				}
+			}
 		}
 	}
-	return bs
 }
 
 // writerPool holds WriteView's buffered writers, so a checkpoint does
@@ -84,10 +118,10 @@ type WriteStats struct {
 	EncodedBlocks  int
 }
 
-// WriteView serializes s to w in the line-oriented JSON format: nodes in
-// id order, then edges by label, source node and insertion order, as
-// json.Encoder writes each record. It encodes only the blocks of s no
-// earlier WriteView of s or of a version sharing them encoded.
+// WriteView serializes s to w in the line-oriented JSON format, block by
+// block (Blocks), as json.Encoder writes each record. It encodes only
+// the blocks of s no earlier write of s or of a version sharing them
+// encoded.
 func WriteView(w io.Writer, s *Snapshot) (WriteStats, error) {
 	bw := writerPool.Get().(*bufio.Writer)
 	bw.Reset(w)
@@ -96,26 +130,14 @@ func WriteView(w io.Writer, s *Snapshot) (WriteStats, error) {
 		writerPool.Put(bw)
 	}()
 	var st WriteStats
-	var scratch []byte
-	put := func(blk *block, encode func([]byte) []byte) {
-		blk.once.Do(func() {
-			scratch = encode(scratch[:0])
-			blk.b = bytes.Clone(scratch)
-			st.Encoded += int64(len(blk.b))
+	for blk := range s.Blocks() {
+		text, encoded := blk.Text()
+		if encoded {
+			st.Encoded += int64(len(text))
 			st.EncodedBlocks++
-		})
-		st.Bytes += int64(len(blk.b))
-		_, _ = bw.Write(blk.b) // a failed write sticks to bw, and Flush returns it
-	}
-	for k, blk := range s.nodeBlocks {
-		nodes := s.nodes[k*blockRows : min((k+1)*blockRows, len(s.nodes))]
-		put(blk, func(dst []byte) []byte { return appendNodes(dst, nodes) })
-	}
-	for _, l := range s.Labels() {
-		a := s.out[l]
-		for k, blk := range a.blocks {
-			put(blk, func(dst []byte) []byte { return appendEdges(dst, a, l, k*blockRows, min((k+1)*blockRows, a.rows())) })
 		}
+		st.Bytes += int64(len(text))
+		_, _ = bw.Write(text) // a failed write sticks to bw, and Flush returns it
 	}
 	if err := bw.Flush(); err != nil {
 		return st, fmt.Errorf("graph: write: %w", err)
@@ -139,13 +161,13 @@ func appendNodes(dst []byte, nodes []Node) []byte {
 	return dst
 }
 
-// appendEdges appends the edge records of a's rows [lo, hi).
-func appendEdges(dst []byte, a *adjacency, label string, lo, hi int) []byte {
+// appendEdges appends the edge records of c, the chunk of rows from lo.
+func (c *chunk) appendEdges(dst []byte, label string, lo NodeID) []byte {
 	quoted := appendJSONString(nil, label)
-	for u := lo; u < hi; u++ {
-		for _, v := range a.row(NodeID(u)) {
+	for i := range blockRows {
+		for _, v := range c.row(i) {
 			dst = append(dst, `{"edge":{"from":`...)
-			dst = strconv.AppendInt(dst, int64(u), 10)
+			dst = strconv.AppendInt(dst, int64(lo)+int64(i), 10)
 			dst = append(append(dst, `,"label":`...), quoted...)
 			dst = strconv.AppendInt(append(dst, `,"to":`...), int64(v), 10)
 			dst = append(dst, "}}\n"...)

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"relsim/internal/sparse"
@@ -15,121 +16,162 @@ import (
 // graph forever, with no locks, while writers derive new snapshots
 // copy-on-write.
 //
-// Adjacency is stored per label in CSR form, in both directions.
-// Versions share structure: deriving a snapshot through a Builder
-// copies the name index's small overlay (when nodes were added) and the
-// adjacency of the labels the write touched; every other label's CSR
-// arrays are shared by pointer with the parent version.
+// Adjacency is stored per label, in both directions, as a directory of
+// chunks of blockRows rows (see adjacency). Versions share structure:
+// deriving a snapshot through a Builder copies the directories of the
+// labels the write touched and rebuilds only the chunks holding a
+// touched row; every other chunk, and every untouched label's
+// adjacency, is shared by pointer with the parent version.
 //
-// The node table, type column and type id lists only grow, and readers
-// read up to their own version's length, so a builder may append to its
-// base's arrays in place. tail is the claim on that, shared by the
-// versions sharing the node table: the first builder to take it appends
-// in place, and any other (a fork, or a retry after a rolled-back
-// builder took it) copies.
+// The node table, type column, type id lists and name index only grow,
+// and readers read up to their own version's length, so a builder may
+// append to its base's in place. tail is the claim on that, shared by
+// the versions sharing the node table: the first builder to take it
+// appends in place, and any other (a fork, or a retry after a
+// rolled-back builder took it) copies.
 //
-// A snapshot carries its checkpoint encoding in blocks of blockRows
-// nodes and of blockRows source rows per label, each encoded when first
-// written (a version no checkpoint writes fills none). A derived version
-// shares every block its write did not touch, so a checkpoint encodes
-// only what changed since one of an ancestor.
+// A snapshot's checkpoint text is a sequence of blocks (Blocks): one per
+// blockRows nodes (the full ones appended in place like the node table,
+// the partial last one apart), and one per chunk of each label's
+// out-direction adjacency, which is that chunk's own. Each is encoded
+// when first written (a version no checkpoint writes fills none), and a
+// derived version shares every block its write did not touch, so a
+// checkpoint encodes only what changed since one of an ancestor.
 type Snapshot struct {
 	nodes      []Node
 	byName     nameIndex
 	types      typeIndex
 	tail       *atomic.Bool
-	nodeBlocks []*block
+	nodeBlocks []*BlockID // the full blocks of nodes, growing like nodes
+	nodeTail   *BlockID   // the last, partial block; nil when there is none
 	out        map[string]*adjacency
 	in         map[string]*adjacency
 	edges      int
 }
 
 // nameIndex resolves a display name to the first node added with it. A
-// node-adding commit must not copy every name the graph holds, so the
-// index is two maps: base, shared by pointer with the parent version
-// and never written once a snapshot holds it, and overlay, the names
-// added since base was made, which alone is copied per commit. A name
-// in base is older than any in overlay, so base wins a lookup.
+// node-adding commit must cost the names it adds, so the index is two
+// maps: base, shared by pointer with the parent version and never
+// written once a snapshot holds it, and overlay, the names added since
+// base was made. The overlay is shared by the versions sharing a node
+// table and grows with it, as the table does: the builder holding the
+// tail claim adds its names in place, while readers of earlier versions
+// look names up, so it is a sync.Map, and a version reads only ids
+// below its own node count, so names added after it are invisible to
+// it. size counts the overlay's names a version reads. A name in base
+// is older than any in overlay, so base wins a lookup. A build that
+// would leave the overlay as large as base folds both into a fresh
+// base, so the copies cost what the names added since cost.
 type nameIndex struct {
 	base    map[string]NodeID
-	overlay map[string]NodeID
+	overlay *sync.Map
+	size    int
 }
 
-// nameOverlayMax bounds what a node-adding commit copies: an overlay
-// that has reached it is folded into a fresh base first.
-const nameOverlayMax = 1024
-
-func (x nameIndex) lookup(name string) (NodeID, bool) {
+// lookup returns the first node named name among the first n nodes.
+func (x nameIndex) lookup(name string, n int) (NodeID, bool) {
 	if id, ok := x.base[name]; ok {
 		return id, true
 	}
-	id, ok := x.overlay[name]
-	return id, ok
-}
-
-// forWrite returns an index equal to x whose overlay the caller may add
-// to: x's own maps are left as they are.
-func (x nameIndex) forWrite() nameIndex {
-	if len(x.overlay) < nameOverlayMax {
-		return nameIndex{base: x.base, overlay: maps.Clone(x.overlay)}
-	}
-	return x.folded()
-}
-
-// folded returns an index equal to x with no overlay. Its base is a
-// fresh map, or x's overlay itself when x's base is empty.
-func (x nameIndex) folded() nameIndex {
-	if len(x.base) == 0 {
-		return nameIndex{base: x.overlay}
-	}
-	base := make(map[string]NodeID, len(x.base)+len(x.overlay))
-	maps.Copy(base, x.base)
-	maps.Copy(base, x.overlay)
-	return nameIndex{base: base}
-}
-
-// add records name → id unless the name is already taken.
-func (x *nameIndex) add(name string, id NodeID) {
-	if _, dup := x.lookup(name); dup {
-		return
-	}
 	if x.overlay == nil {
-		x.overlay = make(map[string]NodeID)
+		return 0, false
 	}
-	x.overlay[name] = id
+	v, ok := x.overlay.Load(name)
+	if !ok {
+		return 0, false
+	}
+	id := v.(NodeID)
+	return id, int(id) < n
 }
 
-// adjacency is one direction of one label's edges in CSR form. rowPtr
-// has len rows+1 with rows <= NumNodes; nodes beyond rows have no
-// edges with this label. Neighbor lists keep insertion order and repeat
-// entries for parallel edges; an in-direction row lists its sources in
-// ascending order, as a checkpoint round trip does. Only an
-// out-direction adjacency has checkpoint blocks.
+// with returns x, the index of a version of n nodes, with the names
+// added since, which no version reads yet: in x's own overlay when
+// inPlace (the caller holds the tail claim), in a copy of what x reads
+// of it when not, or folded into a fresh base. A fork copies even when
+// it adds no name: x's overlay may hold names another lineage stored at
+// the ids the fork's own nodes take.
+func (x nameIndex) with(added map[string]NodeID, n int, inPlace bool) nameIndex {
+	if len(added) == 0 && (inPlace || x.overlay == nil) {
+		return x
+	}
+	visible := func(yield func(string, NodeID)) {
+		if x.overlay != nil {
+			x.overlay.Range(func(name, id any) bool {
+				if int(id.(NodeID)) < n {
+					yield(name.(string), id.(NodeID))
+				}
+				return true
+			})
+		}
+	}
+	if x.size+len(added) >= len(x.base) {
+		if len(x.base) == 0 && x.size == 0 {
+			return nameIndex{base: added}
+		}
+		base := make(map[string]NodeID, len(x.base)+x.size+len(added))
+		maps.Copy(base, x.base)
+		visible(func(name string, id NodeID) { base[name] = id })
+		maps.Copy(base, added)
+		return nameIndex{base: base}
+	}
+	c := nameIndex{base: x.base, overlay: x.overlay, size: x.size + len(added)}
+	if !inPlace || c.overlay == nil {
+		c.overlay = new(sync.Map)
+		visible(func(name string, id NodeID) { c.overlay.Store(name, id) })
+	}
+	for name, id := range added {
+		c.overlay.Store(name, id)
+	}
+	return c
+}
+
+// adjacency is one direction of one label's edges: a directory of
+// chunks, chunk k holding rows [k·blockRows, (k+1)·blockRows). A nil
+// chunk, and any row past the directory, has no edges with this label.
+// Neighbor lists keep insertion order and repeat entries for parallel
+// edges; an in-direction row lists its sources in ascending order, as a
+// checkpoint round trip does.
 type adjacency struct {
-	rowPtr []int32
-	nbr    []NodeID
-	blocks []*block
+	chunks []*chunk
+	nnz    int
 }
 
+// chunk holds blockRows rows of an adjacency: local row i's neighbours
+// are nbr[off[i]:off[i+1]]. Only an out-direction chunk's text is
+// filled: it is the checkpoint block of its rows.
+type chunk struct {
+	off  [blockRows + 1]int32
+	nbr  []NodeID
+	text BlockID
+}
+
+func (c *chunk) row(i int) []NodeID {
+	if c == nil {
+		return nil
+	}
+	return c.nbr[c.off[i]:c.off[i+1]]
+}
+
+// rows bounds the rows that have edges: none at or past it does.
 func (a *adjacency) rows() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.rowPtr) - 1
+	return len(a.chunks) * blockRows
 }
 
 func (a *adjacency) row(u NodeID) []NodeID {
-	if a == nil || int(u) >= a.rows() || u < 0 {
+	if a == nil || u < 0 || int(u) >= a.rows() {
 		return nil
 	}
-	return a.nbr[a.rowPtr[u]:a.rowPtr[u+1]]
+	return a.chunks[u/blockRows].row(int(u % blockRows))
 }
 
-func (a *adjacency) nnz() int {
+func (a *adjacency) edgeCount() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.nbr)
+	return a.nnz
 }
 
 // emptySnapshot returns the version with no node and no edge, the base
@@ -157,7 +199,7 @@ func (s *Snapshot) Node(id NodeID) Node {
 
 // NodeByName returns the first node added with the given name.
 func (s *Snapshot) NodeByName(name string) (Node, bool) {
-	id, ok := s.byName.lookup(name)
+	id, ok := s.byName.lookup(name, len(s.nodes))
 	if !ok {
 		return Node{}, false
 	}
@@ -238,7 +280,7 @@ func (s *Snapshot) EachEdge(fn func(e Edge)) {
 // counts the (u, label, v) edges.
 func (s *Snapshot) Adjacency(label string) *sparse.Matrix {
 	a := s.out[label]
-	triples := make([]sparse.Triple, 0, a.nnz())
+	triples := make([]sparse.Triple, 0, a.edgeCount())
 	for u := 0; u < a.rows(); u++ {
 		for _, v := range a.row(NodeID(u)) {
 			triples = append(triples, sparse.Triple{Row: u, Col: int(v), Val: 1})

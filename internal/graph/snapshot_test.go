@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -191,9 +192,10 @@ func TestBuilderNodeTableCOW(t *testing.T) {
 // fresh names, names an earlier version already holds, a name twice in
 // one builder and an unnamed node, and checks NodeByName on the builder
 // (read-your-writes) and on every snapshot against a first-added-wins
-// map rebuilt from the node table. The chain crosses nameOverlayMax, so
-// the overlay folds into a fresh base on the way; a node-adding commit
-// never copies the base map, and earlier versions never see later names.
+// map rebuilt from the node table. The overlay folds into a fresh base
+// whenever it would grow as large as base; a node-adding commit that
+// does not fold never copies the base map, and earlier versions never
+// see later names.
 func TestBuilderNameIndexCOW(t *testing.T) {
 	check := func(step int, s *Snapshot) {
 		t.Helper()
@@ -203,7 +205,7 @@ func TestBuilderNameIndexCOW(t *testing.T) {
 				want[nd.Name] = nd.ID
 			}
 		}
-		if got := len(s.byName.base) + len(s.byName.overlay); got != len(want) {
+		if got := len(s.byName.base) + s.byName.size; got != len(want) {
 			t.Fatalf("step %d: index holds %d names, want %d", step, got, len(want))
 		}
 		for name, id := range want {
@@ -235,8 +237,8 @@ func TestBuilderNameIndexCOW(t *testing.T) {
 			t.Fatalf("step %d: builder NodeByName(a) = %d, %v; the first node added wins", step, nd.ID, ok)
 		}
 		next := b.Build()
-		if len(next.byName.overlay) > nameOverlayMax+16 {
-			t.Fatalf("step %d: overlay grew to %d names", step, len(next.byName.overlay))
+		if next.byName.size >= len(next.byName.base) {
+			t.Fatalf("step %d: overlay grew to %d names over a base of %d", step, next.byName.size, len(next.byName.base))
 		}
 		if len(next.byName.base) != len(base.byName.base) {
 			folds++
@@ -247,7 +249,7 @@ func TestBuilderNameIndexCOW(t *testing.T) {
 		versions = append(versions, next)
 	}
 	if folds == 0 {
-		t.Fatal("the overlay never folded: the chain must cross nameOverlayMax")
+		t.Fatal("the overlay never folded")
 	}
 	for step, s := range versions[1:] {
 		check(step, s) // later commits changed nothing an earlier version reads
@@ -494,4 +496,107 @@ func inAdjacency(s *Snapshot, label string) *sparse.Matrix {
 		}
 	}
 	return sparse.New(s.NumNodes(), triples)
+}
+
+// TestNameIndexAcrossForks derives 300 versions by node-adding builders
+// from random earlier versions — forks, and forks of forks — some rolled
+// back after they took their base's tail claim or after they built,
+// adding fresh names, names earlier versions hold, or unnamed nodes only. Every version resolves every name to the
+// first node of its own table with it, when it is made and at the end,
+// after later versions extended or forked what it shares.
+func TestNameIndexAcrossForks(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	const names = 4000
+	check := func(step int, s *Snapshot) {
+		t.Helper()
+		first := make(map[string]NodeID)
+		for _, nd := range s.nodes {
+			if _, dup := first[nd.Name]; !dup {
+				first[nd.Name] = nd.ID
+			}
+		}
+		for i := 0; i < names; i++ {
+			name := fmt.Sprintf("s%d", i)
+			id, want := first[name]
+			if nd, ok := s.NodeByName(name); ok != want || ok && nd.ID != id {
+				t.Fatalf("version %d: NodeByName(%q) = %d, %v; want %d, %v", step, name, nd.ID, ok, id, want)
+			}
+		}
+	}
+	versions := []*Snapshot{emptySnapshot()}
+	for step := 0; step < 300; step++ {
+		base := versions[len(versions)-1]
+		if rng.Intn(3) == 0 {
+			base = versions[rng.Intn(len(versions))]
+		}
+		b := NewBuilder(base)
+		unnamed := rng.Intn(4) == 0
+		for i := rng.Intn(6); i >= 0; i-- {
+			name := fmt.Sprintf("s%d", rng.Intn(names))
+			if unnamed {
+				name = ""
+			}
+			b.AddNode(name, "t")
+		}
+		switch rng.Intn(6) {
+		case 0:
+			continue // rolled back, holding the claim
+		case 1:
+			b.Build()
+			continue // rolled back after it built, as a failed log append is
+		}
+		next := b.Build()
+		check(step, next)
+		versions = append(versions, next)
+	}
+	for step, s := range versions {
+		check(step, s)
+	}
+}
+
+// TestForkAddingNoNameHidesSiblingNames: a builder that took a version's
+// tail claim and built, named "alice" at id 5, then was dropped; a fork
+// of the same version adds an unnamed node at id 5. The fork must not
+// resolve "alice", must let a later "alice" be added, and what its own
+// descendants add must not show through to the dropped lineage's.
+func TestForkAddingNoNameHidesSiblingNames(t *testing.T) {
+	b := NewBuilder(nil)
+	for i := 0; i < 4; i++ {
+		b.AddNode(fmt.Sprintf("n%d", i), "t")
+	}
+	b = NewBuilder(b.Build())
+	b.AddNode("x", "t") // an overlay, not a fold: the base holds 4 names
+	base := b.Build()
+	if base.byName.overlay == nil {
+		t.Fatal("base has no overlay; the test needs one")
+	}
+
+	sib := NewBuilder(base)
+	sib.AddNode("alice", "t")
+	sibling := sib.Build()
+
+	f := NewBuilder(base)
+	f.AddNode("", "t")
+	fork := f.Build()
+	if nd, ok := fork.NodeByName("alice"); ok {
+		t.Fatalf("fork resolves a sibling's name: alice = node %d", nd.ID)
+	}
+	fb := NewBuilder(fork)
+	alice := fb.AddNode("alice", "t")
+	fb.AddNode("bob", "t")
+	child := fb.Build()
+	if nd, ok := child.NodeByName("alice"); !ok || nd.ID != alice {
+		t.Fatalf("fork's child: alice = %d, %v; want %d", nd.ID, ok, alice)
+	}
+
+	sb := NewBuilder(sibling)
+	sb.AddNode("", "t")
+	sb.AddNode("", "t")
+	nephew := sb.Build()
+	if nd, ok := nephew.NodeByName("bob"); ok {
+		t.Fatalf("sibling lineage resolves the fork's name: bob = node %d", nd.ID)
+	}
+	if nd, ok := nephew.NodeByName("alice"); !ok || nd.ID != 5 {
+		t.Fatalf("sibling lineage: alice = %d, %v; want 5", nd.ID, ok)
+	}
 }

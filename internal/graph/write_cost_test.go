@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
 	"relsim/internal/datasets"
 	"relsim/internal/graph"
@@ -85,5 +86,72 @@ func TestSnapshotAfterWriteCostsABuild(t *testing.T) {
 	t.Logf("after a one-paper write, Snapshot allocates %d bytes, Build %d (medians of %d)", a, c, len(viaGraph))
 	if a*4 > c*5 {
 		t.Errorf("Snapshot after a one-paper write allocates %d bytes, over 1.25× Build's %d", a, c)
+	}
+}
+
+// TestBuildCostsTouchedChunksAtScale: Builder.Build of a one-paper
+// write (a named node, a p-in edge and a w edge) rebuilds the chunks
+// holding the rows it touched and copies the directories over them,
+// never a label's whole adjacency. On FullDBLP (×1) and on FullDBLP with
+// 16 times the proceedings and the author pool (×16, 312,421 nodes),
+// each chain extending its own last version as a store does, the ×16
+// median allocates and takes at most twice the ×1 median (15× and 15×
+// when a touched label's whole CSR was copied).
+func TestBuildCostsTouchedChunksAtScale(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are inflated by the race detector")
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("generates a 312k-node graph")
+	}
+	cfg := datasets.FullDBLP()
+	cfg.Procs, cfg.AuthorsPool = 16*cfg.Procs, 16*cfg.AuthorsPool
+	snaps := []*graph.Snapshot{datasets.DBLP(datasets.FullDBLP()).Graph.Snapshot(), datasets.DBLP(cfg).Graph.Snapshot()}
+	procs := [2][]graph.NodeID{snaps[0].NodesOfType("proc"), snaps[1].NodesOfType("proc")}
+	authors := [2][]graph.NodeID{snaps[0].NodesOfType("author"), snaps[1].NodesOfType("author")}
+	// The collector is held off while the builds run, so neither scale's
+	// builds pay for marking the other's heap.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 41
+	var bytes [2][]uint64
+	var took [2][]time.Duration
+	var before, after runtime.MemStats
+	for k := 0; k < n; k++ {
+		for i := range snaps {
+			b := graph.NewBuilder(snaps[i])
+			paper := b.AddNode(fmt.Sprintf("onepaper%d", k), "paper")
+			if err := b.AddEdge(paper, "p-in", procs[i][k*7%len(procs[i])]); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddEdge(authors[i][k*131%len(authors[i])], "w", paper); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			snaps[i] = b.Build()
+			dt := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if k > 0 { // the first write finds no room in the type column
+				bytes[i], took[i] = append(bytes[i], after.TotalAlloc-before.TotalAlloc), append(took[i], dt)
+			}
+		}
+	}
+	for i := range bytes {
+		slices.Sort(bytes[i])
+		slices.Sort(took[i])
+	}
+	b1, b16 := bytes[0][len(bytes[0])/2], bytes[1][len(bytes[1])/2]
+	t1, t16 := took[0][len(took[0])/2], took[1][len(took[1])/2]
+	t.Logf("one-paper Build medians: ×1 %v and %d bytes, ×16 (n = %d) %v and %d bytes", t1, b1, snaps[1].NumNodes(), t16, b16)
+	if b16 > 2*b1 {
+		t.Errorf("a one-paper Build at ×16 allocates %d bytes (median), want at most twice ×1's %d", b16, b1)
+	}
+	if t16 > 2*t1 {
+		t.Errorf("a one-paper Build at ×16 takes %v (median), want at most twice ×1's %v", t16, t1)
 	}
 }

@@ -12,6 +12,21 @@ package store
 // scan; because the append happens before publication, anything lost
 // that way was never observable, and every batch survives or vanishes
 // whole (all-or-nothing per Tx).
+//
+// A checkpoint is a manifest over an append-only block log. The graph's
+// checkpoint text is a sequence of blocks (graph.Snapshot.Blocks), each
+// shared by every version that shares its rows; the log holds each
+// block's text once, and a checkpoint appends only the blocks the log
+// does not hold yet, then writes a small manifest naming the log and
+// the extents whose concatenation is the graph, with its size and
+// CRC-32C. A new log generation, written whole, starts at the first
+// checkpoint after Open, after a failed one, and when appending would
+// leave the log over logGrowth times the graph's bytes; the older generation goes
+// once a manifest over the new one is durable. So a log holds at most
+// logGrowth times the graph's bytes as of its last checkpoint, and the
+// directory one more generation, the graph's size, while a new one is
+// being written. Recovery still reads a checkpoint file written whole
+// (checkpointSuffix), as stores before the block log wrote them.
 
 import (
 	"bytes"
@@ -19,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -35,7 +51,14 @@ import (
 
 const (
 	checkpointPrefix = "checkpoint-"
-	checkpointSuffix = ".ckpt"
+	checkpointSuffix = ".ckpt"     // a checkpoint written whole
+	manifestSuffix   = ".manifest" // a checkpoint over the block log
+	logPrefix        = "blocks-"
+	logSuffix        = ".log"
+
+	// logGrowth bounds the block log: a checkpoint that would leave it
+	// over logGrowth times the live bytes starts a new generation.
+	logGrowth = 4
 
 	// DefaultCheckpointEvery is the default number of versions between
 	// graph checkpoints.
@@ -58,8 +81,19 @@ type durable struct {
 	lastCheckpoint    atomic.Uint64 // version of the newest checkpoint
 	checkpoints       atomic.Uint64 // checkpoints written this process
 	checkpointErrs    atomic.Uint64
-	checkpointBytes   atomic.Uint64 // bytes checkpoints wrote
-	checkpointEncoded atomic.Uint64 // the part of them encoded afresh
+	checkpointBytes   atomic.Uint64 // bytes checkpoints appended to the block log
+	checkpointEncoded atomic.Uint64 // bytes of blocks they encoded afresh
+
+	// The block log, under ckptMu. log is the current generation's file,
+	// open for appends, and nil when the next checkpoint must start a
+	// generation; logEnd is its length. extents locates in it every
+	// block the newest checkpoint references, and only those. newest is
+	// the newest checkpoint on disk, which CheckpointReader streams.
+	log     *os.File
+	logEnd  int64
+	nextGen uint64
+	extents map[*graph.BlockID]extent
+	newest  *manifest
 
 	// ckptMu serializes checkpoint writers (the background cadence
 	// goroutine and manual Checkpoint calls); inFlight dedupes cadence
@@ -201,9 +235,13 @@ func Open(dir string, opts ...OpenOption) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	base, ckptVersion, hadCkpt, corruptSkipped, err := loadCheckpoint(dir)
+	base, newest, corruptSkipped, err := loadCheckpoint(dir)
 	if err != nil {
 		return nil, err
+	}
+	var ckptVersion uint64
+	if newest != nil {
+		ckptVersion = newest.Version
 	}
 	if base == nil {
 		if base = cfg.seed; base == nil {
@@ -267,6 +305,8 @@ func Open(dir string, opts ...OpenOption) (*Store, error) {
 		wal:             w,
 		syncPolicy:      cfg.walOpt.Sync,
 		checkpointEvery: cfg.checkpointEvery,
+		nextGen:         lastLogGen(dir) + 1,
+		newest:          newest,
 		recovery: RecoveryStats{
 			CheckpointVersion:         ckptVersion,
 			ReplayedRecords:           records,
@@ -277,7 +317,7 @@ func Open(dir string, opts ...OpenOption) (*Store, error) {
 	}
 	d.lastCheckpoint.Store(ckptVersion)
 	s.dur = d
-	if !hadCkpt {
+	if newest == nil {
 		// Fresh directory: persist the seed so the directory alone can
 		// reconstruct version 0 on the next boot.
 		if err := s.checkpointNow(s.current.Load()); err != nil {
@@ -309,7 +349,8 @@ func (s *Store) Close() error {
 	// can start: checkpointNow re-checks closed under ckptMu.
 	s.dur.ckptWG.Wait()
 	s.dur.ckptMu.Lock()
-	s.dur.ckptMu.Unlock() //nolint:staticcheck // empty critical section = barrier
+	s.dur.dropLog()
+	s.dur.ckptMu.Unlock()
 	return s.dur.wal.Close()
 }
 
@@ -399,11 +440,12 @@ func (s *Store) walFeed(ctx context.Context, since uint64, max int, live uint64)
 // bootstrap-transfer primitive behind GET /checkpoint. The stream is
 // the line-oriented graph serialization (graph.Read parses it) of the
 // returned version; a follower Resets onto it and tails the feed from
-// there. For a durable store the bytes come straight off the newest
-// on-disk checkpoint file (its version is exactly the WAL trim floor,
-// so checkpoint + feed is always contiguous); size is the exact byte
-// count, or -1 when unknown. For an in-memory store the current
-// snapshot is serialized on the spot. The caller must Close the reader.
+// there. For a durable store the bytes come straight off disk, the
+// newest checkpoint's extents of the block log read through one held
+// file descriptor (its version is exactly the WAL trim floor, so
+// checkpoint + feed is always contiguous); size is the exact byte
+// count. For an in-memory store the current snapshot is serialized on
+// the spot. The caller must Close the reader.
 func (s *Store) CheckpointReader() (rc io.ReadCloser, version uint64, size int64, err error) {
 	d := s.dur
 	if d == nil {
@@ -415,30 +457,26 @@ func (s *Store) CheckpointReader() (rc io.ReadCloser, version uint64, size int64
 		return io.NopCloser(bytes.NewReader(buf.Bytes())), cur.version, int64(buf.Len()), nil
 	}
 	for attempt := 0; ; attempt++ {
-		// Under ckptMu no concurrent checkpointer can retire the file
-		// between the listing and the open; once the fd is held the file
-		// may be unlinked freely (the stream keeps reading it).
+		// Under ckptMu no concurrent checkpointer can retire the log
+		// between reading newest and the open; once the fd is held the
+		// file may be unlinked freely (the stream keeps reading it), and
+		// appends past the extents change nothing it reads.
 		d.ckptMu.Lock()
-		cs := listCheckpoints(d.dir)
-		if len(cs) > 0 {
-			f, oerr := os.Open(cs[0].path)
-			if oerr == nil {
-				size := int64(-1)
-				if info, serr := f.Stat(); serr == nil {
-					size = info.Size()
-				}
+		m := d.newest
+		var oerr error
+		if m != nil {
+			var f *os.File
+			if f, oerr = os.Open(filepath.Join(d.dir, m.Log)); oerr == nil {
 				d.ckptMu.Unlock()
-				return f, cs[0].version, size, nil
+				return m.reader(f), m.Version, m.Size, nil
 			}
-			d.ckptMu.Unlock()
-			if attempt > 0 {
+		}
+		d.ckptMu.Unlock()
+		if attempt > 0 {
+			if oerr != nil {
 				return nil, 0, 0, fmt.Errorf("store: checkpoint stream: %w", oerr)
 			}
-		} else {
-			d.ckptMu.Unlock()
-			if attempt > 0 {
-				return nil, 0, 0, fmt.Errorf("store: no readable checkpoint")
-			}
+			return nil, 0, 0, fmt.Errorf("store: no readable checkpoint")
 		}
 		// No readable checkpoint (a fresh-directory write failed earlier,
 		// or the file vanished under us): write one now and retry once.
@@ -484,14 +522,19 @@ func (s *Store) maybeCheckpointLocked(v *versioned) {
 	}()
 }
 
-// checkpointNow writes v's graph atomically (temp file + rename),
-// retires older checkpoints and trims covered WAL segments. v.snap is
-// immutable, so no store lock is needed; ckptMu serializes concurrent
-// checkpointers, and a version already covered by a newer checkpoint is
-// skipped. It encodes only the blocks of v.snap that no checkpoint of
-// an ancestor wrote, those the commits since touched, and copies the
-// rest as they are: it costs those blocks plus writing and fsyncing the
-// whole file.
+// checkpointNow makes v's graph the newest checkpoint: it appends to
+// the block log the blocks of v.snap the log does not hold (all of them
+// when a new generation starts, see logGrowth), fsyncs
+// the log, and writes the manifest atomically (temp file + fsync +
+// rename + directory sync). Only then does it retire older manifests
+// and logs and trim covered WAL segments. v.snap is immutable, so no
+// store lock is needed; ckptMu serializes concurrent checkpointers, and
+// a version already covered by a newer checkpoint is skipped. It
+// encodes only the blocks no checkpoint of an ancestor wrote, and costs
+// those blocks, a CRC over the graph's bytes and a manifest. On disk,
+// the log it leaves holds at most logGrowth times the graph's bytes;
+// while a new generation is written, the old one (as large) is kept
+// until the manifest over the new one is durable.
 func (s *Store) checkpointNow(v *versioned) error {
 	start := time.Now()
 	d := s.dur
@@ -506,45 +549,194 @@ func (s *Store) checkpointNow(v *versioned) error {
 	if v.version < d.lastCheckpoint.Load() {
 		return nil
 	}
-	final := filepath.Join(d.dir, fmt.Sprintf("%s%016x%s", checkpointPrefix, v.version, checkpointSuffix))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
+	m, err := d.writeCheckpoint(v)
 	if err != nil {
+		// What reached the log is unknown: start the next generation
+		// afresh. The manifest on disk still reads.
+		d.dropLog()
 		return fmt.Errorf("store: checkpoint: %w", err)
 	}
-	st, err := graph.WriteView(f, v.snap)
-	d.checkpointBytes.Add(uint64(st.Bytes))
-	d.checkpointEncoded.Add(uint64(st.Encoded))
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	wal.SyncDir(d.dir)
-	// Retire superseded checkpoints and the WAL history below the new
-	// one; failures here cost disk, not correctness.
-	for _, c := range listCheckpoints(d.dir) {
-		if c.version < v.version {
-			os.Remove(c.path)
+	d.newest = m
+	// Retire superseded checkpoints, stray temp files and older logs,
+	// and the WAL history below the new checkpoint; failures here cost
+	// disk, not correctness.
+	if ents, err := os.ReadDir(d.dir); err == nil {
+		for _, e := range ents {
+			name := e.Name()
+			if name != manifestName(m.Version) && name != m.Log && (strings.HasPrefix(name, checkpointPrefix) || strings.HasPrefix(name, logPrefix)) {
+				os.Remove(filepath.Join(d.dir, name))
+			}
 		}
 	}
 	d.wal.TrimThrough(v.version)
 	d.lastCheckpoint.Store(v.version)
 	d.checkpoints.Add(1)
 	s.observeCheckpoint(start)
+	return nil
+}
+
+// castagnoli is the CRC-32C table a manifest's checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// extent is a block's place in the log: length bytes from offset.
+type extent struct{ offset, length int64 }
+
+// manifest is one checkpoint: the graph at Version is the concatenation
+// of the extents of the file Log, each an [offset, length] pair, Size
+// bytes in all with CRC-32C CRC. A checkpoint written whole is read as
+// one extent of its own file, and carries no CRC.
+type manifest struct {
+	Version uint64     `json:"version"`
+	Log     string     `json:"log"`
+	Size    int64      `json:"size"`
+	CRC     uint32     `json:"crc32c"`
+	Extents [][2]int64 `json:"extents"`
+}
+
+// add appends e to m's extents, merging it into the last when it
+// continues it in the log.
+func (m *manifest) add(e extent) {
+	m.Size += e.length
+	if n := len(m.Extents); n > 0 && m.Extents[n-1][0]+m.Extents[n-1][1] == e.offset {
+		m.Extents[n-1][1] += e.length
+		return
+	}
+	m.Extents = append(m.Extents, [2]int64{e.offset, e.length})
+}
+
+// reader streams m's bytes from f, its log, and closes f on Close.
+func (m *manifest) reader(f *os.File) io.ReadCloser {
+	parts := make([]io.Reader, len(m.Extents))
+	for i, e := range m.Extents {
+		parts[i] = io.NewSectionReader(f, e[0], e[1])
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(parts...), f}
+}
+
+// writeCheckpoint appends v.snap's missing blocks to the log, starting
+// a generation if none is open or the log would outgrow logGrowth times
+// the live bytes, and writes v's manifest. ckptMu held.
+func (d *durable) writeCheckpoint(v *versioned) (*manifest, error) {
+	type part struct {
+		id    *graph.BlockID
+		text  []byte
+		at    extent
+		fresh bool
+	}
+	var parts []part
+	var live, fresh int64
+	for blk := range v.snap.Blocks() {
+		text, encoded := blk.Text()
+		if encoded {
+			d.checkpointEncoded.Add(uint64(len(text)))
+		}
+		at, held := d.extents[blk.ID]
+		parts = append(parts, part{id: blk.ID, text: text, at: at, fresh: !held})
+		live += int64(len(text))
+		if !held {
+			fresh += int64(len(text))
+		}
+	}
+	if d.log != nil && d.logEnd+fresh > logGrowth*live {
+		d.dropLog()
+	}
+	if d.log == nil {
+		if err := d.startLog(); err != nil {
+			return nil, err
+		}
+		for i := range parts {
+			parts[i].fresh = true
+		}
+	}
+	m := &manifest{Version: v.version, Log: filepath.Base(d.log.Name())}
+	extents := make(map[*graph.BlockID]extent, len(parts))
+	end := d.logEnd
+	var crc uint32
+	for _, p := range parts {
+		if p.fresh {
+			if _, err := d.log.Write(p.text); err != nil {
+				return nil, err
+			}
+			p.at = extent{end, int64(len(p.text))}
+			end += p.at.length
+		}
+		extents[p.id] = p.at
+		m.add(p.at)
+		crc = crc32.Update(crc, castagnoli, p.text)
+	}
+	m.CRC = crc
+	if err := d.log.Sync(); err != nil {
+		return nil, err
+	}
+	d.checkpointBytes.Add(uint64(end - d.logEnd))
+	d.logEnd = end
+	if err := writeManifest(d.dir, m); err != nil {
+		return nil, err
+	}
+	d.extents = extents
+	return m, nil
+}
+
+// startLog opens a new, empty generation of the block log. ckptMu held.
+func (d *durable) startLog() error {
+	f, err := os.OpenFile(filepath.Join(d.dir, fmt.Sprintf("%s%016x%s", logPrefix, d.nextGen, logSuffix)), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	d.nextGen++
+	wal.SyncDir(d.dir)
+	d.log, d.logEnd, d.extents = f, 0, nil
+	return nil
+}
+
+// dropLog closes the current generation of the block log, so the next
+// checkpoint starts one. ckptMu held.
+func (d *durable) dropLog() {
+	if d.log != nil {
+		d.log.Close()
+	}
+	d.log, d.logEnd, d.extents = nil, 0, nil
+}
+
+func manifestName(version uint64) string {
+	return fmt.Sprintf("%s%016x%s", checkpointPrefix, version, manifestSuffix)
+}
+
+// writeManifest writes m atomically: a temp file, fsynced, renamed over
+// its name, and the directory synced.
+func writeManifest(dir string, m *manifest) error {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	final := filepath.Join(dir, manifestName(m.Version))
+	tmp := final + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, final); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	wal.SyncDir(dir)
 	return nil
 }
 
@@ -572,7 +764,8 @@ type checkpointFile struct {
 	path    string
 }
 
-// listCheckpoints returns dir's checkpoint files sorted newest first.
+// listCheckpoints returns dir's checkpoints, manifests and files written
+// whole, sorted newest first; at one version a manifest comes first.
 func listCheckpoints(dir string) []checkpointFile {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -581,42 +774,112 @@ func listCheckpoints(dir string) []checkpointFile {
 	var cs []checkpointFile
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, checkpointSuffix) {
+		if e.IsDir() || !strings.HasPrefix(name, checkpointPrefix) {
 			continue
 		}
-		v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), checkpointSuffix), 16, 64)
+		hex, ok := strings.CutSuffix(name[len(checkpointPrefix):], manifestSuffix)
+		if !ok {
+			if hex, ok = strings.CutSuffix(name[len(checkpointPrefix):], checkpointSuffix); !ok {
+				continue
+			}
+		}
+		v, err := strconv.ParseUint(hex, 16, 64)
 		if err != nil {
 			continue
 		}
 		cs = append(cs, checkpointFile{version: v, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].version > cs[j].version })
+	sort.SliceStable(cs, func(i, j int) bool {
+		if cs[i].version != cs[j].version {
+			return cs[i].version > cs[j].version
+		}
+		return strings.HasSuffix(cs[i].path, manifestSuffix) && !strings.HasSuffix(cs[j].path, manifestSuffix)
+	})
 	return cs
 }
 
+// lastLogGen returns the newest block log generation in dir, 0 if none.
+func lastLogGen(dir string) uint64 {
+	var last uint64
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		hex, ok := strings.CutPrefix(e.Name(), logPrefix)
+		if hex, ok2 := strings.CutSuffix(hex, logSuffix); ok && ok2 {
+			if gen, err := strconv.ParseUint(hex, 16, 64); err == nil {
+				last = max(last, gen)
+			}
+		}
+	}
+	return last
+}
+
 // loadCheckpoint loads the newest readable checkpoint, skipping
-// corrupt ones in favor of older good ones. No checkpoint at all is a
-// fresh directory, not an error; checkpoints present but all unreadable
-// is an error (silently restarting from scratch would shadow committed
-// history).
-func loadCheckpoint(dir string) (g *graph.Graph, version uint64, ok bool, corruptSkipped int, err error) {
+// corrupt ones in favor of older good ones, and returns it with its
+// manifest. No checkpoint at all is a fresh directory, not an error;
+// checkpoints present but all unreadable is an error (silently
+// restarting from scratch would shadow committed history).
+func loadCheckpoint(dir string) (g *graph.Graph, m *manifest, corruptSkipped int, err error) {
 	cs := listCheckpoints(dir)
 	if len(cs) == 0 {
-		return nil, 0, false, 0, nil
+		return nil, nil, 0, nil
 	}
 	for _, c := range cs {
-		f, ferr := os.Open(c.path)
-		if ferr != nil {
+		g, m, err := readCheckpoint(dir, c)
+		if err != nil {
 			corruptSkipped++
 			continue
 		}
-		g, gerr := graph.Read(f)
-		f.Close()
-		if gerr != nil {
-			corruptSkipped++
-			continue
-		}
-		return g, c.version, true, corruptSkipped, nil
+		return g, m, corruptSkipped, nil
 	}
-	return nil, 0, false, corruptSkipped, fmt.Errorf("store: all %d checkpoints in %s are unreadable", len(cs), dir)
+	return nil, nil, corruptSkipped, fmt.Errorf("store: all %d checkpoints in %s are unreadable", len(cs), dir)
+}
+
+// readCheckpoint reads one checkpoint: a manifest's extents of its log,
+// whose size and CRC must match, or a file written whole.
+func readCheckpoint(dir string, c checkpointFile) (*graph.Graph, *manifest, error) {
+	m := &manifest{Version: c.version, Log: filepath.Base(c.path)}
+	isManifest := strings.HasSuffix(c.path, manifestSuffix)
+	if isManifest {
+		b, err := os.ReadFile(c.path)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := json.Unmarshal(b, m); err != nil {
+			return nil, nil, err
+		}
+		if m.Version != c.version || filepath.Base(m.Log) != m.Log {
+			return nil, nil, fmt.Errorf("manifest %s names version %d, log %q", c.path, m.Version, m.Log)
+		}
+	}
+	f, err := os.Open(filepath.Join(dir, m.Log))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !isManifest {
+		m.Size, m.Extents = info.Size(), [][2]int64{{0, info.Size()}}
+	}
+	var total int64
+	for _, e := range m.Extents {
+		if e[0] < 0 || e[1] < 0 || e[0]+e[1] > info.Size() {
+			return nil, nil, fmt.Errorf("manifest %s: extent %v past the log's %d bytes", c.path, e, info.Size())
+		}
+		total += e[1]
+	}
+	if total != m.Size {
+		return nil, nil, fmt.Errorf("manifest %s: extents hold %d bytes, want %d", c.path, total, m.Size)
+	}
+	crc := crc32.New(castagnoli)
+	g, err := graph.Read(io.TeeReader(m.reader(f), crc))
+	if err != nil {
+		return nil, nil, err
+	}
+	if isManifest && crc.Sum32() != m.CRC {
+		return nil, nil, fmt.Errorf("manifest %s: CRC-32C %08x, want %08x", c.path, crc.Sum32(), m.CRC)
+	}
+	return g, m, nil
 }

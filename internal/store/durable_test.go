@@ -43,6 +43,27 @@ func sameDatabase(a, b *graph.Snapshot) bool {
 	return true
 }
 
+// checkpointFiles reads the store directory's checkpoint: each manifest
+// and block log, by name.
+func checkpointFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	for _, pattern := range []string{checkpointPrefix + "*", logPrefix + "*"} {
+		m, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range m {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.Base(p)] = b
+		}
+	}
+	return files
+}
+
 // walFiles returns the store directory's WAL segment paths, sorted.
 func walFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -228,10 +249,7 @@ func TestCrashRecoveryPropertyRandomCuts(t *testing.T) {
 	if len(ckpts) != 1 {
 		t.Fatalf("checkpoints = %+v", ckpts)
 	}
-	ckptBytes, err := os.ReadFile(ckpts[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckptFiles := checkpointFiles(t, src)
 
 	versionToBatch := make(map[uint64]int, len(boundaries))
 	for i, v := range boundaries {
@@ -250,8 +268,10 @@ func TestCrashRecoveryPropertyRandomCuts(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(ckpts[0].path)), ckptBytes, 0o644); err != nil {
-			t.Fatal(err)
+		for name, b := range ckptFiles {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), mutate(append([]byte(nil), full...)), 0o644); err != nil {
 			t.Fatal(err)
@@ -360,6 +380,60 @@ func TestWALAppendFailureRollsBack(t *testing.T) {
 	if snap.NumEdges() != 2 {
 		t.Fatalf("failed batch published: %d edges", snap.NumEdges())
 	}
+}
+
+// TestFailedAppendLeavesNoName: a commit that named node 9 "alice" built
+// its version and then failed its WAL append. The retry adds an unnamed
+// node 9; "alice" must not resolve to it, and a later "alice" is its own
+// node, before and after a reopen.
+func TestFailedAppendLeavesNoName(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.New()
+	for i := 0; i < 8; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), "t")
+	}
+	s, err := Open(dir, WithSeed(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddNode("x", "t")
+
+	good := s.dur.wal
+	bad, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Close()
+	s.dur.wal = bad
+	if err := s.Update(func(tx *Tx) error { tx.AddNode("alice", "t"); return nil }); !errors.Is(err, ErrDurability) {
+		t.Fatalf("append on a closed log: %v", err)
+	}
+	s.dur.wal = good
+
+	if id := s.AddNode("", "t"); id != 9 {
+		t.Fatalf("retry added node %d, want 9", id)
+	}
+	if snap, _ := s.Snapshot(); func() bool { _, ok := snap.NodeByName("alice"); return ok }() {
+		t.Fatal("a rolled-back batch's name resolves after the retry")
+	}
+	alice := s.AddNode("alice", "t")
+	check := func(s *Store) {
+		t.Helper()
+		snap, _ := s.Snapshot()
+		if nd, ok := snap.NodeByName("alice"); !ok || nd.ID != alice {
+			t.Fatalf("alice = %d, %v; want %d", nd.ID, ok, alice)
+		}
+	}
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
 }
 
 func TestManualCheckpointAndInMemoryStoreErrors(t *testing.T) {

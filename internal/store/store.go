@@ -2,9 +2,10 @@
 // store. The current version is an immutable graph.Snapshot behind an
 // atomic pointer: Snapshot() costs one atomic load — readers never take
 // a lock and are never blocked by writers. Write transactions build the
-// next version copy-on-write through a graph.Builder (only the touched
-// labels' adjacency is copied; node additions extend the node table in
-// place) and publish it atomically; a transaction whose callback fails
+// next version copy-on-write through a graph.Builder (only the 256-row
+// chunks of adjacency holding a touched row are rebuilt, under copied
+// directories; node additions extend the node table in place) and
+// publish it atomically; a transaction whose callback fails
 // publishes nothing, so batches are all-or-nothing.
 //
 // Version numbers are monotonic and bump once per mutation; a batch of

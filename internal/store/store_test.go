@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -216,6 +217,43 @@ func TestFullLogCommitAllocates(t *testing.T) {
 	}
 	if full*2 > early*3 {
 		t.Errorf("a node-only commit allocates %d bytes with the log full, want within 1.5× of %d", full, early)
+	}
+}
+
+// TestNamedCommitAllocates: a node-adding commit adds its name to an
+// index the versions share, so it costs the name it adds, not the names
+// added before it. The median node-only commit after 1,000 distinctly
+// named commits allocates within 1.5× of one before them; cloning an
+// overlay of the names added since a fold made it 28.5 KB after 556.
+func TestNamedCommitAllocates(t *testing.T) {
+	skipUnderRace(t)
+	s, _, _ := newTestStore(t)
+	commits := 0
+	median := func(k int) uint64 {
+		bytes := make([]uint64, k)
+		var before, after runtime.MemStats
+		for i := range bytes {
+			name := fmt.Sprintf("named%d", commits)
+			runtime.ReadMemStats(&before)
+			s.AddNode(name, "t")
+			runtime.ReadMemStats(&after)
+			bytes[i], commits = after.TotalAlloc-before.TotalAlloc, commits+1
+		}
+		slices.Sort(bytes)
+		return bytes[k/2]
+	}
+	early := median(21)
+	for commits < 1000 {
+		s.AddNode(fmt.Sprintf("named%d", commits), "t")
+		commits++
+	}
+	late := median(21)
+	t.Logf("a named node-only commit allocates %d bytes early, %d after %d named commits", early, late, commits-21)
+	if snap, _ := s.Snapshot(); func() bool { n, ok := snap.NodeByName("named500"); return !ok || n.Name != "named500" }() {
+		t.Fatal("named500 does not resolve")
+	}
+	if late*2 > early*3 {
+		t.Errorf("a named node-only commit allocates %d bytes after %d named commits, want within 1.5× of %d", late, commits-21, early)
 	}
 }
 

@@ -72,10 +72,10 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		"Checkpoint attempts that failed.",
 		func() float64 { return float64(d.checkpointErrs.Load()) })
 	reg.CounterFunc("relsim_store_checkpoint_bytes_total",
-		"Bytes written to checkpoints this process.",
+		"Bytes checkpoints appended to the block log this process: the blocks no earlier checkpoint of the log generation holds, manifests excluded.",
 		func() float64 { return float64(d.checkpointBytes.Load()) })
 	reg.CounterFunc("relsim_store_checkpoint_encoded_bytes_total",
-		"Checkpoint bytes encoded afresh; the rest were blocks carried from an earlier checkpoint.",
+		"Bytes of checkpoint blocks encoded afresh; the rest were blocks carried from an earlier checkpoint.",
 		func() float64 { return float64(d.checkpointEncoded.Load()) })
 	reg.GaugeFunc("relsim_store_last_checkpoint_version",
 		"Version of the newest checkpoint on disk.",
