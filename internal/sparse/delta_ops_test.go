@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -323,7 +324,8 @@ func TestDeltaOperandDimensionChecked(t *testing.T) {
 // patch of a kernel result rewrites it compactly with headroom, the
 // next appends in place (same backing array, old version untouched), a
 // second patch of an old version copies instead of overwriting, and a
-// chain of patches never lets more than a quarter of the arena die.
+// chain of patches never lets the dead entries pass half the live ones
+// (a third of the arena).
 func TestPatchSharesArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 64
@@ -359,10 +361,11 @@ func TestPatchSharesArena(t *testing.T) {
 	checkMatrix(t, "fork", fork, denseCombine(v1Dense, denseAt(n, one(7, 7, 100).Each), add))
 
 	// A long chain: appends in place, rewrites when capacity runs out
-	// (an eighth of headroom always goes before a quarter is dead while
-	// rows are rewritten at their size), and — in the stretch that only
-	// empties rows, which appends nothing — rewrites by the dead-entry
-	// rule; then the emptied rows fill again. All three must occur.
+	// (half the live entries of headroom is gone no later than half the
+	// live entries are dead while rows are rewritten at their size or
+	// larger), and — in the stretch that only empties rows, which
+	// appends nothing — rewrites by the dead-entry rule; then the
+	// emptied rows fill again. All three must occur.
 	v2Dense := dense(v2)
 	cur := v2
 	var appended, outOfRoom, tooDead int
@@ -381,8 +384,8 @@ func TestPatchSharesArena(t *testing.T) {
 		}
 		prev := cur
 		cur = step(cur, d)
-		if dead := len(cur.colIdx) - cur.NNZ(); dead*4 > len(cur.colIdx) {
-			t.Fatalf("step %d: %d of %d arena entries dead", i, dead, len(cur.colIdx))
+		if dead := len(cur.colIdx) - cur.NNZ(); dead*2 > cur.NNZ() {
+			t.Fatalf("step %d: %d of %d arena entries dead, over half the %d live", i, dead, len(cur.colIdx), cur.NNZ())
 		}
 		grown := len(prev.colIdx) // had the replacement rows been appended
 		for _, r := range d.rows {
@@ -399,7 +402,7 @@ func TestPatchSharesArena(t *testing.T) {
 			tooDead++
 		}
 	}
-	t.Logf("400 patches: %d appended in place, %d rewritten out of room, %d rewritten over a quarter dead", appended, outOfRoom, tooDead)
+	t.Logf("400 patches: %d appended in place, %d rewritten out of room, %d rewritten over half dead", appended, outOfRoom, tooDead)
 	if appended < 200 || outOfRoom == 0 || tooDead == 0 {
 		t.Fatal("the chain must mostly append in place and hit both rewrite rules")
 	}
@@ -407,6 +410,29 @@ func TestPatchSharesArena(t *testing.T) {
 		t.Fatal("the matrix emptied: the chain lost its subject")
 	}
 	checkMatrix(t, "v2 after the chain", v2, v2Dense)
+}
+
+// TestArenaRoomClampsToInt32: a compaction's headroom is clamped to
+// what int32 spans address, so only live entries beyond int32 refuse
+// a compaction, never their headroom.
+func TestArenaRoomClampsToInt32(t *testing.T) {
+	for _, c := range []struct{ nnz, room int }{
+		{0, 0},
+		{1, 1},
+		{64, 96},
+		{math.MaxInt32 / 3 * 2, math.MaxInt32 / 3 * 3},
+		{math.MaxInt32/3*2 + 2, math.MaxInt32},
+		{1 << 30, 3 << 29},
+		{1_500_000_000, math.MaxInt32},
+		{math.MaxInt32, math.MaxInt32},
+	} {
+		if room, ok := arenaRoom(c.nnz); !ok || room != c.room {
+			t.Errorf("arenaRoom(%d) = %d, %v; want %d, true", c.nnz, room, ok, c.room)
+		}
+	}
+	if _, ok := arenaRoom(math.MaxInt32 + 1); ok {
+		t.Error("arenaRoom accepted more live entries than int32 spans address")
+	}
 }
 
 // FuzzDeltaOps drives every Delta operation with arbitrary shapes: the

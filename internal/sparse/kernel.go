@@ -52,11 +52,14 @@ type spanBlock [blockRows]span
 // the version it was made from, and every block none of its replaced
 // rows fall in: a patch copies the directory and the blocks it
 // touches, never n spans, and the version it was made from keeps
-// reading its own blocks unchanged. Blocks, like spans, are never
-// written once a matrix is published. The zero value is an empty 0×0
-// matrix. A GMatrix must not be copied: it holds its transpose once
-// TransposeCached has built it or the version it was made from handed
-// one over.
+// reading its own blocks unchanged. Its replacement rows go past the
+// arena's end, into the headroom the last compaction reserved, half
+// the live entries: compactions copy about two live entries for each
+// one appended, where an eighth of headroom copied about eight.
+// Blocks, like spans, are never written once a matrix is published.
+// The zero value is an empty 0×0 matrix. A GMatrix must not be
+// copied: it holds its transpose once TransposeCached has built it or
+// the version it was made from handed one over.
 type GMatrix[T comparable, R Ring[T]] struct {
 	n      int
 	nnz    int          // stored entries: the sum of the span lengths
@@ -322,9 +325,11 @@ func (m *GMatrix[T, R]) MulFlops(o *GMatrix[T, R]) int64 {
 // every other row, is shared with m, so a patch costs the directory
 // (n/256 pointers) and 2 KB per touched block, never n spans. Only the
 // arena's newest version may append in place; anything else, an arena
-// out of capacity, or one that would be more than a quarter dead is
-// first rewritten compactly with an eighth of headroom, over fresh flat
-// spans. cols, vals and ptr are copied out of and may be scratch.
+// out of capacity, or one whose dead entries would pass half its live
+// ones (a third of the arena) is first rewritten compactly, with half
+// its live entries as headroom (arenaRoom), over fresh flat spans, so
+// an arena holds at most 1.5 times its live entries plus its dead ones.
+// cols, vals and ptr are copied out of and may be scratch.
 func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMatrix[T, R] {
 	if len(rows) == 0 {
 		return m.grown(n)
@@ -337,7 +342,7 @@ func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMat
 	nrows := max(m.nrows, int(rows[len(rows)-1])+1)
 	end := len(m.colIdx)
 	grown := end + len(cols)
-	if m.tip != nil && grown <= cap(m.colIdx) && (grown-out.nnz)*4 <= grown &&
+	if m.tip != nil && grown <= cap(m.colIdx) && (grown-out.nnz)*2 <= out.nnz &&
 		m.tip.end.CompareAndSwap(int64(end), int64(grown)) {
 		out.colIdx, out.val, out.tip = m.colIdx[:grown], m.val[:grown], m.tip
 		copy(out.colIdx[end:], cols)
@@ -358,8 +363,8 @@ func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMat
 		}
 		return out
 	}
-	room := out.nnz + out.nnz/8
-	if room > math.MaxInt32 {
+	room, ok := arenaRoom(out.nnz)
+	if !ok {
 		panic(fmt.Sprintf("sparse: patched matrix has %d entries, beyond int32 spans", out.nnz))
 	}
 	out.colIdx, out.val = make([]int32, out.nnz, room), make([]T, out.nnz, room)
@@ -380,6 +385,16 @@ func (m *GMatrix[T, R]) withRows(n int, rows, ptr, cols []int32, vals []T) *GMat
 		w += len(sc)
 	}
 	return out
+}
+
+// arenaRoom returns the capacity a compacted arena of nnz live entries
+// gets: nnz and half as many again, clamped to what int32 spans
+// address. ok is false when nnz itself does not fit in int32 spans.
+func arenaRoom(nnz int) (room int, ok bool) {
+	if nnz > math.MaxInt32 {
+		return 0, false
+	}
+	return min(nnz+nnz/2, math.MaxInt32), true
 }
 
 // GZero returns the n×n all-zero matrix over R.

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -293,7 +295,9 @@ func streamed(t *testing.T, s *Store) ([]byte, uint64) {
 // exactly WriteView of its version, whether it appended to the log or
 // started a generation because the log outgrew logGrowth times the
 // graph, and after a Reset onto the graph read back from its own
-// checkpoint, as a follower bootstraps, whose blocks are all new.
+// checkpoint, as a follower bootstraps, whose blocks are all new. Each
+// manifest's CRC-32C, folded from its blocks', is crc32.Checksum of
+// the stream.
 func TestCheckpointReaderMatchesWriteView(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	dir := t.TempDir()
@@ -349,6 +353,15 @@ func TestCheckpointReaderMatchesWriteView(t *testing.T) {
 		if version != live || !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("round %d: checkpoint stream at version %d (%d bytes) is not WriteView of version %d (%d bytes)",
 				round, version, len(got), live, want.Len())
+		}
+		var m manifest
+		if b, err := os.ReadFile(filepath.Join(dir, manifestName(version))); err != nil {
+			t.Fatal(err)
+		} else if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		if crc := crc32.Checksum(got, castagnoli); m.CRC != crc {
+			t.Fatalf("round %d: manifest CRC-32C %08x, the stream's %08x", round, m.CRC, crc)
 		}
 		s.dur.ckptMu.Lock()
 		logs[s.dur.newest.Log] = true

@@ -19,10 +19,13 @@ package store
 // block's text once, and a checkpoint appends only the blocks the log
 // does not hold yet, then writes a small manifest naming the log and
 // the extents whose concatenation is the graph, with its size and
-// CRC-32C. A new log generation, written whole, starts at the first
-// checkpoint after Open, after a failed one, and when appending would
-// leave the log over logGrowth times the graph's bytes; the older generation goes
-// once a manifest over the new one is durable. So a log holds at most
+// CRC-32C. That CRC is folded from per-block CRCs the store keeps with
+// the extents, each computed once as its block is appended (crc.go),
+// so a checkpoint checksums only the bytes it appends. A new log
+// generation, written whole, starts at the first checkpoint after
+// Open, after a failed one, and when appending would leave the log over
+// logGrowth times the graph's bytes; the older generation goes once a
+// manifest over the new one is durable. So a log holds at most
 // logGrowth times the graph's bytes as of its last checkpoint, and the
 // directory one more generation, the graph's size, while a new one is
 // being written. Recovery still reads a checkpoint file written whole
@@ -531,7 +534,8 @@ func (s *Store) maybeCheckpointLocked(v *versioned) {
 // store lock is needed; ckptMu serializes concurrent checkpointers, and
 // a version already covered by a newer checkpoint is skipped. It
 // encodes only the blocks no checkpoint of an ancestor wrote, and costs
-// those blocks, a CRC over the graph's bytes and a manifest. On disk,
+// those blocks and their CRCs, a 32-step GF(2) multiply for each block
+// the log holds already, and a manifest. On disk,
 // the log it leaves holds at most logGrowth times the graph's bytes;
 // while a new generation is written, the old one (as large) is kept
 // until the manifest over the new one is durable.
@@ -575,16 +579,20 @@ func (s *Store) checkpointNow(v *versioned) error {
 	return nil
 }
 
-// castagnoli is the CRC-32C table a manifest's checksum uses.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// extent is a block's place in the log: length bytes from offset.
-type extent struct{ offset, length int64 }
+// extent is a block's place in the log, length bytes from offset, with
+// the block's CRC-32C and its crcShift, both computed once, when the
+// block is appended.
+type extent struct {
+	offset, length int64
+	crc, shift     uint32
+}
 
 // manifest is one checkpoint: the graph at Version is the concatenation
 // of the extents of the file Log, each an [offset, length] pair, Size
-// bytes in all with CRC-32C CRC. A checkpoint written whole is read as
-// one extent of its own file, and carries no CRC.
+// bytes in all with CRC-32C CRC, the CRC of the whole text as recovery
+// reads it back, though writeCheckpoint folds it from the blocks'. A
+// checkpoint written whole is read as one extent of its own file, and
+// carries no CRC.
 type manifest struct {
 	Version uint64     `json:"version"`
 	Log     string     `json:"log"`
@@ -618,7 +626,9 @@ func (m *manifest) reader(f *os.File) io.ReadCloser {
 
 // writeCheckpoint appends v.snap's missing blocks to the log, starting
 // a generation if none is open or the log would outgrow logGrowth times
-// the live bytes, and writes v's manifest. ckptMu held.
+// the live bytes, and writes v's manifest. The manifest's CRC is
+// crcCombine folded over the blocks' extents, so only an appended
+// block's bytes are checksummed. ckptMu held.
 func (d *durable) writeCheckpoint(v *versioned) (*manifest, error) {
 	type part struct {
 		id    *graph.BlockID
@@ -660,12 +670,12 @@ func (d *durable) writeCheckpoint(v *versioned) (*manifest, error) {
 			if _, err := d.log.Write(p.text); err != nil {
 				return nil, err
 			}
-			p.at = extent{end, int64(len(p.text))}
+			p.at = extent{end, int64(len(p.text)), crc32.Checksum(p.text, castagnoli), crcShift(int64(len(p.text)))}
 			end += p.at.length
 		}
 		extents[p.id] = p.at
 		m.add(p.at)
-		crc = crc32.Update(crc, castagnoli, p.text)
+		crc = crcCombine(crc, p.at.crc, p.at.shift)
 	}
 	m.CRC = crc
 	if err := d.log.Sync(); err != nil {
