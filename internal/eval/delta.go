@@ -23,6 +23,10 @@ import (
 //	Δ(M₁+…+M_k) = ΣΔMᵢ
 //	Δ(Mᵀ)       = ΔMᵀ
 //	Δ(M > 0), Δ(diag{M (Mᵀ > 0)})  on the rows of ΔM only
+//	ΔJ          = ones at (r, 0) for each row r the commit added
+//
+// A nested concatenation [p] is maintained as the walk builds it, as
+// DiagMulBool(M_{p·#}) (rowSums), so its child is the chain p·J.
 //
 // which is the distributive expansion (A+ΔA)(B+ΔB) = AB + ΔA·B + A·ΔB
 // + ΔA·ΔB generalized to chains. A commit costs the rows it touches,
@@ -328,12 +332,19 @@ func (mt *maintainer) diagonal(kd *keptDiag) *sparse.Vector {
 // isolated nodes) when the id space grows: ones on the diagonal at the
 // rows the commit added, nil if it added none.
 func (mt *maintainer) newNodes() *sparse.Delta {
+	return mt.newRows(func(r int) int { return r })
+}
+
+// newRows returns ones at (r, col(r)) for each row r the commit added,
+// nil if it added none. J's delta (sparse.OnesColumn) is newRows of the
+// constant column 0.
+func (mt *maintainer) newRows(col func(r int) int) *sparse.Delta {
 	if !mt.d.nodesGrew() {
 		return nil
 	}
 	ts := make([]sparse.Triple, 0, mt.d.NewN-mt.d.OldN)
 	for r := mt.d.OldN; r < mt.d.NewN; r++ {
-		ts = append(ts, sparse.Triple{Row: r, Col: r, Val: 1})
+		ts = append(ts, sparse.Triple{Row: r, Col: col(r), Val: 1})
 	}
 	return sparse.NewDelta(mt.d.NewN, ts)
 }
@@ -404,6 +415,15 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		return patched(&maintTerm{old: sparse.Identity(d.OldN).Grow(d.NewN), delta: mt.newNodes()}), nil
 
 	case rre.KindLabel:
+		if p.LabelName() == onesLabel {
+			// J changes only when the id space grows: a one in column 0
+			// of each added row.
+			old, ok := mt.cachedOld(key)
+			if !ok {
+				old = sparse.OnesColumn(d.OldN).Grow(d.NewN)
+			}
+			return patched(&maintTerm{old: old, delta: mt.newRows(func(int) int { return 0 })}), nil
+		}
 		dl := d.Labels[p.LabelName()]
 		if old, ok := mt.cachedOld(key); ok {
 			return patched(&maintTerm{old: old, delta: dl}), nil
@@ -508,7 +528,11 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		return mt.rowLocal(key, ch, (*sparse.Matrix).Boolean, sparse.PatchBoolean), nil
 
 	case rre.KindNest:
-		ch, err := mt.node(p.Subs()[0])
+		child := p.Subs()[0]
+		if child.Kind() == rre.KindConcat {
+			child = rowSums(child) // as the integer walk reads it
+		}
+		ch, err := mt.node(child)
 		if err != nil {
 			return nil, err
 		}

@@ -67,6 +67,15 @@ func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 	return out
 }
 
+// patternOf returns the pattern the cache stores under key. A key need
+// not parse: the row-sum chain p·# (rowSums) names a label no parsed
+// pattern can.
+func patternOf(c *Cache, key string) *rre.Pattern {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[key].p
+}
+
 // checkAgainstRecompute recomputes every cached entry at version v from
 // the snapshot with a fresh evaluator and private cache, asserting the
 // maintained matrix is Equal — every row canonical (sorted, no explicit
@@ -75,11 +84,7 @@ func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 func checkAgainstRecompute(t *testing.T, c *Cache, v uint64, snap *graph.Snapshot) {
 	t.Helper()
 	for key, m := range entriesAt(c, v) {
-		p, err := rre.Parse(key)
-		if err != nil {
-			t.Fatalf("unparseable cache key %q: %v", key, err)
-		}
-		want := NewVersioned(snap, 0, NewCache()).Commuting(p)
+		want := NewVersioned(snap, 0, NewCache()).Commuting(patternOf(c, key))
 		if !m.Equal(want) {
 			t.Fatalf("maintained %q at v%d diverges from recompute:\ngot\n%vwant\n%v", key, v, m, want)
 		}
@@ -492,6 +497,65 @@ func FuzzDeltaMaintain(f *testing.F) {
 	})
 }
 
+// FuzzNestRowSums checks the rewrite the integer walk reads a nested
+// concatenation by, M_{[c]} = DiagMulBool(M_{c·#}), under bag
+// semantics. Over FuzzDeltaMaintain's graphs (the fixture after an
+// arbitrary op stream, with parallel edges and added nodes), a random
+// concatenation c, whose factors may be alternations, stars, reversals,
+// skips and nested tests (themselves rewritten), must give
+// Commuting([c]) equal to DiagMulBool of Commuting(c) built whole on a
+// separate evaluator, and, where the graph is small enough for the
+// recursive counter, to CountInstances at every pair.
+func FuzzNestRowSums(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 0, 3})
+	f.Add(int64(2), []byte{1, 0, 0, 1, 0, 1, 1, 2})
+	f.Add(int64(3), []byte{0, 2, 1, 4, 0, 2, 1, 4, 9, 0, 0, 0})
+	f.Add(int64(4), []byte{5, 1, 1, 3, 9, 0, 0, 0, 0, 5, 2, 1})
+	labels := []string{"a", "b", "c"}
+	f.Fuzz(func(t *testing.T, seed int64, opBytes []byte) {
+		if len(opBytes) > 40 {
+			t.Skip("oversized input")
+		}
+		snap := fixtureSnap()
+		var ops []deltaOp
+		nodes := snap.NumNodes()
+		for i := 0; i+3 < len(opBytes); i += 4 {
+			kind, u, l, v := opBytes[i]%10, opBytes[i+1], opBytes[i+2], opBytes[i+3]
+			edge := deltaOp{op: "add-edge", u: graph.NodeID(int(u) % nodes), v: graph.NodeID(int(v) % nodes),
+				label: labels[int(l)%len(labels)]}
+			switch {
+			case kind < 5:
+				ops = append(ops, edge)
+			case kind < 9:
+				edge.op = "remove-edge"
+				ops = append(ops, edge)
+			default:
+				ops = append(ops, deltaOp{op: "add-node"})
+				nodes++
+			}
+		}
+		snap, _ = applyBatch(snap, 0, ops)
+
+		rng := rand.New(rand.NewSource(seed))
+		c := rre.Concat(randDeltaPattern(rng, labels, 2), randDeltaPattern(rng, labels, 2))
+		got := NewVersioned(snap, 0, NewCache()).Commuting(rre.Nest(c))
+		want := NewVersioned(snap, 0, NewCache()).Commuting(c).DiagMulBool()
+		if !got.Equal(want) {
+			t.Fatalf("[%s]: row sums\n%vdiverge from DiagMulBool of the whole chain\n%v", c, got, want)
+		}
+		if n := snap.NumNodes(); n <= 8 && c.Size() <= 10 {
+			ev := NewVersioned(snap, 0, NewCache())
+			for u := graph.NodeID(0); int(u) < n; u++ {
+				for v := graph.NodeID(0); int(v) < n; v++ {
+					if g, w := got.At(int(u), int(v)), ev.CountInstances(rre.Nest(c), u, v); g != w {
+						t.Fatalf("[%s] at (%d, %d): %d from row sums, %d instances", c, u, v, g, w)
+					}
+				}
+			}
+		}
+	})
+}
+
 // --- long chain ------------------------------------------------------------
 
 // TestMaintainLongChain patches one cache through 320 consecutive
@@ -575,7 +639,7 @@ func TestMaintainLongChain(t *testing.T) {
 			pinned := entriesAt(cache, v+1)
 			want := make(map[string]*sparse.Matrix, len(pinned))
 			for key := range pinned {
-				want[key] = NewVersioned(snap, 0, NewCache()).Commuting(rre.MustParse(key))
+				want[key] = NewVersioned(snap, 0, NewCache()).Commuting(patternOf(cache, key))
 			}
 			wantT := make(map[string]*sparse.Matrix, len(pinned))
 			for key, m := range want {

@@ -90,6 +90,9 @@ func (w walker[T, R]) compute(p *rre.Pattern) *sparse.GMatrix[T, R] {
 	case rre.KindEps:
 		return sparse.GIdentity[T, R](w.e.g.NumNodes())
 	case rre.KindLabel:
+		if p.LabelName() == onesLabel {
+			return sparse.Lift[T, R](sparse.OnesColumn(w.e.g.NumNodes()))
+		}
 		return sparse.Lift[T, R](w.e.g.Adjacency(p.LabelName()))
 	case rre.KindRev:
 		return w.eval(subs[0]).Transpose()
@@ -110,9 +113,34 @@ func (w walker[T, R]) compute(p *rre.Pattern) *sparse.GMatrix[T, R] {
 	case rre.KindSkip:
 		return w.eval(subs[0]).Boolean()
 	case rre.KindNest:
+		if w.memo == nil && subs[0].Kind() == rre.KindConcat {
+			return w.eval(rowSums(subs[0])).DiagMulBool()
+		}
 		return w.eval(subs[0]).DiagMulBool()
 	}
 	panic("eval: invalid pattern kind")
+}
+
+// onesLabel is the reserved label whose matrix is J (sparse.OnesColumn).
+// The lexer rejects '#', so no parsed pattern names it or collides with
+// it.
+const onesLabel = "#"
+
+// ones is the pattern of J.
+var ones = rre.Label(onesLabel)
+
+// rowSums returns p·#, whose one column holds the row sums of M_p. The
+// integer walk and the maintainer read a nested concatenation [p] as
+// DiagMulBool(M_{p·#}), never building M_p: for counts, DiagMulBool sums
+// a row's positive entries, which is its row sum. So [p-in.p-in-] is a
+// chain the planner orders right to left (p-in-·J, then p-in·that), and
+// the cache holds that column, not the paper×paper product. The witness
+// walk keeps DiagMulBool(M_p): a product through J would add a via to
+// every annotation. On int64 overflow the two differ (DiagMulBool drops
+// wrapped-negative entries, the row sum adds them), but both are wrong
+// there already.
+func rowSums(p *rre.Pattern) *rre.Pattern {
+	return rre.Concat(p, ones)
 }
 
 // star is the Kleene-star closure, its squarings run through mul. It

@@ -24,8 +24,10 @@ func nodeCost(p *rre.Pattern) int {
 }
 
 // walkDistinct walks the distinct sub-patterns of the patterns, each
-// under the key an evaluator builds it by (canonForm).
-func walkDistinct(patterns []*rre.Pattern) WorkloadStats {
+// under the key an evaluator builds it by (canonForm). With rows set it
+// walks a nested concatenation [p] as the integer walk builds it, over
+// the chain p·# (rowSums); without, as the witness walk does, over p.
+func walkDistinct(patterns []*rre.Pattern, rows bool) WorkloadStats {
 	in := rre.NewInterner()
 	all := make(map[string]bool)
 	var st WorkloadStats
@@ -42,6 +44,10 @@ func walkDistinct(patterns []*rre.Pattern) WorkloadStats {
 					all[k] = true
 					st.Nodes++
 					st.Products += nodeCost(q)
+				}
+				if rows && q.Kind() == rre.KindNest && q.Subs()[0].Kind() == rre.KindConcat {
+					walk(rowSums(q.Subs()[0]))
+					return
 				}
 				for _, s := range q.Subs() {
 					walk(s)
@@ -64,7 +70,14 @@ func walkDistinct(patterns []*rre.Pattern) WorkloadStats {
 // cache warmth: a cost ceiling must hold on the first, cold evaluation
 // of a pathological request, which is exactly when it matters.
 func EstimateProducts(patterns []*rre.Pattern) int {
-	return walkDistinct(patterns).Products
+	return walkDistinct(patterns, true).Products
+}
+
+// EstimateWitnessProducts is EstimateProducts for the witness walk
+// (CommutingWitness, WitnessRow), which builds a nested concatenation's
+// child whole rather than its row sums.
+func EstimateWitnessProducts(patterns []*rre.Pattern) int {
+	return walkDistinct(patterns, false).Products
 }
 
 // WorkloadPlan holds the walk's findings for one workload.
@@ -77,7 +90,7 @@ type WorkloadPlan struct{ stats WorkloadStats }
 // Deprecated: only the benchmark's layer table reads it; use
 // EstimateProducts.
 func PlanWorkload(patterns []*rre.Pattern) *WorkloadPlan {
-	return &WorkloadPlan{walkDistinct(patterns)}
+	return &WorkloadPlan{walkDistinct(patterns, true)}
 }
 
 // Stats returns what the walk found.

@@ -58,6 +58,13 @@ func TestPlanWorkloadDedup(t *testing.T) {
 			products: 2, // a.b once, star closure lower-bound 1
 		},
 		{
+			name:     "nest reads its chain's row sums",
+			patterns: []string{"[a.b]", "a.b"},
+			nodes:    6, // [a.b], a.b.#, a, b, #, a.b
+			deduped:  2, // a and b
+			products: 3, // a.b.# twice, a.b once
+		},
+		{
 			name:     "exact duplicates",
 			patterns: []string{"a", "a"},
 			nodes:    1,
@@ -67,7 +74,7 @@ func TestPlanWorkloadDedup(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st := walkDistinct(mustParseAll(t, tc.patterns))
+			st := walkDistinct(mustParseAll(t, tc.patterns), true)
 			if st.Nodes != tc.nodes {
 				t.Errorf("Nodes = %d, want %d", st.Nodes, tc.nodes)
 			}
@@ -93,7 +100,7 @@ func TestPlanWorkloadUnplannable(t *testing.T) {
 	ps := mustParseAll(t, []string{"(a + b).c + (b + a).c", "(a+b).c"})
 	// The raw root, (a + b).c, (b + a).c, a + b, b + a, a, b and c; the
 	// second pattern's canonical form is the raw (a + b).c.
-	if st := walkDistinct(ps); st.Nodes != 8 || st.Products != 2 {
+	if st := walkDistinct(ps, true); st.Nodes != 8 || st.Products != 2 {
 		t.Fatalf("Stats = %+v, want 8 nodes and 2 products", st)
 	}
 
@@ -145,5 +152,41 @@ func TestEstimateProducts(t *testing.T) {
 				t.Fatalf("EstimateProducts(%v) = %d, want %d", tc.patterns, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestNestPricedAsBuilt: a nested concatenation prices at the products
+// each walk performs for it, the integer walk's chain through J
+// (EstimateProducts) and the witness walk's chain alone
+// (EstimateWitnessProducts).
+func TestNestPricedAsBuilt(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(5)), 8, 24, []string{"a", "b", "c"})
+	for _, tc := range []struct {
+		pattern       string
+		ints, witness int
+	}{{"[a.b]", 2, 1}, {"[a.b-.c]", 3, 2}, {"a.[b.c].a-", 4, 3}} {
+		ps := mustParseAll(t, []string{tc.pattern})
+		if got := EstimateProducts(ps); got != tc.ints {
+			t.Errorf("EstimateProducts(%s) = %d, want %d", tc.pattern, got, tc.ints)
+		}
+		if got := EstimateWitnessProducts(ps); got != tc.witness {
+			t.Errorf("EstimateWitnessProducts(%s) = %d, want %d", tc.pattern, got, tc.witness)
+		}
+		for _, walk := range []struct {
+			name string
+			eval func(*Evaluator)
+			want int
+		}{
+			{"Commuting", func(e *Evaluator) { e.Commuting(ps[0]) }, tc.ints},
+			{"CommutingWitness", func(e *Evaluator) { e.CommutingWitness(ps[0]) }, tc.witness},
+		} {
+			ev := New(g)
+			var products atomic.Int64
+			ev.SetMulHook(func(_, _ *sparse.Matrix) { products.Add(1) })
+			walk.eval(ev)
+			if got := products.Load(); got != int64(walk.want) {
+				t.Errorf("%s(%s) performed %d products, want %d", walk.name, tc.pattern, got, walk.want)
+			}
+		}
 	}
 }

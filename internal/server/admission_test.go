@@ -336,9 +336,11 @@ func TestRateLimit(t *testing.T) {
 // /search and /batch read by.by-.cites and cites-.by.by- for the long
 // pattern (two products each, nothing shared) and the one half by.by-
 // twice for the cheap one. /explain pushes its rows through the pattern
-// and reads no half: a label chain costs 0, and the nest over the long
-// chain costs its 5 integer products plus their witness twins at
-// eval.AnnotationCostFactor = 2, 15 in all.
+// and reads no half: a label chain costs 0. The nest over the long
+// chain reads, over the integers, the row sums of the chain: its 5
+// products and the one through J, 6. Its witness push builds the chain
+// itself, 5 products at eval.AnnotationCostFactor = 2, so /explain
+// costs 16 in all.
 func TestCostCeiling(t *testing.T) {
 	long := "by.by-.cites.by.by-.cites"
 	cheap := "by.by-.by.by-"
@@ -347,7 +349,7 @@ func TestCostCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		pattern         string
 		search, explain int
-	}{{cheap, 1, 0}, {long, 4, 0}, {"by.by-", 0, 0}, {nest, 5, 15}} {
+	}{{cheap, 1, 0}, {long, 4, 0}, {"by.by-", 0, 0}, {nest, 6, 16}} {
 		if got := srv.searchCost(&SearchRequest{Pattern: tc.pattern, NoExpand: true}); got != tc.search {
 			t.Errorf("searchCost(%s) = %d, want %d", tc.pattern, got, tc.search)
 		}
@@ -383,8 +385,9 @@ func TestCostCeiling(t *testing.T) {
 }
 
 // TestHeadlinePricedByItsHalves: the benchmark's headline expands into
-// 49 roots that would cost 193 products to materialize; a /search reads
-// their seven shared halves, 12 products, and that is its price.
+// 49 roots that would cost 195 products to materialize; a /search reads
+// their seven shared halves, 14 products, and that is its price. Both
+// count the product through J that reads [p-in.p-in-] as row sums.
 func TestHeadlinePricedByItsHalves(t *testing.T) {
 	ds, err := datasets.ByName("dblp-small")
 	if err != nil {
@@ -399,11 +402,11 @@ func TestHeadlinePricedByItsHalves(t *testing.T) {
 	if got := len(qs.ps); got != 49 {
 		t.Fatalf("headline expands to %d patterns, want 49", got)
 	}
-	if got := eval.EstimateProducts(qs.ps); got != 193 {
-		t.Errorf("the 49 roots price at %d products, want 193", got)
+	if got := eval.EstimateProducts(qs.ps); got != 195 {
+		t.Errorf("the 49 roots price at %d products, want 195", got)
 	}
-	if got := srv.searchCost(req); got != 12 {
-		t.Errorf("searchCost(headline) = %d, want 12", got)
+	if got := srv.searchCost(req); got != 14 {
+		t.Errorf("searchCost(headline) = %d, want 14", got)
 	}
 }
 

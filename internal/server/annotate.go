@@ -91,11 +91,11 @@ func (s *Server) annotationSurcharge(req *SearchRequest) int {
 	return eval.AnnotationCostFactor * pushCost(qs.ps[0])
 }
 
-// pushCost prices a row push of p in integer products: those of the
-// composite factors it takes from the walk (eval.PushReads). A label
-// chain costs 0.
+// pushCost prices a witness row push of p in products: those of the
+// composite factors it takes from the witness walk (eval.PushReads,
+// eval.EstimateWitnessProducts). A label chain costs 0.
 func pushCost(p *rre.Pattern) int {
-	return eval.EstimateProducts(eval.PushReads(p))
+	return eval.EstimateWitnessProducts(eval.PushReads(p))
 }
 
 // annotateResults attaches witness annotations to a ranked answer

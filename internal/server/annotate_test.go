@@ -166,20 +166,21 @@ func TestWarmAnnotatedSearchZeroProducts(t *testing.T) {
 // annotated twin with 422 — annotation is priced at its witness push,
 // never smuggled in at integer cost. Alg "relsim" scores the pattern as
 // given (no Algorithm-1 expansion): by.[by-.by].by- reads the halves by
-// and by.[by-.by] (2 products), and its witness push builds the witness
-// of [by-.by], one product at eval.AnnotationCostFactor = 2, so plain
-// costs 2 and annotated 4. A label chain's push costs nothing, so its
+// and by.[by-.by] (3 products: [by-.by] is read as the row sums of
+// by-.by, two products through J), and its witness push builds the
+// witness of by-.by, one product at eval.AnnotationCostFactor = 2, so
+// plain costs 3 and annotated 5. A label chain's push costs nothing, so its
 // annotated read costs what its plain one does. /explain has no plain
 // twin: every answer carries its witness, and explainCost prices it
 // (TestCostCeiling).
 func TestAnnotatedCostCeiling(t *testing.T) {
-	const pat, ceiling = "by.[by-.by].by-", 2
+	const pat, ceiling = "by.[by-.by].by-", 3
 	q := SearchRequest{Pattern: pat, Query: "p1", Type: "paper", Alg: "relsim"}
 	aq := q
 	aq.Annotate = AnnotateWitness
 	srv := New(store.New(testGraph()), nil)
-	if plain, annot := srv.searchCost(&q), srv.searchCost(&aq); plain != 2 || annot != 4 {
-		t.Fatalf("searchCost = %d plain, %d annotated; want 2 and 4", plain, annot)
+	if plain, annot := srv.searchCost(&q), srv.searchCost(&aq); plain != 3 || annot != 5 {
+		t.Fatalf("searchCost = %d plain, %d annotated; want 3 and 5", plain, annot)
 	}
 	chain := SearchRequest{Pattern: "by.by-.by.by-", Query: "p1", Type: "paper", Alg: "relsim"}
 	achain := chain

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -270,18 +270,40 @@ func (s *Server) logAccess(r *http.Request, tr *Trace, phases []PhaseSpan, statu
 		line, _ = json.Marshal(rec)
 		line = append(line, '\n')
 	} else {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s %s %s %s %d %.2fms",
-			time.Now().UTC().Format(time.RFC3339Nano), tr.ID, r.Method, r.URL.Path, status, ms)
-		for _, ph := range phases {
-			fmt.Fprintf(&b, " %s=%.2fms", ph.Name, ph.Seconds*1000)
-		}
-		b.WriteByte('\n')
-		line = []byte(b.String())
+		var buf [256]byte
+		line = appendAccessText(buf[:0], time.Now(), tr.ID, r.Method, r.URL.Path, status, ms, phases)
 	}
 	s.accessMu.Lock()
 	s.accessW.Write(line)
 	s.accessMu.Unlock()
+}
+
+// appendAccessText appends to b the text access-log line: the time (UTC,
+// RFC 3339 with nanoseconds), request id, method, path and status, the
+// duration and then each phase as name=duration, every duration in
+// milliseconds to two decimals with an "ms" suffix, and a newline.
+func appendAccessText(b []byte, now time.Time, id, method, path string, status int, ms float64, phases []PhaseSpan) []byte {
+	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
+	for _, f := range [...]string{id, method, path} {
+		b = append(b, ' ')
+		b = append(b, f...)
+	}
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, ' ')
+	b = appendMS(b, ms)
+	for _, ph := range phases {
+		b = append(b, ' ')
+		b = append(b, ph.Name...)
+		b = append(b, '=')
+		b = appendMS(b, ph.Seconds*1000)
+	}
+	return append(b, '\n')
+}
+
+// appendMS appends ms to two decimals and "ms", as fmt's "%.2fms".
+func appendMS(b []byte, ms float64) []byte {
+	return append(strconv.AppendFloat(b, ms, 'f', 2, 64), "ms"...)
 }
 
 // serverCounters are the server's workload, semiring and delta tallies;

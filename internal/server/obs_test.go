@@ -633,6 +633,36 @@ func TestAccessLog(t *testing.T) {
 	})
 }
 
+// TestAccessTextFormat pins the text access-log line byte for byte
+// against the fmt rendering it replaced ("%s %s %s %s %d %.2fms", then
+// " %s=%.2fms" per phase and a newline): rounding at the half, zero,
+// large and sub-millisecond durations, and a time whose nanoseconds end
+// in zeros, which RFC 3339 drops.
+func TestAccessTextFormat(t *testing.T) {
+	spans := []PhaseSpan{{"expand", 0.000005}, {"score", 0.0012345}, {"plan", 0}, {"encode", 1234.5678}, {"x", 0.000015}}
+	for _, tc := range []struct {
+		now    time.Time
+		ms     float64
+		phases []PhaseSpan
+	}{
+		{time.Date(2026, 3, 1, 12, 30, 5, 123456789, time.UTC), 0.125, spans},
+		{time.Date(2026, 3, 1, 12, 30, 5, 120000000, time.FixedZone("x", 3600)), 0, nil},
+		{time.Date(1999, 12, 31, 23, 59, 59, 0, time.UTC), 98765.4321, spans[:1]},
+		{time.Date(2026, 3, 1, 0, 0, 0, 5, time.UTC), 2.675, spans[3:]},
+	} {
+		var want strings.Builder
+		fmt.Fprintf(&want, "%s %s %s %s %d %.2fms",
+			tc.now.UTC().Format(time.RFC3339Nano), "req-1", "POST", "/search", 200, tc.ms)
+		for _, ph := range tc.phases {
+			fmt.Fprintf(&want, " %s=%.2fms", ph.Name, ph.Seconds*1000)
+		}
+		want.WriteByte('\n')
+		if got := appendAccessText(nil, tc.now, "req-1", "POST", "/search", 200, tc.ms, tc.phases); string(got) != want.String() {
+			t.Errorf("access line = %q, want %q", got, want.String())
+		}
+	}
+}
+
 // TestPprofMount: opt-in only.
 func TestPprofMount(t *testing.T) {
 	srv := New(store.New(testGraph()), nil, WithPprof(true))

@@ -360,12 +360,16 @@ func TestFullDBLPMatchesReference(t *testing.T) {
 // alternation patterns cut whole, the pool took 18 products, 1,900,860
 // multiply-adds and 25 entries; read as their terms (eval.NewCut) it
 // takes 0.35× the multiply-adds, and never builds the 830,423-entry
-// half w.(p-in.p-in- + w-.w).
+// half w.(p-in.p-in- + w-.w). Read as the row sums of its chain (the
+// column p-in.p-in-.#), the headline's nest [p-in.p-in-] no longer
+// builds the 279,918-entry product p-in.p-in-: a cold headline read had
+// taken 12 products, 434,166 multiply-adds and 16 entries, the whole
+// pool 17, 660,866 and 23.
 const (
-	coldHeadlineProducts = 12
-	coldHeadlineMadds    = 434166
-	coldHeadlineEntries  = 16
-	poolProducts         = 17
-	poolMadds            = 660866
-	poolEntries          = 23
+	coldHeadlineProducts = 14
+	coldHeadlineMadds    = 174536
+	coldHeadlineEntries  = 17
+	poolProducts         = 19
+	poolMadds            = 401236
+	poolEntries          = 24
 )

@@ -16,6 +16,9 @@
 //	M_{⌈⌈p⌋⌋}  = M_p > 0                (Boolean)
 //	M_{[p]}    = diag{ M_p (M_pᵀ > 0) } (DiagMulBool)
 //
+// For a concatenation p the evaluator reads M_{[p]} as the row sums of
+// M_p: DiagMulBool of M_p·J (OnesColumn), whose one column holds them.
+//
 // There is one matrix type, GMatrix[T, R], whose semiring R is part of
 // the type (kernel.go, semiring.go): every operator is one method on
 // it. Matrix is its int64 instance, so annotated evaluations (witness
@@ -96,6 +99,18 @@ func sortTriples(n int, ts []Triple) []Triple {
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	return GIdentity[int64, IntRing](n)
+}
+
+// OnesColumn returns the n×n matrix J with a 1 at (i, 0) for every row
+// i: M·J holds row i's sum of M at (i, 0).
+func OnesColumn(n int) *Matrix {
+	m := &Matrix{n: n, nnz: n, colIdx: make([]int32, n), val: make([]int64, n)}
+	rows := m.flatSpans(n)
+	for i := range rows {
+		rows[i] = span{int32(i), int32(i + 1)}
+		m.val[i] = 1
+	}
+	return m
 }
 
 // Zero returns the n×n all-zero matrix.

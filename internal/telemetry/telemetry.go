@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -197,28 +198,32 @@ func (v *Vec) With(values ...string) *Metric {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := childKey(values)
+	var buf [128]byte
+	key := appendChildKey(buf[:0], values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m, ok := f.children[key]; ok {
+	if m, ok := f.children[string(key)]; ok { // a lookup by string(key) does not allocate
 		return m
 	}
 	m := &Metric{fam: f, values: append([]string(nil), values...)}
 	if f.kind == KindHistogram {
 		m.counts = make([]atomic.Uint64, len(f.buckets)+1)
 	}
-	f.children[key] = m
+	f.children[string(key)] = m
 	return m
 }
 
-// childKey joins label values unambiguously (values may contain any
-// byte, so a plain join could collide).
-func childKey(values []string) string {
-	key := ""
+// appendChildKey appends to b the label values joined unambiguously,
+// each as "len:value," (values may contain any byte, so a plain join
+// could collide).
+func appendChildKey(b []byte, values []string) []byte {
 	for _, v := range values {
-		key += fmt.Sprintf("%d:%s,", len(v), v)
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
+		b = append(b, v...)
+		b = append(b, ',')
 	}
-	return key
+	return b
 }
 
 // Inc adds 1 to a counter or gauge.

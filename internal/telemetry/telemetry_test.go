@@ -121,6 +121,28 @@ func TestGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestWithExistingChildAllocatesNothing: resolving a child that exists
+// allocates nothing; values longer than the key's stack buffer still
+// find their child, and values a plain join would run together stay
+// distinct children.
+func TestWithExistingChildAllocatesNothing(t *testing.T) {
+	v := NewRegistry().Histogram("phase_seconds", "p", []float64{1}, "endpoint", "phase")
+	m := v.With("search", "materialize")
+	if allocs := testing.AllocsPerRun(100, func() { v.With("search", "materialize").Observe(0.5) }); allocs != 0 {
+		t.Errorf("With on an existing child allocates %v times, want 0", allocs)
+	}
+	if v.With("search", "materialize") != m {
+		t.Error("With does not return the existing child")
+	}
+	long := strings.Repeat("x", 200)
+	if v.With(long, long) != v.With(long, long) {
+		t.Error("With of long values does not return the existing child")
+	}
+	if v.With("a,1:b", "c") == v.With("a", "b,1:c") {
+		t.Error("label values that join alike share a child")
+	}
+}
+
 // TestLintRejects feeds Lint malformed expositions and asserts each is
 // caught — the checker must not pass vacuously.
 func TestLintRejects(t *testing.T) {
